@@ -35,6 +35,11 @@ def _check(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _is_int(value: Any) -> bool:
+    """An integer, and not a bool (JSON true is an int to isinstance)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class PrepConfig:
     annotations: str
@@ -277,13 +282,13 @@ def _parse_homophily(raw: dict, out_dir: str, train: TrainConfig | None) -> Homo
     _check(reps is not None, "homophily.representations is required")
     profiles = s["profiles"] or (train.profiles if train else None)
     _check(profiles is not None, "homophily.profiles is required")
-    _check(isinstance(s["k"], int) and s["k"] >= 1, "homophily.k must be an integer >= 1")
-    _check(isinstance(s["iterations"], int) and s["iterations"] >= 1, "homophily.iterations must be >= 1")
+    for key, least in (("k", 1), ("iterations", 1), ("seed", 0)):
+        _check(_is_int(s[key]) and s[key] >= least, f"homophily.{key} must be an integer >= {least}")
     _check(s["metric"] in ("cosine", "euclidean"), "homophily.metric must be cosine or euclidean")
     attrs = s["attributes"]
     if attrs is not None:
-        _check(isinstance(attrs, list) and all(isinstance(a, str) for a in attrs),
-               "homophily.attributes must be a list of strings")
+        _check(isinstance(attrs, list) and attrs and all(isinstance(a, str) for a in attrs),
+               "homophily.attributes must be a non-empty list of strings")
     return HomophilyConfig(
         representations=reps,
         profiles=profiles,

@@ -8,16 +8,22 @@ representation space clusters by that attribute. Bootstrap resampling
 over annotators attaches a mean and standard deviation to all three.
 
 Neighbor search is exact (brute force) under cosine distance by default,
-with Euclidean available. Distance ties break by annotator id, then row
-order, so results are deterministic.
+with Euclidean available. Distances are computed over the unique vectors,
+so identical vectors lie at exactly the same distance from every query.
+Ties break by annotator id, then row order, so results are deterministic.
+
+Cost: a pair's sort key does not depend on who else is in the space, so
+`homophily_table` sorts once, O(n² log n), into an int32 neighbor order
+with one row of n per unique vector (at most 4·n² bytes, ~400 MB at
+n = 10⁴). Each bootstrap draw filters it to its members, O(n²), and every
+attribute is scored on those neighbors: O(n² log n + iterations × n²).
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -111,92 +117,101 @@ class HomophilyRow:
     iterations: int
 
     def to_dict(self) -> dict:
-        return {
-            "attribute": self.attribute,
-            "observed_mean": self.observed_mean,
-            "observed_std": self.observed_std,
-            "chance_mean": self.chance_mean,
-            "chance_std": self.chance_std,
-            "ratio_mean": self.ratio_mean,
-            "ratio_std": self.ratio_std,
-            "k": self.k,
-            "iterations": self.iterations,
-        }
+        return asdict(self)
 
 
-def _distance_matrix(vectors: np.ndarray, metric: str) -> np.ndarray:
+ORDER_BLOCK = 128  # rows per block when building and filtering the neighbor order
+
+
+def _distance_blocks(vectors: np.ndarray, metric: str):
+    """Yield (start, distances from vectors[start:start + ORDER_BLOCK] to every row)."""
+    if metric not in METRICS:
+        raise ConfigError(f"unknown metric {metric!r}; expected one of {METRICS}")
     if metric == "cosine":
-        norms = np.maximum(np.linalg.norm(vectors, axis=1, keepdims=True), 1e-30)
-        unit = vectors / norms
-        return 1.0 - unit @ unit.T
-    if metric == "euclidean":
-        sq = np.sum(vectors**2, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (vectors @ vectors.T)
-        return np.sqrt(np.maximum(d2, 0.0))
-    raise ConfigError(f"unknown metric {metric!r}; expected one of {METRICS}")
+        vectors = vectors / np.maximum(np.linalg.norm(vectors, axis=1, keepdims=True), 1e-30)
+    sq = np.sum(vectors**2, axis=1)
+    for start in range(0, len(vectors), ORDER_BLOCK):
+        block = slice(start, start + ORDER_BLOCK)
+        gram = vectors[block] @ vectors.T
+        if metric == "cosine":
+            yield start, np.subtract(1.0, gram, out=gram)
+        else:
+            yield start, np.sqrt(np.maximum(sq[block, None] + sq[None, :] - 2.0 * gram, 0.0))
 
 
-def _neighbor_order(vectors: np.ndarray, ids: list[str], metric: str) -> np.ndarray:
-    """Row i holds all other indices sorted by (distance to i, annotator id, index)."""
-    dist = _distance_matrix(vectors, metric)
+def _neighbor_order(vectors: np.ndarray, ids: list[str], metric: str) -> tuple[np.ndarray, np.ndarray]:
+    """One order row per unique vector, and each annotator's row in it.
+
+    order[row_of[i]] holds every index, i included, sorted by (distance to
+    i, annotator id, index). Identical vectors share a row: they tie exactly.
+    """
+    unique, row_of = np.unique(vectors, axis=0, return_inverse=True)
+    row_of = row_of.reshape(-1)
     # pre-permute columns into id order, then stable-sort by distance:
     # ties fall back to annotator id, then original row order
-    by_id = np.argsort(np.array(ids, dtype=object), kind="stable")
-    ordered = np.argsort(dist[:, by_id], axis=1, kind="stable")
-    neighbors = by_id[ordered]
-    n = len(ids)
-    out = np.empty((n, n - 1), dtype=np.int64)
-    for i in range(n):
-        row = neighbors[i]
-        out[i] = row[row != i]
+    by_id = np.argsort(np.array(ids, dtype=object), kind="stable").astype(np.int32)
+    order = np.empty((len(unique), len(ids)), dtype=np.int32)
+    for start, dist in _distance_blocks(unique, metric):
+        ranked = np.argsort(dist[:, row_of[by_id]], axis=1, kind="stable")
+        order[start : start + len(dist)] = by_id[ranked]
+    return order, row_of
+
+
+def _nearest(order: np.ndarray, row_of: np.ndarray, member: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """For each of `rows`, the first k members in its order, skipping the row itself."""
+    out = np.empty((len(rows), k), dtype=order.dtype)
+    for start in range(0, len(rows), ORDER_BLOCK):
+        block = rows[start : start + ORDER_BLOCK]
+        candidates = order[row_of[block]]
+        keep = member[candidates] & (candidates != block[:, None])
+        keep &= np.cumsum(keep, axis=1, dtype=np.int32) <= k
+        out[start : start + len(block)] = candidates[keep].reshape(len(block), k)
     return out
+
+
+def _codes(categories: list[str]) -> np.ndarray:
+    return np.unique(np.array(categories, dtype=object), return_inverse=True)[1]
+
+
+def _same_fraction(codes: np.ndarray, rows: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
+    """Same-category neighbor fraction per row."""
+    return (codes[neighbors] == codes[rows][:, None]).mean(axis=1)
+
+
+def _chance(codes: np.ndarray) -> float:
+    # integer arithmetic then one division: uniform C categories give 1/C exactly
+    return int(np.sum(np.bincount(codes) ** 2)) / len(codes) ** 2
+
+
+def _check_space(space: RepSpace, attributes: list[str], k: int) -> None:
+    for attribute in attributes:
+        if attribute not in space.attributes:
+            raise DataError(f"attribute {attribute!r} not present in representation space")
+    if not 1 <= k < len(space):
+        raise DataError(f"k={k} must be >= 1 and needs at least k+1 annotators, have {len(space)}")
 
 
 def knn(space: RepSpace, i: int, k: int, metric: str = "cosine") -> list[int]:
     """Indices of the k nearest annotators to row i, excluding i itself."""
-    n = len(space)
-    if k >= n:
-        raise DataError(f"k={k} needs at least k+1 annotators, have {n}")
-    if k < 1:
-        raise DataError("k must be >= 1")
+    _check_space(space, [], k)
     order = _neighbor_order(space.vectors, space.annotator_ids, metric)
-    return order[i, :k].tolist()
-
-
-def _observed_fractions(
-    vectors: np.ndarray,
-    ids: list[str],
-    categories: list[str],
-    k: int,
-    metric: str,
-) -> np.ndarray:
-    """Same-category neighbor fraction per row, all rows at once."""
-    order = _neighbor_order(vectors, ids, metric)
-    cats = np.array(categories, dtype=object)
-    neighbor_cats = cats[order[:, :k]]
-    return (neighbor_cats == cats[:, None]).mean(axis=1)
+    return _nearest(*order, np.ones(len(space), dtype=bool), np.array([i]), k)[0].tolist()
 
 
 def observed_probability(space: RepSpace, attribute: str, k: int = 50, metric: str = "cosine") -> float:
     """Mean over annotators of the same-attribute fraction among their k neighbors."""
-    if attribute not in space.attributes:
-        raise DataError(f"attribute {attribute!r} not present in representation space")
-    if k >= len(space):
-        raise DataError(f"k={k} needs at least k+1 annotators, have {len(space)}")
-    fractions = _observed_fractions(
-        space.vectors, space.annotator_ids, space.attributes[attribute], k, metric
-    )
-    return float(fractions.mean())
+    _check_space(space, [attribute], k)
+    order = _neighbor_order(space.vectors, space.annotator_ids, metric)
+    rows = np.arange(len(space))
+    neighbors = _nearest(*order, np.ones(len(space), dtype=bool), rows, k)
+    return float(_same_fraction(_codes(space.attributes[attribute]), rows, neighbors).mean())
 
 
 def chance_probability(space: RepSpace, attribute: str) -> float:
     """Sum of squared category frequencies; position-independent by construction."""
     if attribute not in space.attributes:
         raise DataError(f"attribute {attribute!r} not present in representation space")
-    counts = Counter(space.attributes[attribute])
-    n = len(space)
-    # integer arithmetic then one division: uniform C categories give 1/C exactly
-    return sum(c * c for c in counts.values()) / (n * n)
+    return _chance(_codes(space.attributes[attribute]))
 
 
 def homophily_ratio(space: RepSpace, attribute: str, k: int = 50, metric: str = "cosine") -> float:
@@ -214,55 +229,8 @@ def bootstrap_homophily(
     seed: int = 0,
     metric: str = "cosine",
 ) -> HomophilyRow:
-    """Resample annotators with replacement and redo the three statistics.
-
-    Each iteration draws N annotators with replacement; duplicates weight
-    the observed average, but neighbor search runs over the draw's
-    distinct members so a vector is never its own neighbor. Chance is
-    recomputed from the resampled multiset, keeping each iteration's
-    ratio internally consistent. Iteration seeds derive from (seed,
-    iteration), so execution order cannot change the result.
-    """
-    if attribute not in space.attributes:
-        raise DataError(f"attribute {attribute!r} not present in representation space")
-    n = len(space)
-    if n < k + 1:
-        raise DataError(f"k={k} needs at least k+1 annotators, have {n}")
-    cats_all = np.array(space.attributes[attribute], dtype=object)
-    ids_all = np.array(space.annotator_ids, dtype=object)
-    observed = np.empty(iterations, dtype=np.float64)
-    chance = np.empty(iterations, dtype=np.float64)
-    for it in range(iterations):
-        rng = np.random.default_rng([seed, it])
-        draw = rng.integers(0, n, size=n)
-        distinct, weights = np.unique(draw, return_counts=True)
-        if len(distinct) <= k:
-            raise DataError(
-                f"bootstrap iteration {it}: only {len(distinct)} distinct annotators for k={k}"
-            )
-        fractions = _observed_fractions(
-            space.vectors[distinct],
-            ids_all[distinct].tolist(),
-            cats_all[distinct].tolist(),
-            k,
-            metric,
-        )
-        observed[it] = float(np.average(fractions, weights=weights))
-        draw_cats = cats_all[draw]
-        counts = Counter(draw_cats.tolist())
-        chance[it] = sum(c * c for c in counts.values()) / (n * n)
-    ratios = observed / chance
-    return HomophilyRow(
-        attribute=attribute,
-        observed_mean=float(observed.mean()),
-        observed_std=float(observed.std()),
-        chance_mean=float(chance.mean()),
-        chance_std=float(chance.std()),
-        ratio_mean=float(ratios.mean()),
-        ratio_std=float(ratios.std()),
-        k=k,
-        iterations=iterations,
-    )
+    """The bootstrap row of one attribute; see `homophily_table`."""
+    return homophily_table(space, k, iterations, seed, metric, attributes=[attribute])[0]
 
 
 def homophily_table(
@@ -273,8 +241,40 @@ def homophily_table(
     metric: str = "cosine",
     attributes: list[str] | None = None,
 ) -> list[HomophilyRow]:
-    """Bootstrap rows for every attribute (or the requested subset), ratio-descending."""
+    """Bootstrap rows for every attribute (or the requested subset), ratio-descending.
+
+    Each iteration draws N annotators with replacement; duplicates weight
+    the observed average, but neighbor search runs over the draw's
+    distinct members so a vector is never its own neighbor. Chance is
+    recomputed from the resampled multiset, keeping each iteration's
+    ratio internally consistent. Iteration seeds derive from (seed,
+    iteration) alone, so every attribute is scored on the same draws.
+    """
     names = attributes if attributes is not None else list(space.attributes)
-    rows = [bootstrap_homophily(space, a, k, iterations, seed, metric) for a in names]
-    rows.sort(key=lambda r: -r.ratio_mean)
-    return rows
+    _check_space(space, names, k)
+    n = len(space)
+    codes = [_codes(space.attributes[a]) for a in names]
+    order = _neighbor_order(space.vectors, space.annotator_ids, metric)
+    observed, chance = np.empty((2, len(names), iterations), dtype=np.float64)
+    for it in range(iterations):
+        draw = np.random.default_rng([seed, it]).integers(0, n, size=n)
+        weights = np.bincount(draw, minlength=n)
+        rows = np.flatnonzero(weights)
+        if len(rows) <= k:
+            raise DataError(f"bootstrap iteration {it}: only {len(rows)} distinct annotators for k={k}")
+        neighbors = _nearest(*order, weights > 0, rows, k)
+        for a, attr_codes in enumerate(codes):
+            fractions = _same_fraction(attr_codes, rows, neighbors)
+            observed[a, it] = float(np.average(fractions, weights=weights[rows]))
+            chance[a, it] = _chance(attr_codes[draw])
+    ratio = observed / chance
+    table = [
+        HomophilyRow(
+            attribute=name, k=k, iterations=iterations,
+            observed_mean=float(observed[a].mean()), observed_std=float(observed[a].std()),
+            chance_mean=float(chance[a].mean()), chance_std=float(chance[a].std()),
+            ratio_mean=float(ratio[a].mean()), ratio_std=float(ratio[a].std()),
+        )
+        for a, name in enumerate(names)
+    ]
+    return sorted(table, key=lambda r: -r.ratio_mean)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .batcher import assemble_batch, plan_epoch
 from .corpus import AnnotationRecord, Dataset, SplitPair, majority_vote
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, SociolensError
 from .features import EmbeddingTable, SocioSchema, build_schema, encode_multihot
 from .metrics import MetricsReport, aggregate_runs, confusion_metrics, with_auc
 from .model import (
@@ -171,6 +171,9 @@ def train_one(
     if any(r.label is None for r in train.records):
         raise DataError("training data must be binarized first")
     _check_coverage(train, text_table, "train")
+    leaked = set(train.text_ids()) & {r.text_id for r in split.test.records}
+    if leaked:
+        raise DataError(f"{len(leaked)} test text(s) also in the training split, e.g. {min(leaked)!r}")
 
     schema = build_schema(train.profiles) if config.variant in SOCIO_VARIANTS else None
     multihot = None
@@ -187,7 +190,6 @@ def train_one(
     dropout_rng = np.random.default_rng([seed, 0xD0])
 
     plan_source = _majority_dataset(train) if config.variant == "simple" else train
-    test_text_ids = {r.text_id for r in split.test.records}
     log_rows: list[dict] = []
     plans = []
     step = 0
@@ -204,7 +206,6 @@ def train_one(
                 socio_table=socio_table if config.variant == "socio_embedding" else None,
                 annotator_index=annotator_index,
             )
-            assert not (set(batch.text_ids) & test_text_ids), "test text leaked into training"
             probs, trace = forward(params, batch, mode="train", rng=dropout_rng)
             cls_loss, d_logits = bce_loss(probs, batch.labels)
             if config.variant == "socio_contrastive":
@@ -309,6 +310,9 @@ def train_suite(
     def one(seed: int) -> TrainedRun:
         try:
             return train_one(config, seed, split, text_table, socio_table, out_dir, dump_plan)
+        except SociolensError as exc:
+            # keep the class so the CLI still maps it to its own exit code
+            raise type(exc)(f"run for seed {seed} failed: {exc}") from exc
         except Exception as exc:
             raise DataError(f"run for seed {seed} failed: {exc}") from exc
 

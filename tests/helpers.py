@@ -1,10 +1,14 @@
-"""Shared test utilities: batch construction and the finite-difference oracle."""
+"""Shared test utilities: batch construction, the finite-difference oracle and the per-draw homophily reference."""
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 
 from sociolens.batcher import Batch
+from sociolens.errors import DataError
+from sociolens.homophily import HomophilyRow, RepSpace, _distance_blocks
 from sociolens.model import ModelSpec, backward, forward, init_params
 from sociolens.objectives import bce_loss, combined_loss, contrastive_loss
 
@@ -95,3 +99,52 @@ def gradient_check_instance(variant: str, seed: int, step: float = 1e-6) -> floa
             fd = (up - down) / (2.0 * step)
             worst = max(worst, abs(analytic[j] - fd) / max(abs(analytic[j]), abs(fd), 1e-4))
     return worst
+
+
+def _subset_order(dist: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Row i: every other local index by (distance to i, id, index)."""
+    by_id = np.argsort(ids, kind="stable")
+    neighbors = by_id[np.argsort(dist[:, by_id], axis=1, kind="stable")]
+    return np.array([row[row != i] for i, row in enumerate(neighbors)])
+
+
+def reference_homophily_table(
+    space: RepSpace, k: int, iterations: int, seed: int, metric: str, attributes: list[str]
+) -> list[HomophilyRow]:
+    """Homophily rows the per-draw way: every draw of every attribute sorts its own members afresh.
+
+    Pair distances come from one table over the space's unique vectors, built
+    by the blocks the package uses. A matrix product's last bit can depend on
+    where a vector sits in it, so distances recomputed per draw could reorder
+    distinct vectors at equal true distance, and the comparison would test
+    rounding rather than the neighbor search.
+    """
+    n = len(space)
+    unique, inverse = np.unique(space.vectors, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    table = np.vstack([rows for _, rows in _distance_blocks(unique, metric)])
+    ids_all = np.array(space.annotator_ids, dtype=object)
+    rows = []
+    for attribute in attributes:
+        cats_all = np.array(space.attributes[attribute], dtype=object)
+        observed, chance = [], []
+        for it in range(iterations):
+            draw = np.random.default_rng([seed, it]).integers(0, n, size=n)
+            distinct, weights = np.unique(draw, return_counts=True)
+            if len(distinct) <= k:
+                raise DataError(f"bootstrap iteration {it}: only {len(distinct)} distinct annotators")
+            members = inverse[distinct]
+            order = _subset_order(table[members][:, members], ids_all[distinct])
+            cats = cats_all[distinct]
+            fractions = (cats[order[:, :k]] == cats[:, None]).mean(axis=1)
+            observed.append(float(np.average(fractions, weights=weights)))
+            counts = Counter(cats_all[draw].tolist())
+            chance.append(sum(c * c for c in counts.values()) / (n * n))
+        observed, chance = np.array(observed), np.array(chance)
+        ratios = observed / chance
+        rows.append(HomophilyRow(
+            attribute, float(observed.mean()), float(observed.std()), float(chance.mean()),
+            float(chance.std()), float(ratios.mean()), float(ratios.std()), k, iterations,
+        ))
+    rows.sort(key=lambda r: -r.ratio_mean)
+    return rows

@@ -177,6 +177,30 @@ class TestErrors:
         assert main(["train", "--config", str(path)]) == 4
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", "x"), ("seed", 1.5), ("seed", -1), ("k", True), ("iterations", False), ("attributes", [])],
+    )
+    def test_bad_homophily_field_exits_2(self, tmp_path, capsys, field, value):
+        config = base_config(str(tmp_path / "out"))
+        config["homophily"][field] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["homophily", "--config", str(path)]) == 2
+        assert f"homophily.{field}" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergent_training_exits_4_with_seed(self, tmp_path, capsys):
+        config = base_config(str(tmp_path / "out"))
+        config["train"].update(variant="simple", ablation=False, lr=1e300)
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        for command in ("synth", "prep"):
+            assert main([command, "--config", str(config_path)]) == 0
+        assert main(["train", "--config", str(config_path)]) == 4
+        assert "numeric error: run for seed 0 failed: non-finite" in capsys.readouterr().err
+
+
 class TestOverrides:
     def test_variant_override_trains_one(self, tmp_path):
         config = base_config(str(tmp_path / "out"))

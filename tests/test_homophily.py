@@ -1,12 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_homophily_table
+from sociolens import homophily
 from sociolens.errors import ConfigError, DataError
 from sociolens.homophily import (
     RepSpace,
     bootstrap_homophily,
     chance_probability,
     homophily_ratio,
+    homophily_table,
     knn,
     load_representations,
     observed_probability,
@@ -63,6 +70,25 @@ class TestKnn:
         vectors = np.ones((3, 4))
         space = RepSpace(["zz", "aa", "mm"], vectors, {"attr": ["x"] * 3})
         assert knn(space, 0, 2) == [1, 2]  # aa before mm
+
+    @pytest.mark.parametrize("block", [3, homophily.ORDER_BLOCK])
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_identical_vectors_listed_in_id_order(self, metric, block, monkeypatch):
+        # few base vectors repeated at small dims, where a matrix product's
+        # rounding can differ between columns holding the same vector;
+        # small blocks put every space across several of them
+        monkeypatch.setattr(homophily, "ORDER_BLOCK", block)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n, dim = int(rng.integers(16, 61)), int(rng.integers(1, 9))
+            group = rng.integers(0, 4, size=n)
+            ids = [f"a{j:03d}" for j in rng.permutation(n)]
+            space = RepSpace(ids, rng.standard_normal((4, dim))[group], {"attr": ["x"] * n})
+            for i in range(n):
+                listed = [ids[j] for j in knn(space, i, n - 1, metric=metric)]
+                for g in range(4):
+                    members = [a for a in listed if group[ids.index(a)] == g]
+                    assert members == sorted(members), (seed, i, g)
 
     def test_k_too_large_rejected(self):
         rng = np.random.default_rng(2)
@@ -213,6 +239,50 @@ class TestBootstrap:
         row = bootstrap_homophily(space, "attr", k=10, iterations=50, seed=7)
         assert row.chance_mean >= 0.5
         assert row.chance_std > 0.0
+
+
+@st.composite
+def bootstrap_cases(draw):
+    n = draw(st.integers(4, 40))
+    dim = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["repeated", "grid", "float"]))
+    if kind == "repeated":
+        count = draw(st.integers(1, 5))
+        vectors = rng.standard_normal((count, dim))[rng.integers(0, count, size=n)]
+    elif kind == "grid":
+        vectors = rng.integers(-2, 3, size=(n, dim)).astype(np.float64)
+    else:
+        vectors = rng.standard_normal((n, dim))
+    # halving the id pool gives repeated ids, ordered by row among themselves
+    id_pool = draw(st.sampled_from([n, max(1, n // 2)]))
+    ids = [f"a{j % id_pool:02d}" for j in rng.permutation(n)]
+    names = [f"attr{t}" for t in range(draw(st.integers(1, 3)))]
+    attributes = {a: [f"c{c}" for c in rng.integers(0, draw(st.integers(1, 4)), size=n)] for a in names}
+    return (
+        RepSpace(ids, vectors, attributes),
+        draw(st.integers(1, max(1, n // 3))),
+        draw(st.integers(1, 8)),
+        draw(st.integers(0, 1000)),
+        draw(st.sampled_from(["cosine", "euclidean"])),
+        draw(st.lists(st.sampled_from(names), min_size=1, unique=True)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(bootstrap_cases(), st.integers(1, 3))
+def test_table_matches_per_draw_reference(case, block):
+    # blocks of at most 3 rows split every space (n >= 4) across several,
+    # so the block offsets in ordering and filtering are compared exactly
+    space, k, iterations, seed, metric, attributes = case
+    with mock.patch.object(homophily, "ORDER_BLOCK", block):
+        try:
+            expected = reference_homophily_table(space, k, iterations, seed, metric, attributes)
+        except DataError:
+            with pytest.raises(DataError):
+                homophily_table(space, k, iterations, seed, metric, attributes)
+            return
+        assert homophily_table(space, k, iterations, seed, metric, attributes) == expected
 
 
 class TestRepresentationIO:

@@ -111,10 +111,13 @@ class TestTrainOne:
         with pytest.raises(DataError, match="no embedding"):
             train_one(tiny_config("simple"), 0, split, partial)
 
-    def test_leak_assertion_fires_on_overlapping_split(self):
+    def test_leak_check_fires_on_a_shared_text(self):
+        # one train text copied into the test split; the check runs before any step
         split, table, _ = make_world()
-        bad = SplitPair(train=split.train, test=split.train, seed=0, train_fraction=0.5)
-        with pytest.raises(AssertionError, match="leak"):
+        shared = [r for r in split.train.records if r.text_id == split.train.records[0].text_id]
+        test = corpus.Dataset(records=split.test.records + shared, profiles=split.test.profiles)
+        bad = SplitPair(train=split.train, test=test, seed=0, train_fraction=0.5)
+        with pytest.raises(DataError, match="also in the training split"):
             train_one(tiny_config("simple"), 0, bad, table)
 
     def test_unbinarized_data_rejected(self):
