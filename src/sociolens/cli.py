@@ -13,11 +13,12 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import config as config_mod
 from . import corpus, features, homophily, metrics, synth, trainer
 from .errors import ConfigError, DataError, NumericError, SociolensError
-from .model import load_checkpoint
+from .model import WIRING, load_checkpoint
 from .trainer import SuiteResult, TrainedRun
 
 
@@ -135,8 +136,7 @@ def cmd_train(cfg: config_mod.PipelineConfig) -> int:
     t = cfg.train
     text_table = features.load_embeddings(t.embeddings)
     socio_table = None
-    needs_socio_table = "socio_embedding" in t.variants
-    if needs_socio_table:
+    if any(WIRING[v].socio == "embedding" for v in t.variants):
         if not t.socio_embeddings or not os.path.exists(t.socio_embeddings):
             raise DataError(
                 "socio_embedding variant needs train.socio_embeddings "
@@ -147,25 +147,13 @@ def cmd_train(cfg: config_mod.PipelineConfig) -> int:
     all_profiles = features.load_profiles(t.profiles) if t.profiles else None
     train_root = os.path.join(cfg.output_dir, "train")
     for variant in t.variants:
-        need_profiles = variant in trainer.SOCIO_VARIANTS
+        need_profiles = WIRING[variant].socio is not None
         if need_profiles and all_profiles is None:
             raise DataError(f"variant {variant} needs a profiles file")
         split = _load_split(t, need_profiles)
-        run_cfg = config_mod.RunConfig(
-            variant=variant,
-            hidden_dims=t.run.hidden_dims,
-            projection_dims=t.run.projection_dims,
-            dropout_rate=t.run.dropout_rate,
-            temperature=t.run.temperature,
-            contrastive_weight=t.run.contrastive_weight,
-            normalize_embeddings=t.run.normalize_embeddings,
-            lr=t.run.lr,
-            batch_size=t.run.batch_size,
-            epochs=t.run.epochs,
-            seeds=t.run.seeds,
-        )
+        run_cfg = replace(t.run, variant=variant)
         _log(cfg, 1, f"train: {variant} x {len(run_cfg.seeds)} seeds")
-        if variant == "socio_contrastive" and t.ablation:
+        if WIRING[variant].projected and t.ablation:
             result = trainer.run_ablation(
                 run_cfg, split, text_table, socio_table, train_root, threads=t.threads
             )
@@ -187,7 +175,7 @@ def cmd_train(cfg: config_mod.PipelineConfig) -> int:
 
 def _finish_suite(cfg, suite: SuiteResult, variant_dir: str, all_profiles, dump_plan: bool) -> None:
     _write_json(os.path.join(variant_dir, "aggregate.json"), suite.to_dict())
-    if suite.config.variant == "socio_contrastive" and all_profiles is not None:
+    if WIRING[suite.config.variant].projected and all_profiles is not None:
         for run in suite.runs:
             reps = trainer.export_representations(run, all_profiles)
             homophily.save_representations(
@@ -281,7 +269,7 @@ def cmd_eval(cfg: config_mod.PipelineConfig) -> int:
         for seed, ckpt in entries:
             run = _run_from_checkpoint(ckpt)
             if dataset is None:
-                needs_profiles = run.params.spec.variant in trainer.SOCIO_VARIANTS
+                needs_profiles = run.params.spec.wiring.socio is not None
                 dataset = _load_dataset(
                     e.annotations, e.columns, e.profiles if (needs_profiles and e.profiles) else None
                 )
@@ -534,9 +522,10 @@ def cmd_report(cfg: config_mod.PipelineConfig) -> int:
 # ------------------------------------------------------------------ main
 
 def _apply_overrides(cfg: config_mod.PipelineConfig, args) -> config_mod.PipelineConfig:
-    from dataclasses import replace
-
     if args.seed is not None:
+        # prep alone accepts a negative seed: SplitMix64 masks it to 64 bits
+        if args.seed < 0 and args.command in ("synth", "train", "homophily"):
+            raise ConfigError(f"--seed must be >= 0 for {args.command}, got {args.seed}")
         if cfg.prep:
             cfg.prep.seed = args.seed
         if cfg.train:

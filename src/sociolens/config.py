@@ -10,6 +10,7 @@ are consulted and no randomness exists outside explicit seeds.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Any
@@ -38,6 +39,16 @@ def _check(cond: bool, message: str) -> None:
 def _is_int(value: Any) -> bool:
     """An integer, and not a bool (JSON true is an int to isinstance)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value: Any) -> bool:
+    """An int or float, not a bool, that converts to a finite float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass
@@ -177,6 +188,8 @@ def _parse_train(raw: dict, out_dir: str, prep: PrepConfig | None, synth_dir: st
         "dump_plan": False,
     }
     s = _require(raw, allowed, "train")
+    for key in ("train_annotations", "test_annotations", "profiles", "embeddings", "socio_embeddings"):
+        _check(s[key] is None or (isinstance(s[key], str) and s[key]), f"train.{key} must be a non-empty string")
     variant = s["variant"]
     if variant == "all":
         variants = list(VARIANT_CHOICES)
@@ -184,8 +197,31 @@ def _parse_train(raw: dict, out_dir: str, prep: PrepConfig | None, synth_dir: st
         variants = variant
     else:
         variants = [variant]
+    _check(bool(variants), "train.variant must name at least one variant")
     for v in variants:
         _check(v in VARIANT_CHOICES, f"train.variant: unknown variant {v!r}")
+    seeds = s["seeds"]
+    rules = {
+        "lr": (_is_real(s["lr"]) and s["lr"] > 0, "a finite number > 0"),
+        "batch_size": (_is_int(s["batch_size"]) and s["batch_size"] >= 2, "an integer >= 2"),
+        "epochs": (_is_int(s["epochs"]) and s["epochs"] >= 1, "an integer >= 1"),
+        "seeds": (isinstance(seeds, list) and seeds and all(_is_int(x) and x >= 0 for x in seeds),
+                  "a non-empty list of integers >= 0"),
+        "dropout_rate": (_is_real(s["dropout_rate"]) and 0 <= s["dropout_rate"] < 1, "a number in [0, 1)"),
+        "temperature": (_is_real(s["temperature"]) and s["temperature"] > 0, "a finite number > 0"),
+        "contrastive_weight": (_is_real(s["contrastive_weight"]) and s["contrastive_weight"] >= 0,
+                               "a finite number >= 0"),
+        "threads": (_is_int(s["threads"]) and s["threads"] >= 1, "an integer >= 1"),
+    }
+    for key in ("hidden_dims", "projection_dims"):
+        val = s[key]
+        rules[key] = (isinstance(val, list) and len(val) == 2 and all(_is_int(x) and x >= 1 for x in val),
+                      "a list of two integers >= 1")
+    for key in ("normalize_embeddings", "ablation", "dump_plan"):
+        rules[key] = (isinstance(s[key], bool), "true or false")
+    for key, (ok, rule) in rules.items():
+        _check(bool(ok), f"train.{key} must be {rule}")
+
     prep_dir = os.path.join(out_dir, "prep")
     train_annotations = s["train_annotations"] or os.path.join(prep_dir, "train.csv")
     test_annotations = s["test_annotations"] or os.path.join(prep_dir, "test.csv")
@@ -201,15 +237,6 @@ def _parse_train(raw: dict, out_dir: str, prep: PrepConfig | None, synth_dir: st
     columns = _parse_columns(s["columns"], "train") if s["columns"] is not None else (
         dict(prep.columns) if prep else dict(_DEFAULT_COLUMNS)
     )
-    seeds = s["seeds"]
-    _check(isinstance(seeds, list) and seeds and all(isinstance(x, int) for x in seeds),
-           "train.seeds must be a non-empty list of integers")
-    for key in ("hidden_dims", "projection_dims"):
-        val = s[key]
-        _check(isinstance(val, list) and len(val) == 2 and all(isinstance(x, int) and x >= 1 for x in val),
-               f"train.{key} must be a list of two positive integers")
-    _check(isinstance(s["threads"], int) and s["threads"] >= 1, "train.threads must be >= 1")
-    _check(isinstance(s["batch_size"], int) and s["batch_size"] >= 2, "train.batch_size must be >= 2")
     run = RunConfig(
         variant=variants[0],
         hidden_dims=tuple(s["hidden_dims"]),
@@ -217,7 +244,7 @@ def _parse_train(raw: dict, out_dir: str, prep: PrepConfig | None, synth_dir: st
         dropout_rate=float(s["dropout_rate"]),
         temperature=float(s["temperature"]),
         contrastive_weight=float(s["contrastive_weight"]),
-        normalize_embeddings=bool(s["normalize_embeddings"]),
+        normalize_embeddings=s["normalize_embeddings"],
         lr=float(s["lr"]),
         batch_size=s["batch_size"],
         epochs=s["epochs"],
@@ -232,9 +259,9 @@ def _parse_train(raw: dict, out_dir: str, prep: PrepConfig | None, synth_dir: st
         embeddings=embeddings,
         socio_embeddings=socio_embeddings,
         run=run,
-        ablation=bool(s["ablation"]),
+        ablation=s["ablation"],
         threads=s["threads"],
-        dump_plan=bool(s["dump_plan"]),
+        dump_plan=s["dump_plan"],
     )
 
 

@@ -301,10 +301,3 @@ def save_profiles(profiles: dict[str, AnnotatorProfile], path: str, attributes: 
         writer.writerow(["annotator_id"] + attributes)
         for aid, profile in profiles.items():
             writer.writerow([aid] + [profile.assignments.get(a, "") for a in attributes])
-
-
-def fuse(text_vec: np.ndarray, socio_vec: np.ndarray | None) -> np.ndarray:
-    """Concatenate text and socio features; with no socio part the text vector passes through."""
-    if socio_vec is None:
-        return text_vec
-    return np.concatenate([text_vec, socio_vec])

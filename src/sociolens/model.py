@@ -1,29 +1,34 @@
-"""The five classifier variants: forward pass, analytic gradients, Adam.
+"""The five classifier variants as one layer stack: forward, analytic gradients, Adam.
 
-All variants share a two-layer ReLU trunk with inverted dropout and a
-sigmoid output:
+Every variant is the same trunk, two ``Dense → ReLU → dropout`` layers
+and a Dense head read through a sigmoid. The variants differ only in
+what is concatenated to the text vector before the trunk, and in the
+head; `WIRING` is the one table that says which:
 
-* ``simple`` / ``multitask``: the trunk reads the text vector alone;
-  multitask swaps the single output unit for one head per annotator.
-* ``socio_multihot`` / ``socio_embedding``: the socio vector (multi-hot
-  or externally encoded) is concatenated to the text vector before the
-  trunk.
-* ``socio_contrastive``: the multi-hot vector first passes through a
-  two-layer ReLU projection; the projected rows E are concatenated to
-  the text vector, and an L2-normalized copy of E feeds the contrastive
-  objective (the raw rows feed the concatenation).
+* ``simple`` / ``multitask``: nothing; multitask has one head unit per
+  annotator, and annotators unseen in training score under the mean of
+  all trained heads. ``simple`` trains on one majority-vote sample per
+  text.
+* ``socio_multihot`` / ``socio_embedding``: the batch's multi-hot rows,
+  or its externally encoded socio rows.
+* ``socio_contrastive``: the multi-hot rows passed through a projection
+  stack of two ``Dense → ReLU`` layers (no dropout). Its output E is
+  concatenated, and an L2-normalized copy of E feeds the contrastive
+  objective.
 
-Gradients are hand-derived for exactly these architectures and verified
-against central finite differences in the test suite. Dropout is
-inverted (activations scaled by 1/(1-p) at train time) so evaluation is
-a pure pass-through.
+Layers are numbered along the main path, projection stack first and
+head last (``layer.{i}.weight`` / ``layer.{i}.bias``), so `forward`,
+`backward` and `init_params` are loops over the same index ranges.
+Gradients are hand-derived and verified against central finite
+differences in the test suite. Dropout is inverted (activations scaled
+by 1/(1-p) at train time) so evaluation is a pure pass-through.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,7 +36,25 @@ from .batcher import Batch
 from .errors import ConfigError, DataError, NumericError
 from .features import AnnotatorProfile, SocioSchema, encode_multihot
 
-VARIANTS = ("simple", "multitask", "socio_multihot", "socio_embedding", "socio_contrastive")
+
+@dataclass(frozen=True)
+class Wiring:
+    """What a variant concatenates to the text, and how its head reads out."""
+
+    socio: str | None = None     # "multihot" or "embedding": the batch's socio_<kind> rows join the text
+    projected: bool = False      # socio rows pass the projection stack; E feeds the contrastive loss
+    per_annotator: bool = False  # one head unit per annotator instead of one unit
+    majority_vote: bool = False  # trains on one majority-vote sample per text
+
+
+WIRING = {
+    "simple": Wiring(majority_vote=True),
+    "multitask": Wiring(per_annotator=True),
+    "socio_multihot": Wiring(socio="multihot"),
+    "socio_embedding": Wiring(socio="embedding"),
+    "socio_contrastive": Wiring(socio="multihot", projected=True),
+}
+VARIANTS = tuple(WIRING)
 NORM_EPS = 1e-12
 
 
@@ -48,46 +71,31 @@ class ModelSpec:
     annotator_count: int = 0
     normalize_embeddings: bool = True
 
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.text_dim < 1:
-            raise ConfigError("text_dim must be >= 1")
-        if not (0.0 <= self.dropout_rate < 1.0):
-            raise ConfigError(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
-        if self.contrastive_weight < 0:
-            raise ConfigError(f"contrastive_weight must be >= 0, got {self.contrastive_weight}")
-        if self.variant in ("socio_multihot", "socio_embedding", "socio_contrastive") and self.socio_width < 1:
-            raise ConfigError(f"variant {self.variant} needs socio_width >= 1")
-        if self.variant == "multitask" and self.annotator_count < 1:
-            raise ConfigError("multitask needs annotator_count >= 1")
-        if any(d < 1 for d in self.hidden_dims) or any(d < 1 for d in self.projection_dims):
-            raise ConfigError("all layer dims must be >= 1")
+    @property
+    def wiring(self) -> Wiring:
+        return WIRING[self.variant]
+
+    @property
+    def trunk_start(self) -> int:
+        """Index of the first trunk layer; the projection stack, if any, comes before it."""
+        return len(self.projection_dims) if self.wiring.projected else 0
 
     @property
     def fused_dim(self) -> int:
-        if self.variant in ("simple", "multitask"):
-            return self.text_dim
-        if self.variant in ("socio_multihot", "socio_embedding"):
-            return self.text_dim + self.socio_width
-        return self.text_dim + self.projection_dims[1]
+        if self.wiring.projected:
+            return self.text_dim + self.projection_dims[-1]
+        return self.text_dim + (self.socio_width if self.wiring.socio else 0)
 
     @property
     def head_width(self) -> int:
-        return self.annotator_count if self.variant == "multitask" else 1
+        return self.annotator_count if self.wiring.per_annotator else 1
 
     def layer_shapes(self) -> list[tuple[int, int]]:
         """(fan_in, fan_out) per layer, input to output along the main path."""
-        shapes: list[tuple[int, int]] = []
-        if self.variant == "socio_contrastive":
-            shapes.append((self.socio_width, self.projection_dims[0]))
-            shapes.append((self.projection_dims[0], self.projection_dims[1]))
-        shapes.append((self.fused_dim, self.hidden_dims[0]))
-        shapes.append((self.hidden_dims[0], self.hidden_dims[1]))
-        shapes.append((self.hidden_dims[1], self.head_width))
-        return shapes
+        stacks = [[self.fused_dim, *self.hidden_dims, self.head_width]]
+        if self.wiring.projected:
+            stacks.insert(0, [self.socio_width, *self.projection_dims])
+        return [shape for dims in stacks for shape in zip(dims[:-1], dims[1:])]
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -111,22 +119,19 @@ class ModelParams:
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass needs; produced by train-mode forward."""
+    """Everything the backward pass needs; produced by train-mode forward.
+
+    The lists run in layer order: the rows each layer reads, then the
+    pre-activation and the inverted-dropout mask (None where dropout is
+    off) of each ReLU layer, which is every layer but the head.
+    """
 
     mode: str
-    fused: np.ndarray
-    z_trunk1: np.ndarray
-    drop1: np.ndarray | None
-    h_trunk1: np.ndarray
-    z_trunk2: np.ndarray
-    drop2: np.ndarray | None
-    h_trunk2: np.ndarray
-    logits: np.ndarray
+    inputs: list[np.ndarray] = field(default_factory=list)
+    pre: list[np.ndarray] = field(default_factory=list)
+    masks: list[np.ndarray | None] = field(default_factory=list)
+    logits: np.ndarray | None = None
     annotator_index: np.ndarray | None = None
-    socio_input: np.ndarray | None = None
-    z_proj1: np.ndarray | None = None
-    h_proj1: np.ndarray | None = None
-    z_proj2: np.ndarray | None = None
     E: np.ndarray | None = None
     E_norms: np.ndarray | None = None
     E_normalized: np.ndarray | None = None
@@ -178,6 +183,27 @@ def _dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float)
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
+def _stack_forward(
+    t: dict[str, np.ndarray],
+    layers: range,
+    x: np.ndarray,
+    trace: ForwardTrace | None = None,
+    rng: np.random.Generator | None = None,
+    rate: float = 0.0,
+) -> np.ndarray:
+    """``Dense → ReLU → (dropout)`` for each layer; masks are drawn, layer by layer, only with an rng."""
+    for i in layers:
+        z = x @ t[f"layer.{i}.weight"] + t[f"layer.{i}.bias"]
+        a = _relu(z)
+        mask = _dropout_mask(rng, a.shape, rate) if rng is not None else None
+        if trace is not None:
+            trace.inputs.append(x)
+            trace.pre.append(z)
+            trace.masks.append(mask)
+        x = a * mask if mask is not None else a
+    return x
+
+
 def forward(
     params: ModelParams,
     batch: Batch,
@@ -190,88 +216,75 @@ def forward(
     nonzero; eval mode is deterministic.
     """
     spec = params.spec
+    wiring = spec.wiring
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
     use_dropout = mode == "train" and spec.dropout_rate > 0.0
     if use_dropout and rng is None:
         raise ConfigError("train-mode forward with dropout needs an rng")
     t = params.tensors
-    offset = 0
-    socio_input = z1 = h1 = z2 = E = norms = E_hat = None
+    trace = ForwardTrace(mode=mode, annotator_index=batch.annotator_index)
 
-    if spec.variant == "socio_contrastive":
-        if batch.socio_multihot is None:
-            raise DataError("socio_contrastive batch is missing the multi-hot matrix")
-        socio_input = batch.socio_multihot
-        z1 = socio_input @ t["layer.0.weight"] + t["layer.0.bias"]
-        h1 = _relu(z1)
-        z2 = h1 @ t["layer.1.weight"] + t["layer.1.bias"]
-        E = _relu(z2)
-        norms = np.maximum(np.linalg.norm(E, axis=1, keepdims=True), NORM_EPS)
-        E_hat = E / norms if spec.normalize_embeddings else None
-        fused = np.concatenate([batch.text, E], axis=1)
-        offset = 2
-    elif spec.variant == "socio_multihot":
-        if batch.socio_multihot is None:
-            raise DataError("socio_multihot batch is missing the multi-hot matrix")
-        fused = np.concatenate([batch.text, batch.socio_multihot], axis=1)
-    elif spec.variant == "socio_embedding":
-        if batch.socio_embedding is None:
-            raise DataError("socio_embedding batch is missing the socio embedding matrix")
-        fused = np.concatenate([batch.text, batch.socio_embedding], axis=1)
-    else:
-        fused = batch.text
+    fused = batch.text
+    if wiring.socio is not None:
+        socio = getattr(batch, f"socio_{wiring.socio}")
+        if socio is None:
+            raise DataError(f"{spec.variant} batch is missing its socio_{wiring.socio} matrix")
+        if wiring.projected:
+            E = _stack_forward(t, range(spec.trunk_start), socio, trace)
+            trace.E = socio = E
+            trace.E_norms = np.maximum(np.linalg.norm(E, axis=1, keepdims=True), NORM_EPS)
+            if spec.normalize_embeddings:
+                trace.E_normalized = E / trace.E_norms
+        fused = np.concatenate([batch.text, socio], axis=1)
     if fused.shape[1] != spec.fused_dim:
         raise DataError(f"fused input width {fused.shape[1]} != spec width {spec.fused_dim}")
 
-    zt1 = fused @ t[f"layer.{offset}.weight"] + t[f"layer.{offset}.bias"]
-    a1 = _relu(zt1)
-    d1 = _dropout_mask(rng, a1.shape, spec.dropout_rate) if use_dropout else None
-    h_1 = a1 * d1 if d1 is not None else a1
-    zt2 = h_1 @ t[f"layer.{offset + 1}.weight"] + t[f"layer.{offset + 1}.bias"]
-    a2 = _relu(zt2)
-    d2 = _dropout_mask(rng, a2.shape, spec.dropout_rate) if use_dropout else None
-    h_2 = a2 * d2 if d2 is not None else a2
-
-    w_head = t[f"layer.{offset + 2}.weight"]
-    b_head = t[f"layer.{offset + 2}.bias"]
-    if spec.variant == "multitask":
+    head = len(spec.layer_shapes()) - 1
+    h = _stack_forward(
+        t, range(spec.trunk_start, head), fused, trace, rng if use_dropout else None, spec.dropout_rate
+    )
+    trace.inputs.append(h)
+    z = h @ t[f"layer.{head}.weight"] + t[f"layer.{head}.bias"]
+    if wiring.per_annotator:
         if batch.annotator_index is None:
-            raise DataError("multitask batch is missing annotator head indices")
-        all_logits = h_2 @ w_head + b_head
+            raise DataError(f"{spec.variant} batch is missing annotator head indices")
         idx = batch.annotator_index
         known = idx >= 0
         logits = np.empty(len(idx), dtype=np.float64)
-        logits[known] = all_logits[known, idx[known]]
+        logits[known] = z[known, idx[known]]
         if np.any(~known):
             # head-fallback rule: annotators unseen in training score
             # under the arithmetic mean of all trained heads
+            w_head = t[f"layer.{head}.weight"]
             mean_w = w_head.mean(axis=1)
-            mean_b = float(b_head.mean())
-            logits[~known] = h_2[~known] @ mean_w + mean_b
+            mean_b = float(t[f"layer.{head}.bias"].mean())
+            logits[~known] = h[~known] @ mean_w + mean_b
     else:
-        logits = (h_2 @ w_head).ravel() + b_head[0]
-
-    trace = ForwardTrace(
-        mode=mode,
-        fused=fused,
-        z_trunk1=zt1,
-        drop1=d1,
-        h_trunk1=h_1,
-        z_trunk2=zt2,
-        drop2=d2,
-        h_trunk2=h_2,
-        logits=logits,
-        annotator_index=batch.annotator_index,
-        socio_input=socio_input,
-        z_proj1=z1,
-        h_proj1=h1,
-        z_proj2=z2,
-        E=E,
-        E_norms=norms,
-        E_normalized=E_hat,
-    )
+        logits = z.ravel()
+    trace.logits = logits
     return sigmoid(logits), trace
+
+
+def _stack_backward(
+    t: dict[str, np.ndarray],
+    trace: ForwardTrace,
+    layers: range,
+    dh: np.ndarray,
+    grads: dict[str, np.ndarray],
+    input_grad: bool,
+) -> np.ndarray | None:
+    """Back through `_stack_forward`'s layers, last first; returns dL/d(stack input) when asked."""
+    for i in reversed(layers):
+        mask = trace.masks[i]
+        da = dh * mask if mask is not None else dh
+        dz = da * (trace.pre[i] > 0)
+        grads[f"layer.{i}.weight"] = trace.inputs[i].T @ dz
+        grads[f"layer.{i}.bias"] = dz.sum(axis=0)
+        if i == layers.start and not input_grad:
+            return None
+        dh = dz @ t[f"layer.{i}.weight"].T
+    return dh
 
 
 def backward(
@@ -282,53 +295,42 @@ def backward(
 ) -> dict[str, np.ndarray]:
     """Exact gradients of the scalar loss for every parameter tensor.
 
-    `d_logits` is dL/dlogits; `dE_loss` (socio_contrastive only) is the
+    `d_logits` is dL/dlogits; `dE_loss` (projected wiring only) is the
     contrastive gradient w.r.t. the representation fed to that loss. With
     `normalize_embeddings` on, the normalization Jacobian is applied here
     before the two E paths merge.
     """
     spec = params.spec
+    wiring = spec.wiring
     if trace.mode != "train":
         raise DataError("backward requires a trace from a train-mode forward")
+    if dE_loss is not None and not wiring.projected:
+        raise DataError(f"variant {spec.variant} has no contrastive path for dE")
     t = params.tensors
-    offset = 2 if spec.variant == "socio_contrastive" else 0
     d_logits = np.asarray(d_logits, dtype=np.float64)
     if d_logits.shape != trace.logits.shape:
         raise DataError(f"d_logits shape {d_logits.shape} != logits shape {trace.logits.shape}")
-    grads: dict[str, np.ndarray] = {}
 
-    w_head = t[f"layer.{offset + 2}.weight"]
-    if spec.variant == "multitask":
+    head = len(trace.inputs) - 1
+    if wiring.per_annotator:
         idx = trace.annotator_index
         if idx is None:
-            raise DataError("multitask trace is missing annotator head indices")
-        b, a = trace.h_trunk2.shape[0], spec.annotator_count
+            raise DataError(f"{spec.variant} trace is missing annotator head indices")
+        b, a = trace.inputs[head].shape[0], spec.annotator_count
         d_all = np.zeros((b, a), dtype=np.float64)
         known = idx >= 0
         d_all[known, idx[known]] = d_logits[known]
         if np.any(~known):
             d_all[~known, :] = d_logits[~known, None] / a
-        grads[f"layer.{offset + 2}.weight"] = trace.h_trunk2.T @ d_all
-        grads[f"layer.{offset + 2}.bias"] = d_all.sum(axis=0)
-        dh2 = d_all @ w_head.T
+        d_bias = d_all.sum(axis=0)
     else:
-        grads[f"layer.{offset + 2}.weight"] = trace.h_trunk2.T @ d_logits[:, None]
-        grads[f"layer.{offset + 2}.bias"] = np.array([d_logits.sum()])
-        dh2 = d_logits[:, None] @ w_head.T
+        d_all = d_logits[:, None]
+        d_bias = np.array([d_logits.sum()])
+    grads = {f"layer.{head}.weight": trace.inputs[head].T @ d_all, f"layer.{head}.bias": d_bias}
+    dh = d_all @ t[f"layer.{head}.weight"].T
 
-    da2 = dh2 * trace.drop2 if trace.drop2 is not None else dh2
-    dz2 = da2 * (trace.z_trunk2 > 0)
-    grads[f"layer.{offset + 1}.weight"] = trace.h_trunk1.T @ dz2
-    grads[f"layer.{offset + 1}.bias"] = dz2.sum(axis=0)
-    dh1 = dz2 @ t[f"layer.{offset + 1}.weight"].T
-
-    da1 = dh1 * trace.drop1 if trace.drop1 is not None else dh1
-    dz1 = da1 * (trace.z_trunk1 > 0)
-    grads[f"layer.{offset}.weight"] = trace.fused.T @ dz1
-    grads[f"layer.{offset}.bias"] = dz1.sum(axis=0)
-
-    if spec.variant == "socio_contrastive":
-        d_fused = dz1 @ t[f"layer.{offset}.weight"].T
+    d_fused = _stack_backward(t, trace, range(spec.trunk_start, head), dh, grads, wiring.projected)
+    if wiring.projected:
         dE = d_fused[:, spec.text_dim :].copy()
         if dE_loss is not None:
             dE_loss = np.asarray(dE_loss, dtype=np.float64)
@@ -346,16 +348,7 @@ def backward(
                 dE += d_from_loss
             else:
                 dE += dE_loss
-        dzp2 = dE * (trace.z_proj2 > 0)
-        grads["layer.1.weight"] = trace.h_proj1.T @ dzp2
-        grads["layer.1.bias"] = dzp2.sum(axis=0)
-        dhp1 = dzp2 @ t["layer.1.weight"].T
-        dzp1 = dhp1 * (trace.z_proj1 > 0)
-        grads["layer.0.weight"] = trace.socio_input.T @ dzp1
-        grads["layer.0.bias"] = dzp1.sum(axis=0)
-    elif dE_loss is not None:
-        raise DataError(f"variant {spec.variant} has no contrastive path for dE")
-
+        _stack_backward(t, trace, range(spec.trunk_start), dE, grads, input_grad=False)
     return grads
 
 
@@ -397,28 +390,24 @@ def adam_step(
     return params
 
 
-def project_socio(params: ModelParams, multihot: np.ndarray) -> np.ndarray:
-    """Eval-mode projection of multi-hot rows to representation rows."""
-    t = params.tensors
-    h1 = _relu(multihot @ t["layer.0.weight"] + t["layer.0.bias"])
-    return _relu(h1 @ t["layer.1.weight"] + t["layer.1.bias"])
-
-
 def extract_socio_reps(
     params: ModelParams,
     profiles: dict[str, AnnotatorProfile],
     schema: SocioSchema,
 ) -> dict[str, np.ndarray]:
-    """Learned representation per unique annotator; identical profiles map identically."""
-    if params.spec.variant != "socio_contrastive":
-        raise ConfigError(
-            f"socio representations only exist for socio_contrastive, not {params.spec.variant}"
-        )
-    out: dict[str, np.ndarray] = {}
-    for aid, profile in profiles.items():
-        vec = encode_multihot(profile, schema)
-        out[aid] = project_socio(params, vec[None, :])[0]
-    return out
+    """Learned representation per unique annotator; identical profiles map identically.
+
+    Each profile row runs the eval-mode projection stack on its own: the
+    last bit of a batched product can depend on where a row sits in it.
+    """
+    spec = params.spec
+    if not spec.wiring.projected:
+        raise ConfigError(f"socio representations only exist for socio_contrastive, not {spec.variant}")
+    projection = range(spec.trunk_start)
+    return {
+        aid: _stack_forward(params.tensors, projection, encode_multihot(profile, schema)[None, :])[0]
+        for aid, profile in profiles.items()
+    }
 
 
 def save_checkpoint(
@@ -455,16 +444,31 @@ def save_checkpoint(
 
 
 def load_checkpoint(directory: str) -> tuple[ModelParams, dict]:
-    """Inverse of save_checkpoint; returns the params and the raw manifest."""
+    """Inverse of save_checkpoint; returns the params and the raw manifest.
+
+    The manifest is outside input: a spec of an unknown variant, or tensor
+    shapes other than the spec's layers, is a DataError.
+    """
     manifest_path = os.path.join(directory, "manifest.json")
     if not os.path.exists(manifest_path):
         raise DataError(f"{directory}: no manifest.json")
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    spec = ModelSpec.from_dict(manifest["spec"])
+    try:
+        with open(manifest_path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        spec = ModelSpec.from_dict(manifest["spec"])
+        if spec.variant not in VARIANTS:
+            raise DataError(f"{directory}: unknown variant {spec.variant!r}")
+        expected = {}
+        for i, (fan_in, fan_out) in enumerate(spec.layer_shapes()):
+            expected[f"layer.{i}.weight"] = [fan_in, fan_out]
+            expected[f"layer.{i}.bias"] = [fan_out]
+        if manifest["tensors"] != expected:
+            raise DataError(f"{directory}: tensor shapes {manifest['tensors']} differ from the spec's {expected}")
+        step = int(manifest["step"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{directory}: malformed manifest: {exc!r}") from None
     tensors, m, v = {}, {}, {}
-    for name, shape in manifest["tensors"].items():
-        shape = tuple(shape)
+    for name, shape in expected.items():
         for target, suffix in ((tensors, ""), (m, ".m"), (v, ".v")):
             path = os.path.join(directory, f"{name}{suffix}.bin")
             if not os.path.exists(path):
@@ -473,5 +477,5 @@ def load_checkpoint(directory: str) -> tuple[ModelParams, dict]:
             if arr.size != int(np.prod(shape)):
                 raise DataError(f"{directory}: blob {name}{suffix} has wrong size")
             target[name] = arr.reshape(shape)
-    params = ModelParams(spec=spec, tensors=tensors, m=m, v=v, step=int(manifest["step"]))
+    params = ModelParams(spec=spec, tensors=tensors, m=m, v=v, step=step)
     return params, manifest

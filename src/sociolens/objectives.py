@@ -12,8 +12,6 @@ included in the denominator):
 M_pos pairs same-text same-label rows (diagonal removed), M_neg pairs
 same-text different-label rows. Pulling positives together lowers L_pos;
 pushing negatives apart lowers L_neg. Pair-free batches cost exactly 0.
-The `contrastive_loss_oracle` twin evaluates the same quantity with
-explicit scalar loops and exists to cross-check the vectorized path.
 """
 
 from __future__ import annotations
@@ -78,14 +76,8 @@ def contrastive_loss(
     labels: np.ndarray,
     text_ids: list[str],
     tau: float,
-    exclude_self_from_softmax: bool = False,
 ) -> ContrastiveResult:
-    """Masked contrastive loss over one batch, with its gradient w.r.t. E.
-
-    `exclude_self_from_softmax` drops the diagonal from the softmax
-    denominator (off by default; the default follows the literal
-    full-row reading).
-    """
+    """Masked contrastive loss over one batch, with its gradient w.r.t. E."""
     if tau <= 0:
         raise ConfigError(f"temperature must be positive, got {tau}")
     E = np.asarray(E, dtype=np.float64)
@@ -96,8 +88,6 @@ def contrastive_loss(
         return ContrastiveResult(0.0, 0.0, 0.0, 0, 0, np.zeros_like(E))
 
     s = E @ E.T / tau
-    if exclude_self_from_softmax:
-        np.fill_diagonal(s, -np.inf)
     # log-softmax with max subtraction; rows are finite because B >= 2 here
     row_max = s.max(axis=1, keepdims=True)
     shifted = s - row_max
@@ -107,8 +97,6 @@ def contrastive_loss(
 
     pos_denom = max(n_pos, 1.0)
     neg_denom = max(n_neg, 1.0)
-    # index by mask: with the diagonal excluded log_p holds -inf there,
-    # and -inf * 0 would poison a plain masked sum
     l_pos = float(-log_p[m_pos > 0].sum() / pos_denom)
     l_neg = float((p * m_neg).sum() / neg_denom)
 
@@ -118,63 +106,9 @@ def contrastive_loss(
     g = -(m_pos - row_pos * p) / pos_denom
     row_neg_p = (m_neg * p).sum(axis=1, keepdims=True)
     g += (m_neg * p - row_neg_p * p) / neg_denom
-    if exclude_self_from_softmax:
-        np.fill_diagonal(g, 0.0)
     dE = (g + g.T) @ E / tau
 
     return ContrastiveResult(l_pos + l_neg, l_pos, l_neg, int(n_pos), int(n_neg), dE)
-
-
-def contrastive_loss_oracle(
-    E: np.ndarray,
-    labels: np.ndarray,
-    text_ids: list[str],
-    tau: float,
-    exclude_self_from_softmax: bool = False,
-) -> float:
-    """Scalar-loop twin of `contrastive_loss` for small batches; test use only.
-
-    Every softmax denominator is accumulated pairwise with no matrix
-    shortcuts, so agreement with the vectorized path is meaningful.
-    """
-    E = np.asarray(E, dtype=np.float64)
-    b = E.shape[0]
-    y = list(np.asarray(labels).tolist())
-
-    def sim(i: int, j: int) -> float:
-        total = 0.0
-        for d in range(E.shape[1]):
-            total += E[i, d] * E[j, d]
-        return total / tau
-
-    def softmax_entry(i: int, j: int) -> float:
-        m = -math.inf
-        for k in range(b):
-            if exclude_self_from_softmax and k == i:
-                continue
-            m = max(m, sim(i, k))
-        denom = 0.0
-        for k in range(b):
-            if exclude_self_from_softmax and k == i:
-                continue
-            denom += math.exp(sim(i, k) - m)
-        return math.exp(sim(i, j) - m) / denom
-
-    pos_sum = 0.0
-    neg_sum = 0.0
-    n_pos = 0
-    n_neg = 0
-    for i in range(b):
-        for j in range(b):
-            if i == j or text_ids[i] != text_ids[j]:
-                continue
-            if y[i] == y[j]:
-                n_pos += 1
-                pos_sum += -math.log(softmax_entry(i, j))
-            else:
-                n_neg += 1
-                neg_sum += softmax_entry(i, j)
-    return pos_sum / max(n_pos, 1) + neg_sum / max(n_neg, 1)
 
 
 def combined_loss(

@@ -26,9 +26,10 @@ from .errors import ConfigError, DataError, SociolensError
 from .features import EmbeddingTable, SocioSchema, build_schema, encode_multihot
 from .metrics import MetricsReport, aggregate_runs, confusion_metrics, with_auc
 from .model import (
+    WIRING,
     ModelParams,
     ModelSpec,
-    VARIANTS,
+    Wiring,
     adam_step,
     backward,
     extract_socio_reps,
@@ -38,12 +39,13 @@ from .model import (
 )
 from .objectives import bce_loss, combined_loss, contrastive_loss
 
-SOCIO_VARIANTS = ("socio_multihot", "socio_embedding", "socio_contrastive")
 DEFAULT_SEEDS = (0, 1, 2, 3, 4, 5)
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One suite's hyperparameters; `config.load_config` validates every field."""
+
     variant: str
     hidden_dims: tuple[int, int] = (512, 256)
     projection_dims: tuple[int, int] = (64, 128)
@@ -55,22 +57,6 @@ class RunConfig:
     batch_size: int = 32
     epochs: int = 7
     seeds: tuple[int, ...] = DEFAULT_SEEDS
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}")
-        if not self.seeds:
-            raise ConfigError("need at least one seed")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.lr <= 0:
-            raise ConfigError("lr must be > 0")
-        if not (0.0 <= self.dropout_rate < 1.0):
-            raise ConfigError(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
-        if self.contrastive_weight < 0:
-            raise ConfigError(f"contrastive_weight must be >= 0, got {self.contrastive_weight}")
 
 
 @dataclass
@@ -112,12 +98,11 @@ def build_model_spec(
     schema: SocioSchema | None,
 ) -> ModelSpec:
     """Fill the data-dependent spec fields (widths, head count) from the train split."""
+    wiring = WIRING[config.variant]
     socio_width = 0
-    if config.variant in ("socio_multihot", "socio_contrastive"):
+    if wiring.socio == "multihot":
         socio_width = schema.total_width
-    elif config.variant == "socio_embedding":
-        if socio_table is None:
-            raise DataError("socio_embedding needs an annotator-keyed embedding table")
+    elif wiring.socio == "embedding":
         socio_width = socio_table.dimension
     return ModelSpec(
         variant=config.variant,
@@ -128,7 +113,7 @@ def build_model_spec(
         dropout_rate=config.dropout_rate,
         temperature=config.temperature,
         contrastive_weight=config.contrastive_weight,
-        annotator_count=len(train.annotator_ids()) if config.variant == "multitask" else 0,
+        annotator_count=len(train.annotator_ids()) if wiring.per_annotator else 0,
         normalize_embeddings=config.normalize_embeddings,
     )
 
@@ -139,10 +124,28 @@ def _check_coverage(dataset: Dataset, table: EmbeddingTable, what: str) -> None:
         raise DataError(f"{what}: no embedding for text ids {missing[:10]}{'...' if len(missing) > 10 else ''}")
 
 
-def _check_socio_coverage(dataset: Dataset, table: EmbeddingTable) -> None:
-    missing = [a for a in dataset.annotator_ids() if a not in table]
-    if missing:
-        raise DataError(f"no socio embedding for annotators {missing[:10]}")
+def _batch_sources(
+    wiring: Wiring,
+    dataset: Dataset,
+    schema: SocioSchema | None,
+    socio_table: EmbeddingTable | None,
+    annotator_index: dict[str, int] | None,
+) -> dict:
+    """The `assemble_batch` keyword arguments this wiring reads, checked to cover `dataset`."""
+    sources = {"annotator_index": annotator_index if wiring.per_annotator else None}
+    if wiring.socio == "multihot":
+        sources["socio_multihot"] = {a: encode_multihot(p, schema) for a, p in dataset.profiles.items()}
+        missing = [a for a in dataset.annotator_ids() if a not in dataset.profiles]
+        if missing:
+            raise DataError(f"no profile for annotator {missing[0]!r}")
+    elif wiring.socio == "embedding":
+        if socio_table is None:
+            raise DataError("socio_embedding needs an annotator-keyed embedding table")
+        missing = [a for a in dataset.annotator_ids() if a not in socio_table]
+        if missing:
+            raise DataError(f"no socio embedding for annotators {missing[:10]}")
+        sources["socio_table"] = socio_table
+    return sources
 
 
 def _majority_dataset(train: Dataset) -> Dataset:
@@ -175,21 +178,18 @@ def train_one(
     if leaked:
         raise DataError(f"{len(leaked)} test text(s) also in the training split, e.g. {min(leaked)!r}")
 
-    schema = build_schema(train.profiles) if config.variant in SOCIO_VARIANTS else None
-    multihot = None
-    if config.variant in ("socio_multihot", "socio_contrastive"):
-        multihot = {a: encode_multihot(p, schema) for a, p in train.profiles.items()}
-    if config.variant == "socio_embedding":
-        _check_socio_coverage(train, socio_table)
+    wiring = WIRING[config.variant]
+    schema = build_schema(train.profiles) if wiring.socio else None
     annotator_index = None
-    if config.variant == "multitask":
+    if wiring.per_annotator:
         annotator_index = {a: i for i, a in enumerate(sorted(train.annotator_ids()))}
+    sources = _batch_sources(wiring, train, schema, socio_table, annotator_index)
 
     spec = build_model_spec(config, train, text_table, socio_table, schema)
     params = init_params(spec, seed)
     dropout_rng = np.random.default_rng([seed, 0xD0])
 
-    plan_source = _majority_dataset(train) if config.variant == "simple" else train
+    plan_source = _majority_dataset(train) if wiring.majority_vote else train
     log_rows: list[dict] = []
     plans = []
     step = 0
@@ -198,25 +198,13 @@ def train_one(
         if dump_plan:
             plans.append(plan.to_jsonable())
         for indices in plan.batches:
-            batch = assemble_batch(
-                plan_source,
-                indices,
-                text_table,
-                socio_multihot=multihot,
-                socio_table=socio_table if config.variant == "socio_embedding" else None,
-                annotator_index=annotator_index,
-            )
+            batch = assemble_batch(plan_source, indices, text_table, **sources)
             probs, trace = forward(params, batch, mode="train", rng=dropout_rng)
             cls_loss, d_logits = bce_loss(probs, batch.labels)
-            if config.variant == "socio_contrastive":
-                cres = contrastive_loss(
-                    trace.loss_embedding, batch.labels, batch.text_ids, spec.temperature
-                )
-                report, d_logits, dE = combined_loss(
-                    cls_loss, d_logits, cres, spec.contrastive_weight
-                )
-            else:
-                report, d_logits, dE = combined_loss(cls_loss, d_logits, None, 0.0)
+            cres = None
+            if wiring.projected:
+                cres = contrastive_loss(trace.loss_embedding, batch.labels, batch.text_ids, spec.temperature)
+            report, d_logits, dE = combined_loss(cls_loss, d_logits, cres, spec.contrastive_weight)
             grads = backward(params, trace, d_logits, dE)
             params = adam_step(params, grads, config.lr)
             step += 1
@@ -260,33 +248,16 @@ def predict(
     Returns (probs, labels, annotator_ids, unknown_annotator_rows); the
     last counts multitask rows scored by the mean-head fallback.
     """
-    spec = run.params.spec
     if any(r.label is None for r in dataset.records):
         raise DataError("evaluation data must be binarized first")
     _check_coverage(dataset, text_table, "eval")
-    multihot = None
-    if spec.variant in ("socio_multihot", "socio_contrastive"):
-        multihot = {
-            a: encode_multihot(p, run.schema) for a, p in dataset.profiles.items()
-        }
-        for aid in dataset.annotator_ids():
-            if aid not in multihot:
-                raise DataError(f"no profile for annotator {aid!r}")
-    if spec.variant == "socio_embedding":
-        _check_socio_coverage(dataset, socio_table)
+    sources = _batch_sources(run.params.spec.wiring, dataset, run.schema, socio_table, run.annotator_index)
 
     probs = np.empty(len(dataset.records), dtype=np.float64)
     fallback_rows = 0
     for start in range(0, len(dataset.records), batch_size):
         indices = list(range(start, min(start + batch_size, len(dataset.records))))
-        batch = assemble_batch(
-            dataset,
-            indices,
-            text_table,
-            socio_multihot=multihot,
-            socio_table=socio_table if spec.variant == "socio_embedding" else None,
-            annotator_index=run.annotator_index if spec.variant == "multitask" else None,
-        )
+        batch = assemble_batch(dataset, indices, text_table, **sources)
         if batch.annotator_index is not None:
             fallback_rows += int(np.sum(batch.annotator_index < 0))
         p, _ = forward(run.params, batch, mode="eval")
@@ -366,7 +337,7 @@ def run_ablation(
     threads: int = 1,
 ) -> AblationResult:
     """Train the contrastive suite and its zero-weight twin on identical seeds."""
-    if config.variant != "socio_contrastive":
+    if not WIRING[config.variant].projected:
         raise ConfigError("the ablation applies to the socio_contrastive variant")
     main_dir = os.path.join(out_dir, "socio_contrastive") if out_dir else None
     ablation_dir = os.path.join(out_dir, "ablation") if out_dir else None

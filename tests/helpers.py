@@ -1,7 +1,8 @@
-"""Shared test utilities: batch construction, the finite-difference oracle and the per-draw homophily reference."""
+"""Shared test utilities: batch construction, the finite-difference and contrastive-loss oracles, and the per-draw homophily reference."""
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -21,17 +22,60 @@ def random_batch(rng: np.random.Generator, spec: ModelSpec, size: int, n_texts: 
         text_ids=[f"t{rng.integers(0, n_texts)}" for _ in range(size)],
         annotator_ids=[f"a{i}" for i in rng.integers(0, n_annotators, size=size)],
     )
-    if spec.variant in ("socio_multihot", "socio_contrastive"):
+    wiring = spec.wiring
+    if wiring.socio == "multihot":
         multihot = np.zeros((size, spec.socio_width))
         for i in range(size):
             hot = rng.choice(spec.socio_width, size=min(2, spec.socio_width), replace=False)
             multihot[i, hot] = 1.0
         batch.socio_multihot = multihot
-    if spec.variant == "socio_embedding":
+    if wiring.socio == "embedding":
         batch.socio_embedding = rng.standard_normal((size, spec.socio_width))
-    if spec.variant == "multitask":
+    if wiring.per_annotator:
         batch.annotator_index = rng.integers(-1, spec.annotator_count, size=size)
     return batch
+
+
+def contrastive_loss_oracle(E: np.ndarray, labels: np.ndarray, text_ids: list[str], tau: float) -> float:
+    """Scalar-loop twin of `contrastive_loss` for small batches.
+
+    Every softmax denominator is accumulated pairwise with no matrix
+    shortcuts, so agreement with the vectorized path is meaningful.
+    """
+    E = np.asarray(E, dtype=np.float64)
+    b = E.shape[0]
+    y = list(np.asarray(labels).tolist())
+
+    def sim(i: int, j: int) -> float:
+        total = 0.0
+        for d in range(E.shape[1]):
+            total += E[i, d] * E[j, d]
+        return total / tau
+
+    def softmax_entry(i: int, j: int) -> float:
+        m = -math.inf
+        for k in range(b):
+            m = max(m, sim(i, k))
+        denom = 0.0
+        for k in range(b):
+            denom += math.exp(sim(i, k) - m)
+        return math.exp(sim(i, j) - m) / denom
+
+    pos_sum = 0.0
+    neg_sum = 0.0
+    n_pos = 0
+    n_neg = 0
+    for i in range(b):
+        for j in range(b):
+            if i == j or text_ids[i] != text_ids[j]:
+                continue
+            if y[i] == y[j]:
+                n_pos += 1
+                pos_sum += -math.log(softmax_entry(i, j))
+            else:
+                n_neg += 1
+                neg_sum += softmax_entry(i, j)
+    return pos_sum / max(n_pos, 1) + neg_sum / max(n_neg, 1)
 
 
 def combined_objective(params, batch, spec, dropout_seed):
@@ -39,11 +83,10 @@ def combined_objective(params, batch, spec, dropout_seed):
     rng = np.random.default_rng(dropout_seed)
     probs, trace = forward(params, batch, mode="train", rng=rng)
     cls, d_logits = bce_loss(probs, batch.labels)
-    if spec.variant == "socio_contrastive":
+    cres = None
+    if spec.wiring.projected:
         cres = contrastive_loss(trace.loss_embedding, batch.labels, batch.text_ids, spec.temperature)
-        report, d_logits, dE = combined_loss(cls, d_logits, cres, spec.contrastive_weight)
-    else:
-        report, d_logits, dE = combined_loss(cls, d_logits, None, 0.0)
+    report, d_logits, dE = combined_loss(cls, d_logits, cres, spec.contrastive_weight)
     return report.total, trace, d_logits, dE
 
 
@@ -83,7 +126,7 @@ def gradient_check_instance(variant: str, seed: int, step: float = 1e-6) -> floa
     dropout_seed = int(rng.integers(0, 10**6))
 
     _, trace, d_logits, dE = combined_objective(params, batch, spec, dropout_seed)
-    grads = backward(params, trace, d_logits, dE if spec.variant == "socio_contrastive" else None)
+    grads = backward(params, trace, d_logits, dE)
 
     worst = 0.0
     for name, tensor in params.tensors.items():

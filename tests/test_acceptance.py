@@ -13,12 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import gradient_check_instance
+from helpers import contrastive_loss_oracle, gradient_check_instance
 from sociolens import corpus, homophily, metrics, synth, trainer
 from sociolens.batcher import contrastive_masks, plan_epoch, text_match_mask
 from sociolens.cli import main as cli_main
 from sociolens.corpus import AnnotationRecord, Dataset, split_by_text
-from sociolens.objectives import contrastive_loss, contrastive_loss_oracle
+from sociolens.objectives import contrastive_loss
 from sociolens.synth import AttributeSpec, PopulationSpec
 
 

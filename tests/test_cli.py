@@ -4,8 +4,12 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sociolens.cli import main
+from sociolens.config import load_config
+from sociolens.errors import ConfigError
 
 
 def base_config(out_dir: str) -> dict:
@@ -189,6 +193,37 @@ class TestErrors:
         assert main(["homophily", "--config", str(path)]) == 2
         assert f"homophily.{field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epochs", "7"), ("epochs", 2.5), ("dropout_rate", "x"), ("variant", []),
+            ("lr", True), ("lr", "0.1"), ("contrastive_weight", "1"), ("seeds", [True]), ("seeds", [-1]),
+            ("hidden_dims", [True, 2]), ("threads", True), ("normalize_embeddings", "no"),
+            ("ablation", "yes"), ("dump_plan", "no"),
+        ],
+    )
+    def test_bad_train_field_exits_2(self, tmp_path, capsys, field, value):
+        # no synth or prep has run: the field must be refused before any data loads
+        config = base_config(str(tmp_path / "out"))
+        config["train"][field] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["train", "--config", str(path)]) == 2
+        assert f"train.{field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["synth", "train", "homophily"])
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(base_config(str(tmp_path / "out"))), encoding="utf-8")
+        assert main([command, "--config", str(path), "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_prep_accepts_negative_seed_flag(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(base_config(str(tmp_path / "out"))), encoding="utf-8")
+        assert main(["synth", "--config", str(path)]) == 0
+        assert main(["prep", "--config", str(path), "--seed", "-1"]) == 0
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_training_exits_4_with_seed(self, tmp_path, capsys):
         config = base_config(str(tmp_path / "out"))
@@ -239,3 +274,25 @@ class TestOverrides:
         )
         assert plans["seed"] == 0
         assert len(plans["epochs"]) == config["train"]["epochs"]
+
+
+TRAIN_FIELDS = (
+    "variant", "train_annotations", "test_annotations", "profiles", "columns", "embeddings",
+    "socio_embeddings", "lr", "batch_size", "epochs", "seeds", "hidden_dims", "projection_dims",
+    "dropout_rate", "temperature", "contrastive_weight", "normalize_embeddings", "ablation", "threads",
+    "dump_plan",
+)
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(TRAIN_FIELDS), JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3))
+def test_any_train_field_value_loads_or_is_a_config_error(tmp_path, field, value):
+    config = base_config(str(tmp_path / "out"))
+    config["train"][field] = value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    try:
+        load_config(str(path))
+    except ConfigError:
+        pass

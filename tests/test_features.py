@@ -10,7 +10,6 @@ from sociolens.features import (
     build_schema,
     decode_multihot,
     encode_multihot,
-    fuse,
     load_embeddings,
     load_profiles,
     save_embeddings_binary,
@@ -182,18 +181,3 @@ class TestProfilesIO:
         path.write_text("who,gender\na1,f\n", encoding="utf-8")
         with pytest.raises(SchemaError):
             load_profiles(str(path))
-
-
-class TestFuse:
-    def test_concatenation(self):
-        assert fuse(np.array([1.0, 2.0]), np.array([0.0, 1.0])).tolist() == [1, 2, 0, 1]
-
-    def test_absent_socio_is_identity(self):
-        text = np.array([1.0, 2.0])
-        assert fuse(text, None) is text
-
-    def test_width_adds_up(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            a, b = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-            assert fuse(rng.standard_normal(a), rng.standard_normal(b)).shape == (a + b,)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -110,11 +111,12 @@ class TestForward:
         z2_acc = None
         for _ in range(rounds):
             _, trace = forward(params, batch, mode="train", rng=rng)
-            h1_acc = trace.h_trunk1 if h1_acc is None else h1_acc + trace.h_trunk1
-            z2_acc = trace.z_trunk2 if z2_acc is None else z2_acc + trace.z_trunk2
+            # layer 1 reads the dropped first activation and holds the second pre-activation
+            h1_acc = trace.inputs[1] if h1_acc is None else h1_acc + trace.inputs[1]
+            z2_acc = trace.pre[1] if z2_acc is None else z2_acc + trace.pre[1]
         _, eval_trace = forward(params, batch, mode="eval")
-        assert np.allclose(h1_acc / rounds, eval_trace.h_trunk1, atol=0.05)
-        assert np.allclose(z2_acc / rounds, eval_trace.z_trunk2, atol=0.05)
+        assert np.allclose(h1_acc / rounds, eval_trace.inputs[1], atol=0.05)
+        assert np.allclose(z2_acc / rounds, eval_trace.pre[1], atol=0.05)
 
     def test_train_mode_needs_rng_when_dropout_on(self):
         spec = small_spec(dropout_rate=0.2)
@@ -152,7 +154,7 @@ class TestMultitask:
         probs, trace = forward(params, batch, mode="eval")
         w = params.tensors["layer.2.weight"]
         b = params.tensors["layer.2.bias"]
-        expected_logit = trace.h_trunk2[0] @ w.mean(axis=1) + b.mean()
+        expected_logit = trace.inputs[2][0] @ w.mean(axis=1) + b.mean()
         assert trace.logits[0] == pytest.approx(expected_logit, abs=1e-12)
 
     def test_untouched_head_gets_zero_gradient(self):
@@ -313,6 +315,25 @@ class TestCheckpoints:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError):
             load_checkpoint(str(tmp_path / "nope"))
+
+    def edit_manifest(self, tmp_path, edit):
+        directory = tmp_path / "ck"
+        save_checkpoint(init_params(small_spec("multitask"), 0), str(directory), seed=0)
+        manifest = json.loads((directory / "manifest.json").read_text())
+        edit(manifest)
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+        return str(directory)
+
+    def test_unknown_variant_in_manifest(self, tmp_path):
+        directory = self.edit_manifest(tmp_path, lambda m: m["spec"].update(variant="bogus"))
+        with pytest.raises(DataError, match="unknown variant"):
+            load_checkpoint(directory)
+
+    def test_tensor_shapes_must_match_spec(self, tmp_path):
+        # (3, 4) read as (4, 3): every blob still has the size the manifest states
+        directory = self.edit_manifest(tmp_path, lambda m: m["tensors"].update({"layer.0.weight": [4, 3]}))
+        with pytest.raises(DataError, match="tensor shapes"):
+            load_checkpoint(directory)
 
 
 def test_sigmoid_stable_at_extremes():

@@ -3,13 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from helpers import contrastive_loss_oracle
 from sociolens.errors import ConfigError
-from sociolens.objectives import (
-    bce_loss,
-    combined_loss,
-    contrastive_loss,
-    contrastive_loss_oracle,
-)
+from sociolens.objectives import bce_loss, combined_loss, contrastive_loss
 
 
 def random_contrastive_batch(rng, size=None, dim=None):
@@ -100,16 +96,6 @@ class TestOracleEquivalence:
             oracle = contrastive_loss_oracle(E, labels, text_ids, tau)
             assert abs(res.loss - oracle) < 1e-12
 
-    def test_matrix_path_matches_oracle_excluding_diagonal(self):
-        rng = np.random.default_rng(43)
-        for _ in range(100):
-            E, labels, text_ids = random_contrastive_batch(rng)
-            if len(labels) < 2:
-                continue
-            res = contrastive_loss(E, labels, text_ids, 0.1, exclude_self_from_softmax=True)
-            oracle = contrastive_loss_oracle(E, labels, text_ids, 0.1, exclude_self_from_softmax=True)
-            assert abs(res.loss - oracle) < 1e-12
-
     def test_mask_empty_batches_exactly_zero(self):
         rng = np.random.default_rng(44)
         for _ in range(50):
@@ -136,23 +122,6 @@ class TestContrastiveGradient:
                     up = contrastive_loss(E, labels, text_ids, tau).loss
                     E[i, j] = orig - h
                     down = contrastive_loss(E, labels, text_ids, tau).loss
-                    E[i, j] = orig
-                    fd = (up - down) / (2 * h)
-                    assert abs(res.dE[i, j] - fd) / max(abs(res.dE[i, j]), abs(fd), 1e-4) < 1e-4
-
-    def test_matches_central_differences_excluding_diagonal(self):
-        rng = np.random.default_rng(55)
-        h = 1e-6
-        for _ in range(10):
-            E, labels, text_ids = random_contrastive_batch(rng, size=int(rng.integers(2, 7)), dim=3)
-            res = contrastive_loss(E, labels, text_ids, 0.5, exclude_self_from_softmax=True)
-            for i in range(E.shape[0]):
-                for j in range(E.shape[1]):
-                    orig = E[i, j]
-                    E[i, j] = orig + h
-                    up = contrastive_loss(E, labels, text_ids, 0.5, exclude_self_from_softmax=True).loss
-                    E[i, j] = orig - h
-                    down = contrastive_loss(E, labels, text_ids, 0.5, exclude_self_from_softmax=True).loss
                     E[i, j] = orig
                     fd = (up - down) / (2 * h)
                     assert abs(res.dE[i, j] - fd) / max(abs(res.dE[i, j]), abs(fd), 1e-4) < 1e-4
