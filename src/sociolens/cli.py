@@ -1,9 +1,11 @@
 """Subcommand CLI: prep | train | eval | homophily | synth | report.
 
 Every command reads one JSON config (--config) plus a few override
-flags, writes all artifacts under the configured output directory, and
-never mutates its inputs. Exit codes: 0 success, 2 config error, 3 data
-error, 4 numeric error.
+flags, which are written into the config before it is validated, so a
+flag is checked like the field it sets. Each command writes all
+artifacts under the configured output directory and never mutates its
+inputs. Exit codes: 0 success, 2 config error, 3 data error, 4 numeric
+error.
 """
 
 from __future__ import annotations
@@ -120,9 +122,6 @@ def _load_split(t: config_mod.TrainConfig, need_profiles: bool) -> corpus.SplitP
     profiles_path = t.profiles if (t.profiles and need_profiles) else None
     train_ds = _load_dataset(t.train_annotations, t.columns, profiles_path)
     test_ds = _load_dataset(t.test_annotations, t.columns, profiles_path)
-    overlap = {r.text_id for r in train_ds.records} & {r.text_id for r in test_ds.records}
-    if overlap:
-        raise DataError(f"train/test share text ids: {sorted(overlap)[:10]}")
     n_train = len(train_ds.text_ids())
     n_total = n_train + len(test_ds.text_ids())
     return corpus.SplitPair(
@@ -154,9 +153,7 @@ def cmd_train(cfg: config_mod.PipelineConfig) -> int:
         run_cfg = replace(t.run, variant=variant)
         _log(cfg, 1, f"train: {variant} x {len(run_cfg.seeds)} seeds")
         if WIRING[variant].projected and t.ablation:
-            result = trainer.run_ablation(
-                run_cfg, split, text_table, socio_table, train_root, threads=t.threads
-            )
+            result = trainer.run_ablation(run_cfg, split, text_table, socio_table, train_root)
             _finish_suite(cfg, result.with_contrastive, os.path.join(train_root, "socio_contrastive"),
                           all_profiles, t.dump_plan)
             _finish_suite(cfg, result.without_contrastive, os.path.join(train_root, "ablation"),
@@ -166,8 +163,7 @@ def cmd_train(cfg: config_mod.PipelineConfig) -> int:
         else:
             variant_dir = os.path.join(train_root, variant)
             suite = trainer.train_suite(
-                run_cfg, split, text_table, socio_table, variant_dir,
-                threads=t.threads, dump_plan=t.dump_plan,
+                run_cfg, split, text_table, socio_table, variant_dir, dump_plan=t.dump_plan
             )
             _finish_suite(cfg, suite, variant_dir, all_profiles, t.dump_plan)
     return 0
@@ -192,9 +188,8 @@ def _discover_checkpoints(root: str) -> dict[str, list[tuple[int, str]]]:
     if not os.path.exists(root):
         raise DataError(f"checkpoint path does not exist: {root}")
     if os.path.exists(os.path.join(root, "manifest.json")):
-        with open(os.path.join(root, "manifest.json"), encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        return {manifest["spec"]["variant"]: [(int(manifest["seed"]), root)]}
+        params, manifest = load_checkpoint(root)
+        return {params.spec.variant: [(manifest["seed"], root)]}
     found: dict[str, list[tuple[int, str]]] = {}
 
     def scan_variant_dir(name: str, path: str) -> None:
@@ -226,7 +221,7 @@ def _run_from_checkpoint(ckpt_dir: str) -> TrainedRun:
         {a: i for i, a in enumerate(manifest["annotators"])} if manifest.get("annotators") else None
     )
     return TrainedRun(
-        seed=int(manifest["seed"]),
+        seed=manifest["seed"],
         params=params,
         schema=schema,
         annotator_index=annotator_index,
@@ -521,41 +516,31 @@ def cmd_report(cfg: config_mod.PipelineConfig) -> int:
 
 # ------------------------------------------------------------------ main
 
-def _apply_overrides(cfg: config_mod.PipelineConfig, args) -> config_mod.PipelineConfig:
-    if args.seed is not None:
-        # prep alone accepts a negative seed: SplitMix64 masks it to 64 bits
-        if args.seed < 0 and args.command in ("synth", "train", "homophily"):
-            raise ConfigError(f"--seed must be >= 0 for {args.command}, got {args.seed}")
-        if cfg.prep:
-            cfg.prep.seed = args.seed
-        if cfg.train:
-            cfg.train = replace(cfg.train, run=replace(cfg.train.run, seeds=(args.seed,)))
-        if cfg.homophily:
-            cfg.homophily.seed = args.seed
-        if cfg.synth:
-            cfg.synth = config_mod.SynthConfig(
-                population=replace(cfg.synth.population, seed=args.seed),
-                socio_embedding_dim=cfg.synth.socio_embedding_dim,
-            )
-    if args.variant is not None and cfg.train:
-        if args.variant not in config_mod.VARIANT_CHOICES:
-            raise ConfigError(f"unknown variant {args.variant!r}")
-        cfg.train = replace(
-            cfg.train, variants=[args.variant], run=replace(cfg.train.run, variant=args.variant)
-        )
-    if getattr(args, "contrastive_weight", None) is not None and cfg.train:
-        if args.contrastive_weight < 0:
-            raise ConfigError("--lambda must be >= 0")
-        cfg.train = replace(
-            cfg.train, run=replace(cfg.train.run, contrastive_weight=args.contrastive_weight)
-        )
-    if args.threads is not None and cfg.train:
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
-        cfg.train = replace(cfg.train, threads=args.threads)
-    if args.dump_plan and cfg.train:
-        cfg.train = replace(cfg.train, dump_plan=True)
-    return cfg
+def _apply_overrides(args) -> tuple[dict[str, dict], list[str]]:
+    """The raw config fields the command's flags set, and those flags as given.
+
+    Only fields the running command reads are set; `load_config` then
+    validates them like any value from the file.
+    """
+    sections: dict[str, dict] = {}
+    flags: list[str] = []
+    if args.seed is not None and args.command in ("synth", "prep", "train", "homophily"):
+        flags.append(f"--seed {args.seed}")
+        if args.command != "train":
+            sections[args.command] = {"seed": args.seed}
+        if args.command in ("train", "homophily"):
+            # homophily's default representations path follows the first train seed
+            sections["train"] = {"seeds": [args.seed]}
+    if args.command == "train":
+        for flag, field, value in (
+            ("--variant", "variant", args.variant),
+            ("--lambda", "contrastive_weight", args.contrastive_weight),
+            ("--dump-plan", "dump_plan", args.dump_plan or None),
+        ):
+            if value is not None:
+                sections.setdefault("train", {})[field] = value
+                flags.append(flag if value is True else f"{flag} {value}")
+    return sections, flags
 
 
 COMMANDS = {
@@ -578,10 +563,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="pipeline config JSON")
         p.add_argument("--seed", type=int, default=None, help="override the command's seed(s)")
-        p.add_argument("--variant", default=None, help="restrict train/eval to one variant")
+        p.add_argument("--variant", default=None, help="train only this variant")
         p.add_argument("--lambda", dest="contrastive_weight", type=float, default=None,
                        help="override the contrastive loss weight")
-        p.add_argument("--threads", type=int, default=None, help="cap parallel runs")
         p.add_argument("--dump-plan", action="store_true", help="emit batch plans as JSON")
     return parser
 
@@ -590,8 +574,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = config_mod.load_config(args.config)
-        cfg = _apply_overrides(cfg, args)
+        overrides, flags = _apply_overrides(args)
+        try:
+            cfg = config_mod.load_config(args.config, overrides)
+        except ConfigError as exc:
+            if not flags:
+                raise
+            raise ConfigError(f"{exc} (with {' '.join(flags)})") from exc
         return COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -16,12 +16,13 @@ from dataclasses import dataclass
 from typing import Any
 
 from .errors import ConfigError
-from .model import VARIANTS as VARIANT_CHOICES
+from .model import VARIANTS
 from .synth import AttributeSpec, PopulationSpec
 from .trainer import DEFAULT_SEEDS, RunConfig
 
 
-def _require(section: dict, allowed: dict[str, Any], where: str) -> dict:
+def _require(section: Any, allowed: dict[str, Any], where: str) -> dict:
+    _check(isinstance(section, dict), f"{where} must be an object")
     unknown = sorted(set(section) - set(allowed))
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}; allowed: {sorted(allowed)}")
@@ -39,6 +40,12 @@ def _check(cond: bool, message: str) -> None:
 def _is_int(value: Any) -> bool:
     """An integer, and not a bool (JSON true is an int to isinstance)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_paths(s: dict, keys: tuple[str, ...], where: str) -> None:
+    """Each path field is null (use the default) or a non-empty string."""
+    for key in keys:
+        _check(s[key] is None or (isinstance(s[key], str) and s[key]), f"{where}.{key} must be a non-empty string")
 
 
 def _is_real(value: Any) -> bool:
@@ -73,7 +80,6 @@ class TrainConfig:
     socio_embeddings: str | None
     run: RunConfig
     ablation: bool
-    threads: int
     dump_plan: bool
 
 
@@ -121,7 +127,6 @@ _DEFAULT_COLUMNS = {"text_id": "text_id", "annotator_id": "annotator_id", "score
 def _parse_columns(raw: Any, where: str) -> dict[str, str]:
     if raw is None:
         return dict(_DEFAULT_COLUMNS)
-    _check(isinstance(raw, dict), f"{where}.columns must be an object")
     cols = _require(raw, dict(_DEFAULT_COLUMNS), f"{where}.columns")
     for k, v in cols.items():
         _check(isinstance(v, str) and v, f"{where}.columns.{k} must be a non-empty string")
@@ -139,6 +144,7 @@ def _parse_prep(raw: dict, out_dir: str, synth_dir: str | None) -> PrepConfig:
         "seed": 0,
     }
     s = _require(raw, allowed, "prep")
+    _check_paths(s, ("annotations", "profiles"), "prep")
     annotations = s["annotations"]
     profiles = s["profiles"]
     if annotations is None and synth_dir:
@@ -146,13 +152,11 @@ def _parse_prep(raw: dict, out_dir: str, synth_dir: str | None) -> PrepConfig:
     if profiles is None and synth_dir:
         profiles = os.path.join(synth_dir, "profiles.csv")
     _check(annotations is not None, "prep.annotations is required (no synth section to default from)")
-    _check(isinstance(s["min_annotators_per_text"], int) and s["min_annotators_per_text"] >= 1,
-           "prep.min_annotators_per_text must be an integer >= 1")
-    _check(isinstance(s["min_annotations_per_annotator"], int) and s["min_annotations_per_annotator"] >= 1,
-           "prep.min_annotations_per_annotator must be an integer >= 1")
-    _check(isinstance(s["train_fraction"], (int, float)) and 0 < s["train_fraction"] < 1,
-           "prep.train_fraction must be in (0,1)")
-    _check(isinstance(s["seed"], int), "prep.seed must be an integer")
+    for key in ("min_annotators_per_text", "min_annotations_per_annotator"):
+        _check(_is_int(s[key]) and s[key] >= 1, f"prep.{key} must be an integer >= 1")
+    _check(_is_real(s["train_fraction"]) and 0 < s["train_fraction"] < 1, "prep.train_fraction must be in (0,1)")
+    # a negative split seed is fine: SplitMix64 masks it to 64 bits
+    _check(_is_int(s["seed"]), "prep.seed must be an integer")
     return PrepConfig(
         annotations=annotations,
         profiles=profiles,
@@ -188,18 +192,17 @@ def _parse_train(raw: dict, out_dir: str, prep: PrepConfig | None, synth_dir: st
         "dump_plan": False,
     }
     s = _require(raw, allowed, "train")
-    for key in ("train_annotations", "test_annotations", "profiles", "embeddings", "socio_embeddings"):
-        _check(s[key] is None or (isinstance(s[key], str) and s[key]), f"train.{key} must be a non-empty string")
+    _check_paths(s, ("train_annotations", "test_annotations", "profiles", "embeddings", "socio_embeddings"), "train")
     variant = s["variant"]
     if variant == "all":
-        variants = list(VARIANT_CHOICES)
+        variants = list(VARIANTS)
     elif isinstance(variant, list):
         variants = variant
     else:
         variants = [variant]
     _check(bool(variants), "train.variant must name at least one variant")
     for v in variants:
-        _check(v in VARIANT_CHOICES, f"train.variant: unknown variant {v!r}")
+        _check(v in VARIANTS, f"train.variant: unknown variant {v!r}")
     seeds = s["seeds"]
     rules = {
         "lr": (_is_real(s["lr"]) and s["lr"] > 0, "a finite number > 0"),
@@ -211,6 +214,7 @@ def _parse_train(raw: dict, out_dir: str, prep: PrepConfig | None, synth_dir: st
         "temperature": (_is_real(s["temperature"]) and s["temperature"] > 0, "a finite number > 0"),
         "contrastive_weight": (_is_real(s["contrastive_weight"]) and s["contrastive_weight"] >= 0,
                                "a finite number >= 0"),
+        # still checked so older configs keep loading, but seeds always train in turn
         "threads": (_is_int(s["threads"]) and s["threads"] >= 1, "an integer >= 1"),
     }
     for key in ("hidden_dims", "projection_dims"):
@@ -260,7 +264,6 @@ def _parse_train(raw: dict, out_dir: str, prep: PrepConfig | None, synth_dir: st
         socio_embeddings=socio_embeddings,
         run=run,
         ablation=s["ablation"],
-        threads=s["threads"],
         dump_plan=s["dump_plan"],
     )
 
@@ -275,6 +278,7 @@ def _parse_eval(raw: dict, out_dir: str, train: TrainConfig | None) -> EvalConfi
         "socio_embeddings": None,
     }
     s = _require(raw, allowed, "eval")
+    _check_paths(s, ("checkpoints", "annotations", "profiles", "embeddings", "socio_embeddings"), "eval")
     checkpoints = s["checkpoints"]
     _check(checkpoints is not None or train is not None,
            "eval.checkpoints is required without a train section")
@@ -302,6 +306,7 @@ def _parse_homophily(raw: dict, out_dir: str, train: TrainConfig | None) -> Homo
         "attributes": None,
     }
     s = _require(raw, allowed, "homophily")
+    _check_paths(s, ("representations", "profiles"), "homophily")
     reps = s["representations"]
     if reps is None and train is not None:
         first_seed = train.run.seeds[0]
@@ -340,24 +345,40 @@ def _parse_synth(raw: dict) -> SynthConfig:
         "socio_embedding_dim": None,
     }
     s = _require(raw, allowed, "synth")
-    _check(isinstance(s["annotator_count"], int), "synth.annotator_count is required")
-    _check(isinstance(s["attributes"], list) and s["attributes"], "synth.attributes is required")
+    dim = s["socio_embedding_dim"]
+    rules = {key: (_is_int(s[key]) and s[key] >= 1, "an integer >= 1")
+             for key in ("annotator_count", "text_count", "annotations_per_text", "embedding_dim")}
+    rules["embedding_noise"] = (_is_real(s["embedding_noise"]), "a finite number")
+    rules["seed"] = (_is_int(s["seed"]) and s["seed"] >= 0, "an integer >= 0")
+    rules["attributes"] = (isinstance(s["attributes"], list) and s["attributes"], "a non-empty list")
+    rules["signal"] = (s["signal"] is None or isinstance(s["signal"], dict), "an object")
+    rules["socio_embedding_dim"] = (dim is None or (_is_int(dim) and dim >= 1), "null or an integer >= 1")
+    for key, (ok, rule) in rules.items():
+        _check(bool(ok), f"synth.{key} must be {rule}")
     attributes = []
     for i, spec in enumerate(s["attributes"]):
-        a = _require(spec, {"name": None, "categories": None, "probabilities": None}, f"synth.attributes[{i}]")
-        _check(isinstance(a["name"], str), f"synth.attributes[{i}].name must be a string")
-        _check(isinstance(a["categories"], list), f"synth.attributes[{i}].categories must be a list")
-        probs = a["probabilities"]
+        where = f"synth.attributes[{i}]"
+        a = _require(spec, {"name": None, "categories": None, "probabilities": None}, where)
+        categories, probs = a["categories"], a["probabilities"]
+        _check(isinstance(a["name"], str), f"{where}.name must be a string")
+        _check(isinstance(categories, list) and categories and all(isinstance(c, str) for c in categories),
+               f"{where}.categories must be a non-empty list of strings")
         if probs is None:
-            probs = [1.0 / len(a["categories"])] * len(a["categories"])
-        attributes.append(AttributeSpec(a["name"], tuple(a["categories"]), tuple(float(p) for p in probs)))
+            probs = [1.0 / len(categories)] * len(categories)
+        _check(isinstance(probs, list) and all(_is_real(p) for p in probs),
+               f"{where}.probabilities must be a list of finite numbers")
+        attributes.append(AttributeSpec(a["name"], tuple(categories), tuple(float(p) for p in probs)))
     signal: dict[tuple[str, str], float] = {}
-    if s["signal"]:
-        _check(isinstance(s["signal"], dict), "synth.signal must be an object")
-        for attr, cats in s["signal"].items():
-            _check(isinstance(cats, dict), f"synth.signal.{attr} must map categories to shifts")
-            for cat, shift in cats.items():
-                signal[(attr, cat)] = float(shift)
+    for attr, shifts in (s["signal"] or {}).items():
+        _check(isinstance(shifts, dict), f"synth.signal.{attr} must map categories to shifts")
+        for cat, shift in shifts.items():
+            _check(_is_real(shift), f"synth.signal.{attr}.{cat} must be a finite number")
+            signal[(attr, cat)] = float(shift)
+    known = {a.name: a.categories for a in attributes}
+    for attr, cat in signal:
+        _check(cat in known.get(attr, ()), f"synth.signal.{attr}.{cat}: no such attribute category")
+    _check(s["annotations_per_text"] <= s["annotator_count"],
+           "synth.annotations_per_text cannot exceed synth.annotator_count")
     population = PopulationSpec(
         annotator_count=s["annotator_count"],
         attributes=tuple(attributes),
@@ -368,14 +389,16 @@ def _parse_synth(raw: dict) -> SynthConfig:
         embedding_noise=float(s["embedding_noise"]),
         seed=s["seed"],
     )
-    dim = s["socio_embedding_dim"]
-    if dim is not None:
-        _check(isinstance(dim, int) and dim >= 1, "synth.socio_embedding_dim must be >= 1")
     return SynthConfig(population=population, socio_embedding_dim=dim)
 
 
-def load_config(path: str) -> PipelineConfig:
-    """Parse and fully validate a pipeline config file."""
+def load_config(path: str, overrides: dict[str, dict[str, Any]] | None = None) -> PipelineConfig:
+    """Parse and fully validate a pipeline config file.
+
+    `overrides` maps a section name to field values written over that
+    section before it is validated, like values from the file; a section
+    the file lacks stays absent.
+    """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     try:
@@ -385,6 +408,9 @@ def load_config(path: str) -> PipelineConfig:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
+    for name, fields in (overrides or {}).items():
+        if isinstance(raw.get(name), dict):
+            raw[name] = {**raw[name], **fields}
     top = _require(
         raw,
         {

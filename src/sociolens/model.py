@@ -444,10 +444,11 @@ def save_checkpoint(
 
 
 def load_checkpoint(directory: str) -> tuple[ModelParams, dict]:
-    """Inverse of save_checkpoint; returns the params and the raw manifest.
+    """Inverse of save_checkpoint; returns the params and the manifest, its seed an int.
 
-    The manifest is outside input: a spec of an unknown variant, or tensor
-    shapes other than the spec's layers, is a DataError.
+    The manifest is outside input: a missing seed or spec, a spec of an
+    unknown variant, or tensor shapes other than the spec's layers, is a
+    DataError.
     """
     manifest_path = os.path.join(directory, "manifest.json")
     if not os.path.exists(manifest_path):
@@ -465,6 +466,7 @@ def load_checkpoint(directory: str) -> tuple[ModelParams, dict]:
         if manifest["tensors"] != expected:
             raise DataError(f"{directory}: tensor shapes {manifest['tensors']} differ from the spec's {expected}")
         step = int(manifest["step"])
+        manifest["seed"] = int(manifest["seed"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{directory}: malformed manifest: {exc!r}") from None
     tensors, m, v = {}, {}, {}

@@ -39,6 +39,8 @@ class AttributeSpec:
 
 @dataclass(frozen=True)
 class PopulationSpec:
+    """Generator settings; `config.load_config` validates every field."""
+
     annotator_count: int
     attributes: tuple[AttributeSpec, ...]
     signal: dict[tuple[str, str], float] = field(default_factory=dict)
@@ -47,22 +49,6 @@ class PopulationSpec:
     embedding_dim: int = 16
     embedding_noise: float = 0.1
     seed: int = 0
-
-    def __post_init__(self):
-        if self.annotator_count < 1 or self.text_count < 1 or self.annotations_per_text < 1:
-            raise ConfigError("all synth counts must be >= 1")
-        if self.annotations_per_text > self.annotator_count:
-            raise ConfigError("annotations_per_text cannot exceed annotator_count")
-        if self.embedding_dim < 1:
-            raise ConfigError("embedding_dim must be >= 1")
-        names = {a.name for a in self.attributes}
-        for attr, cat in self.signal:
-            if attr not in names:
-                raise ConfigError(f"signal names unknown attribute {attr!r}")
-        for spec in self.attributes:
-            for attr, cat in self.signal:
-                if attr == spec.name and cat not in spec.categories:
-                    raise ConfigError(f"signal names unknown category {cat!r} of {attr!r}")
 
 
 @dataclass

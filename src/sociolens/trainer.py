@@ -1,10 +1,10 @@
 """End-to-end training for the five regimes, the multi-seed protocol, and the ablation.
 
 One run is strictly sequential over batches (the optimizer state is
-serial); runs for different seeds are independent and may execute in
-parallel. All randomness derives from the run seed: batch plans use
-seed + epoch, dropout uses a per-run stream, so a (config, seed, data)
-triple fixes the whole trajectory.
+serial), and a suite trains its seeds one after another. All randomness
+derives from the run seed: batch plans use seed + epoch, dropout uses a
+per-run stream, so a (config, seed, data) triple fixes the whole
+trajectory.
 
 The ``simple`` regime trains on one sample per unique text with its
 majority-vote label; every other regime trains on individual
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -273,25 +272,18 @@ def train_suite(
     text_table: EmbeddingTable,
     socio_table: EmbeddingTable | None = None,
     out_dir: str | None = None,
-    threads: int = 1,
     dump_plan: bool = False,
 ) -> SuiteResult:
-    """Train every seed, score each on the test split, and aggregate."""
-
-    def one(seed: int) -> TrainedRun:
+    """Train every seed in turn, score each on the test split, and aggregate."""
+    runs = []
+    for seed in config.seeds:
         try:
-            return train_one(config, seed, split, text_table, socio_table, out_dir, dump_plan)
+            runs.append(train_one(config, seed, split, text_table, socio_table, out_dir, dump_plan))
         except SociolensError as exc:
             # keep the class so the CLI still maps it to its own exit code
             raise type(exc)(f"run for seed {seed} failed: {exc}") from exc
         except Exception as exc:
             raise DataError(f"run for seed {seed} failed: {exc}") from exc
-
-    if threads > 1 and len(config.seeds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(one, config.seeds))
-    else:
-        runs = [one(seed) for seed in config.seeds]
 
     reports: list[MetricsReport] = []
     total_fallback = 0
@@ -334,16 +326,15 @@ def run_ablation(
     text_table: EmbeddingTable,
     socio_table: EmbeddingTable | None = None,
     out_dir: str | None = None,
-    threads: int = 1,
 ) -> AblationResult:
     """Train the contrastive suite and its zero-weight twin on identical seeds."""
     if not WIRING[config.variant].projected:
         raise ConfigError("the ablation applies to the socio_contrastive variant")
     main_dir = os.path.join(out_dir, "socio_contrastive") if out_dir else None
     ablation_dir = os.path.join(out_dir, "ablation") if out_dir else None
-    main = train_suite(config, split, text_table, socio_table, main_dir, threads)
+    main = train_suite(config, split, text_table, socio_table, main_dir)
     zero = replace(config, contrastive_weight=0.0)
-    without = train_suite(zero, split, text_table, socio_table, ablation_dir, threads)
+    without = train_suite(zero, split, text_table, socio_table, ablation_dir)
     return AblationResult(with_contrastive=main, without_contrastive=without)
 
 

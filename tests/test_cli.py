@@ -211,6 +211,61 @@ class TestErrors:
         assert main(["train", "--config", str(path)]) == 2
         assert f"train.{field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("synth", "text_count", "5"), ("synth", "embedding_noise", "x"), ("synth", "seed", -1),
+            ("synth", "seed", True), ("synth", "annotator_count", 2.0), ("synth", "socio_embedding_dim", 0),
+            ("synth", "attributes", [{"name": "g", "categories": []}]), ("synth", "attributes", ["g"]),
+            ("synth", "signal", {"group": {"a": "2.5"}}), ("synth", "signal", {"group": {"c": 1.0}}),
+            ("synth", "signal", []), ("synth", "annotations_per_text", 31),
+            ("prep", "seed", True), ("prep", "min_annotators_per_text", True),
+            ("prep", "min_annotations_per_annotator", True), ("prep", "train_fraction", True),
+            # an integer path would open that file descriptor
+            ("prep", "annotations", 5),
+        ],
+    )
+    def test_bad_synth_or_prep_field_exits_2(self, tmp_path, capsys, section, field, value):
+        config = base_config(str(tmp_path / "out"))
+        config[section][field] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main([section, "--config", str(path)]) == 2
+        assert f"{section}.{field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag, value, field",
+        [
+            ("train", "--lambda", "nan", "train.contrastive_weight"),
+            ("train", "--lambda", "inf", "train.contrastive_weight"),
+            ("train", "--lambda", "-1", "train.contrastive_weight"),
+            ("train", "--variant", "nope", "train.variant"),
+            ("synth", "--seed", "-1", "synth.seed"),
+            ("train", "--seed", "-1", "train.seeds"),
+            # train is validated before homophily, and --seed also sets train.seeds for it
+            ("homophily", "--seed", "-1", "train.seeds"),
+        ],
+    )
+    def test_bad_flag_exits_2_naming_field_and_flag(self, tmp_path, capsys, command, flag, value, field):
+        # no synth or prep has run: the flag must be refused with the field it sets
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(base_config(str(tmp_path / "out"))), encoding="utf-8")
+        assert main([command, "--config", str(path), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert field in err and f"(with {flag} " in err
+
+    def test_empty_checkpoint_manifest_exits_3(self, tmp_path, capsys):
+        config = base_config(str(tmp_path / "out"))
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        (ckpt / "manifest.json").write_text("{}", encoding="utf-8")
+        config["eval"]["checkpoints"] = str(ckpt)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["synth", "--config", str(path)]) == 0
+        assert main(["eval", "--config", str(path)]) == 3
+        assert "malformed manifest" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["synth", "train", "homophily"])
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys, command):
         path = tmp_path / "c.json"
@@ -276,20 +331,35 @@ class TestOverrides:
         assert len(plans["epochs"]) == config["train"]["epochs"]
 
 
-TRAIN_FIELDS = (
-    "variant", "train_annotations", "test_annotations", "profiles", "columns", "embeddings",
-    "socio_embeddings", "lr", "batch_size", "epochs", "seeds", "hidden_dims", "projection_dims",
-    "dropout_rate", "temperature", "contrastive_weight", "normalize_embeddings", "ablation", "threads",
-    "dump_plan",
-)
+SECTION_FIELDS = {
+    "synth": (
+        "annotator_count", "text_count", "annotations_per_text", "embedding_dim", "embedding_noise", "seed",
+        "attributes", "signal", "socio_embedding_dim",
+    ),
+    "prep": (
+        "annotations", "profiles", "columns", "min_annotators_per_text", "min_annotations_per_annotator",
+        "train_fraction", "seed",
+    ),
+    "train": (
+        "variant", "train_annotations", "test_annotations", "profiles", "columns", "embeddings",
+        "socio_embeddings", "lr", "batch_size", "epochs", "seeds", "hidden_dims", "projection_dims",
+        "dropout_rate", "temperature", "contrastive_weight", "normalize_embeddings", "ablation", "threads",
+        "dump_plan",
+    ),
+    "homophily": ("representations", "profiles", "k", "iterations", "seed", "metric", "attributes"),
+}
 JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.sampled_from(TRAIN_FIELDS), JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3))
-def test_any_train_field_value_loads_or_is_a_config_error(tmp_path, field, value):
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.sampled_from([(section, field) for section, fields in SECTION_FIELDS.items() for field in fields]),
+    JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3),
+)
+def test_any_train_field_value_loads_or_is_a_config_error(tmp_path, section_field, value):
+    section, field = section_field
     config = base_config(str(tmp_path / "out"))
-    config["train"][field] = value
+    config[section][field] = value
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     try:

@@ -187,13 +187,6 @@ class TestPredictAndSuite:
         b = train_suite(config, split, table)
         assert a.aggregate == b.aggregate
 
-    def test_threads_match_sequential(self):
-        split, table, _ = make_world()
-        config = tiny_config("socio_multihot", seeds=(0, 1, 2))
-        seq = train_suite(config, split, table, threads=1)
-        par = train_suite(config, split, table, threads=3)
-        assert seq.aggregate == par.aggregate
-
     def test_simple_scores_constant_per_text(self):
         split, table, _ = make_world()
         run = train_one(tiny_config("simple"), 0, split, table)
