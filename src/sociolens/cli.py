@@ -197,6 +197,8 @@ def _discover_checkpoints(root: str) -> dict[str, list[tuple[int, str]]]:
         for child in sorted(os.listdir(path)):
             ckpt = os.path.join(path, child, "checkpoint")
             if child.startswith("seed") and os.path.exists(os.path.join(ckpt, "manifest.json")):
+                if not child[4:].isdecimal():
+                    raise DataError(f"checkpoint directory {os.path.join(path, child)} is not named seed<N>")
                 entries.append((int(child[4:]), ckpt))
         if entries:
             found[name] = sorted(entries)
@@ -226,7 +228,6 @@ def _run_from_checkpoint(ckpt_dir: str) -> TrainedRun:
         schema=schema,
         annotator_index=annotator_index,
         log_rows=[],
-        checkpoint_dir=ckpt_dir,
     )
 
 

@@ -22,6 +22,13 @@ head last (``layer.{i}.weight`` / ``layer.{i}.bias``), so `forward`,
 Gradients are hand-derived and verified against central finite
 differences in the test suite. Dropout is inverted (activations scaled
 by 1/(1-p) at train time) so evaluation is a pure pass-through.
+
+Memory and cost: the weights and Adam's moments m and v of all n
+parameters live in the three contiguous little-endian f64 rows of
+`ModelParams.flat`, each tensor a view into its row. While a run
+trains, `ModelParams.work` adds a flat gradient and a scratch vector of
+n each, and `adam_step` is fifteen whole-buffer passes and two
+finiteness scans, whatever the layer count.
 """
 
 from __future__ import annotations
@@ -97,6 +104,13 @@ class ModelSpec:
             stacks.insert(0, [self.socio_width, *self.projection_dims])
         return [shape for dims in stacks for shape in zip(dims[:-1], dims[1:])]
 
+    def tensor_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Shape of every parameter tensor by name, in layer order: the layout of `ModelParams.flat`."""
+        shapes = {}
+        for i, (fan_in, fan_out) in enumerate(self.layer_shapes()):
+            shapes[f"layer.{i}.weight"], shapes[f"layer.{i}.bias"] = (fan_in, fan_out), (fan_out,)
+        return shapes
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -110,11 +124,24 @@ class ModelSpec:
 
 @dataclass
 class ModelParams:
+    """Weights and Adam moments, zeroed; `tensors`, `m`, `v` are views into `flat`'s rows: never rebind them."""
+
     spec: ModelSpec
-    tensors: dict[str, np.ndarray]
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
     step: int = 0
+    flat: np.ndarray = field(init=False, repr=False)
+    tensors: dict[str, np.ndarray] = field(init=False, repr=False)
+    m: dict[str, np.ndarray] = field(init=False, repr=False)
+    v: dict[str, np.ndarray] = field(init=False, repr=False)
+    work: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        shapes = self.spec.tensor_shapes()
+        ends = np.cumsum([np.prod(shape) for shape in shapes.values()])
+        self.flat = np.zeros((3, ends[-1]), dtype="<f8")
+        self.tensors, self.m, self.v = (
+            {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), np.split(row, ends[:-1]))}
+            for row in self.flat
+        )
 
 
 @dataclass
@@ -164,19 +191,11 @@ def init_params(spec: ModelSpec, seed: int) -> ModelParams:
     seed fixes every parameter byte.
     """
     rng = np.random.default_rng(seed)
-    tensors: dict[str, np.ndarray] = {}
+    params = ModelParams(spec)
     for i, (fan_in, fan_out) in enumerate(spec.layer_shapes()):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        tensors[f"layer.{i}.weight"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        tensors[f"layer.{i}.bias"] = np.zeros(fan_out, dtype=np.float64)
-    zeros = {k: np.zeros_like(t) for k, t in tensors.items()}
-    return ModelParams(
-        spec=spec,
-        tensors=tensors,
-        m={k: z.copy() for k, z in zeros.items()},
-        v={k: z.copy() for k, z in zeros.items()},
-        step=0,
-    )
+        params.tensors[f"layer.{i}.weight"][...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+    return params
 
 
 def _dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) -> np.ndarray:
@@ -360,33 +379,42 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> ModelParams:
-    """One Adam update with bias correction; mutates and returns `params`.
+    """One Adam update with bias correction (Kingma & Ba 2015); mutates and returns `params`.
 
-    Refuses the update (leaving parameters untouched) if any gradient
-    component is non-finite.
+    The gradients are copied in layer order into `params.work` (made on
+    the first step, dropped by the trainer when a run ends), and the
+    update runs in place over `params.flat`, each element through the
+    per-tensor form's operations in its order, so the bytes match it. A
+    non-finite gradient refuses the update and leaves `params` untouched;
+    a weight made non-finite raises after it. Both name the first such tensor.
     """
     if lr <= 0:
         raise ConfigError(f"learning rate must be > 0, got {lr}")
-    if set(grads) != set(params.tensors):
-        raise DataError(f"gradient keys {sorted(grads)} != parameter keys {sorted(params.tensors)}")
-    for name, g in grads.items():
-        if g.shape != params.tensors[name].shape:
-            raise DataError(f"gradient shape mismatch for {name}")
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for {name}; update refused at step {params.step + 1}")
+    shapes = {name: tensor.shape for name, tensor in params.tensors.items()}
+    got = {name: np.shape(g) for name, g in grads.items()}
+    if got != shapes:
+        raise DataError(f"gradient shapes {got} != parameter shapes {shapes}")
+    if params.work is None:
+        params.work = np.empty((2, params.flat.shape[1]))
+    g, scratch = params.work
+    np.concatenate([grads[name].ravel() for name in params.tensors], out=g)
+    if not np.isfinite(g).all():
+        bad = next(name for name in params.tensors if not np.isfinite(grads[name]).all())
+        raise NumericError(f"non-finite gradient for {bad}; update refused at step {params.step + 1}")
     params.step += 1
     bc1 = 1.0 - beta1 ** params.step
     bc2 = 1.0 - beta2 ** params.step
-    for name, g in grads.items():
-        m = params.m[name]
-        v = params.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * np.square(g)
-        params.tensors[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-        if not np.all(np.isfinite(params.tensors[name])):
-            raise NumericError(f"non-finite parameter {name} after step {params.step}")
+    w, m, v = params.flat
+    # m*b1 + (1-b1)*g, v*b2 + (1-b2)*g*g, w - lr*(m/bc1)/(sqrt(v/bc2)+eps)
+    m *= beta1
+    m += np.multiply(g, 1.0 - beta1, out=scratch)
+    v *= beta2
+    v += np.multiply(np.multiply(g, g, out=scratch), 1.0 - beta2, out=scratch)
+    np.add(np.sqrt(np.divide(v, bc2, out=scratch), out=scratch), eps, out=scratch)
+    w -= np.divide(np.multiply(np.divide(m, bc1, out=g), lr, out=g), scratch, out=g)
+    if not np.isfinite(w).all():
+        bad = next(name for name, tensor in params.tensors.items() if not np.isfinite(tensor).all())
+        raise NumericError(f"non-finite parameter {bad} after step {params.step}")
     return params
 
 
@@ -436,10 +464,9 @@ def save_checkpoint(
     with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
-    for name, tensor in params.tensors.items():
-        tensor.astype("<f8").tofile(os.path.join(directory, f"{name}.bin"))
-        params.m[name].astype("<f8").tofile(os.path.join(directory, f"{name}.m.bin"))
-        params.v[name].astype("<f8").tofile(os.path.join(directory, f"{name}.v.bin"))
+    for views, suffix in ((params.tensors, ""), (params.m, ".m"), (params.v, ".v")):
+        for name, view in views.items():
+            view.tofile(os.path.join(directory, f"{name}{suffix}.bin"))
     return directory
 
 
@@ -459,25 +486,18 @@ def load_checkpoint(directory: str) -> tuple[ModelParams, dict]:
         spec = ModelSpec.from_dict(manifest["spec"])
         if spec.variant not in VARIANTS:
             raise DataError(f"{directory}: unknown variant {spec.variant!r}")
-        expected = {}
-        for i, (fan_in, fan_out) in enumerate(spec.layer_shapes()):
-            expected[f"layer.{i}.weight"] = [fan_in, fan_out]
-            expected[f"layer.{i}.bias"] = [fan_out]
+        expected = {name: list(shape) for name, shape in spec.tensor_shapes().items()}
         if manifest["tensors"] != expected:
             raise DataError(f"{directory}: tensor shapes {manifest['tensors']} differ from the spec's {expected}")
-        step = int(manifest["step"])
+        params = ModelParams(spec, step=int(manifest["step"]))
         manifest["seed"] = int(manifest["seed"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{directory}: malformed manifest: {exc!r}") from None
-    tensors, m, v = {}, {}, {}
-    for name, shape in expected.items():
-        for target, suffix in ((tensors, ""), (m, ".m"), (v, ".v")):
+    for views, suffix in ((params.tensors, ""), (params.m, ".m"), (params.v, ".v")):
+        for name, view in views.items():
             path = os.path.join(directory, f"{name}{suffix}.bin")
-            if not os.path.exists(path):
-                raise DataError(f"{directory}: missing tensor blob {name}{suffix}.bin")
-            arr = np.fromfile(path, dtype="<f8")
-            if arr.size != int(np.prod(shape)):
-                raise DataError(f"{directory}: blob {name}{suffix} has wrong size")
-            target[name] = arr.reshape(shape)
-    params = ModelParams(spec=spec, tensors=tensors, m=m, v=v, step=step)
+            if not os.path.isfile(path) or os.path.getsize(path) != view.nbytes:
+                raise DataError(f"{directory}: tensor blob {name}{suffix}.bin is missing or not {view.nbytes} bytes")
+            with open(path, "rb") as fh:
+                fh.readinto(view)
     return params, manifest

@@ -21,7 +21,7 @@ import numpy as np
 
 from .batcher import assemble_batch, plan_epoch
 from .corpus import AnnotationRecord, Dataset, SplitPair, majority_vote
-from .errors import ConfigError, DataError, SociolensError
+from .errors import ConfigError, DataError, NumericError, SociolensError
 from .features import EmbeddingTable, SocioSchema, build_schema, encode_multihot
 from .metrics import MetricsReport, aggregate_runs, confusion_metrics, with_auc
 from .model import (
@@ -65,9 +65,6 @@ class TrainedRun:
     schema: SocioSchema | None
     annotator_index: dict[str, int] | None
     log_rows: list[dict]
-    checkpoint_dir: str | None = None
-    log_path: str | None = None
-    plan_path: str | None = None
 
 
 @dataclass
@@ -179,9 +176,7 @@ def train_one(
 
     wiring = WIRING[config.variant]
     schema = build_schema(train.profiles) if wiring.socio else None
-    annotator_index = None
-    if wiring.per_annotator:
-        annotator_index = {a: i for i, a in enumerate(sorted(train.annotator_ids()))}
+    annotator_index = {a: i for i, a in enumerate(sorted(train.annotator_ids()))} if wiring.per_annotator else None
     sources = _batch_sources(wiring, train, schema, socio_table, annotator_index)
 
     spec = build_model_spec(config, train, text_table, socio_table, schema)
@@ -191,48 +186,40 @@ def train_one(
     plan_source = _majority_dataset(train) if wiring.majority_vote else train
     log_rows: list[dict] = []
     plans = []
-    step = 0
-    for epoch in range(config.epochs):
-        plan = plan_epoch(plan_source, config.batch_size, seed + epoch)
-        if dump_plan:
-            plans.append(plan.to_jsonable())
-        for indices in plan.batches:
-            batch = assemble_batch(plan_source, indices, text_table, **sources)
-            probs, trace = forward(params, batch, mode="train", rng=dropout_rng)
-            cls_loss, d_logits = bce_loss(probs, batch.labels)
-            cres = None
-            if wiring.projected:
-                cres = contrastive_loss(trace.loss_embedding, batch.labels, batch.text_ids, spec.temperature)
-            report, d_logits, dE = combined_loss(cls_loss, d_logits, cres, spec.contrastive_weight)
-            grads = backward(params, trace, d_logits, dE)
-            params = adam_step(params, grads, config.lr)
-            step += 1
-            log_rows.append({"step": step, "epoch": epoch, **report.to_dict()})
+    try:
+        # fail at the first overflow or NaN, not after it has run through a whole step
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for epoch in range(config.epochs):
+                plan = plan_epoch(plan_source, config.batch_size, seed + epoch)
+                if dump_plan:
+                    plans.append(plan.to_jsonable())
+                for indices in plan.batches:
+                    batch = assemble_batch(plan_source, indices, text_table, **sources)
+                    probs, trace = forward(params, batch, mode="train", rng=dropout_rng)
+                    cls_loss, d_logits = bce_loss(probs, batch.labels)
+                    cres = None
+                    if wiring.projected:
+                        cres = contrastive_loss(trace.loss_embedding, batch.labels, batch.text_ids, spec.temperature)
+                    report, d_logits, dE = combined_loss(cls_loss, d_logits, cres, spec.contrastive_weight)
+                    adam_step(params, backward(params, trace, d_logits, dE), config.lr)
+                    log_rows.append({"step": params.step, "epoch": epoch, **report.to_dict()})
+    except FloatingPointError as exc:
+        raise NumericError(f"non-finite value at step {len(log_rows) + 1}: {exc}") from None
+    params.work = None
 
-    run = TrainedRun(
-        seed=seed,
-        params=params,
-        schema=schema,
-        annotator_index=annotator_index,
-        log_rows=log_rows,
-    )
     if out_dir is not None:
         run_dir = os.path.join(out_dir, f"seed{seed}")
         os.makedirs(run_dir, exist_ok=True)
         annotators = sorted(annotator_index, key=annotator_index.get) if annotator_index else None
-        run.checkpoint_dir = save_checkpoint(
-            params, os.path.join(run_dir, "checkpoint"), seed, annotators=annotators, schema=schema
-        )
-        run.log_path = os.path.join(run_dir, "log.jsonl")
-        with open(run.log_path, "w", encoding="utf-8") as fh:
+        save_checkpoint(params, os.path.join(run_dir, "checkpoint"), seed, annotators=annotators, schema=schema)
+        with open(os.path.join(run_dir, "log.jsonl"), "w", encoding="utf-8") as fh:
             for row in log_rows:
                 fh.write(json.dumps(row) + "\n")
         if dump_plan:
-            run.plan_path = os.path.join(run_dir, "plans.json")
-            with open(run.plan_path, "w", encoding="utf-8") as fh:
+            with open(os.path.join(run_dir, "plans.json"), "w", encoding="utf-8") as fh:
                 json.dump({"seed": seed, "epochs": plans}, fh)
                 fh.write("\n")
-    return run
+    return TrainedRun(seed=seed, params=params, schema=schema, annotator_index=annotator_index, log_rows=log_rows)
 
 
 def predict(
@@ -311,13 +298,6 @@ class AblationResult:
             self.with_contrastive.aggregate["f1"][0]
             - self.without_contrastive.aggregate["f1"][0]
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "with_contrastive": self.with_contrastive.to_dict(),
-            "without_contrastive": self.without_contrastive.to_dict(),
-            "f1_delta": self.f1_delta,
-        }
 
 
 def run_ablation(

@@ -1,4 +1,4 @@
-"""Shared test utilities: batch construction, the finite-difference and contrastive-loss oracles, and the per-draw homophily reference."""
+"""Shared test utilities: batch construction, the finite-difference and contrastive-loss oracles, the per-tensor Adam reference, and the per-draw homophily reference."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 
 from sociolens.batcher import Batch
-from sociolens.errors import DataError
+from sociolens.errors import ConfigError, DataError, NumericError
 from sociolens.homophily import HomophilyRow, RepSpace, _distance_blocks
 from sociolens.model import ModelSpec, backward, forward, init_params
 from sociolens.objectives import bce_loss, combined_loss, contrastive_loss
@@ -88,6 +88,37 @@ def combined_objective(params, batch, spec, dropout_seed):
         cres = contrastive_loss(trace.loss_embedding, batch.labels, batch.text_ids, spec.temperature)
     report, d_logits, dE = combined_loss(cls, d_logits, cres, spec.contrastive_weight)
     return report.total, trace, d_logits, dE
+
+
+def reference_adam_step(params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-tensor Adam update that `model.adam_step` replaced; mutates and returns `params`.
+
+    `params` is anything with `tensors`, `m` and `v` dicts of separate
+    arrays and a `step`; the flat `adam_step` must match it bit for bit.
+    """
+    if lr <= 0:
+        raise ConfigError(f"learning rate must be > 0, got {lr}")
+    if set(grads) != set(params.tensors):
+        raise DataError(f"gradient keys {sorted(grads)} != parameter keys {sorted(params.tensors)}")
+    for name, g in grads.items():
+        if g.shape != params.tensors[name].shape:
+            raise DataError(f"gradient shape mismatch for {name}")
+        if not np.all(np.isfinite(g)):
+            raise NumericError(f"non-finite gradient for {name}; update refused at step {params.step + 1}")
+    params.step += 1
+    bc1 = 1.0 - beta1 ** params.step
+    bc2 = 1.0 - beta2 ** params.step
+    for name, g in grads.items():
+        m = params.m[name]
+        v = params.v[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * np.square(g)
+        params.tensors[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        if not np.all(np.isfinite(params.tensors[name])):
+            raise NumericError(f"non-finite parameter {name} after step {params.step}")
+    return params
 
 
 def random_small_spec(rng: np.random.Generator, variant: str) -> ModelSpec:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -266,6 +267,18 @@ class TestErrors:
         assert main(["eval", "--config", str(path)]) == 3
         assert "malformed manifest" in capsys.readouterr().err
 
+    def test_non_numeric_seed_directory_exits_3(self, tmp_path, capsys):
+        config = base_config(str(tmp_path / "out"))
+        ckpt = tmp_path / "ckpts" / "simple" / "seedx" / "checkpoint"
+        ckpt.mkdir(parents=True)
+        (ckpt / "manifest.json").write_text("{}", encoding="utf-8")
+        config["eval"]["checkpoints"] = str(tmp_path / "ckpts")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["synth", "--config", str(path)]) == 0
+        assert main(["eval", "--config", str(path)]) == 3
+        assert "seedx is not named seed<N>" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["synth", "train", "homophily"])
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys, command):
         path = tmp_path / "c.json"
@@ -279,7 +292,6 @@ class TestErrors:
         assert main(["synth", "--config", str(path)]) == 0
         assert main(["prep", "--config", str(path), "--seed", "-1"]) == 0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_training_exits_4_with_seed(self, tmp_path, capsys):
         config = base_config(str(tmp_path / "out"))
         config["train"].update(variant="simple", ablation=False, lr=1e300)
@@ -288,7 +300,9 @@ class TestErrors:
         for command in ("synth", "prep"):
             assert main([command, "--config", str(config_path)]) == 0
         assert main(["train", "--config", str(config_path)]) == 4
-        assert "numeric error: run for seed 0 failed: non-finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the first overflow stops the run: one line, no numpy warnings ahead of it
+        assert re.fullmatch(r"numeric error: run for seed 0 failed: non-finite value at step \d+: .+\n", err)
 
 
 class TestOverrides:

@@ -1,10 +1,20 @@
 import json
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import gradient_check_instance, random_batch
+from helpers import (
+    combined_objective,
+    gradient_check_instance,
+    random_batch,
+    random_small_spec,
+    reference_adam_step,
+)
 from sociolens.batcher import Batch
 from sociolens.errors import ConfigError, DataError, NumericError
 from sociolens.features import MISSING, AnnotatorProfile, SocioSchema
@@ -247,14 +257,50 @@ class TestAdamStep:
 
     def test_nonfinite_gradient_refused_without_mutation(self):
         spec, params = self.scalar_params()
-        before = {k: t.copy() for k, t in params.tensors.items()}
-        grads = self.zero_grads(params)
-        grads["layer.0.weight"][:] = np.nan
-        with pytest.raises(NumericError):
+        grads = {k: np.full_like(t, 0.3) for k, t in params.tensors.items()}
+        adam_step(params, grads, lr=0.01)  # nonzero moments, so an overwrite would show
+        before = {role: {k: t.copy() for k, t in getattr(params, role).items()} for role in ("tensors", "m", "v")}
+        grads["layer.1.bias"][:] = np.nan
+        with pytest.raises(NumericError, match=r"non-finite gradient for layer\.1\.bias; update refused at step 2"):
             adam_step(params, grads, lr=0.01)
-        assert params.step == 0
-        for k in before:
-            assert np.array_equal(params.tensors[k], before[k])
+        assert params.step == 1
+        for role, tensors in before.items():
+            for k, t in tensors.items():
+                assert getattr(params, role)[k].tobytes() == t.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        variant=st.sampled_from(VARIANTS),
+        seed=st.integers(0, 2**32 - 1),
+        lr=st.floats(1e-6, 1.0),
+        steps=st.integers(1, 4),
+        poison=st.none() | st.tuples(st.integers(0, 3), st.sampled_from([np.nan, np.inf, -np.inf])),
+    )
+    def test_flat_step_matches_per_tensor_reference(self, variant, seed, lr, steps, poison):
+        rng = np.random.default_rng(seed)
+        params = init_params(random_small_spec(rng, variant), seed)
+        roles = ("tensors", "m", "v")
+        ref = SimpleNamespace(step=0, **{r: {k: t.copy() for k, t in getattr(params, r).items()} for r in roles})
+        names = list(params.tensors)
+        for step in range(steps):
+            # any dict order, gradients from 1e-4 to 1e4 so m, v and the update span many exponents
+            grads = {
+                names[i]: rng.standard_normal(params.tensors[names[i]].shape) * 10.0 ** rng.uniform(-4, 4)
+                for i in rng.permutation(len(names))
+            }
+            if poison is not None and poison[0] == step:
+                bad = names[rng.integers(len(names))]
+                grads[bad].flat[rng.integers(grads[bad].size)] = poison[1]
+                for state, update in ((params, adam_step), (ref, reference_adam_step)):
+                    with pytest.raises(NumericError, match=f"non-finite gradient for {re.escape(bad)};"):
+                        update(state, grads, lr)
+            else:
+                adam_step(params, grads, lr)
+                reference_adam_step(ref, grads, lr)
+            assert params.step == ref.step
+            for role in roles:
+                for name in names:
+                    assert getattr(params, role)[name].tobytes() == getattr(ref, role)[name].tobytes()
 
 
 class TestSocioReps:
@@ -311,6 +357,28 @@ class TestCheckpoints:
             assert loaded.tensors[name].tobytes() == params.tensors[name].tobytes()
             assert loaded.m[name].tobytes() == params.m[name].tobytes()
             assert loaded.v[name].tobytes() == params.v[name].tobytes()
+
+    def test_resume_from_checkpoint_is_exact(self, tmp_path):
+        spec = small_spec("socio_contrastive")
+
+        def train(params, steps):
+            for i in steps:
+                batch = random_batch(np.random.default_rng(i), spec, 6, n_texts=3)
+                _, trace, d_logits, dE = combined_objective(params, batch, spec, dropout_seed=i)
+                adam_step(params, backward(params, trace, d_logits, dE), lr=0.05)
+            return params
+
+        straight = train(init_params(spec, 3), range(6))
+        save_checkpoint(train(init_params(spec, 3), range(2)), str(tmp_path / "ck"), seed=3)
+        resumed, _ = load_checkpoint(str(tmp_path / "ck"))
+        train(resumed, range(2, 6))
+        assert resumed.step == straight.step == 6
+        for row, role in enumerate(("tensors", "m", "v")):
+            for name, tensor in getattr(straight, role).items():
+                view = getattr(resumed, role)[name]
+                assert view.tobytes() == tensor.tobytes()
+                # every tensor stays a view into its role's one buffer
+                assert np.shares_memory(view, resumed.flat[row])
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError):

@@ -92,6 +92,8 @@ class TestTrainOne:
         for name in a.params.tensors:
             assert a.params.tensors[name].tobytes() == b.params.tensors[name].tobytes()
         assert a.log_rows == b.log_rows
+        # Adam's gradient and scratch buffers go when the run ends; a suite keeps every run
+        assert a.params.work is None
 
     def test_different_seed_different_trajectory(self):
         split, table, _ = make_world()
