@@ -3,9 +3,12 @@
 Every command reads one JSON config (--config) plus a few override
 flags, which are written into the config before it is validated, so a
 flag is checked like the field it sets. Each command writes all
-artifacts under the configured output directory and never mutates its
-inputs. Exit codes: 0 success, 2 config error, 3 data error, 4 numeric
-error.
+artifacts under the configured output directory, never mutates its
+inputs, and reads each input file once. `train` runs one list of suites,
+each under `train/<label>`: every configured variant, and with
+`train.ablation` the `ablation` suite (socio_contrastive at contrastive
+weight 0) straight after socio_contrastive. Exit codes: 0 success,
+2 config error, 3 data error, 4 numeric error.
 """
 
 from __future__ import annotations
@@ -20,12 +23,12 @@ from dataclasses import replace
 from . import config as config_mod
 from . import corpus, features, homophily, metrics, synth, trainer
 from .errors import ConfigError, DataError, NumericError, SociolensError
-from .model import WIRING, load_checkpoint
+from .model import VARIANTS, WIRING, load_checkpoint
 from .trainer import SuiteResult, TrainedRun
 
 
-def _log(cfg, level: int, message: str) -> None:
-    if cfg.verbosity >= level:
+def _log(cfg, message: str) -> None:
+    if cfg.verbosity:
         print(message, file=sys.stderr)
 
 
@@ -36,13 +39,8 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-def _load_dataset(path: str, columns: dict[str, str], profiles_path: str | None):
-    mapping = corpus.ColumnMapping(**columns)
-    dataset = corpus.binarize(corpus.load_annotations(path, mapping))
-    if profiles_path:
-        profiles = features.load_profiles(profiles_path)
-        dataset = corpus.attach_profiles(dataset, profiles)
-    return dataset
+def _load_labels(path: str, columns: dict[str, str]) -> corpus.Dataset:
+    return corpus.binarize(corpus.load_annotations(path, corpus.ColumnMapping(**columns)))
 
 
 def _stats_dict(dataset) -> dict:
@@ -75,7 +73,7 @@ def cmd_synth(cfg: config_mod.PipelineConfig) -> int:
         features.save_embeddings_csv(table, os.path.join(out, "socio_embeddings.csv"))
     stats = dataset.stats
     _write_json(os.path.join(out, "stats.json"), _stats_dict(dataset))
-    _log(cfg, 1, f"synth: {stats.records} annotations over {stats.unique_texts} texts -> {out}")
+    _log(cfg, f"synth: {stats.records} annotations over {stats.unique_texts} texts -> {out}")
     return 0
 
 
@@ -109,7 +107,7 @@ def cmd_prep(cfg: config_mod.PipelineConfig) -> int:
         },
     )
     _log(
-        cfg, 1,
+        cfg,
         f"prep: retained {report.retained_records} records "
         f"({split.train.stats.records} train / {split.test.stats.records} test) -> {out}",
     )
@@ -117,17 +115,6 @@ def cmd_prep(cfg: config_mod.PipelineConfig) -> int:
 
 
 # ----------------------------------------------------------------- train
-
-def _load_split(t: config_mod.TrainConfig, need_profiles: bool) -> corpus.SplitPair:
-    profiles_path = t.profiles if (t.profiles and need_profiles) else None
-    train_ds = _load_dataset(t.train_annotations, t.columns, profiles_path)
-    test_ds = _load_dataset(t.test_annotations, t.columns, profiles_path)
-    n_train = len(train_ds.text_ids())
-    n_total = n_train + len(test_ds.text_ids())
-    return corpus.SplitPair(
-        train=train_ds, test=test_ds, seed=-1, train_fraction=n_train / n_total
-    )
-
 
 def cmd_train(cfg: config_mod.PipelineConfig) -> int:
     if cfg.train is None:
@@ -143,42 +130,57 @@ def cmd_train(cfg: config_mod.PipelineConfig) -> int:
             )
         socio_table = features.load_embeddings(t.socio_embeddings)
 
-    all_profiles = features.load_profiles(t.profiles) if t.profiles else None
-    train_root = os.path.join(cfg.output_dir, "train")
+    # (output label, config) per suite; the ablation arm follows its weighted twin
+    suites = []
     for variant in t.variants:
-        need_profiles = WIRING[variant].socio is not None
-        if need_profiles and all_profiles is None:
-            raise DataError(f"variant {variant} needs a profiles file")
-        split = _load_split(t, need_profiles)
-        run_cfg = replace(t.run, variant=variant)
-        _log(cfg, 1, f"train: {variant} x {len(run_cfg.seeds)} seeds")
+        suites.append((variant, replace(t.run, variant=variant)))
         if WIRING[variant].projected and t.ablation:
-            result = trainer.run_ablation(run_cfg, split, text_table, socio_table, train_root)
-            _finish_suite(cfg, result.with_contrastive, os.path.join(train_root, "socio_contrastive"),
-                          all_profiles, t.dump_plan)
-            _finish_suite(cfg, result.without_contrastive, os.path.join(train_root, "ablation"),
-                          all_profiles, t.dump_plan)
-            _write_json(os.path.join(train_root, "ablation_delta.json"), {"f1_delta": result.f1_delta})
-            _log(cfg, 1, f"train: ablation F1 delta = {result.f1_delta:+.4f}")
-        else:
-            variant_dir = os.path.join(train_root, variant)
-            suite = trainer.train_suite(
-                run_cfg, split, text_table, socio_table, variant_dir, dump_plan=t.dump_plan
-            )
-            _finish_suite(cfg, suite, variant_dir, all_profiles, t.dump_plan)
+            suites.append(("ablation", replace(t.run, variant=variant, contrastive_weight=0.0)))
+
+    all_profiles = features.load_profiles(t.profiles) if t.profiles else None
+    train_ds = _load_labels(t.train_annotations, t.columns)
+    test_ds = _load_labels(t.test_annotations, t.columns)
+    n_train = len(train_ds.text_ids())
+    split = corpus.SplitPair(
+        train=train_ds, test=test_ds, seed=-1, train_fraction=n_train / (n_train + len(test_ds.text_ids()))
+    )
+    profiled = None
+    train_root = os.path.join(cfg.output_dir, "train")
+    f1_means: dict[str, float] = {}
+    for label, run_cfg in suites:
+        suite_split = split
+        if WIRING[run_cfg.variant].socio is not None:
+            if all_profiles is None:
+                raise DataError(f"variant {run_cfg.variant} needs a profiles file")
+            if profiled is None:
+                profiled = replace(
+                    split,
+                    train=corpus.attach_profiles(train_ds, all_profiles),
+                    test=corpus.attach_profiles(test_ds, all_profiles),
+                )
+            suite_split = profiled
+        _log(cfg, f"train: {label} x {len(run_cfg.seeds)} seeds")
+        suite_dir = os.path.join(train_root, label)
+        suite = trainer.train_suite(run_cfg, suite_split, text_table, socio_table, suite_dir, dump_plan=t.dump_plan)
+        _finish_suite(cfg, label, suite, suite_dir, all_profiles)
+        f1_means[label] = suite.aggregate["f1"][0]
+        if label == "ablation":
+            delta = f1_means["socio_contrastive"] - f1_means["ablation"]
+            _write_json(os.path.join(train_root, "ablation_delta.json"), {"f1_delta": delta})
+            _log(cfg, f"train: ablation F1 delta = {delta:+.4f}")
     return 0
 
 
-def _finish_suite(cfg, suite: SuiteResult, variant_dir: str, all_profiles, dump_plan: bool) -> None:
-    _write_json(os.path.join(variant_dir, "aggregate.json"), suite.to_dict())
+def _finish_suite(cfg, label: str, suite: SuiteResult, suite_dir: str, all_profiles) -> None:
+    _write_json(os.path.join(suite_dir, "aggregate.json"), suite.to_dict())
     if WIRING[suite.config.variant].projected and all_profiles is not None:
         for run in suite.runs:
             reps = trainer.export_representations(run, all_profiles)
             homophily.save_representations(
-                reps, os.path.join(variant_dir, f"seed{run.seed}", "representations.csv")
+                reps, os.path.join(suite_dir, f"seed{run.seed}", "representations.csv")
             )
     f1_mean, f1_std = suite.aggregate["f1"]
-    _log(cfg, 1, f"train: {suite.config.variant} F1 = {f1_mean:.4f} ± {f1_std:.4f} -> {variant_dir}")
+    _log(cfg, f"train: {label} F1 = {f1_mean:.4f} ± {f1_std:.4f} -> {suite_dir}")
 
 
 # ------------------------------------------------------------------ eval
@@ -253,6 +255,8 @@ def cmd_eval(cfg: config_mod.PipelineConfig) -> int:
     )
     all_profiles = features.load_profiles(e.profiles) if e.profiles else None
     by_variant = _discover_checkpoints(e.checkpoints)
+    dataset = _load_labels(e.annotations, e.columns)
+    profiled = None
     eval_root = os.path.join(cfg.output_dir, "eval")
 
     for variant, entries in sorted(by_variant.items()):
@@ -260,20 +264,19 @@ def cmd_eval(cfg: config_mod.PipelineConfig) -> int:
         os.makedirs(out, exist_ok=True)
         reports = []
         groups_by_seed = []
-        dataset = None
         fallback_rows = 0
         for seed, ckpt in entries:
             run = _run_from_checkpoint(ckpt)
-            if dataset is None:
-                needs_profiles = run.params.spec.wiring.socio is not None
-                dataset = _load_dataset(
-                    e.annotations, e.columns, e.profiles if (needs_profiles and e.profiles) else None
-                )
+            run_data = dataset
+            if run.params.spec.wiring.socio is not None and all_profiles is not None:
+                if profiled is None:
+                    profiled = corpus.attach_profiles(dataset, all_profiles)
+                run_data = profiled
             probs, labels, annotator_ids, fallback = trainer.predict(
-                run, dataset, text_table, socio_table
+                run, run_data, text_table, socio_table
             )
             fallback_rows += fallback
-            report = metrics.with_auc(metrics.confusion_metrics(probs, labels), probs, labels)
+            report = metrics.confusion_metrics(probs, labels)
             reports.append(report)
             try:
                 points = metrics.roc_curve(probs, labels)
@@ -297,7 +300,7 @@ def cmd_eval(cfg: config_mod.PipelineConfig) -> int:
         _write_metrics_csv(os.path.join(out, "metrics.csv"), variant, reports)
         if groups_by_seed:
             _write_groups_csv(os.path.join(out, "groups.csv"), groups_by_seed)
-        _log(cfg, 1, f"eval: {variant} -> {out}")
+        _log(cfg, f"eval: {variant} -> {out}")
     return 0
 
 
@@ -368,7 +371,7 @@ def cmd_homophily(cfg: config_mod.PipelineConfig) -> int:
                  repr(r.chance_std), repr(r.ratio_mean), repr(r.ratio_std), r.k, r.iterations]
             )
     for r in rows:
-        _log(cfg, 1, f"homophily: {r.attribute}: ratio {r.ratio_mean:.3f} ± {r.ratio_std:.3f}")
+        _log(cfg, f"homophily: {r.attribute}: ratio {r.ratio_mean:.3f} ± {r.ratio_std:.3f}")
     return 0
 
 
@@ -385,7 +388,7 @@ def cmd_report(cfg: config_mod.PipelineConfig) -> int:
     gaps: list[str] = []
     lines: list[str] = ["# Pipeline report", ""]
 
-    order = ["simple", "multitask", "socio_multihot", "socio_embedding", "socio_contrastive", "ablation"]
+    order = [*VARIANTS, "ablation"]
     rows = []
     for variant in order:
         path = os.path.join(out_dir, "eval", variant, "metrics.json")
@@ -510,8 +513,8 @@ def cmd_report(cfg: config_mod.PipelineConfig) -> int:
             writer.writerow(record)
 
     for gap in gaps:
-        _log(cfg, 1, f"report: warning: {gap}")
-    _log(cfg, 1, f"report -> {report_dir}")
+        _log(cfg, f"report: warning: {gap}")
+    _log(cfg, f"report -> {report_dir}")
     return 0
 
 

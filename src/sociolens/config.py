@@ -426,7 +426,7 @@ def load_config(path: str, overrides: dict[str, dict[str, Any]] | None = None) -
     )
     _check(isinstance(top["output_dir"], str) and top["output_dir"], "output_dir is required")
     out_dir = top["output_dir"]
-    _check(top["verbosity"] in (0, 1, 2), "verbosity must be 0, 1, or 2")
+    _check(top["verbosity"] in (0, 1), "verbosity must be 0 or 1")
 
     synth = _parse_synth(top["synth"]) if top["synth"] is not None else None
     synth_dir = os.path.join(out_dir, "synth") if synth is not None else None

@@ -8,7 +8,7 @@ than an all-zero block, so every encoding has exactly one hot slot per
 attribute.
 
 Embedding tables (text or annotator keyed) are produced externally and
-consumed here from two formats:
+consumed here from two formats (the package writes only CSV):
 
 * CSV: header ``key,d0,...,d{n-1}`` with full-precision decimal floats.
 * PEMB binary: magic ``PEMB``, u32 dimension, u32 entry count, then per
@@ -129,22 +129,6 @@ def encode_multihot(profile: AnnotatorProfile, schema: SocioSchema, strict: bool
     return vec
 
 
-def decode_multihot(vec: np.ndarray, schema: SocioSchema) -> dict[str, str]:
-    """Inverse of encode_multihot: recover the category per attribute."""
-    if vec.shape != (schema.total_width,):
-        raise DataError(f"vector width {vec.shape} does not match schema width {schema.total_width}")
-    out: dict[str, str] = {}
-    offset = 0
-    for attr, cats in schema.attributes:
-        block = vec[offset : offset + len(cats)]
-        hot = np.flatnonzero(block == 1.0)
-        if hot.size != 1:
-            raise DataError(f"attribute {attr!r} block is not one-hot")
-        out[attr] = cats[int(hot[0])]
-        offset += len(cats)
-    return out
-
-
 class EmbeddingTable:
     """Immutable key -> fixed-width float vector map."""
 
@@ -252,17 +236,6 @@ def save_embeddings_csv(table: EmbeddingTable, path: str) -> None:
         writer.writerow(["key"] + [f"d{i}" for i in range(table.dimension)])
         for key, vec in table.vectors.items():
             writer.writerow([key] + [repr(float(x)) for x in vec])
-
-
-def save_embeddings_binary(table: EmbeddingTable, path: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(b"PEMB")
-        fh.write(struct.pack("<II", table.dimension, len(table.vectors)))
-        for key, vec in table.vectors.items():
-            key_bytes = key.encode("utf-8")
-            fh.write(struct.pack("<I", len(key_bytes)))
-            fh.write(key_bytes)
-            fh.write(vec.astype("<f4").tobytes())
 
 
 def load_profiles(path: str) -> dict[str, AnnotatorProfile]:

@@ -191,36 +191,6 @@ def _check_space(space: RepSpace, attributes: list[str], k: int) -> None:
         raise DataError(f"k={k} must be >= 1 and needs at least k+1 annotators, have {len(space)}")
 
 
-def knn(space: RepSpace, i: int, k: int, metric: str = "cosine") -> list[int]:
-    """Indices of the k nearest annotators to row i, excluding i itself."""
-    _check_space(space, [], k)
-    order = _neighbor_order(space.vectors, space.annotator_ids, metric)
-    return _nearest(*order, np.ones(len(space), dtype=bool), np.array([i]), k)[0].tolist()
-
-
-def observed_probability(space: RepSpace, attribute: str, k: int = 50, metric: str = "cosine") -> float:
-    """Mean over annotators of the same-attribute fraction among their k neighbors."""
-    _check_space(space, [attribute], k)
-    order = _neighbor_order(space.vectors, space.annotator_ids, metric)
-    rows = np.arange(len(space))
-    neighbors = _nearest(*order, np.ones(len(space), dtype=bool), rows, k)
-    return float(_same_fraction(_codes(space.attributes[attribute]), rows, neighbors).mean())
-
-
-def chance_probability(space: RepSpace, attribute: str) -> float:
-    """Sum of squared category frequencies; position-independent by construction."""
-    if attribute not in space.attributes:
-        raise DataError(f"attribute {attribute!r} not present in representation space")
-    return _chance(_codes(space.attributes[attribute]))
-
-
-def homophily_ratio(space: RepSpace, attribute: str, k: int = 50, metric: str = "cosine") -> float:
-    chance = chance_probability(space, attribute)
-    if chance <= 0.0:
-        raise DataError("chance probability is zero; empty annotator pool?")
-    return observed_probability(space, attribute, k, metric) / chance
-
-
 def bootstrap_homophily(
     space: RepSpace,
     attribute: str,

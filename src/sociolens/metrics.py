@@ -2,9 +2,10 @@
 
 Predictions are thresholded at 0.5 with ties counted positive (a
 probability of exactly 0.5 predicts the positive class). Precision,
-recall, and F1 are positive-class binary metrics. ROC-AUC uses the
-rank-sum formulation: the probability that a random positive outscores a
-random negative, ties counted one half. Multi-run aggregation reports
+recall, and F1 are positive-class binary metrics. Every report also
+carries its ROC-AUC, in the rank-sum formulation: the probability that a
+random positive outscores a random negative, ties counted one half; it is
+None when the labels hold one class only. Multi-run aggregation reports
 mean and population standard deviation.
 """
 
@@ -54,7 +55,11 @@ class GroupReport:
 
 
 def confusion_metrics(probs: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> MetricsReport:
-    """Positive-class precision/recall/F1 from counts at `threshold` (>= is positive)."""
+    """Positive-class precision/recall/F1 from counts at `threshold` (>= is positive), plus AUC.
+
+    AUC does not depend on the threshold; it is None when `labels` hold
+    only one class.
+    """
     p = np.asarray(probs, dtype=np.float64)
     y = np.asarray(labels)
     if p.shape != y.shape:
@@ -83,11 +88,15 @@ def confusion_metrics(probs: np.ndarray, labels: np.ndarray, threshold: float = 
     else:
         f1 = 0.0
         degenerate.append("f1")
+    try:
+        auc = roc_auc(p, y)
+    except DataError:
+        auc = None
     return MetricsReport(
         precision=precision,
         recall=recall,
         f1=f1,
-        auc=None,
+        auc=auc,
         tp=tp,
         fp=fp,
         tn=tn,
@@ -149,14 +158,6 @@ def roc_curve(probs: np.ndarray, labels: np.ndarray) -> list[tuple[float, float,
     return points
 
 
-def roc_curve_area(points: list[tuple[float, float, float]]) -> float:
-    """Trapezoidal area under a roc_curve point list."""
-    area = 0.0
-    for (_, x0, y0), (_, x1, y1) in zip(points, points[1:]):
-        area += (x1 - x0) * (y0 + y1) / 2.0
-    return area
-
-
 def aggregate_runs(reports: list[MetricsReport]) -> dict[str, tuple[float, float]]:
     """Componentwise mean and population std (divisor n) over runs.
 
@@ -207,42 +208,6 @@ def group_breakdown(
             if not mask.any():
                 omitted.append(category)
                 continue
-            report = confusion_metrics(p[mask], y[mask])
-            try:
-                auc = roc_auc(p[mask], y[mask])
-            except DataError:
-                auc = None
-            per_category[category] = MetricsReport(
-                precision=report.precision,
-                recall=report.recall,
-                f1=report.f1,
-                auc=auc,
-                tp=report.tp,
-                fp=report.fp,
-                tn=report.tn,
-                fn=report.fn,
-                n=report.n,
-                degenerate=report.degenerate,
-            )
+            per_category[category] = confusion_metrics(p[mask], y[mask])
         reports.append(GroupReport(attribute=attribute, categories=per_category, omitted=tuple(omitted)))
     return reports
-
-
-def with_auc(report: MetricsReport, probs: np.ndarray, labels: np.ndarray) -> MetricsReport:
-    """Return `report` with the AUC field filled (None if undefined)."""
-    try:
-        auc = roc_auc(probs, labels)
-    except DataError:
-        auc = None
-    return MetricsReport(
-        precision=report.precision,
-        recall=report.recall,
-        f1=report.f1,
-        auc=auc,
-        tp=report.tp,
-        fp=report.fp,
-        tn=report.tn,
-        fn=report.fn,
-        n=report.n,
-        degenerate=report.degenerate,
-    )

@@ -1,10 +1,12 @@
-"""End-to-end training for the five regimes, the multi-seed protocol, and the ablation.
+"""End-to-end training for the five regimes and the multi-seed protocol.
 
 One run is strictly sequential over batches (the optimizer state is
 serial), and a suite trains its seeds one after another. All randomness
 derives from the run seed: batch plans use seed + epoch, dropout uses a
 per-run stream, so a (config, seed, data) triple fixes the whole
-trajectory.
+trajectory. The contrastive ablation is therefore an ordinary suite:
+``socio_contrastive`` at contrastive weight 0 on the same seeds sees the
+same batch plans as its weighted twin.
 
 The ``simple`` regime trains on one sample per unique text with its
 majority-vote label; every other regime trains on individual
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .batcher import assemble_batch, plan_epoch
 from .corpus import AnnotationRecord, Dataset, SplitPair, majority_vote
 from .errors import ConfigError, DataError, NumericError, SociolensError
 from .features import EmbeddingTable, SocioSchema, build_schema, encode_multihot
-from .metrics import MetricsReport, aggregate_runs, confusion_metrics, with_auc
+from .metrics import MetricsReport, aggregate_runs, confusion_metrics
 from .model import (
     WIRING,
     ModelParams,
@@ -277,7 +279,7 @@ def train_suite(
     for run in runs:
         probs, labels, _, fallback = predict(run, split.test, text_table, socio_table)
         total_fallback += fallback
-        reports.append(with_auc(confusion_metrics(probs, labels), probs, labels))
+        reports.append(confusion_metrics(probs, labels))
     return SuiteResult(
         config=config,
         runs=runs,
@@ -285,37 +287,6 @@ def train_suite(
         aggregate=aggregate_runs(reports),
         fallback_rows=total_fallback,
     )
-
-
-@dataclass
-class AblationResult:
-    with_contrastive: SuiteResult
-    without_contrastive: SuiteResult
-
-    @property
-    def f1_delta(self) -> float:
-        return (
-            self.with_contrastive.aggregate["f1"][0]
-            - self.without_contrastive.aggregate["f1"][0]
-        )
-
-
-def run_ablation(
-    config: RunConfig,
-    split: SplitPair,
-    text_table: EmbeddingTable,
-    socio_table: EmbeddingTable | None = None,
-    out_dir: str | None = None,
-) -> AblationResult:
-    """Train the contrastive suite and its zero-weight twin on identical seeds."""
-    if not WIRING[config.variant].projected:
-        raise ConfigError("the ablation applies to the socio_contrastive variant")
-    main_dir = os.path.join(out_dir, "socio_contrastive") if out_dir else None
-    ablation_dir = os.path.join(out_dir, "ablation") if out_dir else None
-    main = train_suite(config, split, text_table, socio_table, main_dir)
-    zero = replace(config, contrastive_weight=0.0)
-    without = train_suite(zero, split, text_table, socio_table, ablation_dir)
-    return AblationResult(with_contrastive=main, without_contrastive=without)
 
 
 def export_representations(run: TrainedRun, profiles: dict) -> dict[str, np.ndarray]:

@@ -1,17 +1,86 @@
-"""Shared test utilities: batch construction, the finite-difference and contrastive-loss oracles, the per-tensor Adam reference, and the per-draw homophily reference."""
+"""Shared test utilities.
+
+A small CLI config and chain runner, batch construction, the
+finite-difference and contrastive-loss oracles, the per-tensor Adam
+reference, the per-draw homophily reference, and the single-statistic
+homophily, ROC-area and embedding-format oracles that the package itself
+does not need.
+"""
 
 from __future__ import annotations
 
+import json
 import math
+import struct
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
 from sociolens.batcher import Batch
+from sociolens.cli import main
 from sociolens.errors import ConfigError, DataError, NumericError
-from sociolens.homophily import HomophilyRow, RepSpace, _distance_blocks
+from sociolens.features import EmbeddingTable, SocioSchema
+from sociolens.homophily import (
+    HomophilyRow,
+    RepSpace,
+    _chance,
+    _check_space,
+    _codes,
+    _distance_blocks,
+    _nearest,
+    _neighbor_order,
+    _same_fraction,
+)
 from sociolens.model import ModelSpec, backward, forward, init_params
 from sociolens.objectives import bce_loss, combined_loss, contrastive_loss
+
+
+def base_config(out_dir: str) -> dict:
+    return {
+        "output_dir": out_dir,
+        "verbosity": 0,
+        "synth": {
+            "annotator_count": 30,
+            "text_count": 36,
+            "annotations_per_text": 4,
+            "embedding_dim": 8,
+            "embedding_noise": 0.1,
+            "seed": 3,
+            "attributes": [
+                {"name": "group", "categories": ["a", "b"], "probabilities": [0.5, 0.5]},
+                {"name": "extra", "categories": ["x", "y", "z"]},
+            ],
+            "signal": {"group": {"a": 2.5, "b": -2.5}},
+            "socio_embedding_dim": 6,
+        },
+        "prep": {
+            "min_annotators_per_text": 1,
+            "min_annotations_per_annotator": 1,
+            "train_fraction": 0.7,
+            "seed": 11,
+        },
+        "train": {
+            "variant": ["simple", "socio_contrastive"],
+            "seeds": [0],
+            "epochs": 2,
+            "batch_size": 8,
+            "hidden_dims": [16, 8],
+            "projection_dims": [4, 6],
+            "ablation": True,
+        },
+        "homophily": {"k": 5, "iterations": 20, "seed": 1},
+        "eval": {},
+    }
+
+
+def run_chain(tmp_path: Path, config: dict, commands=("synth", "prep", "train", "eval", "homophily", "report")):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config, indent=2), encoding="utf-8")
+    for command in commands:
+        code = main([command, "--config", str(config_path)])
+        assert code == 0, f"{command} exited {code}"
+    return Path(config["output_dir"])
 
 
 def random_batch(rng: np.random.Generator, spec: ModelSpec, size: int, n_texts: int, n_annotators: int = 4) -> Batch:
@@ -222,3 +291,69 @@ def reference_homophily_table(
         ))
     rows.sort(key=lambda r: -r.ratio_mean)
     return rows
+
+
+def knn(space: RepSpace, i: int, k: int, metric: str = "cosine") -> list[int]:
+    """Indices of the k nearest annotators to row i, excluding i itself, from the package's neighbor order."""
+    _check_space(space, [], k)
+    order = _neighbor_order(space.vectors, space.annotator_ids, metric)
+    return _nearest(*order, np.ones(len(space), dtype=bool), np.array([i]), k)[0].tolist()
+
+
+def observed_probability(space: RepSpace, attribute: str, k: int = 50, metric: str = "cosine") -> float:
+    """Mean over annotators of the same-attribute fraction among their k neighbors, without resampling."""
+    _check_space(space, [attribute], k)
+    order = _neighbor_order(space.vectors, space.annotator_ids, metric)
+    rows = np.arange(len(space))
+    neighbors = _nearest(*order, np.ones(len(space), dtype=bool), rows, k)
+    return float(_same_fraction(_codes(space.attributes[attribute]), rows, neighbors).mean())
+
+
+def chance_probability(space: RepSpace, attribute: str) -> float:
+    """Sum of squared category frequencies over the whole space; position-independent by construction."""
+    if attribute not in space.attributes:
+        raise DataError(f"attribute {attribute!r} not present in representation space")
+    return _chance(_codes(space.attributes[attribute]))
+
+
+def homophily_ratio(space: RepSpace, attribute: str, k: int = 50, metric: str = "cosine") -> float:
+    chance = chance_probability(space, attribute)
+    if chance <= 0.0:
+        raise DataError("chance probability is zero; empty annotator pool?")
+    return observed_probability(space, attribute, k, metric) / chance
+
+
+def roc_curve_area(points: list[tuple[float, float, float]]) -> float:
+    """Trapezoidal area under a `metrics.roc_curve` point list."""
+    area = 0.0
+    for (_, x0, y0), (_, x1, y1) in zip(points, points[1:]):
+        area += (x1 - x0) * (y0 + y1) / 2.0
+    return area
+
+
+def decode_multihot(vec: np.ndarray, schema: SocioSchema) -> dict[str, str]:
+    """Inverse of `features.encode_multihot`: recover the category per attribute."""
+    if vec.shape != (schema.total_width,):
+        raise DataError(f"vector width {vec.shape} does not match schema width {schema.total_width}")
+    out: dict[str, str] = {}
+    offset = 0
+    for attr, cats in schema.attributes:
+        block = vec[offset : offset + len(cats)]
+        hot = np.flatnonzero(block == 1.0)
+        if hot.size != 1:
+            raise DataError(f"attribute {attr!r} block is not one-hot")
+        out[attr] = cats[int(hot[0])]
+        offset += len(cats)
+    return out
+
+
+def save_embeddings_binary(table: EmbeddingTable, path: str) -> None:
+    """Write `table` in the PEMB format that `features.load_embeddings` reads."""
+    with open(path, "wb") as fh:
+        fh.write(b"PEMB")
+        fh.write(struct.pack("<II", table.dimension, len(table.vectors)))
+        for key, vec in table.vectors.items():
+            key_bytes = key.encode("utf-8")
+            fh.write(struct.pack("<I", len(key_bytes)))
+            fh.write(key_bytes)
+            fh.write(vec.astype("<f4").tobytes())

@@ -1,63 +1,18 @@
 import csv
 import json
-import os
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import base_config, run_chain
+from sociolens import corpus, features
 from sociolens.cli import main
 from sociolens.config import load_config
 from sociolens.errors import ConfigError
-
-
-def base_config(out_dir: str) -> dict:
-    return {
-        "output_dir": out_dir,
-        "verbosity": 0,
-        "synth": {
-            "annotator_count": 30,
-            "text_count": 36,
-            "annotations_per_text": 4,
-            "embedding_dim": 8,
-            "embedding_noise": 0.1,
-            "seed": 3,
-            "attributes": [
-                {"name": "group", "categories": ["a", "b"], "probabilities": [0.5, 0.5]},
-                {"name": "extra", "categories": ["x", "y", "z"]},
-            ],
-            "signal": {"group": {"a": 2.5, "b": -2.5}},
-            "socio_embedding_dim": 6,
-        },
-        "prep": {
-            "min_annotators_per_text": 1,
-            "min_annotations_per_annotator": 1,
-            "train_fraction": 0.7,
-            "seed": 11,
-        },
-        "train": {
-            "variant": ["simple", "socio_contrastive"],
-            "seeds": [0],
-            "epochs": 2,
-            "batch_size": 8,
-            "hidden_dims": [16, 8],
-            "projection_dims": [4, 6],
-            "ablation": True,
-        },
-        "homophily": {"k": 5, "iterations": 20, "seed": 1},
-        "eval": {},
-    }
-
-
-def run_chain(tmp_path: Path, config: dict, commands=("synth", "prep", "train", "eval", "homophily", "report")):
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config, indent=2), encoding="utf-8")
-    for command in commands:
-        code = main([command, "--config", str(config_path)])
-        assert code == 0, f"{command} exited {code}"
-    return Path(config["output_dir"])
 
 
 class TestFullChain:
@@ -141,6 +96,14 @@ class TestErrors:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         assert main(["synth", "--config", str(path)]) == 2
+
+    def test_verbosity_two_exits_2(self, tmp_path, capsys):
+        config = base_config(str(tmp_path / "out"))
+        config["verbosity"] = 2
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["synth", "--config", str(path)]) == 2
+        assert "verbosity" in capsys.readouterr().err
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["prep", "--config", str(tmp_path / "nope.json")]) == 2
@@ -330,19 +293,41 @@ class TestOverrides:
         assert agg["contrastive_weight"] == 0.25
 
     def test_dump_plan_writes_plans(self, tmp_path):
+        # every suite dumps its plans, the ablation arm included, and both arms share them
         config = base_config(str(tmp_path / "out"))
-        config["train"]["variant"] = "simple"
-        config["train"]["ablation"] = False
+        config["train"]["seeds"] = [0, 1]
         config_path = tmp_path / "c.json"
         config_path.write_text(json.dumps(config), encoding="utf-8")
         for command in ("synth", "prep"):
             assert main([command, "--config", str(config_path)]) == 0
         assert main(["train", "--config", str(config_path), "--dump-plan"]) == 0
-        plans = json.loads(
-            (Path(config["output_dir"]) / "train" / "simple" / "seed0" / "plans.json").read_text()
-        )
-        assert plans["seed"] == 0
-        assert len(plans["epochs"]) == config["train"]["epochs"]
+        train_root = Path(config["output_dir"]) / "train"
+        for seed in (0, 1):
+            plans = {
+                suite: json.loads((train_root / suite / f"seed{seed}" / "plans.json").read_text())
+                for suite in ("simple", "socio_contrastive", "ablation")
+            }
+            for suite_plans in plans.values():
+                assert suite_plans["seed"] == seed
+                assert len(suite_plans["epochs"]) == config["train"]["epochs"]
+            assert plans["socio_contrastive"] == plans["ablation"]
+
+    def test_each_input_read_once_per_command(self, tmp_path, monkeypatch):
+        config = base_config(str(tmp_path / "out"))
+        config["train"]["variant"] = "all"
+        run_chain(tmp_path, config, commands=("synth", "prep"))
+        calls = Counter()
+        for module, name in ((corpus, "load_annotations"), (features, "load_profiles")):
+            def counted(*args, _load=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _load(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        # train: the train and test CSVs and one profile file; eval: the test CSV and one profile file
+        for command, expected in (("train", (2, 1)), ("eval", (1, 1))):
+            calls.clear()
+            assert main([command, "--config", str(tmp_path / "config.json")]) == 0
+            assert (calls["load_annotations"], calls["load_profiles"]) == expected, command
 
 
 SECTION_FIELDS = {

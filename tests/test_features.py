@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import decode_multihot, save_embeddings_binary
 from sociolens.errors import DataError, EncodingError, NumericError, SchemaError
 from sociolens.features import (
     MISSING,
@@ -8,11 +9,9 @@ from sociolens.features import (
     EmbeddingTable,
     SocioSchema,
     build_schema,
-    decode_multihot,
     encode_multihot,
     load_embeddings,
     load_profiles,
-    save_embeddings_binary,
     save_embeddings_csv,
     save_profiles,
 )

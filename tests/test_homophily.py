@@ -5,18 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_homophily_table
+from helpers import chance_probability, homophily_ratio, knn, observed_probability, reference_homophily_table
 from sociolens import homophily
 from sociolens.errors import ConfigError, DataError
 from sociolens.homophily import (
     RepSpace,
     bootstrap_homophily,
-    chance_probability,
-    homophily_ratio,
     homophily_table,
-    knn,
     load_representations,
-    observed_probability,
     save_representations,
 )
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import roc_curve_area
 from sociolens.errors import DataError
 from sociolens.features import MISSING, AnnotatorProfile, SocioSchema
 from sociolens.metrics import (
@@ -10,7 +11,6 @@ from sociolens.metrics import (
     group_breakdown,
     roc_auc,
     roc_curve,
-    roc_curve_area,
 )
 
 

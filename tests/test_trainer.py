@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from helpers import base_config, run_chain
 from sociolens import corpus, synth, trainer
 from sociolens.corpus import SplitPair, split_by_text
-from sociolens.errors import ConfigError, DataError
+from sociolens.errors import DataError
 from sociolens.features import EmbeddingTable
-from sociolens.trainer import RunConfig, predict, run_ablation, train_one, train_suite
+from sociolens.trainer import RunConfig, predict, train_one, train_suite
 
 VARIANTS = ("simple", "multitask", "socio_multihot", "socio_embedding", "socio_contrastive")
 
@@ -209,32 +210,37 @@ class TestPredictAndSuite:
 
 
 class TestAblation:
-    def test_arms_share_batch_plans(self, tmp_path):
-        split, table, _ = make_world()
-        config = tiny_config("socio_contrastive", seeds=(0,))
-        run_ablation(config, split, table, out_dir=str(tmp_path))
-        from sociolens.batcher import plan_epoch
+    """The ablation arm as the CLI trains it: its own suite under train/ablation."""
 
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("ablation")
+        config = base_config(str(tmp_path / "out"))
+        config["train"].update(variant="socio_contrastive", seeds=[0, 1], dump_plan=True)
+        return run_chain(tmp_path, config, commands=("synth", "prep", "train")) / "train"
+
+    def test_arms_share_batch_plans(self, trained):
         # both arms derive plans from (dataset, batch size, seed+epoch) only
-        for epoch in range(config.epochs):
-            plan = plan_epoch(split.train, config.batch_size, 0 + epoch)
-            again = plan_epoch(split.train, config.batch_size, 0 + epoch)
-            assert plan.batches == again.batches
+        for seed in (0, 1):
+            plans = [(trained / arm / f"seed{seed}" / "plans.json").read_text()
+                     for arm in ("socio_contrastive", "ablation")]
+            assert plans[0] == plans[1]
 
-    def test_ablation_result_shape(self):
-        split, table, _ = make_world(texts=30)
-        config = tiny_config("socio_contrastive", seeds=(0, 1))
-        result = run_ablation(config, split, table)
-        assert result.with_contrastive.config.contrastive_weight == 1.0
-        assert result.without_contrastive.config.contrastive_weight == 0.0
-        assert result.f1_delta == pytest.approx(
-            result.with_contrastive.aggregate["f1"][0] - result.without_contrastive.aggregate["f1"][0]
-        )
+    def test_ablation_result_shape(self, trained):
+        with_term, without = (json.loads((trained / arm / "aggregate.json").read_text())
+                              for arm in ("socio_contrastive", "ablation"))
+        assert (with_term["variant"], without["variant"]) == ("socio_contrastive", "socio_contrastive")
+        assert with_term["contrastive_weight"] == 1.0
+        assert without["contrastive_weight"] == 0.0
+        assert with_term["seeds"] == without["seeds"] == [0, 1]
+        delta = json.loads((trained / "ablation_delta.json").read_text())["f1_delta"]
+        assert delta == with_term["aggregate"]["f1"]["mean"] - without["aggregate"]["f1"]["mean"]
 
-    def test_wrong_variant_rejected(self):
-        split, table, _ = make_world(texts=20)
-        with pytest.raises(ConfigError):
-            run_ablation(tiny_config("simple"), split, table)
+    def test_no_arm_without_socio_contrastive(self, tmp_path):
+        config = base_config(str(tmp_path / "out"))
+        config["train"].update(variant=["simple", "socio_multihot"], ablation=True)
+        train_root = run_chain(tmp_path, config, commands=("synth", "prep", "train")) / "train"
+        assert sorted(p.name for p in train_root.iterdir()) == ["simple", "socio_multihot"]
 
 
 class TestLossTrend:
