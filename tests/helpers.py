@@ -2,9 +2,10 @@
 
 A small CLI config and chain runner, batch construction, the
 finite-difference and contrastive-loss oracles, the per-tensor Adam
-reference, the per-draw homophily reference, and the single-statistic
-homophily, ROC-area and embedding-format oracles that the package itself
-does not need.
+reference, the per-draw homophily reference, the per-threshold ROC
+reference, and the single-statistic homophily, pair-counting AUC,
+ROC-area and embedding-format oracles that the package itself does not
+need.
 """
 
 from __future__ import annotations
@@ -321,6 +322,32 @@ def homophily_ratio(space: RepSpace, attribute: str, k: int = 50, metric: str = 
     if chance <= 0.0:
         raise DataError("chance probability is zero; empty annotator pool?")
     return observed_probability(space, attribute, k, metric) / chance
+
+
+def reference_roc_curve(probs, labels) -> list[tuple[float, float, float]]:
+    """`metrics.roc_curve` as one rescan of every score per distinct threshold."""
+    p = np.asarray(probs, dtype=np.float64)
+    pos = np.asarray(labels) == 1
+    n_pos = int(pos.sum())
+    n_neg = int(p.size - n_pos)
+    points = [(float("inf"), 0.0, 0.0)]
+    for threshold in sorted(set(p.tolist()), reverse=True):
+        pred = p >= threshold
+        tpr = float(np.sum(pred & pos)) / n_pos
+        fpr = float(np.sum(pred & ~pos)) / n_neg
+        points.append((float(threshold), fpr, tpr))
+    return points
+
+
+def pair_counting_auc(probs, labels) -> float:
+    """AUC oracle: concordant positive/negative pairs over all pairs, ties worth half."""
+    pos = [p for p, y in zip(probs, labels) if y == 1]
+    neg = [p for p, y in zip(probs, labels) if y != 1]
+    total = 0.0
+    for p in pos:
+        for q in neg:
+            total += 1.0 if p > q else (0.5 if p == q else 0.0)
+    return total / (len(pos) * len(neg))
 
 
 def roc_curve_area(points: list[tuple[float, float, float]]) -> float:

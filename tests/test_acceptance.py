@@ -14,7 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import chance_probability, contrastive_loss_oracle, gradient_check_instance, roc_curve_area
+from helpers import (
+    chance_probability,
+    contrastive_loss_oracle,
+    gradient_check_instance,
+    pair_counting_auc,
+    roc_curve_area,
+)
 from sociolens import corpus, homophily, metrics, synth, trainer
 from sociolens.batcher import contrastive_masks, plan_epoch, text_match_mask
 from sociolens.cli import main as cli_main
@@ -247,16 +253,6 @@ def test_criterion_07_desk_scale_hypothesis():
 
 
 # --------------------------------------------------------------------- 8
-
-def pair_counting_auc(probs, labels):
-    pos = [p for p, y in zip(probs, labels) if y == 1]
-    neg = [p for p, y in zip(probs, labels) if y == 0]
-    total = 0.0
-    for p in pos:
-        for q in neg:
-            total += 1.0 if p > q else (0.5 if p == q else 0.0)
-    return total / (len(pos) * len(neg))
-
 
 def test_criterion_08_metric_correctness():
     rng = np.random.default_rng(88)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import roc_curve_area
+from helpers import pair_counting_auc, reference_roc_curve, roc_curve_area
 from sociolens.errors import DataError
 from sociolens.features import MISSING, AnnotatorProfile, SocioSchema
 from sociolens.metrics import (
@@ -12,20 +14,6 @@ from sociolens.metrics import (
     roc_auc,
     roc_curve,
 )
-
-
-def pair_counting_auc(probs, labels):
-    """Independent oracle: concordant pairs / total pairs, ties worth half."""
-    pos = [p for p, y in zip(probs, labels) if y == 1]
-    neg = [p for p, y in zip(probs, labels) if y == 0]
-    total = 0.0
-    for p in pos:
-        for q in neg:
-            if p > q:
-                total += 1.0
-            elif p == q:
-                total += 0.5
-    return total / (len(pos) * len(neg))
 
 
 class TestConfusionMetrics:
@@ -131,6 +119,62 @@ class TestRocCurve:
             probs = np.round(rng.random(n), 2)
             area = roc_curve_area(roc_curve(probs, labels))
             assert area == pytest.approx(roc_auc(probs, labels), abs=1e-9)
+
+
+@st.composite
+def scored_labels(draw, max_size=60):
+    """Scores on a coarse grid (many ties, at 0 decimals only 0 and 1) and labels of both classes."""
+    scale = 10 ** draw(st.integers(0, 3))
+    n = draw(st.integers(2, max_size))
+    probs = np.array(draw(st.lists(st.integers(0, scale), min_size=n, max_size=n))) / scale
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    if labels.min() == labels.max():
+        labels[draw(st.integers(0, n - 1))] ^= 1
+    return probs, labels
+
+
+class TestScoreCountProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(scored_labels())
+    def test_roc_curve_equals_per_threshold_reference(self, case):
+        probs, labels = case
+        assert repr(roc_curve(probs, labels)) == repr(reference_roc_curve(probs, labels))
+
+    @settings(max_examples=300, deadline=None)
+    @given(scored_labels())
+    def test_roc_auc_equals_pair_counting(self, case):
+        probs, labels = case
+        assert roc_auc(probs, labels) == pair_counting_auc(probs.tolist(), labels.tolist())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scored_labels(),
+        st.lists(st.tuples(st.sampled_from(["a", "b", "zz", "", None]), st.sampled_from(["x", "y", "zz", None])),
+                 min_size=1, max_size=6),
+        st.data(),
+    )
+    def test_each_slice_equals_confusion_metrics_on_its_mask(self, case, assignments, data):
+        # "zz" is outside both vocabularies; "" and None are declined answers
+        probs, labels = case
+        schema = SocioSchema([("g", ["a", "b", MISSING]), ("h", ["x", "y"])])
+        profiles = {
+            f"p{i}": AnnotatorProfile(f"p{i}", {k: v for k, v in zip("gh", pair) if v is not None})
+            for i, pair in enumerate(assignments)
+        }
+        ids = data.draw(st.lists(st.sampled_from(sorted(profiles)), min_size=probs.size, max_size=probs.size))
+        reports = group_breakdown(probs, labels, ids, profiles, schema)
+        assert [r.attribute for r in reports] == ["g", "h"]
+        for report, (attribute, categories) in zip(reports, schema.attributes):
+            # a declined or out-of-vocabulary answer counts under MISSING, if the attribute has it
+            assigned = [profiles[a].assignments.get(attribute) or MISSING for a in ids]
+            assigned = np.array([c if c in categories else MISSING for c in assigned], dtype=object)
+            for c in categories:
+                mask = assigned == c
+                if mask.any():
+                    assert report.categories[c] == confusion_metrics(probs[mask], labels[mask])
+                else:
+                    assert c in report.omitted
+            assert len(report.categories) + len(report.omitted) == len(categories)
 
 
 class TestAggregateRuns:
