@@ -121,6 +121,14 @@ def cmd_train(cfg: config_mod.PipelineConfig) -> int:
         raise ConfigError("config has no train section")
     t = cfg.train
     text_table = features.load_embeddings(t.embeddings)
+    all_profiles = features.load_profiles(t.profiles) if t.profiles else None
+    train_ds = _load_labels(t.train_annotations, t.columns)
+    test_ds = _load_labels(t.test_annotations, t.columns)
+    n_train = len(train_ds.text_ids())
+    split = corpus.SplitPair(
+        train=train_ds, test=test_ds, seed=-1, train_fraction=n_train / (n_train + len(test_ds.text_ids()))
+    )
+    # every input a suite needs is checked before the first suite trains
     socio_table = None
     if any(WIRING[v].socio == "embedding" for v in t.variants):
         if not t.socio_embeddings or not os.path.exists(t.socio_embeddings):
@@ -129,6 +137,16 @@ def cmd_train(cfg: config_mod.PipelineConfig) -> int:
                 f"(got {t.socio_embeddings!r})"
             )
         socio_table = features.load_embeddings(t.socio_embeddings)
+    profiled = None
+    socio_variants = [v for v in t.variants if WIRING[v].socio is not None]
+    if socio_variants:
+        if all_profiles is None:
+            raise DataError(f"variant {socio_variants[0]} needs a profiles file")
+        profiled = replace(
+            split,
+            train=corpus.attach_profiles(train_ds, all_profiles),
+            test=corpus.attach_profiles(test_ds, all_profiles),
+        )
 
     # (output label, config) per suite; the ablation arm follows its weighted twin
     suites = []
@@ -137,28 +155,10 @@ def cmd_train(cfg: config_mod.PipelineConfig) -> int:
         if WIRING[variant].projected and t.ablation:
             suites.append(("ablation", replace(t.run, variant=variant, contrastive_weight=0.0)))
 
-    all_profiles = features.load_profiles(t.profiles) if t.profiles else None
-    train_ds = _load_labels(t.train_annotations, t.columns)
-    test_ds = _load_labels(t.test_annotations, t.columns)
-    n_train = len(train_ds.text_ids())
-    split = corpus.SplitPair(
-        train=train_ds, test=test_ds, seed=-1, train_fraction=n_train / (n_train + len(test_ds.text_ids()))
-    )
-    profiled = None
     train_root = os.path.join(cfg.output_dir, "train")
     f1_means: dict[str, float] = {}
     for label, run_cfg in suites:
-        suite_split = split
-        if WIRING[run_cfg.variant].socio is not None:
-            if all_profiles is None:
-                raise DataError(f"variant {run_cfg.variant} needs a profiles file")
-            if profiled is None:
-                profiled = replace(
-                    split,
-                    train=corpus.attach_profiles(train_ds, all_profiles),
-                    test=corpus.attach_profiles(test_ds, all_profiles),
-                )
-            suite_split = profiled
+        suite_split = profiled if WIRING[run_cfg.variant].socio is not None else split
         _log(cfg, f"train: {label} x {len(run_cfg.seeds)} seeds")
         suite_dir = os.path.join(train_root, label)
         suite = trainer.train_suite(run_cfg, suite_split, text_table, socio_table, suite_dir, dump_plan=t.dump_plan)
@@ -190,8 +190,8 @@ def _discover_checkpoints(root: str) -> dict[str, list[tuple[int, str]]]:
     if not os.path.exists(root):
         raise DataError(f"checkpoint path does not exist: {root}")
     if os.path.exists(os.path.join(root, "manifest.json")):
-        params, manifest = load_checkpoint(root)
-        return {params.spec.variant: [(manifest["seed"], root)]}
+        params, seed, _, _ = load_checkpoint(root)
+        return {params.spec.variant: [(seed, root)]}
     found: dict[str, list[tuple[int, str]]] = {}
 
     def scan_variant_dir(name: str, path: str) -> None:
@@ -219,18 +219,8 @@ def _discover_checkpoints(root: str) -> dict[str, list[tuple[int, str]]]:
 
 
 def _run_from_checkpoint(ckpt_dir: str) -> TrainedRun:
-    params, manifest = load_checkpoint(ckpt_dir)
-    schema = features.SocioSchema.from_dict(manifest["schema"]) if manifest.get("schema") else None
-    annotator_index = (
-        {a: i for i, a in enumerate(manifest["annotators"])} if manifest.get("annotators") else None
-    )
-    return TrainedRun(
-        seed=manifest["seed"],
-        params=params,
-        schema=schema,
-        annotator_index=annotator_index,
-        log_rows=[],
-    )
+    params, seed, schema, annotator_index = load_checkpoint(ckpt_dir)
+    return TrainedRun(seed=seed, params=params, schema=schema, annotator_index=annotator_index, log_rows=[])
 
 
 def _write_roc_csv(path: str, points) -> None:
@@ -547,6 +537,12 @@ def _apply_overrides(args) -> tuple[dict[str, dict], list[str]]:
     return sections, flags
 
 
+_ERROR_PREFIXES = {
+    ConfigError.exit_code: "config error",
+    DataError.exit_code: "data error",
+    NumericError.exit_code: "numeric error",
+}
+
 COMMANDS = {
     "prep": cmd_prep,
     "train": cmd_train,
@@ -586,21 +582,11 @@ def main(argv: list[str] | None = None) -> int:
                 raise
             raise ConfigError(f"{exc} (with {' '.join(flags)})") from exc
         return COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 4
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except SociolensError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (SociolensError, OSError) as exc:
+        # an unreadable or unwritable file is a data error
+        code = exc.exit_code if isinstance(exc, SociolensError) else DataError.exit_code
+        print(f"{_ERROR_PREFIXES.get(code, 'error')}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

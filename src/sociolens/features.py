@@ -79,7 +79,11 @@ class SocioSchema:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SocioSchema":
-        return cls([(name, list(cats)) for name, cats in payload["attributes"]])
+        attributes = [(name, cats) for name, cats in payload["attributes"]]
+        for name, cats in attributes:
+            if not (isinstance(name, str) and isinstance(cats, list) and all(isinstance(c, str) for c in cats)):
+                raise SchemaError(f"schema attribute {name!r} must be a name and a list of category names")
+        return cls(attributes)
 
 
 def build_schema(profiles: list[AnnotatorProfile] | dict[str, AnnotatorProfile]) -> SocioSchema:

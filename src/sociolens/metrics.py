@@ -3,19 +3,25 @@
 Predictions are thresholded at 0.5 with ties counted positive (a
 probability of exactly 0.5 predicts the positive class). Precision,
 recall, and F1 are positive-class binary metrics. Every report also
-carries its ROC-AUC, in the rank-sum formulation: the probability that a
-random positive outscores a random negative, ties counted one half; it is
-None when the labels hold one class only. Multi-run aggregation reports
-mean and population standard deviation.
+carries its ROC-AUC: the probability that a random positive outscores a
+random negative, ties counted one half; it is None when the labels hold
+one class only. Multi-run aggregation reports mean and population
+standard deviation.
+
+ROC curve and AUC come from one table: the positive and negative label
+counts at each distinct score, from one sort of the n scores. A scored
+run therefore costs O(n log n), and each group slice the same over its
+own records. Every score must be finite: a NaN or infinity is a
+NumericError, never a silent place in the sort.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericError
 from .features import MISSING, AnnotatorProfile, SocioSchema
 
 
@@ -33,18 +39,7 @@ class MetricsReport:
     degenerate: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "auc": self.auc,
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-            "n": self.n,
-            "degenerate": list(self.degenerate),
-        }
+        return {**asdict(self), "degenerate": list(self.degenerate)}
 
 
 @dataclass(frozen=True)
@@ -72,66 +67,53 @@ def confusion_metrics(probs: np.ndarray, labels: np.ndarray, threshold: float = 
     fp = int(np.sum(pred & ~actual))
     fn = int(np.sum(~pred & actual))
     tn = int(np.sum(~pred & ~actual))
-    degenerate = []
-    if tp + fp > 0:
-        precision = tp / (tp + fp)
-    else:
-        precision = 0.0
-        degenerate.append("precision")
-    if tp + fn > 0:
-        recall = tp / (tp + fn)
-    else:
-        recall = 0.0
-        degenerate.append("recall")
-    if precision + recall > 0:
-        f1 = 2 * precision * recall / (precision + recall)
-    else:
-        f1 = 0.0
-        degenerate.append("f1")
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    denominators = {"precision": tp + fp, "recall": tp + fn, "f1": precision + recall}
+    degenerate = tuple(name for name, denominator in denominators.items() if not denominator)
     try:
         auc = roc_auc(p, y)
     except DataError:
         auc = None
-    return MetricsReport(
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        auc=auc,
-        tp=tp,
-        fp=fp,
-        tn=tn,
-        fn=fn,
-        n=int(p.size),
-        degenerate=tuple(degenerate),
+    return MetricsReport(precision, recall, f1, auc, tp, fp, tn, fn, int(p.size), degenerate)
+
+
+def _score_counts(probs: np.ndarray, labels: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct scores ascending, with the positive and the negative label count at each.
+
+    Label 1 is positive, any other label negative. Unequal shapes or a
+    single class is a DataError naming `what`; a non-finite score is a
+    NumericError.
+    """
+    p = np.asarray(probs, dtype=np.float64)
+    y = np.asarray(labels)
+    if p.shape != y.shape:
+        raise DataError(f"{what}: probs shape {p.shape} != labels shape {y.shape}")
+    if not np.isfinite(p).all():
+        raise NumericError(f"{what}: {int(np.sum(~np.isfinite(p)))} non-finite scores")
+    pos = y.ravel() == 1
+    n_pos = int(pos.sum())
+    if n_pos == 0 or n_pos == pos.size:
+        raise DataError(f"{what} undefined: need at least one positive and one negative label")
+    scores, inverse = np.unique(p.ravel(), return_inverse=True)
+    return (
+        scores,
+        np.bincount(inverse[pos], minlength=scores.size),
+        np.bincount(inverse[~pos], minlength=scores.size),
     )
 
 
 def roc_auc(probs: np.ndarray, labels: np.ndarray) -> float:
     """Probability a random positive outscores a random negative (ties count 1/2).
 
-    Computed from tie-averaged ranks (the rank-sum statistic), which is
-    exactly the pairwise count normalized by n_pos * n_neg.
+    The Mann-Whitney U, summed over distinct scores as
+    pos * (negatives below + neg / 2) in integers, over n_pos * n_neg:
+    the pairwise count exactly, with one rounding.
     """
-    p = np.asarray(probs, dtype=np.float64)
-    y = np.asarray(labels)
-    pos = y == 1
-    n_pos = int(pos.sum())
-    n_neg = int(p.size - n_pos)
-    if n_pos == 0 or n_neg == 0:
-        raise DataError("AUC undefined: need at least one positive and one negative label")
-    order = np.argsort(p, kind="mergesort")
-    sorted_p = p[order]
-    ranks = np.empty(p.size, dtype=np.float64)
-    i = 0
-    while i < p.size:
-        j = i
-        while j + 1 < p.size and sorted_p[j + 1] == sorted_p[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average of 1-based ranks i+1..j+1
-        i = j + 1
-    rank_sum_pos = float(ranks[pos].sum())
-    u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
+    _, pos, neg = _score_counts(probs, labels, "AUC")
+    twice_u = int(pos @ (2 * (np.cumsum(neg) - neg) + neg))
+    return twice_u / (2 * int(pos.sum()) * int(neg.sum()))
 
 
 def roc_curve(probs: np.ndarray, labels: np.ndarray) -> list[tuple[float, float, float]]:
@@ -142,20 +124,10 @@ def roc_curve(probs: np.ndarray, labels: np.ndarray) -> list[tuple[float, float,
     everything positive at the minimum score. Trapezoidal area over the
     curve equals `roc_auc`.
     """
-    p = np.asarray(probs, dtype=np.float64)
-    y = np.asarray(labels)
-    pos = y == 1
-    n_pos = int(pos.sum())
-    n_neg = int(p.size - n_pos)
-    if n_pos == 0 or n_neg == 0:
-        raise DataError("ROC undefined: need at least one positive and one negative label")
-    points: list[tuple[float, float, float]] = [(float("inf"), 0.0, 0.0)]
-    for threshold in sorted(set(p.tolist()), reverse=True):
-        pred = p >= threshold
-        tpr = float(np.sum(pred & pos)) / n_pos
-        fpr = float(np.sum(pred & ~pos)) / n_neg
-        points.append((float(threshold), fpr, tpr))
-    return points
+    scores, pos, neg = _score_counts(probs, labels, "ROC")
+    tpr = np.cumsum(pos[::-1]) / pos.sum()
+    fpr = np.cumsum(neg[::-1]) / neg.sum()
+    return [(float("inf"), 0.0, 0.0), *zip(scores[::-1].tolist(), fpr.tolist(), tpr.tolist())]
 
 
 def aggregate_runs(reports: list[MetricsReport]) -> dict[str, tuple[float, float]]:
@@ -185,29 +157,34 @@ def group_breakdown(
 ) -> list[GroupReport]:
     """Metrics per socio-demographic category, sliced by the record's annotator.
 
-    Categories with zero test records are listed as omitted. AUC is left
-    undefined (None) for single-class slices.
+    An annotator's declined or out-of-vocabulary answer counts under
+    MISSING. Categories with zero test records are listed as omitted.
+    AUC is left undefined (None) for single-class slices.
     """
     p = np.asarray(probs, dtype=np.float64)
     y = np.asarray(labels)
-    missing_annotators = sorted({a for a in annotator_ids if a not in profiles})
+    if not p.shape == y.shape == (len(annotator_ids),):
+        raise DataError(f"probs {p.shape}, labels {y.shape} and {len(annotator_ids)} annotator ids do not line up")
+    annotators, record_annotator = np.unique(np.asarray(annotator_ids, dtype=str), return_inverse=True)
+    annotators = annotators.tolist()
+    missing_annotators = [a for a in annotators if a not in profiles]
     if missing_annotators:
         raise DataError(f"no profile for annotators: {missing_annotators[:10]}")
     reports: list[GroupReport] = []
     for attribute, categories in schema.attributes:
+        code = {c: i for i, c in enumerate(categories)}
+        unknown = code.get(MISSING, -1)
+        annotator_code = np.array(
+            [code.get(profiles[a].assignments.get(attribute) or MISSING, unknown) for a in annotators], dtype=np.intp
+        )
+        record_code = annotator_code[record_annotator]
         per_category: dict[str, MetricsReport] = {}
         omitted: list[str] = []
-        assigned = np.array(
-            [profiles[a].assignments.get(attribute, MISSING) or MISSING for a in annotator_ids],
-            dtype=object,
-        )
-        known = {c for c in categories}
-        assigned = np.array([c if c in known else MISSING for c in assigned], dtype=object)
-        for category in categories:
-            mask = assigned == category
-            if not mask.any():
+        for i, category in enumerate(categories):
+            mask = record_code == i
+            if mask.any():
+                per_category[category] = confusion_metrics(p[mask], y[mask])
+            else:
                 omitted.append(category)
-                continue
-            per_category[category] = confusion_metrics(p[mask], y[mask])
         reports.append(GroupReport(attribute=attribute, categories=per_category, omitted=tuple(omitted)))
     return reports

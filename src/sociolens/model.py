@@ -470,12 +470,15 @@ def save_checkpoint(
     return directory
 
 
-def load_checkpoint(directory: str) -> tuple[ModelParams, dict]:
-    """Inverse of save_checkpoint; returns the params and the manifest, its seed an int.
+def load_checkpoint(directory: str) -> tuple[ModelParams, int, SocioSchema | None, dict[str, int] | None]:
+    """Inverse of save_checkpoint: the params, the seed, the schema and the head index by annotator.
 
-    The manifest is outside input: a missing seed or spec, a spec of an
-    unknown variant, or tensor shapes other than the spec's layers, is a
-    DataError.
+    The checkpoint is outside input, so anything that does not fit the
+    spec is a DataError: a missing seed or spec, a spec of an unknown
+    variant, tensor shapes other than the spec's layers, a malformed
+    schema, a multi-hot variant without a schema of its socio width, a
+    per-annotator variant without one distinct id per head unit, or a
+    missing, short or non-finite blob.
     """
     manifest_path = os.path.join(directory, "manifest.json")
     if not os.path.exists(manifest_path):
@@ -490,9 +493,18 @@ def load_checkpoint(directory: str) -> tuple[ModelParams, dict]:
         if manifest["tensors"] != expected:
             raise DataError(f"{directory}: tensor shapes {manifest['tensors']} differ from the spec's {expected}")
         params = ModelParams(spec, step=int(manifest["step"]))
-        manifest["seed"] = int(manifest["seed"])
+        seed = int(manifest["seed"])
+        schema = SocioSchema.from_dict(manifest["schema"]) if "schema" in manifest else None
+        heads = manifest["annotators"] if spec.wiring.per_annotator else None
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{directory}: malformed manifest: {exc!r}") from None
+    if spec.wiring.socio == "multihot" and (schema is None or schema.total_width != spec.socio_width):
+        raise DataError(f"{directory}: a {spec.variant} checkpoint needs a schema of width {spec.socio_width}")
+    if heads is not None and not (
+        isinstance(heads, list) and all(isinstance(a, str) for a in heads)
+        and len(set(heads)) == len(heads) == spec.annotator_count
+    ):
+        raise DataError(f"{directory}: the {spec.annotator_count} head units need as many distinct annotator ids")
     for views, suffix in ((params.tensors, ""), (params.m, ".m"), (params.v, ".v")):
         for name, view in views.items():
             path = os.path.join(directory, f"{name}{suffix}.bin")
@@ -500,4 +512,6 @@ def load_checkpoint(directory: str) -> tuple[ModelParams, dict]:
                 raise DataError(f"{directory}: tensor blob {name}{suffix}.bin is missing or not {view.nbytes} bytes")
             with open(path, "rb") as fh:
                 fh.readinto(view)
-    return params, manifest
+            if not np.isfinite(view).all():
+                raise DataError(f"{directory}: tensor blob {name}{suffix}.bin holds non-finite values")
+    return params, seed, schema, None if heads is None else {a: i for i, a in enumerate(heads)}

@@ -1,18 +1,29 @@
 import csv
 import json
 import re
+import shutil
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import base_config, run_chain
-from sociolens import corpus, features
+from sociolens import cli, corpus, features
 from sociolens.cli import main
 from sociolens.config import load_config
-from sociolens.errors import ConfigError
+from sociolens.errors import (
+    ConfigError,
+    DataError,
+    DuplicateError,
+    EmptyDatasetError,
+    EncodingError,
+    NumericError,
+    SchemaError,
+    SociolensError,
+)
 
 
 class TestFullChain:
@@ -266,6 +277,84 @@ class TestErrors:
         err = capsys.readouterr().err
         # the first overflow stops the run: one line, no numpy warnings ahead of it
         assert re.fullmatch(r"numeric error: run for seed 0 failed: non-finite value at step \d+: .+\n", err)
+
+    @pytest.mark.parametrize("profiles", [None, "short"])
+    def test_socio_inputs_checked_before_any_suite_trains(self, tmp_path, capsys, profiles):
+        out = run_chain(tmp_path, base_config(str(tmp_path / "out")), commands=("synth", "prep"))
+        if profiles == "short":
+            # a profiles file without one annotator of the train split
+            first = next(csv.DictReader((out / "prep" / "train.csv").open(encoding="utf-8")))["annotator_id"]
+            rows = (out / "synth" / "profiles.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+            profiles = tmp_path / "short_profiles.csv"
+            profiles.write_text("".join(r for r in rows if not r.startswith(f"{first},")), encoding="utf-8")
+        train = dict(base_config("")["train"], variant="all", profiles=profiles and str(profiles))
+        for name, path in (("train_annotations", "prep/train.csv"), ("test_annotations", "prep/test.csv"),
+                           ("embeddings", "synth/embeddings.csv"), ("socio_embeddings", "synth/socio_embeddings.csv")):
+            train[name] = str(out / path)
+        config_path = tmp_path / "train_only.json"
+        config_path.write_text(json.dumps({"output_dir": str(out), "train": train}), encoding="utf-8")
+        assert main(["train", "--config", str(config_path)]) == 3
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert not (out / "train").exists()
+
+    @pytest.fixture(scope="class")
+    def trained_simple(self, tmp_path_factory):
+        config = base_config("")
+        config["train"].update(variant="simple", ablation=False)
+        root = tmp_path_factory.mktemp("trained")
+        config["output_dir"] = str(root / "out")
+        run_chain(root, config, commands=("synth", "prep", "train"))
+        return root
+
+    def eval_edited_checkpoint(self, tmp_path, trained, edit) -> int:
+        shutil.copytree(trained / "out", tmp_path / "out")
+        edit(tmp_path / "out" / "train" / "simple" / "seed0" / "checkpoint")
+        config = base_config(str(tmp_path / "out"))
+        config["train"].update(variant="simple", ablation=False)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        return main(["eval", "--config", str(path)])
+
+    def test_checkpoint_schema_without_attributes_exits_3(self, tmp_path, capsys, trained_simple):
+        def edit(ckpt):
+            manifest = json.loads((ckpt / "manifest.json").read_text(encoding="utf-8"))
+            manifest["schema"] = {"x": 1}
+            (ckpt / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+        assert self.eval_edited_checkpoint(tmp_path, trained_simple, edit) == 3
+        assert "malformed manifest: KeyError('attributes')" in capsys.readouterr().err
+
+    def test_nan_weight_blob_exits_3(self, tmp_path, capsys, trained_simple):
+        def edit(ckpt):
+            weights = np.fromfile(ckpt / "layer.2.weight.bin", dtype="<f8")
+            weights[0] = np.nan
+            weights.tofile(ckpt / "layer.2.weight.bin")
+
+        assert self.eval_edited_checkpoint(tmp_path, trained_simple, edit) == 3
+        assert "layer.2.weight.bin holds non-finite values" in capsys.readouterr().err
+        assert not list((tmp_path / "out" / "eval").rglob("roc_seed*.csv"))
+
+    @pytest.mark.parametrize("error, code, prefix", [
+        (ConfigError, 2, "config error"),
+        (DataError, 3, "data error"),
+        (SchemaError, 3, "data error"),
+        (DuplicateError, 3, "data error"),
+        (EmptyDatasetError, 3, "data error"),
+        (EncodingError, 3, "data error"),
+        (NumericError, 4, "numeric error"),
+        (SociolensError, 1, "error"),
+        (FileNotFoundError, 3, "data error"),
+        (PermissionError, 3, "data error"),
+    ])
+    def test_error_class_maps_to_its_exit_code(self, tmp_path, capsys, monkeypatch, error, code, prefix):
+        def fail(cfg):
+            raise error("boom")
+
+        monkeypatch.setitem(cli.COMMANDS, "report", fail)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(base_config(str(tmp_path / "out"))), encoding="utf-8")
+        assert main(["report", "--config", str(path)]) == code
+        assert capsys.readouterr().err == f"{prefix}: boom\n"
 
 
 class TestOverrides:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import pair_counting_auc, reference_roc_curve, roc_curve_area
-from sociolens.errors import DataError
+from sociolens.errors import DataError, NumericError
 from sociolens.features import MISSING, AnnotatorProfile, SocioSchema
 from sociolens.metrics import (
     MetricsReport,
@@ -133,7 +133,7 @@ def scored_labels(draw, max_size=60):
     return probs, labels
 
 
-class TestScoreCountProperties:
+class TestScoreCounts:
     @settings(max_examples=300, deadline=None)
     @given(scored_labels())
     def test_roc_curve_equals_per_threshold_reference(self, case):
@@ -145,6 +145,17 @@ class TestScoreCountProperties:
     def test_roc_auc_equals_pair_counting(self, case):
         probs, labels = case
         assert roc_auc(probs, labels) == pair_counting_auc(probs.tolist(), labels.tolist())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("score", [roc_auc, roc_curve, confusion_metrics])
+    def test_non_finite_score_is_numeric_error(self, score, bad):
+        with pytest.raises(NumericError, match="1 non-finite scores"):
+            score(np.array([0.2, bad, 0.7]), np.array([1, 0, 0]))
+
+    @pytest.mark.parametrize("score", [roc_auc, roc_curve])
+    def test_shape_mismatch_rejected(self, score):
+        with pytest.raises(DataError, match="shape"):
+            score(np.array([0.2, 0.7]), np.array([1, 0, 0]))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -237,6 +248,10 @@ class TestGroupBreakdown:
         labels = rng.integers(0, 2, 40)
         reports = group_breakdown(probs, labels, ids, self.profiles, self.schema)
         assert sum(r.n for r in reports[0].categories.values()) == 40
+
+    def test_misaligned_annotator_ids_rejected(self):
+        with pytest.raises(DataError, match="do not line up"):
+            group_breakdown(np.array([0.5, 0.7]), np.array([1, 0]), ["p1"], self.profiles, self.schema)
 
     def test_unprofiled_annotator_rejected(self):
         with pytest.raises(DataError):

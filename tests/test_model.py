@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -346,13 +347,15 @@ class TestCheckpoints:
         params = init_params(spec, 11)
         grads = {k: np.full_like(t, 0.01) for k, t in params.tensors.items()}
         adam_step(params, grads, lr=0.01)
-        schema = SocioSchema([("g", ["a", MISSING])])
+        # a multi-hot checkpoint carries a schema of the spec's socio width, 4
+        schema = SocioSchema([("g", ["a", MISSING]), ("h", ["x", MISSING])])
         save_checkpoint(params, str(tmp_path / "ck"), seed=11, schema=schema)
-        loaded, manifest = load_checkpoint(str(tmp_path / "ck"))
+        loaded, seed, loaded_schema, heads = load_checkpoint(str(tmp_path / "ck"))
         assert loaded.spec == spec
         assert loaded.step == 1
-        assert manifest["seed"] == 11
-        assert manifest["schema"] == schema.to_dict()
+        assert seed == 11
+        assert loaded_schema.to_dict() == schema.to_dict()
+        assert heads is None
         for name in params.tensors:
             assert loaded.tensors[name].tobytes() == params.tensors[name].tobytes()
             assert loaded.m[name].tobytes() == params.m[name].tobytes()
@@ -369,8 +372,10 @@ class TestCheckpoints:
             return params
 
         straight = train(init_params(spec, 3), range(6))
-        save_checkpoint(train(init_params(spec, 3), range(2)), str(tmp_path / "ck"), seed=3)
-        resumed, _ = load_checkpoint(str(tmp_path / "ck"))
+        # a multi-hot checkpoint carries a schema of the spec's socio width, 4
+        schema = SocioSchema([("g", ["a", MISSING]), ("h", ["x", MISSING])])
+        save_checkpoint(train(init_params(spec, 3), range(2)), str(tmp_path / "ck"), seed=3, schema=schema)
+        resumed, *_ = load_checkpoint(str(tmp_path / "ck"))
         train(resumed, range(2, 6))
         assert resumed.step == straight.step == 6
         for row, role in enumerate(("tensors", "m", "v")):
@@ -384,9 +389,12 @@ class TestCheckpoints:
         with pytest.raises(DataError):
             load_checkpoint(str(tmp_path / "nope"))
 
-    def edit_manifest(self, tmp_path, edit):
+    def edit_manifest(self, tmp_path, edit, variant="multitask"):
         directory = tmp_path / "ck"
-        save_checkpoint(init_params(small_spec("multitask"), 0), str(directory), seed=0)
+        spec = small_spec(variant)
+        schema = SocioSchema([("g", ["a", "b", "c", MISSING])]) if spec.socio_width else None
+        heads = [f"a{i}" for i in range(spec.annotator_count)] if spec.annotator_count else None
+        save_checkpoint(init_params(spec, 0), str(directory), seed=0, annotators=heads, schema=schema)
         manifest = json.loads((directory / "manifest.json").read_text())
         edit(manifest)
         (directory / "manifest.json").write_text(json.dumps(manifest))
@@ -401,6 +409,45 @@ class TestCheckpoints:
         # (3, 4) read as (4, 3): every blob still has the size the manifest states
         directory = self.edit_manifest(tmp_path, lambda m: m["tensors"].update({"layer.0.weight": [4, 3]}))
         with pytest.raises(DataError, match="tensor shapes"):
+            load_checkpoint(directory)
+
+    def test_heads_index_follows_manifest_order(self, tmp_path):
+        _, _, schema, heads = load_checkpoint(self.edit_manifest(tmp_path, lambda m: m["annotators"].reverse()))
+        assert schema is None
+        assert list(heads) == [f"a{i}" for i in reversed(range(len(heads)))]
+        assert list(heads.values()) == list(range(len(heads)))
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.update(schema={"attributes": [["g", 3]]}),
+        lambda m: m.update(schema={"attributes": [["g", "abcd"]]}),  # four one-letter categories, width 4
+        lambda m: m.update(schema={"attributes": [[0, ["a", "b", "c", "d"]]]}),
+        lambda m: m.pop("schema"),
+        lambda m: m["schema"]["attributes"].append(["h", ["c"]]),
+    ], ids=["categories-not-a-list", "categories-a-string", "name-not-a-string", "missing", "width-mismatch"])
+    def test_malformed_or_misfit_schema(self, tmp_path, edit):
+        directory = self.edit_manifest(tmp_path, edit, variant="socio_multihot")
+        with pytest.raises(DataError, match="malformed manifest|must be a name and a list|needs a schema of width"):
+            load_checkpoint(directory)
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.pop("annotators"),
+        lambda m: m["annotators"].pop(),
+        lambda m: m["annotators"].__setitem__(1, m["annotators"][0]),
+        lambda m: m["annotators"].__setitem__(0, 7),
+    ], ids=["missing", "one-short", "duplicate", "not-a-string"])
+    def test_head_ids_must_match_annotator_count(self, tmp_path, edit):
+        directory = self.edit_manifest(tmp_path, edit)
+        with pytest.raises(DataError, match="malformed manifest|head units"):
+            load_checkpoint(directory)
+
+    @pytest.mark.parametrize("blob", ["layer.0.weight.bin", "layer.1.bias.m.bin", "layer.2.weight.v.bin"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_blob_rejected(self, tmp_path, blob, value):
+        directory = self.edit_manifest(tmp_path, lambda m: None)
+        data = np.fromfile(Path(directory) / blob, dtype="<f8")
+        data[-1] = value
+        data.tofile(Path(directory) / blob)
+        with pytest.raises(DataError, match=f"{re.escape(blob)} holds non-finite values"):
             load_checkpoint(directory)
 
 

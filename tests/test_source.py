@@ -1,6 +1,7 @@
 """Checks over the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import sociolens
@@ -48,3 +49,19 @@ def test_every_public_name_is_used_outside_tests():
                     for where, line, name in uses)
     ]
     assert PERFBENCH and not unused, unused
+
+
+def test_imports_are_relative_numpy_or_stdlib():
+    # numpy is the one runtime dependency; every stage imports cli, so any other import is paid by all of them
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                roots = [node.module.partition(".")[0]]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}:{root}" for root in roots
+                      if root != "numpy" and root not in sys.stdlib_module_names]
+    assert SOURCES and not found, found
