@@ -1,7 +1,8 @@
 """Shared test utilities.
 
-A small CLI config and chain runner, batch construction, the
-finite-difference and contrastive-loss oracles, the per-tensor Adam
+A small CLI config and chain runner, dataset and batch construction,
+random annotation tables for property tests, the record-based batch-plan
+reference, the finite-difference and contrastive-loss oracles, the per-tensor Adam
 reference, the per-draw homophily reference, the per-threshold ROC
 reference, and the single-statistic homophily, pair-counting AUC,
 ROC-area and embedding-format oracles that the package itself does not
@@ -17,9 +18,11 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from sociolens.batcher import Batch
 from sociolens.cli import main
+from sociolens.corpus import AnnotationRecord, Dataset
 from sociolens.errors import ConfigError, DataError, NumericError
 from sociolens.features import EmbeddingTable, SocioSchema
 from sociolens.homophily import (
@@ -82,6 +85,46 @@ def run_chain(tmp_path: Path, config: dict, commands=("synth", "prep", "train", 
         code = main([command, "--config", str(config_path)])
         assert code == 0, f"{command} exited {code}"
     return Path(config["output_dir"])
+
+
+def make_dataset(triples, labels: bool = False) -> Dataset:
+    """A dataset of (text id, annotator id, score) rows; `labels` binarizes them as well."""
+    records = [
+        AnnotationRecord(t, a, s, label=(0 if s == 0 else 1) if labels else None)
+        for t, a, s in triples
+    ]
+    return Dataset(records=records)
+
+
+@st.composite
+def annotation_triples(draw, texts: int = 8, annotators: int = 8, max_rows: int = 40):
+    """Distinct (text id, annotator id) pairs in random order, each with a score in 0..3."""
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, texts - 1), st.integers(0, annotators - 1)), max_size=max_rows, unique=True
+    ))
+    scores = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+    return [(f"t{t}", f"a{a}", s) for (t, a), s in zip(pairs, scores)]
+
+
+def reference_plan_epoch(text_ids: list[str], batch_size: int, seed: int) -> list[list[int]]:
+    """`batcher.plan_epoch` as it grouped rows by text id: one dict of row lists in first-appearance order.
+
+    `text_ids[i]` is row i's text id. Text order and then each text's rows
+    are shuffled by one generator, in that order, and the stream is cut
+    into consecutive batches.
+    """
+    groups: dict[str, list[int]] = {}
+    for idx, text_id in enumerate(text_ids):
+        groups.setdefault(text_id, []).append(idx)
+    rng = np.random.default_rng(seed)
+    text_order = list(groups)
+    rng.shuffle(text_order)
+    stream: list[int] = []
+    for text_id in text_order:
+        members = list(groups[text_id])
+        rng.shuffle(members)
+        stream.extend(members)
+    return [stream[i : i + batch_size] for i in range(0, len(stream), batch_size)]
 
 
 def random_batch(rng: np.random.Generator, spec: ModelSpec, size: int, n_texts: int, n_annotators: int = 4) -> Batch:

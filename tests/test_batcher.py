@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import annotation_triples, make_dataset, reference_plan_epoch
 from sociolens.batcher import contrastive_masks, plan_epoch, text_match_mask
 from sociolens.corpus import AnnotationRecord, Dataset
 from sociolens.errors import DataError
@@ -11,15 +14,6 @@ def dataset_with_groups(sizes: dict[str, int]) -> Dataset:
     for text, n in sizes.items():
         for j in range(n):
             records.append(AnnotationRecord(text, f"{text}_a{j}", 1, label=1))
-    return Dataset(records=records)
-
-
-def random_dataset(rng) -> Dataset:
-    n_texts = int(rng.integers(1, 12))
-    records = []
-    for t in range(n_texts):
-        for j in range(int(rng.integers(1, 9))):
-            records.append(AnnotationRecord(f"t{t}", f"a{t}_{j}", 1, label=int(rng.integers(0, 2))))
     return Dataset(records=records)
 
 
@@ -51,28 +45,31 @@ class TestPlanEpoch:
         plan = plan_epoch(ds, 32, seed=3)
         assert [len(b) for b in plan.batches] == [32, 32, 6]
 
-    def test_partition_property(self):
-        rng = np.random.default_rng(7)
-        for _ in range(150):
-            ds = random_dataset(rng)
-            batch_size = int(rng.integers(2, 9))
-            plan = plan_epoch(ds, batch_size, int(rng.integers(0, 1000)))
-            flat = [i for batch in plan.batches for i in batch]
-            assert sorted(flat) == list(range(len(ds.records)))
-            assert all(len(b) <= batch_size for b in plan.batches)
+    @settings(max_examples=300, deadline=None)
+    @given(annotation_triples(), st.integers(2, 9), st.integers(0, 2**32 - 1))
+    def test_partition_property(self, triples, batch_size, seed):
+        ds = make_dataset(triples, labels=True)
+        plan = plan_epoch(ds, batch_size, seed)
+        flat = [i for batch in plan.batches for i in batch]
+        assert sorted(flat) == list(range(len(ds.records)))
+        assert all(len(b) <= batch_size for b in plan.batches)
 
-    def test_contiguity_property(self):
-        rng = np.random.default_rng(8)
-        for _ in range(150):
-            ds = random_dataset(rng)
-            plan = plan_epoch(ds, int(rng.integers(2, 9)), int(rng.integers(0, 1000)))
-            for batch in plan.batches:
-                texts = [ds.records[i].text_id for i in batch]
-                seen = set()
-                for idx, t in enumerate(texts):
-                    if idx > 0 and t != texts[idx - 1]:
-                        assert t not in seen, f"text {t} split inside one batch: {texts}"
-                        seen.add(texts[idx - 1])
+    @settings(max_examples=300, deadline=None)
+    @given(annotation_triples(), st.integers(2, 9), st.integers(0, 2**32 - 1))
+    def test_contiguity_property(self, triples, batch_size, seed):
+        # each text's rows form one run of the stream, so a text spans at most two batches in a row
+        ds = make_dataset(triples, labels=True)
+        plan = plan_epoch(ds, batch_size, seed)
+        stream = [ds.records[i].text_id for batch in plan.batches for i in batch]
+        runs = [t for i, t in enumerate(stream) if i == 0 or t != stream[i - 1]]
+        assert len(runs) == len(set(runs))
+
+    @settings(max_examples=300, deadline=None)
+    @given(annotation_triples(), st.integers(2, 9), st.integers(0, 2**32 - 1))
+    def test_plan_equals_record_reference(self, triples, batch_size, seed):
+        ds = make_dataset(triples, labels=True)
+        plan = plan_epoch(ds, batch_size, seed)
+        assert plan.batches == reference_plan_epoch([r.text_id for r in ds.records], batch_size, seed)
 
     def test_same_seed_identical_plan(self):
         ds = dataset_with_groups({"A": 5, "B": 4, "C": 3})

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from helpers import annotation_triples, make_dataset
 from sociolens import corpus
 from sociolens.corpus import (
     AnnotationRecord,
@@ -21,14 +24,6 @@ from sociolens.features import AnnotatorProfile
 
 def write_csv(path, rows, header="text_id,annotator_id,score"):
     path.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
-
-
-def make_dataset(triples, labels=False):
-    records = [
-        AnnotationRecord(t, a, s, label=(0 if s == 0 else 1) if labels else None)
-        for t, a, s in triples
-    ]
-    return Dataset(records=records)
 
 
 class TestLoadAnnotations:
@@ -190,6 +185,24 @@ class TestSplitByText:
             got = {r.text_id for r in split.train.records} | {r.text_id for r in split.test.records}
             assert got == all_texts
 
+    @settings(max_examples=300, deadline=None)
+    @given(annotation_triples(), st.floats(0.01, 0.99), st.integers(0, 2**64 - 1), st.randoms(use_true_random=False))
+    def test_partition_independent_of_row_order(self, triples, fraction, seed, random):
+        texts = {t for t, _, _ in triples}
+        assume(0 < math.ceil(fraction * len(texts)) < len(texts))
+        shuffled = list(triples)
+        random.shuffle(shuffled)
+        sides = []
+        for rows in (triples, shuffled):
+            split = split_by_text(make_dataset(rows, labels=True), fraction, seed)
+            train, test = ({(r.text_id, r.annotator_id, r.raw_score) for r in side.records}
+                           for side in (split.train, split.test))
+            assert len(train) + len(test) == len(rows)
+            assert train | test == set(rows)
+            assert not {t for t, _, _ in train} & {t for t, _, _ in test}
+            sides.append((train, test))
+        assert sides[0] == sides[1]
+
     def test_degenerate_fraction_raises(self):
         with pytest.raises(DataError):
             split_by_text(self.make(2), 0.95, seed=0)  # ceil(1.9) = 2 -> empty test side
@@ -229,6 +242,20 @@ class TestMajorityVote:
     def test_requires_labels(self):
         with pytest.raises(DataError):
             majority_vote(make_dataset([("t", "a", 1)]))
+
+
+def masked(ds: Dataset, mask: list[bool]) -> Dataset:
+    return Dataset(records=[r for r, keep in zip(ds.records, mask) if keep])
+
+
+@settings(max_examples=300, deadline=None)
+@given(annotation_triples(), st.data())
+def test_ids_after_any_row_mask_in_first_appearance_order(triples, data):
+    mask = data.draw(st.lists(st.booleans(), min_size=len(triples), max_size=len(triples)))
+    kept = [row for row, keep in zip(triples, mask) if keep]
+    ds = masked(make_dataset(triples), mask)
+    assert ds.text_ids() == list(dict.fromkeys(t for t, _, _ in kept))
+    assert ds.annotator_ids() == list(dict.fromkeys(a for _, a, _ in kept))
 
 
 def test_stats_match_records():
