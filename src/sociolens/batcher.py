@@ -1,12 +1,17 @@
-"""Epoch planning that keeps annotations of the same text together.
+"""Epoch planning that keeps annotations of the same text together, and batch assembly.
 
 The contrastive objective only compares annotations of the same text, so
-the planner groups record indices by text, shuffles group order and
+the planner groups row indices by text code, shuffles group order and
 within-group order with a seeded generator, concatenates the stream, and
 chops it into consecutive fixed-size batches. Chopping realizes the
 packing rules directly: a group larger than the batch size spills into
 the following batch(es), an under-full batch is topped up by the next
 group, and the final batch of an epoch may be short but is never dropped.
+
+A batch is fancy indexing: `assemble_batch` takes a batch's rows of a
+`corpus.RECORD` array and reads every other field from `BatchTables`,
+lookup tables whose row i belongs to text or annotator code i. A batch's
+`text_ids` are those codes, so equal codes mark the same text.
 """
 
 from __future__ import annotations
@@ -15,13 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Dataset
 from .errors import DataError
 
 
 @dataclass(frozen=True)
 class BatchPlan:
-    batches: list[list[int]]
+    batches: list[np.ndarray]
     batch_size: int
     seed: int
 
@@ -29,7 +33,7 @@ class BatchPlan:
         return {
             "batch_size": self.batch_size,
             "seed": self.seed,
-            "batches": [list(b) for b in self.batches],
+            "batches": [b.tolist() for b in self.batches],
         }
 
 
@@ -39,80 +43,70 @@ class Batch:
 
     text: np.ndarray                     # (B, text_dim)
     labels: np.ndarray                   # (B,) float 0/1
-    text_ids: list[str]
-    annotator_ids: list[str]
+    text_ids: np.ndarray                 # (B,) text codes; equal codes mean the same text
+    annotator_ids: np.ndarray            # (B,) annotator codes
     socio_multihot: np.ndarray | None = None   # (B, socio_width)
     socio_embedding: np.ndarray | None = None  # (B, socio_dim)
     annotator_index: np.ndarray | None = None  # (B,) int head index, -1 = unknown
 
-    @property
-    def size(self) -> int:
-        return len(self.text_ids)
+
+@dataclass(frozen=True)
+class BatchTables:
+    """Per-code lookup tables; a field is None when the variant does not read it."""
+
+    text: np.ndarray                           # (n_texts, text_dim)
+    socio_multihot: np.ndarray | None = None   # (n_annotators, socio_width)
+    socio_embedding: np.ndarray | None = None  # (n_annotators, socio_dim)
+    annotator_index: np.ndarray | None = None  # (n_annotators,) head index, -1 = unknown
 
 
-def plan_epoch(dataset: Dataset, batch_size: int, seed: int) -> BatchPlan:
-    """Plan one epoch over `dataset` records; every index appears exactly once."""
+def plan_epoch(text_codes: np.ndarray, batch_size: int, seed: int) -> BatchPlan:
+    """Plan one epoch over rows whose text codes are `text_codes`; every row index appears exactly once.
+
+    Codes must be in first-appearance order, as a Dataset's are: text groups
+    start in ascending code order, one generator shuffles that order and
+    then each group's rows, and the stream is cut into batches.
+    """
     if batch_size < 2:
         raise DataError(f"batch_size must be >= 2 for contrastive pairs, got {batch_size}")
-    groups: dict[str, list[int]] = {}
-    for idx, record in enumerate(dataset.records):
-        groups.setdefault(record.text_id, []).append(idx)
+    order = np.argsort(text_codes, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(text_codes[order])) + 1)
     rng = np.random.default_rng(seed)
-    text_order = list(groups)
+    text_order = np.arange(len(groups))
     rng.shuffle(text_order)
-    stream: list[int] = []
-    for text_id in text_order:
-        members = list(groups[text_id])
-        rng.shuffle(members)
-        stream.extend(members)
+    for g in text_order:
+        rng.shuffle(groups[g])
+    stream = np.concatenate([groups[g] for g in text_order])
     batches = [stream[i : i + batch_size] for i in range(0, len(stream), batch_size)]
     return BatchPlan(batches=batches, batch_size=batch_size, seed=seed)
 
 
-def assemble_batch(
-    dataset: Dataset,
-    indices: list[int],
-    text_table,
-    socio_multihot: dict[str, np.ndarray] | None = None,
-    socio_table=None,
-    annotator_index: dict[str, int] | None = None,
-) -> Batch:
-    """Gather matrices for the records at `indices`.
-
-    `text_table` and `socio_table` are EmbeddingTables (text-id and
-    annotator-id keyed); `socio_multihot` maps annotator id to its
-    encoded vector. Only the parts a variant needs have to be supplied.
-    """
-    records = [dataset.records[i] for i in indices]
-    for r in records:
-        if r.label is None:
-            raise DataError("cannot assemble batches from unbinarized records")
-    text_ids = [r.text_id for r in records]
-    annotator_ids = [r.annotator_id for r in records]
-    batch = Batch(
-        text=text_table.matrix(text_ids),
-        labels=np.array([r.label for r in records], dtype=np.float64),
-        text_ids=text_ids,
-        annotator_ids=annotator_ids,
+def assemble_batch(records: np.ndarray, indices, tables: BatchTables) -> Batch:
+    """Gather the `corpus.RECORD` rows at `indices` (an index array or a slice) and their table rows."""
+    rows = records[indices]
+    if (rows["label"] < 0).any():
+        raise DataError("cannot assemble batches from unbinarized records")
+    texts, annotators = rows["text"], rows["annotator"]
+    return Batch(
+        text=tables.text[texts],
+        labels=rows["label"].astype(np.float64),
+        text_ids=texts,
+        annotator_ids=annotators,
+        **{
+            name: table[annotators]
+            for name in ("socio_multihot", "socio_embedding", "annotator_index")
+            if (table := getattr(tables, name)) is not None
+        },
     )
-    if socio_multihot is not None:
-        batch.socio_multihot = np.stack([socio_multihot[a] for a in annotator_ids])
-    if socio_table is not None:
-        batch.socio_embedding = socio_table.matrix(annotator_ids)
-    if annotator_index is not None:
-        batch.annotator_index = np.array(
-            [annotator_index.get(a, -1) for a in annotator_ids], dtype=np.int64
-        )
-    return batch
 
 
-def text_match_mask(text_ids: list[str]) -> np.ndarray:
+def text_match_mask(text_ids) -> np.ndarray:
     """M[i, j] = 1 iff rows i and j annotate the same text (diagonal included)."""
-    ids = np.asarray(text_ids, dtype=object)
+    ids = np.asarray(text_ids)
     return (ids[:, None] == ids[None, :]).astype(np.float64)
 
 
-def contrastive_masks(text_ids: list[str], labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def contrastive_masks(text_ids, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positive (same text, same label) and negative (same text, different label) masks.
 
     Diagonals are zero and the two masks are disjoint by construction.

@@ -43,16 +43,6 @@ def _load_labels(path: str, columns: dict[str, str]) -> corpus.Dataset:
     return corpus.binarize(corpus.load_annotations(path, corpus.ColumnMapping(**columns)))
 
 
-def _stats_dict(dataset) -> dict:
-    stats = dataset.stats
-    return {
-        "records": stats.records,
-        "unique_texts": stats.unique_texts,
-        "unique_annotators": stats.unique_annotators,
-        "label_counts": {str(k): v for k, v in stats.label_counts.items()},
-    }
-
-
 # ----------------------------------------------------------------- synth
 
 def cmd_synth(cfg: config_mod.PipelineConfig) -> int:
@@ -72,8 +62,8 @@ def cmd_synth(cfg: config_mod.PipelineConfig) -> int:
         table = synth.generate_socio_embeddings(population, cfg.synth.socio_embedding_dim, spec.seed)
         features.save_embeddings_csv(table, os.path.join(out, "socio_embeddings.csv"))
     stats = dataset.stats
-    _write_json(os.path.join(out, "stats.json"), _stats_dict(dataset))
-    _log(cfg, f"synth: {stats.records} annotations over {stats.unique_texts} texts -> {out}")
+    _write_json(os.path.join(out, "stats.json"), stats)
+    _log(cfg, f"synth: {stats['records']} annotations over {stats['unique_texts']} texts -> {out}")
     return 0
 
 
@@ -102,14 +92,14 @@ def cmd_prep(cfg: config_mod.PipelineConfig) -> int:
         {
             "seed": p.seed,
             "train_fraction": p.train_fraction,
-            "train": _stats_dict(split.train),
-            "test": _stats_dict(split.test),
+            "train": split.train.stats,
+            "test": split.test.stats,
         },
     )
     _log(
         cfg,
         f"prep: retained {report.retained_records} records "
-        f"({split.train.stats.records} train / {split.test.stats.records} test) -> {out}",
+        f"({len(split.train.records)} train / {len(split.test.records)} test) -> {out}",
     )
     return 0
 
@@ -124,10 +114,7 @@ def cmd_train(cfg: config_mod.PipelineConfig) -> int:
     all_profiles = features.load_profiles(t.profiles) if t.profiles else None
     train_ds = _load_labels(t.train_annotations, t.columns)
     test_ds = _load_labels(t.test_annotations, t.columns)
-    n_train = len(train_ds.text_ids())
-    split = corpus.SplitPair(
-        train=train_ds, test=test_ds, seed=-1, train_fraction=n_train / (n_train + len(test_ds.text_ids()))
-    )
+    split = corpus.SplitPair(train=train_ds, test=test_ds)
     # every input a suite needs is checked before the first suite trains
     socio_table = None
     if any(WIRING[v].socio == "embedding" for v in t.variants):

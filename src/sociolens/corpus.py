@@ -6,6 +6,14 @@ above 0 to the positive class. Reliability filtering drops low-volume
 annotators first and under-annotated texts second, one pass each, in that
 order. Splits always partition unique text ids so no text appears on both
 sides.
+
+A Dataset is columnar. `texts` and `annotators` are the id vocabularies,
+and `records` holds one row per annotation: int32 codes into those
+vocabularies, the int64 score, and an int8 label that is -1 until
+`binarize`. Every Dataset is built by `Dataset.from_columns`, which codes
+ids in order of first appearance, so a vocabulary lists exactly the ids
+present in the rows, in first-appearance order, and ascending code order
+is first-appearance order. A subset is coded afresh the same way.
 """
 
 from __future__ import annotations
@@ -13,8 +21,9 @@ from __future__ import annotations
 import csv
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .errors import (
     DataError,
@@ -25,13 +34,8 @@ from .errors import (
 from .features import AnnotatorProfile
 from .rng import seeded_shuffle
 
-
-@dataclass(frozen=True)
-class AnnotationRecord:
-    text_id: str
-    annotator_id: str
-    raw_score: int
-    label: int | None = None
+RECORD = np.dtype([("text", np.int32), ("annotator", np.int32), ("score", np.int64), ("label", np.int8)])
+MAX_SCORE = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -43,41 +47,54 @@ class ColumnMapping:
     score: str = "score"
 
 
-@dataclass(frozen=True)
-class DatasetStats:
-    records: int
-    unique_texts: int
-    unique_annotators: int
-    label_counts: dict[int, int]
+def _code(ids) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ids in first-appearance order, and each id's int32 position among them."""
+    index: dict = {}
+    codes = np.fromiter((index.setdefault(i, len(index)) for i in ids), dtype=np.int32, count=len(ids))
+    return np.array(list(index), dtype=object), codes
 
 
 @dataclass
 class Dataset:
-    records: list[AnnotationRecord]
+    texts: np.ndarray       # (n_texts,) object: text ids in first-appearance order
+    annotators: np.ndarray  # (n_annotators,) object: annotator ids in first-appearance order
+    records: np.ndarray     # (n,) RECORD: text and annotator codes, score, label (-1 = unbinarized)
     profiles: dict[str, AnnotatorProfile] = field(default_factory=dict)
 
-    @property
-    def stats(self) -> DatasetStats:
-        labels = Counter(r.label for r in self.records if r.label is not None)
-        return DatasetStats(
-            records=len(self.records),
-            unique_texts=len({r.text_id for r in self.records}),
-            unique_annotators=len({r.annotator_id for r in self.records}),
-            label_counts={0: labels.get(0, 0), 1: labels.get(1, 0)},
+    @classmethod
+    def from_columns(cls, text_ids, annotator_ids, scores, labels=None, profiles=None) -> "Dataset":
+        """Code one row per annotation; rows keep their order, labels default to -1."""
+        texts, text_codes = _code(text_ids)
+        annotators, annotator_codes = _code(annotator_ids)
+        records = np.empty(len(text_codes), dtype=RECORD)
+        records["text"] = text_codes
+        records["annotator"] = annotator_codes
+        records["score"] = scores
+        records["label"] = -1 if labels is None else labels
+        return cls(texts, annotators, records, dict(profiles or {}))
+
+    def subset(self, mask: np.ndarray) -> "Dataset":
+        """The rows where `mask` holds, coded afresh; profiles of absent annotators are dropped."""
+        rows = self.records[mask]
+        sub = Dataset.from_columns(
+            self.texts[rows["text"]].tolist(), self.annotators[rows["annotator"]].tolist(),
+            rows["score"], rows["label"],
         )
+        present = set(sub.annotators.tolist())
+        sub.profiles = {a: p for a, p in self.profiles.items() if a in present}
+        return sub
 
-    def text_ids(self) -> list[str]:
-        """Unique text ids in first-appearance order."""
-        seen: dict[str, None] = {}
-        for r in self.records:
-            seen.setdefault(r.text_id, None)
-        return list(seen)
-
-    def annotator_ids(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for r in self.records:
-            seen.setdefault(r.annotator_id, None)
-        return list(seen)
+    @property
+    def stats(self) -> dict:
+        """Row, text and annotator counts and the count of each label, as `stats.json` holds them."""
+        labels = self.records["label"]
+        counts = np.bincount(labels[labels >= 0], minlength=2)
+        return {
+            "records": len(self.records),
+            "unique_texts": len(self.texts),
+            "unique_annotators": len(self.annotators),
+            "label_counts": {"0": int(counts[0]), "1": int(counts[1])},
+        }
 
 
 @dataclass(frozen=True)
@@ -100,22 +117,21 @@ class FilterReport:
 class SplitPair:
     train: Dataset
     test: Dataset
-    seed: int
-    train_fraction: float
 
 
 def load_annotations(path: str, columns: ColumnMapping | None = None) -> Dataset:
     """Load an annotation CSV into a Dataset (records only, no profiles).
 
     Rejects missing columns, duplicate (text, annotator) pairs, and
-    non-integer or negative scores, reporting offending row numbers.
+    non-integer, negative or beyond-int64 scores, reporting offending row
+    numbers.
     """
     if not os.path.exists(path):
         raise DataError(f"annotation file not found: {path}")
     columns = columns or ColumnMapping()
-    records: list[AnnotationRecord] = []
-    seen: dict[tuple[str, str], int] = {}
-    duplicates: list[str] = []
+    text_ids: list[str] = []
+    annotator_ids: list[str] = []
+    scores: list[int] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -126,8 +142,6 @@ def load_annotations(path: str, columns: ColumnMapping | None = None) -> Dataset
                     f"{path}: declared column {col!r} not in header {reader.fieldnames}"
                 )
         for row_no, row in enumerate(reader, start=2):
-            text_id = row[columns.text_id]
-            annotator_id = row[columns.annotator_id]
             raw = row[columns.score]
             try:
                 score = int(raw)
@@ -137,43 +151,54 @@ def load_annotations(path: str, columns: ColumnMapping | None = None) -> Dataset
                 ) from None
             if score < 0:
                 raise DataError(f"{path}: row {row_no}: score {score} is negative")
-            key = (text_id, annotator_id)
-            if key in seen:
-                duplicates.append(f"rows {seen[key]},{row_no}: {key}")
-            else:
-                seen[key] = row_no
-                records.append(AnnotationRecord(text_id, annotator_id, score))
-    if duplicates:
+            if score > MAX_SCORE:
+                raise DataError(f"{path}: row {row_no}: score {score} is beyond the int64 range")
+            text_ids.append(row[columns.text_id])
+            annotator_ids.append(row[columns.annotator_id])
+            scores.append(score)
+    dataset = Dataset.from_columns(text_ids, annotator_ids, scores)
+    pairs = dataset.records["text"].astype(np.int64) * len(dataset.annotators) + dataset.records["annotator"]
+    ordered = np.sort(pairs)
+    if (ordered[1:] == ordered[:-1]).any():
+        first: dict[int, int] = {}
+        duplicates = [
+            f"rows {first[pair] + 2},{i + 2}: {(text_ids[i], annotator_ids[i])}"
+            for i, pair in enumerate(pairs.tolist())
+            if first.setdefault(pair, i) != i
+        ]
         raise DuplicateError(
             f"{path}: duplicate (text_id, annotator_id) pairs: " + "; ".join(duplicates)
         )
-    return Dataset(records=records)
+    return dataset
 
 
 def save_annotations(dataset: Dataset, path: str, columns: ColumnMapping | None = None) -> None:
     """Re-emit a dataset with the same column conventions used for loading."""
     columns = columns or ColumnMapping()
+    rows = dataset.records
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([columns.text_id, columns.annotator_id, columns.score])
-        for r in dataset.records:
-            writer.writerow([r.text_id, r.annotator_id, r.raw_score])
+        writer.writerows(zip(
+            dataset.texts[rows["text"]].tolist(),
+            dataset.annotators[rows["annotator"]].tolist(),
+            rows["score"].tolist(),
+        ))
 
 
 def attach_profiles(dataset: Dataset, profiles: dict[str, AnnotatorProfile]) -> Dataset:
     """Attach profiles covering each record's annotator; missing coverage is an error."""
-    needed = {r.annotator_id for r in dataset.records}
-    missing = sorted(needed - profiles.keys())
+    missing = sorted(set(dataset.annotators.tolist()) - profiles.keys())
     if missing:
         raise DataError(f"no profile for annotators: {missing[:10]}{'...' if len(missing) > 10 else ''}")
-    kept = {aid: profiles[aid] for aid in dataset.annotator_ids()}
-    return Dataset(records=list(dataset.records), profiles=kept)
+    return replace(dataset, profiles={aid: profiles[aid] for aid in dataset.annotators.tolist()})
 
 
 def binarize(dataset: Dataset) -> Dataset:
     """Set label = 0 for score 0 and label = 1 for any score above 0. Idempotent."""
-    records = [replace(r, label=0 if r.raw_score == 0 else 1) for r in dataset.records]
-    return Dataset(records=records, profiles=dict(dataset.profiles))
+    records = dataset.records.copy()
+    records["label"] = records["score"] > 0
+    return replace(dataset, records=records, profiles=dict(dataset.profiles))
 
 
 def filter_dataset(
@@ -188,30 +213,26 @@ def filter_dataset(
     """
     if min_annotators_per_text < 1 or min_annotations_per_annotator < 1:
         raise DataError("filter thresholds must be >= 1")
-    original = len(dataset.records)
-
-    per_annotator = Counter(r.annotator_id for r in dataset.records)
-    bad_annotators = {a for a, n in per_annotator.items() if n < min_annotations_per_annotator}
-    after_annotators = [r for r in dataset.records if r.annotator_id not in bad_annotators]
-
-    per_text = Counter(r.text_id for r in after_annotators)
-    bad_texts = {t for t, n in per_text.items() if n < min_annotators_per_text}
-    retained = [r for r in after_annotators if r.text_id not in bad_texts]
-
-    if not retained:
+    rows = dataset.records
+    bad_annotators = np.bincount(rows["annotator"]) < min_annotations_per_annotator
+    kept = ~bad_annotators[rows["annotator"]]
+    # a text every row of which went with the annotator pass is not counted as removed here
+    per_text = np.bincount(rows["text"][kept], minlength=len(dataset.texts))
+    bad_texts = (per_text > 0) & (per_text < min_annotators_per_text)
+    kept &= ~bad_texts[rows["text"]]
+    if not kept.any():
         raise EmptyDatasetError(
             f"filtering with thresholds (texts>={min_annotators_per_text}, "
             f"annotators>={min_annotations_per_annotator}) removed every record"
         )
-    kept_annotators = {r.annotator_id for r in retained}
-    profiles = {a: p for a, p in dataset.profiles.items() if a in kept_annotators}
+    retained = int(kept.sum())
     report = FilterReport(
-        removed_annotators=len(bad_annotators),
-        removed_texts=len(bad_texts),
-        removed_records=original - len(retained),
-        retained_records=len(retained),
+        removed_annotators=int(bad_annotators.sum()),
+        removed_texts=int(bad_texts.sum()),
+        removed_records=len(rows) - retained,
+        retained_records=retained,
     )
-    return Dataset(records=retained, profiles=profiles), report
+    return dataset.subset(kept), report
 
 
 def split_by_text(dataset: Dataset, train_fraction: float, seed: int) -> SplitPair:
@@ -224,7 +245,7 @@ def split_by_text(dataset: Dataset, train_fraction: float, seed: int) -> SplitPa
     """
     if not (0.0 < train_fraction < 1.0):
         raise DataError(f"train_fraction must be in (0,1), got {train_fraction}")
-    texts = sorted({r.text_id for r in dataset.records})
+    texts = sorted(dataset.texts.tolist())
     if len(texts) < 2:
         raise DataError("need at least 2 unique texts to split")
     shuffled = seeded_shuffle(texts, seed)
@@ -235,30 +256,15 @@ def split_by_text(dataset: Dataset, train_fraction: float, seed: int) -> SplitPa
             f"for {len(texts)} texts"
         )
     train_texts = set(shuffled[:n_train])
-
-    def subset(in_train: bool) -> Dataset:
-        recs = [r for r in dataset.records if (r.text_id in train_texts) == in_train]
-        annotators = {r.annotator_id for r in recs}
-        profiles = {a: p for a, p in dataset.profiles.items() if a in annotators}
-        return Dataset(records=recs, profiles=profiles)
-
-    return SplitPair(
-        train=subset(True),
-        test=subset(False),
-        seed=seed,
-        train_fraction=train_fraction,
-    )
+    in_train = np.array([t in train_texts for t in dataset.texts.tolist()])[dataset.records["text"]]
+    return SplitPair(train=dataset.subset(in_train), test=dataset.subset(~in_train))
 
 
-def majority_vote(dataset: Dataset) -> dict[str, int]:
-    """Aggregate per-text labels; strict majority wins, exact ties go to 1."""
-    votes: dict[str, Counter] = {}
-    for r in dataset.records:
-        if r.label is None:
-            raise DataError("majority_vote requires binarized labels")
-        votes.setdefault(r.text_id, Counter())[r.label] += 1
-    out: dict[str, int] = {}
-    for text_id, counter in votes.items():
-        ones, zeros = counter.get(1, 0), counter.get(0, 0)
-        out[text_id] = 1 if ones >= zeros else 0
-    return out
+def majority_vote(dataset: Dataset) -> np.ndarray:
+    """Each text's label, aligned to `dataset.texts`: strict majority wins, exact ties go to 1."""
+    rows = dataset.records
+    if (rows["label"] < 0).any():
+        raise DataError("majority_vote requires binarized labels")
+    n = len(dataset.texts)
+    ones = np.bincount(rows["text"][rows["label"] == 1], minlength=n)
+    return (2 * ones >= np.bincount(rows["text"], minlength=n)).astype(np.int8)

@@ -153,9 +153,6 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self.vectors
-
     def __getitem__(self, key: str) -> np.ndarray:
         try:
             return self.vectors[key]

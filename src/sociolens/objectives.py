@@ -74,7 +74,7 @@ def bce_loss(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
 def contrastive_loss(
     E: np.ndarray,
     labels: np.ndarray,
-    text_ids: list[str],
+    text_ids: np.ndarray,
     tau: float,
 ) -> ContrastiveResult:
     """Masked contrastive loss over one batch, with its gradient w.r.t. E."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import AnnotationRecord, Dataset
+from .corpus import Dataset
 from .errors import ConfigError
 from .features import AnnotatorProfile, EmbeddingTable
 from .model import sigmoid
@@ -105,18 +105,21 @@ def generate_annotations(
 ) -> Dataset:
     """Assign annotators per text without replacement; labels follow the shifted odds."""
     rng = np.random.default_rng([spec.seed, 3])
-    annotator_ids = list(population)
-    shifts = {aid: annotator_shift(population[aid], spec.signal) for aid in annotator_ids}
-    records: list[AnnotationRecord] = []
-    for i, text_id in enumerate(corpus.text_ids):
-        chosen = rng.choice(len(annotator_ids), size=spec.annotations_per_text, replace=False)
-        z = corpus.latent[i]
-        for j in chosen:
-            aid = annotator_ids[int(j)]
-            p = float(sigmoid(np.array([z + shifts[aid]]))[0])
-            label = int(rng.random() < p)
-            records.append(AnnotationRecord(text_id=text_id, annotator_id=aid, raw_score=label, label=label))
-    return Dataset(records=records, profiles=dict(population))
+    annotator_ids = np.array(list(population), dtype=object)
+    shifts = np.array([annotator_shift(population[aid], spec.signal) for aid in annotator_ids], dtype=np.float64)
+    chosen, labels = [], []
+    for z in corpus.latent:
+        picks = rng.choice(len(annotator_ids), size=spec.annotations_per_text, replace=False)
+        chosen.append(picks)
+        labels.append(rng.random(len(picks)) < sigmoid(z + shifts[picks]))
+    labels = np.concatenate(labels).astype(np.int8)
+    return Dataset.from_columns(
+        np.repeat(np.array(corpus.text_ids, dtype=object), spec.annotations_per_text).tolist(),
+        annotator_ids[np.concatenate(chosen)].tolist(),
+        labels,
+        labels,
+        profiles=population,
+    )
 
 
 def generate_socio_embeddings(

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batcher import assemble_batch, plan_epoch
-from .corpus import AnnotationRecord, Dataset, SplitPair, majority_vote
+from .batcher import BatchTables, assemble_batch, plan_epoch
+from .corpus import Dataset, SplitPair, majority_vote
 from .errors import ConfigError, DataError, NumericError, SociolensError
 from .features import EmbeddingTable, SocioSchema, build_schema, encode_multihot
 from .metrics import MetricsReport, aggregate_runs, confusion_metrics
@@ -111,49 +111,36 @@ def build_model_spec(
         dropout_rate=config.dropout_rate,
         temperature=config.temperature,
         contrastive_weight=config.contrastive_weight,
-        annotator_count=len(train.annotator_ids()) if wiring.per_annotator else 0,
+        annotator_count=len(train.annotators) if wiring.per_annotator else 0,
         normalize_embeddings=config.normalize_embeddings,
     )
 
 
-def _check_coverage(dataset: Dataset, table: EmbeddingTable, what: str) -> None:
-    missing = [t for t in dataset.text_ids() if t not in table]
-    if missing:
-        raise DataError(f"{what}: no embedding for text ids {missing[:10]}{'...' if len(missing) > 10 else ''}")
-
-
-def _batch_sources(
+def _batch_tables(
     wiring: Wiring,
     dataset: Dataset,
+    text_table: EmbeddingTable,
     schema: SocioSchema | None,
     socio_table: EmbeddingTable | None,
     annotator_index: dict[str, int] | None,
-) -> dict:
-    """The `assemble_batch` keyword arguments this wiring reads, checked to cover `dataset`."""
-    sources = {"annotator_index": annotator_index if wiring.per_annotator else None}
+) -> BatchTables:
+    """The lookup tables this wiring reads, one row per code of `dataset`; a missing entry is a data error."""
+    annotators = dataset.annotators.tolist()
+    tables = {"text": text_table.matrix(dataset.texts.tolist())}
+    if wiring.per_annotator:
+        tables["annotator_index"] = np.array([annotator_index.get(a, -1) for a in annotators], dtype=np.int64)
     if wiring.socio == "multihot":
-        sources["socio_multihot"] = {a: encode_multihot(p, schema) for a, p in dataset.profiles.items()}
-        missing = [a for a in dataset.annotator_ids() if a not in dataset.profiles]
+        missing = [a for a in annotators if a not in dataset.profiles]
         if missing:
             raise DataError(f"no profile for annotator {missing[0]!r}")
+        tables["socio_multihot"] = np.array(
+            [encode_multihot(dataset.profiles[a], schema) for a in annotators]
+        ).reshape(len(annotators), schema.total_width)
     elif wiring.socio == "embedding":
         if socio_table is None:
             raise DataError("socio_embedding needs an annotator-keyed embedding table")
-        missing = [a for a in dataset.annotator_ids() if a not in socio_table]
-        if missing:
-            raise DataError(f"no socio embedding for annotators {missing[:10]}")
-        sources["socio_table"] = socio_table
-    return sources
-
-
-def _majority_dataset(train: Dataset) -> Dataset:
-    """One pseudo-record per unique text carrying its majority-vote label."""
-    mv = majority_vote(train)
-    records = [
-        AnnotationRecord(text_id=t, annotator_id="<majority>", raw_score=mv[t], label=mv[t])
-        for t in train.text_ids()
-    ]
-    return Dataset(records=records)
+        tables["socio_embedding"] = socio_table.matrix(annotators)
+    return BatchTables(**tables)
 
 
 def train_one(
@@ -167,36 +154,40 @@ def train_one(
 ) -> TrainedRun:
     """Train a single seed; deterministic given (config, seed, split, tables)."""
     train = split.train
-    if not train.records:
+    if not len(train.records):
         raise DataError("empty training split")
-    if any(r.label is None for r in train.records):
+    if (train.records["label"] < 0).any():
         raise DataError("training data must be binarized first")
-    _check_coverage(train, text_table, "train")
-    leaked = set(train.text_ids()) & {r.text_id for r in split.test.records}
+    leaked = set(train.texts.tolist()) & set(split.test.texts.tolist())
     if leaked:
         raise DataError(f"{len(leaked)} test text(s) also in the training split, e.g. {min(leaked)!r}")
 
     wiring = WIRING[config.variant]
     schema = build_schema(train.profiles) if wiring.socio else None
-    annotator_index = {a: i for i, a in enumerate(sorted(train.annotator_ids()))} if wiring.per_annotator else None
-    sources = _batch_sources(wiring, train, schema, socio_table, annotator_index)
+    annotator_index = {a: i for i, a in enumerate(sorted(train.annotators.tolist()))} if wiring.per_annotator else None
+    tables = _batch_tables(wiring, train, text_table, schema, socio_table, annotator_index)
 
     spec = build_model_spec(config, train, text_table, socio_table, schema)
     params = init_params(spec, seed)
     dropout_rng = np.random.default_rng([seed, 0xD0])
 
-    plan_source = _majority_dataset(train) if wiring.majority_vote else train
+    rows = train.records
+    if wiring.majority_vote:
+        # one row per text, in text-code order, labelled by the text's majority vote
+        rows = np.zeros(len(train.texts), dtype=rows.dtype)
+        rows["text"] = np.arange(len(train.texts))
+        rows["label"] = majority_vote(train)
     log_rows: list[dict] = []
     plans = []
     try:
         # fail at the first overflow or NaN, not after it has run through a whole step
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for epoch in range(config.epochs):
-                plan = plan_epoch(plan_source, config.batch_size, seed + epoch)
+                plan = plan_epoch(rows["text"], config.batch_size, seed + epoch)
                 if dump_plan:
                     plans.append(plan.to_jsonable())
                 for indices in plan.batches:
-                    batch = assemble_batch(plan_source, indices, text_table, **sources)
+                    batch = assemble_batch(rows, indices, tables)
                     probs, trace = forward(params, batch, mode="train", rng=dropout_rng)
                     cls_loss, d_logits = bce_loss(probs, batch.labels)
                     cres = None
@@ -230,29 +221,27 @@ def predict(
     text_table: EmbeddingTable,
     socio_table: EmbeddingTable | None = None,
     batch_size: int = 256,
-) -> tuple[np.ndarray, np.ndarray, list[str], int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Eval-mode probabilities for every record, in record order.
 
-    Returns (probs, labels, annotator_ids, unknown_annotator_rows); the
-    last counts multitask rows scored by the mean-head fallback.
+    Returns (probs, labels, annotator_ids, unknown_annotator_rows): the
+    annotator id of each record, and the count of multitask rows scored
+    by the mean-head fallback.
     """
-    if any(r.label is None for r in dataset.records):
+    rows = dataset.records
+    if (rows["label"] < 0).any():
         raise DataError("evaluation data must be binarized first")
-    _check_coverage(dataset, text_table, "eval")
-    sources = _batch_sources(run.params.spec.wiring, dataset, run.schema, socio_table, run.annotator_index)
+    tables = _batch_tables(run.params.spec.wiring, dataset, text_table, run.schema, socio_table, run.annotator_index)
 
-    probs = np.empty(len(dataset.records), dtype=np.float64)
-    fallback_rows = 0
-    for start in range(0, len(dataset.records), batch_size):
-        indices = list(range(start, min(start + batch_size, len(dataset.records))))
-        batch = assemble_batch(dataset, indices, text_table, **sources)
-        if batch.annotator_index is not None:
-            fallback_rows += int(np.sum(batch.annotator_index < 0))
+    probs = np.empty(len(rows), dtype=np.float64)
+    for start in range(0, len(rows), batch_size):
+        batch = assemble_batch(rows, slice(start, start + batch_size), tables)
         p, _ = forward(run.params, batch, mode="eval")
-        probs[start : start + len(indices)] = p
-    labels = np.array([r.label for r in dataset.records], dtype=np.float64)
-    annotator_ids = [r.annotator_id for r in dataset.records]
-    return probs, labels, annotator_ids, fallback_rows
+        probs[start : start + len(p)] = p
+    fallback_rows = 0
+    if tables.annotator_index is not None:
+        fallback_rows = int(np.sum(tables.annotator_index[rows["annotator"]] < 0))
+    return probs, rows["label"].astype(np.float64), dataset.annotators[rows["annotator"]], fallback_rows
 
 
 def train_suite(

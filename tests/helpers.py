@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from sociolens.batcher import Batch
 from sociolens.cli import main
-from sociolens.corpus import AnnotationRecord, Dataset
+from sociolens.corpus import Dataset
 from sociolens.errors import ConfigError, DataError, NumericError
 from sociolens.features import EmbeddingTable, SocioSchema
 from sociolens.homophily import (
@@ -89,11 +89,19 @@ def run_chain(tmp_path: Path, config: dict, commands=("synth", "prep", "train", 
 
 def make_dataset(triples, labels: bool = False) -> Dataset:
     """A dataset of (text id, annotator id, score) rows; `labels` binarizes them as well."""
-    records = [
-        AnnotationRecord(t, a, s, label=(0 if s == 0 else 1) if labels else None)
-        for t, a, s in triples
-    ]
-    return Dataset(records=records)
+    text_ids, annotator_ids, scores = (list(column) for column in zip(*triples)) if triples else ([], [], [])
+    return Dataset.from_columns(
+        text_ids, annotator_ids, scores, [int(s > 0) for s in scores] if labels else None
+    )
+
+
+def rows_of(dataset: Dataset) -> list[tuple[str, str, int, int]]:
+    """(text id, annotator id, score, label) per record, in record order; label -1 = unbinarized."""
+    r = dataset.records
+    return list(zip(
+        dataset.texts[r["text"]].tolist(), dataset.annotators[r["annotator"]].tolist(),
+        r["score"].tolist(), r["label"].tolist(),
+    ))
 
 
 @st.composite

@@ -18,13 +18,14 @@ from helpers import (
     chance_probability,
     contrastive_loss_oracle,
     gradient_check_instance,
+    make_dataset,
     pair_counting_auc,
     roc_curve_area,
 )
 from sociolens import corpus, homophily, metrics, synth, trainer
 from sociolens.batcher import contrastive_masks, plan_epoch, text_match_mask
 from sociolens.cli import main as cli_main
-from sociolens.corpus import AnnotationRecord, Dataset, split_by_text
+from sociolens.corpus import split_by_text
 from sociolens.objectives import contrastive_loss
 from sociolens.synth import AttributeSpec, PopulationSpec
 
@@ -110,31 +111,29 @@ def test_criterion_04_batching_invariants():
     cases = 500
     for _ in range(cases):
         n_texts = int(rng.integers(1, 14))
-        records = []
+        rows = []
         for t in range(n_texts):
             for j in range(int(rng.integers(1, 10))):
-                records.append(
-                    AnnotationRecord(f"t{t}", f"a{t}_{j}", 1, label=int(rng.integers(0, 2)))
-                )
-        dataset = Dataset(records=records)
+                rows.append((f"t{t}", f"a{t}_{j}", int(rng.integers(0, 2))))
+        dataset = make_dataset(rows, labels=True)
         batch_size = int(rng.integers(2, 9))
-        plan = plan_epoch(dataset, batch_size, int(rng.integers(0, 10**6)))
+        batches = plan_epoch(dataset.records["text"], batch_size, int(rng.integers(0, 10**6))).to_jsonable()["batches"]
 
-        flat = [i for batch in plan.batches for i in batch]
-        assert sorted(flat) == list(range(len(records))), "partition violated"
-        assert all(len(b) <= batch_size for b in plan.batches), "batch size exceeded"
-        assert all(len(b) == batch_size for b in plan.batches[:-1]), "spill left a hole"
+        flat = [i for batch in batches for i in batch]
+        assert sorted(flat) == list(range(len(rows))), "partition violated"
+        assert all(len(b) <= batch_size for b in batches), "batch size exceeded"
+        assert all(len(b) == batch_size for b in batches[:-1]), "spill left a hole"
 
-        stream_texts = [records[i].text_id for i in flat]
+        stream_texts = [rows[i][0] for i in flat]
         seen_closed = set()
         for idx, t in enumerate(stream_texts):
             if idx > 0 and t != stream_texts[idx - 1]:
                 assert t not in seen_closed, "text group split in the stream"
                 seen_closed.add(stream_texts[idx - 1])
 
-        some = plan.batches[int(rng.integers(0, len(plan.batches)))]
-        ids = [records[i].text_id for i in some]
-        labels = np.array([records[i].label for i in some], dtype=float)
+        some = batches[int(rng.integers(0, len(batches)))]
+        ids = dataset.records["text"][some]
+        labels = dataset.records["label"][some].astype(float)
         m_pos, m_neg = contrastive_masks(ids, labels)
         m_text = text_match_mask(ids)
         assert not (m_pos * m_neg).any(), "masks overlap"

@@ -5,16 +5,21 @@ from hypothesis import strategies as st
 
 from helpers import annotation_triples, make_dataset, reference_plan_epoch
 from sociolens.batcher import contrastive_masks, plan_epoch, text_match_mask
-from sociolens.corpus import AnnotationRecord, Dataset
+from sociolens.corpus import Dataset
 from sociolens.errors import DataError
 
 
 def dataset_with_groups(sizes: dict[str, int]) -> Dataset:
-    records = []
-    for text, n in sizes.items():
-        for j in range(n):
-            records.append(AnnotationRecord(text, f"{text}_a{j}", 1, label=1))
-    return Dataset(records=records)
+    return make_dataset([(text, f"{text}_a{j}", 1) for text, n in sizes.items() for j in range(n)], labels=True)
+
+
+def plan(ds: Dataset, batch_size: int, seed: int) -> list[list[int]]:
+    """The epoch plan over `ds`'s rows as lists of row indices."""
+    return plan_epoch(ds.records["text"], batch_size, seed).to_jsonable()["batches"]
+
+
+def text_ids(ds: Dataset, indices: list[int]) -> list[str]:
+    return ds.texts[ds.records["text"][indices]].tolist()
 
 
 class TestPlanEpoch:
@@ -22,9 +27,9 @@ class TestPlanEpoch:
         # group sizes 3 and 2 with batch 4: whichever group shuffles first,
         # the stream chops into one full batch and one leftover record
         ds = dataset_with_groups({"A": 3, "B": 2})
-        plan = plan_epoch(ds, 4, seed=0)
-        texts = [[ds.records[i].text_id for i in batch] for batch in plan.batches]
-        assert [len(b) for b in plan.batches] == [4, 1]
+        batches = plan(ds, 4, seed=0)
+        texts = [text_ids(ds, batch) for batch in batches]
+        assert [len(b) for b in batches] == [4, 1]
         first, second = ("A", "B") if texts[0][0] == "A" else ("B", "A")
         sizes = {"A": 3, "B": 2}
         # first group fully inside batch 0, second group split across the boundary
@@ -36,31 +41,28 @@ class TestPlanEpoch:
         # seed 1 shuffles the two groups into (A, B) order: frozen after
         # inspecting the seeded generator; the assertion locks the layout
         ds = dataset_with_groups({"A": 3, "B": 2})
-        plan = plan_epoch(ds, 4, seed=1)
-        texts = [[ds.records[i].text_id for i in batch] for batch in plan.batches]
+        texts = [text_ids(ds, batch) for batch in plan(ds, 4, seed=1)]
         assert texts == [["A", "A", "A", "B"], ["B"]]
 
     def test_oversize_group_spills(self):
         ds = dataset_with_groups({"big": 70})
-        plan = plan_epoch(ds, 32, seed=3)
-        assert [len(b) for b in plan.batches] == [32, 32, 6]
+        assert [len(b) for b in plan(ds, 32, seed=3)] == [32, 32, 6]
 
     @settings(max_examples=300, deadline=None)
     @given(annotation_triples(), st.integers(2, 9), st.integers(0, 2**32 - 1))
     def test_partition_property(self, triples, batch_size, seed):
         ds = make_dataset(triples, labels=True)
-        plan = plan_epoch(ds, batch_size, seed)
-        flat = [i for batch in plan.batches for i in batch]
+        batches = plan(ds, batch_size, seed)
+        flat = [i for batch in batches for i in batch]
         assert sorted(flat) == list(range(len(ds.records)))
-        assert all(len(b) <= batch_size for b in plan.batches)
+        assert all(len(b) <= batch_size for b in batches)
 
     @settings(max_examples=300, deadline=None)
     @given(annotation_triples(), st.integers(2, 9), st.integers(0, 2**32 - 1))
     def test_contiguity_property(self, triples, batch_size, seed):
         # each text's rows form one run of the stream, so a text spans at most two batches in a row
         ds = make_dataset(triples, labels=True)
-        plan = plan_epoch(ds, batch_size, seed)
-        stream = [ds.records[i].text_id for batch in plan.batches for i in batch]
+        stream = [t for batch in plan(ds, batch_size, seed) for t in text_ids(ds, batch)]
         runs = [t for i, t in enumerate(stream) if i == 0 or t != stream[i - 1]]
         assert len(runs) == len(set(runs))
 
@@ -68,29 +70,29 @@ class TestPlanEpoch:
     @given(annotation_triples(), st.integers(2, 9), st.integers(0, 2**32 - 1))
     def test_plan_equals_record_reference(self, triples, batch_size, seed):
         ds = make_dataset(triples, labels=True)
-        plan = plan_epoch(ds, batch_size, seed)
-        assert plan.batches == reference_plan_epoch([r.text_id for r in ds.records], batch_size, seed)
+        assert plan(ds, batch_size, seed) == reference_plan_epoch([t for t, _, _ in triples], batch_size, seed)
 
     def test_same_seed_identical_plan(self):
         ds = dataset_with_groups({"A": 5, "B": 4, "C": 3})
-        assert plan_epoch(ds, 4, 11).batches == plan_epoch(ds, 4, 11).batches
+        assert plan(ds, 4, 11) == plan(ds, 4, 11)
 
     def test_different_seed_same_multiset(self):
         ds = dataset_with_groups({"A": 5, "B": 4, "C": 3})
-        a = plan_epoch(ds, 4, 1)
-        b = plan_epoch(ds, 4, 2)
-        assert a.batches != b.batches
-        assert sorted(i for x in a.batches for i in x) == sorted(i for x in b.batches for i in x)
+        a = plan(ds, 4, 1)
+        b = plan(ds, 4, 2)
+        assert a != b
+        assert sorted(i for x in a for i in x) == sorted(i for x in b for i in x)
 
     def test_batch_size_below_two_rejected(self):
         with pytest.raises(DataError):
-            plan_epoch(dataset_with_groups({"A": 3}), 1, 0)
+            plan(dataset_with_groups({"A": 3}), 1, 0)
 
 
 class TestMasks:
     def test_text_match_examples(self):
         m = text_match_mask(["t1", "t1", "t2"])
         assert m.tolist() == [[1, 1, 0], [1, 1, 0], [0, 0, 1]]
+        assert np.array_equal(text_match_mask(np.array([0, 0, 1], dtype=np.int32)), m)
         assert text_match_mask(["a", "b", "c"]).tolist() == np.eye(3).tolist()
 
     def test_text_match_symmetry(self):

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import annotation_triples, make_dataset
+from helpers import annotation_triples, make_dataset, rows_of
 from sociolens import corpus
 from sociolens.corpus import (
-    AnnotationRecord,
     ColumnMapping,
     Dataset,
     binarize,
@@ -32,7 +31,7 @@ class TestLoadAnnotations:
         write_csv(path, ["t1,a1,0", "t1,a2,2", "t2,a1,1"])
         ds = load_annotations(str(path))
         assert len(ds.records) == 3
-        assert ds.records[1] == AnnotationRecord("t1", "a2", 2)
+        assert rows_of(ds)[1] == ("t1", "a2", 2, -1)
 
     def test_duplicate_pair_names_rows(self, tmp_path):
         path = tmp_path / "a.csv"
@@ -58,6 +57,12 @@ class TestLoadAnnotations:
         with pytest.raises(DataError, match="negative"):
             load_annotations(str(path))
 
+    def test_score_beyond_int64(self, tmp_path):
+        path = tmp_path / "a.csv"
+        write_csv(path, ["t1,a1,9223372036854775807", "t1,a2,9223372036854775808"])
+        with pytest.raises(DataError, match="row 3: .* int64"):
+            load_annotations(str(path))
+
     def test_custom_column_mapping_count_matches_line_count(self, tmp_path):
         # production-shaped export: comment/annotator/score columns
         path = tmp_path / "export.csv"
@@ -73,22 +78,21 @@ class TestLoadAnnotations:
         out = tmp_path / "out.csv"
         save_annotations(ds, str(out))
         again = load_annotations(str(out))
-        assert again.records == ds.records
+        assert rows_of(again) == rows_of(ds)
 
 
 class TestBinarize:
     @pytest.mark.parametrize("score,label", [(0, 0), (1, 1), (4, 1)])
     def test_zero_versus_above(self, score, label):
         ds = binarize(make_dataset([("t", "a", score)]))
-        assert ds.records[0].label == label
-        assert ds.records[0].raw_score == score
+        assert rows_of(ds)[0][2:] == (score, label)
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
         triples = [(f"t{i}", f"a{i}", int(rng.integers(0, 5))) for i in range(40)]
         once = binarize(make_dataset(triples))
         twice = binarize(once)
-        assert once.records == twice.records
+        assert rows_of(once) == rows_of(twice)
 
 
 class TestFilterDataset:
@@ -96,7 +100,7 @@ class TestFilterDataset:
         triples = [(f"t{i}", "busy", 1) for i in range(25)]
         triples += [(f"t{i}", "slacker", 1) for i in range(19)]
         ds, report = filter_dataset(make_dataset(triples, labels=True), 1, 20)
-        assert {r.annotator_id for r in ds.records} == {"busy"}
+        assert {a for _, a, _, _ in rows_of(ds)} == {"busy"}
         assert report.removed_annotators == 1
         assert report.removed_records == 19
 
@@ -104,7 +108,7 @@ class TestFilterDataset:
         triples = [(f"t{i}", "a1", 1) for i in range(30)] + [(f"t{i}", "a2", 1) for i in range(29)]
         # t29 only has a1 after no annotator removals
         ds, report = filter_dataset(make_dataset(triples, labels=True), 2, 20)
-        assert "t29" not in {r.text_id for r in ds.records}
+        assert "t29" not in {t for t, _, _, _ in rows_of(ds)}
         assert report.removed_texts == 1
 
     def test_vacuous_thresholds_keep_everything(self):
@@ -119,8 +123,8 @@ class TestFilterDataset:
         triples = [("t1", "a1", 1), ("t1", "a2", 1), ("t2", "a2", 1), ("t2", "a3", 1), ("t3", "a1", 1)]
         ds, _ = filter_dataset(make_dataset(triples, labels=True), 2, 2)
         # a3 (1 record) removed first; t2 then has only a2 -> removed; a2 now has 1 record but stays
-        assert {r.annotator_id for r in ds.records} == {"a1", "a2"}
-        assert {r.text_id for r in ds.records} == {"t1"}
+        assert {a for _, a, _, _ in rows_of(ds)} == {"a1", "a2"}
+        assert {t for t, _, _, _ in rows_of(ds)} == {"t1"}
 
     def test_counts_sum_consistently(self):
         rng = np.random.default_rng(5)
@@ -149,8 +153,8 @@ class TestSplitByText:
 
     def test_cardinality_and_disjoint(self):
         split = split_by_text(self.make(10), 0.7, seed=4)
-        train_texts = {r.text_id for r in split.train.records}
-        test_texts = {r.text_id for r in split.test.records}
+        train_texts = {t for t, _, _, _ in rows_of(split.train)}
+        test_texts = {t for t, _, _, _ in rows_of(split.test)}
         assert len(train_texts) == math.ceil(0.7 * 10) == 7
         assert len(test_texts) == 3
         assert not (train_texts & test_texts)
@@ -159,30 +163,30 @@ class TestSplitByText:
         split = split_by_text(self.make(10), 0.7, seed=4)
         for side in (split.train, split.test):
             counts = {}
-            for r in side.records:
-                counts[r.text_id] = counts.get(r.text_id, 0) + 1
+            for t, _, _, _ in rows_of(side):
+                counts[t] = counts.get(t, 0) + 1
             assert all(c == 3 for c in counts.values())
 
     def test_same_seed_identical(self):
         ds = self.make(12)
         a = split_by_text(ds, 0.6, seed=9)
         b = split_by_text(ds, 0.6, seed=9)
-        assert a.train.records == b.train.records
-        assert a.test.records == b.test.records
+        assert rows_of(a.train) == rows_of(b.train)
+        assert rows_of(a.test) == rows_of(b.test)
 
     def test_split_independent_of_record_order(self):
         ds = self.make(8)
-        reversed_ds = Dataset(records=list(reversed(ds.records)))
+        reversed_ds = ds.subset(np.arange(len(ds.records))[::-1])
         a = split_by_text(ds, 0.5, seed=2)
         b = split_by_text(reversed_ds, 0.5, seed=2)
-        assert {r.text_id for r in a.train.records} == {r.text_id for r in b.train.records}
+        assert {t for t, _, _, _ in rows_of(a.train)} == {t for t, _, _, _ in rows_of(b.train)}
 
     def test_union_exhaustive_over_seeds(self):
         ds = self.make(9)
-        all_texts = {r.text_id for r in ds.records}
+        all_texts = {t for t, _, _, _ in rows_of(ds)}
         for seed in range(25):
             split = split_by_text(ds, 0.44, seed=seed)
-            got = {r.text_id for r in split.train.records} | {r.text_id for r in split.test.records}
+            got = {t for t, _, _, _ in rows_of(split.train) + rows_of(split.test)}
             assert got == all_texts
 
     @settings(max_examples=300, deadline=None)
@@ -195,8 +199,7 @@ class TestSplitByText:
         sides = []
         for rows in (triples, shuffled):
             split = split_by_text(make_dataset(rows, labels=True), fraction, seed)
-            train, test = ({(r.text_id, r.annotator_id, r.raw_score) for r in side.records}
-                           for side in (split.train, split.test))
+            train, test = ({row[:3] for row in rows_of(side)} for side in (split.train, split.test))
             assert len(train) + len(test) == len(rows)
             assert train | test == set(rows)
             assert not {t for t, _, _ in train} & {t for t, _, _ in test}
@@ -216,17 +219,21 @@ class TestSplitByText:
         ds.profiles.update({f"a{j}": AnnotatorProfile(f"a{j}") for j in range(3)})
         split = split_by_text(ds, 0.5, seed=1)
         for side in (split.train, split.test):
-            assert set(side.profiles) == {r.annotator_id for r in side.records}
+            assert set(side.profiles) == {a for _, a, _, _ in rows_of(side)}
+
+
+def votes(ds: Dataset) -> dict[str, int]:
+    return dict(zip(ds.texts.tolist(), majority_vote(ds).tolist()))
 
 
 class TestMajorityVote:
     def test_strict_majority(self):
         ds = make_dataset([("t", "a1", 1), ("t", "a2", 1), ("t", "a3", 0)], labels=True)
-        assert majority_vote(ds) == {"t": 1}
+        assert votes(ds) == {"t": 1}
 
     def test_unanimous_zero(self):
         ds = make_dataset([("t", "a1", 0), ("t", "a2", 0), ("t", "a3", 0)], labels=True)
-        assert majority_vote(ds) == {"t": 0}
+        assert votes(ds) == {"t": 0}
 
     def test_tie_rule_matches_exhaustive_enumeration(self):
         # enumerate every vote multiset up to 4 votes; ties must resolve to 1
@@ -237,15 +244,11 @@ class TestMajorityVote:
                 triples = [("t", f"p{i}", 1) for i in range(ones)]
                 triples += [("t", f"n{i}", 0) for i in range(zeros)]
                 expected = 1 if ones >= zeros else 0
-                assert majority_vote(make_dataset(triples, labels=True)) == {"t": expected}, (ones, zeros)
+                assert votes(make_dataset(triples, labels=True)) == {"t": expected}, (ones, zeros)
 
     def test_requires_labels(self):
         with pytest.raises(DataError):
             majority_vote(make_dataset([("t", "a", 1)]))
-
-
-def masked(ds: Dataset, mask: list[bool]) -> Dataset:
-    return Dataset(records=[r for r, keep in zip(ds.records, mask) if keep])
 
 
 @settings(max_examples=300, deadline=None)
@@ -253,18 +256,15 @@ def masked(ds: Dataset, mask: list[bool]) -> Dataset:
 def test_ids_after_any_row_mask_in_first_appearance_order(triples, data):
     mask = data.draw(st.lists(st.booleans(), min_size=len(triples), max_size=len(triples)))
     kept = [row for row, keep in zip(triples, mask) if keep]
-    ds = masked(make_dataset(triples), mask)
-    assert ds.text_ids() == list(dict.fromkeys(t for t, _, _ in kept))
-    assert ds.annotator_ids() == list(dict.fromkeys(a for _, a, _ in kept))
+    ds = make_dataset(triples).subset(np.array(mask, dtype=bool))
+    assert [row[:3] for row in rows_of(ds)] == kept
+    assert ds.texts.tolist() == list(dict.fromkeys(t for t, _, _ in kept))
+    assert ds.annotators.tolist() == list(dict.fromkeys(a for _, a, _ in kept))
 
 
 def test_stats_match_records():
     ds = binarize(make_dataset([("t1", "a1", 0), ("t1", "a2", 2), ("t2", "a1", 1)]))
-    stats = ds.stats
-    assert stats.records == 3
-    assert stats.unique_texts == 2
-    assert stats.unique_annotators == 2
-    assert stats.label_counts == {0: 1, 1: 2}
+    assert ds.stats == {"records": 3, "unique_texts": 2, "unique_annotators": 2, "label_counts": {"0": 1, "1": 2}}
 
 
 def test_attach_profiles_requires_coverage():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import rows_of
 from sociolens import corpus
 from sociolens.errors import ConfigError
 from sociolens.features import load_profiles, save_profiles
@@ -89,14 +90,14 @@ class TestGenerateAnnotations:
         spec = base_spec()
         ds = generate_annotations(generate_population(spec), generate_corpus(spec), spec)
         counts = {}
-        for r in ds.records:
-            counts[r.text_id] = counts.get(r.text_id, 0) + 1
+        for t, _, _, _ in rows_of(ds):
+            counts[t] = counts.get(t, 0) + 1
         assert all(c == 4 for c in counts.values())
 
     def test_no_duplicate_pairs(self):
         spec = base_spec()
         ds = generate_annotations(generate_population(spec), generate_corpus(spec), spec)
-        pairs = [(r.text_id, r.annotator_id) for r in ds.records]
+        pairs = [(t, a) for t, a, _, _ in rows_of(ds)]
         assert len(pairs) == len(set(pairs))
 
     def test_signal_shifts_positive_rate_on_borderline_texts(self):
@@ -110,8 +111,8 @@ class TestGenerateAnnotations:
         corp = generate_corpus(spec)
         ds = generate_annotations(population, corp, spec)
         z = dict(zip(corp.text_ids, corp.latent))
-        borderline = [r for r in ds.records if abs(z[r.text_id]) < 0.2]
-        shifted = [r.label for r in borderline if population[r.annotator_id].assignments["gender"] == "f"]
+        borderline = [(a, label) for t, a, _, label in rows_of(ds) if abs(z[t]) < 0.2]
+        shifted = [label for a, label in borderline if population[a].assignments["gender"] == "f"]
         rate = float(np.mean(shifted))
         assert rate == pytest.approx(1.0 / (1.0 + math.exp(-3.0)), abs=0.05)
 
@@ -121,9 +122,7 @@ class TestGenerateAnnotations:
         ds = generate_annotations(population, generate_corpus(spec), spec)
         rates = {}
         for cat in ("f", "m"):
-            labels = [
-                r.label for r in ds.records if population[r.annotator_id].assignments["gender"] == cat
-            ]
+            labels = [label for _, a, _, label in rows_of(ds) if population[a].assignments["gender"] == cat]
             rates[cat] = float(np.mean(labels))
         assert abs(rates["f"] - rates["m"]) < 0.04
 
@@ -147,9 +146,7 @@ class TestRoundTrip:
         save_profiles(population, str(prof_path))
 
         reloaded = corpus.binarize(corpus.load_annotations(str(ann_path)))
-        assert [(r.text_id, r.annotator_id, r.label) for r in reloaded.records] == [
-            (r.text_id, r.annotator_id, r.label) for r in ds.records
-        ]
+        assert rows_of(reloaded) == rows_of(ds)
         assert load_profiles(str(prof_path)) == population
 
 

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from helpers import base_config, run_chain
-from sociolens import corpus, synth, trainer
+from helpers import base_config, make_dataset, rows_of, run_chain
+from sociolens import synth, trainer
 from sociolens.corpus import SplitPair, split_by_text
 from sociolens.errors import DataError
 from sociolens.features import EmbeddingTable
@@ -44,7 +44,7 @@ def tiny_config(variant, seeds=(0,), **kw):
 class TestTrainOne:
     def test_simple_uses_one_sample_per_text(self):
         split, table, _ = make_world()
-        n_texts = split.train.stats.unique_texts
+        n_texts = split.train.stats["unique_texts"]
         config = tiny_config("simple", batch_size=32)
         run = train_one(config, 0, split, table)
         per_epoch = [row for row in run.log_rows if row["epoch"] == 0]
@@ -52,35 +52,24 @@ class TestTrainOne:
         assert len(per_epoch) == int(np.ceil(n_texts / 32))
         assert len(run.log_rows) == config.epochs * len(per_epoch)
 
-    def test_simple_three_text_toy_set(self):
+    def test_simple_three_text_toy_set(self, tmp_path):
         rng = np.random.default_rng(0)
-        records = [
-            corpus.AnnotationRecord(t, a, s, label=s)
-            for t, a, s in [
-                ("t1", "a1", 1), ("t1", "a2", 1), ("t1", "a3", 0),
-                ("t2", "a1", 0), ("t2", "a2", 0),
-                ("t3", "a2", 1), ("t3", "a3", 1),
-            ]
-        ]
+        train = make_dataset([
+            ("t1", "a1", 1), ("t1", "a2", 1), ("t1", "a3", 0),
+            ("t2", "a1", 0), ("t2", "a2", 0),
+            ("t3", "a2", 1), ("t3", "a3", 1),
+        ], labels=True)
         table = EmbeddingTable(4, {t: rng.standard_normal(4) for t in ("t1", "t2", "t3", "t9")})
-        split = SplitPair(
-            train=corpus.Dataset(records=records),
-            test=corpus.Dataset(records=[corpus.AnnotationRecord("t9", "a1", 1, label=1)]),
-            seed=0,
-            train_fraction=0.75,
-        )
+        split = SplitPair(train=train, test=make_dataset([("t9", "a1", 1)], labels=True))
         config = tiny_config("simple", batch_size=32)
-        run = train_one(config, 0, split, table)
+        run = train_one(config, 0, split, table, out_dir=str(tmp_path), dump_plan=True)
         assert len(run.log_rows) == config.epochs  # 3 samples fit one batch per epoch
-        from sociolens.batcher import plan_epoch
-        from sociolens.trainer import _majority_dataset
-
-        plan = plan_epoch(_majority_dataset(split.train), 32, 0)
-        assert sum(len(b) for b in plan.batches) == 3  # one sample per unique text
+        plans = json.loads((tmp_path / "seed0" / "plans.json").read_text())["epochs"]
+        assert [sum(len(b) for b in p["batches"]) for p in plans] == [3] * config.epochs  # one sample per unique text
 
     def test_step_count_matches_plan(self):
         split, table, _ = make_world()
-        n = split.train.stats.records
+        n = split.train.stats["records"]
         config = tiny_config("socio_multihot", batch_size=8, epochs=3)
         run = train_one(config, 0, split, table)
         assert len(run.log_rows) == int(np.ceil(n / 8)) * 3
@@ -109,7 +98,7 @@ class TestTrainOne:
         split, table, _ = make_world()
         partial = EmbeddingTable(
             table.dimension,
-            {k: v for k, v in table.vectors.items() if k != split.train.records[0].text_id},
+            {k: v for k, v in table.vectors.items() if k != split.train.texts[0]},
         )
         with pytest.raises(DataError, match="no embedding"):
             train_one(tiny_config("simple"), 0, split, partial)
@@ -117,19 +106,17 @@ class TestTrainOne:
     def test_leak_check_fires_on_a_shared_text(self):
         # one train text copied into the test split; the check runs before any step
         split, table, _ = make_world()
-        shared = [r for r in split.train.records if r.text_id == split.train.records[0].text_id]
-        test = corpus.Dataset(records=split.test.records + shared, profiles=split.test.profiles)
-        bad = SplitPair(train=split.train, test=test, seed=0, train_fraction=0.5)
+        shared = [row[:3] for row in rows_of(split.train) if row[0] == split.train.texts[0]]
+        test = make_dataset([row[:3] for row in rows_of(split.test)] + shared, labels=True)
+        bad = SplitPair(train=split.train, test=test)
         with pytest.raises(DataError, match="also in the training split"):
             train_one(tiny_config("simple"), 0, bad, table)
 
     def test_unbinarized_data_rejected(self):
         split, table, _ = make_world()
-        stripped = corpus.Dataset(
-            records=[corpus.AnnotationRecord(r.text_id, r.annotator_id, r.raw_score) for r in split.train.records],
-            profiles=split.train.profiles,
-        )
-        bad = SplitPair(train=stripped, test=split.test, seed=0, train_fraction=0.7)
+        stripped = make_dataset([row[:3] for row in rows_of(split.train)])
+        stripped.profiles = split.train.profiles
+        bad = SplitPair(train=stripped, test=split.test)
         with pytest.raises(DataError, match="binarized"):
             train_one(tiny_config("simple"), 0, bad, table)
 
@@ -166,7 +153,7 @@ class TestPredictAndSuite:
             suite = train_suite(config, split, table, socio_table=socio_table)
             assert len(suite.reports) == 1
             report = suite.reports[0]
-            assert report.n == split.test.stats.records
+            assert report.n == split.test.stats["records"]
             assert 0.0 <= report.f1 <= 1.0
 
     def test_suite_one_checkpoint_per_seed(self, tmp_path):
@@ -195,17 +182,16 @@ class TestPredictAndSuite:
         run = train_one(tiny_config("simple"), 0, split, table)
         probs, _, _, _ = predict(run, split.test, table)
         by_text = {}
-        for r, p in zip(split.test.records, probs):
-            by_text.setdefault(r.text_id, set()).add(round(float(p), 12))
+        for (text_id, *_), p in zip(rows_of(split.test), probs):
+            by_text.setdefault(text_id, set()).add(round(float(p), 12))
         assert all(len(v) == 1 for v in by_text.values())
 
     def test_multitask_counts_fallback_rows(self):
         split, table, _ = make_world()
         run = train_one(tiny_config("multitask"), 0, split, table)
-        train_annotators = set(split.train.annotator_ids())
-        unseen = [a for a in split.test.annotator_ids() if a not in train_annotators]
+        train_annotators = {a for _, a, _, _ in rows_of(split.train)}
         _, _, _, fallback = predict(run, split.test, table)
-        expected = sum(1 for r in split.test.records if r.annotator_id in set(unseen))
+        expected = sum(1 for _, a, _, _ in rows_of(split.test) if a not in train_annotators)
         assert fallback == expected
 
 
