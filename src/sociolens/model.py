@@ -425,17 +425,18 @@ def extract_socio_reps(
 ) -> dict[str, np.ndarray]:
     """Learned representation per unique annotator; identical profiles map identically.
 
-    Each profile row runs the eval-mode projection stack on its own: the
-    last bit of a batched product can depend on where a row sits in it.
+    Each distinct profile row runs the eval-mode projection stack once and
+    on its own: the last bit of a batched product can depend on where a
+    row sits in it. Annotators with equal rows share that result.
     """
     spec = params.spec
     if not spec.wiring.projected:
         raise ConfigError(f"socio representations only exist for socio_contrastive, not {spec.variant}")
     projection = range(spec.trunk_start)
-    return {
-        aid: _stack_forward(params.tensors, projection, encode_multihot(profile, schema)[None, :])[0]
-        for aid, profile in profiles.items()
-    }
+    rows = np.array([encode_multihot(profile, schema) for profile in profiles.values()])
+    distinct, inverse = np.unique(rows.reshape(len(profiles), schema.total_width), axis=0, return_inverse=True)
+    reps = [_stack_forward(params.tensors, projection, row[None, :])[0] for row in distinct]
+    return {aid: reps[i] for aid, i in zip(profiles, inverse.reshape(-1).tolist())}
 
 
 def save_checkpoint(
