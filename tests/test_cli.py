@@ -454,3 +454,42 @@ def test_any_train_field_value_loads_or_is_a_config_error(tmp_path, section_fiel
         load_config(str(path))
     except ConfigError:
         pass
+
+
+@pytest.fixture(scope="module")
+def trained_chain(tmp_path_factory):
+    """A toy chain through train, whose output tree each flag example copies."""
+    tmp_path = tmp_path_factory.mktemp("flags")
+    config = base_config(str(tmp_path / "out"))
+    config["train"]["epochs"] = 1
+    run_chain(tmp_path, config, commands=("synth", "prep", "train"))
+    return config
+
+
+FLAG_VALUES = {
+    "--seed": st.integers(-2, 2**64) | st.text(max_size=4),
+    "--variant": st.sampled_from(["all", "simple", "socio_contrastive"]) | st.text(max_size=8),
+    "--lambda": st.floats() | st.text(max_size=4),
+}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.sampled_from(sorted(cli.COMMANDS)),
+    st.fixed_dictionaries({}, optional=FLAG_VALUES),
+    st.booleans(),
+)
+def test_any_flag_value_exits_with_a_documented_code(tmp_path, trained_chain, command, flags, dump_plan):
+    work = tmp_path / "work"
+    shutil.rmtree(work, ignore_errors=True)
+    shutil.copytree(trained_chain["output_dir"], work / "out")
+    path = work / "c.json"
+    path.write_text(json.dumps(dict(trained_chain, output_dir=str(work / "out"))), encoding="utf-8")
+    argv = [command, "--config", str(path), *(f"{flag}={value}" for flag, value in flags.items())]
+    if dump_plan:
+        argv.append("--dump-plan")
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a value its type cannot parse
+        code = exc.code
+    assert code in (0, 2, 3, 4), argv
