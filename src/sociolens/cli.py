@@ -249,9 +249,7 @@ def cmd_eval(cfg: config_mod.PipelineConfig) -> int:
                 if profiled is None:
                     profiled = corpus.attach_profiles(dataset, all_profiles)
                 run_data = profiled
-            probs, labels, annotator_ids, fallback = trainer.predict(
-                run, run_data, text_table, socio_table
-            )
+            probs, labels, fallback = trainer.predict(run, run_data, text_table, socio_table)
             fallback_rows += fallback
             report = metrics.confusion_metrics(probs, labels)
             reports.append(report)
@@ -262,9 +260,9 @@ def cmd_eval(cfg: config_mod.PipelineConfig) -> int:
                 pass
             if all_profiles is not None:
                 schema = run.schema or features.build_schema(all_profiles)
-                groups_by_seed.append(
-                    metrics.group_breakdown(probs, labels, annotator_ids, all_profiles, schema)
-                )
+                groups_by_seed.append(metrics.group_breakdown(
+                    probs, labels, run_data.records["annotator"], run_data.annotators.tolist(), all_profiles, schema
+                ))
         payload = {
             "variant": variant,
             "per_seed": [r.to_dict() for r in reports],
@@ -358,6 +356,37 @@ def _fmt_pm(mean: float, std: float) -> str:
     return f"{mean:.3f} ± {std:.3f}"
 
 
+def _read_input(path: str, parse):
+    """`parse` applied to one report input, opened as text; anything malformed is a DataError naming the file."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return parse(fh)
+    except (ValueError, KeyError, TypeError, csv.Error) as exc:
+        raise DataError(f"{path}: malformed report input: {exc!r}") from None
+
+
+def _parse_aggregate(fh) -> dict[str, tuple[float, float]]:
+    """(mean, std) per metric of a metrics.json or aggregate.json; AUC may be absent."""
+    agg = json.load(fh)["aggregate"]
+    return {
+        key: (float(agg[key]["mean"]), float(agg[key]["std"]))
+        for key in ("precision", "recall", "f1", "auc") if key != "auc" or key in agg
+    }
+
+
+def _parse_groups(fh) -> dict[tuple[str, str], tuple[int, float]]:
+    return {(row["attribute"], row["category"]): (int(row["n"]), float(row["f1"])) for row in csv.DictReader(fh)}
+
+
+def _parse_homophily(fh) -> list[str]:
+    return [
+        f"| {r['attribute']} | {_fmt_pm(r['observed_mean'], r['observed_std'])} "
+        f"| {_fmt_pm(r['chance_mean'], r['chance_std'])} "
+        f"| {_fmt_pm(r['ratio_mean'], r['ratio_std'])} |"
+        for r in json.load(fh)["rows"]
+    ]
+
+
 def cmd_report(cfg: config_mod.PipelineConfig) -> int:
     out_dir = cfg.output_dir
     report_dir = os.path.join(out_dir, "report")
@@ -368,19 +397,14 @@ def cmd_report(cfg: config_mod.PipelineConfig) -> int:
     order = [*VARIANTS, "ablation"]
     rows = []
     for variant in order:
-        path = os.path.join(out_dir, "eval", variant, "metrics.json")
-        fallback = os.path.join(out_dir, "train", variant, "aggregate.json")
-        payload = None
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)["aggregate"]
-        elif os.path.exists(fallback):
-            with open(fallback, encoding="utf-8") as fh:
-                payload = json.load(fh)["aggregate"]
-        if payload is None:
+        # eval's metrics, else the train-time scores of the same split
+        paths = [os.path.join(out_dir, "eval", variant, "metrics.json"),
+                 os.path.join(out_dir, "train", variant, "aggregate.json")]
+        path = next((p for p in paths if os.path.exists(p)), None)
+        if path is None:
             gaps.append(f"no metrics for variant {variant!r}")
             continue
-        rows.append((variant, payload))
+        rows.append((variant, _read_input(path, _parse_aggregate)))
 
     lines.append("## Model comparison (individual annotator labels, test split)")
     lines.append("")
@@ -388,27 +412,17 @@ def cmd_report(cfg: config_mod.PipelineConfig) -> int:
         lines.append("| Model | Precision | Recall | F1 | AUC |")
         lines.append("|---|---|---|---|---|")
         for variant, agg in rows:
-            cells = []
-            for key in ("precision", "recall", "f1", "auc"):
-                if key in agg:
-                    cells.append(_fmt_pm(agg[key]["mean"], agg[key]["std"]))
-                else:
-                    cells.append("-")
+            cells = [_fmt_pm(*agg[key]) if key in agg else "-" for key in ("precision", "recall", "f1", "auc")]
             lines.append(f"| {variant} | " + " | ".join(cells) + " |")
     else:
         lines.append("_no model metrics found_")
     lines.append("")
 
-    delta_path = os.path.join(out_dir, "train", "ablation_delta.json")
     by_name = dict(rows)
     lines.append("## Contrastive ablation")
     lines.append("")
-    if os.path.exists(delta_path):
-        with open(delta_path, encoding="utf-8") as fh:
-            delta = json.load(fh)["f1_delta"]
-        lines.append(f"F1 gain from the contrastive term: {delta:+.4f}")
-    elif "socio_contrastive" in by_name and "ablation" in by_name:
-        delta = by_name["socio_contrastive"]["f1"]["mean"] - by_name["ablation"]["f1"]["mean"]
+    if "socio_contrastive" in by_name and "ablation" in by_name:
+        delta = by_name["socio_contrastive"]["f1"][0] - by_name["ablation"]["f1"][0]
         lines.append(f"F1 gain from the contrastive term: {delta:+.4f}")
     else:
         gaps.append("no ablation artifacts")
@@ -417,15 +431,12 @@ def cmd_report(cfg: config_mod.PipelineConfig) -> int:
 
     lines.append("## Group slices (F1 by socio-demographic category)")
     lines.append("")
-    group_tables: dict[str, dict[tuple[str, str], tuple[str, str]]] = {}
+    group_tables: dict[str, dict[tuple[str, str], tuple[int, float]]] = {}
     for variant in order:
         path = os.path.join(out_dir, "eval", variant, "groups.csv")
-        if not os.path.exists(path):
-            continue
-        with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                key = (row["attribute"], row["category"])
-                group_tables.setdefault(variant, {})[key] = (row["n"], row["f1"])
+        table = _read_input(path, _parse_groups) if os.path.exists(path) else None
+        if table:
+            group_tables[variant] = table
     if group_tables:
         keys = sorted({k for table in group_tables.values() for k in table})
         variants_present = [v for v in order if v in group_tables]
@@ -440,7 +451,7 @@ def cmd_report(cfg: config_mod.PipelineConfig) -> int:
             cells = []
             for v in variants_present:
                 entry = group_tables[v].get((attribute, category))
-                cells.append(f"{float(entry[1]):.3f}" if entry else "-")
+                cells.append(f"{entry[1]:.3f}" if entry else "-")
             lines.append(f"| {attribute} | {category} | {n} | " + " | ".join(cells) + " |")
     else:
         gaps.append("no group breakdown artifacts")
@@ -451,16 +462,9 @@ def cmd_report(cfg: config_mod.PipelineConfig) -> int:
     lines.append("")
     homophily_json = os.path.join(out_dir, "homophily", "homophily.json")
     if os.path.exists(homophily_json):
-        with open(homophily_json, encoding="utf-8") as fh:
-            hrows = json.load(fh)["rows"]
         lines.append("| Attribute | Observed | Random | Ratio |")
         lines.append("|---|---|---|---|")
-        for r in hrows:
-            lines.append(
-                f"| {r['attribute']} | {_fmt_pm(r['observed_mean'], r['observed_std'])} "
-                f"| {_fmt_pm(r['chance_mean'], r['chance_std'])} "
-                f"| {_fmt_pm(r['ratio_mean'], r['ratio_std'])} |"
-            )
+        lines.extend(_read_input(homophily_json, _parse_homophily))
     else:
         gaps.append("no homophily artifacts")
         lines.append("_not available_")
@@ -483,10 +487,7 @@ def cmd_report(cfg: config_mod.PipelineConfig) -> int:
         for variant, agg in rows:
             record = [variant]
             for key in ("precision", "recall", "f1", "auc"):
-                if key in agg:
-                    record += [repr(agg[key]["mean"]), repr(agg[key]["std"])]
-                else:
-                    record += ["", ""]
+                record += [repr(value) for value in agg[key]] if key in agg else ["", ""]
             writer.writerow(record)
 
     for gap in gaps:

@@ -133,7 +133,7 @@ def _parse_columns(raw: Any, where: str) -> dict[str, str]:
     return cols
 
 
-def _parse_prep(raw: dict, out_dir: str, synth_dir: str | None) -> PrepConfig:
+def _parse_prep(raw: dict, synth_dir: str | None) -> PrepConfig:
     allowed = {
         "annotations": None,
         "profiles": None,
@@ -430,7 +430,7 @@ def load_config(path: str, overrides: dict[str, dict[str, Any]] | None = None) -
 
     synth = _parse_synth(top["synth"]) if top["synth"] is not None else None
     synth_dir = os.path.join(out_dir, "synth") if synth is not None else None
-    prep = _parse_prep(top["prep"], out_dir, synth_dir) if top["prep"] is not None else None
+    prep = _parse_prep(top["prep"], synth_dir) if top["prep"] is not None else None
     train = _parse_train(top["train"], out_dir, prep, synth_dir) if top["train"] is not None else None
     eval_cfg = _parse_eval(top["eval"], out_dir, train) if top["eval"] is not None else None
     homophily = _parse_homophily(top["homophily"], out_dir, train) if top["homophily"] is not None else None

@@ -38,4 +38,4 @@ class EmptyDatasetError(DataError):
 
 
 class EncodingError(DataError):
-    """A profile value cannot be encoded under the active schema in strict mode."""
+    """A category is not in the active schema's vocabulary for its attribute."""

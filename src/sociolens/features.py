@@ -60,12 +60,6 @@ class SocioSchema:
     def attribute_names(self) -> list[str]:
         return [name for name, _ in self.attributes]
 
-    def categories(self, attribute: str) -> list[str]:
-        for name, cats in self.attributes:
-            if name == attribute:
-                return list(cats)
-        raise SchemaError(f"unknown attribute {attribute!r}")
-
     def slot(self, attribute: str, category: str) -> int:
         if attribute not in self._offsets:
             raise SchemaError(f"unknown attribute {attribute!r}")
@@ -110,24 +104,16 @@ def build_schema(profiles: list[AnnotatorProfile] | dict[str, AnnotatorProfile])
     return SocioSchema(attributes)
 
 
-def encode_multihot(profile: AnnotatorProfile, schema: SocioSchema, strict: bool = False) -> np.ndarray:
+def encode_multihot(profile: AnnotatorProfile, schema: SocioSchema) -> np.ndarray:
     """Encode a profile as a binary vector with one hot slot per attribute.
 
-    Unknown categories raise in strict mode and fall back to the missing
-    slot otherwise; attributes absent from the profile always use the
+    Unknown categories and attributes absent from the profile use the
     missing slot.
     """
     vec = np.zeros(schema.total_width, dtype=np.float64)
     for attr, cats in schema.attributes:
         cat = profile.assignments.get(attr)
-        if cat is None or cat == "":
-            cat = MISSING
-        elif cat not in cats:
-            if strict:
-                raise EncodingError(
-                    f"annotator {profile.annotator_id!r}: category {cat!r} "
-                    f"not in schema for attribute {attr!r}"
-                )
+        if cat is None or cat == "" or cat not in cats:
             cat = MISSING
         vec[schema.slot(attr, cat)] = 1.0
     return vec
@@ -172,19 +158,25 @@ def load_embeddings(path: str) -> EmbeddingTable:
         magic = fh.read(4)
     if magic == b"PEMB":
         return _load_embeddings_binary(path)
-    return _load_embeddings_csv(path)
+    return EmbeddingTable(*load_vector_csv(path, "key"))
 
 
-def _load_embeddings_csv(path: str) -> EmbeddingTable:
+def load_vector_csv(path: str, key_column: str) -> tuple[int, dict[str, np.ndarray]]:
+    """The width and the rows by key of a ``<key_column>,d0,...`` CSV: embeddings or representations.
+
+    A wrong header, a row of the wrong width, a repeated key or a cell
+    that is not a number is a DataError naming the row; a NaN or an
+    infinity is a NumericError.
+    """
     vectors: dict[str, np.ndarray] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise DataError(f"{path}: empty embedding file") from None
-        if not header or header[0] != "key":
-            raise SchemaError(f"{path}: first column must be 'key', got {header[:1]}")
+            raise DataError(f"{path}: empty file") from None
+        if not header or header[0] != key_column:
+            raise SchemaError(f"{path}: first column must be {key_column!r}, got {header[:1]}")
         dimension = len(header) - 1
         if dimension < 1:
             raise SchemaError(f"{path}: no component columns")
@@ -203,7 +195,7 @@ def _load_embeddings_csv(path: str) -> EmbeddingTable:
             if not np.all(np.isfinite(arr)):
                 raise NumericError(f"{path}: row {row_no} has a non-finite component")
             vectors[key] = arr
-    return EmbeddingTable(dimension, vectors)
+    return dimension, vectors
 
 
 def _load_embeddings_binary(path: str) -> EmbeddingTable:

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .features import MISSING, AnnotatorProfile, SocioSchema
+from .features import MISSING, AnnotatorProfile, SocioSchema, load_vector_csv
 
 METRICS = ("cosine", "euclidean")
 
@@ -86,19 +86,10 @@ def save_representations(reps: dict[str, np.ndarray], path: str) -> None:
 
 
 def load_representations(path: str) -> dict[str, np.ndarray]:
+    """Representation rows by annotator id, read by `features.load_vector_csv`."""
     if not os.path.exists(path):
         raise DataError(f"representation file not found: {path}")
-    reps: dict[str, np.ndarray] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "annotator_id":
-            raise DataError(f"{path}: expected an annotator_id representation CSV")
-        dim = len(header) - 1
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) - 1 != dim:
-                raise DataError(f"{path}: row {row_no} has {len(row) - 1} components, expected {dim}")
-            reps[row[0]] = np.array([float(x) for x in row[1:]], dtype=np.float64)
+    _, reps = load_vector_csv(path, "annotator_id")
     if not reps:
         raise DataError(f"{path}: empty representation file")
     return reps

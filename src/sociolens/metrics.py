@@ -151,11 +151,12 @@ def aggregate_runs(reports: list[MetricsReport]) -> dict[str, tuple[float, float
 def group_breakdown(
     probs: np.ndarray,
     labels: np.ndarray,
-    annotator_ids: list[str],
+    record_annotator: np.ndarray,
+    annotators: list[str],
     profiles: dict[str, AnnotatorProfile],
     schema: SocioSchema,
 ) -> list[GroupReport]:
-    """Metrics per socio-demographic category, sliced by the record's annotator.
+    """Metrics per socio-demographic category, sliced by each record's annotator code into `annotators`.
 
     An annotator's declined or out-of-vocabulary answer counts under
     MISSING. Categories with zero test records are listed as omitted.
@@ -163,11 +164,9 @@ def group_breakdown(
     """
     p = np.asarray(probs, dtype=np.float64)
     y = np.asarray(labels)
-    if not p.shape == y.shape == (len(annotator_ids),):
-        raise DataError(f"probs {p.shape}, labels {y.shape} and {len(annotator_ids)} annotator ids do not line up")
-    annotators, record_annotator = np.unique(np.asarray(annotator_ids, dtype=str), return_inverse=True)
-    annotators = annotators.tolist()
-    missing_annotators = [a for a in annotators if a not in profiles]
+    if not p.shape == y.shape == np.shape(record_annotator):
+        raise DataError(f"probs {p.shape}, labels {y.shape} and codes {np.shape(record_annotator)} do not line up")
+    missing_annotators = sorted(a for a in annotators if a not in profiles)
     if missing_annotators:
         raise DataError(f"no profile for annotators: {missing_annotators[:10]}")
     reports: list[GroupReport] = []

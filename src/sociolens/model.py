@@ -25,10 +25,10 @@ by 1/(1-p) at train time) so evaluation is a pure pass-through.
 
 Memory and cost: the weights and Adam's moments m and v of all n
 parameters live in the three contiguous little-endian f64 rows of
-`ModelParams.flat`, each tensor a view into its row. While a run
-trains, `ModelParams.work` adds a flat gradient and a scratch vector of
-n each, and `adam_step` is fifteen whole-buffer passes and two
-finiteness scans, whatever the layer count.
+`ModelParams.flat`, each tensor a view into its row; a checkpoint's
+params.bin is those rows' bytes. While a run trains, `ModelParams.work`
+adds a flat gradient and a scratch vector of n each, and `adam_step` is
+fifteen whole-buffer passes and two finiteness scans, whatever the layer count.
 """
 
 from __future__ import annotations
@@ -111,16 +111,6 @@ class ModelSpec:
             shapes[f"layer.{i}.weight"], shapes[f"layer.{i}.bias"] = (fan_in, fan_out), (fan_out,)
         return shapes
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ModelSpec":
-        payload = dict(payload)
-        payload["hidden_dims"] = tuple(payload["hidden_dims"])
-        payload["projection_dims"] = tuple(payload["projection_dims"])
-        return cls(**payload)
-
 
 @dataclass
 class ModelParams:
@@ -142,6 +132,13 @@ class ModelParams:
             {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), np.split(row, ends[:-1]))}
             for row in self.flat
         )
+
+
+def _first_non_finite(params: ModelParams, values: np.ndarray) -> tuple[str, str]:
+    """Role and tensor name of the first NaN or infinity in `values`, rows laid out like `params.flat`'s."""
+    row, column = divmod(int(np.argmin(np.isfinite(values))), params.flat.shape[1])
+    ends = np.cumsum([tensor.size for tensor in params.tensors.values()])
+    return ("weights", "m", "v")[row], list(params.tensors)[int(np.searchsorted(ends, column, side="right"))]
 
 
 @dataclass
@@ -399,7 +396,7 @@ def adam_step(
     g, scratch = params.work
     np.concatenate([grads[name].ravel() for name in params.tensors], out=g)
     if not np.isfinite(g).all():
-        bad = next(name for name in params.tensors if not np.isfinite(grads[name]).all())
+        _, bad = _first_non_finite(params, g)
         raise NumericError(f"non-finite gradient for {bad}; update refused at step {params.step + 1}")
     params.step += 1
     bc1 = 1.0 - beta1 ** params.step
@@ -413,7 +410,7 @@ def adam_step(
     np.add(np.sqrt(np.divide(v, bc2, out=scratch), out=scratch), eps, out=scratch)
     w -= np.divide(np.multiply(np.divide(m, bc1, out=g), lr, out=g), scratch, out=g)
     if not np.isfinite(w).all():
-        bad = next(name for name, tensor in params.tensors.items() if not np.isfinite(tensor).all())
+        _, bad = _first_non_finite(params, w)
         raise NumericError(f"non-finite parameter {bad} after step {params.step}")
     return params
 
@@ -446,14 +443,15 @@ def save_checkpoint(
     annotators: list[str] | None = None,
     schema: SocioSchema | None = None,
 ) -> str:
-    """Write manifest.json plus one little-endian f64 blob per tensor.
+    """Write manifest.json plus params.bin, the raw bytes of `params.flat`.
 
-    Adam moments are stored alongside weights (`<name>.m.bin` /
-    `<name>.v.bin`) so training can resume exactly.
+    params.bin is the weights row, then Adam's m, then v (kept so training
+    can resume exactly), each row little-endian f64 in
+    `ModelSpec.tensor_shapes` order.
     """
     os.makedirs(directory, exist_ok=True)
     manifest = {
-        "spec": params.spec.to_dict(),
+        "spec": asdict(params.spec),
         "seed": seed,
         "step": params.step,
         "tensors": {k: list(t.shape) for k, t in params.tensors.items()},
@@ -465,9 +463,7 @@ def save_checkpoint(
     with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
-    for views, suffix in ((params.tensors, ""), (params.m, ".m"), (params.v, ".v")):
-        for name, view in views.items():
-            view.tofile(os.path.join(directory, f"{name}{suffix}.bin"))
+    params.flat.tofile(os.path.join(directory, "params.bin"))
     return directory
 
 
@@ -479,7 +475,7 @@ def load_checkpoint(directory: str) -> tuple[ModelParams, int, SocioSchema | Non
     variant, tensor shapes other than the spec's layers, a malformed
     schema, a multi-hot variant without a schema of its socio width, a
     per-annotator variant without one distinct id per head unit, or a
-    missing, short or non-finite blob.
+    params.bin that is missing, not the spec's size, or non-finite.
     """
     manifest_path = os.path.join(directory, "manifest.json")
     if not os.path.exists(manifest_path):
@@ -487,7 +483,9 @@ def load_checkpoint(directory: str) -> tuple[ModelParams, int, SocioSchema | Non
     try:
         with open(manifest_path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-        spec = ModelSpec.from_dict(manifest["spec"])
+        raw = manifest["spec"]
+        dims = {key: tuple(raw[key]) for key in ("hidden_dims", "projection_dims")}
+        spec = ModelSpec(**{**raw, **dims})
         if spec.variant not in VARIANTS:
             raise DataError(f"{directory}: unknown variant {spec.variant!r}")
         expected = {name: list(shape) for name, shape in spec.tensor_shapes().items()}
@@ -506,13 +504,14 @@ def load_checkpoint(directory: str) -> tuple[ModelParams, int, SocioSchema | Non
         and len(set(heads)) == len(heads) == spec.annotator_count
     ):
         raise DataError(f"{directory}: the {spec.annotator_count} head units need as many distinct annotator ids")
-    for views, suffix in ((params.tensors, ""), (params.m, ".m"), (params.v, ".v")):
-        for name, view in views.items():
-            path = os.path.join(directory, f"{name}{suffix}.bin")
-            if not os.path.isfile(path) or os.path.getsize(path) != view.nbytes:
-                raise DataError(f"{directory}: tensor blob {name}{suffix}.bin is missing or not {view.nbytes} bytes")
-            with open(path, "rb") as fh:
-                fh.readinto(view)
-            if not np.isfinite(view).all():
-                raise DataError(f"{directory}: tensor blob {name}{suffix}.bin holds non-finite values")
+    path = os.path.join(directory, "params.bin")
+    if not os.path.isfile(path):
+        raise DataError(f"{directory}: no params.bin; checkpoints with one .bin per tensor are no longer read")
+    if os.path.getsize(path) != params.flat.nbytes:
+        raise DataError(f"{directory}: params.bin is {os.path.getsize(path)} bytes, not {params.flat.nbytes}")
+    with open(path, "rb") as fh:
+        fh.readinto(params.flat)
+    if not np.isfinite(params.flat).all():
+        role, name = _first_non_finite(params, params.flat)
+        raise DataError(f"{directory}: params.bin holds non-finite values in the {role} of {name}")
     return params, seed, schema, None if heads is None else {a: i for i, a in enumerate(heads)}

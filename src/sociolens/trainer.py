@@ -221,12 +221,11 @@ def predict(
     text_table: EmbeddingTable,
     socio_table: EmbeddingTable | None = None,
     batch_size: int = 256,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Eval-mode probabilities for every record, in record order.
 
-    Returns (probs, labels, annotator_ids, unknown_annotator_rows): the
-    annotator id of each record, and the count of multitask rows scored
-    by the mean-head fallback.
+    Returns (probs, labels, unknown_annotator_rows): the last is the count
+    of multitask rows scored by the mean-head fallback.
     """
     rows = dataset.records
     if (rows["label"] < 0).any():
@@ -241,7 +240,7 @@ def predict(
     fallback_rows = 0
     if tables.annotator_index is not None:
         fallback_rows = int(np.sum(tables.annotator_index[rows["annotator"]] < 0))
-    return probs, rows["label"].astype(np.float64), dataset.annotators[rows["annotator"]], fallback_rows
+    return probs, rows["label"].astype(np.float64), fallback_rows
 
 
 def train_suite(
@@ -266,7 +265,7 @@ def train_suite(
     reports: list[MetricsReport] = []
     total_fallback = 0
     for run in runs:
-        probs, labels, _, fallback = predict(run, split.test, text_table, socio_table)
+        probs, labels, fallback = predict(run, split.test, text_table, socio_table)
         total_fallback += fallback
         reports.append(confusion_metrics(probs, labels))
     return SuiteResult(

@@ -24,6 +24,7 @@ from sociolens.errors import (
     SchemaError,
     SociolensError,
 )
+from sociolens.model import load_checkpoint
 
 
 class TestFullChain:
@@ -86,7 +87,7 @@ class TestDeterminism:
         for rel in (
             "synth/annotations.csv",
             "prep/train.csv",
-            "train/socio_contrastive/seed0/checkpoint/layer.0.weight.bin",
+            "train/socio_contrastive/seed0/checkpoint/params.bin",
             "train/socio_contrastive/seed0/log.jsonl",
             "train/socio_contrastive/aggregate.json",
         ):
@@ -326,13 +327,44 @@ class TestErrors:
 
     def test_nan_weight_blob_exits_3(self, tmp_path, capsys, trained_simple):
         def edit(ckpt):
-            weights = np.fromfile(ckpt / "layer.2.weight.bin", dtype="<f8")
-            weights[0] = np.nan
-            weights.tofile(ckpt / "layer.2.weight.bin")
+            # params.bin opens with the weights row, where layer.2.weight follows the layer 0 and 1 tensors
+            shapes = json.loads((ckpt / "manifest.json").read_text(encoding="utf-8"))["tensors"]
+            before = [shapes[f"layer.{i}.{part}"] for i in (0, 1) for part in ("weight", "bias")]
+            weights = np.fromfile(ckpt / "params.bin", dtype="<f8")
+            weights[sum(int(np.prod(shape)) for shape in before)] = np.nan
+            weights.tofile(ckpt / "params.bin")
 
         assert self.eval_edited_checkpoint(tmp_path, trained_simple, edit) == 3
-        assert "layer.2.weight.bin holds non-finite values" in capsys.readouterr().err
+        assert "params.bin holds non-finite values in the weights of layer.2.weight" in capsys.readouterr().err
         assert not list((tmp_path / "out" / "eval").rglob("roc_seed*.csv"))
+
+    def test_per_tensor_checkpoint_exits_3(self, tmp_path, capsys, trained_simple):
+        def edit(ckpt):
+            # the layout before params.bin: one little-endian f64 file per tensor and role
+            params, *_ = load_checkpoint(str(ckpt))
+            for views, suffix in ((params.tensors, ""), (params.m, ".m"), (params.v, ".v")):
+                for name, view in views.items():
+                    view.tofile(ckpt / f"{name}{suffix}.bin")
+            (ckpt / "params.bin").unlink()
+
+        assert self.eval_edited_checkpoint(tmp_path, trained_simple, edit) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "no params.bin; checkpoints with one .bin per tensor" in err
+
+    @pytest.mark.parametrize("rel, content", [
+        ("eval/simple/metrics.json", "{not json"),
+        ("train/ablation/aggregate.json", '{"aggregate": {"f1": {"mean": 0.5}}}'),
+        ("eval/multitask/groups.csv", "attribute,category,n\ngroup,a,3\n"),
+        ("homophily/homophily.json", '{"rows": [{"attribute": "group", "observed_std": 0.1}]}'),
+    ], ids=["metrics-not-json", "aggregate-without-std", "groups-without-f1", "homophily-without-observed-mean"])
+    def test_malformed_report_input_exits_3(self, tmp_path, capsys, rel, content):
+        path = tmp_path / "out" / rel
+        path.parent.mkdir(parents=True)
+        path.write_text(content, encoding="utf-8")
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(base_config(str(tmp_path / "out"))), encoding="utf-8")
+        assert main(["report", "--config", str(config_path)]) == 3
+        assert capsys.readouterr().err.startswith(f"data error: {path}: malformed report input: ")
 
     @pytest.mark.parametrize("error, code, prefix", [
         (ConfigError, 2, "config error"),

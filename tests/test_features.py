@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import decode_multihot, save_embeddings_binary
-from sociolens.errors import DataError, EncodingError, NumericError, SchemaError
+from sociolens.errors import DataError, NumericError, SchemaError
 from sociolens.features import (
     MISSING,
     AnnotatorProfile,
@@ -48,7 +48,7 @@ class TestBuildSchema:
 
     def test_categories_sorted_lexicographically(self):
         profiles = [AnnotatorProfile("a1", {"age": "z"}), AnnotatorProfile("a2", {"age": "a"})]
-        assert build_schema(profiles).categories("age") == ["a", "z", MISSING]
+        assert build_schema(profiles).attributes == [("age", ["a", "z", MISSING])]
 
     def test_empty_collection_rejected(self):
         with pytest.raises(SchemaError):
@@ -80,10 +80,6 @@ class TestEncodeMultihot:
             for attr, options in self.schema.attributes:
                 block = vec[self.schema.slot(attr, options[0]) : self.schema.slot(attr, options[-1]) + 1]
                 assert block.sum() == 1
-
-    def test_unknown_category_strict_raises(self):
-        with pytest.raises(EncodingError, match="gender.*'x'|'x'.*gender"):
-            encode_multihot(AnnotatorProfile("a", {"gender": "x"}), self.schema, strict=True)
 
     def test_unknown_category_lenient_maps_to_missing(self):
         vec = encode_multihot(AnnotatorProfile("a", {"gender": "x"}), self.schema)

@@ -297,3 +297,11 @@ class TestRepresentationIO:
         path.write_text("who,d0\na,1\n", encoding="utf-8")
         with pytest.raises(DataError):
             load_representations(str(path))
+
+    @pytest.mark.parametrize("rows", ["a,1,2\nb,abc,3\n", "a,1,2\na,3,4\n", "a,1,2\nb,3\n"],
+                             ids=["non-numeric", "duplicate-id", "short-row"])
+    def test_bad_row_is_a_data_error_naming_it(self, tmp_path, rows):
+        path = tmp_path / "bad.csv"
+        path.write_text("annotator_id,d0,d1\n" + rows, encoding="utf-8")
+        with pytest.raises(DataError, match="row 3"):
+            load_representations(str(path))

@@ -133,6 +133,12 @@ def scored_labels(draw, max_size=60):
     return probs, labels
 
 
+def coded(ids):
+    """Per-record annotator ids as (codes, vocabulary in first-appearance order), as a Dataset holds them."""
+    vocabulary = list(dict.fromkeys(ids))
+    return np.array([vocabulary.index(a) for a in ids], dtype=np.int32), vocabulary
+
+
 class TestScoreCounts:
     @settings(max_examples=300, deadline=None)
     @given(scored_labels())
@@ -173,7 +179,7 @@ class TestScoreCounts:
             for i, pair in enumerate(assignments)
         }
         ids = data.draw(st.lists(st.sampled_from(sorted(profiles)), min_size=probs.size, max_size=probs.size))
-        reports = group_breakdown(probs, labels, ids, profiles, schema)
+        reports = group_breakdown(probs, labels, *coded(ids), profiles, schema)
         assert [r.attribute for r in reports] == ["g", "h"]
         for report, (attribute, categories) in zip(reports, schema.attributes):
             # a declined or out-of-vocabulary answer counts under MISSING, if the attribute has it
@@ -228,7 +234,7 @@ class TestGroupBreakdown:
         probs = np.array([0.9, 0.8, 0.9, 0.2])
         labels = np.array([1, 1, 0, 1])
         ids = ["p1", "p2", "p3", "p3"]
-        reports = group_breakdown(probs, labels, ids, self.profiles, self.schema)
+        reports = group_breakdown(probs, labels, *coded(ids), self.profiles, self.schema)
         by_cat = reports[0].categories
         assert by_cat["a"].f1 == 1.0
         assert by_cat["a"].n == 2
@@ -237,7 +243,7 @@ class TestGroupBreakdown:
     def test_empty_category_omitted(self):
         probs = np.array([0.9])
         labels = np.array([1])
-        reports = group_breakdown(probs, labels, ["p1"], self.profiles, self.schema)
+        reports = group_breakdown(probs, labels, *coded(["p1"]), self.profiles, self.schema)
         assert "b" in reports[0].omitted
         assert MISSING in reports[0].omitted
 
@@ -246,13 +252,13 @@ class TestGroupBreakdown:
         ids = [f"p{rng.integers(1, 4)}" for _ in range(40)]
         probs = rng.random(40)
         labels = rng.integers(0, 2, 40)
-        reports = group_breakdown(probs, labels, ids, self.profiles, self.schema)
+        reports = group_breakdown(probs, labels, *coded(ids), self.profiles, self.schema)
         assert sum(r.n for r in reports[0].categories.values()) == 40
 
     def test_misaligned_annotator_ids_rejected(self):
         with pytest.raises(DataError, match="do not line up"):
-            group_breakdown(np.array([0.5, 0.7]), np.array([1, 0]), ["p1"], self.profiles, self.schema)
+            group_breakdown(np.array([0.5, 0.7]), np.array([1, 0]), *coded(["p1"]), self.profiles, self.schema)
 
     def test_unprofiled_annotator_rejected(self):
         with pytest.raises(DataError):
-            group_breakdown(np.array([0.5]), np.array([1]), ["ghost"], self.profiles, self.schema)
+            group_breakdown(np.array([0.5]), np.array([1]), *coded(["ghost"]), self.profiles, self.schema)

@@ -440,14 +440,46 @@ class TestCheckpoints:
         with pytest.raises(DataError, match="malformed manifest|head units"):
             load_checkpoint(directory)
 
-    @pytest.mark.parametrize("blob", ["layer.0.weight.bin", "layer.1.bias.m.bin", "layer.2.weight.v.bin"])
+    def test_params_file_is_the_rows_in_layer_order(self, tmp_path):
+        params = init_params(small_spec("socio_contrastive"), 4)
+        adam_step(params, {k: np.full_like(t, 0.02) for k, t in params.tensors.items()}, lr=0.01)
+        schema = SocioSchema([("g", ["a", MISSING]), ("h", ["x", MISSING])])
+        save_checkpoint(params, str(tmp_path / "ck"), seed=4, schema=schema)
+        assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == ["manifest.json", "params.bin"]
+        roles = (params.tensors, params.m, params.v)
+        assert (tmp_path / "ck" / "params.bin").read_bytes() == b"".join(
+            view.tobytes() for role in roles for view in role.values()
+        )
+
+    @pytest.mark.parametrize("role, tensor", [
+        ("weights", "layer.0.weight"), ("m", "layer.1.bias"), ("v", "layer.2.weight"),
+    ])
+    @pytest.mark.parametrize("at", ["first", "last"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_blob_rejected(self, tmp_path, blob, value):
+    def test_non_finite_value_rejected(self, tmp_path, role, tensor, at, value):
         directory = self.edit_manifest(tmp_path, lambda m: None)
-        data = np.fromfile(Path(directory) / blob, dtype="<f8")
-        data[-1] = value
-        data.tofile(Path(directory) / blob)
-        with pytest.raises(DataError, match=f"{re.escape(blob)} holds non-finite values"):
+        # the value's offset from the layout alone: role row, then the tensors before it in layer order
+        sizes = {name: math.prod(shape) for name, shape in small_spec("multitask").tensor_shapes().items()}
+        names = list(sizes)
+        start = ("weights", "m", "v").index(role) * sum(sizes.values())
+        start += sum(sizes[n] for n in names[: names.index(tensor)])
+        data = np.fromfile(Path(directory) / "params.bin", dtype="<f8")
+        data[start if at == "first" else start + sizes[tensor] - 1] = value
+        data.tofile(Path(directory) / "params.bin")
+        with pytest.raises(DataError, match=re.escape(f"params.bin holds non-finite values in the {role} of {tensor}")):
+            load_checkpoint(directory)
+
+    def test_short_params_file_rejected(self, tmp_path):
+        directory = self.edit_manifest(tmp_path, lambda m: None)
+        path = Path(directory) / "params.bin"
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(DataError, match="params.bin is .* bytes, not"):
+            load_checkpoint(directory)
+
+    def test_missing_params_file_rejected(self, tmp_path):
+        directory = self.edit_manifest(tmp_path, lambda m: None)
+        (Path(directory) / "params.bin").unlink()
+        with pytest.raises(DataError, match="no params.bin; checkpoints with one .bin per tensor are no longer"):
             load_checkpoint(directory)
 
 

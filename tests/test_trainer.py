@@ -180,7 +180,7 @@ class TestPredictAndSuite:
     def test_simple_scores_constant_per_text(self):
         split, table, _ = make_world()
         run = train_one(tiny_config("simple"), 0, split, table)
-        probs, _, _, _ = predict(run, split.test, table)
+        probs, _, _ = predict(run, split.test, table)
         by_text = {}
         for (text_id, *_), p in zip(rows_of(split.test), probs):
             by_text.setdefault(text_id, set()).add(round(float(p), 12))
@@ -190,7 +190,7 @@ class TestPredictAndSuite:
         split, table, _ = make_world()
         run = train_one(tiny_config("multitask"), 0, split, table)
         train_annotators = {a for _, a, _, _ in rows_of(split.train)}
-        _, _, _, fallback = predict(run, split.test, table)
+        _, _, fallback = predict(run, split.test, table)
         expected = sum(1 for _, a, _, _ in rows_of(split.test) if a not in train_annotators)
         assert fallback == expected
 
