@@ -44,7 +44,6 @@ class Batch:
     text: np.ndarray                     # (B, text_dim)
     labels: np.ndarray                   # (B,) float 0/1
     text_ids: np.ndarray                 # (B,) text codes; equal codes mean the same text
-    annotator_ids: np.ndarray            # (B,) annotator codes
     socio_multihot: np.ndarray | None = None   # (B, socio_width)
     socio_embedding: np.ndarray | None = None  # (B, socio_dim)
     annotator_index: np.ndarray | None = None  # (B,) int head index, -1 = unknown
@@ -91,7 +90,6 @@ def assemble_batch(records: np.ndarray, indices, tables: BatchTables) -> Batch:
         text=tables.text[texts],
         labels=rows["label"].astype(np.float64),
         text_ids=texts,
-        annotator_ids=annotators,
         **{
             name: table[annotators]
             for name in ("socio_multihot", "socio_embedding", "annotator_index")

@@ -39,8 +39,8 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-def _load_labels(path: str, columns: dict[str, str]) -> corpus.Dataset:
-    return corpus.binarize(corpus.load_annotations(path, corpus.ColumnMapping(**columns)))
+def _load_labels(path: str, columns: corpus.ColumnMapping) -> corpus.Dataset:
+    return corpus.binarize(corpus.load_annotations(path, columns))
 
 
 # ----------------------------------------------------------------- synth
@@ -48,7 +48,7 @@ def _load_labels(path: str, columns: dict[str, str]) -> corpus.Dataset:
 def cmd_synth(cfg: config_mod.PipelineConfig) -> int:
     if cfg.synth is None:
         raise ConfigError("config has no synth section")
-    spec = cfg.synth.population
+    spec = cfg.synth
     out = os.path.join(cfg.output_dir, "synth")
     os.makedirs(out, exist_ok=True)
     population = synth.generate_population(spec)
@@ -58,8 +58,8 @@ def cmd_synth(cfg: config_mod.PipelineConfig) -> int:
     corpus.save_annotations(dataset, os.path.join(out, "annotations.csv"))
     features.save_profiles(population, os.path.join(out, "profiles.csv"))
     features.save_embeddings_csv(text_corpus.embeddings, os.path.join(out, "embeddings.csv"))
-    if cfg.synth.socio_embedding_dim:
-        table = synth.generate_socio_embeddings(population, cfg.synth.socio_embedding_dim, spec.seed)
+    if spec.socio_embedding_dim:
+        table = synth.generate_socio_embeddings(population, spec.socio_embedding_dim, spec.seed)
         features.save_embeddings_csv(table, os.path.join(out, "socio_embeddings.csv"))
     stats = dataset.stats
     _write_json(os.path.join(out, "stats.json"), stats)
@@ -75,8 +75,7 @@ def cmd_prep(cfg: config_mod.PipelineConfig) -> int:
     p = cfg.prep
     out = os.path.join(cfg.output_dir, "prep")
     os.makedirs(out, exist_ok=True)
-    mapping = corpus.ColumnMapping(**p.columns)
-    dataset = corpus.load_annotations(p.annotations, mapping)
+    dataset = corpus.load_annotations(p.annotations, p.columns)
     if p.profiles:
         dataset = corpus.attach_profiles(dataset, features.load_profiles(p.profiles))
     dataset = corpus.binarize(dataset)
@@ -84,8 +83,8 @@ def cmd_prep(cfg: config_mod.PipelineConfig) -> int:
         dataset, p.min_annotators_per_text, p.min_annotations_per_annotator
     )
     split = corpus.split_by_text(dataset, p.train_fraction, p.seed)
-    corpus.save_annotations(split.train, os.path.join(out, "train.csv"), mapping)
-    corpus.save_annotations(split.test, os.path.join(out, "test.csv"), mapping)
+    corpus.save_annotations(split.train, os.path.join(out, "train.csv"), p.columns)
+    corpus.save_annotations(split.test, os.path.join(out, "test.csv"), p.columns)
     _write_json(os.path.join(out, "filter_report.json"), report.to_dict())
     _write_json(
         os.path.join(out, "stats.json"),
@@ -117,7 +116,7 @@ def cmd_train(cfg: config_mod.PipelineConfig) -> int:
     split = corpus.SplitPair(train=train_ds, test=test_ds)
     # every input a suite needs is checked before the first suite trains
     socio_table = None
-    if any(WIRING[v].socio == "embedding" for v in t.variants):
+    if any(WIRING[run.variant].socio == "embedding" for run in t.runs):
         if not t.socio_embeddings or not os.path.exists(t.socio_embeddings):
             raise DataError(
                 "socio_embedding variant needs train.socio_embeddings "
@@ -125,7 +124,7 @@ def cmd_train(cfg: config_mod.PipelineConfig) -> int:
             )
         socio_table = features.load_embeddings(t.socio_embeddings)
     profiled = None
-    socio_variants = [v for v in t.variants if WIRING[v].socio is not None]
+    socio_variants = [run.variant for run in t.runs if WIRING[run.variant].socio is not None]
     if socio_variants:
         if all_profiles is None:
             raise DataError(f"variant {socio_variants[0]} needs a profiles file")
@@ -137,10 +136,10 @@ def cmd_train(cfg: config_mod.PipelineConfig) -> int:
 
     # (output label, config) per suite; the ablation arm follows its weighted twin
     suites = []
-    for variant in t.variants:
-        suites.append((variant, replace(t.run, variant=variant)))
-        if WIRING[variant].projected and t.ablation:
-            suites.append(("ablation", replace(t.run, variant=variant, contrastive_weight=0.0)))
+    for run in t.runs:
+        suites.append((run.variant, run))
+        if WIRING[run.variant].projected and t.ablation:
+            suites.append(("ablation", replace(run, contrastive_weight=0.0)))
 
     train_root = os.path.join(cfg.output_dir, "train")
     f1_means: dict[str, float] = {}
@@ -222,8 +221,6 @@ def cmd_eval(cfg: config_mod.PipelineConfig) -> int:
     if cfg.eval is None:
         raise ConfigError("config has no eval section")
     e = cfg.eval
-    if e.embeddings is None:
-        raise ConfigError("eval.embeddings is required")
     text_table = features.load_embeddings(e.embeddings)
     socio_table = (
         features.load_embeddings(e.socio_embeddings)

@@ -5,6 +5,11 @@ rejected, values are type- and range-checked, and path defaults are
 resolved so the commands can chain (synth -> prep -> train -> eval ->
 homophily -> report) out of a single config. No environment variables
 are consulted and no randomness exists outside explicit seeds.
+
+Each section's dataclass is its schema: the section's keys are the
+dataclass's fields, and a key the file leaves out takes the field's
+default. A field without a default reads as null when left out, and its
+section's parser fills it in from the sections before it or refuses it.
 """
 
 from __future__ import annotations
@@ -12,24 +17,28 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Any
 
+from .corpus import ColumnMapping
 from .errors import ConfigError
 from .model import VARIANTS
 from .synth import AttributeSpec, PopulationSpec
-from .trainer import DEFAULT_SEEDS, RunConfig
+from .trainer import RunConfig
+
+
+def _defaults(schema: type, *skip: str) -> dict[str, Any]:
+    """Every field of the dataclass `schema` but `skip`, with its default, or null for a field without one."""
+    return {f.name: None if f.default is MISSING else f.default for f in fields(schema) if f.name not in skip}
 
 
 def _require(section: Any, allowed: dict[str, Any], where: str) -> dict:
+    """`section`'s values over the `allowed` keys' defaults; any other key is a ConfigError."""
     _check(isinstance(section, dict), f"{where} must be an object")
     unknown = sorted(set(section) - set(allowed))
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}; allowed: {sorted(allowed)}")
-    out = {}
-    for key, default in allowed.items():
-        out[key] = section.get(key, default)
-    return out
+    return {**allowed, **section}
 
 
 def _check(cond: bool, message: str) -> None:
@@ -58,29 +67,39 @@ def _is_real(value: Any) -> bool:
         return False
 
 
+def _distinct(values: list) -> bool:
+    """No value of the (hashable) `values` repeats."""
+    return len(set(values)) == len(values)
+
+
 @dataclass
 class PrepConfig:
     annotations: str
     profiles: str | None
-    columns: dict[str, str]
-    min_annotators_per_text: int
-    min_annotations_per_annotator: int
-    train_fraction: float
-    seed: int
+    columns: ColumnMapping
+    min_annotators_per_text: int = 1
+    min_annotations_per_annotator: int = 1
+    train_fraction: float = 0.7
+    seed: int = 0
 
 
 @dataclass
 class TrainConfig:
-    variants: list[str]
+    """The train section: its `RunConfig` keys build one run per variant, and these fields are what the runs share.
+
+    `variant` is "all", a name or a list of names. `threads` is still
+    checked so older configs keep loading, but seeds always train in turn.
+    """
+
+    runs: list[RunConfig]
     train_annotations: str
     test_annotations: str
     profiles: str | None
-    columns: dict[str, str]
+    columns: ColumnMapping
     embeddings: str
     socio_embeddings: str | None
-    run: RunConfig
-    ablation: bool
-    dump_plan: bool
+    ablation: bool = False
+    dump_plan: bool = False
 
 
 @dataclass
@@ -88,7 +107,7 @@ class EvalConfig:
     checkpoints: str
     annotations: str
     profiles: str | None
-    columns: dict[str, str]
+    columns: ColumnMapping
     embeddings: str
     socio_embeddings: str | None
 
@@ -97,101 +116,53 @@ class EvalConfig:
 class HomophilyConfig:
     representations: str
     profiles: str
-    k: int
-    iterations: int
-    seed: int
-    metric: str
-    attributes: list[str] | None
-
-
-@dataclass
-class SynthConfig:
-    population: PopulationSpec
-    socio_embedding_dim: int | None
+    k: int = 50
+    iterations: int = 1000
+    seed: int = 0
+    metric: str = "cosine"
+    attributes: list[str] | None = None
 
 
 @dataclass
 class PipelineConfig:
     output_dir: str
-    verbosity: int
+    verbosity: int = 1
     prep: PrepConfig | None = None
     train: TrainConfig | None = None
     eval: EvalConfig | None = None
     homophily: HomophilyConfig | None = None
-    synth: SynthConfig | None = None
+    synth: PopulationSpec | None = None
 
 
-_DEFAULT_COLUMNS = {"text_id": "text_id", "annotator_id": "annotator_id", "score": "score"}
-
-
-def _parse_columns(raw: Any, where: str) -> dict[str, str]:
+def _parse_columns(raw: Any, where: str, inherited: ColumnMapping | None) -> ColumnMapping:
+    """The mapping given, else the one `inherited` from the section before, else `ColumnMapping`'s defaults."""
     if raw is None:
-        return dict(_DEFAULT_COLUMNS)
-    cols = _require(raw, dict(_DEFAULT_COLUMNS), f"{where}.columns")
+        return inherited or ColumnMapping()
+    cols = _require(raw, _defaults(ColumnMapping), f"{where}.columns")
     for k, v in cols.items():
         _check(isinstance(v, str) and v, f"{where}.columns.{k} must be a non-empty string")
-    return cols
+    return ColumnMapping(**cols)
 
 
 def _parse_prep(raw: dict, synth_dir: str | None) -> PrepConfig:
-    allowed = {
-        "annotations": None,
-        "profiles": None,
-        "columns": None,
-        "min_annotators_per_text": 1,
-        "min_annotations_per_annotator": 1,
-        "train_fraction": 0.7,
-        "seed": 0,
-    }
-    s = _require(raw, allowed, "prep")
+    s = _require(raw, _defaults(PrepConfig), "prep")
     _check_paths(s, ("annotations", "profiles"), "prep")
-    annotations = s["annotations"]
-    profiles = s["profiles"]
-    if annotations is None and synth_dir:
-        annotations = os.path.join(synth_dir, "annotations.csv")
-    if profiles is None and synth_dir:
-        profiles = os.path.join(synth_dir, "profiles.csv")
-    _check(annotations is not None, "prep.annotations is required (no synth section to default from)")
+    if synth_dir:
+        s["annotations"] = s["annotations"] or os.path.join(synth_dir, "annotations.csv")
+        s["profiles"] = s["profiles"] or os.path.join(synth_dir, "profiles.csv")
+    _check(s["annotations"] is not None, "prep.annotations is required (no synth section to default from)")
     for key in ("min_annotators_per_text", "min_annotations_per_annotator"):
         _check(_is_int(s[key]) and s[key] >= 1, f"prep.{key} must be an integer >= 1")
     _check(_is_real(s["train_fraction"]) and 0 < s["train_fraction"] < 1, "prep.train_fraction must be in (0,1)")
     # a negative split seed is fine: SplitMix64 masks it to 64 bits
     _check(_is_int(s["seed"]), "prep.seed must be an integer")
-    return PrepConfig(
-        annotations=annotations,
-        profiles=profiles,
-        columns=_parse_columns(s["columns"], "prep"),
-        min_annotators_per_text=s["min_annotators_per_text"],
-        min_annotations_per_annotator=s["min_annotations_per_annotator"],
-        train_fraction=float(s["train_fraction"]),
-        seed=s["seed"],
-    )
+    s["columns"] = _parse_columns(s["columns"], "prep", None)
+    return PrepConfig(**s)
 
 
 def _parse_train(raw: dict, out_dir: str, prep: PrepConfig | None, synth_dir: str | None) -> TrainConfig:
-    allowed = {
-        "variant": "all",
-        "train_annotations": None,
-        "test_annotations": None,
-        "profiles": None,
-        "columns": None,
-        "embeddings": None,
-        "socio_embeddings": None,
-        "lr": 0.01,
-        "batch_size": 32,
-        "epochs": 7,
-        "seeds": list(DEFAULT_SEEDS),
-        "hidden_dims": [512, 256],
-        "projection_dims": [64, 128],
-        "dropout_rate": 0.2,
-        "temperature": 0.1,
-        "contrastive_weight": 1.0,
-        "normalize_embeddings": True,
-        "ablation": False,
-        "threads": 1,
-        "dump_plan": False,
-    }
-    s = _require(raw, allowed, "train")
+    run, inputs = _defaults(RunConfig), _defaults(TrainConfig, "runs")
+    s = _require(raw, {**run, **inputs, "variant": "all", "threads": 1}, "train")
     _check_paths(s, ("train_annotations", "test_annotations", "profiles", "embeddings", "socio_embeddings"), "train")
     variant = s["variant"]
     if variant == "all":
@@ -203,148 +174,90 @@ def _parse_train(raw: dict, out_dir: str, prep: PrepConfig | None, synth_dir: st
     _check(bool(variants), "train.variant must name at least one variant")
     for v in variants:
         _check(v in VARIANTS, f"train.variant: unknown variant {v!r}")
+    _check(_distinct(variants), "train.variant must not name a variant twice")
     seeds = s["seeds"]
+    # JSON gives lists; a tuple here is the RunConfig default
     rules = {
         "lr": (_is_real(s["lr"]) and s["lr"] > 0, "a finite number > 0"),
         "batch_size": (_is_int(s["batch_size"]) and s["batch_size"] >= 2, "an integer >= 2"),
         "epochs": (_is_int(s["epochs"]) and s["epochs"] >= 1, "an integer >= 1"),
-        "seeds": (isinstance(seeds, list) and seeds and all(_is_int(x) and x >= 0 for x in seeds),
-                  "a non-empty list of integers >= 0"),
+        "seeds": (isinstance(seeds, (list, tuple)) and seeds and all(_is_int(x) and x >= 0 for x in seeds)
+                  and _distinct(seeds), "a non-empty list of distinct integers >= 0"),
         "dropout_rate": (_is_real(s["dropout_rate"]) and 0 <= s["dropout_rate"] < 1, "a number in [0, 1)"),
         "temperature": (_is_real(s["temperature"]) and s["temperature"] > 0, "a finite number > 0"),
         "contrastive_weight": (_is_real(s["contrastive_weight"]) and s["contrastive_weight"] >= 0,
                                "a finite number >= 0"),
-        # still checked so older configs keep loading, but seeds always train in turn
         "threads": (_is_int(s["threads"]) and s["threads"] >= 1, "an integer >= 1"),
     }
     for key in ("hidden_dims", "projection_dims"):
         val = s[key]
-        rules[key] = (isinstance(val, list) and len(val) == 2 and all(_is_int(x) and x >= 1 for x in val),
+        rules[key] = (isinstance(val, (list, tuple)) and len(val) == 2 and all(_is_int(x) and x >= 1 for x in val),
                       "a list of two integers >= 1")
     for key in ("normalize_embeddings", "ablation", "dump_plan"):
         rules[key] = (isinstance(s[key], bool), "true or false")
     for key, (ok, rule) in rules.items():
         _check(bool(ok), f"train.{key} must be {rule}")
+    for key in ("lr", "dropout_rate", "temperature", "contrastive_weight"):
+        s[key] = float(s[key])
+    for key in ("hidden_dims", "projection_dims", "seeds"):
+        s[key] = tuple(s[key])
 
     prep_dir = os.path.join(out_dir, "prep")
-    train_annotations = s["train_annotations"] or os.path.join(prep_dir, "train.csv")
-    test_annotations = s["test_annotations"] or os.path.join(prep_dir, "test.csv")
-    profiles = s["profiles"] or (prep.profiles if prep else None)
-    embeddings = s["embeddings"]
-    if embeddings is None and synth_dir:
-        embeddings = os.path.join(synth_dir, "embeddings.csv")
-    _check(embeddings is not None, "train.embeddings is required")
-    socio_embeddings = s["socio_embeddings"]
-    if socio_embeddings is None and synth_dir:
-        candidate = os.path.join(synth_dir, "socio_embeddings.csv")
-        socio_embeddings = candidate
-    columns = _parse_columns(s["columns"], "train") if s["columns"] is not None else (
-        dict(prep.columns) if prep else dict(_DEFAULT_COLUMNS)
-    )
-    run = RunConfig(
-        variant=variants[0],
-        hidden_dims=tuple(s["hidden_dims"]),
-        projection_dims=tuple(s["projection_dims"]),
-        dropout_rate=float(s["dropout_rate"]),
-        temperature=float(s["temperature"]),
-        contrastive_weight=float(s["contrastive_weight"]),
-        normalize_embeddings=s["normalize_embeddings"],
-        lr=float(s["lr"]),
-        batch_size=s["batch_size"],
-        epochs=s["epochs"],
-        seeds=tuple(seeds),
-    )
+    s["train_annotations"] = s["train_annotations"] or os.path.join(prep_dir, "train.csv")
+    s["test_annotations"] = s["test_annotations"] or os.path.join(prep_dir, "test.csv")
+    s["profiles"] = s["profiles"] or (prep.profiles if prep else None)
+    if synth_dir:
+        s["embeddings"] = s["embeddings"] or os.path.join(synth_dir, "embeddings.csv")
+        s["socio_embeddings"] = s["socio_embeddings"] or os.path.join(synth_dir, "socio_embeddings.csv")
+    _check(s["embeddings"] is not None, "train.embeddings is required")
+    s["columns"] = _parse_columns(s["columns"], "train", prep and prep.columns)
     return TrainConfig(
-        variants=variants,
-        train_annotations=train_annotations,
-        test_annotations=test_annotations,
-        profiles=profiles,
-        columns=columns,
-        embeddings=embeddings,
-        socio_embeddings=socio_embeddings,
-        run=run,
-        ablation=s["ablation"],
-        dump_plan=s["dump_plan"],
+        runs=[RunConfig(**{**{key: s[key] for key in run}, "variant": v}) for v in variants],
+        **{key: s[key] for key in inputs},
     )
 
 
 def _parse_eval(raw: dict, out_dir: str, train: TrainConfig | None) -> EvalConfig:
-    allowed = {
-        "checkpoints": None,
-        "annotations": None,
-        "profiles": None,
-        "columns": None,
-        "embeddings": None,
-        "socio_embeddings": None,
-    }
-    s = _require(raw, allowed, "eval")
+    s = _require(raw, _defaults(EvalConfig), "eval")
     _check_paths(s, ("checkpoints", "annotations", "profiles", "embeddings", "socio_embeddings"), "eval")
-    checkpoints = s["checkpoints"]
-    _check(checkpoints is not None or train is not None,
+    _check(s["checkpoints"] is not None or train is not None,
            "eval.checkpoints is required without a train section")
-    return EvalConfig(
-        checkpoints=checkpoints or os.path.join(out_dir, "train"),
-        annotations=s["annotations"] or (train.test_annotations if train else None)
-        or os.path.join(out_dir, "prep", "test.csv"),
-        profiles=s["profiles"] or (train.profiles if train else None),
-        columns=_parse_columns(s["columns"], "eval") if s["columns"] is not None else (
-            dict(train.columns) if train else dict(_DEFAULT_COLUMNS)
-        ),
-        embeddings=s["embeddings"] or (train.embeddings if train else None),
-        socio_embeddings=s["socio_embeddings"] or (train.socio_embeddings if train else None),
+    s["checkpoints"] = s["checkpoints"] or os.path.join(out_dir, "train")
+    s["annotations"] = s["annotations"] or (
+        train.test_annotations if train else os.path.join(out_dir, "prep", "test.csv")
     )
+    if train:
+        # a null input is the train section's input of the same name
+        for key in ("profiles", "embeddings", "socio_embeddings"):
+            s[key] = s[key] or getattr(train, key)
+    _check(s["embeddings"] is not None, "eval.embeddings is required")
+    s["columns"] = _parse_columns(s["columns"], "eval", train and train.columns)
+    return EvalConfig(**s)
 
 
 def _parse_homophily(raw: dict, out_dir: str, train: TrainConfig | None) -> HomophilyConfig:
-    allowed = {
-        "representations": None,
-        "profiles": None,
-        "k": 50,
-        "iterations": 1000,
-        "seed": 0,
-        "metric": "cosine",
-        "attributes": None,
-    }
-    s = _require(raw, allowed, "homophily")
+    s = _require(raw, _defaults(HomophilyConfig), "homophily")
     _check_paths(s, ("representations", "profiles"), "homophily")
-    reps = s["representations"]
-    if reps is None and train is not None:
-        first_seed = train.run.seeds[0]
-        reps = os.path.join(out_dir, "train", "socio_contrastive", f"seed{first_seed}", "representations.csv")
-    _check(reps is not None, "homophily.representations is required")
-    profiles = s["profiles"] or (train.profiles if train else None)
-    _check(profiles is not None, "homophily.profiles is required")
+    if s["representations"] is None and train is not None:
+        first_seed = train.runs[0].seeds[0]
+        s["representations"] = os.path.join(
+            out_dir, "train", "socio_contrastive", f"seed{first_seed}", "representations.csv"
+        )
+    _check(s["representations"] is not None, "homophily.representations is required")
+    s["profiles"] = s["profiles"] or (train.profiles if train else None)
+    _check(s["profiles"] is not None, "homophily.profiles is required")
     for key, least in (("k", 1), ("iterations", 1), ("seed", 0)):
         _check(_is_int(s[key]) and s[key] >= least, f"homophily.{key} must be an integer >= {least}")
     _check(s["metric"] in ("cosine", "euclidean"), "homophily.metric must be cosine or euclidean")
     attrs = s["attributes"]
     if attrs is not None:
-        _check(isinstance(attrs, list) and attrs and all(isinstance(a, str) for a in attrs),
-               "homophily.attributes must be a non-empty list of strings")
-    return HomophilyConfig(
-        representations=reps,
-        profiles=profiles,
-        k=s["k"],
-        iterations=s["iterations"],
-        seed=s["seed"],
-        metric=s["metric"],
-        attributes=attrs,
-    )
+        _check(isinstance(attrs, list) and attrs and all(isinstance(a, str) for a in attrs) and _distinct(attrs),
+               "homophily.attributes must be a non-empty list of distinct strings")
+    return HomophilyConfig(**s)
 
 
-def _parse_synth(raw: dict) -> SynthConfig:
-    allowed = {
-        "annotator_count": None,
-        "text_count": 100,
-        "annotations_per_text": 4,
-        "embedding_dim": 16,
-        "embedding_noise": 0.1,
-        "seed": 0,
-        "attributes": None,
-        "signal": None,
-        "socio_embedding_dim": None,
-    }
-    s = _require(raw, allowed, "synth")
+def _parse_synth(raw: dict) -> PopulationSpec:
+    s = _require(raw, _defaults(PopulationSpec), "synth")
     dim = s["socio_embedding_dim"]
     rules = {key: (_is_int(s[key]) and s[key] >= 1, "an integer >= 1")
              for key in ("annotator_count", "text_count", "annotations_per_text", "embedding_dim")}
@@ -358,7 +271,7 @@ def _parse_synth(raw: dict) -> SynthConfig:
     attributes = []
     for i, spec in enumerate(s["attributes"]):
         where = f"synth.attributes[{i}]"
-        a = _require(spec, {"name": None, "categories": None, "probabilities": None}, where)
+        a = _require(spec, _defaults(AttributeSpec), where)
         categories, probs = a["categories"], a["probabilities"]
         _check(isinstance(a["name"], str), f"{where}.name must be a string")
         _check(isinstance(categories, list) and categories and all(isinstance(c, str) for c in categories),
@@ -379,17 +292,9 @@ def _parse_synth(raw: dict) -> SynthConfig:
         _check(cat in known.get(attr, ()), f"synth.signal.{attr}.{cat}: no such attribute category")
     _check(s["annotations_per_text"] <= s["annotator_count"],
            "synth.annotations_per_text cannot exceed synth.annotator_count")
-    population = PopulationSpec(
-        annotator_count=s["annotator_count"],
-        attributes=tuple(attributes),
-        signal=signal,
-        text_count=s["text_count"],
-        annotations_per_text=s["annotations_per_text"],
-        embedding_dim=s["embedding_dim"],
-        embedding_noise=float(s["embedding_noise"]),
-        seed=s["seed"],
+    return PopulationSpec(
+        **{**s, "attributes": tuple(attributes), "signal": signal, "embedding_noise": float(s["embedding_noise"])}
     )
-    return SynthConfig(population=population, socio_embedding_dim=dim)
 
 
 def load_config(path: str, overrides: dict[str, dict[str, Any]] | None = None) -> PipelineConfig:
@@ -399,31 +304,20 @@ def load_config(path: str, overrides: dict[str, dict[str, Any]] | None = None) -
     section before it is validated, like values from the file; a section
     the file lacks stays absent.
     """
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        # a byte that is not UTF-8 lands here too, as a UnicodeDecodeError
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    for name, fields in (overrides or {}).items():
+    for name, values in (overrides or {}).items():
         if isinstance(raw.get(name), dict):
-            raw[name] = {**raw[name], **fields}
-    top = _require(
-        raw,
-        {
-            "output_dir": None,
-            "verbosity": 1,
-            "prep": None,
-            "train": None,
-            "eval": None,
-            "homophily": None,
-            "synth": None,
-        },
-        "config",
-    )
+            raw[name] = {**raw[name], **values}
+    top = _require(raw, _defaults(PipelineConfig), "config")
     _check(isinstance(top["output_dir"], str) and top["output_dir"], "output_dir is required")
     out_dir = top["output_dir"]
     _check(top["verbosity"] in (0, 1), "verbosity must be 0 or 1")
@@ -434,13 +328,7 @@ def load_config(path: str, overrides: dict[str, dict[str, Any]] | None = None) -
     train = _parse_train(top["train"], out_dir, prep, synth_dir) if top["train"] is not None else None
     eval_cfg = _parse_eval(top["eval"], out_dir, train) if top["eval"] is not None else None
     homophily = _parse_homophily(top["homophily"], out_dir, train) if top["homophily"] is not None else None
-
     return PipelineConfig(
-        output_dir=out_dir,
-        verbosity=top["verbosity"],
-        prep=prep,
-        train=train,
-        eval=eval_cfg,
-        homophily=homophily,
+        output_dir=out_dir, verbosity=top["verbosity"], prep=prep, train=train, eval=eval_cfg, homophily=homophily,
         synth=synth,
     )

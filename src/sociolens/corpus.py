@@ -31,7 +31,7 @@ from .errors import (
     EmptyDatasetError,
     SchemaError,
 )
-from .features import AnnotatorProfile
+from .features import AnnotatorProfile, open_csv
 from .rng import seeded_shuffle
 
 RECORD = np.dtype([("text", np.int32), ("annotator", np.int32), ("score", np.int64), ("label", np.int8)])
@@ -132,7 +132,7 @@ def load_annotations(path: str, columns: ColumnMapping | None = None) -> Dataset
     text_ids: list[str] = []
     annotator_ids: list[str] = []
     scores: list[int] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_csv(path) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataError(f"{path}: empty file")

@@ -18,6 +18,7 @@ consumed here from two formats (the package writes only CSV):
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 import struct
@@ -28,6 +29,16 @@ import numpy as np
 from .errors import DataError, DuplicateError, EncodingError, NumericError, SchemaError
 
 MISSING = "⟂missing⟂"
+
+
+@contextlib.contextmanager
+def open_csv(path: str):
+    """`path` opened as UTF-8 text for the csv module; a byte that does not decode is a DataError naming the file."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -169,7 +180,7 @@ def load_vector_csv(path: str, key_column: str) -> tuple[int, dict[str, np.ndarr
     infinity is a NumericError.
     """
     vectors: dict[str, np.ndarray] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_csv(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -239,7 +250,7 @@ def load_profiles(path: str) -> dict[str, AnnotatorProfile]:
     if not os.path.exists(path):
         raise DataError(f"profile file not found: {path}")
     profiles: dict[str, AnnotatorProfile] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_csv(path) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "annotator_id" not in reader.fieldnames:
             raise SchemaError(f"{path}: profile file needs an 'annotator_id' column")

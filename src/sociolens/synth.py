@@ -49,6 +49,7 @@ class PopulationSpec:
     embedding_dim: int = 16
     embedding_noise: float = 0.1
     seed: int = 0
+    socio_embedding_dim: int | None = None  # also write an annotator-keyed socio embedding table this wide
 
 
 @dataclass

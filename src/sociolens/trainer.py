@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -40,24 +40,26 @@ from .model import (
 )
 from .objectives import bce_loss, combined_loss, contrastive_loss
 
-DEFAULT_SEEDS = (0, 1, 2, 3, 4, 5)
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One suite's hyperparameters; `config.load_config` validates every field."""
+    """One suite's hyperparameters; `config.load_config` validates every field.
+
+    A field that `ModelSpec` also has is the spec's field of that name,
+    and defaults as the spec's does.
+    """
 
     variant: str
-    hidden_dims: tuple[int, int] = (512, 256)
-    projection_dims: tuple[int, int] = (64, 128)
-    dropout_rate: float = 0.2
-    temperature: float = 0.1
-    contrastive_weight: float = 1.0
-    normalize_embeddings: bool = True
+    hidden_dims: tuple[int, int] = ModelSpec.hidden_dims
+    projection_dims: tuple[int, int] = ModelSpec.projection_dims
+    dropout_rate: float = ModelSpec.dropout_rate
+    temperature: float = ModelSpec.temperature
+    contrastive_weight: float = ModelSpec.contrastive_weight
+    normalize_embeddings: bool = ModelSpec.normalize_embeddings
     lr: float = 0.01
     batch_size: int = 32
     epochs: int = 7
-    seeds: tuple[int, ...] = DEFAULT_SEEDS
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4, 5)
 
 
 @dataclass
@@ -95,24 +97,19 @@ def build_model_spec(
     socio_table: EmbeddingTable | None,
     schema: SocioSchema | None,
 ) -> ModelSpec:
-    """Fill the data-dependent spec fields (widths, head count) from the train split."""
+    """The spec of `config`'s fields that `ModelSpec` shares, with its widths and head count from the train split."""
     wiring = WIRING[config.variant]
     socio_width = 0
     if wiring.socio == "multihot":
         socio_width = schema.total_width
     elif wiring.socio == "embedding":
         socio_width = socio_table.dimension
+    run = asdict(config)
     return ModelSpec(
-        variant=config.variant,
         text_dim=text_table.dimension,
         socio_width=socio_width,
-        hidden_dims=config.hidden_dims,
-        projection_dims=config.projection_dims,
-        dropout_rate=config.dropout_rate,
-        temperature=config.temperature,
-        contrastive_weight=config.contrastive_weight,
         annotator_count=len(train.annotators) if wiring.per_annotator else 0,
-        normalize_embeddings=config.normalize_embeddings,
+        **{f.name: run[f.name] for f in fields(ModelSpec) if f.name in run},
     )
 
 

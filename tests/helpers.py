@@ -135,13 +135,12 @@ def reference_plan_epoch(text_ids: list[str], batch_size: int, seed: int) -> lis
     return [stream[i : i + batch_size] for i in range(0, len(stream), batch_size)]
 
 
-def random_batch(rng: np.random.Generator, spec: ModelSpec, size: int, n_texts: int, n_annotators: int = 4) -> Batch:
+def random_batch(rng: np.random.Generator, spec: ModelSpec, size: int, n_texts: int) -> Batch:
     """A random batch shaped for `spec`, with repeated text ids so pairs exist."""
     batch = Batch(
         text=rng.standard_normal((size, spec.text_dim)),
         labels=rng.integers(0, 2, size=size).astype(np.float64),
         text_ids=[f"t{rng.integers(0, n_texts)}" for _ in range(size)],
-        annotator_ids=[f"a{i}" for i in rng.integers(0, n_annotators, size=size)],
     )
     wiring = spec.wiring
     if wiring.socio == "multihot":

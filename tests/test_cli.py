@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import base_config, run_chain
-from sociolens import cli, corpus, features
+from sociolens import cli, corpus, features, trainer
 from sociolens.cli import main
 from sociolens.config import load_config
 from sociolens.errors import (
@@ -159,7 +159,10 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("seed", "x"), ("seed", 1.5), ("seed", -1), ("k", True), ("iterations", False), ("attributes", [])],
+        [
+            ("seed", "x"), ("seed", 1.5), ("seed", -1), ("k", True), ("iterations", False), ("attributes", []),
+            ("attributes", ["group", "group"]),
+        ],
     )
     def test_bad_homophily_field_exits_2(self, tmp_path, capsys, field, value):
         config = base_config(str(tmp_path / "out"))
@@ -175,7 +178,7 @@ class TestErrors:
             ("epochs", "7"), ("epochs", 2.5), ("dropout_rate", "x"), ("variant", []),
             ("lr", True), ("lr", "0.1"), ("contrastive_weight", "1"), ("seeds", [True]), ("seeds", [-1]),
             ("hidden_dims", [True, 2]), ("threads", True), ("normalize_embeddings", "no"),
-            ("ablation", "yes"), ("dump_plan", "no"),
+            ("ablation", "yes"), ("dump_plan", "no"), ("seeds", [0, 0]), ("variant", ["simple", "simple"]),
         ],
     )
     def test_bad_train_field_exits_2(self, tmp_path, capsys, field, value):
@@ -366,6 +369,26 @@ class TestErrors:
         assert main(["report", "--config", str(config_path)]) == 3
         assert capsys.readouterr().err.startswith(f"data error: {path}: malformed report input: ")
 
+    @pytest.mark.parametrize("field, code", [
+        ("--config", 2), ("--config directory", 2), ("eval.annotations", 3), ("eval.profiles", 3),
+        ("eval.embeddings", 3), ("homophily.representations", 3),
+    ])
+    def test_undecodable_or_directory_input_exits_naming_it(self, tmp_path, capsys, trained_chain, field, code):
+        # nothing is written before the bad input is read, so the shared chain's tree stays as it is
+        bad = tmp_path / "bad"
+        bad.write_bytes(b'{"output_dir": "\xff"}\n')  # not UTF-8, read as a config or as a CSV
+        command, config_path, named = "eval", bad if field == "--config" else tmp_path, bad
+        if "." in field:
+            config = json.loads(json.dumps(trained_chain))
+            command, key = field.split(".")
+            config[command][key] = str(bad)
+            config_path = tmp_path / "c.json"
+            config_path.write_text(json.dumps(config), encoding="utf-8")
+        elif field == "--config directory":
+            named = tmp_path
+        assert main([command, "--config", str(config_path)]) == code
+        assert str(named) in capsys.readouterr().err
+
     @pytest.mark.parametrize("error, code, prefix", [
         (ConfigError, 2, "config error"),
         (DataError, 3, "data error"),
@@ -468,6 +491,39 @@ SECTION_FIELDS = {
     ),
     "homophily": ("representations", "profiles", "k", "iterations", "seed", "metric", "attributes"),
 }
+MODEL_HYPERPARAMETERS = (
+    "hidden_dims", "projection_dims", "dropout_rate", "temperature", "contrastive_weight", "normalize_embeddings",
+)
+
+
+def test_unset_hyperparameters_take_the_run_config_defaults(tmp_path, monkeypatch):
+    config = base_config(str(tmp_path / "out"))
+    config["train"] = {"variant": "simple"}
+    run_chain(tmp_path, config, commands=("synth", "prep"))
+    seen = []
+
+    def stop(run_cfg, split, text_table, *args, **kwargs):
+        seen.append((run_cfg, trainer.build_model_spec(run_cfg, split.train, text_table, None, None)))
+        raise DataError("stopped before training")
+
+    monkeypatch.setattr(trainer, "train_suite", stop)
+    assert main(["train", "--config", str(tmp_path / "config.json")]) == 3
+    [(run_cfg, spec)] = seen
+    assert run_cfg == trainer.RunConfig(variant="simple")
+    assert [getattr(spec, name) for name in MODEL_HYPERPARAMETERS] == [(512, 256), (64, 128), 0.2, 0.1, 1.0, True]
+    assert [getattr(spec, name) for name in MODEL_HYPERPARAMETERS] == [
+        getattr(run_cfg, name) for name in MODEL_HYPERPARAMETERS
+    ]
+
+
+def test_manifest_spec_keys_keep_their_order(trained_chain):
+    manifest = Path(trained_chain["output_dir"]) / "train" / "simple" / "seed0" / "checkpoint" / "manifest.json"
+    assert list(json.loads(manifest.read_text(encoding="utf-8"))["spec"]) == [
+        "variant", "text_dim", "socio_width", "hidden_dims", "projection_dims", "dropout_rate", "temperature",
+        "contrastive_weight", "annotator_count", "normalize_embeddings",
+    ]
+
+
 JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
 
 

@@ -104,7 +104,7 @@ class TestForward:
         h2 = max(-2.0 * h1 + 0.3, 0.0)        # relu(-0.7) = 0
         logit = 1.5 * h2 - 0.2                # -0.2
         expected = 1.0 / (1.0 + math.exp(-logit))
-        batch = Batch(text=np.array([[x]]), labels=np.array([1.0]), text_ids=["t"], annotator_ids=["a"])
+        batch = Batch(text=np.array([[x]]), labels=np.array([1.0]), text_ids=["t"])
         probs, _ = forward(params, batch, mode="eval")
         assert probs[0] == pytest.approx(expected, abs=1e-12)
 
