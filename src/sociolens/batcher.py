@@ -44,8 +44,7 @@ class Batch:
     text: np.ndarray                     # (B, text_dim)
     labels: np.ndarray                   # (B,) float 0/1
     text_ids: np.ndarray                 # (B,) text codes; equal codes mean the same text
-    socio_multihot: np.ndarray | None = None   # (B, socio_width)
-    socio_embedding: np.ndarray | None = None  # (B, socio_dim)
+    socio: np.ndarray | None = None            # (B, socio_width): multi-hot or socio embedding rows
     annotator_index: np.ndarray | None = None  # (B,) int head index, -1 = unknown
 
 
@@ -54,8 +53,7 @@ class BatchTables:
     """Per-code lookup tables; a field is None when the variant does not read it."""
 
     text: np.ndarray                           # (n_texts, text_dim)
-    socio_multihot: np.ndarray | None = None   # (n_annotators, socio_width)
-    socio_embedding: np.ndarray | None = None  # (n_annotators, socio_dim)
+    socio: np.ndarray | None = None            # (n_annotators, socio_width)
     annotator_index: np.ndarray | None = None  # (n_annotators,) head index, -1 = unknown
 
 
@@ -92,7 +90,7 @@ def assemble_batch(records: np.ndarray, indices, tables: BatchTables) -> Batch:
         text_ids=texts,
         **{
             name: table[annotators]
-            for name in ("socio_multihot", "socio_embedding", "annotator_index")
+            for name in ("socio", "annotator_index")
             if (table := getattr(tables, name)) is not None
         },
     )

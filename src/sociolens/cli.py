@@ -57,10 +57,10 @@ def cmd_synth(cfg: config_mod.PipelineConfig) -> int:
 
     corpus.save_annotations(dataset, os.path.join(out, "annotations.csv"))
     features.save_profiles(population, os.path.join(out, "profiles.csv"))
-    features.save_embeddings_csv(text_corpus.embeddings, os.path.join(out, "embeddings.csv"))
+    features.save_vector_csv(text_corpus.embeddings, os.path.join(out, "embeddings.csv"), "key")
     if spec.socio_embedding_dim:
         table = synth.generate_socio_embeddings(population, spec.socio_embedding_dim, spec.seed)
-        features.save_embeddings_csv(table, os.path.join(out, "socio_embeddings.csv"))
+        features.save_vector_csv(table, os.path.join(out, "socio_embeddings.csv"), "key")
     stats = dataset.stats
     _write_json(os.path.join(out, "stats.json"), stats)
     _log(cfg, f"synth: {stats['records']} annotations over {stats['unique_texts']} texts -> {out}")
@@ -162,9 +162,8 @@ def _finish_suite(cfg, label: str, suite: SuiteResult, suite_dir: str, all_profi
     if WIRING[suite.config.variant].projected and all_profiles is not None:
         for run in suite.runs:
             reps = trainer.export_representations(run, all_profiles)
-            homophily.save_representations(
-                reps, os.path.join(suite_dir, f"seed{run.seed}", "representations.csv")
-            )
+            path = os.path.join(suite_dir, f"seed{run.seed}", "representations.csv")
+            features.save_vector_csv(reps, path, "annotator_id")
     f1_mean, f1_std = suite.aggregate["f1"]
     _log(cfg, f"train: {label} F1 = {f1_mean:.4f} ± {f1_std:.4f} -> {suite_dir}")
 

@@ -141,6 +141,7 @@ def _parse_columns(raw: Any, where: str, inherited: ColumnMapping | None) -> Col
     cols = _require(raw, _defaults(ColumnMapping), f"{where}.columns")
     for k, v in cols.items():
         _check(isinstance(v, str) and v, f"{where}.columns.{k} must be a non-empty string")
+    _check(_distinct(list(cols.values())), f"{where}.columns must name a different column for each role, got {cols}")
     return ColumnMapping(**cols)
 
 
@@ -320,7 +321,7 @@ def load_config(path: str, overrides: dict[str, dict[str, Any]] | None = None) -
     top = _require(raw, _defaults(PipelineConfig), "config")
     _check(isinstance(top["output_dir"], str) and top["output_dir"], "output_dir is required")
     out_dir = top["output_dir"]
-    _check(top["verbosity"] in (0, 1), "verbosity must be 0 or 1")
+    _check(_is_int(top["verbosity"]) and top["verbosity"] in (0, 1), "verbosity must be 0 or 1")
 
     synth = _parse_synth(top["synth"]) if top["synth"] is not None else None
     synth_dir = os.path.join(out_dir, "synth") if synth is not None else None

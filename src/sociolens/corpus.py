@@ -167,7 +167,8 @@ def load_annotations(path: str, columns: ColumnMapping | None = None) -> Dataset
             if first.setdefault(pair, i) != i
         ]
         raise DuplicateError(
-            f"{path}: duplicate (text_id, annotator_id) pairs: " + "; ".join(duplicates)
+            f"{path}: {len(duplicates)} rows repeat an earlier (text_id, annotator_id) pair, first: "
+            + "; ".join(duplicates[:5])
         )
     return dataset
 

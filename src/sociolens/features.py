@@ -1,4 +1,4 @@
-"""Socio-demographic schemas, multi-hot encoding, and embedding tables.
+"""Socio-demographic schemas, multi-hot encoding, and keyed vector tables.
 
 Profiles assign each annotator a category per attribute. A SocioSchema
 fixes the attribute/category ordering so that multi-hot encodings are
@@ -7,13 +7,19 @@ Missing or declined values map to an explicit trailing category rather
 than an all-zero block, so every encoding has exactly one hot slot per
 attribute.
 
-Embedding tables (text or annotator keyed) are produced externally and
-consumed here from two formats (the package writes only CSV):
+Every keyed side input and output is a VectorTable: text and socio
+embeddings, multi-hot rows, and learned representations. Embeddings are
+produced externally and read here from two formats; tables are written
+only as CSV, by `save_vector_csv`:
 
-* CSV: header ``key,d0,...,d{n-1}`` with full-precision decimal floats.
+* CSV: header ``<key column>,d0,...,d{n-1}`` with full-precision decimal
+  floats; the key column is ``key`` for embeddings and ``annotator_id``
+  for representations.
 * PEMB binary: magic ``PEMB``, u32 dimension, u32 entry count, then per
   entry a u32 key length, the UTF-8 key bytes, and ``dim`` little-endian
-  f32 components.
+  f32 components, and nothing after the last entry.
+
+Both readers reject a repeated key.
 """
 
 from __future__ import annotations
@@ -130,38 +136,36 @@ def encode_multihot(profile: AnnotatorProfile, schema: SocioSchema) -> np.ndarra
     return vec
 
 
-class EmbeddingTable:
-    """Immutable key -> fixed-width float vector map."""
+def multihot_table(profiles: dict[str, AnnotatorProfile], schema: SocioSchema) -> VectorTable:
+    """Each profile's `encode_multihot` row under `schema`, keyed by annotator id in `profiles` order."""
+    rows = [encode_multihot(profile, schema) for profile in profiles.values()]
+    return VectorTable(list(profiles), np.array(rows).reshape(len(rows), schema.total_width))
 
-    def __init__(self, dimension: int, vectors: dict[str, np.ndarray]):
-        if dimension < 1:
-            raise DataError("embedding dimension must be >= 1")
-        self.dimension = dimension
-        self.vectors: dict[str, np.ndarray] = {}
-        for key, vec in vectors.items():
-            arr = np.asarray(vec, dtype=np.float64)
-            if arr.shape != (dimension,):
-                raise DataError(f"vector for key {key!r} has width {arr.shape}, expected {dimension}")
-            if not np.all(np.isfinite(arr)):
-                raise NumericError(f"non-finite component in vector for key {key!r}")
-            arr.flags.writeable = False
-            self.vectors[key] = arr
+
+class VectorTable:
+    """Keyed float64 rows: the keys in file order, one (n, d) matrix, and each key's row in it."""
+
+    def __init__(self, keys: list[str], matrix: np.ndarray):
+        self.keys = keys
+        self.matrix = matrix
+        self.index = {key: i for i, key in enumerate(keys)}
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.keys)
 
-    def __getitem__(self, key: str) -> np.ndarray:
+    @property
+    def dimension(self) -> int:
+        return self.matrix.shape[1]
+
+    def rows(self, keys: list[str]) -> np.ndarray:
+        """The (len(keys), dimension) rows of `keys`, in their order; a key without a row is a DataError."""
         try:
-            return self.vectors[key]
-        except KeyError:
-            raise DataError(f"no embedding for key {key!r}") from None
-
-    def matrix(self, keys: list[str]) -> np.ndarray:
-        """Stack vectors for `keys` into a (len(keys), dimension) array."""
-        return np.stack([self[k] for k in keys]) if keys else np.zeros((0, self.dimension))
+            return self.matrix[[self.index[key] for key in keys]]
+        except KeyError as exc:
+            raise DataError(f"no vector for key {exc.args[0]!r}") from None
 
 
-def load_embeddings(path: str) -> EmbeddingTable:
+def load_embeddings(path: str) -> VectorTable:
     """Load an embedding table, dispatching on the PEMB magic bytes."""
     if not os.path.exists(path):
         raise DataError(f"embedding file not found: {path}")
@@ -169,17 +173,18 @@ def load_embeddings(path: str) -> EmbeddingTable:
         magic = fh.read(4)
     if magic == b"PEMB":
         return _load_embeddings_binary(path)
-    return EmbeddingTable(*load_vector_csv(path, "key"))
+    return load_vector_csv(path, "key")
 
 
-def load_vector_csv(path: str, key_column: str) -> tuple[int, dict[str, np.ndarray]]:
-    """The width and the rows by key of a ``<key_column>,d0,...`` CSV: embeddings or representations.
+def load_vector_csv(path: str, key_column: str) -> VectorTable:
+    """The table of a ``<key_column>,d0,...`` CSV: embeddings or representations.
 
     A wrong header, a row of the wrong width, a repeated key or a cell
     that is not a number is a DataError naming the row; a NaN or an
     infinity is a NumericError.
     """
-    vectors: dict[str, np.ndarray] = {}
+    index: dict[str, int] = {}  # row number by key
+    rows: list[np.ndarray] = []
     with open_csv(path) as fh:
         reader = csv.reader(fh)
         try:
@@ -197,27 +202,31 @@ def load_vector_csv(path: str, key_column: str) -> tuple[int, dict[str, np.ndarr
                     f"{path}: row {row_no} has {len(row) - 1} components, expected {dimension}"
                 )
             key = row[0]
-            if key in vectors:
+            if key in index:
                 raise DataError(f"{path}: duplicate key {key!r} at row {row_no}")
+            index[key] = row_no
             try:
                 arr = np.array([float(x) for x in row[1:]], dtype=np.float64)
             except ValueError as exc:
                 raise DataError(f"{path}: row {row_no}: {exc}") from None
             if not np.all(np.isfinite(arr)):
                 raise NumericError(f"{path}: row {row_no} has a non-finite component")
-            vectors[key] = arr
-    return dimension, vectors
+            rows.append(arr)
+    return VectorTable(list(index), np.array(rows).reshape(len(rows), dimension))
 
 
-def _load_embeddings_binary(path: str) -> EmbeddingTable:
+def _load_embeddings_binary(path: str) -> VectorTable:
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != b"PEMB":
         raise DataError(f"{path}: missing PEMB magic")
+    index: dict[str, int] = {}  # entry number by key
+    rows: list[np.ndarray] = []
     try:
         dimension, count = struct.unpack_from("<II", blob, 4)
+        if dimension < 1:
+            raise DataError(f"{path}: PEMB dimension must be >= 1")
         pos = 12
-        vectors: dict[str, np.ndarray] = {}
         for i in range(count):
             (keylen,) = struct.unpack_from("<I", blob, pos)
             pos += 4
@@ -225,21 +234,26 @@ def _load_embeddings_binary(path: str) -> EmbeddingTable:
             pos += keylen
             vec = np.frombuffer(blob, dtype="<f4", count=dimension, offset=pos)
             pos += 4 * dimension
+            if key in index:
+                raise DataError(f"{path}: duplicate key {key!r} at entry {i}")
+            index[key] = i
             if not np.all(np.isfinite(vec)):
                 raise NumericError(f"{path}: entry {i} has a non-finite component")
-            vectors[key] = vec.astype(np.float64)
+            rows.append(vec.astype(np.float64))
     except (struct.error, ValueError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: truncated or corrupt PEMB file: {exc}") from None
-    return EmbeddingTable(dimension, vectors)
+    if pos != len(blob):
+        raise DataError(f"{path}: {len(blob) - pos} trailing byte(s) after the {count} declared PEMB entries")
+    return VectorTable(list(index), np.array(rows).reshape(count, dimension))
 
 
-def save_embeddings_csv(table: EmbeddingTable, path: str) -> None:
-    """Write the CSV format; floats use repr so reloads are bit-identical."""
+def save_vector_csv(table: VectorTable, path: str, key_column: str) -> None:
+    """Write `table` as a ``<key_column>,d0,...`` CSV; floats use repr, so `load_vector_csv` reads the same bits."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["key"] + [f"d{i}" for i in range(table.dimension)])
-        for key, vec in table.vectors.items():
-            writer.writerow([key] + [repr(float(x)) for x in vec])
+        writer.writerow([key_column] + [f"d{i}" for i in range(table.dimension)])
+        for key, vec in zip(table.keys, table.matrix):
+            writer.writerow([key] + [repr(x) for x in vec.tolist()])
 
 
 def load_profiles(path: str) -> dict[str, AnnotatorProfile]:

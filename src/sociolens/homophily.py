@@ -21,14 +21,13 @@ attribute is scored on those neighbors: O(n² log n + iterations × n²).
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .features import MISSING, AnnotatorProfile, SocioSchema, load_vector_csv
+from .features import MISSING, AnnotatorProfile, SocioSchema, VectorTable, load_vector_csv
 
 METRICS = ("cosine", "euclidean")
 
@@ -60,36 +59,23 @@ class RepSpace:
     @classmethod
     def from_representations(
         cls,
-        reps: dict[str, np.ndarray],
+        reps: VectorTable,
         profiles: dict[str, AnnotatorProfile],
         schema: SocioSchema,
     ) -> "RepSpace":
-        ids = list(reps)
-        vectors = np.stack([reps[a] for a in ids])
+        ids = reps.keys
         attributes = {
             attr: [profiles[a].assignments.get(attr, MISSING) or MISSING if a in profiles else MISSING for a in ids]
             for attr in schema.attribute_names
         }
-        return cls(ids, vectors, attributes)
+        return cls(ids, reps.matrix, attributes)
 
 
-def save_representations(reps: dict[str, np.ndarray], path: str) -> None:
-    """CSV export: annotator_id,d0..d{n-1} with full-precision floats."""
-    if not reps:
-        raise DataError("no representations to save")
-    dim = len(next(iter(reps.values())))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["annotator_id"] + [f"d{i}" for i in range(dim)])
-        for aid, vec in reps.items():
-            writer.writerow([aid] + [repr(float(x)) for x in vec])
-
-
-def load_representations(path: str) -> dict[str, np.ndarray]:
-    """Representation rows by annotator id, read by `features.load_vector_csv`."""
+def load_representations(path: str) -> VectorTable:
+    """The annotator-keyed representation table, read by `features.load_vector_csv`."""
     if not os.path.exists(path):
         raise DataError(f"representation file not found: {path}")
-    _, reps = load_vector_csv(path, "annotator_id")
+    reps = load_vector_csv(path, "annotator_id")
     if not reps:
         raise DataError(f"{path}: empty representation file")
     return reps

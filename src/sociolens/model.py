@@ -9,8 +9,8 @@ head; `WIRING` is the one table that says which:
   annotator, and annotators unseen in training score under the mean of
   all trained heads. ``simple`` trains on one majority-vote sample per
   text.
-* ``socio_multihot`` / ``socio_embedding``: the batch's multi-hot rows,
-  or its externally encoded socio rows.
+* ``socio_multihot`` / ``socio_embedding``: the batch's socio rows,
+  multi-hot or externally encoded.
 * ``socio_contrastive``: the multi-hot rows passed through a projection
   stack of two ``Dense → ReLU`` layers (no dropout). Its output E is
   concatenated, and an L2-normalized copy of E feeds the contrastive
@@ -41,14 +41,14 @@ import numpy as np
 
 from .batcher import Batch
 from .errors import ConfigError, DataError, NumericError
-from .features import AnnotatorProfile, SocioSchema, encode_multihot
+from .features import AnnotatorProfile, SocioSchema, VectorTable, multihot_table
 
 
 @dataclass(frozen=True)
 class Wiring:
     """What a variant concatenates to the text, and how its head reads out."""
 
-    socio: str | None = None     # "multihot" or "embedding": the batch's socio_<kind> rows join the text
+    socio: str | None = None     # "multihot" or "embedding": which rows fill the batch's socio slot
     projected: bool = False      # socio rows pass the projection stack; E feeds the contrastive loss
     per_annotator: bool = False  # one head unit per annotator instead of one unit
     majority_vote: bool = False  # trains on one majority-vote sample per text
@@ -243,9 +243,9 @@ def forward(
 
     fused = batch.text
     if wiring.socio is not None:
-        socio = getattr(batch, f"socio_{wiring.socio}")
+        socio = batch.socio
         if socio is None:
-            raise DataError(f"{spec.variant} batch is missing its socio_{wiring.socio} matrix")
+            raise DataError(f"{spec.variant} batch is missing its socio rows")
         if wiring.projected:
             E = _stack_forward(t, range(spec.trunk_start), socio, trace)
             trace.E = socio = E
@@ -419,8 +419,8 @@ def extract_socio_reps(
     params: ModelParams,
     profiles: dict[str, AnnotatorProfile],
     schema: SocioSchema,
-) -> dict[str, np.ndarray]:
-    """Learned representation per unique annotator; identical profiles map identically.
+) -> VectorTable:
+    """Learned representation per profiled annotator, keyed in `profiles` order; identical profiles map identically.
 
     Each distinct profile row runs the eval-mode projection stack once and
     on its own: the last bit of a batched product can depend on where a
@@ -429,11 +429,12 @@ def extract_socio_reps(
     spec = params.spec
     if not spec.wiring.projected:
         raise ConfigError(f"socio representations only exist for socio_contrastive, not {spec.variant}")
-    projection = range(spec.trunk_start)
-    rows = np.array([encode_multihot(profile, schema) for profile in profiles.values()])
-    distinct, inverse = np.unique(rows.reshape(len(profiles), schema.total_width), axis=0, return_inverse=True)
-    reps = [_stack_forward(params.tensors, projection, row[None, :])[0] for row in distinct]
-    return {aid: reps[i] for aid, i in zip(profiles, inverse.reshape(-1).tolist())}
+    multihot = multihot_table(profiles, schema)
+    distinct, inverse = np.unique(multihot.matrix, axis=0, return_inverse=True)
+    reps = np.empty((len(distinct), spec.projection_dims[-1]))
+    for i, row in enumerate(distinct):
+        reps[i] = _stack_forward(params.tensors, range(spec.trunk_start), row[None, :])[0]
+    return VectorTable(multihot.keys, reps[inverse.reshape(-1)])
 
 
 def save_checkpoint(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .corpus import Dataset
 from .errors import ConfigError
-from .features import AnnotatorProfile, EmbeddingTable
+from .features import AnnotatorProfile, VectorTable
 from .model import sigmoid
 
 
@@ -56,7 +56,7 @@ class PopulationSpec:
 class SynthCorpus:
     text_ids: list[str]
     latent: np.ndarray
-    embeddings: EmbeddingTable
+    embeddings: VectorTable
     direction: np.ndarray
 
 
@@ -85,10 +85,7 @@ def generate_corpus(spec: PopulationSpec) -> SynthCorpus:
     direction /= np.linalg.norm(direction)
     noise = rng.standard_normal((spec.text_count, spec.embedding_dim))
     vectors = latent[:, None] * direction[None, :] + spec.embedding_noise * noise
-    table = EmbeddingTable(
-        spec.embedding_dim, {tid: vectors[i] for i, tid in enumerate(text_ids)}
-    )
-    return SynthCorpus(text_ids=text_ids, latent=latent, embeddings=table, direction=direction)
+    return SynthCorpus(text_ids=text_ids, latent=latent, embeddings=VectorTable(text_ids, vectors), direction=direction)
 
 
 def annotator_shift(profile: AnnotatorProfile, signal: dict[tuple[str, str], float]) -> float:
@@ -127,7 +124,7 @@ def generate_socio_embeddings(
     population: dict[str, AnnotatorProfile],
     dim: int,
     seed: int,
-) -> EmbeddingTable:
+) -> VectorTable:
     """Stand-in for an external encoder over profile strings.
 
     Each (attribute, category) pair gets a fixed random direction; an
@@ -137,9 +134,9 @@ def generate_socio_embeddings(
     rng = np.random.default_rng([seed, 4])
     pairs = sorted({(a, c) for p in population.values() for a, c in p.assignments.items()})
     directions = {pair: rng.standard_normal(dim) for pair in pairs}
-    vectors: dict[str, np.ndarray] = {}
-    for aid, profile in population.items():
+    vectors = np.empty((len(population), dim))
+    for i, profile in enumerate(population.values()):
         parts = [directions[(a, c)] for a, c in sorted(profile.assignments.items())]
         base = np.mean(parts, axis=0) if parts else np.zeros(dim)
-        vectors[aid] = base + 0.01 * rng.standard_normal(dim)
-    return EmbeddingTable(dim, vectors)
+        vectors[i] = base + 0.01 * rng.standard_normal(dim)
+    return VectorTable(list(population), vectors)

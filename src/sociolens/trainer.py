@@ -24,7 +24,7 @@ import numpy as np
 from .batcher import BatchTables, assemble_batch, plan_epoch
 from .corpus import Dataset, SplitPair, majority_vote
 from .errors import ConfigError, DataError, NumericError, SociolensError
-from .features import EmbeddingTable, SocioSchema, build_schema, encode_multihot
+from .features import SocioSchema, VectorTable, build_schema, multihot_table
 from .metrics import MetricsReport, aggregate_runs, confusion_metrics
 from .model import (
     WIRING,
@@ -90,25 +90,13 @@ class SuiteResult:
         }
 
 
-def build_model_spec(
-    config: RunConfig,
-    train: Dataset,
-    text_table: EmbeddingTable,
-    socio_table: EmbeddingTable | None,
-    schema: SocioSchema | None,
-) -> ModelSpec:
-    """The spec of `config`'s fields that `ModelSpec` shares, with its widths and head count from the train split."""
-    wiring = WIRING[config.variant]
-    socio_width = 0
-    if wiring.socio == "multihot":
-        socio_width = schema.total_width
-    elif wiring.socio == "embedding":
-        socio_width = socio_table.dimension
+def build_model_spec(config: RunConfig, train: Dataset, tables: BatchTables) -> ModelSpec:
+    """The spec of `config`'s fields that `ModelSpec` shares, its widths from `tables`, its head count from `train`."""
     run = asdict(config)
     return ModelSpec(
-        text_dim=text_table.dimension,
-        socio_width=socio_width,
-        annotator_count=len(train.annotators) if wiring.per_annotator else 0,
+        text_dim=tables.text.shape[1],
+        socio_width=0 if tables.socio is None else tables.socio.shape[1],
+        annotator_count=len(train.annotators) if WIRING[config.variant].per_annotator else 0,
         **{f.name: run[f.name] for f in fields(ModelSpec) if f.name in run},
     )
 
@@ -116,27 +104,22 @@ def build_model_spec(
 def _batch_tables(
     wiring: Wiring,
     dataset: Dataset,
-    text_table: EmbeddingTable,
+    text_table: VectorTable,
     schema: SocioSchema | None,
-    socio_table: EmbeddingTable | None,
+    socio_table: VectorTable | None,
     annotator_index: dict[str, int] | None,
 ) -> BatchTables:
     """The lookup tables this wiring reads, one row per code of `dataset`; a missing entry is a data error."""
     annotators = dataset.annotators.tolist()
-    tables = {"text": text_table.matrix(dataset.texts.tolist())}
+    tables = {"text": text_table.rows(dataset.texts.tolist())}
     if wiring.per_annotator:
         tables["annotator_index"] = np.array([annotator_index.get(a, -1) for a in annotators], dtype=np.int64)
     if wiring.socio == "multihot":
-        missing = [a for a in annotators if a not in dataset.profiles]
-        if missing:
-            raise DataError(f"no profile for annotator {missing[0]!r}")
-        tables["socio_multihot"] = np.array(
-            [encode_multihot(dataset.profiles[a], schema) for a in annotators]
-        ).reshape(len(annotators), schema.total_width)
-    elif wiring.socio == "embedding":
-        if socio_table is None:
-            raise DataError("socio_embedding needs an annotator-keyed embedding table")
-        tables["socio_embedding"] = socio_table.matrix(annotators)
+        socio_table = multihot_table(dataset.profiles, schema)
+    elif wiring.socio == "embedding" and socio_table is None:
+        raise DataError("socio_embedding needs an annotator-keyed embedding table")
+    if wiring.socio is not None:
+        tables["socio"] = socio_table.rows(annotators)
     return BatchTables(**tables)
 
 
@@ -144,8 +127,8 @@ def train_one(
     config: RunConfig,
     seed: int,
     split: SplitPair,
-    text_table: EmbeddingTable,
-    socio_table: EmbeddingTable | None = None,
+    text_table: VectorTable,
+    socio_table: VectorTable | None = None,
     out_dir: str | None = None,
     dump_plan: bool = False,
 ) -> TrainedRun:
@@ -164,7 +147,7 @@ def train_one(
     annotator_index = {a: i for i, a in enumerate(sorted(train.annotators.tolist()))} if wiring.per_annotator else None
     tables = _batch_tables(wiring, train, text_table, schema, socio_table, annotator_index)
 
-    spec = build_model_spec(config, train, text_table, socio_table, schema)
+    spec = build_model_spec(config, train, tables)
     params = init_params(spec, seed)
     dropout_rng = np.random.default_rng([seed, 0xD0])
 
@@ -215,8 +198,8 @@ def train_one(
 def predict(
     run: TrainedRun,
     dataset: Dataset,
-    text_table: EmbeddingTable,
-    socio_table: EmbeddingTable | None = None,
+    text_table: VectorTable,
+    socio_table: VectorTable | None = None,
     batch_size: int = 256,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Eval-mode probabilities for every record, in record order.
@@ -243,8 +226,8 @@ def predict(
 def train_suite(
     config: RunConfig,
     split: SplitPair,
-    text_table: EmbeddingTable,
-    socio_table: EmbeddingTable | None = None,
+    text_table: VectorTable,
+    socio_table: VectorTable | None = None,
     out_dir: str | None = None,
     dump_plan: bool = False,
 ) -> SuiteResult:
@@ -274,7 +257,7 @@ def train_suite(
     )
 
 
-def export_representations(run: TrainedRun, profiles: dict) -> dict[str, np.ndarray]:
+def export_representations(run: TrainedRun, profiles: dict) -> VectorTable:
     """Socio representations for all profiled annotators under this run's schema."""
     if run.schema is None:
         raise ConfigError("this run has no socio schema")

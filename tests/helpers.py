@@ -24,7 +24,7 @@ from sociolens.batcher import Batch
 from sociolens.cli import main
 from sociolens.corpus import Dataset
 from sociolens.errors import ConfigError, DataError, NumericError
-from sociolens.features import EmbeddingTable, SocioSchema
+from sociolens.features import SocioSchema, VectorTable
 from sociolens.homophily import (
     HomophilyRow,
     RepSpace,
@@ -148,9 +148,9 @@ def random_batch(rng: np.random.Generator, spec: ModelSpec, size: int, n_texts: 
         for i in range(size):
             hot = rng.choice(spec.socio_width, size=min(2, spec.socio_width), replace=False)
             multihot[i, hot] = 1.0
-        batch.socio_multihot = multihot
+        batch.socio = multihot
     if wiring.socio == "embedding":
-        batch.socio_embedding = rng.standard_normal((size, spec.socio_width))
+        batch.socio = rng.standard_normal((size, spec.socio_width))
     if wiring.per_annotator:
         batch.annotator_index = rng.integers(-1, spec.annotator_count, size=size)
     return batch
@@ -424,12 +424,12 @@ def decode_multihot(vec: np.ndarray, schema: SocioSchema) -> dict[str, str]:
     return out
 
 
-def save_embeddings_binary(table: EmbeddingTable, path: str) -> None:
+def save_embeddings_binary(table: VectorTable, path: str) -> None:
     """Write `table` in the PEMB format that `features.load_embeddings` reads."""
     with open(path, "wb") as fh:
         fh.write(b"PEMB")
-        fh.write(struct.pack("<II", table.dimension, len(table.vectors)))
-        for key, vec in table.vectors.items():
+        fh.write(struct.pack("<II", table.dimension, len(table)))
+        for key, vec in zip(table.keys, table.matrix):
             key_bytes = key.encode("utf-8")
             fh.write(struct.pack("<I", len(key_bytes)))
             fh.write(key_bytes)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import base_config, run_chain
 from sociolens import cli, corpus, features, trainer
+from sociolens.batcher import BatchTables
 from sociolens.cli import main
 from sociolens.config import load_config
 from sociolens.errors import (
@@ -109,9 +110,11 @@ class TestErrors:
         path.write_text(json.dumps(config), encoding="utf-8")
         assert main(["synth", "--config", str(path)]) == 2
 
-    def test_verbosity_two_exits_2(self, tmp_path, capsys):
+    # true and 1.0 compare equal to 1 but are not the integer 1
+    @pytest.mark.parametrize("value", [2, True, 1.0])
+    def test_verbosity_two_exits_2(self, tmp_path, capsys, value):
         config = base_config(str(tmp_path / "out"))
-        config["verbosity"] = 2
+        config["verbosity"] = value
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         assert main(["synth", "--config", str(path)]) == 2
@@ -202,6 +205,8 @@ class TestErrors:
             ("prep", "min_annotations_per_annotator", True), ("prep", "train_fraction", True),
             # an integer path would open that file descriptor
             ("prep", "annotations", 5),
+            # one CSV column cannot hold both ids
+            ("prep", "columns", {"text_id": "annotator_id", "annotator_id": "annotator_id"}),
         ],
     )
     def test_bad_synth_or_prep_field_exits_2(self, tmp_path, capsys, section, field, value):
@@ -503,7 +508,7 @@ def test_unset_hyperparameters_take_the_run_config_defaults(tmp_path, monkeypatc
     seen = []
 
     def stop(run_cfg, split, text_table, *args, **kwargs):
-        seen.append((run_cfg, trainer.build_model_spec(run_cfg, split.train, text_table, None, None)))
+        seen.append((run_cfg, trainer.build_model_spec(run_cfg, split.train, BatchTables(text=text_table.matrix))))
         raise DataError("stopped before training")
 
     monkeypatch.setattr(trainer, "train_suite", stop)

@@ -38,6 +38,11 @@ class TestLoadAnnotations:
         write_csv(path, ["t1,a1,0", "t1,a1,1"])
         with pytest.raises(DuplicateError, match="rows 2,3"):
             load_annotations(str(path))
+        # 2000 rows over 350 distinct pairs: the message gives the count and the first five, not all 1650
+        write_csv(path, [f"t{i % 350},a1,0" for i in range(2000)])
+        with pytest.raises(DuplicateError, match="1650 rows repeat") as info:
+            load_annotations(str(path))
+        assert "rows 2,352:" in str(info.value) and len(str(info.value)) < 500
 
     def test_missing_column_is_schema_error(self, tmp_path):
         path = tmp_path / "a.csv"

@@ -1,19 +1,26 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import decode_multihot, save_embeddings_binary
 from sociolens.errors import DataError, NumericError, SchemaError
 from sociolens.features import (
     MISSING,
     AnnotatorProfile,
-    EmbeddingTable,
     SocioSchema,
+    VectorTable,
     build_schema,
     encode_multihot,
     load_embeddings,
     load_profiles,
-    save_embeddings_csv,
+    load_vector_csv,
     save_profiles,
+    save_vector_csv,
 )
 
 
@@ -94,20 +101,20 @@ class TestEncodeMultihot:
 class TestEmbeddingTables:
     def test_csv_roundtrip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(11)
-        table = EmbeddingTable(4, {f"k{i}": rng.standard_normal(4) for i in range(7)})
+        table = VectorTable([f"k{i}" for i in range(7)], rng.standard_normal((7, 4)))
         path = tmp_path / "emb.csv"
-        save_embeddings_csv(table, str(path))
+        save_vector_csv(table, str(path), "key")
         again = load_embeddings(str(path))
         assert again.dimension == 4
-        for key in table.vectors:
-            assert np.array_equal(again[key], table[key])
+        assert again.keys == table.keys
+        assert again.matrix.tobytes() == table.matrix.tobytes()
 
     def test_csv_two_rows(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("key,d0,d1,d2,d3\nx,1,2,3,4\ny,5,6,7,8\n", encoding="utf-8")
         table = load_embeddings(str(path))
         assert len(table) == 2
-        assert table["y"].tolist() == [5, 6, 7, 8]
+        assert table.rows(["y"]).tolist() == [[5, 6, 7, 8]]
 
     def test_row_width_mismatch_reports_row(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -124,15 +131,15 @@ class TestEmbeddingTables:
     def test_wide_table_supported(self, tmp_path):
         # encoder output widths (e.g. 384) are data, not code
         rng = np.random.default_rng(0)
-        table = EmbeddingTable(384, {"s": rng.standard_normal(384)})
+        table = VectorTable(["s"], rng.standard_normal((1, 384)))
         path = tmp_path / "wide.csv"
-        save_embeddings_csv(table, str(path))
+        save_vector_csv(table, str(path), "key")
         assert load_embeddings(str(path)).dimension == 384
 
     def test_binary_roundtrip_byte_identical(self, tmp_path):
         rng = np.random.default_rng(2)
-        vectors = {f"k{i}": rng.standard_normal(6).astype(np.float32).astype(np.float64) for i in range(5)}
-        table = EmbeddingTable(6, vectors)
+        matrix = rng.standard_normal((5, 6)).astype(np.float32).astype(np.float64)
+        table = VectorTable([f"k{i}" for i in range(5)], matrix)
         p1 = tmp_path / "a.pemb"
         p2 = tmp_path / "b.pemb"
         save_embeddings_binary(table, str(p1))
@@ -140,24 +147,64 @@ class TestEmbeddingTables:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_binary_magic_dispatch(self, tmp_path):
-        table = EmbeddingTable(2, {"u": np.array([1.0, 2.0])})
+        table = VectorTable(["u"], np.array([[1.0, 2.0]]))
         path = tmp_path / "t.pemb"
         save_embeddings_binary(table, str(path))
         assert path.read_bytes()[:4] == b"PEMB"
-        assert load_embeddings(str(path))["u"].tolist() == [1.0, 2.0]
+        assert load_embeddings(str(path)).rows(["u"]).tolist() == [[1.0, 2.0]]
 
-    def test_truncated_binary_rejected(self, tmp_path):
-        table = EmbeddingTable(3, {"u": np.array([1.0, 2.0, 3.0])})
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda blob: blob[:-5], "truncated"),
+            # the second entry's key "v" becomes a second "u"
+            (lambda blob: blob[:-13] + b"u" + blob[-12:], "duplicate key 'u'"),
+            (lambda blob: blob + b"\0", "1 trailing byte"),
+        ],
+        ids=["cut", "repeated-key", "trailing-bytes"],
+    )
+    def test_truncated_binary_rejected(self, tmp_path, damage, message):
+        table = VectorTable(["u", "v"], np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
         path = tmp_path / "t.pemb"
         save_embeddings_binary(table, str(path))
-        (tmp_path / "cut.pemb").write_bytes(path.read_bytes()[:-5])
-        with pytest.raises(DataError):
-            load_embeddings(str(tmp_path / "cut.pemb"))
+        bad = tmp_path / "bad.pemb"
+        bad.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(DataError, match=message) as info:
+            load_embeddings(str(bad))
+        assert str(bad) in str(info.value)
 
     def test_missing_key_lookup(self):
-        table = EmbeddingTable(1, {"a": np.array([0.0])})
+        table = VectorTable(["a"], np.array([[0.0]]))
         with pytest.raises(DataError, match="'b'"):
-            table["b"]
+            table.rows(["a", "b"])
+
+
+KEY_CHARS = st.characters(blacklist_categories=("Cs",))
+EXTREMES = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def vector_tables(draw):
+    """A table whose keys hold commas, quotes, newlines and non-ASCII text, and whose values include extremes."""
+    keys = draw(st.lists(st.text(KEY_CHARS | st.sampled_from(',"\n\r é☃'), max_size=6), max_size=6, unique=True))
+    values = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EXTREMES)
+    matrix = draw(arrays(np.float64, (len(keys), draw(st.integers(1, 4))), elements=values))
+    return VectorTable(keys, matrix), draw(st.permutations(range(len(keys))))
+
+
+@pytest.mark.parametrize("key_column", ["key", "annotator_id"])
+@settings(max_examples=60, deadline=None)
+@given(vector_tables())
+def test_vector_csv_round_trips_bit_for_bit(key_column, case):
+    table, permutation = case
+    with tempfile.TemporaryDirectory() as scratch:
+        path = str(Path(scratch) / "table.csv")
+        save_vector_csv(table, path, key_column)
+        again = load_vector_csv(path, key_column)
+    assert again.keys == table.keys
+    assert again.matrix.tobytes() == table.matrix.tobytes()
+    permuted = [table.keys[i] for i in permutation]
+    assert again.rows(permuted).tobytes() == table.matrix[list(permutation)].tobytes()
 
 
 class TestProfilesIO:

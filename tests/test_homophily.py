@@ -1,3 +1,5 @@
+import importlib
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,8 +15,8 @@ from sociolens.homophily import (
     bootstrap_homophily,
     homophily_table,
     load_representations,
-    save_representations,
 )
+from sociolens.features import VectorTable, build_schema, load_profiles, save_vector_csv
 
 
 def brute_force_knn(vectors, ids, i, k):
@@ -284,13 +286,24 @@ def test_table_matches_per_draw_reference(case, block):
 class TestRepresentationIO:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(14)
-        reps = {f"a{i}": rng.standard_normal(7) for i in range(9)}
+        reps = VectorTable([f"a{i}" for i in range(9)], rng.standard_normal((9, 7)))
         path = tmp_path / "reps.csv"
-        save_representations(reps, str(path))
+        save_vector_csv(reps, str(path), "annotator_id")
         again = load_representations(str(path))
-        assert set(again) == set(reps)
-        for key in reps:
-            assert np.array_equal(again[key], reps[key])
+        assert again.keys == reps.keys
+        assert again.matrix.tobytes() == reps.matrix.tobytes()
+
+    def test_reads_the_benchmark_generator_files(self, tmp_path, monkeypatch):
+        # perfbench/gen.py writes the homophily-2k inputs itself; they must stay readable by the package
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        gen = importlib.import_module("gen")
+        reps_path, profiles_path = gen.write_homophily_inputs(str(tmp_path), seed=1)
+        reps = load_representations(reps_path)
+        profiles = load_profiles(profiles_path)
+        assert len(reps) == gen.ANNOTATORS and reps.dimension == gen.DIM
+        assert list(profiles) == reps.keys
+        space = RepSpace.from_representations(reps, profiles, build_schema(profiles))
+        assert sorted(space.attributes) == sorted(gen.ATTRIBUTES)
 
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"

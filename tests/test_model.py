@@ -140,7 +140,7 @@ class TestForward:
         spec = small_spec("socio_multihot")
         params = init_params(spec, 0)
         batch = random_batch(np.random.default_rng(0), spec, 3, 2)
-        batch.socio_multihot = batch.socio_multihot[:, :2]
+        batch.socio = batch.socio[:, :2]
         with pytest.raises(DataError):
             forward(params, batch, mode="eval")
 
@@ -322,13 +322,15 @@ class TestSocioReps:
             },
             self.schema,
         )
-        assert np.array_equal(reps["a1"], reps["a2"])
-        assert not np.array_equal(reps["a1"], reps["a3"])
+        a1, a2, a3 = reps.rows(["a1", "a2", "a3"])
+        assert reps.keys == ["a1", "a2", "a3"]
+        assert np.array_equal(a1, a2)
+        assert not np.array_equal(a1, a3)
 
     def test_dimension_is_second_projection_width(self):
         params = self.make_params()
         reps = extract_socio_reps(params, {"a": AnnotatorProfile("a", {"g": "a"})}, self.schema)
-        assert reps["a"].shape == (params.spec.projection_dims[1],)
+        assert reps.matrix.shape == (1, params.spec.projection_dims[1])
 
     def test_one_vector_per_unique_annotator(self):
         params = self.make_params()

@@ -76,13 +76,13 @@ class TestGenerateCorpus:
 
     def test_embedding_carries_latent_linearly(self):
         corp = generate_corpus(base_spec(text_count=400))
-        projections = np.array([corp.embeddings[t] @ corp.direction for t in corp.text_ids])
+        projections = corp.embeddings.rows(corp.text_ids) @ corp.direction
         assert np.corrcoef(projections, corp.latent)[0, 1] > 0.9
 
     def test_zero_noise_recovers_latent_exactly(self):
         corp = generate_corpus(base_spec(embedding_noise=0.0))
-        for i, t in enumerate(corp.text_ids):
-            assert corp.embeddings[t] @ corp.direction == pytest.approx(corp.latent[i], abs=1e-12)
+        for row, latent in zip(corp.embeddings.rows(corp.text_ids), corp.latent):
+            assert row @ corp.direction == pytest.approx(latent, abs=1e-12)
 
 
 class TestGenerateAnnotations:
@@ -164,17 +164,18 @@ class TestSocioEmbeddings:
         ]
         assert twins, "population too small to contain twin profiles"
         a, b = twins[0]
-        expected_gap = np.linalg.norm(table[a] - table[b])
+        vec = dict(zip(table.keys, table.matrix))
+        expected_gap = np.linalg.norm(vec[a] - vec[b])
         rng = np.random.default_rng(1)
         far = ids[int(rng.integers(len(ids)))]
         while population[far].assignments == population[a].assignments:
             far = ids[int(rng.integers(len(ids)))]
-        assert expected_gap < np.linalg.norm(table[a] - table[far])
+        assert expected_gap < np.linalg.norm(vec[a] - vec[far])
 
     def test_deterministic(self):
         spec = base_spec(annotator_count=20)
         population = generate_population(spec)
         t1 = generate_socio_embeddings(population, 8, seed=3)
         t2 = generate_socio_embeddings(population, 8, seed=3)
-        for key in t1.vectors:
-            assert np.array_equal(t1[key], t2[key])
+        assert t1.keys == t2.keys == list(population)
+        assert t1.matrix.tobytes() == t2.matrix.tobytes()

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from helpers import base_config, make_dataset, rows_of, run_chain
 from sociolens import synth, trainer
 from sociolens.corpus import SplitPair, split_by_text
 from sociolens.errors import DataError
-from sociolens.features import EmbeddingTable
+from sociolens.features import VectorTable
 from sociolens.trainer import RunConfig, predict, train_one, train_suite
 
 VARIANTS = ("simple", "multitask", "socio_multihot", "socio_embedding", "socio_contrastive")
@@ -59,7 +60,7 @@ class TestTrainOne:
             ("t2", "a1", 0), ("t2", "a2", 0),
             ("t3", "a2", 1), ("t3", "a3", 1),
         ], labels=True)
-        table = EmbeddingTable(4, {t: rng.standard_normal(4) for t in ("t1", "t2", "t3", "t9")})
+        table = VectorTable(["t1", "t2", "t3", "t9"], rng.standard_normal((4, 4)))
         split = SplitPair(train=train, test=make_dataset([("t9", "a1", 1)], labels=True))
         config = tiny_config("simple", batch_size=32)
         run = train_one(config, 0, split, table, out_dir=str(tmp_path), dump_plan=True)
@@ -96,12 +97,17 @@ class TestTrainOne:
 
     def test_missing_embedding_fails_before_training(self):
         split, table, _ = make_world()
-        partial = EmbeddingTable(
-            table.dimension,
-            {k: v for k, v in table.vectors.items() if k != split.train.texts[0]},
-        )
-        with pytest.raises(DataError, match="no embedding"):
+        keep = [i for i, key in enumerate(table.keys) if key != split.train.texts[0]]
+        partial = VectorTable([table.keys[i] for i in keep], table.matrix[keep])
+        with pytest.raises(DataError, match=f"no vector for key {split.train.texts[0]!r}"):
             train_one(tiny_config("simple"), 0, split, partial)
+
+    def test_missing_profile_is_a_data_error_naming_the_annotator(self):
+        split, table, _ = make_world()
+        first = split.train.annotators[0]
+        train = replace(split.train, profiles={a: p for a, p in split.train.profiles.items() if a != first})
+        with pytest.raises(DataError, match=f"no vector for key {first!r}"):
+            train_one(tiny_config("socio_multihot"), 0, replace(split, train=train), table)
 
     def test_leak_check_fires_on_a_shared_text(self):
         # one train text copied into the test split; the check runs before any step
@@ -247,5 +253,5 @@ def test_export_representations_covers_all_profiles():
     all_profiles = dict(split.train.profiles)
     all_profiles.update(split.test.profiles)
     reps = trainer.export_representations(run, all_profiles)
-    assert set(reps) == set(all_profiles)
-    assert all(v.shape == (6,) for v in reps.values())
+    assert reps.keys == list(all_profiles)
+    assert reps.matrix.shape == (len(all_profiles), 6)
