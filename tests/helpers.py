@@ -6,11 +6,14 @@ reference, the finite-difference and contrastive-loss oracles, the per-tensor Ad
 reference, the per-draw homophily reference, the per-threshold ROC
 reference, and the single-statistic homophily, pair-counting AUC,
 ROC-area and embedding-format oracles that the package itself does not
-need.
+need, and the per-profile schema, multi-hot and category oracles with a
+strategy for profile CSVs.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import struct
@@ -24,7 +27,7 @@ from sociolens.batcher import Batch
 from sociolens.cli import main
 from sociolens.corpus import Dataset
 from sociolens.errors import ConfigError, DataError, NumericError
-from sociolens.features import SocioSchema, VectorTable
+from sociolens.features import MISSING, SocioSchema, VectorTable
 from sociolens.homophily import (
     HomophilyRow,
     RepSpace,
@@ -434,3 +437,69 @@ def save_embeddings_binary(table: VectorTable, path: str) -> None:
             fh.write(struct.pack("<I", len(key_bytes)))
             fh.write(key_bytes)
             fh.write(vec.astype("<f4").tobytes())
+
+
+PROFILE_ID_CHARS = st.characters(blacklist_categories=("Cs",)) | st.sampled_from(',"\n\r é☃')
+
+
+@st.composite
+def profile_csvs(draw):
+    """The text of a profile file written by `csv.writer`.
+
+    Rows may decline an attribute (an empty cell) or stop short, the first
+    annotator may decline the first column, a category may occur in only
+    a few rows, and ids hold commas, quotes, newlines and non-ASCII text.
+    """
+    attributes = draw(st.lists(st.sampled_from(["g", "h", "age", 'q"t', "x,y", "é"]), min_size=1, max_size=4, unique=True))
+    ids = draw(st.lists(st.text(PROFILE_ID_CHARS, max_size=5), min_size=1, max_size=8, unique=True))
+    cell = st.sampled_from(["", "", "a", "b", "c,d", "ü"])
+    rows = []
+    for i, aid in enumerate(ids):
+        cells = draw(st.lists(cell, min_size=len(attributes), max_size=len(attributes)))
+        if i == 0 and draw(st.booleans()):
+            cells[0] = ""
+        if draw(st.booleans()):
+            cells = cells[: draw(st.integers(0, len(cells)))]
+        rows.append([aid] + cells)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["annotator_id"] + attributes)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def reference_profiles(path: str) -> dict[str, dict[str, str]]:
+    """Each annotator's answered attributes in column order, keyed by id in file order: a profile file read row by row."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        attributes = [c for c in reader.fieldnames if c != "annotator_id"]
+        return {row["annotator_id"]: {a: row[a] for a in attributes if row[a] not in (None, "")} for row in reader}
+
+
+def reference_schema(profiles: list[dict[str, str]]) -> SocioSchema:
+    """The schema of per-profile answers: attributes by first answer, categories sorted, MISSING last."""
+    order: list[str] = []
+    observed: dict[str, set[str]] = {}
+    for assignments in profiles:
+        for attribute, category in assignments.items():
+            if attribute not in observed:
+                observed[attribute] = set()
+                order.append(attribute)
+            observed[attribute].add(category)
+    return SocioSchema([(attribute, sorted(observed[attribute]) + [MISSING]) for attribute in order])
+
+
+def reference_category(assignments: dict[str, str], attribute: str, categories: list[str]) -> str:
+    """The category an answer counts under: MISSING for a declined answer or one outside `categories`."""
+    category = assignments.get(attribute)
+    return category if category and category in categories else MISSING
+
+
+def reference_multihot(assignments: dict[str, str], schema: SocioSchema) -> np.ndarray:
+    """One profile's multi-hot row: per schema attribute block, a 1 at its `reference_category`."""
+    vec = np.zeros(schema.total_width, dtype=np.float64)
+    offset = 0
+    for attribute, categories in schema.attributes:
+        vec[offset + categories.index(reference_category(assignments, attribute, categories))] = 1.0
+        offset += len(categories)
+    return vec

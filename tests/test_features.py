@@ -7,7 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import decode_multihot, save_embeddings_binary
+from helpers import (
+    decode_multihot,
+    profile_csvs,
+    reference_category,
+    reference_multihot,
+    reference_profiles,
+    reference_schema,
+    save_embeddings_binary,
+)
+from sociolens.homophily import RepSpace
+from sociolens.metrics import confusion_metrics, group_breakdown
 from sociolens.errors import DataError, NumericError, SchemaError
 from sociolens.features import (
     MISSING,
@@ -223,3 +233,50 @@ class TestProfilesIO:
         path.write_text("who,gender\na1,f\n", encoding="utf-8")
         with pytest.raises(SchemaError):
             load_profiles(str(path))
+
+
+@settings(max_examples=150, deadline=None)
+@given(profile_csvs(), st.data())
+def test_profile_readers_match_the_per_profile_oracle(text, data):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "profiles.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        profiles = load_profiles(str(path))
+        oracle = reference_profiles(str(path))
+        # a load/save round trip is byte-identical once written
+        saved, again = Path(scratch) / "saved.csv", Path(scratch) / "again.csv"
+        save_profiles(profiles, str(saved))
+        save_profiles(load_profiles(str(saved)), str(again))
+        assert again.read_bytes() == saved.read_bytes()
+        assert reference_profiles(str(saved)) == oracle
+    ids = list(oracle)
+    assert list(profiles) == ids
+
+    # a schema of some annotators leaves the others' unseen categories unknown
+    known = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+    schema = build_schema([profiles[a] for a in known])
+    assert schema.attributes == reference_schema([oracle[a] for a in known]).attributes
+    for a in ids:
+        assert encode_multihot(profiles[a], schema).tolist() == reference_multihot(oracle[a], schema).tolist()
+
+    records = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=12))
+    probs = np.array(data.draw(st.lists(st.sampled_from([0.2, 0.5, 0.9]), min_size=len(records), max_size=len(records))))
+    labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(records), max_size=len(records))))
+    vocabulary = list(dict.fromkeys(records))
+    codes = np.array([vocabulary.index(a) for a in records])
+    reports = group_breakdown(probs, labels, codes, vocabulary, profiles, schema)
+    assert [r.attribute for r in reports] == schema.attribute_names
+    for report, (attribute, categories) in zip(reports, schema.attributes):
+        counted = np.array([reference_category(oracle[a], attribute, categories) for a in records], dtype=object)
+        for category in categories:
+            mask = counted == category
+            if mask.any():
+                assert report.categories[category] == confusion_metrics(probs[mask], labels[mask])
+            else:
+                assert category in report.omitted
+
+    # homophily reads every profile under the schema of them all, as `sociolens homophily` does
+    full = build_schema(profiles)
+    space = RepSpace.from_representations(VectorTable(ids, np.zeros((len(ids), 1))), profiles, full)
+    for attribute, categories in full.attributes:
+        assert space.attributes[attribute] == [reference_category(oracle[a], attribute, categories) for a in ids]
