@@ -113,7 +113,6 @@ def cmd_train(cfg: config_mod.PipelineConfig) -> int:
     all_profiles = features.load_profiles(t.profiles) if t.profiles else None
     train_ds = _load_labels(t.train_annotations, t.columns)
     test_ds = _load_labels(t.test_annotations, t.columns)
-    split = corpus.SplitPair(train=train_ds, test=test_ds)
     # every input a suite needs is checked before the first suite trains
     socio_table = None
     if any(WIRING[run.variant].socio == "embedding" for run in t.runs):
@@ -123,16 +122,14 @@ def cmd_train(cfg: config_mod.PipelineConfig) -> int:
                 f"(got {t.socio_embeddings!r})"
             )
         socio_table = features.load_embeddings(t.socio_embeddings)
-    profiled = None
     socio_variants = [run.variant for run in t.runs if WIRING[run.variant].socio is not None]
     if socio_variants:
         if all_profiles is None:
             raise DataError(f"variant {socio_variants[0]} needs a profiles file")
-        profiled = replace(
-            split,
-            train=corpus.attach_profiles(train_ds, all_profiles),
-            test=corpus.attach_profiles(test_ds, all_profiles),
-        )
+        # the other suites ignore the profiles
+        train_ds = corpus.attach_profiles(train_ds, all_profiles)
+        test_ds = corpus.attach_profiles(test_ds, all_profiles)
+    split = corpus.SplitPair(train=train_ds, test=test_ds)
 
     # (output label, config) per suite; the ablation arm follows its weighted twin
     suites = []
@@ -144,10 +141,9 @@ def cmd_train(cfg: config_mod.PipelineConfig) -> int:
     train_root = os.path.join(cfg.output_dir, "train")
     f1_means: dict[str, float] = {}
     for label, run_cfg in suites:
-        suite_split = profiled if WIRING[run_cfg.variant].socio is not None else split
         _log(cfg, f"train: {label} x {len(run_cfg.seeds)} seeds")
         suite_dir = os.path.join(train_root, label)
-        suite = trainer.train_suite(run_cfg, suite_split, text_table, socio_table, suite_dir, dump_plan=t.dump_plan)
+        suite = trainer.train_suite(run_cfg, split, text_table, socio_table, suite_dir, dump_plan=t.dump_plan)
         _finish_suite(cfg, label, suite, suite_dir, all_profiles)
         f1_means[label] = suite.aggregate["f1"][0]
         if label == "ablation":
@@ -229,7 +225,11 @@ def cmd_eval(cfg: config_mod.PipelineConfig) -> int:
     all_profiles = features.load_profiles(e.profiles) if e.profiles else None
     by_variant = _discover_checkpoints(e.checkpoints)
     dataset = _load_labels(e.annotations, e.columns)
-    profiled = None
+    schema = None
+    if all_profiles is not None:
+        dataset = corpus.attach_profiles(dataset, all_profiles)
+        # every variant's groups are sliced under one schema of the eval profiles
+        schema = features.build_schema(all_profiles)
     eval_root = os.path.join(cfg.output_dir, "eval")
 
     for variant, entries in sorted(by_variant.items()):
@@ -240,12 +240,7 @@ def cmd_eval(cfg: config_mod.PipelineConfig) -> int:
         fallback_rows = 0
         for seed, ckpt in entries:
             run = _run_from_checkpoint(ckpt)
-            run_data = dataset
-            if run.params.spec.wiring.socio is not None and all_profiles is not None:
-                if profiled is None:
-                    profiled = corpus.attach_profiles(dataset, all_profiles)
-                run_data = profiled
-            probs, labels, fallback = trainer.predict(run, run_data, text_table, socio_table)
+            probs, labels, fallback = trainer.predict(run, dataset, text_table, socio_table)
             fallback_rows += fallback
             report = metrics.confusion_metrics(probs, labels)
             reports.append(report)
@@ -254,10 +249,9 @@ def cmd_eval(cfg: config_mod.PipelineConfig) -> int:
                 _write_roc_csv(os.path.join(out, f"roc_seed{seed}.csv"), points)
             except DataError:
                 pass
-            if all_profiles is not None:
-                schema = run.schema or features.build_schema(all_profiles)
+            if schema is not None:
                 groups_by_seed.append(metrics.group_breakdown(
-                    probs, labels, run_data.records["annotator"], run_data.annotators.tolist(), all_profiles, schema
+                    probs, labels, dataset.records["annotator"], dataset.profiles, schema
                 ))
         payload = {
             "variant": variant,

@@ -14,6 +14,8 @@ vocabularies, the int64 score, and an int8 label that is -1 until
 ids in order of first appearance, so a vocabulary lists exactly the ids
 present in the rows, in first-appearance order, and ascending code order
 is first-appearance order. A subset is coded afresh the same way.
+`profiles`, once `attach_profiles` sets it, is a `features.ProfileTable`
+whose row i is annotator code i, and a subset re-indexes it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .errors import (
     EmptyDatasetError,
     SchemaError,
 )
-from .features import AnnotatorProfile, open_csv
+from .features import ProfileTable, open_csv
 from .rng import seeded_shuffle
 
 RECORD = np.dtype([("text", np.int32), ("annotator", np.int32), ("score", np.int64), ("label", np.int8)])
@@ -59,10 +61,10 @@ class Dataset:
     texts: np.ndarray       # (n_texts,) object: text ids in first-appearance order
     annotators: np.ndarray  # (n_annotators,) object: annotator ids in first-appearance order
     records: np.ndarray     # (n,) RECORD: text and annotator codes, score, label (-1 = unbinarized)
-    profiles: dict[str, AnnotatorProfile] = field(default_factory=dict)
+    profiles: ProfileTable | None = None  # row i = annotator code i
 
     @classmethod
-    def from_columns(cls, text_ids, annotator_ids, scores, labels=None, profiles=None) -> "Dataset":
+    def from_columns(cls, text_ids, annotator_ids, scores, labels=None) -> "Dataset":
         """Code one row per annotation; rows keep their order, labels default to -1."""
         texts, text_codes = _code(text_ids)
         annotators, annotator_codes = _code(annotator_ids)
@@ -71,17 +73,17 @@ class Dataset:
         records["annotator"] = annotator_codes
         records["score"] = scores
         records["label"] = -1 if labels is None else labels
-        return cls(texts, annotators, records, dict(profiles or {}))
+        return cls(texts, annotators, records)
 
     def subset(self, mask: np.ndarray) -> "Dataset":
-        """The rows where `mask` holds, coded afresh; profiles of absent annotators are dropped."""
+        """The rows where `mask` holds, coded afresh; the profiles follow the new annotator codes."""
         rows = self.records[mask]
         sub = Dataset.from_columns(
             self.texts[rows["text"]].tolist(), self.annotators[rows["annotator"]].tolist(),
             rows["score"], rows["label"],
         )
-        present = set(sub.annotators.tolist())
-        sub.profiles = {a: p for a, p in self.profiles.items() if a in present}
+        if self.profiles is not None:
+            sub.profiles = self.profiles.select(sub.annotators.tolist())
         return sub
 
     @property
@@ -187,19 +189,16 @@ def save_annotations(dataset: Dataset, path: str, columns: ColumnMapping | None 
         ))
 
 
-def attach_profiles(dataset: Dataset, profiles: dict[str, AnnotatorProfile]) -> Dataset:
-    """Attach profiles covering each record's annotator; missing coverage is an error."""
-    missing = sorted(set(dataset.annotators.tolist()) - profiles.keys())
-    if missing:
-        raise DataError(f"no profile for annotators: {missing[:10]}{'...' if len(missing) > 10 else ''}")
-    return replace(dataset, profiles={aid: profiles[aid] for aid in dataset.annotators.tolist()})
+def attach_profiles(dataset: Dataset, profiles: ProfileTable) -> Dataset:
+    """`dataset` with the profiles of its annotators, row i for annotator code i; an annotator without one is a DataError."""
+    return replace(dataset, profiles=profiles.select(dataset.annotators.tolist()))
 
 
 def binarize(dataset: Dataset) -> Dataset:
     """Set label = 0 for score 0 and label = 1 for any score above 0. Idempotent."""
     records = dataset.records.copy()
     records["label"] = records["score"] > 0
-    return replace(dataset, records=records, profiles=dict(dataset.profiles))
+    return replace(dataset, records=records)
 
 
 def filter_dataset(

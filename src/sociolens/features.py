@@ -1,14 +1,15 @@
-"""Socio-demographic schemas, multi-hot encoding, and keyed vector tables.
+"""Annotator profiles, socio-demographic schemas, multi-hot rows, and keyed vector tables.
 
-Profiles assign each annotator a category per attribute. A SocioSchema
-fixes the attribute/category ordering so that multi-hot encodings are
-stable: one slot block per attribute, exactly one hot slot per block.
-Missing or declined values map to an explicit trailing category rather
-than an all-zero block, so every encoding has exactly one hot slot per
-attribute.
+A ProfileTable holds the profile file as columns: the annotator ids, the
+attribute names, and one int code matrix whose cell (i, j) indexes
+attribute j's sorted categories, or is -1 where annotator i declined j.
+A SocioSchema fixes the attribute/category ordering so that multi-hot
+rows are stable, one hot slot per attribute block. `SocioSchema.encode`
+is the one reader of profile cells: a declined or unknown answer maps to
+an explicit trailing MISSING category rather than an all-zero block.
 
 Every keyed side input and output is a VectorTable: text and socio
-embeddings, multi-hot rows, and learned representations. Embeddings are
+embeddings, and learned representations. Embeddings are
 produced externally and read here from two formats; tables are written
 only as CSV, by `save_vector_csv`:
 
@@ -28,7 +29,7 @@ import contextlib
 import csv
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,16 +46,46 @@ def open_csv(path: str):
             yield fh
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: malformed CSV: {exc}") from None
 
 
-@dataclass(frozen=True)
-class AnnotatorProfile:
-    annotator_id: str
-    assignments: dict[str, str] = field(default_factory=dict)
+@dataclass(frozen=True, eq=False)
+class ProfileTable:
+    """Annotator profiles as columns; `answers[i, j]` indexes `categories[j]`, -1 = declined."""
+
+    annotators: list[str]        # ids in file order
+    attributes: list[str]        # attribute names in column order
+    categories: list[list[str]]  # per attribute, the sorted answers given
+    answers: np.ndarray          # (len(annotators), len(attributes)) int32 codes
+
+    def __len__(self) -> int:
+        return len(self.annotators)
+
+    @classmethod
+    def from_cells(cls, annotators: list[str], attributes: list[str], cells: np.ndarray) -> "ProfileTable":
+        """Code an (annotators, attributes) object array of answer strings; an empty string is declined."""
+        answers = np.empty(cells.shape, dtype=np.int32)
+        categories = []
+        for j in range(cells.shape[1]):
+            given, answers[:, j] = np.unique(cells[:, j], return_inverse=True)
+            declined = int(given[:1].tolist() == [""])  # "" sorts first
+            answers[:, j] -= declined
+            categories.append(given[declined:].tolist())
+        return cls(list(annotators), list(attributes), categories, answers)
+
+    def select(self, ids: list[str]) -> "ProfileTable":
+        """The profiles of `ids`, in their order; an id without a profile is a DataError naming it."""
+        index = {a: i for i, a in enumerate(self.annotators)}
+        missing = sorted(set(ids) - index.keys())
+        if missing:
+            raise DataError(f"no profile for annotators: {missing[:10]}{'...' if len(missing) > 10 else ''}")
+        rows = [index[a] for a in ids]
+        return ProfileTable(list(ids), self.attributes, self.categories, self.answers[rows])
 
 
 class SocioSchema:
-    """Ordered attribute -> category vocabulary with fixed encoding offsets."""
+    """Ordered attribute -> category vocabulary; `encode` codes a profile table under it."""
 
     def __init__(self, attributes: list[tuple[str, list[str]]]):
         names = [name for name, _ in attributes]
@@ -64,26 +95,28 @@ class SocioSchema:
             if len(set(cats)) != len(cats):
                 raise SchemaError(f"duplicate categories for attribute {name!r}")
         self.attributes = [(name, list(cats)) for name, cats in attributes]
-        self._offsets: dict[str, int] = {}
-        self._index: dict[str, dict[str, int]] = {}
-        offset = 0
-        for name, cats in self.attributes:
-            self._offsets[name] = offset
-            self._index[name] = {c: i for i, c in enumerate(cats)}
-            offset += len(cats)
-        self.total_width = offset
+        self.total_width = sum(len(cats) for _, cats in self.attributes)
 
     @property
     def attribute_names(self) -> list[str]:
         return [name for name, _ in self.attributes]
 
-    def slot(self, attribute: str, category: str) -> int:
-        if attribute not in self._offsets:
-            raise SchemaError(f"unknown attribute {attribute!r}")
-        idx = self._index[attribute].get(category)
-        if idx is None:
-            raise EncodingError(f"unknown category {category!r} for attribute {attribute!r}")
-        return self._offsets[attribute] + idx
+    def encode(self, profiles: ProfileTable) -> np.ndarray:
+        """Each profile's category index per schema attribute, (len(profiles), attributes).
+
+        A declined answer, an answer outside the attribute's categories and
+        an attribute the table lacks all map to MISSING, or to -1 for an
+        attribute whose categories lack MISSING.
+        """
+        columns = dict(zip(profiles.attributes, zip(profiles.categories, profiles.answers.T)))
+        codes = np.empty((len(profiles), len(self.attributes)), dtype=np.intp)
+        for a, (name, cats) in enumerate(self.attributes):
+            index = {c: i for i, c in enumerate(cats)}
+            given, answers = columns.get(name, ([], np.full(len(profiles), -1)))
+            # a declined answer's -1 picks the appended MISSING
+            lookup = np.array([index.get(c, index.get(MISSING, -1)) for c in given + [MISSING]], dtype=np.intp)
+            codes[:, a] = lookup[answers]
+        return codes
 
     def to_dict(self) -> dict:
         return {"attributes": [[name, list(cats)] for name, cats in self.attributes]}
@@ -97,49 +130,37 @@ class SocioSchema:
         return cls(attributes)
 
 
-def build_schema(profiles: list[AnnotatorProfile] | dict[str, AnnotatorProfile]) -> SocioSchema:
-    """Derive a schema from observed profiles.
+def build_schema(profiles: ProfileTable) -> SocioSchema:
+    """Derive a schema from the answers in `profiles`.
 
-    Attributes are ordered by first appearance across the collection;
-    categories sort lexicographically within each attribute, with the
-    missing-value category appended last.
+    Attributes are ordered by first answer, row by row and then column by
+    column, and an attribute nobody answered is left out; each attribute's
+    answered categories sort lexicographically, with the missing-value
+    category appended last.
     """
-    if isinstance(profiles, dict):
-        profiles = list(profiles.values())
     if not profiles:
-        raise SchemaError("cannot build a schema from an empty profile collection")
-    order: list[str] = []
-    observed: dict[str, set[str]] = {}
-    for profile in profiles:
-        for attr, cat in profile.assignments.items():
-            if attr not in observed:
-                observed[attr] = set()
-                order.append(attr)
-            if cat is not None and cat != "":
-                observed[attr].add(cat)
-    attributes = [(attr, sorted(observed[attr]) + [MISSING]) for attr in order]
+        raise SchemaError("cannot build a schema without profiles")
+    answered = profiles.answers >= 0
+    first = np.where(answered.any(axis=0), answered.argmax(axis=0), len(profiles))
+    attributes = [
+        (profiles.attributes[j],
+         [profiles.categories[j][c] for c in np.unique(profiles.answers[answered[:, j], j])] + [MISSING])
+        for j in np.argsort(first, kind="stable") if first[j] < len(profiles)
+    ]
     return SocioSchema(attributes)
 
 
-def encode_multihot(profile: AnnotatorProfile, schema: SocioSchema) -> np.ndarray:
-    """Encode a profile as a binary vector with one hot slot per attribute.
-
-    Unknown categories and attributes absent from the profile use the
-    missing slot.
-    """
-    vec = np.zeros(schema.total_width, dtype=np.float64)
-    for attr, cats in schema.attributes:
-        cat = profile.assignments.get(attr)
-        if cat is None or cat == "" or cat not in cats:
-            cat = MISSING
-        vec[schema.slot(attr, cat)] = 1.0
-    return vec
-
-
-def multihot_table(profiles: dict[str, AnnotatorProfile], schema: SocioSchema) -> VectorTable:
-    """Each profile's `encode_multihot` row under `schema`, keyed by annotator id in `profiles` order."""
-    rows = [encode_multihot(profile, schema) for profile in profiles.values()]
-    return VectorTable(list(profiles), np.array(rows).reshape(len(rows), schema.total_width))
+def multihot_rows(profiles: ProfileTable, schema: SocioSchema) -> np.ndarray:
+    """One row per profile with one hot slot per schema attribute block, at its `SocioSchema.encode` code."""
+    codes = schema.encode(profiles)
+    unknown = np.flatnonzero((codes < 0).any(axis=0))
+    if unknown.size:
+        name = schema.attributes[unknown[0]][0]
+        raise EncodingError(f"attribute {name!r} has no {MISSING!r} category for a declined or unknown answer")
+    offsets = np.cumsum([0] + [len(cats) for _, cats in schema.attributes])[:-1]
+    rows = np.zeros((len(profiles), schema.total_width), dtype=np.float64)
+    rows[np.arange(len(profiles))[:, None], codes + offsets] = 1.0
+    return rows
 
 
 class VectorTable:
@@ -256,39 +277,41 @@ def save_vector_csv(table: VectorTable, path: str, key_column: str) -> None:
             writer.writerow([key] + [repr(x) for x in vec.tolist()])
 
 
-def load_profiles(path: str) -> dict[str, AnnotatorProfile]:
+def load_profiles(path: str) -> ProfileTable:
     """Read the profile CSV: annotator_id plus one column per attribute.
 
-    Empty cells mean the annotator declined or skipped that attribute.
+    An empty cell, or one a short row lacks, means the annotator declined
+    or skipped that attribute; cells past the header's width are ignored.
     """
     if not os.path.exists(path):
         raise DataError(f"profile file not found: {path}")
-    profiles: dict[str, AnnotatorProfile] = {}
     with open_csv(path) as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "annotator_id" not in reader.fieldnames:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if "annotator_id" not in header:
             raise SchemaError(f"{path}: profile file needs an 'annotator_id' column")
-        attrs = [c for c in reader.fieldnames if c != "annotator_id"]
-        for row_no, row in enumerate(reader, start=2):
-            aid = row["annotator_id"]
-            if aid in profiles:
-                raise DuplicateError(f"{path}: duplicate annotator_id {aid!r} at row {row_no}")
-            assignments = {a: row[a] for a in attrs if row[a] not in (None, "")}
-            profiles[aid] = AnnotatorProfile(annotator_id=aid, assignments=assignments)
-    if not profiles:
+        if len(set(header)) != len(header):
+            raise SchemaError(f"{path}: profile header repeats a column name: {header}")
+        width = len(header)
+        # a blank line holds no profile
+        rows = [row[:width] + [""] * (width - len(row)) for row in reader if row]
+    if not rows:
         raise DataError(f"{path}: no profiles found")
-    return profiles
+    cells = np.array(rows, dtype=object)
+    key = header.index("annotator_id")
+    ids = cells[:, key].tolist()
+    first: dict[str, int] = {}
+    for row_no, aid in enumerate(ids, start=2):
+        if first.setdefault(aid, row_no) != row_no:
+            raise DuplicateError(f"{path}: duplicate annotator_id {aid!r} at row {row_no}")
+    return ProfileTable.from_cells(ids, header[:key] + header[key + 1 :], np.delete(cells, key, axis=1))
 
 
-def save_profiles(profiles: dict[str, AnnotatorProfile], path: str, attributes: list[str] | None = None) -> None:
-    if attributes is None:
-        attributes = []
-        for profile in profiles.values():
-            for attr in profile.assignments:
-                if attr not in attributes:
-                    attributes.append(attr)
+def save_profiles(profiles: ProfileTable, path: str) -> None:
+    """Write `profiles` as `load_profiles` reads them: annotator_id first, a declined answer as an empty cell."""
+    # a declined answer's -1 picks the appended ""
+    columns = [np.array(cats + [""], dtype=object)[profiles.answers[:, j]] for j, cats in enumerate(profiles.categories)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["annotator_id"] + attributes)
-        for aid, profile in profiles.items():
-            writer.writerow([aid] + [profile.assignments.get(a, "") for a in attributes])
+        writer.writerow(["annotator_id"] + profiles.attributes)
+        writer.writerows(zip(profiles.annotators, *columns))

@@ -27,48 +27,35 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .features import MISSING, AnnotatorProfile, SocioSchema, VectorTable, load_vector_csv
+from .features import ProfileTable, SocioSchema, VectorTable, load_vector_csv
 
 METRICS = ("cosine", "euclidean")
 
 
 class RepSpace:
-    """Annotator representation rows plus their attribute categories."""
+    """Annotator representation rows plus each annotator's category code per attribute."""
 
-    def __init__(
-        self,
-        annotator_ids: list[str],
-        vectors: np.ndarray,
-        attributes: dict[str, list[str]],
-    ):
+    def __init__(self, annotator_ids: list[str], vectors: np.ndarray, attributes: list[str], codes: np.ndarray):
         vectors = np.asarray(vectors, dtype=np.float64)
+        codes = np.asarray(codes)
         if vectors.ndim != 2 or vectors.shape[0] != len(annotator_ids):
             raise DataError("vectors must be one row per annotator id")
         if not np.all(np.isfinite(vectors)):
             raise DataError("non-finite representation components")
-        for attr, cats in attributes.items():
-            if len(cats) != len(annotator_ids):
-                raise DataError(f"attribute {attr!r} has {len(cats)} entries for {len(annotator_ids)} annotators")
+        if codes.shape != (len(annotator_ids), len(attributes)) or (codes < 0).any():
+            raise DataError(f"codes {codes.shape} are not one category index >= 0 per annotator and attribute")
         self.annotator_ids = list(annotator_ids)
         self.vectors = vectors
-        self.attributes = {a: list(c) for a, c in attributes.items()}
+        self.attributes = list(attributes)
+        self.codes = codes
 
     def __len__(self) -> int:
         return len(self.annotator_ids)
 
     @classmethod
-    def from_representations(
-        cls,
-        reps: VectorTable,
-        profiles: dict[str, AnnotatorProfile],
-        schema: SocioSchema,
-    ) -> "RepSpace":
-        ids = reps.keys
-        attributes = {
-            attr: [profiles[a].assignments.get(attr, MISSING) or MISSING if a in profiles else MISSING for a in ids]
-            for attr in schema.attribute_names
-        }
-        return cls(ids, reps.matrix, attributes)
+    def from_representations(cls, reps: VectorTable, profiles: ProfileTable, schema: SocioSchema) -> "RepSpace":
+        """The space of `reps` coded by `schema`; a representation row without a profile is a DataError naming it."""
+        return cls(reps.keys, reps.matrix, schema.attribute_names, schema.encode(profiles.select(reps.keys)))
 
 
 def load_representations(path: str) -> VectorTable:
@@ -146,10 +133,6 @@ def _nearest(order: np.ndarray, row_of: np.ndarray, member: np.ndarray, rows: np
     return out
 
 
-def _codes(categories: list[str]) -> np.ndarray:
-    return np.unique(np.array(categories, dtype=object), return_inverse=True)[1]
-
-
 def _same_fraction(codes: np.ndarray, rows: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
     """Same-category neighbor fraction per row."""
     return (codes[neighbors] == codes[rows][:, None]).mean(axis=1)
@@ -200,7 +183,7 @@ def homophily_table(
     names = attributes if attributes is not None else list(space.attributes)
     _check_space(space, names, k)
     n = len(space)
-    codes = [_codes(space.attributes[a]) for a in names]
+    codes = [space.codes[:, space.attributes.index(a)] for a in names]
     order = _neighbor_order(space.vectors, space.annotator_ids, metric)
     observed, chance = np.empty((2, len(names), iterations), dtype=np.float64)
     for it in range(iterations):

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DataError, NumericError
-from .features import MISSING, AnnotatorProfile, SocioSchema
+from .features import ProfileTable, SocioSchema
 
 
 @dataclass(frozen=True)
@@ -152,35 +152,26 @@ def group_breakdown(
     probs: np.ndarray,
     labels: np.ndarray,
     record_annotator: np.ndarray,
-    annotators: list[str],
-    profiles: dict[str, AnnotatorProfile],
+    profiles: ProfileTable,
     schema: SocioSchema,
 ) -> list[GroupReport]:
-    """Metrics per socio-demographic category, sliced by each record's annotator code into `annotators`.
+    """Metrics per socio-demographic category, sliced by each record's annotator code; row c of `profiles` is code c.
 
     An annotator's declined or out-of-vocabulary answer counts under
-    MISSING. Categories with zero test records are listed as omitted.
-    AUC is left undefined (None) for single-class slices.
+    MISSING (`SocioSchema.encode`). Categories with zero test records are
+    listed as omitted. AUC is left undefined (None) for single-class slices.
     """
     p = np.asarray(probs, dtype=np.float64)
     y = np.asarray(labels)
     if not p.shape == y.shape == np.shape(record_annotator):
         raise DataError(f"probs {p.shape}, labels {y.shape} and codes {np.shape(record_annotator)} do not line up")
-    missing_annotators = sorted(a for a in annotators if a not in profiles)
-    if missing_annotators:
-        raise DataError(f"no profile for annotators: {missing_annotators[:10]}")
+    record_codes = schema.encode(profiles)[record_annotator]
     reports: list[GroupReport] = []
-    for attribute, categories in schema.attributes:
-        code = {c: i for i, c in enumerate(categories)}
-        unknown = code.get(MISSING, -1)
-        annotator_code = np.array(
-            [code.get(profiles[a].assignments.get(attribute) or MISSING, unknown) for a in annotators], dtype=np.intp
-        )
-        record_code = annotator_code[record_annotator]
+    for a, (attribute, categories) in enumerate(schema.attributes):
         per_category: dict[str, MetricsReport] = {}
         omitted: list[str] = []
         for i, category in enumerate(categories):
-            mask = record_code == i
+            mask = record_codes[:, a] == i
             if mask.any():
                 per_category[category] = confusion_metrics(p[mask], y[mask])
             else:

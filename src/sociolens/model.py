@@ -41,7 +41,7 @@ import numpy as np
 
 from .batcher import Batch
 from .errors import ConfigError, DataError, NumericError
-from .features import AnnotatorProfile, SocioSchema, VectorTable, multihot_table
+from .features import ProfileTable, SocioSchema, VectorTable, multihot_rows
 
 
 @dataclass(frozen=True)
@@ -417,7 +417,7 @@ def adam_step(
 
 def extract_socio_reps(
     params: ModelParams,
-    profiles: dict[str, AnnotatorProfile],
+    profiles: ProfileTable,
     schema: SocioSchema,
 ) -> VectorTable:
     """Learned representation per profiled annotator, keyed in `profiles` order; identical profiles map identically.
@@ -429,12 +429,11 @@ def extract_socio_reps(
     spec = params.spec
     if not spec.wiring.projected:
         raise ConfigError(f"socio representations only exist for socio_contrastive, not {spec.variant}")
-    multihot = multihot_table(profiles, schema)
-    distinct, inverse = np.unique(multihot.matrix, axis=0, return_inverse=True)
+    distinct, inverse = np.unique(multihot_rows(profiles, schema), axis=0, return_inverse=True)
     reps = np.empty((len(distinct), spec.projection_dims[-1]))
     for i, row in enumerate(distinct):
         reps[i] = _stack_forward(params.tensors, range(spec.trunk_start), row[None, :])[0]
-    return VectorTable(multihot.keys, reps[inverse.reshape(-1)])
+    return VectorTable(profiles.annotators, reps[inverse.reshape(-1)])
 
 
 def save_checkpoint(

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Dataset
+from .corpus import Dataset, attach_profiles
 from .errors import ConfigError
-from .features import AnnotatorProfile, VectorTable
+from .features import ProfileTable, SocioSchema, VectorTable, build_schema, multihot_rows
 from .model import sigmoid
 
 
@@ -60,19 +60,17 @@ class SynthCorpus:
     direction: np.ndarray
 
 
-def generate_population(spec: PopulationSpec) -> dict[str, AnnotatorProfile]:
+def generate_population(spec: PopulationSpec) -> ProfileTable:
     """Sample annotators i.i.d. from the categorical attribute distributions."""
     rng = np.random.default_rng([spec.seed, 1])
     width = len(str(max(spec.annotator_count - 1, 1)))
-    profiles: dict[str, AnnotatorProfile] = {}
+    cells = np.empty((spec.annotator_count, len(spec.attributes)), dtype=object)
     for i in range(spec.annotator_count):
-        aid = f"a{i:0{width}d}"
-        assignments = {}
-        for attr in spec.attributes:
+        for j, attr in enumerate(spec.attributes):
             idx = rng.choice(len(attr.categories), p=np.array(attr.probabilities))
-            assignments[attr.name] = attr.categories[int(idx)]
-        profiles[aid] = AnnotatorProfile(annotator_id=aid, assignments=assignments)
-    return profiles
+            cells[i, j] = attr.categories[int(idx)]
+    ids = [f"a{i:0{width}d}" for i in range(spec.annotator_count)]
+    return ProfileTable.from_cells(ids, [attr.name for attr in spec.attributes], cells)
 
 
 def generate_corpus(spec: PopulationSpec) -> SynthCorpus:
@@ -88,40 +86,45 @@ def generate_corpus(spec: PopulationSpec) -> SynthCorpus:
     return SynthCorpus(text_ids=text_ids, latent=latent, embeddings=VectorTable(text_ids, vectors), direction=direction)
 
 
-def annotator_shift(profile: AnnotatorProfile, signal: dict[tuple[str, str], float]) -> float:
-    return sum(
-        shift
-        for (attr, cat), shift in signal.items()
-        if profile.assignments.get(attr) == cat
-    )
+def annotator_shifts(population: ProfileTable, signal: dict[tuple[str, str], float]) -> np.ndarray:
+    """Each annotator's summed log-odds shift over the (attribute, category) pairs of `signal` they hold."""
+    schema = build_schema(population)
+    slots = [(name, cat) for name, cats in schema.attributes for cat in cats]
+    rows = multihot_rows(population, schema)
+    shifts = np.zeros(len(population))
+    for pair, shift in signal.items():
+        if pair in slots:
+            # adding shift * 0.0 leaves each annotator's sum exactly that of the shifts they hold
+            shifts += shift * rows[:, slots.index(pair)]
+    return shifts
 
 
 def generate_annotations(
-    population: dict[str, AnnotatorProfile],
+    population: ProfileTable,
     corpus: SynthCorpus,
     spec: PopulationSpec,
 ) -> Dataset:
     """Assign annotators per text without replacement; labels follow the shifted odds."""
     rng = np.random.default_rng([spec.seed, 3])
-    annotator_ids = np.array(list(population), dtype=object)
-    shifts = np.array([annotator_shift(population[aid], spec.signal) for aid in annotator_ids], dtype=np.float64)
+    annotator_ids = np.array(population.annotators, dtype=object)
+    shifts = annotator_shifts(population, spec.signal)
     chosen, labels = [], []
     for z in corpus.latent:
         picks = rng.choice(len(annotator_ids), size=spec.annotations_per_text, replace=False)
         chosen.append(picks)
         labels.append(rng.random(len(picks)) < sigmoid(z + shifts[picks]))
     labels = np.concatenate(labels).astype(np.int8)
-    return Dataset.from_columns(
+    dataset = Dataset.from_columns(
         np.repeat(np.array(corpus.text_ids, dtype=object), spec.annotations_per_text).tolist(),
         annotator_ids[np.concatenate(chosen)].tolist(),
         labels,
         labels,
-        profiles=population,
     )
+    return attach_profiles(dataset, population)
 
 
 def generate_socio_embeddings(
-    population: dict[str, AnnotatorProfile],
+    population: ProfileTable,
     dim: int,
     seed: int,
 ) -> VectorTable:
@@ -132,11 +135,12 @@ def generate_socio_embeddings(
     small noise, so identical profiles land near each other.
     """
     rng = np.random.default_rng([seed, 4])
-    pairs = sorted({(a, c) for p in population.values() for a, c in p.assignments.items()})
-    directions = {pair: rng.standard_normal(dim) for pair in pairs}
+    schema = SocioSchema(sorted(build_schema(population).attributes))
+    # one direction per held (attribute, category) pair, drawn in sorted pair order; MISSING, last, gets none
+    directions = [[rng.standard_normal(dim) for _ in cats[:-1]] for _, cats in schema.attributes]
     vectors = np.empty((len(population), dim))
-    for i, profile in enumerate(population.values()):
-        parts = [directions[(a, c)] for a, c in sorted(profile.assignments.items())]
+    for i, row in enumerate(schema.encode(population).tolist()):
+        parts = [held[c] for held, c in zip(directions, row) if c < len(held)]
         base = np.mean(parts, axis=0) if parts else np.zeros(dim)
         vectors[i] = base + 0.01 * rng.standard_normal(dim)
-    return VectorTable(list(population), vectors)
+    return VectorTable(population.annotators, vectors)

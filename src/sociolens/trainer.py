@@ -24,7 +24,7 @@ import numpy as np
 from .batcher import BatchTables, assemble_batch, plan_epoch
 from .corpus import Dataset, SplitPair, majority_vote
 from .errors import ConfigError, DataError, NumericError, SociolensError
-from .features import SocioSchema, VectorTable, build_schema, multihot_table
+from .features import ProfileTable, SocioSchema, VectorTable, build_schema, multihot_rows
 from .metrics import MetricsReport, aggregate_runs, confusion_metrics
 from .model import (
     WIRING,
@@ -115,10 +115,12 @@ def _batch_tables(
     if wiring.per_annotator:
         tables["annotator_index"] = np.array([annotator_index.get(a, -1) for a in annotators], dtype=np.int64)
     if wiring.socio == "multihot":
-        socio_table = multihot_table(dataset.profiles, schema)
-    elif wiring.socio == "embedding" and socio_table is None:
-        raise DataError("socio_embedding needs an annotator-keyed embedding table")
-    if wiring.socio is not None:
+        if dataset.profiles is None:
+            raise DataError("multi-hot socio rows need annotator profiles")
+        tables["socio"] = multihot_rows(dataset.profiles, schema)
+    elif wiring.socio == "embedding":
+        if socio_table is None:
+            raise DataError("socio_embedding needs an annotator-keyed embedding table")
         tables["socio"] = socio_table.rows(annotators)
     return BatchTables(**tables)
 
@@ -257,7 +259,7 @@ def train_suite(
     )
 
 
-def export_representations(run: TrainedRun, profiles: dict) -> VectorTable:
+def export_representations(run: TrainedRun, profiles: ProfileTable) -> VectorTable:
     """Socio representations for all profiled annotators under this run's schema."""
     if run.schema is None:
         raise ConfigError("this run has no socio schema")

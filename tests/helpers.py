@@ -27,13 +27,12 @@ from sociolens.batcher import Batch
 from sociolens.cli import main
 from sociolens.corpus import Dataset
 from sociolens.errors import ConfigError, DataError, NumericError
-from sociolens.features import MISSING, SocioSchema, VectorTable
+from sociolens.features import MISSING, ProfileTable, SocioSchema, VectorTable
 from sociolens.homophily import (
     HomophilyRow,
     RepSpace,
     _chance,
     _check_space,
-    _codes,
     _distance_blocks,
     _nearest,
     _neighbor_order,
@@ -323,7 +322,7 @@ def reference_homophily_table(
     ids_all = np.array(space.annotator_ids, dtype=object)
     rows = []
     for attribute in attributes:
-        cats_all = np.array(space.attributes[attribute], dtype=object)
+        cats_all = space.codes[:, space.attributes.index(attribute)]
         observed, chance = [], []
         for it in range(iterations):
             draw = np.random.default_rng([seed, it]).integers(0, n, size=n)
@@ -347,6 +346,12 @@ def reference_homophily_table(
     return rows
 
 
+def space_of(ids: list[str], vectors: np.ndarray, attributes: dict[str, list[str]]) -> RepSpace:
+    """A representation space whose annotators hold the category strings `attributes` lists, coded in sorted order."""
+    codes = [np.unique(np.array(cats, dtype=object), return_inverse=True)[1] for cats in attributes.values()]
+    return RepSpace(ids, vectors, list(attributes), np.array(codes, dtype=np.intp).reshape(len(attributes), len(ids)).T)
+
+
 def knn(space: RepSpace, i: int, k: int, metric: str = "cosine") -> list[int]:
     """Indices of the k nearest annotators to row i, excluding i itself, from the package's neighbor order."""
     _check_space(space, [], k)
@@ -360,14 +365,14 @@ def observed_probability(space: RepSpace, attribute: str, k: int = 50, metric: s
     order = _neighbor_order(space.vectors, space.annotator_ids, metric)
     rows = np.arange(len(space))
     neighbors = _nearest(*order, np.ones(len(space), dtype=bool), rows, k)
-    return float(_same_fraction(_codes(space.attributes[attribute]), rows, neighbors).mean())
+    return float(_same_fraction(space.codes[:, space.attributes.index(attribute)], rows, neighbors).mean())
 
 
 def chance_probability(space: RepSpace, attribute: str) -> float:
     """Sum of squared category frequencies over the whole space; position-independent by construction."""
     if attribute not in space.attributes:
         raise DataError(f"attribute {attribute!r} not present in representation space")
-    return _chance(_codes(space.attributes[attribute]))
+    return _chance(space.codes[:, space.attributes.index(attribute)])
 
 
 def homophily_ratio(space: RepSpace, attribute: str, k: int = 50, metric: str = "cosine") -> float:
@@ -487,6 +492,21 @@ def reference_schema(profiles: list[dict[str, str]]) -> SocioSchema:
                 order.append(attribute)
             observed[attribute].add(category)
     return SocioSchema([(attribute, sorted(observed[attribute]) + [MISSING]) for attribute in order])
+
+
+def profiles_of(profiles: dict[str, dict[str, str]]) -> ProfileTable:
+    """The profile table of per-profile answers; attributes in order of first appearance, an absent one declined."""
+    attributes = list(dict.fromkeys(a for assignments in profiles.values() for a in assignments))
+    cells = np.array([[assignments.get(a) or "" for a in attributes] for assignments in profiles.values()], dtype=object)
+    return ProfileTable.from_cells(list(profiles), attributes, cells.reshape(len(profiles), len(attributes)))
+
+
+def profile_dicts(profiles: ProfileTable) -> dict[str, dict[str, str]]:
+    """Each annotator's answered attributes in column order, keyed by id in table order: a table read cell by cell."""
+    return {
+        aid: {a: profiles.categories[j][code] for j, (a, code) in enumerate(zip(profiles.attributes, row)) if code >= 0}
+        for aid, row in zip(profiles.annotators, profiles.answers.tolist())
+    }
 
 
 def reference_category(assignments: dict[str, str], attribute: str, categories: list[str]) -> str:

@@ -21,6 +21,7 @@ from helpers import (
     make_dataset,
     pair_counting_auc,
     roc_curve_area,
+    space_of,
 )
 from sociolens import corpus, homophily, metrics, synth, trainer
 from sociolens.batcher import contrastive_masks, plan_epoch, text_match_mask
@@ -149,7 +150,7 @@ def test_criterion_05_homophily_null_calibration():
     n = 400
     vectors = rng.uniform(-1.0, 1.0, size=(n, 32))
     cats = ["x" if i % 2 == 0 else "y" for i in range(n)]
-    space = homophily.RepSpace([f"a{i:03d}" for i in range(n)], vectors, {"attr": cats})
+    space = space_of([f"a{i:03d}" for i in range(n)], vectors, {"attr": cats})
     row = homophily.bootstrap_homophily(space, "attr", k=50, iterations=1000, seed=7)
     elapsed = time.monotonic() - start
     in_band = 0.9 <= row.ratio_mean <= 1.1
@@ -174,7 +175,7 @@ def test_criterion_06_homophily_signal_detection():
         "noise4": [f"c{rng.integers(0, 4)}" for _ in range(n)],
         "noise5": [f"c{rng.integers(0, 5)}" for _ in range(n)],
     }
-    space = homophily.RepSpace([f"a{i:03d}" for i in range(n)], vectors, attributes)
+    space = space_of([f"a{i:03d}" for i in range(n)], vectors, attributes)
     ratios = {
         attr: homophily.bootstrap_homophily(space, attr, k=50, iterations=200, seed=3).ratio_mean
         for attr in attributes
@@ -182,7 +183,7 @@ def test_criterion_06_homophily_signal_detection():
     exact = []
     for c in (2, 4, 5):
         uniform_cats = [f"u{i % c}" for i in range(n)]
-        uniform_space = homophily.RepSpace(space.annotator_ids, vectors, {"u": uniform_cats})
+        uniform_space = space_of(space.annotator_ids, vectors, {"u": uniform_cats})
         exact.append(chance_probability(uniform_space, "u") == 1.0 / c)
     others = {a: r for a, r in ratios.items() if a != "planted"}
     ok = (

@@ -68,6 +68,28 @@ class TestFullChain:
         assert "F1 gain from the contrastive term" in text
         assert "| group |" in text
 
+    def test_eval_slices_every_variant_under_one_schema(self, tmp_path):
+        # a newcomer seen only at test time holds a category no training annotator holds
+        config = base_config(str(tmp_path / "out"))
+        config["train"]["epochs"] = 1
+        out = run_chain(tmp_path, config, commands=("synth", "prep", "train"))
+        with open(out / "prep" / "test.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        moved = [i for i, row in enumerate(rows) if row[0] not in {r[0] for r in rows[1:i]}][1:3]  # two texts
+        for i in moved:
+            rows[i][1] = "newcomer"
+        with open(out / "prep" / "test.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        with open(out / "synth" / "profiles.csv", "a", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerow(["newcomer", "a", "w"])
+        assert main(["eval", "--config", str(tmp_path / "config.json")]) == 0
+        slices = {}
+        for variant in ("simple", "socio_contrastive"):
+            with open(out / "eval" / variant / "groups.csv", newline="", encoding="utf-8") as fh:
+                slices[variant] = {(r["attribute"], r["category"], r["n"]) for r in csv.DictReader(fh)}
+        assert ("extra", "w", "2") in slices["simple"]
+        assert slices["socio_contrastive"] == slices["simple"]
+
     def test_report_with_gaps_exits_zero(self, tmp_path):
         config = base_config(str(tmp_path / "out"))
         config_path = tmp_path / "c.json"
@@ -393,6 +415,29 @@ class TestErrors:
             named = tmp_path
         assert main([command, "--config", str(config_path)]) == code
         assert str(named) in capsys.readouterr().err
+
+    def test_unprofiled_representation_exits_3_naming_it(self, tmp_path, capsys, trained_chain):
+        reps = tmp_path / "reps.csv"
+        reps.write_text("annotator_id,d0,d1\na00,1.0,0.0\nghost,0.0,1.0\n", encoding="utf-8")
+        config = json.loads(json.dumps(trained_chain))
+        config["homophily"]["representations"] = str(reps)
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["homophily", "--config", str(config_path)]) == 3
+        assert capsys.readouterr().err == "data error: no profile for annotators: ['ghost']\n"
+
+    @pytest.mark.parametrize("field", ["eval.annotations", "eval.profiles", "eval.embeddings", "homophily.representations"])
+    def test_csv_field_over_the_limit_exits_3_naming_the_file(self, tmp_path, capsys, trained_chain, field):
+        # the csv module refuses a field longer than 131072 characters
+        big = tmp_path / "big.csv"
+        big.write_text('"' + "k" * 200_000 + '",1\n', encoding="utf-8")
+        config = json.loads(json.dumps(trained_chain))
+        command, key = field.split(".")
+        config[command][key] = str(big)
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main([command, "--config", str(config_path)]) == 3
+        assert capsys.readouterr().err.startswith(f"data error: {big}: malformed CSV: field larger than field limit")
 
     @pytest.mark.parametrize("error, code, prefix", [
         (ConfigError, 2, "config error"),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import annotation_triples, make_dataset, rows_of
+from helpers import annotation_triples, make_dataset, profile_dicts, profiles_of, rows_of
 from sociolens import corpus
 from sociolens.corpus import (
     ColumnMapping,
@@ -18,7 +18,6 @@ from sociolens.corpus import (
     split_by_text,
 )
 from sociolens.errors import DataError, DuplicateError, EmptyDatasetError, SchemaError
-from sociolens.features import AnnotatorProfile
 
 
 def write_csv(path, rows, header="text_id,annotator_id,score"):
@@ -220,11 +219,14 @@ class TestSplitByText:
             split_by_text(self.make(4), 1.0, seed=0)
 
     def test_profiles_follow_annotators(self):
-        ds = self.make(6)
-        ds.profiles.update({f"a{j}": AnnotatorProfile(f"a{j}") for j in range(3)})
+        answers = {f"a{j}": {"g": f"c{j}"} for j in reversed(range(3))}
+        ds = corpus.attach_profiles(self.make(6), profiles_of(answers))
         split = split_by_text(ds, 0.5, seed=1)
         for side in (split.train, split.test):
-            assert set(side.profiles) == {a for _, a, _, _ in rows_of(side)}
+            assert set(side.profiles.annotators) == {a for _, a, _, _ in rows_of(side)}
+            # row c of the profiles is annotator code c
+            assert side.profiles.annotators == side.annotators.tolist()
+            assert profile_dicts(side.profiles) == {a: answers[a] for a in side.annotators.tolist()}
 
 
 def votes(ds: Dataset) -> dict[str, int]:
@@ -275,4 +277,13 @@ def test_stats_match_records():
 def test_attach_profiles_requires_coverage():
     ds = make_dataset([("t1", "a1", 1), ("t2", "a2", 1)])
     with pytest.raises(DataError, match="a2"):
-        corpus.attach_profiles(ds, {"a1": AnnotatorProfile("a1")})
+        corpus.attach_profiles(ds, profiles_of({"a1": {"g": "x"}}))
+
+
+def test_attach_profiles_aligns_rows_to_annotator_codes():
+    ds = make_dataset([("t1", "a2", 1), ("t2", "a1", 1), ("t2", "a2", 0)])
+    profiled = corpus.attach_profiles(ds, profiles_of({"a1": {"g": "x"}, "a3": {"g": "z"}, "a2": {"g": ""}}))
+    assert profiled.profiles.annotators == ["a2", "a1"]
+    assert profile_dicts(profiled.profiles) == {"a2": {}, "a1": {"g": "x"}}
+    # binarize shares the table rather than copying it
+    assert binarize(profiled).profiles is profiled.profiles

@@ -1,3 +1,5 @@
+import csv
+import io
 import tempfile
 from pathlib import Path
 
@@ -10,6 +12,8 @@ from hypothesis.extra.numpy import arrays
 from helpers import (
     decode_multihot,
     profile_csvs,
+    profile_dicts,
+    profiles_of,
     reference_category,
     reference_multihot,
     reference_profiles,
@@ -18,17 +22,17 @@ from helpers import (
 )
 from sociolens.homophily import RepSpace
 from sociolens.metrics import confusion_metrics, group_breakdown
-from sociolens.errors import DataError, NumericError, SchemaError
+from sociolens.errors import DataError, DuplicateError, EncodingError, NumericError, SchemaError
 from sociolens.features import (
     MISSING,
-    AnnotatorProfile,
+    ProfileTable,
     SocioSchema,
     VectorTable,
     build_schema,
-    encode_multihot,
     load_embeddings,
     load_profiles,
     load_vector_csv,
+    multihot_rows,
     save_profiles,
     save_vector_csv,
 )
@@ -36,51 +40,53 @@ from sociolens.features import (
 
 class TestBuildSchema:
     def test_two_gender_profiles(self):
-        profiles = [
-            AnnotatorProfile("a1", {"gender": "female"}),
-            AnnotatorProfile("a2", {"gender": "male"}),
-        ]
+        profiles = profiles_of({"a1": {"gender": "female"}, "a2": {"gender": "male"}})
         schema = build_schema(profiles)
         assert schema.attributes == [("gender", ["female", "male", MISSING])]
         assert schema.total_width == 3
 
     def test_new_category_grows_width_by_one(self):
-        base = [AnnotatorProfile("a1", {"gender": "female"}), AnnotatorProfile("a2", {"gender": "male"})]
-        schema = build_schema(base)
-        grown = build_schema(base + [AnnotatorProfile("a3", {"gender": "nonbinary"})])
+        base = {"a1": {"gender": "female"}, "a2": {"gender": "male"}}
+        schema = build_schema(profiles_of(base))
+        grown = build_schema(profiles_of({**base, "a3": {"gender": "nonbinary"}}))
         assert grown.total_width == schema.total_width + 1
 
     def test_eight_attribute_inventory(self):
         attrs = ["education", "ideology", "age", "gender", "race", "sexuality", "income", "religion_importance"]
-        profiles = [AnnotatorProfile("a1", {a: "x" for a in attrs})]
-        schema = build_schema(profiles)
+        schema = build_schema(profiles_of({"a1": {a: "x" for a in attrs}}))
         assert len(schema.attributes) == 8
 
     def test_attribute_order_is_first_appearance(self):
-        profiles = [
-            AnnotatorProfile("a1", {"b_attr": "1"}),
-            AnnotatorProfile("a2", {"a_attr": "1", "b_attr": "2"}),
-        ]
+        # file columns [a_attr, b_attr]; the first annotator declined a_attr
+        profiles = profiles_of({"a0": {"a_attr": "", "b_attr": ""}, "a1": {"b_attr": "1"}, "a2": {"a_attr": "1", "b_attr": "2"}})
+        assert profiles.attributes == ["a_attr", "b_attr"]
         assert build_schema(profiles).attribute_names == ["b_attr", "a_attr"]
 
     def test_categories_sorted_lexicographically(self):
-        profiles = [AnnotatorProfile("a1", {"age": "z"}), AnnotatorProfile("a2", {"age": "a"})]
+        profiles = profiles_of({"a1": {"age": "z"}, "a2": {"age": "a"}})
         assert build_schema(profiles).attributes == [("age", ["a", "z", MISSING])]
 
     def test_empty_collection_rejected(self):
         with pytest.raises(SchemaError):
-            build_schema([])
+            build_schema(profiles_of({"a1": {"g": "x"}}).select([]))
+
+    def test_categories_of_the_selected_annotators_only(self):
+        profiles = profiles_of({"a1": {"g": "x", "h": ""}, "a2": {"g": "y", "h": "z"}})
+        assert build_schema(profiles.select(["a1"])).attributes == [("g", ["x", MISSING])]
 
 
 class TestEncodeMultihot:
     schema = SocioSchema([("gender", ["f", "m", MISSING]), ("age", ["0-25", "26-35", MISSING])])
 
+    def encode(self, assignments):
+        return multihot_rows(profiles_of({"a": assignments}), self.schema)[0]
+
     def test_full_profile(self):
-        vec = encode_multihot(AnnotatorProfile("a", {"gender": "m", "age": "26-35"}), self.schema)
+        vec = self.encode({"gender": "m", "age": "26-35"})
         assert vec.tolist() == [0, 1, 0, 0, 1, 0]
 
     def test_missing_attribute_uses_missing_slot(self):
-        vec = encode_multihot(AnnotatorProfile("a", {"gender": "m"}), self.schema)
+        vec = self.encode({"gender": "m"})
         assert vec.tolist() == [0, 1, 0, 0, 0, 1]
 
     def test_one_hot_per_attribute_property(self):
@@ -92,20 +98,30 @@ class TestEncodeMultihot:
                 for attr, options in cats.items()
             }
             assignments = {a: c for a, c in assignments.items() if c is not None}
-            vec = encode_multihot(AnnotatorProfile("a", assignments), self.schema)
+            vec = self.encode(assignments)
             assert vec.sum() == len(self.schema.attributes)
+            offset = 0
             for attr, options in self.schema.attributes:
-                block = vec[self.schema.slot(attr, options[0]) : self.schema.slot(attr, options[-1]) + 1]
+                block = vec[offset : offset + len(options)]
                 assert block.sum() == 1
+                offset += len(options)
 
     def test_unknown_category_lenient_maps_to_missing(self):
-        vec = encode_multihot(AnnotatorProfile("a", {"gender": "x"}), self.schema)
-        assert vec[self.schema.slot("gender", MISSING)] == 1
+        vec = self.encode({"gender": "x"})
+        assert vec[self.schema.attributes[0][1].index(MISSING)] == 1
 
     def test_decode_roundtrip_including_missing(self):
-        profile = AnnotatorProfile("a", {"gender": "f"})
-        decoded = decode_multihot(encode_multihot(profile, self.schema), self.schema)
+        decoded = decode_multihot(self.encode({"gender": "f"}), self.schema)
         assert decoded == {"gender": "f", "age": MISSING}
+
+    def test_rows_follow_the_table_order(self):
+        profiles = profiles_of({"b": {"gender": "f"}, "a": {"gender": "m", "age": "0-25"}})
+        assert multihot_rows(profiles, self.schema).tolist() == [[1, 0, 0, 0, 0, 1], [0, 1, 0, 1, 0, 0]]
+
+    def test_declined_answer_without_missing_category_rejected(self):
+        schema = SocioSchema([("gender", ["f", "m"])])
+        with pytest.raises(EncodingError, match="gender"):
+            multihot_rows(profiles_of({"a": {"gender": "x"}}), schema)
 
 
 class TestEmbeddingTables:
@@ -222,17 +238,45 @@ class TestProfilesIO:
         path = tmp_path / "p.csv"
         path.write_text("annotator_id,gender,age\na1,f,\na2,m,26-35\n", encoding="utf-8")
         profiles = load_profiles(str(path))
-        assert profiles["a1"].assignments == {"gender": "f"}
-        assert profiles["a2"].assignments == {"gender": "m", "age": "26-35"}
+        assert profile_dicts(profiles) == {"a1": {"gender": "f"}, "a2": {"gender": "m", "age": "26-35"}}
         out = tmp_path / "q.csv"
-        save_profiles(profiles, str(out), attributes=["gender", "age"])
-        assert load_profiles(str(out)) == profiles
+        save_profiles(profiles, str(out))
+        assert profile_dicts(load_profiles(str(out))) == profile_dicts(profiles)
+        assert out.read_bytes() == b"annotator_id,gender,age\r\na1,f,\r\na2,m,26-35\r\n"
+
+    def test_columns_coded_once_into_sorted_categories(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("g,annotator_id,h\nz,a1,\n,a2\n\na,a3,y,extra\n", encoding="utf-8")
+        profiles = load_profiles(str(path))
+        assert profiles.annotators == ["a1", "a2", "a3"]
+        assert profiles.attributes == ["g", "h"]
+        assert profiles.categories == [["a", "z"], ["y"]]
+        # the short row declines h; the cell past the header is ignored
+        assert profiles.answers.tolist() == [[1, -1], [-1, -1], [0, 0]]
 
     def test_requires_annotator_id_column(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("who,gender\na1,f\n", encoding="utf-8")
         with pytest.raises(SchemaError):
             load_profiles(str(path))
+
+    def test_repeated_column_rejected(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("annotator_id,g,g\na1,f,m\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match="repeats"):
+            load_profiles(str(path))
+
+    def test_duplicate_annotator_names_the_row(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("annotator_id,g\na1,f\na2,m\na1,m\n", encoding="utf-8")
+        with pytest.raises(DuplicateError, match="'a1' at row 4"):
+            load_profiles(str(path))
+
+    def test_select_names_unprofiled_annotators(self):
+        profiles = profiles_of({"a1": {"g": "x"}, "a2": {"g": "y"}})
+        assert profile_dicts(profiles.select(["a2", "a1"])) == {"a2": {"g": "y"}, "a1": {"g": "x"}}
+        with pytest.raises(DataError, match=r"\['ghost'\]"):
+            profiles.select(["a1", "ghost"])
 
 
 @settings(max_examples=150, deadline=None)
@@ -249,22 +293,24 @@ def test_profile_readers_match_the_per_profile_oracle(text, data):
         save_profiles(load_profiles(str(saved)), str(again))
         assert again.read_bytes() == saved.read_bytes()
         assert reference_profiles(str(saved)) == oracle
+        # a file with no short row reads and writes back as it was
+        if all(len(row) == len(profiles.attributes) + 1 for row in csv.reader(io.StringIO(text, newline=""))):
+            assert saved.read_bytes() == path.read_bytes()
     ids = list(oracle)
-    assert list(profiles) == ids
+    assert list(profile_dicts(profiles).items()) == list(oracle.items())
 
     # a schema of some annotators leaves the others' unseen categories unknown
     known = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
-    schema = build_schema([profiles[a] for a in known])
+    schema = build_schema(profiles.select(known))
     assert schema.attributes == reference_schema([oracle[a] for a in known]).attributes
-    for a in ids:
-        assert encode_multihot(profiles[a], schema).tolist() == reference_multihot(oracle[a], schema).tolist()
+    assert multihot_rows(profiles, schema).tolist() == [reference_multihot(oracle[a], schema).tolist() for a in ids]
 
     records = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=12))
     probs = np.array(data.draw(st.lists(st.sampled_from([0.2, 0.5, 0.9]), min_size=len(records), max_size=len(records))))
     labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(records), max_size=len(records))))
     vocabulary = list(dict.fromkeys(records))
     codes = np.array([vocabulary.index(a) for a in records])
-    reports = group_breakdown(probs, labels, codes, vocabulary, profiles, schema)
+    reports = group_breakdown(probs, labels, codes, profiles.select(vocabulary), schema)
     assert [r.attribute for r in reports] == schema.attribute_names
     for report, (attribute, categories) in zip(reports, schema.attributes):
         counted = np.array([reference_category(oracle[a], attribute, categories) for a in records], dtype=object)
@@ -278,5 +324,6 @@ def test_profile_readers_match_the_per_profile_oracle(text, data):
     # homophily reads every profile under the schema of them all, as `sociolens homophily` does
     full = build_schema(profiles)
     space = RepSpace.from_representations(VectorTable(ids, np.zeros((len(ids), 1))), profiles, full)
-    for attribute, categories in full.attributes:
-        assert space.attributes[attribute] == [reference_category(oracle[a], attribute, categories) for a in ids]
+    assert space.attributes == full.attribute_names
+    for a, (attribute, categories) in enumerate(full.attributes):
+        assert [categories[c] for c in space.codes[:, a]] == [reference_category(oracle[i], attribute, categories) for i in ids]

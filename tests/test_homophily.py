@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import chance_probability, homophily_ratio, knn, observed_probability, reference_homophily_table
+from helpers import (
+    chance_probability,
+    homophily_ratio,
+    knn,
+    observed_probability,
+    profiles_of,
+    reference_homophily_table,
+    space_of,
+)
 from sociolens import homophily
 from sociolens.errors import ConfigError, DataError
 from sociolens.homophily import (
@@ -39,13 +47,13 @@ def uniform_space(rng, n, dim, categories=("x", "y")):
     vectors = rng.uniform(-1, 1, size=(n, dim))
     cats = [categories[i % len(categories)] for i in range(n)]
     ids = [f"a{i:04d}" for i in range(n)]
-    return RepSpace(ids, vectors, {"attr": cats})
+    return space_of(ids, vectors, {"attr": cats})
 
 
 class TestKnn:
     def test_nearest_by_cosine(self):
         vectors = np.array([[1.0, 0.0], [0.9, np.sqrt(1 - 0.81)], [0.1, np.sqrt(1 - 0.01)]])
-        space = RepSpace(["a", "b", "c"], vectors, {"attr": ["x", "x", "x"]})
+        space = space_of(["a", "b", "c"], vectors, {"attr": ["x", "x", "x"]})
         assert knn(space, 0, 1) == [1]
 
     def test_query_never_its_own_neighbor(self):
@@ -59,14 +67,14 @@ class TestKnn:
         n = 500
         vectors = rng.standard_normal((n, 8))
         ids = [f"a{i:03d}" for i in range(n)]
-        space = RepSpace(ids, vectors, {"attr": ["x"] * n})
+        space = space_of(ids, vectors, {"attr": ["x"] * n})
         for i in rng.choice(n, size=25, replace=False):
             assert knn(space, int(i), 12) == brute_force_knn(vectors, ids, int(i), 12)
 
     def test_tie_break_by_annotator_id(self):
         # three identical vectors: all distances tie, id order decides
         vectors = np.ones((3, 4))
-        space = RepSpace(["zz", "aa", "mm"], vectors, {"attr": ["x"] * 3})
+        space = space_of(["zz", "aa", "mm"], vectors, {"attr": ["x"] * 3})
         assert knn(space, 0, 2) == [1, 2]  # aa before mm
 
     @pytest.mark.parametrize("block", [3, homophily.ORDER_BLOCK])
@@ -81,7 +89,7 @@ class TestKnn:
             n, dim = int(rng.integers(16, 61)), int(rng.integers(1, 9))
             group = rng.integers(0, 4, size=n)
             ids = [f"a{j:03d}" for j in rng.permutation(n)]
-            space = RepSpace(ids, rng.standard_normal((4, dim))[group], {"attr": ["x"] * n})
+            space = space_of(ids, rng.standard_normal((4, dim))[group], {"attr": ["x"] * n})
             for i in range(n):
                 listed = [ids[j] for j in knn(space, i, n - 1, metric=metric)]
                 for g in range(4):
@@ -96,14 +104,14 @@ class TestKnn:
 
     def test_euclidean_metric(self):
         vectors = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]])
-        space = RepSpace(["a", "b", "c"], vectors, {"attr": ["x"] * 3})
+        space = space_of(["a", "b", "c"], vectors, {"attr": ["x"] * 3})
         assert knn(space, 0, 2, metric="euclidean") == [1, 2]
 
     def test_euclidean_matches_cosine_on_unit_vectors(self):
         rng = np.random.default_rng(15)
         vectors = rng.standard_normal((40, 6))
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-        space = RepSpace([f"a{i:02d}" for i in range(40)], vectors, {"attr": ["x"] * 40})
+        space = space_of([f"a{i:02d}" for i in range(40)], vectors, {"attr": ["x"] * 40})
         for i in (0, 7, 23):
             # on the unit sphere both metrics are monotone in the angle
             assert knn(space, i, 8, metric="euclidean") == knn(space, i, 8, metric="cosine")
@@ -119,15 +127,15 @@ class TestObservedProbability:
     def test_single_category_gives_one(self):
         rng = np.random.default_rng(3)
         vectors = rng.standard_normal((20, 4))
-        space = RepSpace([f"a{i}" for i in range(20)], vectors, {"attr": ["only"] * 20})
+        space = space_of([f"a{i}" for i in range(20)], vectors, {"attr": ["only"] * 20})
         assert observed_probability(space, "attr", k=5) == 1.0
 
     def test_hand_placed_pairs(self):
         # two tight pairs far apart; same-category pairing -> 1, mixed -> 0
         vectors = np.array([[1.0, 0.0], [0.999, 0.01], [-1.0, 0.0], [-0.999, 0.01]])
         ids = ["a", "b", "c", "d"]
-        same = RepSpace(ids, vectors, {"attr": ["x", "x", "y", "y"]})
-        mixed = RepSpace(ids, vectors, {"attr": ["x", "y", "x", "y"]})
+        same = space_of(ids, vectors, {"attr": ["x", "x", "y", "y"]})
+        mixed = space_of(ids, vectors, {"attr": ["x", "y", "x", "y"]})
         assert observed_probability(same, "attr", k=1) == 1.0
         assert observed_probability(mixed, "attr", k=1) == 0.0
 
@@ -135,7 +143,7 @@ class TestObservedProbability:
         rng = np.random.default_rng(4)
         space = uniform_space(rng, 60, 6)
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        rotated = RepSpace(space.annotator_ids, space.vectors @ q, dict(space.attributes))
+        rotated = RepSpace(space.annotator_ids, space.vectors @ q, space.attributes, space.codes)
         for k in (3, 10):
             assert observed_probability(space, "attr", k) == pytest.approx(
                 observed_probability(rotated, "attr", k), abs=1e-12
@@ -146,7 +154,7 @@ class TestChanceProbability:
     def make(self, cats):
         n = len(cats)
         rng = np.random.default_rng(5)
-        return RepSpace([f"a{i}" for i in range(n)], rng.standard_normal((n, 3)), {"attr": cats})
+        return space_of([f"a{i}" for i in range(n)], rng.standard_normal((n, 3)), {"attr": cats})
 
     def test_four_equal_categories(self):
         space = self.make(["a", "b", "c", "d"] * 5)
@@ -168,7 +176,7 @@ class TestChanceProbability:
     def test_independent_of_vectors(self):
         cats = ["a", "b"] * 10
         s1 = self.make(cats)
-        s2 = RepSpace(s1.annotator_ids, s1.vectors * 100 + 3, {"attr": cats})
+        s2 = space_of(s1.annotator_ids, s1.vectors * 100 + 3, {"attr": cats})
         assert chance_probability(s1, "attr") == chance_probability(s2, "attr")
 
 
@@ -179,7 +187,7 @@ class TestHomophilyRatio:
         centers = {"x": np.array([10.0, 0.0, 0.0]), "y": np.array([-10.0, 0.0, 0.0])}
         cats = ["x" if i < n // 2 else "y" for i in range(n)]
         vectors = np.stack([centers[c] + 0.05 * rng.standard_normal(3) for c in cats])
-        space = RepSpace([f"a{i}" for i in range(n)], vectors, {"attr": cats})
+        space = space_of([f"a{i}" for i in range(n)], vectors, {"attr": cats})
         ratio = homophily_ratio(space, "attr", k=10)
         assert ratio == pytest.approx(1.0 / chance_probability(space, "attr"), abs=1e-12)
 
@@ -217,7 +225,7 @@ class TestBootstrap:
         cats = rng.permutation(["x", "y"] * (n // 2)).tolist()
         centers = np.where(rng.random(n) < 0.5, 5.0, -5.0)
         vectors = centers[:, None] + 0.1 * rng.standard_normal((n, 4))
-        space = RepSpace([f"a{i:03d}" for i in range(n)], vectors, {"attr": cats})
+        space = space_of([f"a{i:03d}" for i in range(n)], vectors, {"attr": cats})
         row = bootstrap_homophily(space, "attr", k=30, iterations=100, seed=6)
         assert 0.9 <= row.ratio_mean <= 1.1
 
@@ -258,7 +266,7 @@ def bootstrap_cases(draw):
     names = [f"attr{t}" for t in range(draw(st.integers(1, 3)))]
     attributes = {a: [f"c{c}" for c in rng.integers(0, draw(st.integers(1, 4)), size=n)] for a in names}
     return (
-        RepSpace(ids, vectors, attributes),
+        space_of(ids, vectors, attributes),
         draw(st.integers(1, max(1, n // 3))),
         draw(st.integers(1, 8)),
         draw(st.integers(0, 1000)),
@@ -283,6 +291,30 @@ def test_table_matches_per_draw_reference(case, block):
         assert homophily_table(space, k, iterations, seed, metric, attributes) == expected
 
 
+class TestRepSpace:
+    def test_codes_are_schema_category_indices(self):
+        profiles = profiles_of({"a": {"g": "y"}, "b": {"g": "x", "h": "z"}, "c": {"g": "q"}})
+        schema = build_schema(profiles.select(["a", "b"]))
+        reps = VectorTable(["c", "a", "b"], np.eye(3))
+        space = RepSpace.from_representations(reps, profiles, schema)
+        assert space.annotator_ids == ["c", "a", "b"]
+        assert space.attributes == ["g", "h"]
+        # c's "q" is outside the schema and a declined h: both count as MISSING, the last index
+        assert space.codes.tolist() == [[2, 1], [1, 1], [0, 0]]
+
+    def test_unprofiled_representation_row_names_the_annotator(self):
+        profiles = profiles_of({"a": {"g": "x"}, "b": {"g": "y"}})
+        reps = VectorTable(["a", "ghost", "b"], np.eye(3))
+        with pytest.raises(DataError, match="no profile for annotators: \\['ghost'\\]"):
+            RepSpace.from_representations(reps, profiles, build_schema(profiles))
+
+    @pytest.mark.parametrize("codes", [np.zeros((3, 2)), np.zeros((2, 1)), -np.ones((3, 1))],
+                             ids=["extra-column", "missing-row", "negative"])
+    def test_codes_must_be_one_index_per_annotator_and_attribute(self, codes):
+        with pytest.raises(DataError, match="codes"):
+            RepSpace(["a", "b", "c"], np.eye(3), ["g"], codes.astype(int))
+
+
 class TestRepresentationIO:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(14)
@@ -301,7 +333,7 @@ class TestRepresentationIO:
         reps = load_representations(reps_path)
         profiles = load_profiles(profiles_path)
         assert len(reps) == gen.ANNOTATORS and reps.dimension == gen.DIM
-        assert list(profiles) == reps.keys
+        assert profiles.annotators == reps.keys
         space = RepSpace.from_representations(reps, profiles, build_schema(profiles))
         assert sorted(space.attributes) == sorted(gen.ATTRIBUTES)
 

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import pair_counting_auc, reference_roc_curve, roc_curve_area
+from helpers import pair_counting_auc, profiles_of, reference_roc_curve, roc_curve_area
 from sociolens.errors import DataError, NumericError
-from sociolens.features import MISSING, AnnotatorProfile, SocioSchema
+from sociolens.features import MISSING, SocioSchema
 from sociolens.metrics import (
     MetricsReport,
     aggregate_runs,
@@ -133,10 +133,10 @@ def scored_labels(draw, max_size=60):
     return probs, labels
 
 
-def coded(ids):
-    """Per-record annotator ids as (codes, vocabulary in first-appearance order), as a Dataset holds them."""
+def aligned(ids, profiles):
+    """Per-record annotator codes in first-appearance order, and `profiles` with row c for code c, as a profiled Dataset holds them."""
     vocabulary = list(dict.fromkeys(ids))
-    return np.array([vocabulary.index(a) for a in ids], dtype=np.int32), vocabulary
+    return np.array([vocabulary.index(a) for a in ids], dtype=np.int32), profiles.select(vocabulary)
 
 
 class TestScoreCounts:
@@ -174,16 +174,13 @@ class TestScoreCounts:
         # "zz" is outside both vocabularies; "" and None are declined answers
         probs, labels = case
         schema = SocioSchema([("g", ["a", "b", MISSING]), ("h", ["x", "y"])])
-        profiles = {
-            f"p{i}": AnnotatorProfile(f"p{i}", {k: v for k, v in zip("gh", pair) if v is not None})
-            for i, pair in enumerate(assignments)
-        }
-        ids = data.draw(st.lists(st.sampled_from(sorted(profiles)), min_size=probs.size, max_size=probs.size))
-        reports = group_breakdown(probs, labels, *coded(ids), profiles, schema)
+        answers = {f"p{i}": {k: v for k, v in zip("gh", pair) if v is not None} for i, pair in enumerate(assignments)}
+        ids = data.draw(st.lists(st.sampled_from(sorted(answers)), min_size=probs.size, max_size=probs.size))
+        reports = group_breakdown(probs, labels, *aligned(ids, profiles_of(answers)), schema)
         assert [r.attribute for r in reports] == ["g", "h"]
         for report, (attribute, categories) in zip(reports, schema.attributes):
             # a declined or out-of-vocabulary answer counts under MISSING, if the attribute has it
-            assigned = [profiles[a].assignments.get(attribute) or MISSING for a in ids]
+            assigned = [answers[a].get(attribute) or MISSING for a in ids]
             assigned = np.array([c if c in categories else MISSING for c in assigned], dtype=object)
             for c in categories:
                 mask = assigned == c
@@ -223,18 +220,14 @@ class TestAggregateRuns:
 
 class TestGroupBreakdown:
     schema = SocioSchema([("g", ["a", "b", MISSING])])
-    profiles = {
-        "p1": AnnotatorProfile("p1", {"g": "a"}),
-        "p2": AnnotatorProfile("p2", {"g": "a"}),
-        "p3": AnnotatorProfile("p3", {"g": "b"}),
-    }
+    profiles = profiles_of({"p1": {"g": "a"}, "p2": {"g": "a"}, "p3": {"g": "b"}})
 
     def test_subset_independence(self):
         # category a's rows all correct; category b all wrong
         probs = np.array([0.9, 0.8, 0.9, 0.2])
         labels = np.array([1, 1, 0, 1])
         ids = ["p1", "p2", "p3", "p3"]
-        reports = group_breakdown(probs, labels, *coded(ids), self.profiles, self.schema)
+        reports = group_breakdown(probs, labels, *aligned(ids, self.profiles), self.schema)
         by_cat = reports[0].categories
         assert by_cat["a"].f1 == 1.0
         assert by_cat["a"].n == 2
@@ -243,7 +236,7 @@ class TestGroupBreakdown:
     def test_empty_category_omitted(self):
         probs = np.array([0.9])
         labels = np.array([1])
-        reports = group_breakdown(probs, labels, *coded(["p1"]), self.profiles, self.schema)
+        reports = group_breakdown(probs, labels, *aligned(["p1"], self.profiles), self.schema)
         assert "b" in reports[0].omitted
         assert MISSING in reports[0].omitted
 
@@ -252,13 +245,14 @@ class TestGroupBreakdown:
         ids = [f"p{rng.integers(1, 4)}" for _ in range(40)]
         probs = rng.random(40)
         labels = rng.integers(0, 2, 40)
-        reports = group_breakdown(probs, labels, *coded(ids), self.profiles, self.schema)
+        reports = group_breakdown(probs, labels, *aligned(ids, self.profiles), self.schema)
         assert sum(r.n for r in reports[0].categories.values()) == 40
 
     def test_misaligned_annotator_ids_rejected(self):
         with pytest.raises(DataError, match="do not line up"):
-            group_breakdown(np.array([0.5, 0.7]), np.array([1, 0]), *coded(["p1"]), self.profiles, self.schema)
+            group_breakdown(np.array([0.5, 0.7]), np.array([1, 0]), *aligned(["p1"], self.profiles), self.schema)
 
     def test_unprofiled_annotator_rejected(self):
-        with pytest.raises(DataError):
-            group_breakdown(np.array([0.5]), np.array([1]), *coded(["ghost"]), self.profiles, self.schema)
+        # a record's annotator without a profile has no row to slice by
+        with pytest.raises(DataError, match="ghost"):
+            group_breakdown(np.array([0.5]), np.array([1]), *aligned(["ghost"], self.profiles), self.schema)

@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 from helpers import (
     combined_objective,
     gradient_check_instance,
+    profiles_of,
     random_batch,
     random_small_spec,
     reference_adam_step,
 )
 from sociolens.batcher import Batch
 from sociolens.errors import ConfigError, DataError, NumericError
-from sociolens.features import MISSING, AnnotatorProfile, SocioSchema
+from sociolens.features import MISSING, SocioSchema
 from sociolens.model import (
     ModelSpec,
     adam_step,
@@ -315,11 +316,7 @@ class TestSocioReps:
         params = self.make_params()
         reps = extract_socio_reps(
             params,
-            {
-                "a1": AnnotatorProfile("a1", {"g": "a", "r": "x"}),
-                "a2": AnnotatorProfile("a2", {"g": "a", "r": "x"}),
-                "a3": AnnotatorProfile("a3", {"g": "b", "r": "y"}),
-            },
+            profiles_of({"a1": {"g": "a", "r": "x"}, "a2": {"g": "a", "r": "x"}, "a3": {"g": "b", "r": "y"}}),
             self.schema,
         )
         a1, a2, a3 = reps.rows(["a1", "a2", "a3"])
@@ -329,18 +326,18 @@ class TestSocioReps:
 
     def test_dimension_is_second_projection_width(self):
         params = self.make_params()
-        reps = extract_socio_reps(params, {"a": AnnotatorProfile("a", {"g": "a"})}, self.schema)
+        reps = extract_socio_reps(params, profiles_of({"a": {"g": "a"}}), self.schema)
         assert reps.matrix.shape == (1, params.spec.projection_dims[1])
 
     def test_one_vector_per_unique_annotator(self):
         params = self.make_params()
-        profiles = {f"a{i}": AnnotatorProfile(f"a{i}", {"g": "a"}) for i in range(37)}
+        profiles = profiles_of({f"a{i}": {"g": "a"} for i in range(37)})
         assert len(extract_socio_reps(params, profiles, self.schema)) == 37
 
     def test_wrong_variant_rejected(self):
         params = init_params(small_spec("simple"), 0)
         with pytest.raises(ConfigError):
-            extract_socio_reps(params, {}, self.schema)
+            extract_socio_reps(params, profiles_of({"a": {"g": "a"}}), self.schema)
 
 
 class TestCheckpoints:

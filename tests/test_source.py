@@ -65,3 +65,21 @@ def test_imports_are_relative_numpy_or_stdlib():
             found += [f"{path.name}:{node.lineno}:{root}" for root in roots
                       if root != "numpy" and root not in sys.stdlib_module_names]
     assert SOURCES and not found, found
+
+
+def test_only_features_reads_a_profile_cell():
+    # "a declined or unknown answer counts as MISSING" is one rule, kept in features.py:
+    # elsewhere a profile is read through `SocioSchema.encode`, never cell by cell
+    found = []
+    for path in SOURCES:
+        if path.name == "features.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "features":
+                found += [f"{path.name}:{node.lineno}:MISSING" for alias in node.names if alias.name == "MISSING"]
+            elif isinstance(node, ast.Attribute) and (
+                node.attr in ("answers", "assignments")
+                or node.attr == "MISSING" and isinstance(node.value, ast.Name) and node.value.id == "features"
+            ):
+                found.append(f"{path.name}:{node.lineno}:{node.attr}")
+    assert SOURCES and not found, found

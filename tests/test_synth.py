@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import rows_of
+from helpers import profile_dicts, rows_of
 from sociolens import corpus
 from sociolens.errors import ConfigError
 from sociolens.features import load_profiles, save_profiles
 from sociolens.synth import (
     AttributeSpec,
     PopulationSpec,
-    annotator_shift,
+    annotator_shifts,
     generate_annotations,
     generate_corpus,
     generate_population,
@@ -48,19 +48,19 @@ def binomial_band(n, p, confidence=0.99):
 
 class TestGeneratePopulation:
     def test_counts_within_binomial_band(self):
-        profiles = generate_population(base_spec())
-        females = sum(1 for p in profiles.values() if p.assignments["gender"] == "f")
+        profiles = profile_dicts(generate_population(base_spec()))
+        females = sum(1 for p in profiles.values() if p["gender"] == "f")
         lo, hi = binomial_band(100, 0.5)
         assert lo <= females <= hi
 
     def test_deterministic_under_seed(self):
-        assert generate_population(base_spec()) == generate_population(base_spec())
-        assert generate_population(base_spec()) != generate_population(base_spec(seed=1))
+        assert profile_dicts(generate_population(base_spec())) == profile_dicts(generate_population(base_spec()))
+        assert profile_dicts(generate_population(base_spec())) != profile_dicts(generate_population(base_spec(seed=1)))
 
     def test_single_category_degenerate(self):
         spec = base_spec(attributes=(AttributeSpec("only", ("x",), (1.0,)),))
-        profiles = generate_population(spec)
-        assert all(p.assignments["only"] == "x" for p in profiles.values())
+        profiles = profile_dicts(generate_population(spec))
+        assert all(p["only"] == "x" for p in profiles.values())
 
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(ConfigError):
@@ -112,7 +112,8 @@ class TestGenerateAnnotations:
         ds = generate_annotations(population, corp, spec)
         z = dict(zip(corp.text_ids, corp.latent))
         borderline = [(a, label) for t, a, _, label in rows_of(ds) if abs(z[t]) < 0.2]
-        shifted = [label for a, label in borderline if population[a].assignments["gender"] == "f"]
+        answers = profile_dicts(population)
+        shifted = [label for a, label in borderline if answers[a]["gender"] == "f"]
         rate = float(np.mean(shifted))
         assert rate == pytest.approx(1.0 / (1.0 + math.exp(-3.0)), abs=0.05)
 
@@ -120,17 +121,18 @@ class TestGenerateAnnotations:
         spec = base_spec(annotator_count=200, text_count=600, annotations_per_text=6)
         population = generate_population(spec)
         ds = generate_annotations(population, generate_corpus(spec), spec)
+        answers = profile_dicts(population)
         rates = {}
         for cat in ("f", "m"):
-            labels = [label for _, a, _, label in rows_of(ds) if population[a].assignments["gender"] == cat]
+            labels = [label for _, a, _, label in rows_of(ds) if answers[a]["gender"] == cat]
             rates[cat] = float(np.mean(labels))
         assert abs(rates["f"] - rates["m"]) < 0.04
 
     def test_shift_accumulates_over_categories(self):
         population = generate_population(base_spec())
-        profile = next(iter(population.values()))
-        signal = {("gender", profile.assignments["gender"]): 1.5, ("age", profile.assignments["age"]): -0.5}
-        assert annotator_shift(profile, signal) == pytest.approx(1.0)
+        profile = next(iter(profile_dicts(population).values()))
+        signal = {("gender", profile["gender"]): 1.5, ("age", profile["age"]): -0.5}
+        assert annotator_shifts(population, signal)[0] == pytest.approx(1.0)
 
 
 class TestRoundTrip:
@@ -147,7 +149,8 @@ class TestRoundTrip:
 
         reloaded = corpus.binarize(corpus.load_annotations(str(ann_path)))
         assert rows_of(reloaded) == rows_of(ds)
-        assert load_profiles(str(prof_path)) == population
+        assert profile_dicts(load_profiles(str(prof_path))) == profile_dicts(population)
+        assert ds.profiles.annotators == ds.annotators.tolist()
 
 
 class TestSocioEmbeddings:
@@ -155,20 +158,16 @@ class TestSocioEmbeddings:
         spec = base_spec(annotator_count=60)
         population = generate_population(spec)
         table = generate_socio_embeddings(population, 12, seed=0)
-        ids = list(population)
-        twins = [
-            (a, b)
-            for i, a in enumerate(ids)
-            for b in ids[i + 1 :]
-            if population[a].assignments == population[b].assignments
-        ]
+        answers = profile_dicts(population)
+        ids = list(answers)
+        twins = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :] if answers[a] == answers[b]]
         assert twins, "population too small to contain twin profiles"
         a, b = twins[0]
         vec = dict(zip(table.keys, table.matrix))
         expected_gap = np.linalg.norm(vec[a] - vec[b])
         rng = np.random.default_rng(1)
         far = ids[int(rng.integers(len(ids)))]
-        while population[far].assignments == population[a].assignments:
+        while answers[far] == answers[a]:
             far = ids[int(rng.integers(len(ids)))]
         assert expected_gap < np.linalg.norm(vec[a] - vec[far])
 
@@ -177,5 +176,5 @@ class TestSocioEmbeddings:
         population = generate_population(spec)
         t1 = generate_socio_embeddings(population, 8, seed=3)
         t2 = generate_socio_embeddings(population, 8, seed=3)
-        assert t1.keys == t2.keys == list(population)
+        assert t1.keys == t2.keys == population.annotators
         assert t1.matrix.tobytes() == t2.matrix.tobytes()

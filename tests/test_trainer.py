@@ -6,7 +6,7 @@ import pytest
 
 from helpers import base_config, make_dataset, rows_of, run_chain
 from sociolens import synth, trainer
-from sociolens.corpus import SplitPair, split_by_text
+from sociolens.corpus import SplitPair, attach_profiles, split_by_text
 from sociolens.errors import DataError
 from sociolens.features import VectorTable
 from sociolens.trainer import RunConfig, predict, train_one, train_suite
@@ -104,10 +104,12 @@ class TestTrainOne:
 
     def test_missing_profile_is_a_data_error_naming_the_annotator(self):
         split, table, _ = make_world()
-        first = split.train.annotators[0]
-        train = replace(split.train, profiles={a: p for a, p in split.train.profiles.items() if a != first})
-        with pytest.raises(DataError, match=f"no vector for key {first!r}"):
-            train_one(tiny_config("socio_multihot"), 0, replace(split, train=train), table)
+        first, *others = split.train.annotators.tolist()
+        with pytest.raises(DataError, match=f"no profile for annotators: \\[{first!r}\\]"):
+            attach_profiles(split.train, split.train.profiles.select(others))
+        unprofiled = replace(split.train, profiles=None)
+        with pytest.raises(DataError, match="cannot build a schema without profiles"):
+            train_one(tiny_config("socio_multihot"), 0, replace(split, train=unprofiled), table)
 
     def test_leak_check_fires_on_a_shared_text(self):
         # one train text copied into the test split; the check runs before any step
@@ -250,8 +252,7 @@ class TestLossTrend:
 def test_export_representations_covers_all_profiles():
     split, table, _ = make_world()
     run = train_one(tiny_config("socio_contrastive"), 0, split, table)
-    all_profiles = dict(split.train.profiles)
-    all_profiles.update(split.test.profiles)
-    reps = trainer.export_representations(run, all_profiles)
-    assert reps.keys == list(all_profiles)
-    assert reps.matrix.shape == (len(all_profiles), 6)
+    for profiles in (split.train.profiles, split.test.profiles):
+        reps = trainer.export_representations(run, profiles)
+        assert reps.keys == profiles.annotators
+        assert reps.matrix.shape == (len(profiles), 6)
