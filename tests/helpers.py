@@ -417,7 +417,7 @@ def roc_curve_area(points: list[tuple[float, float, float]]) -> float:
 
 
 def decode_multihot(vec: np.ndarray, schema: SocioSchema) -> dict[str, str]:
-    """Inverse of `features.encode_multihot`: recover the category per attribute."""
+    """Inverse of one `features.multihot_rows` row: recover the category per attribute."""
     if vec.shape != (schema.total_width,):
         raise DataError(f"vector width {vec.shape} does not match schema width {schema.total_width}")
     out: dict[str, str] = {}
