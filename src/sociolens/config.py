@@ -273,15 +273,18 @@ def _parse_synth(raw: dict) -> PopulationSpec:
     for i, spec in enumerate(s["attributes"]):
         where = f"synth.attributes[{i}]"
         a = _require(spec, _defaults(AttributeSpec), where)
-        categories, probs = a["categories"], a["probabilities"]
-        _check(isinstance(a["name"], str), f"{where}.name must be a string")
-        _check(isinstance(categories, list) and categories and all(isinstance(c, str) for c in categories),
-               f"{where}.categories must be a non-empty list of strings")
+        name, categories, probs = a["name"], a["categories"], a["probabilities"]
+        _check(isinstance(name, str), f"{where}.name must be a string")
+        _check(name not in {b.name for b in attributes}, f"{where}.name {name!r} is already an attribute's name")
+        # a profile file writes a declined answer as an empty cell, so "" cannot be a category
+        _check(isinstance(categories, list) and categories and all(isinstance(c, str) and c for c in categories)
+               and len(set(categories)) == len(categories),
+               f"{where}.categories of {name!r} must be a non-empty list of distinct non-empty strings")
         if probs is None:
             probs = [1.0 / len(categories)] * len(categories)
         _check(isinstance(probs, list) and all(_is_real(p) for p in probs),
                f"{where}.probabilities must be a list of finite numbers")
-        attributes.append(AttributeSpec(a["name"], tuple(categories), tuple(float(p) for p in probs)))
+        attributes.append(AttributeSpec(name, tuple(categories), tuple(float(p) for p in probs)))
     signal: dict[tuple[str, str], float] = {}
     for attr, shifts in (s["signal"] or {}).items():
         _check(isinstance(shifts, dict), f"synth.signal.{attr} must map categories to shifts")

@@ -27,13 +27,16 @@ Memory and cost: the weights and Adam's moments m and v of all n
 parameters live in the three contiguous little-endian f64 rows of
 `ModelParams.flat`, each tensor a view into its row; a checkpoint's
 params.bin is those rows' bytes. While a run trains, `ModelParams.work`
-adds a flat gradient and a scratch vector of n each, and `adam_step` is
-fifteen whole-buffer passes and two finiteness scans, whatever the layer count.
+adds a gradient row, which `backward` writes in place, and a scratch row;
+`adam_step` is fourteen whole-buffer passes and two finiteness scans,
+whatever the layer count. A per-annotator head touches only the columns
+of its batch's annotators: O(b·H) a step, not O(b·H·A).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -125,13 +128,21 @@ class ModelParams:
     work: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        shapes = self.spec.tensor_shapes()
-        ends = np.cumsum([np.prod(shape) for shape in shapes.values()])
-        self.flat = np.zeros((3, ends[-1]), dtype="<f8")
-        self.tensors, self.m, self.v = (
-            {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), np.split(row, ends[:-1]))}
-            for row in self.flat
-        )
+        self.flat = np.zeros((3, sum(map(math.prod, self.spec.tensor_shapes().values()))), dtype="<f8")
+        self.tensors, self.m, self.v = (self._views(row) for row in self.flat)
+
+    def _views(self, row: np.ndarray) -> dict[str, np.ndarray]:
+        """Name → view of each tensor's part of `row`, a vector laid out like a row of `flat`."""
+        views, start = {}, 0
+        for name, shape in self.spec.tensor_shapes().items():
+            views[name], start = row[start : start + math.prod(shape)].reshape(shape), start + math.prod(shape)
+        return views
+
+    def gradient_views(self) -> dict[str, np.ndarray]:
+        """Name → view of the gradient row `work[0]`, made per call so none outlives `work`."""
+        if self.work is None:
+            self.work = np.empty((2, self.flat.shape[1]))
+        return self._views(self.work[0])
 
 
 def _first_non_finite(params: ModelParams, values: np.ndarray) -> tuple[str, str]:
@@ -168,10 +179,6 @@ class ForwardTrace:
         return self.E_normalized if self.E_normalized is not None else self.E
 
 
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x, dtype=np.float64)
     pos = x >= 0
@@ -195,10 +202,6 @@ def init_params(spec: ModelSpec, seed: int) -> ModelParams:
     return params
 
 
-def _dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) -> np.ndarray:
-    return (rng.random(shape) >= rate) / (1.0 - rate)
-
-
 def _stack_forward(
     t: dict[str, np.ndarray],
     layers: range,
@@ -210,8 +213,8 @@ def _stack_forward(
     """``Dense → ReLU → (dropout)`` for each layer; masks are drawn, layer by layer, only with an rng."""
     for i in layers:
         z = x @ t[f"layer.{i}.weight"] + t[f"layer.{i}.bias"]
-        a = _relu(z)
-        mask = _dropout_mask(rng, a.shape, rate) if rng is not None else None
+        a = np.maximum(z, 0.0)
+        mask = (rng.random(a.shape) >= rate) / (1.0 - rate) if rng is not None else None
         if trace is not None:
             trace.inputs.append(x)
             trace.pre.append(z)
@@ -261,23 +264,20 @@ def forward(
         t, range(spec.trunk_start, head), fused, trace, rng if use_dropout else None, spec.dropout_rate
     )
     trace.inputs.append(h)
-    z = h @ t[f"layer.{head}.weight"] + t[f"layer.{head}.bias"]
-    if wiring.per_annotator:
-        if batch.annotator_index is None:
-            raise DataError(f"{spec.variant} batch is missing annotator head indices")
-        idx = batch.annotator_index
-        known = idx >= 0
-        logits = np.empty(len(idx), dtype=np.float64)
-        logits[known] = z[known, idx[known]]
-        if np.any(~known):
-            # head-fallback rule: annotators unseen in training score
-            # under the arithmetic mean of all trained heads
-            w_head = t[f"layer.{head}.weight"]
-            mean_w = w_head.mean(axis=1)
-            mean_b = float(t[f"layer.{head}.bias"].mean())
-            logits[~known] = h[~known] @ mean_w + mean_b
+    w, bias = t[f"layer.{head}.weight"], t[f"layer.{head}.bias"]
+    if not wiring.per_annotator:
+        logits = (h @ w + bias).ravel()
+    elif batch.annotator_index is None:
+        raise DataError(f"{spec.variant} batch is missing annotator head indices")
     else:
-        logits = z.ravel()
+        known = batch.annotator_index >= 0
+        cols = batch.annotator_index[known]
+        logits = np.empty(len(known))
+        # each row against its own head column, so a logit does not depend on the rest of the batch
+        logits[known] = np.multiply(h[known], w.T[cols]).sum(axis=1) + bias[cols]
+        if not known.all():
+            # head-fallback rule: annotators unseen in training score under the mean of all trained heads
+            logits[~known] = h[~known] @ w.mean(axis=1) + float(bias.mean())
     trace.logits = logits
     return sigmoid(logits), trace
 
@@ -295,8 +295,8 @@ def _stack_backward(
         mask = trace.masks[i]
         da = dh * mask if mask is not None else dh
         dz = da * (trace.pre[i] > 0)
-        grads[f"layer.{i}.weight"] = trace.inputs[i].T @ dz
-        grads[f"layer.{i}.bias"] = dz.sum(axis=0)
+        np.matmul(trace.inputs[i].T, dz, out=grads[f"layer.{i}.weight"])
+        dz.sum(axis=0, out=grads[f"layer.{i}.bias"])
         if i == layers.start and not input_grad:
             return None
         dh = dz @ t[f"layer.{i}.weight"].T
@@ -314,7 +314,8 @@ def backward(
     `d_logits` is dL/dlogits; `dE_loss` (projected wiring only) is the
     contrastive gradient w.r.t. the representation fed to that loss. With
     `normalize_embeddings` on, the normalization Jacobian is applied here
-    before the two E paths merge.
+    before the two E paths merge. Gradients land in `params.gradient_views()`
+    and hold until the next `backward` or `adam_step` on `params`.
     """
     spec = params.spec
     wiring = spec.wiring
@@ -328,22 +329,29 @@ def backward(
         raise DataError(f"d_logits shape {d_logits.shape} != logits shape {trace.logits.shape}")
 
     head = len(trace.inputs) - 1
-    if wiring.per_annotator:
-        idx = trace.annotator_index
-        if idx is None:
-            raise DataError(f"{spec.variant} trace is missing annotator head indices")
-        b, a = trace.inputs[head].shape[0], spec.annotator_count
-        d_all = np.zeros((b, a), dtype=np.float64)
-        known = idx >= 0
-        d_all[known, idx[known]] = d_logits[known]
-        if np.any(~known):
-            d_all[~known, :] = d_logits[~known, None] / a
-        d_bias = d_all.sum(axis=0)
+    h, w = trace.inputs[head], t[f"layer.{head}.weight"]
+    grads = params.gradient_views()
+    d_w, d_bias = grads[f"layer.{head}.weight"], grads[f"layer.{head}.bias"]
+    if not wiring.per_annotator:
+        np.matmul(h.T, d_logits[:, None], out=d_w)
+        d_bias[0] = d_logits.sum()
+        dh = d_logits[:, None] @ w.T
+    elif trace.annotator_index is None:
+        raise DataError(f"{spec.variant} trace is missing annotator head indices")
     else:
-        d_all = d_logits[:, None]
-        d_bias = np.array([d_logits.sum()])
-    grads = {f"layer.{head}.weight": trace.inputs[head].T @ d_all, f"layer.{head}.bias": d_bias}
-    dh = d_all @ t[f"layer.{head}.weight"].T
+        a, known = spec.annotator_count, trace.annotator_index >= 0
+        cols, d = trace.annotator_index[known], d_logits[known]
+        # each row touches only its annotator's column, added in row order
+        d_w.fill(0.0)
+        np.add.at(d_w.T, cols, h[known] * d[:, None])
+        d_bias[...] = np.bincount(cols, weights=d, minlength=a)
+        dh = np.empty_like(h)
+        dh[known] = d[:, None] * w.T[cols]
+        if not known.all():
+            d_all = np.repeat(d_logits[~known, None] / a, a, axis=1)  # a mean-head row's d/A in every column
+            d_w += h[~known].T @ d_all
+            d_bias += d_all.sum(axis=0)
+            dh[~known] = d_all @ w.T
 
     d_fused = _stack_backward(t, trace, range(spec.trunk_start, head), dh, grads, wiring.projected)
     if wiring.projected:
@@ -378,12 +386,12 @@ def adam_step(
 ) -> ModelParams:
     """One Adam update with bias correction (Kingma & Ba 2015); mutates and returns `params`.
 
-    The gradients are copied in layer order into `params.work` (made on
-    the first step, dropped by the trainer when a run ends), and the
-    update runs in place over `params.flat`, each element through the
-    per-tensor form's operations in its order, so the bytes match it. A
-    non-finite gradient refuses the update and leaves `params` untouched;
-    a weight made non-finite raises after it. Both name the first such tensor.
+    The gradients are read from `params.gradient_views()`, where `backward`
+    writes them (any other array is copied there first), and the update
+    runs in place over `params.flat`, each element through the per-tensor
+    form's operations in its order, so the bytes match it. A non-finite
+    gradient refuses the update and leaves `params` untouched; a weight
+    made non-finite raises after it. Both name the first such tensor.
     """
     if lr <= 0:
         raise ConfigError(f"learning rate must be > 0, got {lr}")
@@ -391,10 +399,10 @@ def adam_step(
     got = {name: np.shape(g) for name, g in grads.items()}
     if got != shapes:
         raise DataError(f"gradient shapes {got} != parameter shapes {shapes}")
-    if params.work is None:
-        params.work = np.empty((2, params.flat.shape[1]))
+    for name, view in params.gradient_views().items():
+        if grads[name].__array_interface__["data"][0] != view.__array_interface__["data"][0]:
+            view[...] = grads[name]
     g, scratch = params.work
-    np.concatenate([grads[name].ravel() for name in params.tensors], out=g)
     if not np.isfinite(g).all():
         _, bad = _first_non_finite(params, g)
         raise NumericError(f"non-finite gradient for {bad}; update refused at step {params.step + 1}")

@@ -276,8 +276,12 @@ def gradient_check_instance(variant: str, seed: int, step: float = 1e-6) -> floa
         tensor += 0.05 * rng.standard_normal(tensor.shape)
     size = int(rng.integers(2, 7))
     batch = random_batch(rng, spec, size, n_texts=max(1, size // 2))
-    dropout_seed = int(rng.integers(0, 10**6))
+    return worst_gradient_error(params, batch, int(rng.integers(0, 10**6)), step)
 
+
+def worst_gradient_error(params, batch, dropout_seed: int, step: float = 1e-6) -> float:
+    """Worst relative error between `backward` and central differences of the combined loss on `batch`."""
+    spec = params.spec
     _, trace, d_logits, dE = combined_objective(params, batch, spec, dropout_seed)
     grads = backward(params, trace, d_logits, dE)
 

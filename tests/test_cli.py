@@ -240,6 +240,26 @@ class TestErrors:
         assert f"{section}.{field}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "attributes, named",
+        [
+            # the second entry would overwrite the first's profile column
+            ([{"name": "g", "categories": ["a", "b"]}, {"name": "g", "categories": ["x", "y"]}], "'g'"),
+            # "" is how a profile file writes a declined answer
+            ([{"name": "g", "categories": ["", "b"]}], "'g'"),
+            ([{"name": "g", "categories": ["a", "b"]}, {"name": "r", "categories": ["x", "x"]}], "'r'"),
+        ],
+    )
+    def test_bad_synth_attributes_exit_2_naming_the_attribute(self, tmp_path, capsys, attributes, named):
+        config = base_config(str(tmp_path / "out"))
+        config["synth"]["attributes"], config["synth"]["signal"] = attributes, None
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["synth", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "synth.attributes" in err and named in err
+        assert not (tmp_path / "out" / "synth").exists()
+
+    @pytest.mark.parametrize(
         "command, flag, value, field",
         [
             ("train", "--lambda", "nan", "train.contrastive_weight"),

@@ -16,6 +16,7 @@ from helpers import (
     random_batch,
     random_small_spec,
     reference_adam_step,
+    worst_gradient_error,
 )
 from sociolens.batcher import Batch
 from sociolens.errors import ConfigError, DataError, NumericError
@@ -178,6 +179,78 @@ class TestMultitask:
         grads = backward(params, trace, np.array([0.2, -0.1, 0.4]))
         assert not grads["layer.2.weight"][:, 2].any()
         assert not grads["layer.2.weight"][:, 3].any()
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_gathered_logits_within_ulps_of_dense_head(self, seed):
+        rng = np.random.default_rng(seed)
+        heads, rows = int(rng.integers(1, 60)), int(rng.integers(1, 40))
+        spec = small_spec("multitask", annotator_count=heads, hidden_dims=(8, int(rng.integers(1, 65))))
+        params = init_params(spec, seed)
+        params.tensors["layer.2.bias"][:] = rng.standard_normal(heads)
+        batch = random_batch(rng, spec, rows, 3)
+        batch.annotator_index = rng.integers(0, heads, size=rows)
+        _, trace = forward(params, batch, mode="eval")
+        h, w, b = trace.inputs[2], params.tensors["layer.2.weight"], params.tensors["layer.2.bias"]
+        at = (np.arange(rows), batch.annotator_index)
+        dense = (h @ w + b)[at]
+        # a dot product's rounding scales with the sum of its terms' magnitudes, not with its value
+        scale = (np.abs(h) @ np.abs(w) + np.abs(b))[at]
+        assert np.all(np.abs(trace.logits - dense) <= 4 * np.spacing(scale))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_logit_of_a_row_ignores_the_rest_of_the_batch(self, seed):
+        # trunk weights and inputs on a grid of quarters keep every trunk sum exact,
+        # so h is the same in any batch and only the head's readout is under test
+        rng = np.random.default_rng(seed)
+        heads, rows = int(rng.integers(1, 20)), int(rng.integers(1, 30))
+        spec = small_spec("multitask", annotator_count=heads, hidden_dims=(6, int(rng.integers(1, 40))))
+        params = init_params(spec, seed)
+        for name in ("layer.0.weight", "layer.0.bias", "layer.1.weight", "layer.1.bias"):
+            params.tensors[name][...] = rng.integers(-4, 5, size=params.tensors[name].shape) / 4.0
+        params.tensors["layer.2.bias"][:] = rng.standard_normal(heads)
+        text = rng.integers(-4, 5, size=(rows, spec.text_dim)).astype(np.float64)
+        index = rng.integers(-1, heads, size=rows)
+
+        def logits_of(order):
+            batch = Batch(text=text[order], labels=np.zeros(len(order)), text_ids=np.zeros(len(order)),
+                          annotator_index=index[order])
+            return forward(params, batch, mode="eval")[1].logits
+
+        full = logits_of(np.arange(rows))
+        known = index >= 0
+        permuted = rng.permutation(rows)
+        assert logits_of(permuted)[known[permuted]].tobytes() == full[permuted][known[permuted]].tobytes()
+        grown = np.concatenate([np.arange(rows), rng.integers(0, rows, size=int(rng.integers(1, 20)))])
+        assert logits_of(grown)[:rows][known].tobytes() == full[known].tobytes()
+        subset = np.flatnonzero(rng.random(rows) < 0.5)
+        assert logits_of(subset)[known[subset]].tobytes() == full[subset][known[subset]].tobytes()
+        for row in np.flatnonzero(known):
+            assert logits_of(np.array([row]))[0] == full[row]
+
+    def test_finite_difference_with_unseen_and_repeated_annotators(self):
+        spec = small_spec("multitask", annotator_count=4, dropout_rate=0.2)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            params = init_params(spec, seed)
+            for tensor in params.tensors.values():
+                tensor += 0.05 * rng.standard_normal(tensor.shape)
+            batch = random_batch(rng, spec, 7, 3)
+            batch.annotator_index = np.array([2, -1, 2, 0, -1, 2, 3])
+            assert worst_gradient_error(params, batch, dropout_seed=seed) < 1e-4
+
+    def test_gradients_land_in_the_flat_gradient_row(self):
+        spec = small_spec("multitask", annotator_count=4)
+        params, twin = init_params(spec, 3), init_params(spec, 3)
+        batch = random_batch(np.random.default_rng(3), spec, 6, 2)
+        _, trace = forward(params, batch, mode="train")
+        grads = backward(params, trace, np.linspace(-0.5, 0.5, 6))
+        assert all(np.shares_memory(g, params.work[0]) for g in grads.values())
+        adam_step(twin, {name: g.copy() for name, g in grads.items()}, lr=0.01)
+        adam_step(params, grads, lr=0.01)
+        assert params.flat.tobytes() == twin.flat.tobytes()
 
 
 class TestBackward:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import contrastive_loss_oracle
 from sociolens.errors import ConfigError
@@ -95,6 +97,27 @@ class TestOracleEquivalence:
             res = contrastive_loss(E, labels, text_ids, tau)
             oracle = contrastive_loss_oracle(E, labels, text_ids, tau)
             assert abs(res.loss - oracle) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        codes=st.lists(st.integers(0, 8), min_size=1, max_size=9),
+        dim=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        tau=st.floats(0.1, 2.0),
+    )
+    @example(codes=[0], dim=3, seed=0, tau=0.1)  # a batch of one has no pairs
+    @example(codes=[4, 0, 7, 1, 5, 2], dim=3, seed=1, tau=0.5)  # six distinct texts: no pairs
+    def test_matrix_path_matches_oracle_on_random_batches(self, codes, dim, seed, tau):
+        rng = np.random.default_rng(seed)
+        # entries within ±1 keep similarities within ±dim/tau, where the oracle's exp and log stay finite
+        E = rng.uniform(-1.0, 1.0, size=(len(codes), dim))
+        labels = rng.integers(0, 2, size=len(codes)).astype(np.float64)
+        text_ids = [f"t{c}" for c in codes]
+        res = contrastive_loss(E, labels, text_ids, tau)
+        oracle = contrastive_loss_oracle(E, labels, text_ids, tau)
+        assert res.loss == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+        if len(set(codes)) == len(codes):
+            assert res.loss == oracle == 0.0
 
     def test_mask_empty_batches_exactly_zero(self):
         rng = np.random.default_rng(44)

@@ -9,6 +9,7 @@ from sociolens import synth, trainer
 from sociolens.corpus import SplitPair, attach_profiles, split_by_text
 from sociolens.errors import DataError
 from sociolens.features import VectorTable
+from sociolens.model import load_checkpoint
 from sociolens.trainer import RunConfig, predict, train_one, train_suite
 
 VARIANTS = ("simple", "multitask", "socio_multihot", "socio_embedding", "socio_contrastive")
@@ -85,6 +86,19 @@ class TestTrainOne:
         assert a.log_rows == b.log_rows
         # Adam's gradient and scratch buffers go when the run ends; a suite keeps every run
         assert a.params.work is None
+
+    @pytest.mark.parametrize("variant", ["multitask", "socio_contrastive"])
+    def test_trained_and_loaded_params_hold_only_the_flat_buffer(self, tmp_path, variant):
+        # a gradient view kept on the params would keep a run's gradient and scratch rows alive
+        split, table, _ = make_world()
+        run = train_one(tiny_config(variant), 0, split, table, out_dir=str(tmp_path))
+        loaded, *_ = load_checkpoint(str(tmp_path / "seed0" / "checkpoint"))
+        for params in (run.params, loaded):
+            assert params.work is None
+            held = [value for value in vars(params).values() if isinstance(value, np.ndarray)]
+            held += [a for value in vars(params).values() if isinstance(value, dict) for a in value.values()]
+            assert len(held) == 1 + 3 * len(params.tensors)
+            assert all(a is params.flat or a.base is params.flat for a in held)
 
     def test_different_seed_different_trajectory(self):
         split, table, _ = make_world()
