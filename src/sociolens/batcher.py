@@ -67,13 +67,15 @@ def plan_epoch(text_codes: np.ndarray, batch_size: int, seed: int) -> BatchPlan:
     if batch_size < 2:
         raise DataError(f"batch_size must be >= 2 for contrastive pairs, got {batch_size}")
     order = np.argsort(text_codes, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(text_codes[order])) + 1)
+    # group g is order[bounds[g]:bounds[g + 1]]; each shuffle below permutes its slice in place
+    bounds = [0, *(np.flatnonzero(np.diff(text_codes[order])) + 1).tolist(), len(order)]
     rng = np.random.default_rng(seed)
-    text_order = np.arange(len(groups))
+    text_order = np.arange(len(bounds) - 1)
     rng.shuffle(text_order)
-    for g in text_order:
-        rng.shuffle(groups[g])
-    stream = np.concatenate([groups[g] for g in text_order])
+    groups = [order[bounds[g] : bounds[g + 1]] for g in text_order.tolist()]
+    for group in groups:
+        rng.shuffle(group)
+    stream = np.concatenate(groups)
     batches = [stream[i : i + batch_size] for i in range(0, len(stream), batch_size)]
     return BatchPlan(batches=batches, batch_size=batch_size, seed=seed)
 

@@ -7,13 +7,16 @@ artifacts under the configured output directory, never mutates its
 inputs, and reads each input file once. `train` runs one list of suites,
 each under `train/<label>`: every configured variant, and with
 `train.ablation` the `ablation` suite (socio_contrastive at contrastive
-weight 0) straight after socio_contrastive. Exit codes: 0 success,
-2 config error, 3 data error, 4 numeric error.
+weight 0) straight after socio_contrastive. Their runs train in one
+worker pool (`trainer.train_suites`), and a suite's aggregate and
+representations are written once all its runs are back. Exit codes:
+0 success, 2 config error, 3 data error, 4 numeric error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -139,17 +142,21 @@ def cmd_train(cfg: config_mod.PipelineConfig) -> int:
             suites.append(("ablation", replace(run, contrastive_weight=0.0)))
 
     train_root = os.path.join(cfg.output_dir, "train")
+    _log(cfg, f"train: {sum(len(run_cfg.seeds) for _, run_cfg in suites)} runs over {len(suites)} suites")
     f1_means: dict[str, float] = {}
-    for label, run_cfg in suites:
-        _log(cfg, f"train: {label} x {len(run_cfg.seeds)} seeds")
-        suite_dir = os.path.join(train_root, label)
-        suite = trainer.train_suite(run_cfg, split, text_table, socio_table, suite_dir, dump_plan=t.dump_plan)
-        _finish_suite(cfg, label, suite, suite_dir, all_profiles)
-        f1_means[label] = suite.aggregate["f1"][0]
-        if label == "ablation":
-            delta = f1_means["socio_contrastive"] - f1_means["ablation"]
-            _write_json(os.path.join(train_root, "ablation_delta.json"), {"f1_delta": delta})
-            _log(cfg, f"train: ablation F1 delta = {delta:+.4f}")
+    results = trainer.train_suites(
+        [(run_cfg, os.path.join(train_root, label)) for label, run_cfg in suites],
+        split, text_table, socio_table, dump_plan=t.dump_plan,
+    )
+    with contextlib.closing(results):
+        for (label, _), suite in zip(suites, results):
+            suite_dir = os.path.join(train_root, label)
+            _finish_suite(cfg, label, suite, suite_dir, all_profiles)
+            f1_means[label] = suite.aggregate["f1"][0]
+            if label == "ablation":
+                delta = f1_means["socio_contrastive"] - f1_means["ablation"]
+                _write_json(os.path.join(train_root, "ablation_delta.json"), {"f1_delta": delta})
+                _log(cfg, f"train: ablation F1 delta = {delta:+.4f}")
     return 0
 
 

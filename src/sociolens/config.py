@@ -88,7 +88,8 @@ class TrainConfig:
     """The train section: its `RunConfig` keys build one run per variant, and these fields are what the runs share.
 
     `variant` is "all", a name or a list of names. `threads` is still
-    checked so older configs keep loading, but seeds always train in turn.
+    checked so older configs keep loading, but has no effect: the worker
+    count of `trainer.train_suites` comes from the CPU affinity mask.
     """
 
     runs: list[RunConfig]

@@ -1,12 +1,16 @@
 """End-to-end training for the five regimes and the multi-seed protocol.
 
 One run is strictly sequential over batches (the optimizer state is
-serial), and a suite trains its seeds one after another. All randomness
-derives from the run seed: batch plans use seed + epoch, dropout uses a
-per-run stream, so a (config, seed, data) triple fixes the whole
-trajectory. The contrastive ablation is therefore an ordinary suite:
-``socio_contrastive`` at contrastive weight 0 on the same seeds sees the
-same batch plans as its weighted twin.
+serial). All randomness derives from the run seed: batch plans use
+seed + epoch, dropout uses a per-run stream, so a (config, seed, data)
+triple fixes the whole trajectory. The contrastive ablation is therefore
+an ordinary suite: ``socio_contrastive`` at contrastive weight 0 on the
+same seeds sees the same batch plans as its weighted twin.
+
+Runs are independent, so `train_suites` trains every (suite, seed) job of
+a stage in one pool of worker processes, one BLAS thread each, and takes
+their results back in job order. Neither the worker count nor the
+thread count changes a single output byte.
 
 The ``simple`` regime trains on one sample per unique text with its
 majority-vote label; every other regime trains on individual
@@ -15,8 +19,11 @@ annotations. Evaluation is always against individual annotator labels.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -225,6 +232,108 @@ def predict(
     return probs, rows["label"].astype(np.float64), fallback_rows
 
 
+# The split and vector tables of a pool worker, set once by `_init_worker`.
+_WORKER_INPUTS: tuple[SplitPair, VectorTable, VectorTable | None] | None = None
+
+
+def _init_worker(split: SplitPair, text_table: VectorTable, socio_table: VectorTable | None) -> None:
+    global _WORKER_INPUTS
+    _WORKER_INPUTS = (split, text_table, socio_table)
+
+
+def _run_job(
+    config: RunConfig, seed: int, out_dir: str | None, dump_plan: bool
+) -> tuple[TrainedRun, tuple[ModelSpec, int, np.ndarray], MetricsReport, int]:
+    """One (suite, seed) job in a pool worker: train and write the run, then score it on the test split.
+
+    The run goes back without its params, which `train_suites` rebuilds
+    from the spec, step and weights row sent beside it. Adam's moments
+    stay in the checkpoint: nothing after training reads them, and they
+    would triple what the worker pickles.
+    """
+    split, text_table, socio_table = _WORKER_INPUTS
+    run = train_one(config, seed, split, text_table, socio_table, out_dir, dump_plan)
+    probs, labels, fallback = predict(run, split.test, text_table, socio_table)
+    params, run.params = run.params, None
+    return run, (params.spec, params.step, params.flat[0]), confusion_metrics(probs, labels), fallback
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Children started inside the block load numpy with one BLAS thread; the environment is restored after."""
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
+
+
+def train_suites(
+    suites: list[tuple[RunConfig, str | None]],
+    split: SplitPair,
+    text_table: VectorTable,
+    socio_table: VectorTable | None = None,
+    dump_plan: bool = False,
+) -> Iterator[SuiteResult]:
+    """Train every seed of every `(config, out_dir)` suite in one worker pool; yield each suite's result in order.
+
+    The jobs are the suites' seeds in suite order. A spawned worker gets
+    the split and tables once, at start-up, and runs one job at a time.
+    The first job in job order that fails is raised, naming its seed. A
+    run's params hold its trained weights; its Adam moments read zero.
+    """
+    # imported here, not at the top, so that the commands that start no process load no multiprocessing
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import resource_tracker
+
+    jobs = [(config, seed, out_dir) for config, out_dir in suites for seed in config.seeds]
+    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    # a spawn pool's queues start multiprocessing's resource tracker, a helper
+    # process that would live as long as this one: stop it with the pool
+    tracker = resource_tracker._resource_tracker
+    tracker_was_running = tracker._fd is not None
+    pool = ProcessPoolExecutor(
+        workers, multiprocessing.get_context("spawn"), _init_worker, (split, text_table, socio_table)
+    )
+    try:
+        # a spawned worker starts inside the `submit` that first finds no idle worker
+        with _one_blas_thread():
+            futures = deque(pool.submit(_run_job, config, seed, out_dir, dump_plan) for config, seed, out_dir in jobs)
+        for config, _ in suites:
+            runs, reports, total_fallback = [], [], 0
+            for seed in config.seeds:
+                try:
+                    # popleft: the parent keeps no result past its suite
+                    run, (spec, step, weights), report, fallback = futures.popleft().result()
+                except SociolensError as exc:
+                    # keep the class so the CLI still maps it to its own exit code
+                    raise type(exc)(f"run for seed {seed} failed: {exc}") from exc
+                except Exception as exc:  # a worker that died raises BrokenProcessPool
+                    raise DataError(f"run for seed {seed} failed: {exc}") from exc
+                run.params = ModelParams(spec, step)  # its moments read zero
+                run.params.flat[0] = weights
+                runs.append(run)
+                reports.append(report)
+                total_fallback += fallback
+            yield SuiteResult(
+                config=config,
+                runs=runs,
+                reports=reports,
+                aggregate=aggregate_runs(reports),
+                fallback_rows=total_fallback,
+            )
+    finally:
+        # jobs not yet started are dropped; running ones finish and their workers exit
+        pool.shutdown(cancel_futures=True)
+        if not tracker_was_running:
+            tracker._stop()
+
+
 def train_suite(
     config: RunConfig,
     split: SplitPair,
@@ -233,30 +342,9 @@ def train_suite(
     out_dir: str | None = None,
     dump_plan: bool = False,
 ) -> SuiteResult:
-    """Train every seed in turn, score each on the test split, and aggregate."""
-    runs = []
-    for seed in config.seeds:
-        try:
-            runs.append(train_one(config, seed, split, text_table, socio_table, out_dir, dump_plan))
-        except SociolensError as exc:
-            # keep the class so the CLI still maps it to its own exit code
-            raise type(exc)(f"run for seed {seed} failed: {exc}") from exc
-        except Exception as exc:
-            raise DataError(f"run for seed {seed} failed: {exc}") from exc
-
-    reports: list[MetricsReport] = []
-    total_fallback = 0
-    for run in runs:
-        probs, labels, fallback = predict(run, split.test, text_table, socio_table)
-        total_fallback += fallback
-        reports.append(confusion_metrics(probs, labels))
-    return SuiteResult(
-        config=config,
-        runs=runs,
-        reports=reports,
-        aggregate=aggregate_runs(reports),
-        fallback_rows=total_fallback,
-    )
+    """Train every seed of one suite in a worker pool, score each on the test split, and aggregate."""
+    with contextlib.closing(train_suites([(config, out_dir)], split, text_table, socio_table, dump_plan)) as results:
+        return next(results)
 
 
 def export_representations(run: TrainedRun, profiles: ProfileTable) -> VectorTable:

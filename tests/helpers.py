@@ -38,8 +38,10 @@ from sociolens.homophily import (
     _neighbor_order,
     _same_fraction,
 )
+from sociolens.metrics import aggregate_runs, confusion_metrics
 from sociolens.model import ModelSpec, backward, forward, init_params
 from sociolens.objectives import bce_loss, combined_loss, contrastive_loss
+from sociolens.trainer import SuiteResult, predict, train_one
 
 
 def base_config(out_dir: str) -> dict:
@@ -89,6 +91,21 @@ def run_chain(tmp_path: Path, config: dict, commands=("synth", "prep", "train", 
     return Path(config["output_dir"])
 
 
+def sequential_train_suites(suites, split, text_table, socio_table=None, dump_plan=False):
+    """`trainer.train_suites` in this process: every job through `train_one`, one after another in job order."""
+    for config, out_dir in suites:
+        runs = [train_one(config, seed, split, text_table, socio_table, out_dir, dump_plan) for seed in config.seeds]
+        scored = [predict(run, split.test, text_table, socio_table) for run in runs]
+        reports = [confusion_metrics(probs, labels) for probs, labels, _ in scored]
+        yield SuiteResult(config, runs, reports, aggregate_runs(reports), sum(fallback for *_, fallback in scored))
+
+
+def child_pids() -> list[str]:
+    """Process ids of this process's living children, every thread's included (Linux)."""
+    task = Path("/proc/self/task")
+    return [pid for thread in task.iterdir() for pid in (thread / "children").read_text().split()]
+
+
 def make_dataset(triples, labels: bool = False) -> Dataset:
     """A dataset of (text id, annotator id, score) rows; `labels` binarizes them as well."""
     text_ids, annotator_ids, scores = (list(column) for column in zip(*triples)) if triples else ([], [], [])
@@ -134,6 +151,19 @@ def reference_plan_epoch(text_ids: list[str], batch_size: int, seed: int) -> lis
         members = list(groups[text_id])
         rng.shuffle(members)
         stream.extend(members)
+    return [stream[i : i + batch_size] for i in range(0, len(stream), batch_size)]
+
+
+def split_plan_epoch(text_codes: np.ndarray, batch_size: int, seed: int) -> list[np.ndarray]:
+    """`batcher.plan_epoch`'s batches as it built them, one `np.split` view per text group."""
+    order = np.argsort(text_codes, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(text_codes[order])) + 1)
+    rng = np.random.default_rng(seed)
+    text_order = np.arange(len(groups))
+    rng.shuffle(text_order)
+    for g in text_order:
+        rng.shuffle(groups[g])
+    stream = np.concatenate([groups[g] for g in text_order])
     return [stream[i : i + batch_size] for i in range(0, len(stream), batch_size)]
 
 

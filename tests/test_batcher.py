@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import annotation_triples, make_dataset, reference_plan_epoch
+from helpers import annotation_triples, make_dataset, reference_plan_epoch, split_plan_epoch
 from sociolens.batcher import contrastive_masks, plan_epoch, text_match_mask
 from sociolens.corpus import Dataset
 from sociolens.errors import DataError
@@ -71,6 +71,20 @@ class TestPlanEpoch:
     def test_plan_equals_record_reference(self, triples, batch_size, seed):
         ds = make_dataset(triples, labels=True)
         assert plan(ds, batch_size, seed) == reference_plan_epoch([t for t, _, _ in triples], batch_size, seed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(1, 40), min_size=1, max_size=30),
+        st.integers(2, 64),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_plan_equals_split_reference(self, sizes, batch_size, seed, row_seed):
+        # text groups of the given sizes, their rows in a random order
+        codes = np.random.default_rng(row_seed).permutation(np.repeat(np.arange(len(sizes), dtype=np.int32), sizes))
+        batches = plan_epoch(codes, batch_size, seed).batches
+        reference = split_plan_epoch(codes, batch_size, seed)
+        assert [b.tolist() for b in batches] == [b.tolist() for b in reference]
 
     def test_same_seed_identical_plan(self):
         ds = dataset_with_groups({"A": 5, "B": 4, "C": 3})

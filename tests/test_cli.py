@@ -572,11 +572,12 @@ def test_unset_hyperparameters_take_the_run_config_defaults(tmp_path, monkeypatc
     run_chain(tmp_path, config, commands=("synth", "prep"))
     seen = []
 
-    def stop(run_cfg, split, text_table, *args, **kwargs):
-        seen.append((run_cfg, trainer.build_model_spec(run_cfg, split.train, BatchTables(text=text_table.matrix))))
+    def stop(suites, split, text_table, *args, **kwargs):
+        for run_cfg, _ in suites:
+            seen.append((run_cfg, trainer.build_model_spec(run_cfg, split.train, BatchTables(text=text_table.matrix))))
         raise DataError("stopped before training")
 
-    monkeypatch.setattr(trainer, "train_suite", stop)
+    monkeypatch.setattr(trainer, "train_suites", stop)
     assert main(["train", "--config", str(tmp_path / "config.json")]) == 3
     [(run_cfg, spec)] = seen
     assert run_cfg == trainer.RunConfig(variant="simple")

@@ -1,10 +1,14 @@
 import json
+import multiprocessing
+import os
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import base_config, make_dataset, rows_of, run_chain
+from helpers import base_config, child_pids, make_dataset, rows_of, run_chain, sequential_train_suites
+from sociolens.cli import main
 from sociolens import synth, trainer
 from sociolens.corpus import SplitPair, attach_profiles, split_by_text
 from sociolens.errors import DataError
@@ -249,6 +253,63 @@ class TestAblation:
         config["train"].update(variant=["simple", "socio_multihot"], ablation=True)
         train_root = run_chain(tmp_path, config, commands=("synth", "prep", "train")) / "train"
         assert sorted(p.name for p in train_root.iterdir()) == ["simple", "socio_multihot"]
+
+
+class ExitOnUnpickle:
+    """Unpickles as `os._exit(1)`: a pool worker that receives it dies at start-up."""
+
+    def __reduce__(self):
+        return os._exit, (1,)
+
+
+class TestWorkerPool:
+    """`train` runs every (suite, seed) job in one pool and takes the results back in job order."""
+
+    def test_pooled_tree_matches_in_process_jobs(self, tmp_path, monkeypatch):
+        trees = {}
+        for name in ("pooled", "in_process"):
+            if name == "in_process":
+                monkeypatch.setattr(trainer, "train_suites", sequential_train_suites)
+            (tmp_path / name).mkdir()
+            config = base_config(str(tmp_path / name / "out"))
+            # seeds out of order: job order follows the config, not the sorted seeds
+            config["train"].update(variant="all", ablation=True, seeds=[1, 0])
+            trees[name] = run_chain(tmp_path / name, config, commands=("synth", "prep", "train")) / "train"
+        files = {name: sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file()) for name, root in trees.items()}
+        assert files["pooled"] == files["in_process"]
+        assert len(files["pooled"]) == 6 * 2 * 3 + 6 + 2 * 2 + 1  # checkpoint files and log per run; aggregates; reps
+        for path in files["pooled"]:
+            assert (trees["pooled"] / path).read_bytes() == (trees["in_process"] / path).read_bytes(), path
+
+    @pytest.mark.parametrize("blas_threads", [None, "2"])
+    def test_first_failing_job_is_named_and_no_process_outlives_the_stage(
+        self, tmp_path, capsys, monkeypatch, blas_threads
+    ):
+        if blas_threads is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+        config = base_config(str(tmp_path / "out"))
+        config["train"].update(variant="simple", ablation=False, seeds=[3, 1])
+        run_chain(tmp_path, config, commands=("synth", "prep"))
+        # no worker, and no helper such as multiprocessing's resource tracker, outlives the stage
+        left = ([], [], dict(os.environ))
+        assert main(["train", "--config", str(tmp_path / "config.json")]) == 0
+        assert (multiprocessing.active_children(), child_pids(), dict(os.environ)) == left
+
+        config["train"]["lr"] = 1e300  # both jobs diverge
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        assert main(["train", "--config", str(tmp_path / "config.json")]) == 4
+        # the first job in job order, whichever job fails first
+        assert re.fullmatch(r"numeric error: run for seed 3 failed: non-finite value at step \d+: .+\n",
+                            capsys.readouterr().err)
+        assert (multiprocessing.active_children(), child_pids(), dict(os.environ)) == left
+
+    def test_dead_worker_is_a_data_error_naming_the_first_job(self):
+        split, _, _ = make_world()
+        with pytest.raises(DataError, match="run for seed 3 failed: .*terminated abruptly"):
+            train_suite(tiny_config("simple", seeds=(3, 1)), split, ExitOnUnpickle())
+        assert (multiprocessing.active_children(), child_pids()) == ([], [])
 
 
 class TestLossTrend:
