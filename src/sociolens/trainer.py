@@ -22,6 +22,8 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import pickle
+import tempfile
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
@@ -236,9 +238,10 @@ def predict(
 _WORKER_INPUTS: tuple[SplitPair, VectorTable, VectorTable | None] | None = None
 
 
-def _init_worker(split: SplitPair, text_table: VectorTable, socio_table: VectorTable | None) -> None:
+def _init_worker(inputs_path: str) -> None:
     global _WORKER_INPUTS
-    _WORKER_INPUTS = (split, text_table, socio_table)
+    with open(inputs_path, "rb") as fh:
+        _WORKER_INPUTS = pickle.load(fh)
 
 
 def _run_job(
@@ -297,41 +300,49 @@ def train_suites(
     # process that would live as long as this one: stop it with the pool
     tracker = resource_tracker._resource_tracker
     tracker_was_running = tracker._fd is not None
-    pool = ProcessPoolExecutor(
-        workers, multiprocessing.get_context("spawn"), _init_worker, (split, text_table, socio_table)
-    )
-    try:
-        # a spawned worker starts inside the `submit` that first finds no idle worker
-        with _one_blas_thread():
-            futures = deque(pool.submit(_run_job, config, seed, out_dir, dump_plan) for config, seed, out_dir in jobs)
-        for config, _ in suites:
-            runs, reports, total_fallback = [], [], 0
-            for seed in config.seeds:
-                try:
-                    # popleft: the parent keeps no result past its suite
-                    run, (spec, step, weights), report, fallback = futures.popleft().result()
-                except SociolensError as exc:
-                    # keep the class so the CLI still maps it to its own exit code
-                    raise type(exc)(f"run for seed {seed} failed: {exc}") from exc
-                except Exception as exc:  # a worker that died raises BrokenProcessPool
-                    raise DataError(f"run for seed {seed} failed: {exc}") from exc
-                run.params = ModelParams(spec, step)  # its moments read zero
-                run.params.flat[0] = weights
-                runs.append(run)
-                reports.append(report)
-                total_fallback += fallback
-            yield SuiteResult(
-                config=config,
-                runs=runs,
-                reports=reports,
-                aggregate=aggregate_runs(reports),
-                fallback_rows=total_fallback,
-            )
-    finally:
-        # jobs not yet started are dropped; running ones finish and their workers exit
-        pool.shutdown(cancel_futures=True)
-        if not tracker_was_running:
-            tracker._stop()
+    # The inputs are pickled once, to a file that each worker's initializer reads. Passed
+    # as initializer arguments instead, they would be written into each spawned worker's
+    # start-up pipe, which blocks the parent until that worker has imported numpy, so the
+    # workers would start one after another.
+    with tempfile.TemporaryDirectory(prefix="sociolens-") as inputs_dir:
+        inputs_path = os.path.join(inputs_dir, "inputs.pickle")
+        with open(inputs_path, "wb") as fh:
+            pickle.dump((split, text_table, socio_table), fh, protocol=pickle.HIGHEST_PROTOCOL)
+        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("spawn"), _init_worker, (inputs_path,))
+        try:
+            # a spawned worker starts inside the `submit` that first finds no idle worker
+            with _one_blas_thread():
+                futures = deque(
+                    pool.submit(_run_job, config, seed, out_dir, dump_plan) for config, seed, out_dir in jobs
+                )
+            for config, _ in suites:
+                runs, reports, total_fallback = [], [], 0
+                for seed in config.seeds:
+                    try:
+                        # popleft: the parent keeps no result past its suite
+                        run, (spec, step, weights), report, fallback = futures.popleft().result()
+                    except SociolensError as exc:
+                        # keep the class so the CLI still maps it to its own exit code
+                        raise type(exc)(f"run for seed {seed} failed: {exc}") from exc
+                    except Exception as exc:  # a worker that died raises BrokenProcessPool
+                        raise DataError(f"run for seed {seed} failed: {exc}") from exc
+                    run.params = ModelParams(spec, step)  # its moments read zero
+                    run.params.flat[0] = weights
+                    runs.append(run)
+                    reports.append(report)
+                    total_fallback += fallback
+                yield SuiteResult(
+                    config=config,
+                    runs=runs,
+                    reports=reports,
+                    aggregate=aggregate_runs(reports),
+                    fallback_rows=total_fallback,
+                )
+        finally:
+            # jobs not yet started are dropped; running ones finish and their workers exit
+            pool.shutdown(cancel_futures=True)
+            if not tracker_was_running:
+                tracker._stop()
 
 
 def train_suite(
