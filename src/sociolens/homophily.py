@@ -13,16 +13,24 @@ so identical vectors lie at exactly the same distance from every query.
 Ties break by annotator id, then row order, so results are deterministic.
 
 Cost: a pair's sort key does not depend on who else is in the space, so
-`homophily_table` sorts once, O(n² log n), into an int32 neighbor order
-with one row of n per unique vector (at most 4·n² bytes, ~400 MB at
-n = 10⁴). Each bootstrap draw filters it to its members, O(n²), and every
-attribute is scored on those neighbors: O(n² log n + iterations × n²).
+`homophily_table` orders neighbors once. It keeps only the first
+depth = min(n, DEPTH_PER_K·k) entries of each of the U unique vectors'
+orders: a partition finds each row's depth-th distance and only the
+columns up to it are sorted, O(n² + U·depth·log depth), into an int32
+array of 4·U·depth bytes (~8 MB at n = 10⁴, k = 50). A bootstrap draw
+holds each annotator with probability ~1 − 1/e, so its k members lie
+~1.6·k entries deep; each draw filters the lists to its members,
+O(n·depth), and every attribute is scored on those neighbors. A row
+whose list holds fewer than k members is rescanned exactly over its full
+order, with distances recomputed by the same block that built the list.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,16 +93,17 @@ class HomophilyRow:
 
 
 ORDER_BLOCK = 128  # rows per block when building and filtering the neighbor order
+DEPTH_PER_K = 4  # list entries kept per neighbor asked for: a draw's k members lie ~1.6·k deep
 
 
-def _distance_blocks(vectors: np.ndarray, metric: str):
-    """Yield (start, distances from vectors[start:start + ORDER_BLOCK] to every row)."""
+def _distance_blocks(vectors: np.ndarray, metric: str, starts: np.ndarray | None = None):
+    """Yield (start, distances from vectors[start:start + ORDER_BLOCK] to every row), per block or per `starts`."""
     if metric not in METRICS:
         raise ConfigError(f"unknown metric {metric!r}; expected one of {METRICS}")
     if metric == "cosine":
         vectors = vectors / np.maximum(np.linalg.norm(vectors, axis=1, keepdims=True), 1e-30)
     sq = np.sum(vectors**2, axis=1)
-    for start in range(0, len(vectors), ORDER_BLOCK):
+    for start in range(0, len(vectors), ORDER_BLOCK) if starts is None else starts:
         block = slice(start, start + ORDER_BLOCK)
         gram = vectors[block] @ vectors.T
         if metric == "cosine":
@@ -103,33 +112,100 @@ def _distance_blocks(vectors: np.ndarray, metric: str):
             yield start, np.sqrt(np.maximum(sq[block, None] + sq[None, :] - 2.0 * gram, 0.0))
 
 
-def _neighbor_order(vectors: np.ndarray, ids: list[str], metric: str) -> tuple[np.ndarray, np.ndarray]:
-    """One order row per unique vector, and each annotator's row in it.
+class NeighborLists(NamedTuple):
+    """The first `depth` entries of each unique vector's neighbor order, and what rebuilds a full row."""
 
-    order[row_of[i]] holds every index, i included, sorted by (distance to
-    i, annotator id, index). Identical vectors share a row: they tie exactly.
+    order: np.ndarray  # (unique vectors, depth) int32 annotator indices
+    row_of: np.ndarray  # each annotator's unique vector
+    unique: np.ndarray  # the unique vectors
+    by_id: np.ndarray  # annotator indices in id order
+    metric: str
+
+
+def _list_depth(n: int, k: int) -> int:
+    """Neighbor list length for k neighbors among n annotators: DEPTH_PER_K·k, within 1..n."""
+    return min(n, max(1, math.ceil(DEPTH_PER_K * k)))
+
+
+def _first_neighbors(dist: np.ndarray, depth: int, by_id: np.ndarray) -> np.ndarray:
+    """Each row's first `depth` annotators by (distance, annotator id, index).
+
+    `dist` holds a distance block's rows with columns already in id order,
+    so a stable sort by distance breaks ties by id, then index. Only the
+    columns at or below each row's `depth`-th distance are sorted: all those
+    below it, then those equal to it in column order until the row is full.
+    """
+    cut = np.partition(dist, depth - 1, axis=1)[:, depth - 1, None]
+    keep = dist < cut
+    at_cut = dist == cut
+    room = depth - np.count_nonzero(keep, axis=1)
+    crowded = np.flatnonzero(np.count_nonzero(at_cut, axis=1) > room)
+    if len(crowded):
+        at_cut[crowded] &= np.cumsum(at_cut[crowded], axis=1, dtype=np.int32) <= room[crowded, None]
+    keep |= at_cut
+    flat = np.flatnonzero(keep).reshape(len(dist), depth)
+    ranked = np.take_along_axis(flat, np.argsort(dist.ravel()[flat], axis=1, kind="stable"), axis=1)
+    return by_id[ranked % dist.shape[1]]
+
+
+def _neighbor_order(vectors: np.ndarray, ids: list[str], metric: str, depth: int) -> NeighborLists:
+    """One order row of `depth` entries per unique vector, and each annotator's row in it.
+
+    order[row_of[i]] holds the first `depth` indices, i included, by
+    (distance to i, annotator id, index). Identical vectors share a row:
+    they tie exactly.
     """
     unique, row_of = np.unique(vectors, axis=0, return_inverse=True)
     row_of = row_of.reshape(-1)
-    # pre-permute columns into id order, then stable-sort by distance:
-    # ties fall back to annotator id, then original row order
     by_id = np.argsort(np.array(ids, dtype=object), kind="stable").astype(np.int32)
-    order = np.empty((len(unique), len(ids)), dtype=np.int32)
+    order = np.empty((len(unique), depth), dtype=np.int32)
     for start, dist in _distance_blocks(unique, metric):
-        ranked = np.argsort(dist[:, row_of[by_id]], axis=1, kind="stable")
-        order[start : start + len(dist)] = by_id[ranked]
-    return order, row_of
+        order[start : start + len(dist)] = _first_neighbors(np.take(dist, row_of[by_id], axis=1), depth, by_id)
+    return NeighborLists(order, row_of, unique, by_id, metric)
 
 
-def _nearest(order: np.ndarray, row_of: np.ndarray, member: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
-    """For each of `rows`, the first k members in its order, skipping the row itself."""
-    out = np.empty((len(rows), k), dtype=order.dtype)
+def _first_members(
+    candidates: np.ndarray, rows: np.ndarray, member: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first k candidates that are members other than itself, for the rows that hold k; and which do not."""
+    keep = member[candidates] & (candidates != rows[:, None])
+    found = np.cumsum(keep, axis=1, dtype=np.int32)
+    short = found[:, -1] < k
+    keep &= (found <= k) & ~short[:, None]
+    return candidates[keep].reshape(-1, k), short
+
+
+def _nearest(lists: NeighborLists, member: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """For each of `rows`, the first k members in its order, skipping the row itself.
+
+    A row whose `depth` entries hold fewer than k such members is rescanned
+    over its full order. That row's distances are recomputed through the
+    same distance block that built its list: a product over other rows can
+    round its last bit differently and reorder ties.
+    """
+    out = np.empty((len(rows), k), dtype=np.int32)
+    short = np.zeros(len(rows), dtype=bool)
     for start in range(0, len(rows), ORDER_BLOCK):
-        block = rows[start : start + ORDER_BLOCK]
-        candidates = order[row_of[block]]
-        keep = member[candidates] & (candidates != block[:, None])
-        keep &= np.cumsum(keep, axis=1, dtype=np.int32) <= k
-        out[start : start + len(block)] = candidates[keep].reshape(len(block), k)
+        block = slice(start, start + ORDER_BLOCK)
+        found, short[block] = _first_members(lists.order[lists.row_of[rows[block]]], rows[block], member, k)
+        out[block][~short[block]] = found
+    if short.any():
+        rescan = np.flatnonzero(short)
+        out[rescan] = _rescan(lists, member, rows[rescan], k)
+    return out
+
+
+def _rescan(lists: NeighborLists, member: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """`_nearest` for `rows` over their full orders, rebuilt one distance block at a time."""
+    out = np.empty((len(rows), k), dtype=np.int32)
+    unique_rows = lists.row_of[rows]
+    blocks = unique_rows // ORDER_BLOCK
+    columns = lists.row_of[lists.by_id]
+    for start, dist in _distance_blocks(lists.unique, lists.metric, np.unique(blocks) * ORDER_BLOCK):
+        here = blocks == start // ORDER_BLOCK
+        held, at = np.unique(unique_rows[here], return_inverse=True)
+        full = _first_neighbors(np.take(dist[held - start], columns, axis=1), len(columns), lists.by_id)
+        out[here] = _first_members(full[at], rows[here], member, k)[0]
     return out
 
 
@@ -184,7 +260,7 @@ def homophily_table(
     _check_space(space, names, k)
     n = len(space)
     codes = [space.codes[:, space.attributes.index(a)] for a in names]
-    order = _neighbor_order(space.vectors, space.annotator_ids, metric)
+    lists = _neighbor_order(space.vectors, space.annotator_ids, metric, _list_depth(n, k))
     observed, chance = np.empty((2, len(names), iterations), dtype=np.float64)
     for it in range(iterations):
         draw = np.random.default_rng([seed, it]).integers(0, n, size=n)
@@ -192,7 +268,7 @@ def homophily_table(
         rows = np.flatnonzero(weights)
         if len(rows) <= k:
             raise DataError(f"bootstrap iteration {it}: only {len(rows)} distinct annotators for k={k}")
-        neighbors = _nearest(*order, weights > 0, rows, k)
+        neighbors = _nearest(lists, weights > 0, rows, k)
         for a, attr_codes in enumerate(codes):
             fractions = _same_fraction(attr_codes, rows, neighbors)
             observed[a, it] = float(np.average(fractions, weights=weights[rows]))

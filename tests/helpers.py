@@ -3,7 +3,8 @@
 A small CLI config and chain runner, dataset and batch construction,
 random annotation tables for property tests, the record-based batch-plan
 reference, the finite-difference and contrastive-loss oracles, the per-tensor Adam
-reference, the per-draw homophily reference, the per-threshold ROC
+reference, the per-draw homophily reference and the full-sort neighbor
+order whose first entries the package keeps, the per-threshold ROC
 reference, and the single-statistic homophily, pair-counting AUC,
 ROC-area and embedding-format oracles that the package itself does not
 need, and the per-profile schema, multi-hot and category oracles with a
@@ -34,6 +35,7 @@ from sociolens.homophily import (
     _chance,
     _check_space,
     _distance_blocks,
+    _list_depth,
     _nearest,
     _neighbor_order,
     _same_fraction,
@@ -386,19 +388,39 @@ def space_of(ids: list[str], vectors: np.ndarray, attributes: dict[str, list[str
     return RepSpace(ids, vectors, list(attributes), np.array(codes, dtype=np.intp).reshape(len(attributes), len(ids)).T)
 
 
+def full_neighbor_order(vectors: np.ndarray, ids: list[str], metric: str) -> tuple[np.ndarray, np.ndarray]:
+    """Every unique vector's whole neighbor order, by one stable sort of each distance row, and each annotator's row.
+
+    order[row_of[i]] holds every index, i included, sorted by (distance to
+    i, annotator id, index); the package keeps only the first entries of it.
+    """
+    unique, row_of = np.unique(vectors, axis=0, return_inverse=True)
+    row_of = row_of.reshape(-1)
+    by_id = np.argsort(np.array(ids, dtype=object), kind="stable").astype(np.int32)
+    order = np.empty((len(unique), len(ids)), dtype=np.int32)
+    for start, dist in _distance_blocks(unique, metric):
+        ranked = np.argsort(dist[:, row_of[by_id]], axis=1, kind="stable")
+        order[start : start + len(dist)] = by_id[ranked]
+    return order, row_of
+
+
+def _package_neighbors(space: RepSpace, rows: np.ndarray, k: int, metric: str) -> np.ndarray:
+    """The package's k nearest annotators to each of `rows` in the whole space, from lists as deep as a draw's."""
+    lists = _neighbor_order(space.vectors, space.annotator_ids, metric, _list_depth(len(space), k))
+    return _nearest(lists, np.ones(len(space), dtype=bool), rows, k)
+
+
 def knn(space: RepSpace, i: int, k: int, metric: str = "cosine") -> list[int]:
     """Indices of the k nearest annotators to row i, excluding i itself, from the package's neighbor order."""
     _check_space(space, [], k)
-    order = _neighbor_order(space.vectors, space.annotator_ids, metric)
-    return _nearest(*order, np.ones(len(space), dtype=bool), np.array([i]), k)[0].tolist()
+    return _package_neighbors(space, np.array([i]), k, metric)[0].tolist()
 
 
 def observed_probability(space: RepSpace, attribute: str, k: int = 50, metric: str = "cosine") -> float:
     """Mean over annotators of the same-attribute fraction among their k neighbors, without resampling."""
     _check_space(space, [attribute], k)
-    order = _neighbor_order(space.vectors, space.annotator_ids, metric)
     rows = np.arange(len(space))
-    neighbors = _nearest(*order, np.ones(len(space), dtype=bool), rows, k)
+    neighbors = _package_neighbors(space, rows, k, metric)
     return float(_same_fraction(space.codes[:, space.attributes.index(attribute)], rows, neighbors).mean())
 
 

@@ -334,7 +334,8 @@ class TestErrors:
         out = run_chain(tmp_path, base_config(str(tmp_path / "out")), commands=("synth", "prep"))
         if profiles == "short":
             # a profiles file without one annotator of the train split
-            first = next(csv.DictReader((out / "prep" / "train.csv").open(encoding="utf-8")))["annotator_id"]
+            with (out / "prep" / "train.csv").open(encoding="utf-8") as f:
+                first = next(csv.DictReader(f))["annotator_id"]
             rows = (out / "synth" / "profiles.csv").read_text(encoding="utf-8").splitlines(keepends=True)
             profiles = tmp_path / "short_profiles.csv"
             profiles.write_text("".join(r for r in rows if not r.startswith(f"{first},")), encoding="utf-8")

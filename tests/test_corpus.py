@@ -74,7 +74,8 @@ class TestLoadAnnotations:
         write_csv(path, rows, header="comment,annotator,rating")
         mapping = ColumnMapping(text_id="comment", annotator_id="annotator", score="rating")
         ds = load_annotations(str(path), mapping)
-        n_lines = sum(1 for _ in open(path, encoding="utf-8")) - 1  # independent line counter
+        with open(path, encoding="utf-8") as f:
+            n_lines = sum(1 for _ in f) - 1  # independent line counter
         assert len(ds.records) == n_lines
 
     def test_roundtrip_save_load(self, tmp_path):

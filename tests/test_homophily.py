@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     chance_probability,
+    full_neighbor_order,
     homophily_ratio,
     knn,
     observed_probability,
@@ -248,8 +249,8 @@ class TestBootstrap:
 
 
 @st.composite
-def bootstrap_cases(draw):
-    n = draw(st.integers(4, 40))
+def vectors_and_ids(draw, n):
+    """Repeated, integer-grid or float vectors for `n` annotators, and ids that may repeat."""
     dim = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["repeated", "grid", "float"]))
@@ -262,7 +263,13 @@ def bootstrap_cases(draw):
         vectors = rng.standard_normal((n, dim))
     # halving the id pool gives repeated ids, ordered by row among themselves
     id_pool = draw(st.sampled_from([n, max(1, n // 2)]))
-    ids = [f"a{j % id_pool:02d}" for j in rng.permutation(n)]
+    return vectors, [f"a{j % id_pool:02d}" for j in rng.permutation(n)], rng
+
+
+@st.composite
+def bootstrap_cases(draw):
+    n = draw(st.integers(4, 40))
+    vectors, ids, rng = draw(vectors_and_ids(n))
     names = [f"attr{t}" for t in range(draw(st.integers(1, 3)))]
     attributes = {a: [f"c{c}" for c in rng.integers(0, draw(st.integers(1, 4)), size=n)] for a in names}
     return (
@@ -276,12 +283,13 @@ def bootstrap_cases(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(bootstrap_cases(), st.integers(1, 3))
-def test_table_matches_per_draw_reference(case, block):
+@given(bootstrap_cases(), st.integers(1, 3), st.one_of(st.just(homophily.DEPTH_PER_K), st.floats(0.0, 40.0)))
+def test_table_matches_per_draw_reference(case, block, depth_per_k):
     # blocks of at most 3 rows split every space (n >= 4) across several,
-    # so the block offsets in ordering and filtering are compared exactly
+    # so the block offsets in ordering and filtering are compared exactly;
+    # lists from 1 entry deep up to all n make draws run short and rescan
     space, k, iterations, seed, metric, attributes = case
-    with mock.patch.object(homophily, "ORDER_BLOCK", block):
+    with mock.patch.object(homophily, "ORDER_BLOCK", block), mock.patch.object(homophily, "DEPTH_PER_K", depth_per_k):
         try:
             expected = reference_homophily_table(space, k, iterations, seed, metric, attributes)
         except DataError:
@@ -289,6 +297,19 @@ def test_table_matches_per_draw_reference(case, block):
                 homophily_table(space, k, iterations, seed, metric, attributes)
             return
         assert homophily_table(space, k, iterations, seed, metric, attributes) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 3), st.sampled_from(["cosine", "euclidean"]))
+def test_lists_are_the_first_columns_of_the_full_order(data, block, metric):
+    n = data.draw(st.integers(1, 40))
+    vectors, ids, _ = data.draw(vectors_and_ids(n))
+    depth = data.draw(st.integers(1, n))
+    with mock.patch.object(homophily, "ORDER_BLOCK", block):
+        lists = homophily._neighbor_order(vectors, ids, metric, depth)
+        full, row_of = full_neighbor_order(vectors, ids, metric)
+    assert lists.row_of.tolist() == row_of.tolist()
+    assert lists.order.tolist() == full[:, :depth].tolist()
 
 
 class TestRepSpace:
