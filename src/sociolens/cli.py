@@ -26,7 +26,7 @@ from dataclasses import replace
 from . import config as config_mod
 from . import corpus, features, homophily, metrics, synth, trainer
 from .errors import ConfigError, DataError, NumericError, SociolensError
-from .model import VARIANTS, WIRING, load_checkpoint
+from .model import VARIANTS, WIRING, load_checkpoint, read_manifest
 from .trainer import SuiteResult, TrainedRun
 
 
@@ -224,13 +224,22 @@ def cmd_eval(cfg: config_mod.PipelineConfig) -> int:
         raise ConfigError("config has no eval section")
     e = cfg.eval
     text_table = features.load_embeddings(e.embeddings)
-    socio_table = (
-        features.load_embeddings(e.socio_embeddings)
-        if e.socio_embeddings and os.path.exists(e.socio_embeddings)
-        else None
-    )
     all_profiles = features.load_profiles(e.profiles) if e.profiles else None
     by_variant = _discover_checkpoints(e.checkpoints)
+    # every input a checkpoint needs is checked before the first variant is scored
+    socio: dict[str | None, str] = {}  # socio input kind -> the first checkpoint directory that reads it
+    for name, entries in sorted(by_variant.items()):
+        for _, ckpt in entries:
+            socio.setdefault(WIRING[read_manifest(ckpt)[0].spec.variant].socio, name)
+    socio_table = None
+    if "embedding" in socio:
+        if not e.socio_embeddings or not os.path.exists(e.socio_embeddings):
+            raise DataError(
+                f"{socio['embedding']} checkpoints need eval.socio_embeddings (got {e.socio_embeddings!r})"
+            )
+        socio_table = features.load_embeddings(e.socio_embeddings)
+    if "multihot" in socio and all_profiles is None:
+        raise DataError(f"{socio['multihot']} checkpoints need eval.profiles (got {e.profiles!r})")
     dataset = _load_labels(e.annotations, e.columns)
     schema = None
     if all_profiles is not None:

@@ -29,8 +29,14 @@ parameters live in the three contiguous little-endian f64 rows of
 params.bin is those rows' bytes. While a run trains, `ModelParams.work`
 adds a gradient row, which `backward` writes in place, and a scratch row;
 `adam_step` is fourteen whole-buffer passes and two finiteness scans,
-whatever the layer count. A per-annotator head touches only the columns
-of its batch's annotators: O(b·H) a step, not O(b·H·A).
+whatever the layer count. A per-annotator head's forward and backward
+touch only the columns of its batch's annotators: O(b·H) a step, not
+O(b·H·A). On its (H+1)·A block of head weights and biases, Adam's five
+gradient-term passes of m and v and backward's zeroing also run only
+on the columns with a nonzero gradient, at most b; the two decays, the
+three denominator passes, the four update passes and the post-update
+scan stay dense, and one bitwise OR over the block stands in for its
+finiteness scan.
 """
 
 from __future__ import annotations
@@ -66,6 +72,8 @@ WIRING = {
 }
 VARIANTS = tuple(WIRING)
 NORM_EPS = 1e-12
+# elements per block of a per-annotator head's weight update, which runs through the front of the scratch row
+UPDATE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -125,7 +133,10 @@ class ModelParams:
     tensors: dict[str, np.ndarray] = field(init=False, repr=False)
     m: dict[str, np.ndarray] = field(init=False, repr=False)
     v: dict[str, np.ndarray] = field(init=False, repr=False)
-    work: np.ndarray | None = field(default=None, init=False, repr=False)
+    _work: np.ndarray | None = field(default=None, init=False, repr=False)
+    # head columns of the gradient row that may hold anything but +0, as the last
+    # `adam_step` found them; None when unknown, so `backward` zeroes the whole head
+    _live_columns: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.flat = np.zeros((3, sum(map(math.prod, self.spec.tensor_shapes().values()))), dtype="<f8")
@@ -137,6 +148,15 @@ class ModelParams:
         for name, shape in self.spec.tensor_shapes().items():
             views[name], start = row[start : start + math.prod(shape)].reshape(shape), start + math.prod(shape)
         return views
+
+    @property
+    def work(self) -> np.ndarray | None:
+        """The gradient row and Adam's scratch row while a run trains; setting it drops the head's column state."""
+        return self._work
+
+    @work.setter
+    def work(self, rows: np.ndarray | None) -> None:
+        self._work, self._live_columns = rows, None
 
     def gradient_views(self) -> dict[str, np.ndarray]:
         """Name → view of the gradient row `work[0]`, made per call so none outlives `work`."""
@@ -341,8 +361,13 @@ def backward(
     else:
         a, known = spec.annotator_count, trace.annotator_index >= 0
         cols, d = trace.annotator_index[known], d_logits[known]
-        # each row touches only its annotator's column, added in row order
-        d_w.fill(0.0)
+        # each row touches only its annotator's column, added in row order; only the
+        # columns the last update found live can hold anything but +0 (see `adam_step`)
+        if params._live_columns is None:
+            d_w.fill(0.0)
+        else:
+            d_w[:, params._live_columns] = 0.0
+        params._live_columns = None
         np.add.at(d_w.T, cols, h[known] * d[:, None])
         d_bias[...] = np.bincount(cols, weights=d, minlength=a)
         dh = np.empty_like(h)
@@ -392,6 +417,17 @@ def adam_step(
     form's operations in its order, so the bytes match it. A non-finite
     gradient refuses the update and leaves `params` untouched; a weight
     made non-finite raises after it. Both name the first such tensor.
+
+    A per-annotator head (with 0.5 < β1 < 1 and 0 < β2 < 1) adds the
+    gradient terms of m and v only on its live columns: those with any
+    bit set in their weight or bias gradients, found by one OR over the
+    head block. A dead column's terms are ±0, and m·β1 + ±0 is m·β1 and
+    v·β2 + +0 is v·β2 bit for bit, because m starts at +0 and no update
+    makes it −0 (β1 > 0.5 keeps a nonzero m·β1 nonzero), and v stays
+    ≥ +0. The decay, the weight update and the post-update check run over
+    every element. The head's gradient rows are left as they were read,
+    so `backward` re-zeroes only the live columns; write into the
+    gradient views only between `backward` and `adam_step`.
     """
     if lr <= 0:
         raise ConfigError(f"learning rate must be > 0, got {lr}")
@@ -403,24 +439,50 @@ def adam_step(
         if grads[name].__array_interface__["data"][0] != view.__array_interface__["data"][0]:
             view[...] = grads[name]
     g, scratch = params.work
-    if not np.isfinite(g).all():
+    w, m, v = params.flat
+    cut, live = g.size, None
+    if params.spec.wiring.per_annotator and 0.5 < beta1 < 1.0 and 0.0 < beta2 < 1.0:
+        # the (H+1, A) block of head weights and biases ends each row; NaN, inf and -0 set bits too
+        a = params.spec.annotator_count
+        cut = g.size - (params.spec.layer_shapes()[-1][0] + 1) * a
+        heads = g[cut:].reshape(-1, a)
+        live = np.flatnonzero(np.bitwise_or.reduce(heads.view(np.uint64), axis=0))
+        g_live = heads[:, live]
+    params._live_columns = live
+    if not (np.isfinite(g[:cut]).all() and (live is None or np.isfinite(g_live).all())):
         _, bad = _first_non_finite(params, g)
         raise NumericError(f"non-finite gradient for {bad}; update refused at step {params.step + 1}")
     params.step += 1
     bc1 = 1.0 - beta1 ** params.step
     bc2 = 1.0 - beta2 ** params.step
-    w, m, v = params.flat
     # m*b1 + (1-b1)*g, v*b2 + (1-b2)*g*g, w - lr*(m/bc1)/(sqrt(v/bc2)+eps)
     m *= beta1
-    m += np.multiply(g, 1.0 - beta1, out=scratch)
+    m[:cut] += np.multiply(g[:cut], 1.0 - beta1, out=scratch[:cut])
     v *= beta2
-    v += np.multiply(np.multiply(g, g, out=scratch), 1.0 - beta2, out=scratch)
+    v[:cut] += np.multiply(np.multiply(g[:cut], g[:cut], out=scratch[:cut]), 1.0 - beta2, out=scratch[:cut])
+    if live is not None:
+        m[cut:].reshape(-1, a)[:, live] += g_live * (1.0 - beta1)
+        v[cut:].reshape(-1, a)[:, live] += (g_live * g_live) * (1.0 - beta2)
     np.add(np.sqrt(np.divide(v, bc2, out=scratch), out=scratch), eps, out=scratch)
-    w -= np.divide(np.multiply(np.divide(m, bc1, out=g), lr, out=g), scratch, out=g)
+    _subtract_update(w[:cut], m[:cut], scratch[:cut], g[:cut], bc1, lr)
+    if live is not None:
+        # the head's gradient rows must stay as read, so its update goes block by block
+        # through the front of the scratch row, which the update above has consumed
+        size = min(UPDATE_BLOCK, cut)
+        for lo in range(cut, g.size, size):
+            hi = min(lo + size, g.size)
+            _subtract_update(w[lo:hi], m[lo:hi], scratch[lo:hi], scratch[: hi - lo], bc1, lr)
     if not np.isfinite(w).all():
         _, bad = _first_non_finite(params, w)
         raise NumericError(f"non-finite parameter {bad} after step {params.step}")
     return params
+
+
+def _subtract_update(
+    w: np.ndarray, m: np.ndarray, denominator: np.ndarray, out: np.ndarray, bc1: float, lr: float
+) -> None:
+    """``w -= lr·(m/bc1)/denominator`` in the per-tensor form's order, computed in `out`."""
+    w -= np.divide(np.multiply(np.divide(m, bc1, out=out), lr, out=out), denominator, out=out)
 
 
 def extract_socio_reps(
@@ -475,15 +537,15 @@ def save_checkpoint(
     return directory
 
 
-def load_checkpoint(directory: str) -> tuple[ModelParams, int, SocioSchema | None, dict[str, int] | None]:
-    """Inverse of save_checkpoint: the params, the seed, the schema and the head index by annotator.
+def read_manifest(directory: str) -> tuple[ModelParams, int, SocioSchema | None, list[str] | None]:
+    """The checked manifest.json of a checkpoint: zeroed params of its spec and step, its seed, schema and head ids.
 
-    The checkpoint is outside input, so anything that does not fit the
-    spec is a DataError: a missing seed or spec, a spec of an unknown
-    variant, tensor shapes other than the spec's layers, a malformed
-    schema, a multi-hot variant without a schema of its socio width, a
-    per-annotator variant without one distinct id per head unit, or a
-    params.bin that is missing, not the spec's size, or non-finite.
+    params.bin is not read. The checkpoint is outside input, so anything
+    that does not fit the spec is a DataError: a missing seed or spec, a
+    spec of an unknown variant, tensor shapes other than the spec's
+    layers, a malformed schema, a multi-hot variant without a schema of
+    its socio width, or a per-annotator variant without one distinct id
+    per head unit.
     """
     manifest_path = os.path.join(directory, "manifest.json")
     if not os.path.exists(manifest_path):
@@ -512,6 +574,16 @@ def load_checkpoint(directory: str) -> tuple[ModelParams, int, SocioSchema | Non
         and len(set(heads)) == len(heads) == spec.annotator_count
     ):
         raise DataError(f"{directory}: the {spec.annotator_count} head units need as many distinct annotator ids")
+    return params, seed, schema, heads
+
+
+def load_checkpoint(directory: str) -> tuple[ModelParams, int, SocioSchema | None, dict[str, int] | None]:
+    """Inverse of save_checkpoint: the params, the seed, the schema and the head index by annotator.
+
+    Besides `read_manifest`'s checks, a params.bin that is missing, not
+    the spec's size, or non-finite is a DataError.
+    """
+    params, seed, schema, heads = read_manifest(directory)
     path = os.path.join(directory, "params.bin")
     if not os.path.isfile(path):
         raise DataError(f"{directory}: no params.bin; checkpoints with one .bin per tensor are no longer read")

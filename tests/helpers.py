@@ -275,6 +275,26 @@ def reference_adam_step(params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return params
 
 
+def reference_head_gradient(h: np.ndarray, annotator_index: np.ndarray, d_logits: np.ndarray, a: int):
+    """A per-annotator head's weight and bias gradients over all `a` columns, zeroed whole and then added row by row.
+
+    This is the dense rule `model.backward` must match bit for bit: each
+    known row adds into its annotator's column in row order
+    (`np.add.at`), and an unseen annotator's row, scored under the mean
+    head, spreads d/A over every column.
+    """
+    known = annotator_index >= 0
+    cols, d = annotator_index[known], d_logits[known]
+    d_w = np.zeros((h.shape[1], a))
+    np.add.at(d_w.T, cols, h[known] * d[:, None])
+    d_bias = np.bincount(cols, weights=d, minlength=a).astype(np.float64)  # int64 when no row is known
+    if not known.all():
+        d_all = np.repeat(d_logits[~known, None] / a, a, axis=1)
+        d_w += h[~known].T @ d_all
+        d_bias += d_all.sum(axis=0)
+    return d_w, d_bias
+
+
 def random_small_spec(rng: np.random.Generator, variant: str) -> ModelSpec:
     kw = dict(
         text_dim=int(rng.integers(2, 5)),

@@ -4,13 +4,14 @@ import re
 import shutil
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import base_config, run_chain
+from helpers import base_config, run_chain, sequential_train_suites
 from sociolens import cli, corpus, features, trainer
 from sociolens.batcher import BatchTables
 from sociolens.cli import main
@@ -349,6 +350,32 @@ class TestErrors:
         assert capsys.readouterr().err.startswith("data error: ")
         assert not (out / "train").exists()
 
+    @pytest.mark.parametrize("missing", ["socio_embeddings", "profiles"])
+    def test_eval_inputs_checked_before_any_variant_is_scored(self, tmp_path, capsys, missing):
+        config = base_config(str(tmp_path / "out"))
+        config["train"].update(variant=["simple", "socio_contrastive", "socio_embedding"], ablation=False, epochs=1)
+        with mock.patch.object(trainer, "train_suites", sequential_train_suites):
+            out = run_chain(tmp_path, config, commands=("synth", "prep", "train"))
+        # no train section, so no eval input defaults to a train input
+        inputs = {"checkpoints": "train", "annotations": "prep/test.csv", "embeddings": "synth/embeddings.csv",
+                  "profiles": "synth/profiles.csv", "socio_embeddings": "synth/socio_embeddings.csv"}
+        evaluate = {key: str(out / path) for key, path in inputs.items()}
+        if missing == "profiles":
+            del evaluate["profiles"]
+            named = "eval.profiles (got None)"
+        else:
+            evaluate["socio_embeddings"] = named = str(tmp_path / "missing.csv")
+        config_path = tmp_path / "eval_only.json"
+        config_path.write_text(json.dumps({"output_dir": str(out), "eval": evaluate}), encoding="utf-8")
+        assert main(["eval", "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and named in err
+        assert not (out / "eval").exists()
+        if missing == "socio_embeddings":
+            # a missing file that no checkpoint reads is no error
+            shutil.rmtree(out / "train" / "socio_embedding")
+            assert main(["eval", "--config", str(config_path)]) == 0
+
     @pytest.fixture(scope="class")
     def trained_simple(self, tmp_path_factory):
         config = base_config("")
@@ -648,8 +675,10 @@ def test_any_flag_value_exits_with_a_documented_code(tmp_path, trained_chain, co
     argv = [command, "--config", str(path), *(f"{flag}={value}" for flag, value in flags.items())]
     if dump_plan:
         argv.append("--dump-plan")
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse rejects a value its type cannot parse
-        code = exc.code
+    # train stages run in process, not in a worker pool each; TestWorkerPool holds the pool to this helper
+    with mock.patch.object(trainer, "train_suites", sequential_train_suites):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a value its type cannot parse
+            code = exc.code
     assert code in (0, 2, 3, 4), argv

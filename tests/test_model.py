@@ -3,6 +3,7 @@ import math
 import re
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from helpers import (
     random_batch,
     random_small_spec,
     reference_adam_step,
+    reference_head_gradient,
     worst_gradient_error,
 )
+from sociolens import model
 from sociolens.batcher import Batch
 from sociolens.errors import ConfigError, DataError, NumericError
 from sociolens.features import MISSING, SocioSchema
@@ -375,6 +378,80 @@ class TestAdamStep:
             assert params.step == ref.step
             for role in roles:
                 for name in names:
+                    assert getattr(params, role)[name].tobytes() == getattr(ref, role)[name].tobytes()
+
+
+class TestPerAnnotatorHeadUpdate:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        cases=st.lists(
+            st.sampled_from(["views", "copied", "edited", "unseen", "poisoned", "twice"]), min_size=1, max_size=4
+        ),
+        block=st.sampled_from([1, 3, 16, model.UPDATE_BLOCK]),
+    )
+    def test_matches_dense_gradient_and_per_tensor_adam(self, seed, cases, block):
+        # backward re-zeroes and adam_step updates only live head columns; the bytes must be
+        # those of a dense gradient through the per-tensor Adam, whoever wrote the gradient
+        with mock.patch.object(model, "UPDATE_BLOCK", block):
+            self.check_against_dense(seed, cases)
+
+    def check_against_dense(self, seed, cases):
+        rng = np.random.default_rng(seed)
+        heads = int(rng.integers(1, 40))
+        spec = small_spec(
+            "multitask", annotator_count=heads, dropout_rate=float(rng.choice([0.2, 0.35])),
+            hidden_dims=(int(rng.integers(2, 6)), int(rng.integers(1, 6))),
+        )
+        params = init_params(spec, seed)
+        roles = ("tensors", "m", "v")
+        ref = SimpleNamespace(step=0, **{r: {k: t.copy() for k, t in getattr(params, r).items()} for r in roles})
+        w_name, b_name = "layer.2.weight", "layer.2.bias"
+        lr = float(rng.choice([1e-3, 0.05, 0.5]))
+        for case in cases:
+            rows = int(rng.integers(1, 20))
+            batch = random_batch(rng, spec, rows, 3)
+            # a few annotators per batch, so columns repeat; -1 is an annotator unseen in training
+            drawn = rng.choice(heads, size=min(heads, int(rng.integers(1, 5))), replace=False)
+            batch.annotator_index = rng.choice(drawn, size=rows)
+            if case == "unseen":
+                batch.annotator_index[rng.random(rows) < 0.4] = -1
+            if case == "twice":
+                # a backward whose gradient no update reads: the next backward must clear its columns too
+                other = random_batch(rng, spec, rows, 3)
+                backward(params, *combined_objective(params, other, spec, int(rng.integers(2**31)))[1:3])
+            _, trace, d_logits, _ = combined_objective(params, batch, spec, int(rng.integers(2**31)))
+            grads = backward(params, trace, d_logits)
+            dense = {name: g.copy() for name, g in grads.items()}
+            dense[w_name], dense[b_name] = reference_head_gradient(
+                trace.inputs[2], batch.annotator_index, d_logits, heads
+            )
+            for name in (w_name, b_name):
+                assert grads[name].tobytes() == dense[name].tobytes()
+            outside = np.setdiff1d(np.arange(heads), batch.annotator_index)
+            if case == "edited" and outside.size:
+                # a column the batch did not touch, written in place; zero factors give -0 as well as +0
+                col = rng.choice(outside)
+                edit = rng.standard_normal(spec.hidden_dims[1]) * rng.choice([0.0, 1.0])
+                grads[w_name][:, col] = dense[w_name][:, col] = edit
+                if rng.random() < 0.5:
+                    grads[b_name][col] = dense[b_name][col] = rng.standard_normal()
+            if case == "poisoned" and outside.size:
+                col, row = rng.choice(outside), rng.integers(spec.hidden_dims[1])
+                grads[w_name][row, col] = dense[w_name][row, col] = rng.choice([np.nan, np.inf, -np.inf])
+                refused = rf"non-finite gradient for layer\.2\.weight; update refused at step {ref.step + 1}$"
+                for state, update, g in ((params, adam_step, grads), (ref, reference_adam_step, dense)):
+                    with pytest.raises(NumericError, match=refused):
+                        update(state, g, lr)
+            elif case == "copied":
+                adam_step(params, {name: grads[name].copy() for name in reversed(list(grads))}, lr)
+                reference_adam_step(ref, dense, lr)
+            else:
+                adam_step(params, grads, lr)
+                reference_adam_step(ref, dense, lr)
+            assert params.step == ref.step
+            for role in roles:
+                for name in params.tensors:
                     assert getattr(params, role)[name].tobytes() == getattr(ref, role)[name].tobytes()
 
 
