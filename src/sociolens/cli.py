@@ -8,15 +8,16 @@ inputs, and reads each input file once. `train` runs one list of suites,
 each under `train/<label>`: every configured variant, and with
 `train.ablation` the `ablation` suite (socio_contrastive at contrastive
 weight 0) straight after socio_contrastive. Their runs train in one
-worker pool (`trainer.train_suites`), and a suite's aggregate and
-representations are written once all its runs are back. Exit codes:
-0 success, 2 config error, 3 data error, 4 numeric error.
+worker pool (`trainer.train_suites`), and each worker writes the
+checkpoint, log, plans and representations of its run. `train` scores
+nothing: `eval` scores the test split from the checkpoints, and
+`report` reads eval's metrics. Exit codes: 0 success, 2 config error,
+3 data error, 4 numeric error.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
 import os
@@ -27,7 +28,7 @@ from . import config as config_mod
 from . import corpus, features, homophily, metrics, synth, trainer
 from .errors import ConfigError, DataError, NumericError, SociolensError
 from .model import VARIANTS, WIRING, load_checkpoint, read_manifest
-from .trainer import SuiteResult, TrainedRun
+from .trainer import TrainedRun
 
 
 def _log(cfg, message: str) -> None:
@@ -141,34 +142,16 @@ def cmd_train(cfg: config_mod.PipelineConfig) -> int:
         if WIRING[run.variant].projected and t.ablation:
             suites.append(("ablation", replace(run, contrastive_weight=0.0)))
 
+    # the projected runs write the representations of every profiled annotator; no other run reads the table
+    profiles = all_profiles if any(WIRING[run.variant].projected for run in t.runs) else None
     train_root = os.path.join(cfg.output_dir, "train")
-    _log(cfg, f"train: {sum(len(run_cfg.seeds) for _, run_cfg in suites)} runs over {len(suites)} suites")
-    f1_means: dict[str, float] = {}
-    results = trainer.train_suites(
+    runs = sum(len(run_cfg.seeds) for _, run_cfg in suites)
+    _log(cfg, f"train: {runs} runs over {len(suites)} suites -> {train_root}")
+    trainer.train_suites(
         [(run_cfg, os.path.join(train_root, label)) for label, run_cfg in suites],
-        split, text_table, socio_table, dump_plan=t.dump_plan,
+        split, text_table, socio_table, dump_plan=t.dump_plan, profiles=profiles,
     )
-    with contextlib.closing(results):
-        for (label, _), suite in zip(suites, results):
-            suite_dir = os.path.join(train_root, label)
-            _finish_suite(cfg, label, suite, suite_dir, all_profiles)
-            f1_means[label] = suite.aggregate["f1"][0]
-            if label == "ablation":
-                delta = f1_means["socio_contrastive"] - f1_means["ablation"]
-                _write_json(os.path.join(train_root, "ablation_delta.json"), {"f1_delta": delta})
-                _log(cfg, f"train: ablation F1 delta = {delta:+.4f}")
     return 0
-
-
-def _finish_suite(cfg, label: str, suite: SuiteResult, suite_dir: str, all_profiles) -> None:
-    _write_json(os.path.join(suite_dir, "aggregate.json"), suite.to_dict())
-    if WIRING[suite.config.variant].projected and all_profiles is not None:
-        for run in suite.runs:
-            reps = trainer.export_representations(run, all_profiles)
-            path = os.path.join(suite_dir, f"seed{run.seed}", "representations.csv")
-            features.save_vector_csv(reps, path, "annotator_id")
-    f1_mean, f1_std = suite.aggregate["f1"]
-    _log(cfg, f"train: {label} F1 = {f1_mean:.4f} ± {f1_std:.4f} -> {suite_dir}")
 
 
 # ------------------------------------------------------------------ eval
@@ -178,7 +161,7 @@ def _discover_checkpoints(root: str) -> dict[str, list[tuple[int, str]]]:
     if not os.path.exists(root):
         raise DataError(f"checkpoint path does not exist: {root}")
     if os.path.exists(os.path.join(root, "manifest.json")):
-        params, seed, _, _ = load_checkpoint(root)
+        params, seed, _, _ = read_manifest(root)
         return {params.spec.variant: [(seed, root)]}
     found: dict[str, list[tuple[int, str]]] = {}
 
@@ -372,7 +355,7 @@ def _read_input(path: str, parse):
 
 
 def _parse_aggregate(fh) -> dict[str, tuple[float, float]]:
-    """(mean, std) per metric of a metrics.json or aggregate.json; AUC may be absent."""
+    """(mean, std) per metric of an eval metrics.json; AUC may be absent."""
     agg = json.load(fh)["aggregate"]
     return {
         key: (float(agg[key]["mean"]), float(agg[key]["std"]))
@@ -403,11 +386,8 @@ def cmd_report(cfg: config_mod.PipelineConfig) -> int:
     order = [*VARIANTS, "ablation"]
     rows = []
     for variant in order:
-        # eval's metrics, else the train-time scores of the same split
-        paths = [os.path.join(out_dir, "eval", variant, "metrics.json"),
-                 os.path.join(out_dir, "train", variant, "aggregate.json")]
-        path = next((p for p in paths if os.path.exists(p)), None)
-        if path is None:
+        path = os.path.join(out_dir, "eval", variant, "metrics.json")
+        if not os.path.exists(path):
             gaps.append(f"no metrics for variant {variant!r}")
             continue
         rows.append((variant, _read_input(path, _parse_aggregate)))

@@ -197,15 +197,23 @@ def load_embeddings(path: str) -> VectorTable:
     return load_vector_csv(path, "key")
 
 
+# Cells converted per `np.array` call by `load_vector_csv`. The cell strings take
+# several times the memory of their floats, so a file's whole set of strings at
+# once would raise the reader's peak memory well above its table's size.
+VECTOR_BLOCK_CELLS = 4096
+
+
 def load_vector_csv(path: str, key_column: str) -> VectorTable:
     """The table of a ``<key_column>,d0,...`` CSV: embeddings or representations.
 
     A wrong header, a row of the wrong width, a repeated key or a cell
     that is not a number is a DataError naming the row; a NaN or an
-    infinity is a NumericError.
+    infinity is a NumericError. The first bad row is the one named,
+    whichever of these it breaks.
     """
     index: dict[str, int] = {}  # row number by key
-    rows: list[np.ndarray] = []
+    blocks: list[np.ndarray] = []
+    cells: list[list[str]] = []  # the component cells of the rows after the converted blocks
     with open_csv(path) as fh:
         reader = csv.reader(fh)
         try:
@@ -217,23 +225,49 @@ def load_vector_csv(path: str, key_column: str) -> VectorTable:
         dimension = len(header) - 1
         if dimension < 1:
             raise SchemaError(f"{path}: no component columns")
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) - 1 != dimension:
-                raise DataError(
-                    f"{path}: row {row_no} has {len(row) - 1} components, expected {dimension}"
-                )
-            key = row[0]
-            if key in index:
-                raise DataError(f"{path}: duplicate key {key!r} at row {row_no}")
-            index[key] = row_no
-            try:
-                arr = np.array([float(x) for x in row[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise DataError(f"{path}: row {row_no}: {exc}") from None
-            if not np.all(np.isfinite(arr)):
-                raise NumericError(f"{path}: row {row_no} has a non-finite component")
-            rows.append(arr)
-    return VectorTable(list(index), np.array(rows).reshape(len(rows), dimension))
+        block_rows = max(1, VECTOR_BLOCK_CELLS // dimension)
+        try:
+            for row_no, row in enumerate(reader, start=2):
+                if len(row) - 1 != dimension:
+                    raise DataError(
+                        f"{path}: row {row_no} has {len(row) - 1} components, expected {dimension}"
+                    )
+                key = row[0]
+                if key in index:
+                    raise DataError(f"{path}: duplicate key {key!r} at row {row_no}")
+                index[key] = row_no
+                cells.append(row[1:])
+                if len(cells) == block_rows:
+                    blocks.append(_vector_rows(path, cells, len(index), dimension))
+                    cells = []
+        except (DataError, csv.Error, UnicodeDecodeError):
+            _vector_rows(path, cells, len(index), dimension)  # a bad cell in an earlier row is the first error
+            raise
+    blocks.append(_vector_rows(path, cells, len(index), dimension))
+    return VectorTable(list(index), np.concatenate(blocks))
+
+
+def _vector_rows(path: str, cells: list[list[str]], rows_read: int, dimension: int) -> np.ndarray:
+    """The float64 matrix of the last rows' component cells, converted at once, or row by row to name a bad row.
+
+    `cells` are the rows that end at the `rows_read`-th row after the header.
+    """
+    try:
+        matrix = np.array(cells, dtype=np.float64).reshape(len(cells), dimension)
+        if np.isfinite(matrix).all():
+            return matrix
+    except ValueError:
+        pass
+    rows = []
+    for row_no, row in enumerate(cells, start=rows_read - len(cells) + 2):
+        try:
+            arr = np.array([float(x) for x in row], dtype=np.float64)
+        except ValueError as exc:
+            raise DataError(f"{path}: row {row_no}: {exc}") from None
+        if not np.all(np.isfinite(arr)):
+            raise NumericError(f"{path}: row {row_no} has a non-finite component")
+        rows.append(arr)
+    return np.array(rows).reshape(len(rows), dimension)
 
 
 def _load_embeddings_binary(path: str) -> VectorTable:

@@ -8,13 +8,15 @@ an ordinary suite: ``socio_contrastive`` at contrastive weight 0 on the
 same seeds sees the same batch plans as its weighted twin.
 
 Runs are independent, so `train_suites` trains every (suite, seed) job of
-a stage in one pool of worker processes, one BLAS thread each, and takes
-their results back in job order. Neither the worker count nor the
-thread count changes a single output byte.
+a stage in one pool of worker processes, one BLAS thread each. A job
+writes every artifact of its run; only its success or its exception
+comes back. Neither the worker count nor the thread count changes a
+single output byte.
 
 The ``simple`` regime trains on one sample per unique text with its
 majority-vote label; every other regime trains on individual
-annotations. Evaluation is always against individual annotator labels.
+annotations. `predict` scores a run against individual annotator labels;
+the eval stage calls it on checkpoints, and training scores nothing.
 """
 
 from __future__ import annotations
@@ -24,17 +26,14 @@ import json
 import os
 import pickle
 import tempfile
-from collections import deque
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .batcher import BatchTables, assemble_batch, plan_epoch
 from .corpus import Dataset, SplitPair, majority_vote
-from .errors import ConfigError, DataError, NumericError, SociolensError
-from .features import ProfileTable, SocioSchema, VectorTable, build_schema, multihot_rows
-from .metrics import MetricsReport, aggregate_runs, confusion_metrics
+from .errors import DataError, NumericError, SociolensError
+from .features import ProfileTable, SocioSchema, VectorTable, build_schema, multihot_rows, save_vector_csv
 from .model import (
     WIRING,
     ModelParams,
@@ -80,25 +79,6 @@ class TrainedRun:
     log_rows: list[dict]
 
 
-@dataclass
-class SuiteResult:
-    config: RunConfig
-    runs: list[TrainedRun]
-    reports: list[MetricsReport]
-    aggregate: dict[str, tuple[float, float]]
-    fallback_rows: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.config.variant,
-            "contrastive_weight": self.config.contrastive_weight,
-            "seeds": list(self.config.seeds),
-            "per_seed": [r.to_dict() for r in self.reports],
-            "aggregate": {k: {"mean": m, "std": s} for k, (m, s) in self.aggregate.items()},
-            "unknown_annotator_rows": self.fallback_rows,
-        }
-
-
 def build_model_spec(config: RunConfig, train: Dataset, tables: BatchTables) -> ModelSpec:
     """The spec of `config`'s fields that `ModelSpec` shares, its widths from `tables`, its head count from `train`."""
     run = asdict(config)
@@ -142,8 +122,15 @@ def train_one(
     socio_table: VectorTable | None = None,
     out_dir: str | None = None,
     dump_plan: bool = False,
+    profiles: ProfileTable | None = None,
 ) -> TrainedRun:
-    """Train a single seed; deterministic given (config, seed, split, tables)."""
+    """Train a single seed; deterministic given (config, seed, split, tables).
+
+    With `out_dir`, the run writes `seed<N>/` there: its checkpoint and
+    log, its batch plans with `dump_plan`, and for a projected variant
+    given `profiles`, the socio representations of every profiled
+    annotator.
+    """
     train = split.train
     if not len(train.records):
         raise DataError("empty training split")
@@ -203,6 +190,9 @@ def train_one(
             with open(os.path.join(run_dir, "plans.json"), "w", encoding="utf-8") as fh:
                 json.dump({"seed": seed, "epochs": plans}, fh)
                 fh.write("\n")
+        if wiring.projected and profiles is not None:
+            reps = extract_socio_reps(params, profiles, schema)
+            save_vector_csv(reps, os.path.join(run_dir, "representations.csv"), "annotator_id")
     return TrainedRun(seed=seed, params=params, schema=schema, annotator_index=annotator_index, log_rows=log_rows)
 
 
@@ -234,8 +224,8 @@ def predict(
     return probs, rows["label"].astype(np.float64), fallback_rows
 
 
-# The split and vector tables of a pool worker, set once by `_init_worker`.
-_WORKER_INPUTS: tuple[SplitPair, VectorTable, VectorTable | None] | None = None
+# The split, vector tables and profiles of a pool worker, set once by `_init_worker`.
+_WORKER_INPUTS: tuple[SplitPair, VectorTable, VectorTable | None, ProfileTable | None] | None = None
 
 
 def _init_worker(inputs_path: str) -> None:
@@ -244,21 +234,10 @@ def _init_worker(inputs_path: str) -> None:
         _WORKER_INPUTS = pickle.load(fh)
 
 
-def _run_job(
-    config: RunConfig, seed: int, out_dir: str | None, dump_plan: bool
-) -> tuple[TrainedRun, tuple[ModelSpec, int, np.ndarray], MetricsReport, int]:
-    """One (suite, seed) job in a pool worker: train and write the run, then score it on the test split.
-
-    The run goes back without its params, which `train_suites` rebuilds
-    from the spec, step and weights row sent beside it. Adam's moments
-    stay in the checkpoint: nothing after training reads them, and they
-    would triple what the worker pickles.
-    """
-    split, text_table, socio_table = _WORKER_INPUTS
-    run = train_one(config, seed, split, text_table, socio_table, out_dir, dump_plan)
-    probs, labels, fallback = predict(run, split.test, text_table, socio_table)
-    params, run.params = run.params, None
-    return run, (params.spec, params.step, params.flat[0]), confusion_metrics(probs, labels), fallback
+def _run_job(config: RunConfig, seed: int, out_dir: str | None, dump_plan: bool) -> None:
+    """One (suite, seed) job in a pool worker: train the run and write its artifacts under `out_dir`."""
+    split, text_table, socio_table, profiles = _WORKER_INPUTS
+    train_one(config, seed, split, text_table, socio_table, out_dir, dump_plan, profiles)
 
 
 @contextlib.contextmanager
@@ -281,13 +260,14 @@ def train_suites(
     text_table: VectorTable,
     socio_table: VectorTable | None = None,
     dump_plan: bool = False,
-) -> Iterator[SuiteResult]:
-    """Train every seed of every `(config, out_dir)` suite in one worker pool; yield each suite's result in order.
+    profiles: ProfileTable | None = None,
+) -> None:
+    """Train every seed of every `(config, out_dir)` suite in one worker pool, as `train_one` writes each run.
 
     The jobs are the suites' seeds in suite order. A spawned worker gets
-    the split and tables once, at start-up, and runs one job at a time.
-    The first job in job order that fails is raised, naming its seed. A
-    run's params hold its trained weights; its Adam moments read zero.
+    the split, the tables and the profiles once, at start-up, and runs
+    one job at a time. The first job in job order that fails is raised,
+    naming its seed.
     """
     # imported here, not at the top, so that the commands that start no process load no multiprocessing
     import multiprocessing
@@ -307,37 +287,20 @@ def train_suites(
     with tempfile.TemporaryDirectory(prefix="sociolens-") as inputs_dir:
         inputs_path = os.path.join(inputs_dir, "inputs.pickle")
         with open(inputs_path, "wb") as fh:
-            pickle.dump((split, text_table, socio_table), fh, protocol=pickle.HIGHEST_PROTOCOL)
+            pickle.dump((split, text_table, socio_table, profiles), fh, protocol=pickle.HIGHEST_PROTOCOL)
         pool = ProcessPoolExecutor(workers, multiprocessing.get_context("spawn"), _init_worker, (inputs_path,))
         try:
             # a spawned worker starts inside the `submit` that first finds no idle worker
             with _one_blas_thread():
-                futures = deque(
-                    pool.submit(_run_job, config, seed, out_dir, dump_plan) for config, seed, out_dir in jobs
-                )
-            for config, _ in suites:
-                runs, reports, total_fallback = [], [], 0
-                for seed in config.seeds:
-                    try:
-                        # popleft: the parent keeps no result past its suite
-                        run, (spec, step, weights), report, fallback = futures.popleft().result()
-                    except SociolensError as exc:
-                        # keep the class so the CLI still maps it to its own exit code
-                        raise type(exc)(f"run for seed {seed} failed: {exc}") from exc
-                    except Exception as exc:  # a worker that died raises BrokenProcessPool
-                        raise DataError(f"run for seed {seed} failed: {exc}") from exc
-                    run.params = ModelParams(spec, step)  # its moments read zero
-                    run.params.flat[0] = weights
-                    runs.append(run)
-                    reports.append(report)
-                    total_fallback += fallback
-                yield SuiteResult(
-                    config=config,
-                    runs=runs,
-                    reports=reports,
-                    aggregate=aggregate_runs(reports),
-                    fallback_rows=total_fallback,
-                )
+                futures = [pool.submit(_run_job, config, seed, out_dir, dump_plan) for config, seed, out_dir in jobs]
+            for (_, seed, _), future in zip(jobs, futures):
+                try:
+                    future.result()
+                except SociolensError as exc:
+                    # keep the class so the CLI still maps it to its own exit code
+                    raise type(exc)(f"run for seed {seed} failed: {exc}") from exc
+                except Exception as exc:  # a worker that died raises BrokenProcessPool
+                    raise DataError(f"run for seed {seed} failed: {exc}") from exc
         finally:
             # jobs not yet started are dropped; running ones finish and their workers exit
             pool.shutdown(cancel_futures=True)
@@ -352,14 +315,6 @@ def train_suite(
     socio_table: VectorTable | None = None,
     out_dir: str | None = None,
     dump_plan: bool = False,
-) -> SuiteResult:
-    """Train every seed of one suite in a worker pool, score each on the test split, and aggregate."""
-    with contextlib.closing(train_suites([(config, out_dir)], split, text_table, socio_table, dump_plan)) as results:
-        return next(results)
-
-
-def export_representations(run: TrainedRun, profiles: ProfileTable) -> VectorTable:
-    """Socio representations for all profiled annotators under this run's schema."""
-    if run.schema is None:
-        raise ConfigError("this run has no socio schema")
-    return extract_socio_reps(run.params, profiles, run.schema)
+) -> None:
+    """`train_suites` for one suite."""
+    train_suites([(config, out_dir)], split, text_table, socio_table, dump_plan)

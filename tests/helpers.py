@@ -7,8 +7,10 @@ reference, the per-draw homophily reference and the full-sort neighbor
 order whose first entries the package keeps, the per-threshold ROC
 reference, and the single-statistic homophily, pair-counting AUC,
 ROC-area and embedding-format oracles that the package itself does not
-need, and the per-profile schema, multi-hot and category oracles with a
-strategy for profile CSVs.
+need, the per-row vector CSV reader with a strategy for vector CSVs, and
+the per-profile schema, multi-hot and category oracles with a strategy
+for profile CSVs. `score_checkpoints` scores trained runs from their
+checkpoints as `eval` does.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from hypothesis import strategies as st
 from sociolens.batcher import Batch
 from sociolens.cli import main
 from sociolens.corpus import Dataset
-from sociolens.errors import ConfigError, DataError, NumericError
-from sociolens.features import MISSING, ProfileTable, SocioSchema, VectorTable
+from sociolens.errors import ConfigError, DataError, NumericError, SchemaError
+from sociolens.features import MISSING, ProfileTable, SocioSchema, VectorTable, open_csv
 from sociolens.homophily import (
     HomophilyRow,
     RepSpace,
@@ -40,10 +42,10 @@ from sociolens.homophily import (
     _neighbor_order,
     _same_fraction,
 )
-from sociolens.metrics import aggregate_runs, confusion_metrics
-from sociolens.model import ModelSpec, backward, forward, init_params
+from sociolens.metrics import MetricsReport, aggregate_runs, confusion_metrics
+from sociolens.model import ModelSpec, backward, forward, init_params, load_checkpoint
 from sociolens.objectives import bce_loss, combined_loss, contrastive_loss
-from sociolens.trainer import SuiteResult, predict, train_one
+from sociolens.trainer import TrainedRun, predict, train_one
 
 
 def base_config(out_dir: str) -> dict:
@@ -93,13 +95,24 @@ def run_chain(tmp_path: Path, config: dict, commands=("synth", "prep", "train", 
     return Path(config["output_dir"])
 
 
-def sequential_train_suites(suites, split, text_table, socio_table=None, dump_plan=False):
+def sequential_train_suites(suites, split, text_table, socio_table=None, dump_plan=False, profiles=None):
     """`trainer.train_suites` in this process: every job through `train_one`, one after another in job order."""
     for config, out_dir in suites:
-        runs = [train_one(config, seed, split, text_table, socio_table, out_dir, dump_plan) for seed in config.seeds]
-        scored = [predict(run, split.test, text_table, socio_table) for run in runs]
-        reports = [confusion_metrics(probs, labels) for probs, labels, _ in scored]
-        yield SuiteResult(config, runs, reports, aggregate_runs(reports), sum(fallback for *_, fallback in scored))
+        for seed in config.seeds:
+            train_one(config, seed, split, text_table, socio_table, out_dir, dump_plan, profiles)
+
+
+def score_checkpoints(
+    suite_dir, dataset: Dataset, text_table: VectorTable, socio_table: VectorTable | None = None
+) -> tuple[list[MetricsReport], dict[str, tuple[float, float]]]:
+    """Each `seed<N>/checkpoint` under `suite_dir` scored on `dataset` as `eval` scores it, by seed; and their aggregate."""
+    reports = []
+    for ckpt in sorted(Path(suite_dir).glob("seed*/checkpoint"), key=lambda p: int(p.parent.name[4:])):
+        params, seed, schema, annotator_index = load_checkpoint(str(ckpt))
+        run = TrainedRun(seed, params, schema, annotator_index, log_rows=[])
+        probs, labels, _ = predict(run, dataset, text_table, socio_table)
+        reports.append(confusion_metrics(probs, labels))
+    return reports, aggregate_runs(reports)
 
 
 def child_pids() -> list[str]:
@@ -518,6 +531,69 @@ def save_embeddings_binary(table: VectorTable, path: str) -> None:
             fh.write(struct.pack("<I", len(key_bytes)))
             fh.write(key_bytes)
             fh.write(vec.astype("<f4").tobytes())
+
+
+def reference_load_vector_csv(path: str, key_column: str) -> VectorTable:
+    """`features.load_vector_csv` as one scan: per row its checks, then `float()` on each cell; the first bad row raises."""
+    index: dict[str, int] = {}
+    rows: list[np.ndarray] = []
+    with open_csv(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        if not header or header[0] != key_column:
+            raise SchemaError(f"{path}: first column must be {key_column!r}, got {header[:1]}")
+        dimension = len(header) - 1
+        if dimension < 1:
+            raise SchemaError(f"{path}: no component columns")
+        for row_no, row in enumerate(reader, start=2):
+            if len(row) - 1 != dimension:
+                raise DataError(f"{path}: row {row_no} has {len(row) - 1} components, expected {dimension}")
+            if row[0] in index:
+                raise DataError(f"{path}: duplicate key {row[0]!r} at row {row_no}")
+            index[row[0]] = row_no
+            try:
+                arr = np.array([float(x) for x in row[1:]], dtype=np.float64)
+            except ValueError as exc:
+                raise DataError(f"{path}: row {row_no}: {exc}") from None
+            if not np.all(np.isfinite(arr)):
+                raise NumericError(f"{path}: row {row_no} has a non-finite component")
+            rows.append(arr)
+    return VectorTable(list(index), np.array(rows).reshape(len(rows), dimension))
+
+
+VECTOR_CELLS = (
+    st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    | st.integers(-(10**7), 10**7).map(lambda i: f"{i:_}")
+    | st.sampled_from([" 1.5 ", "\t-2e3", "\n7\n", "-0", "-0.0", ".5", "5.", "１２", "1e309", "4.9e-325"])
+    | st.sampled_from(["nan", "-nan", "NaN", "inf", "-Infinity", "+inf"])
+    | st.sampled_from(["", " ", "abc", "1.5x", "1,5", "0x10", "1__0", "_1", "1_", "1e", "nan(1)", "−1"])
+)
+
+
+@st.composite
+def vector_csvs(draw):
+    """The text of a vector CSV written by `csv.writer`: finite, non-finite, underscored, padded and malformed cells.
+
+    Most cells are finite numbers. A few rows repeat a key or have the
+    wrong width, so a bad cell may come before or after a row of the
+    wrong shape.
+    """
+    dimension = draw(st.integers(1, 4))
+    finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    rows = []
+    for i in range(draw(st.integers(0, 6))):
+        key = "k0" if draw(st.integers(0, 9)) == 0 else f"k{i}"
+        width = dimension + draw(st.sampled_from([0] * 18 + [-1, 1]))
+        cells = [draw(VECTOR_CELLS if draw(st.integers(0, 3)) == 0 else finite) for _ in range(max(width, 0))]
+        rows.append([key] + cells)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["key"] + [f"d{j}" for j in range(dimension)])
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 PROFILE_ID_CHARS = st.characters(blacklist_categories=("Cs",)) | st.sampled_from(',"\n\r é☃')

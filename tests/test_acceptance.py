@@ -21,6 +21,7 @@ from helpers import (
     make_dataset,
     pair_counting_auc,
     roc_curve_area,
+    score_checkpoints,
     space_of,
 )
 from sociolens import corpus, homophily, metrics, synth, trainer
@@ -224,19 +225,21 @@ def desk_scale_world():
     return split_by_text(dataset, 0.7, seed=11), corp.embeddings
 
 
-def test_criterion_07_desk_scale_hypothesis():
+def test_criterion_07_desk_scale_hypothesis(tmp_path):
     start = time.monotonic()
     split, table = desk_scale_world()
     seeds = (0, 1, 2, 3, 4, 5)
     contrastive_cfg = trainer.RunConfig(variant="socio_contrastive", seeds=seeds)
-    contrastive = trainer.train_suite(contrastive_cfg, split, table)
-    ablation = trainer.train_suite(replace(contrastive_cfg, contrastive_weight=0.0), split, table)
-    simple = trainer.train_suite(trainer.RunConfig(variant="simple", seeds=seeds), split, table)
+    suites = {
+        "contrastive": contrastive_cfg,
+        "ablation": replace(contrastive_cfg, contrastive_weight=0.0),
+        "simple": trainer.RunConfig(variant="simple", seeds=seeds),
+    }
+    trainer.train_suites([(cfg, str(tmp_path / name)) for name, cfg in suites.items()], split, table)
+    f1 = {name: score_checkpoints(tmp_path / name, split.test, table)[1]["f1"][0] for name in suites}
     elapsed = time.monotonic() - start
 
-    f1_contrastive = contrastive.aggregate["f1"][0]
-    f1_ablation = ablation.aggregate["f1"][0]
-    f1_simple = simple.aggregate["f1"][0]
+    f1_contrastive, f1_ablation, f1_simple = f1["contrastive"], f1["ablation"], f1["simple"]
     ok = (
         f1_contrastive - f1_simple >= 0.05
         and f1_contrastive > f1_ablation
@@ -376,31 +379,30 @@ def null_world():
     return spec, population, corp, split, socio_table
 
 
-def test_criterion_10_null_model_honesty():
+def test_criterion_10_null_model_honesty(tmp_path):
     from sociolens.features import build_schema
 
     spec, population, corp, split, socio_table = null_world()
     seeds = (0, 1, 2, 3, 4, 5)
 
-    f1 = {}
-    contrastive_runs = None
-    for variant in ("simple", "multitask", "socio_multihot", "socio_embedding", "socio_contrastive"):
-        cfg = trainer.RunConfig(variant=variant, seeds=seeds)
-        suite = trainer.train_suite(
-            cfg, split, corp.embeddings,
-            socio_table=socio_table if variant == "socio_embedding" else None,
-        )
-        f1[variant] = suite.aggregate["f1"][0]
-        if variant == "socio_contrastive":
-            contrastive_runs = suite.runs
+    variants = ("simple", "multitask", "socio_multihot", "socio_embedding", "socio_contrastive")
+    trainer.train_suites(
+        [(trainer.RunConfig(variant=variant, seeds=seeds), str(tmp_path / variant)) for variant in variants],
+        split, corp.embeddings, socio_table, profiles=population,
+    )
+    f1 = {
+        variant: score_checkpoints(tmp_path / variant, split.test, corp.embeddings, socio_table)[1]["f1"][0]
+        for variant in variants
+    }
     advantages = {v: f1[v] - f1["simple"] for v in f1 if v != "simple"}
     f1_ok = all(adv <= 0.03 for adv in advantages.values())
 
     schema = build_schema(population)
     names = [a.name for a in spec.attributes]
     spaces = []
-    for run in contrastive_runs:
-        reps = trainer.export_representations(run, population)
+    for seed in seeds:
+        path = tmp_path / "socio_contrastive" / f"seed{seed}" / "representations.csv"
+        reps = homophily.load_representations(str(path))
         spaces.append(homophily.RepSpace.from_representations(reps, population, schema))
     ratio_means = {}
     for attr in names:

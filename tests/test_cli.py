@@ -35,10 +35,11 @@ class TestFullChain:
         assert (out / "synth" / "annotations.csv").exists()
         assert (out / "prep" / "train.csv").exists()
         assert (out / "prep" / "filter_report.json").exists()
-        assert (out / "train" / "simple" / "aggregate.json").exists()
-        assert (out / "train" / "socio_contrastive" / "seed0" / "checkpoint" / "manifest.json").exists()
-        assert (out / "train" / "ablation" / "aggregate.json").exists()
-        assert (out / "train" / "ablation_delta.json").exists()
+        for suite in ("simple", "socio_contrastive", "ablation"):
+            assert (out / "train" / suite / "seed0" / "checkpoint" / "manifest.json").exists()
+        # train scores nothing; eval does
+        assert not list((out / "train").rglob("aggregate.json"))
+        assert not (out / "train" / "ablation_delta.json").exists()
         assert (out / "train" / "socio_contrastive" / "seed0" / "representations.csv").exists()
         assert (out / "eval" / "simple" / "metrics.json").exists()
         assert (out / "eval" / "socio_contrastive" / "metrics.csv").exists()
@@ -91,6 +92,19 @@ class TestFullChain:
         assert ("extra", "w", "2") in slices["simple"]
         assert slices["socio_contrastive"] == slices["simple"]
 
+    def test_report_without_eval_lists_every_trained_variant_as_a_gap(self, tmp_path):
+        config = base_config(str(tmp_path / "out"))
+        out = run_chain(tmp_path, config, commands=("synth", "prep", "train", "report"))
+        text = (out / "report" / "report.md").read_text(encoding="utf-8")
+        gaps = text[text.index("## Gaps"):]
+        for variant in ("simple", "socio_contrastive", "ablation"):
+            assert (out / "train" / variant).is_dir()
+            assert f"- no metrics for variant {variant!r}" in gaps
+        assert "_no model metrics found_" in text and "| Model |" not in text
+        assert "F1 gain from the contrastive term" not in text
+        with open(out / "report" / "summary.csv", newline="", encoding="utf-8") as fh:
+            assert len(list(csv.reader(fh))) == 1  # the header only
+
     def test_report_with_gaps_exits_zero(self, tmp_path):
         config = base_config(str(tmp_path / "out"))
         config_path = tmp_path / "c.json"
@@ -113,7 +127,7 @@ class TestDeterminism:
             "prep/train.csv",
             "train/socio_contrastive/seed0/checkpoint/params.bin",
             "train/socio_contrastive/seed0/log.jsonl",
-            "train/socio_contrastive/aggregate.json",
+            "train/socio_contrastive/seed0/representations.csv",
         ):
             assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
 
@@ -394,6 +408,29 @@ class TestErrors:
         path.write_text(json.dumps(config), encoding="utf-8")
         return main(["eval", "--config", str(path)])
 
+    def test_directly_given_checkpoint_is_loaded_once(self, tmp_path, capsys, monkeypatch, trained_simple):
+        shutil.copytree(trained_simple / "out", tmp_path / "out")
+        ckpt = tmp_path / "out" / "train" / "simple" / "seed0" / "checkpoint"
+        config = base_config(str(tmp_path / "out"))
+        config["train"].update(variant="simple", ablation=False)
+        config["eval"]["checkpoints"] = str(ckpt)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        loads = []
+
+        def counted(directory):
+            loads.append(directory)
+            return load_checkpoint(directory)
+
+        monkeypatch.setattr(cli, "load_checkpoint", counted)
+        assert main(["eval", "--config", str(path)]) == 0
+        assert loads == [str(ckpt)]
+        assert (tmp_path / "out" / "eval" / "simple" / "metrics.json").exists()
+        # a corrupt params.bin is still found, by the one load that scores it
+        (ckpt / "params.bin").write_bytes(b"\0" * 8)
+        assert main(["eval", "--config", str(path)]) == 3
+        assert f"{ckpt}: params.bin is 8 bytes" in capsys.readouterr().err
+
     def test_checkpoint_schema_without_attributes_exits_3(self, tmp_path, capsys, trained_simple):
         def edit(ckpt):
             manifest = json.loads((ckpt / "manifest.json").read_text(encoding="utf-8"))
@@ -431,7 +468,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("rel, content", [
         ("eval/simple/metrics.json", "{not json"),
-        ("train/ablation/aggregate.json", '{"aggregate": {"f1": {"mean": 0.5}}}'),
+        ("eval/ablation/metrics.json", '{"aggregate": {"f1": {"mean": 0.5}}}'),
         ("eval/multitask/groups.csv", "attribute,category,n\ngroup,a,3\n"),
         ("homophily/homophily.json", '{"rows": [{"attribute": "group", "observed_std": 0.1}]}'),
     ], ids=["metrics-not-json", "aggregate-without-std", "groups-without-f1", "homophily-without-observed-mean"])
@@ -519,7 +556,7 @@ class TestOverrides:
             assert main([command, "--config", str(config_path)]) == 0
         assert main(["train", "--config", str(config_path), "--variant", "simple"]) == 0
         out = Path(config["output_dir"])
-        assert (out / "train" / "simple" / "aggregate.json").exists()
+        assert (out / "train" / "simple" / "seed0" / "checkpoint" / "manifest.json").exists()
         assert not (out / "train" / "socio_contrastive").exists()
 
     def test_lambda_override_recorded(self, tmp_path):
@@ -531,8 +568,8 @@ class TestOverrides:
         for command in ("synth", "prep"):
             assert main([command, "--config", str(config_path)]) == 0
         assert main(["train", "--config", str(config_path), "--lambda", "0.25"]) == 0
-        agg = json.loads((Path(config["output_dir"]) / "train" / "socio_contrastive" / "aggregate.json").read_text())
-        assert agg["contrastive_weight"] == 0.25
+        manifest = Path(config["output_dir"]) / "train" / "socio_contrastive" / "seed0" / "checkpoint" / "manifest.json"
+        assert json.loads(manifest.read_text(encoding="utf-8"))["spec"]["contrastive_weight"] == 0.25
 
     def test_dump_plan_writes_plans(self, tmp_path):
         # every suite dumps its plans, the ablation arm included, and both arms share them

@@ -2,6 +2,7 @@ import csv
 import io
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,12 +17,15 @@ from helpers import (
     profiles_of,
     reference_category,
     reference_multihot,
+    reference_load_vector_csv,
     reference_profiles,
     reference_schema,
     save_embeddings_binary,
+    vector_csvs,
 )
 from sociolens.homophily import RepSpace
 from sociolens.metrics import confusion_metrics, group_breakdown
+from sociolens import features
 from sociolens.errors import DataError, DuplicateError, EncodingError, NumericError, SchemaError
 from sociolens.features import (
     MISSING,
@@ -231,6 +235,24 @@ def test_vector_csv_round_trips_bit_for_bit(key_column, case):
     assert again.matrix.tobytes() == table.matrix.tobytes()
     permuted = [table.keys[i] for i in permutation]
     assert again.rows(permuted).tobytes() == table.matrix[list(permutation)].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_csvs(), st.sampled_from([1, 2, 3, 5, features.VECTOR_BLOCK_CELLS]))
+def test_vector_csv_reader_matches_the_per_row_reference(text, block_cells):
+    # the same table, bit for bit, or the same error class and message, naming the same first bad row;
+    # small blocks put block bounds before, at and after the bad rows
+    with tempfile.TemporaryDirectory() as scratch, mock.patch.object(features, "VECTOR_BLOCK_CELLS", block_cells):
+        path = str(Path(scratch) / "table.csv")
+        Path(path).write_text(text, encoding="utf-8", newline="")
+        outcomes = []
+        for read in (load_vector_csv, reference_load_vector_csv):
+            try:
+                table = read(path, "key")
+                outcomes.append((table.keys, table.matrix.dtype, table.matrix.shape, table.matrix.tobytes()))
+            except (DataError, NumericError) as exc:
+                outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
 
 
 class TestProfilesIO:

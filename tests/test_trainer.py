@@ -7,14 +7,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import base_config, child_pids, make_dataset, rows_of, run_chain, sequential_train_suites
+from helpers import (
+    base_config,
+    child_pids,
+    make_dataset,
+    rows_of,
+    run_chain,
+    score_checkpoints,
+    sequential_train_suites,
+)
 from sociolens.cli import main
 from sociolens import synth, trainer
 from sociolens.corpus import SplitPair, attach_profiles, split_by_text
 from sociolens.errors import DataError
-from sociolens.features import VectorTable
-from sociolens.model import load_checkpoint
-from sociolens.trainer import RunConfig, predict, train_one, train_suite
+from sociolens.features import VectorTable, load_vector_csv
+from sociolens.model import load_checkpoint, read_manifest
+from sociolens.trainer import RunConfig, predict, train_one, train_suite, train_suites
 
 VARIANTS = ("simple", "multitask", "socio_multihot", "socio_embedding", "socio_contrastive")
 
@@ -172,36 +180,37 @@ class TestTrainOne:
 
 
 class TestPredictAndSuite:
-    def test_all_variants_train_and_predict(self):
+    def test_all_variants_train_and_predict(self, tmp_path):
         split, table, socio_table = make_world()
+        train_suites([(tiny_config(v), str(tmp_path / v)) for v in VARIANTS], split, table, socio_table)
         for variant in VARIANTS:
-            config = tiny_config(variant)
-            suite = train_suite(config, split, table, socio_table=socio_table)
-            assert len(suite.reports) == 1
-            report = suite.reports[0]
+            reports, _ = score_checkpoints(tmp_path / variant, split.test, table, socio_table)
+            assert len(reports) == 1
+            report = reports[0]
             assert report.n == split.test.stats["records"]
             assert 0.0 <= report.f1 <= 1.0
 
     def test_suite_one_checkpoint_per_seed(self, tmp_path):
         split, table, _ = make_world()
         config = tiny_config("socio_multihot", seeds=(0, 1, 2))
-        suite = train_suite(config, split, table, out_dir=str(tmp_path))
-        assert len(suite.runs) == 3
+        assert train_suite(config, split, table, out_dir=str(tmp_path)) is None
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["seed0", "seed1", "seed2"]
         for seed in (0, 1, 2):
-            assert (tmp_path / f"seed{seed}" / "checkpoint" / "manifest.json").exists()
+            assert read_manifest(str(tmp_path / f"seed{seed}" / "checkpoint"))[1] == seed
             assert (tmp_path / f"seed{seed}" / "log.jsonl").exists()
 
-    def test_single_seed_zero_std(self):
+    def test_single_seed_zero_std(self, tmp_path):
         split, table, _ = make_world()
-        suite = train_suite(tiny_config("simple"), split, table)
-        assert suite.aggregate["f1"][1] == 0.0
+        train_suite(tiny_config("simple"), split, table, out_dir=str(tmp_path))
+        _, aggregate = score_checkpoints(tmp_path, split.test, table)
+        assert aggregate["f1"][1] == 0.0
 
-    def test_rerun_identical_aggregate(self):
+    def test_rerun_identical_aggregate(self, tmp_path):
         split, table, _ = make_world()
         config = tiny_config("socio_contrastive", seeds=(0, 1))
-        a = train_suite(config, split, table)
-        b = train_suite(config, split, table)
-        assert a.aggregate == b.aggregate
+        train_suites([(config, str(tmp_path / "a")), (config, str(tmp_path / "b"))], split, table)
+        a, b = (score_checkpoints(tmp_path / arm, split.test, table)[1] for arm in ("a", "b"))
+        assert a == b
 
     def test_simple_scores_constant_per_text(self):
         split, table, _ = make_world()
@@ -239,14 +248,14 @@ class TestAblation:
             assert plans[0] == plans[1]
 
     def test_ablation_result_shape(self, trained):
-        with_term, without = (json.loads((trained / arm / "aggregate.json").read_text())
-                              for arm in ("socio_contrastive", "ablation"))
-        assert (with_term["variant"], without["variant"]) == ("socio_contrastive", "socio_contrastive")
-        assert with_term["contrastive_weight"] == 1.0
-        assert without["contrastive_weight"] == 0.0
-        assert with_term["seeds"] == without["seeds"] == [0, 1]
-        delta = json.loads((trained / "ablation_delta.json").read_text())["f1_delta"]
-        assert delta == with_term["aggregate"]["f1"]["mean"] - without["aggregate"]["f1"]["mean"]
+        for arm, weight in (("socio_contrastive", 1.0), ("ablation", 0.0)):
+            assert sorted(p.name for p in (trained / arm).iterdir()) == ["seed0", "seed1"]
+            for seed in (0, 1):
+                params, manifest_seed, _, _ = read_manifest(str(trained / arm / f"seed{seed}" / "checkpoint"))
+                assert (params.spec.variant, params.spec.contrastive_weight) == ("socio_contrastive", weight)
+                assert manifest_seed == seed
+        # train scores nothing: the arms' F1 and their difference come from eval's metrics
+        assert not list(trained.rglob("aggregate.json")) and not (trained / "ablation_delta.json").exists()
 
     def test_no_arm_without_socio_contrastive(self, tmp_path):
         config = base_config(str(tmp_path / "out"))
@@ -277,7 +286,7 @@ class TestWorkerPool:
             trees[name] = run_chain(tmp_path / name, config, commands=("synth", "prep", "train")) / "train"
         files = {name: sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file()) for name, root in trees.items()}
         assert files["pooled"] == files["in_process"]
-        assert len(files["pooled"]) == 6 * 2 * 3 + 6 + 2 * 2 + 1  # checkpoint files and log per run; aggregates; reps
+        assert len(files["pooled"]) == 6 * 2 * 3 + 2 * 2  # checkpoint files and log per run; reps of the projected runs
         for path in files["pooled"]:
             assert (trees["pooled"] / path).read_bytes() == (trees["in_process"] / path).read_bytes(), path
 
@@ -324,10 +333,14 @@ class TestLossTrend:
             assert last < first, f"{variant}: {last} !< {first}"
 
 
-def test_export_representations_covers_all_profiles():
+def test_export_representations_covers_all_profiles(tmp_path):
     split, table, _ = make_world()
-    run = train_one(tiny_config("socio_contrastive"), 0, split, table)
-    for profiles in (split.train.profiles, split.test.profiles):
-        reps = trainer.export_representations(run, profiles)
+    for name, profiles in (("train", split.train.profiles), ("test", split.test.profiles)):
+        out = tmp_path / name
+        train_one(tiny_config("socio_contrastive"), 0, split, table, out_dir=str(out), profiles=profiles)
+        reps = load_vector_csv(str(out / "seed0" / "representations.csv"), "annotator_id")
         assert reps.keys == profiles.annotators
         assert reps.matrix.shape == (len(profiles), 6)
+    # a variant without a projection writes none
+    train_one(tiny_config("socio_multihot"), 0, split, table, out_dir=str(tmp_path / "multihot"), profiles=profiles)
+    assert not (tmp_path / "multihot" / "seed0" / "representations.csv").exists()
