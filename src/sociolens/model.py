@@ -27,16 +27,14 @@ Memory and cost: the weights and Adam's moments m and v of all n
 parameters live in the three contiguous little-endian f64 rows of
 `ModelParams.flat`, each tensor a view into its row; a checkpoint's
 params.bin is those rows' bytes. While a run trains, `ModelParams.work`
-adds a gradient row, which `backward` writes in place, and a scratch row;
-`adam_step` is fourteen whole-buffer passes and two finiteness scans,
-whatever the layer count. A per-annotator head's forward and backward
-touch only the columns of its batch's annotators: O(b·H) a step, not
-O(b·H·A). On its (H+1)·A block of head weights and biases, Adam's five
-gradient-term passes of m and v and backward's zeroing also run only
-on the columns with a nonzero gradient, at most b; the two decays, the
-three denominator passes, the four update passes and the post-update
-scan stay dense, and one bitwise OR over the block stands in for its
-finiteness scan.
+adds a gradient row, which `backward` writes in place, and a scratch row.
+On the trunk, `adam_step` is fourteen passes and two finiteness scans
+over the trunk's part of each row, whatever the layer count. A
+per-annotator head's forward and backward touch only the columns of its
+batch's annotators: O(b·H) a step, not O(b·H·A). Adam updates that
+head lazily: one bitwise OR over its (H+1)·A block of weight and bias
+gradients finds the live columns, at most b, and only those take an
+update, O(b·H); backward re-zeroes only those columns.
 """
 
 from __future__ import annotations
@@ -72,8 +70,6 @@ WIRING = {
 }
 VARIANTS = tuple(WIRING)
 NORM_EPS = 1e-12
-# elements per block of a per-annotator head's weight update, which runs through the front of the scratch row
-UPDATE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -412,22 +408,22 @@ def adam_step(
     """One Adam update with bias correction (Kingma & Ba 2015); mutates and returns `params`.
 
     The gradients are read from `params.gradient_views()`, where `backward`
-    writes them (any other array is copied there first), and the update
-    runs in place over `params.flat`, each element through the per-tensor
-    form's operations in its order, so the bytes match it. A non-finite
-    gradient refuses the update and leaves `params` untouched; a weight
-    made non-finite raises after it. Both name the first such tensor.
+    writes them (any other array is copied there first). Every tensor but
+    a per-annotator head, the trunk here, is updated in place over its part
+    of `params.flat`, each element through the per-tensor form's operations
+    in its order, so the bytes match it. A non-finite gradient refuses the
+    update and leaves `params` untouched; a weight made non-finite raises
+    after it. Both name the first such tensor.
 
-    A per-annotator head (with 0.5 < β1 < 1 and 0 < β2 < 1) adds the
-    gradient terms of m and v only on its live columns: those with any
-    bit set in their weight or bias gradients, found by one OR over the
-    head block. A dead column's terms are ±0, and m·β1 + ±0 is m·β1 and
-    v·β2 + +0 is v·β2 bit for bit, because m starts at +0 and no update
-    makes it −0 (β1 > 0.5 keeps a nonzero m·β1 nonzero), and v stays
-    ≥ +0. The decay, the weight update and the post-update check run over
-    every element. The head's gradient rows are left as they were read,
-    so `backward` re-zeroes only the live columns; write into the
-    gradient views only between `backward` and `adam_step`.
+    A per-annotator head is updated lazily, by the rule of PyTorch's
+    `torch.optim.SparseAdam` and TF Addons' `LazyAdam`: only its live
+    columns, those with any bit set in their weight or bias gradients
+    (found by one OR over the head block), take the textbook update, at
+    the global step's bias correction. A dead column keeps its weights, m
+    and v bit for bit until its annotator next has a gradient, so it needs
+    no new finiteness check either. The head's gradient rows are left as
+    they were read, so `backward` re-zeroes only the live columns; write
+    into the gradient views only between `backward` and `adam_step`.
     """
     if lr <= 0:
         raise ConfigError(f"learning rate must be > 0, got {lr}")
@@ -441,7 +437,7 @@ def adam_step(
     g, scratch = params.work
     w, m, v = params.flat
     cut, live = g.size, None
-    if params.spec.wiring.per_annotator and 0.5 < beta1 < 1.0 and 0.0 < beta2 < 1.0:
+    if params.spec.wiring.per_annotator:
         # the (H+1, A) block of head weights and biases ends each row; NaN, inf and -0 set bits too
         a = params.spec.annotator_count
         cut = g.size - (params.spec.layer_shapes()[-1][0] + 1) * a
@@ -455,34 +451,28 @@ def adam_step(
     params.step += 1
     bc1 = 1.0 - beta1 ** params.step
     bc2 = 1.0 - beta2 ** params.step
-    # m*b1 + (1-b1)*g, v*b2 + (1-b2)*g*g, w - lr*(m/bc1)/(sqrt(v/bc2)+eps)
-    m *= beta1
-    m[:cut] += np.multiply(g[:cut], 1.0 - beta1, out=scratch[:cut])
-    v *= beta2
-    v[:cut] += np.multiply(np.multiply(g[:cut], g[:cut], out=scratch[:cut]), 1.0 - beta2, out=scratch[:cut])
+    # m*b1 + (1-b1)*g, v*b2 + (1-b2)*g*g, w - lr*(m/bc1)/(sqrt(v/bc2)+eps); the trunk's
+    # update is computed in its gradient rows, which the next `backward` overwrites whole
+    g_trunk, w_trunk, m_trunk, v_trunk, s = g[:cut], w[:cut], m[:cut], v[:cut], scratch[:cut]
+    m_trunk *= beta1
+    m_trunk += np.multiply(g_trunk, 1.0 - beta1, out=s)
+    v_trunk *= beta2
+    v_trunk += np.multiply(np.multiply(g_trunk, g_trunk, out=s), 1.0 - beta2, out=s)
+    np.add(np.sqrt(np.divide(v_trunk, bc2, out=s), out=s), eps, out=s)
+    w_trunk -= np.divide(np.multiply(np.divide(m_trunk, bc1, out=g_trunk), lr, out=g_trunk), s, out=g_trunk)
+    finite = np.isfinite(w_trunk).all()
     if live is not None:
-        m[cut:].reshape(-1, a)[:, live] += g_live * (1.0 - beta1)
-        v[cut:].reshape(-1, a)[:, live] += (g_live * g_live) * (1.0 - beta2)
-    np.add(np.sqrt(np.divide(v, bc2, out=scratch), out=scratch), eps, out=scratch)
-    _subtract_update(w[:cut], m[:cut], scratch[:cut], g[:cut], bc1, lr)
-    if live is not None:
-        # the head's gradient rows must stay as read, so its update goes block by block
-        # through the front of the scratch row, which the update above has consumed
-        size = min(UPDATE_BLOCK, cut)
-        for lo in range(cut, g.size, size):
-            hi = min(lo + size, g.size)
-            _subtract_update(w[lo:hi], m[lo:hi], scratch[lo:hi], scratch[: hi - lo], bc1, lr)
-    if not np.isfinite(w).all():
+        # the same rule on the live columns' gathered w, m and v, scattered back
+        w_head, m_head, v_head = (row[cut:].reshape(-1, a) for row in params.flat)
+        m_live = m_head[:, live] * beta1 + g_live * (1.0 - beta1)
+        v_live = v_head[:, live] * beta2 + (g_live * g_live) * (1.0 - beta2)
+        w_live = w_head[:, live] - m_live / bc1 * lr / (np.sqrt(v_live / bc2) + eps)
+        m_head[:, live], v_head[:, live], w_head[:, live] = m_live, v_live, w_live
+        finite = finite and np.isfinite(w_live).all()
+    if not finite:
         _, bad = _first_non_finite(params, w)
         raise NumericError(f"non-finite parameter {bad} after step {params.step}")
     return params
-
-
-def _subtract_update(
-    w: np.ndarray, m: np.ndarray, denominator: np.ndarray, out: np.ndarray, bc1: float, lr: float
-) -> None:
-    """``w -= lr·(m/bc1)/denominator`` in the per-tensor form's order, computed in `out`."""
-    w -= np.divide(np.multiply(np.divide(m, bc1, out=out), lr, out=out), denominator, out=out)
 
 
 def extract_socio_reps(

@@ -114,31 +114,34 @@ def _batch_tables(
     return BatchTables(**tables)
 
 
+def check_no_leak(split: SplitPair) -> None:
+    """A DataError when a text of the test split is also in the training split."""
+    leaked = set(split.train.texts.tolist()) & set(split.test.texts.tolist())
+    if leaked:
+        raise DataError(f"{len(leaked)} test text(s) also in the training split, e.g. {min(leaked)!r}")
+
+
 def train_one(
     config: RunConfig,
     seed: int,
-    split: SplitPair,
+    train: Dataset,
     text_table: VectorTable,
     socio_table: VectorTable | None = None,
     out_dir: str | None = None,
     dump_plan: bool = False,
     profiles: ProfileTable | None = None,
 ) -> TrainedRun:
-    """Train a single seed; deterministic given (config, seed, split, tables).
+    """Train a single seed on `train`; deterministic given (config, seed, train, tables).
 
     With `out_dir`, the run writes `seed<N>/` there: its checkpoint and
     log, its batch plans with `dump_plan`, and for a projected variant
     given `profiles`, the socio representations of every profiled
     annotator.
     """
-    train = split.train
     if not len(train.records):
         raise DataError("empty training split")
     if (train.records["label"] < 0).any():
         raise DataError("training data must be binarized first")
-    leaked = set(train.texts.tolist()) & set(split.test.texts.tolist())
-    if leaked:
-        raise DataError(f"{len(leaked)} test text(s) also in the training split, e.g. {min(leaked)!r}")
 
     wiring = WIRING[config.variant]
     schema = build_schema(train.profiles) if wiring.socio else None
@@ -224,8 +227,8 @@ def predict(
     return probs, rows["label"].astype(np.float64), fallback_rows
 
 
-# The split, vector tables and profiles of a pool worker, set once by `_init_worker`.
-_WORKER_INPUTS: tuple[SplitPair, VectorTable, VectorTable | None, ProfileTable | None] | None = None
+# The training split, vector tables and profiles of a pool worker, set once by `_init_worker`.
+_WORKER_INPUTS: tuple[Dataset, VectorTable, VectorTable | None, ProfileTable | None] | None = None
 
 
 def _init_worker(inputs_path: str) -> None:
@@ -236,8 +239,8 @@ def _init_worker(inputs_path: str) -> None:
 
 def _run_job(config: RunConfig, seed: int, out_dir: str | None, dump_plan: bool) -> None:
     """One (suite, seed) job in a pool worker: train the run and write its artifacts under `out_dir`."""
-    split, text_table, socio_table, profiles = _WORKER_INPUTS
-    train_one(config, seed, split, text_table, socio_table, out_dir, dump_plan, profiles)
+    train, text_table, socio_table, profiles = _WORKER_INPUTS
+    train_one(config, seed, train, text_table, socio_table, out_dir, dump_plan, profiles)
 
 
 @contextlib.contextmanager
@@ -264,11 +267,13 @@ def train_suites(
 ) -> None:
     """Train every seed of every `(config, out_dir)` suite in one worker pool, as `train_one` writes each run.
 
+    `split` is checked for leaked test texts before any worker starts.
     The jobs are the suites' seeds in suite order. A spawned worker gets
-    the split, the tables and the profiles once, at start-up, and runs
-    one job at a time. The first job in job order that fails is raised,
-    naming its seed.
+    the training split, the tables and the profiles once, at start-up, and
+    runs one job at a time. The first job in job order that fails is
+    raised, naming its seed.
     """
+    check_no_leak(split)
     # imported here, not at the top, so that the commands that start no process load no multiprocessing
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -287,7 +292,7 @@ def train_suites(
     with tempfile.TemporaryDirectory(prefix="sociolens-") as inputs_dir:
         inputs_path = os.path.join(inputs_dir, "inputs.pickle")
         with open(inputs_path, "wb") as fh:
-            pickle.dump((split, text_table, socio_table, profiles), fh, protocol=pickle.HIGHEST_PROTOCOL)
+            pickle.dump((split.train, text_table, socio_table, profiles), fh, protocol=pickle.HIGHEST_PROTOCOL)
         pool = ProcessPoolExecutor(workers, multiprocessing.get_context("spawn"), _init_worker, (inputs_path,))
         try:
             # a spawned worker starts inside the `submit` that first finds no idle worker

@@ -3,7 +3,8 @@
 A small CLI config and chain runner, dataset and batch construction,
 random annotation tables for property tests, the record-based batch-plan
 reference, the finite-difference and contrastive-loss oracles, the per-tensor Adam
-reference, the per-draw homophily reference and the full-sort neighbor
+reference and its lazy form for a per-annotator head, the per-draw
+homophily reference and the full-sort neighbor
 order whose first entries the package keeps, the per-threshold ROC
 reference, and the single-statistic homophily, pair-counting AUC,
 ROC-area and embedding-format oracles that the package itself does not
@@ -45,7 +46,7 @@ from sociolens.homophily import (
 from sociolens.metrics import MetricsReport, aggregate_runs, confusion_metrics
 from sociolens.model import ModelSpec, backward, forward, init_params, load_checkpoint
 from sociolens.objectives import bce_loss, combined_loss, contrastive_loss
-from sociolens.trainer import TrainedRun, predict, train_one
+from sociolens.trainer import TrainedRun, check_no_leak, predict, train_one
 
 
 def base_config(out_dir: str) -> dict:
@@ -96,10 +97,11 @@ def run_chain(tmp_path: Path, config: dict, commands=("synth", "prep", "train", 
 
 
 def sequential_train_suites(suites, split, text_table, socio_table=None, dump_plan=False, profiles=None):
-    """`trainer.train_suites` in this process: every job through `train_one`, one after another in job order."""
+    """`trainer.train_suites` in this process: the leak check, then every job through `train_one` in job order."""
+    check_no_leak(split)
     for config, out_dir in suites:
         for seed in config.seeds:
-            train_one(config, seed, split, text_table, socio_table, out_dir, dump_plan, profiles)
+            train_one(config, seed, split.train, text_table, socio_table, out_dir, dump_plan, profiles)
 
 
 def score_checkpoints(
@@ -284,6 +286,39 @@ def reference_adam_step(params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         v += (1.0 - beta2) * np.square(g)
         params.tensors[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
         if not np.all(np.isfinite(params.tensors[name])):
+            raise NumericError(f"non-finite parameter {name} after step {params.step}")
+    return params
+
+
+def reference_lazy_adam_step(params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Per-tensor Adam on the trunk and on only the live columns of the head; mutates and returns `params`.
+
+    `params` is as for `reference_adam_step`; the head is its last layer.
+    A head column is live when its weight or bias gradient has any bit
+    set, so NaN, inf and -0 count. Live columns are gathered, take the
+    same per-element update at the global step's bias correction, and are
+    written back; dead columns keep their weights, m and v. This is the
+    lazy rule a per-annotator `model.adam_step` must match bit for bit.
+    """
+    if lr <= 0:
+        raise ConfigError(f"learning rate must be > 0, got {lr}")
+    head = max(int(name.split(".")[1]) for name in params.tensors)
+    head_names = (f"layer.{head}.weight", f"layer.{head}.bias")
+    bits = np.vstack([grads[head_names[0]], grads[head_names[1]][None, :]]).view(np.uint64)
+    live = np.flatnonzero(np.bitwise_or.reduce(bits, axis=0))
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise NumericError(f"non-finite gradient for {name}; update refused at step {params.step + 1}")
+    params.step += 1
+    bc1 = 1.0 - beta1 ** params.step
+    bc2 = 1.0 - beta2 ** params.step
+    for name, g in grads.items():
+        cells = (..., live) if name in head_names else ...
+        m = params.m[name][cells] * beta1 + (1.0 - beta1) * g[cells]
+        v = params.v[name][cells] * beta2 + (1.0 - beta2) * np.square(g[cells])
+        w = params.tensors[name][cells] - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        params.m[name][cells], params.v[name][cells], params.tensors[name][cells] = m, v, w
+        if not np.all(np.isfinite(w)):
             raise NumericError(f"non-finite parameter {name} after step {params.step}")
     return params
 

@@ -3,7 +3,6 @@ import math
 import re
 from pathlib import Path
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,9 +17,9 @@ from helpers import (
     random_small_spec,
     reference_adam_step,
     reference_head_gradient,
+    reference_lazy_adam_step,
     worst_gradient_error,
 )
-from sociolens import model
 from sociolens.batcher import Batch
 from sociolens.errors import ConfigError, DataError, NumericError
 from sociolens.features import MISSING, SocioSchema
@@ -388,15 +387,11 @@ class TestPerAnnotatorHeadUpdate:
         cases=st.lists(
             st.sampled_from(["views", "copied", "edited", "unseen", "poisoned", "twice"]), min_size=1, max_size=4
         ),
-        block=st.sampled_from([1, 3, 16, model.UPDATE_BLOCK]),
     )
-    def test_matches_dense_gradient_and_per_tensor_adam(self, seed, cases, block):
-        # backward re-zeroes and adam_step updates only live head columns; the bytes must be
-        # those of a dense gradient through the per-tensor Adam, whoever wrote the gradient
-        with mock.patch.object(model, "UPDATE_BLOCK", block):
-            self.check_against_dense(seed, cases)
-
-    def check_against_dense(self, seed, cases):
+    def test_matches_dense_gradient_and_lazy_adam(self, seed, cases):
+        # backward re-zeroes only live head columns, and adam_step updates only them: the gradient
+        # bytes must be a dense gradient's, the update's those of the lazy reference, whoever wrote
+        # the gradient
         rng = np.random.default_rng(seed)
         heads = int(rng.integers(1, 40))
         spec = small_spec(
@@ -440,19 +435,44 @@ class TestPerAnnotatorHeadUpdate:
                 col, row = rng.choice(outside), rng.integers(spec.hidden_dims[1])
                 grads[w_name][row, col] = dense[w_name][row, col] = rng.choice([np.nan, np.inf, -np.inf])
                 refused = rf"non-finite gradient for layer\.2\.weight; update refused at step {ref.step + 1}$"
-                for state, update, g in ((params, adam_step, grads), (ref, reference_adam_step, dense)):
+                for state, update, g in ((params, adam_step, grads), (ref, reference_lazy_adam_step, dense)):
                     with pytest.raises(NumericError, match=refused):
                         update(state, g, lr)
             elif case == "copied":
                 adam_step(params, {name: grads[name].copy() for name in reversed(list(grads))}, lr)
-                reference_adam_step(ref, dense, lr)
+                reference_lazy_adam_step(ref, dense, lr)
             else:
                 adam_step(params, grads, lr)
-                reference_adam_step(ref, dense, lr)
+                reference_lazy_adam_step(ref, dense, lr)
             assert params.step == ref.step
             for role in roles:
                 for name in params.tensors:
                     assert getattr(params, role)[name].tobytes() == getattr(ref, role)[name].tobytes()
+
+    def test_absent_column_keeps_its_state_then_steps_at_the_global_step(self):
+        # column 0 is in the first batch, absent from the next three, and back in the fifth
+        rng = np.random.default_rng(3)
+        spec = small_spec("multitask", annotator_count=4, dropout_rate=0.0)
+        params = init_params(spec, 3)
+        w, m, v = (getattr(params, role)["layer.2.weight"] for role in ("tensors", "m", "v"))
+        lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
+        for step, columns in enumerate(([0, 1], [1, 2], [3], [2, 3], [0, 3]), start=1):
+            batch = random_batch(rng, spec, 6, 3)
+            batch.annotator_index = np.resize(columns, 6)
+            grads = backward(params, *combined_objective(params, batch, spec, step)[1:3])
+            g = grads["layer.2.weight"][:, 0].copy()
+            before = [t[:, 0].copy() for t in (w, m, v)]
+            adam_step(params, grads, lr)
+            if 0 not in columns:
+                assert not g.any()
+                assert [t[:, 0].tobytes() for t in (w, m, v)] == [t.tobytes() for t in before]
+        assert step == params.step == 5 and g.any() and before[1].any()
+        # one textbook update from the state step 1 left, bias-corrected at step 5
+        w0, m0, v0 = before
+        m1 = m0 * b1 + (1 - b1) * g
+        v1 = v0 * b2 + (1 - b2) * (g * g)
+        w1 = w0 - lr * (m1 / (1 - b1**5)) / (np.sqrt(v1 / (1 - b2**5)) + eps)
+        assert [t[:, 0].tobytes() for t in (w, m, v)] == [t.tobytes() for t in (w1, m1, v1)]
 
 
 class TestSocioReps:

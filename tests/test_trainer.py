@@ -60,7 +60,7 @@ class TestTrainOne:
         split, table, _ = make_world()
         n_texts = split.train.stats["unique_texts"]
         config = tiny_config("simple", batch_size=32)
-        run = train_one(config, 0, split, table)
+        run = train_one(config, 0, split.train, table)
         per_epoch = [row for row in run.log_rows if row["epoch"] == 0]
         # with batch 32 > text count, one step per epoch covering every text once
         assert len(per_epoch) == int(np.ceil(n_texts / 32))
@@ -73,10 +73,9 @@ class TestTrainOne:
             ("t2", "a1", 0), ("t2", "a2", 0),
             ("t3", "a2", 1), ("t3", "a3", 1),
         ], labels=True)
-        table = VectorTable(["t1", "t2", "t3", "t9"], rng.standard_normal((4, 4)))
-        split = SplitPair(train=train, test=make_dataset([("t9", "a1", 1)], labels=True))
+        table = VectorTable(["t1", "t2", "t3"], rng.standard_normal((3, 4)))
         config = tiny_config("simple", batch_size=32)
-        run = train_one(config, 0, split, table, out_dir=str(tmp_path), dump_plan=True)
+        run = train_one(config, 0, train, table, out_dir=str(tmp_path), dump_plan=True)
         assert len(run.log_rows) == config.epochs  # 3 samples fit one batch per epoch
         plans = json.loads((tmp_path / "seed0" / "plans.json").read_text())["epochs"]
         assert [sum(len(b) for b in p["batches"]) for p in plans] == [3] * config.epochs  # one sample per unique text
@@ -85,14 +84,14 @@ class TestTrainOne:
         split, table, _ = make_world()
         n = split.train.stats["records"]
         config = tiny_config("socio_multihot", batch_size=8, epochs=3)
-        run = train_one(config, 0, split, table)
+        run = train_one(config, 0, split.train, table)
         assert len(run.log_rows) == int(np.ceil(n / 8)) * 3
 
     def test_deterministic_checkpoints(self, tmp_path):
         split, table, _ = make_world()
         config = tiny_config("socio_contrastive")
-        a = train_one(config, 0, split, table, out_dir=str(tmp_path / "a"))
-        b = train_one(config, 0, split, table, out_dir=str(tmp_path / "b"))
+        a = train_one(config, 0, split.train, table, out_dir=str(tmp_path / "a"))
+        b = train_one(config, 0, split.train, table, out_dir=str(tmp_path / "b"))
         for name in a.params.tensors:
             assert a.params.tensors[name].tobytes() == b.params.tensors[name].tobytes()
         assert a.log_rows == b.log_rows
@@ -103,7 +102,7 @@ class TestTrainOne:
     def test_trained_and_loaded_params_hold_only_the_flat_buffer(self, tmp_path, variant):
         # a gradient view kept on the params would keep a run's gradient and scratch rows alive
         split, table, _ = make_world()
-        run = train_one(tiny_config(variant), 0, split, table, out_dir=str(tmp_path))
+        run = train_one(tiny_config(variant), 0, split.train, table, out_dir=str(tmp_path))
         loaded, *_ = load_checkpoint(str(tmp_path / "seed0" / "checkpoint"))
         for params in (run.params, loaded):
             assert params.work is None
@@ -115,8 +114,8 @@ class TestTrainOne:
     def test_different_seed_different_trajectory(self):
         split, table, _ = make_world()
         config = tiny_config("socio_contrastive")
-        a = train_one(config, 0, split, table)
-        b = train_one(config, 1, split, table)
+        a = train_one(config, 0, split.train, table)
+        b = train_one(config, 1, split.train, table)
         assert any(
             a.params.tensors[n].tobytes() != b.params.tensors[n].tobytes() for n in a.params.tensors
         )
@@ -126,7 +125,7 @@ class TestTrainOne:
         keep = [i for i, key in enumerate(table.keys) if key != split.train.texts[0]]
         partial = VectorTable([table.keys[i] for i in keep], table.matrix[keep])
         with pytest.raises(DataError, match=f"no vector for key {split.train.texts[0]!r}"):
-            train_one(tiny_config("simple"), 0, split, partial)
+            train_one(tiny_config("simple"), 0, split.train, partial)
 
     def test_missing_profile_is_a_data_error_naming_the_annotator(self):
         split, table, _ = make_world()
@@ -135,29 +134,19 @@ class TestTrainOne:
             attach_profiles(split.train, split.train.profiles.select(others))
         unprofiled = replace(split.train, profiles=None)
         with pytest.raises(DataError, match="cannot build a schema without profiles"):
-            train_one(tiny_config("socio_multihot"), 0, replace(split, train=unprofiled), table)
-
-    def test_leak_check_fires_on_a_shared_text(self):
-        # one train text copied into the test split; the check runs before any step
-        split, table, _ = make_world()
-        shared = [row[:3] for row in rows_of(split.train) if row[0] == split.train.texts[0]]
-        test = make_dataset([row[:3] for row in rows_of(split.test)] + shared, labels=True)
-        bad = SplitPair(train=split.train, test=test)
-        with pytest.raises(DataError, match="also in the training split"):
-            train_one(tiny_config("simple"), 0, bad, table)
+            train_one(tiny_config("socio_multihot"), 0, unprofiled, table)
 
     def test_unbinarized_data_rejected(self):
         split, table, _ = make_world()
         stripped = make_dataset([row[:3] for row in rows_of(split.train)])
         stripped.profiles = split.train.profiles
-        bad = SplitPair(train=stripped, test=split.test)
         with pytest.raises(DataError, match="binarized"):
-            train_one(tiny_config("simple"), 0, bad, table)
+            train_one(tiny_config("simple"), 0, stripped, table)
 
     def test_ablation_log_reports_unweighted_terms(self):
         split, table, _ = make_world()
         config = tiny_config("socio_contrastive", contrastive_weight=0.0)
-        run = train_one(config, 0, split, table)
+        run = train_one(config, 0, split.train, table)
         with_pairs = [r for r in run.log_rows if r["pos_pairs"] + r["neg_pairs"] > 0]
         assert with_pairs, "no contrastive pairs in any batch"
         for row in with_pairs:
@@ -169,7 +158,7 @@ class TestTrainOne:
         runs = {}
         for weight in (1.0, 0.0):
             config = tiny_config("socio_contrastive", contrastive_weight=weight)
-            runs[weight] = train_one(config, 0, split, table)
+            runs[weight] = train_one(config, 0, split.train, table)
         first_with, first_without = runs[1.0].log_rows[0], runs[0.0].log_rows[0]
         assert first_with["classification"] == first_without["classification"]
         # trajectories diverge once any batch carries pairs
@@ -214,7 +203,7 @@ class TestPredictAndSuite:
 
     def test_simple_scores_constant_per_text(self):
         split, table, _ = make_world()
-        run = train_one(tiny_config("simple"), 0, split, table)
+        run = train_one(tiny_config("simple"), 0, split.train, table)
         probs, _, _ = predict(run, split.test, table)
         by_text = {}
         for (text_id, *_), p in zip(rows_of(split.test), probs):
@@ -223,7 +212,7 @@ class TestPredictAndSuite:
 
     def test_multitask_counts_fallback_rows(self):
         split, table, _ = make_world()
-        run = train_one(tiny_config("multitask"), 0, split, table)
+        run = train_one(tiny_config("multitask"), 0, split.train, table)
         train_annotators = {a for _, a, _, _ in rows_of(split.train)}
         _, _, fallback = predict(run, split.test, table)
         expected = sum(1 for _, a, _, _ in rows_of(split.test) if a not in train_annotators)
@@ -314,6 +303,21 @@ class TestWorkerPool:
                             capsys.readouterr().err)
         assert (multiprocessing.active_children(), child_pids(), dict(os.environ)) == left
 
+    def test_leak_check_fires_on_a_shared_text(self, monkeypatch):
+        # one train text copied into the test split; the check runs once, before any worker starts
+        split, table, _ = make_world()
+        shared = [row[:3] for row in rows_of(split.train) if row[0] == split.train.texts[0]]
+        test = make_dataset([row[:3] for row in rows_of(split.test)] + shared, labels=True)
+        bad = SplitPair(train=split.train, test=test)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        for train in (train_suites, sequential_train_suites):
+            with pytest.raises(DataError, match=r"^1 test text\(s\) also in the training split, e\.g\. 't"):
+                train([(tiny_config("simple"), None)], bad, table)
+
     def test_dead_worker_is_a_data_error_naming_the_first_job(self):
         split, _, _ = make_world()
         with pytest.raises(DataError, match="run for seed 3 failed: .*terminated abruptly"):
@@ -327,7 +331,7 @@ class TestLossTrend:
         split, table, socio_table = make_world(signal_shift=4.0, texts=60, seed=5)
         for variant in VARIANTS:
             config = tiny_config(variant, epochs=5)
-            run = train_one(config, 0, split, table, socio_table if variant == "socio_embedding" else None)
+            run = train_one(config, 0, split.train, table, socio_table if variant == "socio_embedding" else None)
             first = np.mean([r["classification"] for r in run.log_rows if r["epoch"] == 0])
             last = np.mean([r["classification"] for r in run.log_rows if r["epoch"] == config.epochs - 1])
             assert last < first, f"{variant}: {last} !< {first}"
@@ -337,10 +341,11 @@ def test_export_representations_covers_all_profiles(tmp_path):
     split, table, _ = make_world()
     for name, profiles in (("train", split.train.profiles), ("test", split.test.profiles)):
         out = tmp_path / name
-        train_one(tiny_config("socio_contrastive"), 0, split, table, out_dir=str(out), profiles=profiles)
+        train_one(tiny_config("socio_contrastive"), 0, split.train, table, out_dir=str(out), profiles=profiles)
         reps = load_vector_csv(str(out / "seed0" / "representations.csv"), "annotator_id")
         assert reps.keys == profiles.annotators
         assert reps.matrix.shape == (len(profiles), 6)
     # a variant without a projection writes none
-    train_one(tiny_config("socio_multihot"), 0, split, table, out_dir=str(tmp_path / "multihot"), profiles=profiles)
-    assert not (tmp_path / "multihot" / "seed0" / "representations.csv").exists()
+    out = tmp_path / "multihot"
+    train_one(tiny_config("socio_multihot"), 0, split.train, table, out_dir=str(out), profiles=profiles)
+    assert not (out / "seed0" / "representations.csv").exists()
