@@ -4,15 +4,16 @@ Every command reads one JSON config (--config) plus a few override
 flags, which are written into the config before it is validated, so a
 flag is checked like the field it sets. Each command writes all
 artifacts under the configured output directory, never mutates its
-inputs, and reads each input file once. `train` runs one list of suites,
-each under `train/<label>`: every configured variant, and with
-`train.ablation` the `ablation` suite (socio_contrastive at contrastive
-weight 0) straight after socio_contrastive. Their runs train in one
-worker pool (`trainer.train_suites`), and each worker writes the
+inputs, and reads each data file once; `eval` reads each checkpoint's
+manifest.json twice (a directly given one three times). `train` runs one
+list of suites, each under `train/<label>`: every configured variant,
+and with `train.ablation` the `ablation` suite (socio_contrastive at
+contrastive weight 0) straight after socio_contrastive. Their runs train
+in one worker pool (`trainer.train_suites`), and each worker writes the
 checkpoint, log, plans and representations of its run. `train` scores
-nothing: `eval` scores the test split from the checkpoints, and
-`report` reads eval's metrics. Exit codes: 0 success, 2 config error,
-3 data error, 4 numeric error.
+nothing: `eval` scores the test split from the checkpoints, and `report`
+reads eval's metrics. Exit codes: 0 success, 2 config error, 3 data
+error, 4 numeric error.
 """
 
 from __future__ import annotations

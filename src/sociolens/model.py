@@ -23,11 +23,11 @@ Gradients are hand-derived and verified against central finite
 differences in the test suite. Dropout is inverted (activations scaled
 by 1/(1-p) at train time) so evaluation is a pure pass-through.
 
-Memory and cost: the weights and Adam's moments m and v of all n
-parameters live in the three contiguous little-endian f64 rows of
-`ModelParams.flat`, each tensor a view into its row; a checkpoint's
-params.bin is those rows' bytes. While a run trains, `ModelParams.work`
-adds a gradient row, which `backward` writes in place, and a scratch row.
+Memory and cost: a model is its n weights, the one contiguous
+little-endian f64 row `ModelParams.flat`, each tensor a view into it; a
+checkpoint's params.bin is that row's bytes. While a run trains,
+`ModelParams.work` adds a gradient row, which `backward` writes in place,
+and a scratch row, and `ModelParams.moments` holds Adam's m and v rows.
 On the trunk, `adam_step` is fourteen passes and two finiteness scans
 over the trunk's part of each row, whatever the layer count. A
 per-annotator head's forward and backward touch only the columns of its
@@ -121,25 +121,25 @@ class ModelSpec:
 
 @dataclass
 class ModelParams:
-    """Weights and Adam moments, zeroed; `tensors`, `m`, `v` are views into `flat`'s rows: never rebind them."""
+    """Weights, zeroed; `tensors` are views into the row `flat`: never rebind them."""
 
     spec: ModelSpec
     step: int = 0
     flat: np.ndarray = field(init=False, repr=False)
     tensors: dict[str, np.ndarray] = field(init=False, repr=False)
-    m: dict[str, np.ndarray] = field(init=False, repr=False)
-    v: dict[str, np.ndarray] = field(init=False, repr=False)
+    # Adam's m and v rows while a run trains; a block apart from `work`'s, as one block raises peak RSS
+    moments: np.ndarray | None = field(default=None, init=False, repr=False)
     _work: np.ndarray | None = field(default=None, init=False, repr=False)
     # head columns of the gradient row that may hold anything but +0, as the last
     # `adam_step` found them; None when unknown, so `backward` zeroes the whole head
     _live_columns: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.flat = np.zeros((3, sum(map(math.prod, self.spec.tensor_shapes().values()))), dtype="<f8")
-        self.tensors, self.m, self.v = (self._views(row) for row in self.flat)
+        self.flat = np.zeros(sum(map(math.prod, self.spec.tensor_shapes().values())), dtype="<f8")
+        self.tensors = self._views(self.flat)
 
     def _views(self, row: np.ndarray) -> dict[str, np.ndarray]:
-        """Name → view of each tensor's part of `row`, a vector laid out like a row of `flat`."""
+        """Name → view of each tensor's part of `row`, a vector laid out like `flat`."""
         views, start = {}, 0
         for name, shape in self.spec.tensor_shapes().items():
             views[name], start = row[start : start + math.prod(shape)].reshape(shape), start + math.prod(shape)
@@ -147,25 +147,25 @@ class ModelParams:
 
     @property
     def work(self) -> np.ndarray | None:
-        """The gradient row and Adam's scratch row while a run trains; setting it drops the head's column state."""
+        """The gradient and scratch rows while a run trains; setting them also sets `moments`, to zeros or None."""
         return self._work
 
     @work.setter
     def work(self, rows: np.ndarray | None) -> None:
         self._work, self._live_columns = rows, None
+        self.moments = None if rows is None else np.zeros(rows.shape)
 
     def gradient_views(self) -> dict[str, np.ndarray]:
         """Name → view of the gradient row `work[0]`, made per call so none outlives `work`."""
         if self.work is None:
-            self.work = np.empty((2, self.flat.shape[1]))
+            self.work = np.empty((2, self.flat.size))
         return self._views(self.work[0])
 
 
-def _first_non_finite(params: ModelParams, values: np.ndarray) -> tuple[str, str]:
-    """Role and tensor name of the first NaN or infinity in `values`, rows laid out like `params.flat`'s."""
-    row, column = divmod(int(np.argmin(np.isfinite(values))), params.flat.shape[1])
+def _first_non_finite(params: ModelParams, row: np.ndarray) -> str:
+    """Name of the tensor that holds the first NaN or infinity in `row`, a vector laid out like `params.flat`."""
     ends = np.cumsum([tensor.size for tensor in params.tensors.values()])
-    return ("weights", "m", "v")[row], list(params.tensors)[int(np.searchsorted(ends, column, side="right"))]
+    return list(params.tensors)[int(np.searchsorted(ends, np.argmin(np.isfinite(row)), side="right"))]
 
 
 @dataclass
@@ -205,7 +205,7 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def init_params(spec: ModelSpec, seed: int) -> ModelParams:
-    """Glorot-uniform weights, zero biases, zero Adam moments.
+    """Glorot-uniform weights and zero biases.
 
     Layers draw in ascending index order from one seeded generator, so a
     seed fixes every parameter byte.
@@ -434,8 +434,7 @@ def adam_step(
     for name, view in params.gradient_views().items():
         if grads[name].__array_interface__["data"][0] != view.__array_interface__["data"][0]:
             view[...] = grads[name]
-    g, scratch = params.work
-    w, m, v = params.flat
+    (g, scratch), (m, v), w = params.work, params.moments, params.flat
     cut, live = g.size, None
     if params.spec.wiring.per_annotator:
         # the (H+1, A) block of head weights and biases ends each row; NaN, inf and -0 set bits too
@@ -446,7 +445,7 @@ def adam_step(
         g_live = heads[:, live]
     params._live_columns = live
     if not (np.isfinite(g[:cut]).all() and (live is None or np.isfinite(g_live).all())):
-        _, bad = _first_non_finite(params, g)
+        bad = _first_non_finite(params, g)
         raise NumericError(f"non-finite gradient for {bad}; update refused at step {params.step + 1}")
     params.step += 1
     bc1 = 1.0 - beta1 ** params.step
@@ -463,14 +462,14 @@ def adam_step(
     finite = np.isfinite(w_trunk).all()
     if live is not None:
         # the same rule on the live columns' gathered w, m and v, scattered back
-        w_head, m_head, v_head = (row[cut:].reshape(-1, a) for row in params.flat)
+        w_head, m_head, v_head = (row[cut:].reshape(-1, a) for row in (w, m, v))
         m_live = m_head[:, live] * beta1 + g_live * (1.0 - beta1)
         v_live = v_head[:, live] * beta2 + (g_live * g_live) * (1.0 - beta2)
         w_live = w_head[:, live] - m_live / bc1 * lr / (np.sqrt(v_live / bc2) + eps)
         m_head[:, live], v_head[:, live], w_head[:, live] = m_live, v_live, w_live
         finite = finite and np.isfinite(w_live).all()
     if not finite:
-        _, bad = _first_non_finite(params, w)
+        bad = _first_non_finite(params, w)
         raise NumericError(f"non-finite parameter {bad} after step {params.step}")
     return params
 
@@ -505,9 +504,8 @@ def save_checkpoint(
 ) -> str:
     """Write manifest.json plus params.bin, the raw bytes of `params.flat`.
 
-    params.bin is the weights row, then Adam's m, then v (kept so training
-    can resume exactly), each row little-endian f64 in
-    `ModelSpec.tensor_shapes` order.
+    params.bin is the weights row alone, little-endian f64 in
+    `ModelSpec.tensor_shapes` order; Adam's moments are not kept.
     """
     os.makedirs(directory, exist_ok=True)
     manifest = {
@@ -577,11 +575,12 @@ def load_checkpoint(directory: str) -> tuple[ModelParams, int, SocioSchema | Non
     path = os.path.join(directory, "params.bin")
     if not os.path.isfile(path):
         raise DataError(f"{directory}: no params.bin; checkpoints with one .bin per tensor are no longer read")
-    if os.path.getsize(path) != params.flat.nbytes:
-        raise DataError(f"{directory}: params.bin is {os.path.getsize(path)} bytes, not {params.flat.nbytes}")
+    if (size := os.path.getsize(path)) != params.flat.nbytes:
+        note = "; checkpoints holding Adam's moments are no longer read" if size == 3 * params.flat.nbytes else ""
+        raise DataError(f"{directory}: params.bin is {size} bytes, not {params.flat.nbytes}{note}")
     with open(path, "rb") as fh:
         fh.readinto(params.flat)
     if not np.isfinite(params.flat).all():
-        role, name = _first_non_finite(params, params.flat)
-        raise DataError(f"{directory}: params.bin holds non-finite values in the {role} of {name}")
+        name = _first_non_finite(params, params.flat)
+        raise DataError(f"{directory}: params.bin holds non-finite values in the weights of {name}")
     return params, seed, schema, None if heads is None else {a: i for i, a in enumerate(heads)}

@@ -259,6 +259,16 @@ def combined_objective(params, batch, spec, dropout_seed):
     return report.total, trace, d_logits, dE
 
 
+def adam_state(params):
+    """Role → name → view of `params`' weights ("tensors") and Adam's "m" and "v", which this allocates if unset.
+
+    The moments exist only while a run trains, so this starts them the way
+    the first `backward` or `adam_step` would, from zero.
+    """
+    params.gradient_views()
+    return {"tensors": params.tensors, **{role: params._views(row) for role, row in zip("mv", params.moments)}}
+
+
 def reference_adam_step(params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """The per-tensor Adam update that `model.adam_step` replaced; mutates and returns `params`.
 

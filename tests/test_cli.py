@@ -456,15 +456,26 @@ class TestErrors:
     def test_per_tensor_checkpoint_exits_3(self, tmp_path, capsys, trained_simple):
         def edit(ckpt):
             # the layout before params.bin: one little-endian f64 file per tensor and role
-            params, *_ = load_checkpoint(str(ckpt))
-            for views, suffix in ((params.tensors, ""), (params.m, ".m"), (params.v, ".v")):
-                for name, view in views.items():
-                    view.tofile(ckpt / f"{name}{suffix}.bin")
+            shapes = json.loads((ckpt / "manifest.json").read_text(encoding="utf-8"))["tensors"]
+            for name, shape in shapes.items():
+                for suffix in ("", ".m", ".v"):
+                    np.zeros(shape, dtype="<f8").tofile(ckpt / f"{name}{suffix}.bin")
             (ckpt / "params.bin").unlink()
 
         assert self.eval_edited_checkpoint(tmp_path, trained_simple, edit) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and "no params.bin; checkpoints with one .bin per tensor" in err
+
+    def test_checkpoint_with_adam_moments_exits_3(self, tmp_path, capsys, trained_simple):
+        def edit(ckpt):
+            # the layout before weights-only checkpoints: the weights row, then Adam's m and v rows
+            weights = np.fromfile(ckpt / "params.bin", dtype="<f8")
+            np.concatenate([weights, np.zeros(2 * weights.size)]).tofile(ckpt / "params.bin")
+
+        assert self.eval_edited_checkpoint(tmp_path, trained_simple, edit) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "checkpoints holding Adam's moments are no longer read" in err
+        assert not list((tmp_path / "out" / "eval").rglob("roc_seed*.csv"))
 
     @pytest.mark.parametrize("rel, content", [
         ("eval/simple/metrics.json", "{not json"),

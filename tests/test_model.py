@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    adam_state,
     combined_objective,
     gradient_check_instance,
     profiles_of,
@@ -60,11 +61,14 @@ class TestInitParams:
 
     def test_biases_zero_moments_zero(self):
         params = init_params(small_spec("socio_contrastive"), 0)
+        # a model is its weights: Adam's moments exist only once training starts, and start at zero
+        assert params.moments is None and params.work is None
         for name, tensor in params.tensors.items():
             if name.endswith("bias"):
                 assert not tensor.any()
-            assert not params.m[name].any()
-            assert not params.v[name].any()
+        params.gradient_views()
+        assert params.moments.shape == (2, params.flat.size)
+        assert not params.moments.any()
         assert params.step == 0
 
     def test_glorot_bound_512_to_256(self):
@@ -253,6 +257,7 @@ class TestMultitask:
         adam_step(twin, {name: g.copy() for name, g in grads.items()}, lr=0.01)
         adam_step(params, grads, lr=0.01)
         assert params.flat.tobytes() == twin.flat.tobytes()
+        assert params.moments.tobytes() == twin.moments.tobytes()
 
 
 class TestBackward:
@@ -336,14 +341,14 @@ class TestAdamStep:
         spec, params = self.scalar_params()
         grads = {k: np.full_like(t, 0.3) for k, t in params.tensors.items()}
         adam_step(params, grads, lr=0.01)  # nonzero moments, so an overwrite would show
-        before = {role: {k: t.copy() for k, t in getattr(params, role).items()} for role in ("tensors", "m", "v")}
+        before = {role: {k: t.copy() for k, t in views.items()} for role, views in adam_state(params).items()}
         grads["layer.1.bias"][:] = np.nan
         with pytest.raises(NumericError, match=r"non-finite gradient for layer\.1\.bias; update refused at step 2"):
             adam_step(params, grads, lr=0.01)
         assert params.step == 1
         for role, tensors in before.items():
             for k, t in tensors.items():
-                assert getattr(params, role)[k].tobytes() == t.tobytes()
+                assert adam_state(params)[role][k].tobytes() == t.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -356,8 +361,8 @@ class TestAdamStep:
     def test_flat_step_matches_per_tensor_reference(self, variant, seed, lr, steps, poison):
         rng = np.random.default_rng(seed)
         params = init_params(random_small_spec(rng, variant), seed)
-        roles = ("tensors", "m", "v")
-        ref = SimpleNamespace(step=0, **{r: {k: t.copy() for k, t in getattr(params, r).items()} for r in roles})
+        roles = adam_state(params)
+        ref = SimpleNamespace(step=0, **{r: {k: t.copy() for k, t in views.items()} for r, views in roles.items()})
         names = list(params.tensors)
         for step in range(steps):
             # any dict order, gradients from 1e-4 to 1e4 so m, v and the update span many exponents
@@ -375,9 +380,9 @@ class TestAdamStep:
                 adam_step(params, grads, lr)
                 reference_adam_step(ref, grads, lr)
             assert params.step == ref.step
-            for role in roles:
+            for role, views in roles.items():
                 for name in names:
-                    assert getattr(params, role)[name].tobytes() == getattr(ref, role)[name].tobytes()
+                    assert views[name].tobytes() == getattr(ref, role)[name].tobytes()
 
 
 class TestPerAnnotatorHeadUpdate:
@@ -399,8 +404,8 @@ class TestPerAnnotatorHeadUpdate:
             hidden_dims=(int(rng.integers(2, 6)), int(rng.integers(1, 6))),
         )
         params = init_params(spec, seed)
-        roles = ("tensors", "m", "v")
-        ref = SimpleNamespace(step=0, **{r: {k: t.copy() for k, t in getattr(params, r).items()} for r in roles})
+        roles = adam_state(params)
+        ref = SimpleNamespace(step=0, **{r: {k: t.copy() for k, t in views.items()} for r, views in roles.items()})
         w_name, b_name = "layer.2.weight", "layer.2.bias"
         lr = float(rng.choice([1e-3, 0.05, 0.5]))
         for case in cases:
@@ -445,16 +450,16 @@ class TestPerAnnotatorHeadUpdate:
                 adam_step(params, grads, lr)
                 reference_lazy_adam_step(ref, dense, lr)
             assert params.step == ref.step
-            for role in roles:
+            for role, views in roles.items():
                 for name in params.tensors:
-                    assert getattr(params, role)[name].tobytes() == getattr(ref, role)[name].tobytes()
+                    assert views[name].tobytes() == getattr(ref, role)[name].tobytes()
 
     def test_absent_column_keeps_its_state_then_steps_at_the_global_step(self):
         # column 0 is in the first batch, absent from the next three, and back in the fifth
         rng = np.random.default_rng(3)
         spec = small_spec("multitask", annotator_count=4, dropout_rate=0.0)
         params = init_params(spec, 3)
-        w, m, v = (getattr(params, role)["layer.2.weight"] for role in ("tensors", "m", "v"))
+        w, m, v = (views["layer.2.weight"] for views in adam_state(params).values())
         lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
         for step, columns in enumerate(([0, 1], [1, 2], [3], [2, 3], [0, 3]), start=1):
             batch = random_batch(rng, spec, 6, 3)
@@ -525,34 +530,10 @@ class TestCheckpoints:
         assert seed == 11
         assert loaded_schema.to_dict() == schema.to_dict()
         assert heads is None
-        for name in params.tensors:
-            assert loaded.tensors[name].tobytes() == params.tensors[name].tobytes()
-            assert loaded.m[name].tobytes() == params.m[name].tobytes()
-            assert loaded.v[name].tobytes() == params.v[name].tobytes()
-
-    def test_resume_from_checkpoint_is_exact(self, tmp_path):
-        spec = small_spec("socio_contrastive")
-
-        def train(params, steps):
-            for i in steps:
-                batch = random_batch(np.random.default_rng(i), spec, 6, n_texts=3)
-                _, trace, d_logits, dE = combined_objective(params, batch, spec, dropout_seed=i)
-                adam_step(params, backward(params, trace, d_logits, dE), lr=0.05)
-            return params
-
-        straight = train(init_params(spec, 3), range(6))
-        # a multi-hot checkpoint carries a schema of the spec's socio width, 4
-        schema = SocioSchema([("g", ["a", MISSING]), ("h", ["x", MISSING])])
-        save_checkpoint(train(init_params(spec, 3), range(2)), str(tmp_path / "ck"), seed=3, schema=schema)
-        resumed, *_ = load_checkpoint(str(tmp_path / "ck"))
-        train(resumed, range(2, 6))
-        assert resumed.step == straight.step == 6
-        for row, role in enumerate(("tensors", "m", "v")):
-            for name, tensor in getattr(straight, role).items():
-                view = getattr(resumed, role)[name]
-                assert view.tobytes() == tensor.tobytes()
-                # every tensor stays a view into its role's one buffer
-                assert np.shares_memory(view, resumed.flat[row])
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+        # params.bin is the weights bytes only, 8·n; a loaded model holds no moments
+        assert (tmp_path / "ck" / "params.bin").stat().st_size == 8 * params.flat.size
+        assert loaded.moments is None and loaded.work is None
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError):
@@ -615,27 +596,23 @@ class TestCheckpoints:
         schema = SocioSchema([("g", ["a", MISSING]), ("h", ["x", MISSING])])
         save_checkpoint(params, str(tmp_path / "ck"), seed=4, schema=schema)
         assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == ["manifest.json", "params.bin"]
-        roles = (params.tensors, params.m, params.v)
-        assert (tmp_path / "ck" / "params.bin").read_bytes() == b"".join(
-            view.tobytes() for role in roles for view in role.values()
-        )
+        data = (tmp_path / "ck" / "params.bin").read_bytes()
+        assert data == b"".join(view.tobytes() for view in params.tensors.values())
+        assert len(data) == 8 * sum(t.size for t in params.tensors.values())
 
-    @pytest.mark.parametrize("role, tensor", [
-        ("weights", "layer.0.weight"), ("m", "layer.1.bias"), ("v", "layer.2.weight"),
-    ])
+    @pytest.mark.parametrize("tensor", ["layer.0.weight", "layer.1.bias", "layer.2.weight"], ids="weights-{}".format)
     @pytest.mark.parametrize("at", ["first", "last"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_value_rejected(self, tmp_path, role, tensor, at, value):
+    def test_non_finite_value_rejected(self, tmp_path, tensor, at, value):
         directory = self.edit_manifest(tmp_path, lambda m: None)
-        # the value's offset from the layout alone: role row, then the tensors before it in layer order
+        # the value's offset from the layout alone: the tensors before it in layer order
         sizes = {name: math.prod(shape) for name, shape in small_spec("multitask").tensor_shapes().items()}
         names = list(sizes)
-        start = ("weights", "m", "v").index(role) * sum(sizes.values())
-        start += sum(sizes[n] for n in names[: names.index(tensor)])
+        start = sum(sizes[n] for n in names[: names.index(tensor)])
         data = np.fromfile(Path(directory) / "params.bin", dtype="<f8")
         data[start if at == "first" else start + sizes[tensor] - 1] = value
         data.tofile(Path(directory) / "params.bin")
-        with pytest.raises(DataError, match=re.escape(f"params.bin holds non-finite values in the {role} of {tensor}")):
+        with pytest.raises(DataError, match=re.escape(f"params.bin holds non-finite values in the weights of {tensor}")):
             load_checkpoint(directory)
 
     def test_short_params_file_rejected(self, tmp_path):

@@ -83,3 +83,17 @@ def test_only_features_reads_a_profile_cell():
             ):
                 found.append(f"{path.name}:{node.lineno}:{node.attr}")
     assert SOURCES and not found, found
+
+
+def test_only_model_reads_or_writes_checkpoint_bytes():
+    # the checkpoint format lives in one module: no other names params.bin or moves raw array bytes
+    found = []
+    for path in SOURCES:
+        if path.name == "model.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and "params.bin" in node.value:
+                found.append(f"{path.name}:{getattr(node, 'lineno', 0)}:params.bin")
+            elif isinstance(node, ast.Call) and _names(node.func) in ("tofile", "readinto", "fromfile"):
+                found.append(f"{path.name}:{node.lineno}:{_names(node.func)}")
+    assert SOURCES and not found, found

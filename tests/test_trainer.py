@@ -95,20 +95,20 @@ class TestTrainOne:
         for name in a.params.tensors:
             assert a.params.tensors[name].tobytes() == b.params.tensors[name].tobytes()
         assert a.log_rows == b.log_rows
-        # Adam's gradient and scratch buffers go when the run ends; a suite keeps every run
-        assert a.params.work is None
+        # Adam's gradient, scratch and moment buffers go when the run ends; a suite keeps every run
+        assert a.params.work is None and a.params.moments is None
 
     @pytest.mark.parametrize("variant", ["multitask", "socio_contrastive"])
     def test_trained_and_loaded_params_hold_only_the_flat_buffer(self, tmp_path, variant):
-        # a gradient view kept on the params would keep a run's gradient and scratch rows alive
+        # a gradient view kept on the params would keep a run's gradient, scratch and moment rows alive
         split, table, _ = make_world()
         run = train_one(tiny_config(variant), 0, split.train, table, out_dir=str(tmp_path))
         loaded, *_ = load_checkpoint(str(tmp_path / "seed0" / "checkpoint"))
         for params in (run.params, loaded):
-            assert params.work is None
+            assert params.work is None and params.moments is None
             held = [value for value in vars(params).values() if isinstance(value, np.ndarray)]
             held += [a for value in vars(params).values() if isinstance(value, dict) for a in value.values()]
-            assert len(held) == 1 + 3 * len(params.tensors)
+            assert len(held) == 1 + len(params.tensors)
             assert all(a is params.flat or a.base is params.flat for a in held)
 
     def test_different_seed_different_trajectory(self):
