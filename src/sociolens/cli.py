@@ -29,7 +29,6 @@ from . import config as config_mod
 from . import corpus, features, homophily, metrics, synth, trainer
 from .errors import ConfigError, DataError, NumericError, SociolensError
 from .model import VARIANTS, WIRING, load_checkpoint, read_manifest
-from .trainer import TrainedRun
 
 
 def _log(cfg, message: str) -> None:
@@ -117,7 +116,8 @@ def cmd_train(cfg: config_mod.PipelineConfig) -> int:
     text_table = features.load_embeddings(t.embeddings)
     all_profiles = features.load_profiles(t.profiles) if t.profiles else None
     train_ds = _load_labels(t.train_annotations, t.columns)
-    test_ds = _load_labels(t.test_annotations, t.columns)
+    # training reads only the test split's texts, for the leak check
+    test_ds = corpus.load_annotations(t.test_annotations, t.columns)
     # every input a suite needs is checked before the first suite trains
     socio_table = None
     if any(WIRING[run.variant].socio == "embedding" for run in t.runs):
@@ -133,7 +133,6 @@ def cmd_train(cfg: config_mod.PipelineConfig) -> int:
             raise DataError(f"variant {socio_variants[0]} needs a profiles file")
         # the other suites ignore the profiles
         train_ds = corpus.attach_profiles(train_ds, all_profiles)
-        test_ds = corpus.attach_profiles(test_ds, all_profiles)
     split = corpus.SplitPair(train=train_ds, test=test_ds)
 
     # (output label, config) per suite; the ablation arm follows its weighted twin
@@ -162,7 +161,7 @@ def _discover_checkpoints(root: str) -> dict[str, list[tuple[int, str]]]:
     if not os.path.exists(root):
         raise DataError(f"checkpoint path does not exist: {root}")
     if os.path.exists(os.path.join(root, "manifest.json")):
-        params, seed, _, _ = read_manifest(root)
+        params, seed = read_manifest(root)
         return {params.spec.variant: [(seed, root)]}
     found: dict[str, list[tuple[int, str]]] = {}
 
@@ -188,11 +187,6 @@ def _discover_checkpoints(root: str) -> dict[str, list[tuple[int, str]]]:
     if not found:
         raise DataError(f"no checkpoints found under {root}")
     return found
-
-
-def _run_from_checkpoint(ckpt_dir: str) -> TrainedRun:
-    params, seed, schema, annotator_index = load_checkpoint(ckpt_dir)
-    return TrainedRun(seed=seed, params=params, schema=schema, annotator_index=annotator_index, log_rows=[])
 
 
 def _write_roc_csv(path: str, points) -> None:
@@ -239,8 +233,7 @@ def cmd_eval(cfg: config_mod.PipelineConfig) -> int:
         groups_by_seed = []
         fallback_rows = 0
         for seed, ckpt in entries:
-            run = _run_from_checkpoint(ckpt)
-            probs, labels, fallback = trainer.predict(run, dataset, text_table, socio_table)
+            probs, labels, fallback = trainer.predict(load_checkpoint(ckpt)[0], dataset, text_table, socio_table)
             fallback_rows += fallback
             report = metrics.confusion_metrics(probs, labels)
             reports.append(report)

@@ -23,13 +23,19 @@ Gradients are hand-derived and verified against central finite
 differences in the test suite. Dropout is inverted (activations scaled
 by 1/(1-p) at train time) so evaluation is a pure pass-through.
 
-Memory and cost: a model is its n weights, the one contiguous
-little-endian f64 row `ModelParams.flat`, each tensor a view into it; a
-checkpoint's params.bin is that row's bytes. While a run trains,
-`ModelParams.work` adds a gradient row, which `backward` writes in place,
-and a scratch row, and `ModelParams.moments` holds Adam's m and v rows.
-On the trunk, `adam_step` is fourteen passes and two finiteness scans
-over the trunk's part of each row, whatever the layer count. A
+A model is one `ModelParams`: its spec, its n weights, and the two
+vocabularies its columns index, the socio schema (which multi-hot slot
+is which category) and the head ids (which head unit is which
+annotator), so every reader of a model takes it alone.
+
+Memory and cost: the weights are the one contiguous little-endian f64
+row `ModelParams.flat`, each tensor a view into it; a checkpoint's
+params.bin is that row's bytes, and its manifest.json holds the rest.
+While a run trains, `ModelParams.work` adds a gradient row, which
+`backward` writes in place, and a scratch row, and `ModelParams.moments`
+holds Adam's m and v rows. On the trunk, `adam_step` is fourteen passes
+and two finiteness scans over the trunk's part of each row, whatever
+the layer count. A
 per-annotator head's forward and backward touch only the columns of its
 batch's annotators: O(b·H) a step, not O(b·H·A). Adam updates that
 head lazily: one bitwise OR over its (H+1)·A block of weight and bias
@@ -70,6 +76,7 @@ WIRING = {
 }
 VARIANTS = tuple(WIRING)
 NORM_EPS = 1e-12
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's constants, Kingma & Ba 2015's defaults
 
 
 @dataclass(frozen=True)
@@ -121,10 +128,17 @@ class ModelSpec:
 
 @dataclass
 class ModelParams:
-    """Weights, zeroed; `tensors` are views into the row `flat`: never rebind them."""
+    """A model: zeroed weights plus the socio schema and head ids its columns index.
+
+    `tensors` are views into the row `flat`: never rebind them. Head unit
+    i scores `annotators[i]`. Either vocabulary is None where the variant
+    has no socio input or no per-annotator head.
+    """
 
     spec: ModelSpec
     step: int = 0
+    schema: SocioSchema | None = None
+    annotators: list[str] | None = field(default=None, repr=False)
     flat: np.ndarray = field(init=False, repr=False)
     tensors: dict[str, np.ndarray] = field(init=False, repr=False)
     # Adam's m and v rows while a run trains; a block apart from `work`'s, as one block raises peak RSS
@@ -204,14 +218,16 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def init_params(spec: ModelSpec, seed: int) -> ModelParams:
-    """Glorot-uniform weights and zero biases.
+def init_params(
+    spec: ModelSpec, seed: int, schema: SocioSchema | None = None, annotators: list[str] | None = None
+) -> ModelParams:
+    """Glorot-uniform weights and zero biases, for a model of `schema` and head ids `annotators`.
 
     Layers draw in ascending index order from one seeded generator, so a
     seed fixes every parameter byte.
     """
     rng = np.random.default_rng(seed)
-    params = ModelParams(spec)
+    params = ModelParams(spec, schema=schema, annotators=annotators)
     for i, (fan_in, fan_out) in enumerate(spec.layer_shapes()):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         params.tensors[f"layer.{i}.weight"][...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
@@ -397,14 +413,7 @@ def backward(
     return grads
 
 
-def adam_step(
-    params: ModelParams,
-    grads: dict[str, np.ndarray],
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> ModelParams:
+def adam_step(params: ModelParams, grads: dict[str, np.ndarray], lr: float) -> ModelParams:
     """One Adam update with bias correction (Kingma & Ba 2015); mutates and returns `params`.
 
     The gradients are read from `params.gradient_views()`, where `backward`
@@ -448,24 +457,24 @@ def adam_step(
         bad = _first_non_finite(params, g)
         raise NumericError(f"non-finite gradient for {bad}; update refused at step {params.step + 1}")
     params.step += 1
-    bc1 = 1.0 - beta1 ** params.step
-    bc2 = 1.0 - beta2 ** params.step
+    bc1 = 1.0 - BETA1 ** params.step
+    bc2 = 1.0 - BETA2 ** params.step
     # m*b1 + (1-b1)*g, v*b2 + (1-b2)*g*g, w - lr*(m/bc1)/(sqrt(v/bc2)+eps); the trunk's
     # update is computed in its gradient rows, which the next `backward` overwrites whole
     g_trunk, w_trunk, m_trunk, v_trunk, s = g[:cut], w[:cut], m[:cut], v[:cut], scratch[:cut]
-    m_trunk *= beta1
-    m_trunk += np.multiply(g_trunk, 1.0 - beta1, out=s)
-    v_trunk *= beta2
-    v_trunk += np.multiply(np.multiply(g_trunk, g_trunk, out=s), 1.0 - beta2, out=s)
-    np.add(np.sqrt(np.divide(v_trunk, bc2, out=s), out=s), eps, out=s)
+    m_trunk *= BETA1
+    m_trunk += np.multiply(g_trunk, 1.0 - BETA1, out=s)
+    v_trunk *= BETA2
+    v_trunk += np.multiply(np.multiply(g_trunk, g_trunk, out=s), 1.0 - BETA2, out=s)
+    np.add(np.sqrt(np.divide(v_trunk, bc2, out=s), out=s), ADAM_EPS, out=s)
     w_trunk -= np.divide(np.multiply(np.divide(m_trunk, bc1, out=g_trunk), lr, out=g_trunk), s, out=g_trunk)
     finite = np.isfinite(w_trunk).all()
     if live is not None:
         # the same rule on the live columns' gathered w, m and v, scattered back
         w_head, m_head, v_head = (row[cut:].reshape(-1, a) for row in (w, m, v))
-        m_live = m_head[:, live] * beta1 + g_live * (1.0 - beta1)
-        v_live = v_head[:, live] * beta2 + (g_live * g_live) * (1.0 - beta2)
-        w_live = w_head[:, live] - m_live / bc1 * lr / (np.sqrt(v_live / bc2) + eps)
+        m_live = m_head[:, live] * BETA1 + g_live * (1.0 - BETA1)
+        v_live = v_head[:, live] * BETA2 + (g_live * g_live) * (1.0 - BETA2)
+        w_live = w_head[:, live] - m_live / bc1 * lr / (np.sqrt(v_live / bc2) + ADAM_EPS)
         m_head[:, live], v_head[:, live], w_head[:, live] = m_live, v_live, w_live
         finite = finite and np.isfinite(w_live).all()
     if not finite:
@@ -474,11 +483,7 @@ def adam_step(
     return params
 
 
-def extract_socio_reps(
-    params: ModelParams,
-    profiles: ProfileTable,
-    schema: SocioSchema,
-) -> VectorTable:
+def extract_socio_reps(params: ModelParams, profiles: ProfileTable) -> VectorTable:
     """Learned representation per profiled annotator, keyed in `profiles` order; identical profiles map identically.
 
     Each distinct profile row runs the eval-mode projection stack once and
@@ -488,24 +493,20 @@ def extract_socio_reps(
     spec = params.spec
     if not spec.wiring.projected:
         raise ConfigError(f"socio representations only exist for socio_contrastive, not {spec.variant}")
-    distinct, inverse = np.unique(multihot_rows(profiles, schema), axis=0, return_inverse=True)
+    distinct, inverse = np.unique(multihot_rows(profiles, params.schema), axis=0, return_inverse=True)
     reps = np.empty((len(distinct), spec.projection_dims[-1]))
     for i, row in enumerate(distinct):
         reps[i] = _stack_forward(params.tensors, range(spec.trunk_start), row[None, :])[0]
     return VectorTable(profiles.annotators, reps[inverse.reshape(-1)])
 
 
-def save_checkpoint(
-    params: ModelParams,
-    directory: str,
-    seed: int,
-    annotators: list[str] | None = None,
-    schema: SocioSchema | None = None,
-) -> str:
-    """Write manifest.json plus params.bin, the raw bytes of `params.flat`.
+def save_checkpoint(params: ModelParams, directory: str, seed: int) -> str:
+    """Write manifest.json plus params.bin, the raw bytes of `params.flat`; returns `directory`.
 
-    params.bin is the weights row alone, little-endian f64 in
-    `ModelSpec.tensor_shapes` order; Adam's moments are not kept.
+    The manifest holds the spec, `seed`, the step, the tensor shapes and,
+    where the model has them, its head ids and schema. params.bin is the
+    weights row alone, little-endian f64 in `ModelSpec.tensor_shapes`
+    order; Adam's moments are not kept.
     """
     os.makedirs(directory, exist_ok=True)
     manifest = {
@@ -514,10 +515,10 @@ def save_checkpoint(
         "step": params.step,
         "tensors": {k: list(t.shape) for k, t in params.tensors.items()},
     }
-    if annotators is not None:
-        manifest["annotators"] = list(annotators)
-    if schema is not None:
-        manifest["schema"] = schema.to_dict()
+    if params.annotators is not None:
+        manifest["annotators"] = list(params.annotators)
+    if params.schema is not None:
+        manifest["schema"] = params.schema.to_dict()
     with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
@@ -525,8 +526,8 @@ def save_checkpoint(
     return directory
 
 
-def read_manifest(directory: str) -> tuple[ModelParams, int, SocioSchema | None, list[str] | None]:
-    """The checked manifest.json of a checkpoint: zeroed params of its spec and step, its seed, schema and head ids.
+def read_manifest(directory: str) -> tuple[ModelParams, int]:
+    """The checked manifest.json of a checkpoint: a zeroed model of its spec, step, schema and head ids; and its seed.
 
     params.bin is not read. The checkpoint is outside input, so anything
     that does not fit the spec is a DataError: a missing seed or spec, a
@@ -549,10 +550,11 @@ def read_manifest(directory: str) -> tuple[ModelParams, int, SocioSchema | None,
         expected = {name: list(shape) for name, shape in spec.tensor_shapes().items()}
         if manifest["tensors"] != expected:
             raise DataError(f"{directory}: tensor shapes {manifest['tensors']} differ from the spec's {expected}")
-        params = ModelParams(spec, step=int(manifest["step"]))
-        seed = int(manifest["seed"])
         schema = SocioSchema.from_dict(manifest["schema"]) if "schema" in manifest else None
         heads = manifest["annotators"] if spec.wiring.per_annotator else None
+        # inside the try: the constructor raises ValueError for a spec of negative widths
+        params = ModelParams(spec, step=int(manifest["step"]), schema=schema, annotators=heads)
+        seed = int(manifest["seed"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{directory}: malformed manifest: {exc!r}") from None
     if spec.wiring.socio == "multihot" and (schema is None or schema.total_width != spec.socio_width):
@@ -562,16 +564,16 @@ def read_manifest(directory: str) -> tuple[ModelParams, int, SocioSchema | None,
         and len(set(heads)) == len(heads) == spec.annotator_count
     ):
         raise DataError(f"{directory}: the {spec.annotator_count} head units need as many distinct annotator ids")
-    return params, seed, schema, heads
+    return params, seed
 
 
-def load_checkpoint(directory: str) -> tuple[ModelParams, int, SocioSchema | None, dict[str, int] | None]:
-    """Inverse of save_checkpoint: the params, the seed, the schema and the head index by annotator.
+def load_checkpoint(directory: str) -> tuple[ModelParams, int]:
+    """Inverse of save_checkpoint: the model, with its schema and head ids, and the seed.
 
     Besides `read_manifest`'s checks, a params.bin that is missing, not
     the spec's size, or non-finite is a DataError.
     """
-    params, seed, schema, heads = read_manifest(directory)
+    params, seed = read_manifest(directory)
     path = os.path.join(directory, "params.bin")
     if not os.path.isfile(path):
         raise DataError(f"{directory}: no params.bin; checkpoints with one .bin per tensor are no longer read")
@@ -583,4 +585,4 @@ def load_checkpoint(directory: str) -> tuple[ModelParams, int, SocioSchema | Non
     if not np.isfinite(params.flat).all():
         name = _first_non_finite(params, params.flat)
         raise DataError(f"{directory}: params.bin holds non-finite values in the weights of {name}")
-    return params, seed, schema, None if heads is None else {a: i for i, a in enumerate(heads)}
+    return params, seed

@@ -15,8 +15,9 @@ single output byte.
 
 The ``simple`` regime trains on one sample per unique text with its
 majority-vote label; every other regime trains on individual
-annotations. `predict` scores a run against individual annotator labels;
-the eval stage calls it on checkpoints, and training scores nothing.
+annotations. `predict` scores a model, trained or loaded from a
+checkpoint, against individual annotator labels; the eval stage calls it
+on checkpoints, and training scores nothing.
 """
 
 from __future__ import annotations
@@ -70,15 +71,6 @@ class RunConfig:
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4, 5)
 
 
-@dataclass
-class TrainedRun:
-    seed: int
-    params: ModelParams
-    schema: SocioSchema | None
-    annotator_index: dict[str, int] | None
-    log_rows: list[dict]
-
-
 def build_model_spec(config: RunConfig, train: Dataset, tables: BatchTables) -> ModelSpec:
     """The spec of `config`'s fields that `ModelSpec` shares, its widths from `tables`, its head count from `train`."""
     run = asdict(config)
@@ -96,13 +88,17 @@ def _batch_tables(
     text_table: VectorTable,
     schema: SocioSchema | None,
     socio_table: VectorTable | None,
-    annotator_index: dict[str, int] | None,
+    heads: list[str] | None,
 ) -> BatchTables:
-    """The lookup tables this wiring reads, one row per code of `dataset`; a missing entry is a data error."""
+    """The lookup tables this wiring reads, one row per code of `dataset`; a missing entry is a data error.
+
+    Head unit i scores `heads[i]`; an annotator without a head gets index -1.
+    """
     annotators = dataset.annotators.tolist()
     tables = {"text": text_table.rows(dataset.texts.tolist())}
     if wiring.per_annotator:
-        tables["annotator_index"] = np.array([annotator_index.get(a, -1) for a in annotators], dtype=np.int64)
+        column = {a: i for i, a in enumerate(heads)}
+        tables["annotator_index"] = np.array([column.get(a, -1) for a in annotators], dtype=np.int64)
     if wiring.socio == "multihot":
         if dataset.profiles is None:
             raise DataError("multi-hot socio rows need annotator profiles")
@@ -130,8 +126,10 @@ def train_one(
     out_dir: str | None = None,
     dump_plan: bool = False,
     profiles: ProfileTable | None = None,
-) -> TrainedRun:
-    """Train a single seed on `train`; deterministic given (config, seed, train, tables).
+) -> tuple[ModelParams, list[dict]]:
+    """Train a single seed on `train`; returns the model and one log row per step.
+
+    Deterministic given (config, seed, train, tables).
 
     With `out_dir`, the run writes `seed<N>/` there: its checkpoint and
     log, its batch plans with `dump_plan`, and for a projected variant
@@ -145,11 +143,11 @@ def train_one(
 
     wiring = WIRING[config.variant]
     schema = build_schema(train.profiles) if wiring.socio else None
-    annotator_index = {a: i for i, a in enumerate(sorted(train.annotators.tolist()))} if wiring.per_annotator else None
-    tables = _batch_tables(wiring, train, text_table, schema, socio_table, annotator_index)
+    heads = sorted(train.annotators.tolist()) if wiring.per_annotator else None
+    tables = _batch_tables(wiring, train, text_table, schema, socio_table, heads)
 
     spec = build_model_spec(config, train, tables)
-    params = init_params(spec, seed)
+    params = init_params(spec, seed, schema, heads)
     dropout_rng = np.random.default_rng([seed, 0xD0])
 
     rows = train.records
@@ -184,8 +182,7 @@ def train_one(
     if out_dir is not None:
         run_dir = os.path.join(out_dir, f"seed{seed}")
         os.makedirs(run_dir, exist_ok=True)
-        annotators = sorted(annotator_index, key=annotator_index.get) if annotator_index else None
-        save_checkpoint(params, os.path.join(run_dir, "checkpoint"), seed, annotators=annotators, schema=schema)
+        save_checkpoint(params, os.path.join(run_dir, "checkpoint"), seed)
         with open(os.path.join(run_dir, "log.jsonl"), "w", encoding="utf-8") as fh:
             for row in log_rows:
                 fh.write(json.dumps(row) + "\n")
@@ -194,17 +191,21 @@ def train_one(
                 json.dump({"seed": seed, "epochs": plans}, fh)
                 fh.write("\n")
         if wiring.projected and profiles is not None:
-            reps = extract_socio_reps(params, profiles, schema)
+            reps = extract_socio_reps(params, profiles)
             save_vector_csv(reps, os.path.join(run_dir, "representations.csv"), "annotator_id")
-    return TrainedRun(seed=seed, params=params, schema=schema, annotator_index=annotator_index, log_rows=log_rows)
+    return params, log_rows
+
+
+# Fixed, not a setting: the last bit of a batched product can depend on where a
+# row sits in the batch, so eval's bytes depend on this size.
+PREDICT_BATCH_SIZE = 256
 
 
 def predict(
-    run: TrainedRun,
+    params: ModelParams,
     dataset: Dataset,
     text_table: VectorTable,
     socio_table: VectorTable | None = None,
-    batch_size: int = 256,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Eval-mode probabilities for every record, in record order.
 
@@ -214,12 +215,12 @@ def predict(
     rows = dataset.records
     if (rows["label"] < 0).any():
         raise DataError("evaluation data must be binarized first")
-    tables = _batch_tables(run.params.spec.wiring, dataset, text_table, run.schema, socio_table, run.annotator_index)
+    tables = _batch_tables(params.spec.wiring, dataset, text_table, params.schema, socio_table, params.annotators)
 
     probs = np.empty(len(rows), dtype=np.float64)
-    for start in range(0, len(rows), batch_size):
-        batch = assemble_batch(rows, slice(start, start + batch_size), tables)
-        p, _ = forward(run.params, batch, mode="eval")
+    for start in range(0, len(rows), PREDICT_BATCH_SIZE):
+        batch = assemble_batch(rows, slice(start, start + PREDICT_BATCH_SIZE), tables)
+        p, _ = forward(params, batch, mode="eval")
         probs[start : start + len(p)] = p
     fallback_rows = 0
     if tables.annotator_index is not None:

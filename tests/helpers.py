@@ -46,7 +46,7 @@ from sociolens.homophily import (
 from sociolens.metrics import MetricsReport, aggregate_runs, confusion_metrics
 from sociolens.model import ModelSpec, backward, forward, init_params, load_checkpoint
 from sociolens.objectives import bce_loss, combined_loss, contrastive_loss
-from sociolens.trainer import TrainedRun, check_no_leak, predict, train_one
+from sociolens.trainer import check_no_leak, predict, train_one
 
 
 def base_config(out_dir: str) -> dict:
@@ -110,9 +110,7 @@ def score_checkpoints(
     """Each `seed<N>/checkpoint` under `suite_dir` scored on `dataset` as `eval` scores it, by seed; and their aggregate."""
     reports = []
     for ckpt in sorted(Path(suite_dir).glob("seed*/checkpoint"), key=lambda p: int(p.parent.name[4:])):
-        params, seed, schema, annotator_index = load_checkpoint(str(ckpt))
-        run = TrainedRun(seed, params, schema, annotator_index, log_rows=[])
-        probs, labels, _ = predict(run, dataset, text_table, socio_table)
+        probs, labels, _ = predict(load_checkpoint(str(ckpt))[0], dataset, text_table, socio_table)
         reports.append(confusion_metrics(probs, labels))
     return reports, aggregate_runs(reports)
 

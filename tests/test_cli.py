@@ -364,6 +364,22 @@ class TestErrors:
         assert capsys.readouterr().err.startswith("data error: ")
         assert not (out / "train").exists()
 
+    def test_profiles_of_test_annotators_are_checked_by_eval_not_train(self, tmp_path, capsys):
+        # train reads the test split for its leak check alone; eval scores it and checks it before writing
+        config = base_config(str(tmp_path / "out"))
+        config["train"].update(ablation=False, epochs=1)
+        out = run_chain(tmp_path, config, commands=("synth", "prep"))
+        with open(out / "prep" / "test.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        rows[1][1] = "ghost"
+        with open(out / "prep" / "test.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        with mock.patch.object(trainer, "train_suites", sequential_train_suites):
+            assert main(["train", "--config", str(tmp_path / "config.json")]) == 0
+        assert main(["eval", "--config", str(tmp_path / "config.json")]) == 3
+        assert capsys.readouterr().err == "data error: no profile for annotators: ['ghost']\n"
+        assert not (out / "eval").exists()
+
     @pytest.mark.parametrize("missing", ["socio_embeddings", "profiles"])
     def test_eval_inputs_checked_before_any_variant_is_scored(self, tmp_path, capsys, missing):
         config = base_config(str(tmp_path / "out"))

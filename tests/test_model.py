@@ -485,14 +485,13 @@ class TestSocioReps:
 
     def make_params(self):
         spec = small_spec("socio_contrastive", socio_width=self.schema.total_width)
-        return init_params(spec, 10)
+        return init_params(spec, 10, self.schema)
 
     def test_identical_profiles_identical_vectors(self):
         params = self.make_params()
         reps = extract_socio_reps(
             params,
             profiles_of({"a1": {"g": "a", "r": "x"}, "a2": {"g": "a", "r": "x"}, "a3": {"g": "b", "r": "y"}}),
-            self.schema,
         )
         a1, a2, a3 = reps.rows(["a1", "a2", "a3"])
         assert reps.keys == ["a1", "a2", "a3"]
@@ -501,35 +500,35 @@ class TestSocioReps:
 
     def test_dimension_is_second_projection_width(self):
         params = self.make_params()
-        reps = extract_socio_reps(params, profiles_of({"a": {"g": "a"}}), self.schema)
+        reps = extract_socio_reps(params, profiles_of({"a": {"g": "a"}}))
         assert reps.matrix.shape == (1, params.spec.projection_dims[1])
 
     def test_one_vector_per_unique_annotator(self):
         params = self.make_params()
         profiles = profiles_of({f"a{i}": {"g": "a"} for i in range(37)})
-        assert len(extract_socio_reps(params, profiles, self.schema)) == 37
+        assert len(extract_socio_reps(params, profiles)) == 37
 
     def test_wrong_variant_rejected(self):
-        params = init_params(small_spec("simple"), 0)
+        params = init_params(small_spec("simple"), 0, self.schema)
         with pytest.raises(ConfigError):
-            extract_socio_reps(params, profiles_of({"a": {"g": "a"}}), self.schema)
+            extract_socio_reps(params, profiles_of({"a": {"g": "a"}}))
 
 
 class TestCheckpoints:
     def test_roundtrip_bytes(self, tmp_path):
         spec = small_spec("socio_contrastive")
-        params = init_params(spec, 11)
-        grads = {k: np.full_like(t, 0.01) for k, t in params.tensors.items()}
-        adam_step(params, grads, lr=0.01)
         # a multi-hot checkpoint carries a schema of the spec's socio width, 4
         schema = SocioSchema([("g", ["a", MISSING]), ("h", ["x", MISSING])])
-        save_checkpoint(params, str(tmp_path / "ck"), seed=11, schema=schema)
-        loaded, seed, loaded_schema, heads = load_checkpoint(str(tmp_path / "ck"))
+        params = init_params(spec, 11, schema)
+        grads = {k: np.full_like(t, 0.01) for k, t in params.tensors.items()}
+        adam_step(params, grads, lr=0.01)
+        save_checkpoint(params, str(tmp_path / "ck"), seed=11)
+        loaded, seed = load_checkpoint(str(tmp_path / "ck"))
         assert loaded.spec == spec
         assert loaded.step == 1
         assert seed == 11
-        assert loaded_schema.to_dict() == schema.to_dict()
-        assert heads is None
+        assert loaded.schema.to_dict() == schema.to_dict()
+        assert loaded.annotators is None
         assert loaded.flat.tobytes() == params.flat.tobytes()
         # params.bin is the weights bytes only, 8·n; a loaded model holds no moments
         assert (tmp_path / "ck" / "params.bin").stat().st_size == 8 * params.flat.size
@@ -544,7 +543,7 @@ class TestCheckpoints:
         spec = small_spec(variant)
         schema = SocioSchema([("g", ["a", "b", "c", MISSING])]) if spec.socio_width else None
         heads = [f"a{i}" for i in range(spec.annotator_count)] if spec.annotator_count else None
-        save_checkpoint(init_params(spec, 0), str(directory), seed=0, annotators=heads, schema=schema)
+        save_checkpoint(init_params(spec, 0, schema, heads), str(directory), seed=0)
         manifest = json.loads((directory / "manifest.json").read_text())
         edit(manifest)
         (directory / "manifest.json").write_text(json.dumps(manifest))
@@ -561,11 +560,22 @@ class TestCheckpoints:
         with pytest.raises(DataError, match="tensor shapes"):
             load_checkpoint(directory)
 
+    def test_negative_width_is_a_malformed_manifest(self, tmp_path):
+        # tensor shapes edited to match, so only building the model finds the width
+        def edit(manifest):
+            manifest["spec"]["text_dim"] = -2
+            manifest["tensors"]["layer.0.weight"] = [-2, 4]
+
+        with pytest.raises(DataError, match="malformed manifest"):
+            load_checkpoint(self.edit_manifest(tmp_path, edit))
+
     def test_heads_index_follows_manifest_order(self, tmp_path):
-        _, _, schema, heads = load_checkpoint(self.edit_manifest(tmp_path, lambda m: m["annotators"].reverse()))
-        assert schema is None
-        assert list(heads) == [f"a{i}" for i in reversed(range(len(heads)))]
-        assert list(heads.values()) == list(range(len(heads)))
+        loaded, _ = load_checkpoint(self.edit_manifest(tmp_path, lambda m: m["annotators"].reverse()))
+        heads = loaded.annotators
+        assert loaded.schema is None
+        # head unit i scores heads[i]
+        assert heads == [f"a{i}" for i in reversed(range(len(heads)))]
+        assert [heads.index(a) for a in heads] == list(range(len(heads)))
 
     @pytest.mark.parametrize("edit", [
         lambda m: m.update(schema={"attributes": [["g", 3]]}),
@@ -591,10 +601,10 @@ class TestCheckpoints:
             load_checkpoint(directory)
 
     def test_params_file_is_the_rows_in_layer_order(self, tmp_path):
-        params = init_params(small_spec("socio_contrastive"), 4)
-        adam_step(params, {k: np.full_like(t, 0.02) for k, t in params.tensors.items()}, lr=0.01)
         schema = SocioSchema([("g", ["a", MISSING]), ("h", ["x", MISSING])])
-        save_checkpoint(params, str(tmp_path / "ck"), seed=4, schema=schema)
+        params = init_params(small_spec("socio_contrastive"), 4, schema)
+        adam_step(params, {k: np.full_like(t, 0.02) for k, t in params.tensors.items()}, lr=0.01)
+        save_checkpoint(params, str(tmp_path / "ck"), seed=4)
         assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == ["manifest.json", "params.bin"]
         data = (tmp_path / "ck" / "params.bin").read_bytes()
         assert data == b"".join(view.tobytes() for view in params.tensors.values())

@@ -97,3 +97,24 @@ def test_only_model_reads_or_writes_checkpoint_bytes():
             elif isinstance(node, ast.Call) and _names(node.func) in ("tofile", "readinto", "fromfile"):
                 found.append(f"{path.name}:{node.lineno}:{_names(node.func)}")
     assert SOURCES and not found, found
+
+
+def test_only_model_pairs_a_model_with_a_schema():
+    # a model's schema and head ids are fields of `ModelParams`: elsewhere no function takes,
+    # and no class holds, a model and a schema side by side, as parallel records that can drift apart
+    found = []
+    for path in SOURCES:
+        if path.name == "model.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                annotations = [a.annotation for a in args.posonlyargs + args.args + args.kwonlyargs]
+            elif isinstance(node, ast.ClassDef):
+                annotations = [field.annotation for field in node.body if isinstance(field, ast.AnnAssign)]
+            else:
+                continue
+            names = [{_names(part) for part in ast.walk(a)} for a in annotations if a is not None]
+            if any("ModelParams" in n for n in names) and any("SocioSchema" in n for n in names):
+                found.append(f"{path.name}:{node.lineno}:{node.name}")
+    assert SOURCES and not found, found

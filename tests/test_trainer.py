@@ -60,11 +60,11 @@ class TestTrainOne:
         split, table, _ = make_world()
         n_texts = split.train.stats["unique_texts"]
         config = tiny_config("simple", batch_size=32)
-        run = train_one(config, 0, split.train, table)
-        per_epoch = [row for row in run.log_rows if row["epoch"] == 0]
+        _, log_rows = train_one(config, 0, split.train, table)
+        per_epoch = [row for row in log_rows if row["epoch"] == 0]
         # with batch 32 > text count, one step per epoch covering every text once
         assert len(per_epoch) == int(np.ceil(n_texts / 32))
-        assert len(run.log_rows) == config.epochs * len(per_epoch)
+        assert len(log_rows) == config.epochs * len(per_epoch)
 
     def test_simple_three_text_toy_set(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -75,8 +75,8 @@ class TestTrainOne:
         ], labels=True)
         table = VectorTable(["t1", "t2", "t3"], rng.standard_normal((3, 4)))
         config = tiny_config("simple", batch_size=32)
-        run = train_one(config, 0, train, table, out_dir=str(tmp_path), dump_plan=True)
-        assert len(run.log_rows) == config.epochs  # 3 samples fit one batch per epoch
+        _, log_rows = train_one(config, 0, train, table, out_dir=str(tmp_path), dump_plan=True)
+        assert len(log_rows) == config.epochs  # 3 samples fit one batch per epoch
         plans = json.loads((tmp_path / "seed0" / "plans.json").read_text())["epochs"]
         assert [sum(len(b) for b in p["batches"]) for p in plans] == [3] * config.epochs  # one sample per unique text
 
@@ -84,27 +84,27 @@ class TestTrainOne:
         split, table, _ = make_world()
         n = split.train.stats["records"]
         config = tiny_config("socio_multihot", batch_size=8, epochs=3)
-        run = train_one(config, 0, split.train, table)
-        assert len(run.log_rows) == int(np.ceil(n / 8)) * 3
+        _, log_rows = train_one(config, 0, split.train, table)
+        assert len(log_rows) == int(np.ceil(n / 8)) * 3
 
     def test_deterministic_checkpoints(self, tmp_path):
         split, table, _ = make_world()
         config = tiny_config("socio_contrastive")
-        a = train_one(config, 0, split.train, table, out_dir=str(tmp_path / "a"))
-        b = train_one(config, 0, split.train, table, out_dir=str(tmp_path / "b"))
-        for name in a.params.tensors:
-            assert a.params.tensors[name].tobytes() == b.params.tensors[name].tobytes()
-        assert a.log_rows == b.log_rows
+        a, a_log = train_one(config, 0, split.train, table, out_dir=str(tmp_path / "a"))
+        b, b_log = train_one(config, 0, split.train, table, out_dir=str(tmp_path / "b"))
+        for name in a.tensors:
+            assert a.tensors[name].tobytes() == b.tensors[name].tobytes()
+        assert a_log == b_log
         # Adam's gradient, scratch and moment buffers go when the run ends; a suite keeps every run
-        assert a.params.work is None and a.params.moments is None
+        assert a.work is None and a.moments is None
 
     @pytest.mark.parametrize("variant", ["multitask", "socio_contrastive"])
     def test_trained_and_loaded_params_hold_only_the_flat_buffer(self, tmp_path, variant):
         # a gradient view kept on the params would keep a run's gradient, scratch and moment rows alive
         split, table, _ = make_world()
-        run = train_one(tiny_config(variant), 0, split.train, table, out_dir=str(tmp_path))
-        loaded, *_ = load_checkpoint(str(tmp_path / "seed0" / "checkpoint"))
-        for params in (run.params, loaded):
+        trained, _ = train_one(tiny_config(variant), 0, split.train, table, out_dir=str(tmp_path))
+        loaded, _ = load_checkpoint(str(tmp_path / "seed0" / "checkpoint"))
+        for params in (trained, loaded):
             assert params.work is None and params.moments is None
             held = [value for value in vars(params).values() if isinstance(value, np.ndarray)]
             held += [a for value in vars(params).values() if isinstance(value, dict) for a in value.values()]
@@ -114,11 +114,9 @@ class TestTrainOne:
     def test_different_seed_different_trajectory(self):
         split, table, _ = make_world()
         config = tiny_config("socio_contrastive")
-        a = train_one(config, 0, split.train, table)
-        b = train_one(config, 1, split.train, table)
-        assert any(
-            a.params.tensors[n].tobytes() != b.params.tensors[n].tobytes() for n in a.params.tensors
-        )
+        a, _ = train_one(config, 0, split.train, table)
+        b, _ = train_one(config, 1, split.train, table)
+        assert any(a.tensors[n].tobytes() != b.tensors[n].tobytes() for n in a.tensors)
 
     def test_missing_embedding_fails_before_training(self):
         split, table, _ = make_world()
@@ -146,8 +144,8 @@ class TestTrainOne:
     def test_ablation_log_reports_unweighted_terms(self):
         split, table, _ = make_world()
         config = tiny_config("socio_contrastive", contrastive_weight=0.0)
-        run = train_one(config, 0, split.train, table)
-        with_pairs = [r for r in run.log_rows if r["pos_pairs"] + r["neg_pairs"] > 0]
+        _, log_rows = train_one(config, 0, split.train, table)
+        with_pairs = [r for r in log_rows if r["pos_pairs"] + r["neg_pairs"] > 0]
         assert with_pairs, "no contrastive pairs in any batch"
         for row in with_pairs:
             assert row["total"] == pytest.approx(row["classification"], abs=1e-12)
@@ -159,13 +157,10 @@ class TestTrainOne:
         for weight in (1.0, 0.0):
             config = tiny_config("socio_contrastive", contrastive_weight=weight)
             runs[weight] = train_one(config, 0, split.train, table)
-        first_with, first_without = runs[1.0].log_rows[0], runs[0.0].log_rows[0]
-        assert first_with["classification"] == first_without["classification"]
+        (with_params, with_log), (without_params, without_log) = runs[1.0], runs[0.0]
+        assert with_log[0]["classification"] == without_log[0]["classification"]
         # trajectories diverge once any batch carries pairs
-        assert any(
-            runs[1.0].params.tensors[n].tobytes() != runs[0.0].params.tensors[n].tobytes()
-            for n in runs[1.0].params.tensors
-        )
+        assert any(with_params.tensors[n].tobytes() != without_params.tensors[n].tobytes() for n in with_params.tensors)
 
 
 class TestPredictAndSuite:
@@ -201,10 +196,23 @@ class TestPredictAndSuite:
         a, b = (score_checkpoints(tmp_path / arm, split.test, table)[1] for arm in ("a", "b"))
         assert a == b
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_loaded_model_scores_as_trained(self, tmp_path, variant):
+        # a checkpoint keeps the whole model: weights, schema and head ids
+        split, table, socio_table = make_world()
+        socio = socio_table if variant == "socio_embedding" else None
+        trained, _ = train_one(tiny_config(variant), 0, split.train, table, socio, out_dir=str(tmp_path))
+        loaded, _ = load_checkpoint(str(tmp_path / "seed0" / "checkpoint"))
+        probs = [predict(model, split.test, table, socio)[0].tobytes() for model in (trained, loaded)]
+        assert probs[0] == probs[1]
+        schemas = [None if model.schema is None else model.schema.to_dict() for model in (trained, loaded)]
+        assert schemas[0] == schemas[1]
+        assert loaded.annotators == trained.annotators
+
     def test_simple_scores_constant_per_text(self):
         split, table, _ = make_world()
-        run = train_one(tiny_config("simple"), 0, split.train, table)
-        probs, _, _ = predict(run, split.test, table)
+        params, _ = train_one(tiny_config("simple"), 0, split.train, table)
+        probs, _, _ = predict(params, split.test, table)
         by_text = {}
         for (text_id, *_), p in zip(rows_of(split.test), probs):
             by_text.setdefault(text_id, set()).add(round(float(p), 12))
@@ -212,9 +220,9 @@ class TestPredictAndSuite:
 
     def test_multitask_counts_fallback_rows(self):
         split, table, _ = make_world()
-        run = train_one(tiny_config("multitask"), 0, split.train, table)
+        params, _ = train_one(tiny_config("multitask"), 0, split.train, table)
         train_annotators = {a for _, a, _, _ in rows_of(split.train)}
-        _, _, fallback = predict(run, split.test, table)
+        _, _, fallback = predict(params, split.test, table)
         expected = sum(1 for _, a, _, _ in rows_of(split.test) if a not in train_annotators)
         assert fallback == expected
 
@@ -240,7 +248,7 @@ class TestAblation:
         for arm, weight in (("socio_contrastive", 1.0), ("ablation", 0.0)):
             assert sorted(p.name for p in (trained / arm).iterdir()) == ["seed0", "seed1"]
             for seed in (0, 1):
-                params, manifest_seed, _, _ = read_manifest(str(trained / arm / f"seed{seed}" / "checkpoint"))
+                params, manifest_seed = read_manifest(str(trained / arm / f"seed{seed}" / "checkpoint"))
                 assert (params.spec.variant, params.spec.contrastive_weight) == ("socio_contrastive", weight)
                 assert manifest_seed == seed
         # train scores nothing: the arms' F1 and their difference come from eval's metrics
@@ -331,9 +339,9 @@ class TestLossTrend:
         split, table, socio_table = make_world(signal_shift=4.0, texts=60, seed=5)
         for variant in VARIANTS:
             config = tiny_config(variant, epochs=5)
-            run = train_one(config, 0, split.train, table, socio_table if variant == "socio_embedding" else None)
-            first = np.mean([r["classification"] for r in run.log_rows if r["epoch"] == 0])
-            last = np.mean([r["classification"] for r in run.log_rows if r["epoch"] == config.epochs - 1])
+            _, log_rows = train_one(config, 0, split.train, table, socio_table if variant == "socio_embedding" else None)
+            first = np.mean([r["classification"] for r in log_rows if r["epoch"] == 0])
+            last = np.mean([r["classification"] for r in log_rows if r["epoch"] == config.epochs - 1])
             assert last < first, f"{variant}: {last} !< {first}"
 
 
