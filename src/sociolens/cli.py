@@ -5,15 +5,17 @@ flags, which are written into the config before it is validated, so a
 flag is checked like the field it sets. Each command writes all
 artifacts under the configured output directory, never mutates its
 inputs, and reads each data file once; `eval` reads each checkpoint's
-manifest.json twice (a directly given one three times). `train` runs one
-list of suites, each under `train/<label>`: every configured variant,
-and with `train.ablation` the `ablation` suite (socio_contrastive at
-contrastive weight 0) straight after socio_contrastive. Their runs train
-in one worker pool (`trainer.train_suites`), and each worker writes the
-checkpoint, log, plans and representations of its run. `train` scores
-nothing: `eval` scores the test split from the checkpoints, and `report`
-reads eval's metrics. Exit codes: 0 success, 2 config error, 3 data
-error, 4 numeric error.
+manifest.json twice, for its socio input and to load it. `train` and
+`eval` need a socio input only where a run or checkpoint reads it
+(`_socio_inputs`). `train` runs one list of suites, each under
+`train/<label>`: every configured variant, and with `train.ablation` the
+`ablation` suite (socio_contrastive at contrastive weight 0) straight
+after socio_contrastive. Their runs train in one worker pool
+(`trainer.train_suites`), and each worker writes the checkpoint, log,
+plans and representations of its run. `train` scores nothing: `eval`
+scores the test split from the checkpoints, and `report` reads eval's
+metrics. Exit codes: 0 success, 2 config error, 3 data error, 4 numeric
+error.
 """
 
 from __future__ import annotations
@@ -36,22 +38,32 @@ def _log(cfg, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _write_json(path: str, payload) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
 def _load_labels(path: str, columns: corpus.ColumnMapping) -> corpus.Dataset:
     return corpus.binarize(corpus.load_annotations(path, columns))
+
+
+def _socio_inputs(
+    section: config_mod.TrainConfig | config_mod.EvalConfig, name: str, readers: dict[str | None, str]
+) -> tuple[features.ProfileTable | None, features.VectorTable | None]:
+    """The profiles of config section `name` if it names them, and its socio embeddings if a reader needs them.
+
+    `readers` maps each socio input kind read (`Wiring.socio`) to its first
+    reader; a "multihot" reader needs the profiles, an "embedding" one the table.
+    """
+    profiles = features.load_profiles(section.profiles) if section.profiles else None
+    socio_table = None
+    if "embedding" in readers:
+        if not section.socio_embeddings or not os.path.exists(section.socio_embeddings):
+            raise DataError(f"{readers['embedding']} need {name}.socio_embeddings (got {section.socio_embeddings!r})")
+        socio_table = features.load_embeddings(section.socio_embeddings)
+    if "multihot" in readers and profiles is None:
+        raise DataError(f"{readers['multihot']} need {name}.profiles (got {section.profiles!r})")
+    return profiles, socio_table
 
 
 # ----------------------------------------------------------------- synth
 
 def cmd_synth(cfg: config_mod.PipelineConfig) -> int:
-    if cfg.synth is None:
-        raise ConfigError("config has no synth section")
     spec = cfg.synth
     out = os.path.join(cfg.output_dir, "synth")
     os.makedirs(out, exist_ok=True)
@@ -66,7 +78,7 @@ def cmd_synth(cfg: config_mod.PipelineConfig) -> int:
         table = synth.generate_socio_embeddings(population, spec.socio_embedding_dim, spec.seed)
         features.save_vector_csv(table, os.path.join(out, "socio_embeddings.csv"), "key")
     stats = dataset.stats
-    _write_json(os.path.join(out, "stats.json"), stats)
+    features.write_json(os.path.join(out, "stats.json"), stats)
     _log(cfg, f"synth: {stats['records']} annotations over {stats['unique_texts']} texts -> {out}")
     return 0
 
@@ -74,8 +86,6 @@ def cmd_synth(cfg: config_mod.PipelineConfig) -> int:
 # ------------------------------------------------------------------ prep
 
 def cmd_prep(cfg: config_mod.PipelineConfig) -> int:
-    if cfg.prep is None:
-        raise ConfigError("config has no prep section")
     p = cfg.prep
     out = os.path.join(cfg.output_dir, "prep")
     os.makedirs(out, exist_ok=True)
@@ -89,8 +99,8 @@ def cmd_prep(cfg: config_mod.PipelineConfig) -> int:
     split = corpus.split_by_text(dataset, p.train_fraction, p.seed)
     corpus.save_annotations(split.train, os.path.join(out, "train.csv"), p.columns)
     corpus.save_annotations(split.test, os.path.join(out, "test.csv"), p.columns)
-    _write_json(os.path.join(out, "filter_report.json"), report.to_dict())
-    _write_json(
+    features.write_json(os.path.join(out, "filter_report.json"), report.to_dict())
+    features.write_json(
         os.path.join(out, "stats.json"),
         {
             "seed": p.seed,
@@ -110,27 +120,17 @@ def cmd_prep(cfg: config_mod.PipelineConfig) -> int:
 # ----------------------------------------------------------------- train
 
 def cmd_train(cfg: config_mod.PipelineConfig) -> int:
-    if cfg.train is None:
-        raise ConfigError("config has no train section")
     t = cfg.train
     text_table = features.load_embeddings(t.embeddings)
-    all_profiles = features.load_profiles(t.profiles) if t.profiles else None
+    readers: dict[str | None, str] = {}  # socio input kind -> the first variant whose runs read it
+    for run in t.runs:
+        readers.setdefault(WIRING[run.variant].socio, f"{run.variant} runs")
+    # every input a suite needs is checked before the first suite trains
+    all_profiles, socio_table = _socio_inputs(t, "train", readers)
     train_ds = _load_labels(t.train_annotations, t.columns)
     # training reads only the test split's texts, for the leak check
     test_ds = corpus.load_annotations(t.test_annotations, t.columns)
-    # every input a suite needs is checked before the first suite trains
-    socio_table = None
-    if any(WIRING[run.variant].socio == "embedding" for run in t.runs):
-        if not t.socio_embeddings or not os.path.exists(t.socio_embeddings):
-            raise DataError(
-                "socio_embedding variant needs train.socio_embeddings "
-                f"(got {t.socio_embeddings!r})"
-            )
-        socio_table = features.load_embeddings(t.socio_embeddings)
-    socio_variants = [run.variant for run in t.runs if WIRING[run.variant].socio is not None]
-    if socio_variants:
-        if all_profiles is None:
-            raise DataError(f"variant {socio_variants[0]} needs a profiles file")
+    if "multihot" in readers:
         # the other suites ignore the profiles
         train_ds = corpus.attach_profiles(train_ds, all_profiles)
     split = corpus.SplitPair(train=train_ds, test=test_ds)
@@ -156,14 +156,17 @@ def cmd_train(cfg: config_mod.PipelineConfig) -> int:
 
 # ------------------------------------------------------------------ eval
 
-def _discover_checkpoints(root: str) -> dict[str, list[tuple[int, str]]]:
-    """Map variant name -> [(seed, checkpoint_dir)] under `root`, sorted by seed."""
+def _discover_checkpoints(root: str) -> dict[str, list[tuple[int, str, str | None]]]:
+    """Map variant name -> [(seed, checkpoint_dir, socio input kind)] under `root`, sorted by seed.
+
+    Each checkpoint's manifest is read once, for its socio input kind.
+    """
     if not os.path.exists(root):
         raise DataError(f"checkpoint path does not exist: {root}")
     if os.path.exists(os.path.join(root, "manifest.json")):
         params, seed = read_manifest(root)
-        return {params.spec.variant: [(seed, root)]}
-    found: dict[str, list[tuple[int, str]]] = {}
+        return {params.spec.variant: [(seed, root, params.spec.wiring.socio)]}
+    found: dict[str, list[tuple[int, str, str | None]]] = {}
 
     def scan_variant_dir(name: str, path: str) -> None:
         entries = []
@@ -172,7 +175,7 @@ def _discover_checkpoints(root: str) -> dict[str, list[tuple[int, str]]]:
             if child.startswith("seed") and os.path.exists(os.path.join(ckpt, "manifest.json")):
                 if not child[4:].isdecimal():
                     raise DataError(f"checkpoint directory {os.path.join(path, child)} is not named seed<N>")
-                entries.append((int(child[4:]), ckpt))
+                entries.append((int(child[4:]), ckpt, read_manifest(ckpt)[0].spec.wiring.socio))
         if entries:
             found[name] = sorted(entries)
 
@@ -189,35 +192,16 @@ def _discover_checkpoints(root: str) -> dict[str, list[tuple[int, str]]]:
     return found
 
 
-def _write_roc_csv(path: str, points) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "fpr", "tpr"])
-        for threshold, fpr, tpr in points:
-            writer.writerow([repr(threshold), repr(fpr), repr(tpr)])
-
-
 def cmd_eval(cfg: config_mod.PipelineConfig) -> int:
-    if cfg.eval is None:
-        raise ConfigError("config has no eval section")
     e = cfg.eval
     text_table = features.load_embeddings(e.embeddings)
-    all_profiles = features.load_profiles(e.profiles) if e.profiles else None
     by_variant = _discover_checkpoints(e.checkpoints)
-    # every input a checkpoint needs is checked before the first variant is scored
-    socio: dict[str | None, str] = {}  # socio input kind -> the first checkpoint directory that reads it
+    readers: dict[str | None, str] = {}  # socio input kind -> the first variant directory whose checkpoints read it
     for name, entries in sorted(by_variant.items()):
-        for _, ckpt in entries:
-            socio.setdefault(WIRING[read_manifest(ckpt)[0].spec.variant].socio, name)
-    socio_table = None
-    if "embedding" in socio:
-        if not e.socio_embeddings or not os.path.exists(e.socio_embeddings):
-            raise DataError(
-                f"{socio['embedding']} checkpoints need eval.socio_embeddings (got {e.socio_embeddings!r})"
-            )
-        socio_table = features.load_embeddings(e.socio_embeddings)
-    if "multihot" in socio and all_profiles is None:
-        raise DataError(f"{socio['multihot']} checkpoints need eval.profiles (got {e.profiles!r})")
+        for _, _, socio in entries:
+            readers.setdefault(socio, f"{name} checkpoints")
+    # every input a checkpoint needs is checked before the first variant is scored
+    all_profiles, socio_table = _socio_inputs(e, "eval", readers)
     dataset = _load_labels(e.annotations, e.columns)
     schema = None
     if all_profiles is not None:
@@ -232,14 +216,15 @@ def cmd_eval(cfg: config_mod.PipelineConfig) -> int:
         reports = []
         groups_by_seed = []
         fallback_rows = 0
-        for seed, ckpt in entries:
+        for seed, ckpt, _ in entries:
             probs, labels, fallback = trainer.predict(load_checkpoint(ckpt)[0], dataset, text_table, socio_table)
             fallback_rows += fallback
             report = metrics.confusion_metrics(probs, labels)
             reports.append(report)
             try:
                 points = metrics.roc_curve(probs, labels)
-                _write_roc_csv(os.path.join(out, f"roc_seed{seed}.csv"), points)
+                features.write_csv(os.path.join(out, f"roc_seed{seed}.csv"), ["threshold", "fpr", "tpr"],
+                                   ([repr(threshold), repr(fpr), repr(tpr)] for threshold, fpr, tpr in points))
             except DataError:
                 pass
             if schema is not None:
@@ -254,7 +239,7 @@ def cmd_eval(cfg: config_mod.PipelineConfig) -> int:
             },
             "unknown_annotator_rows": fallback_rows,
         }
-        _write_json(os.path.join(out, "metrics.json"), payload)
+        features.write_json(os.path.join(out, "metrics.json"), payload)
         _write_metrics_csv(os.path.join(out, "metrics.csv"), variant, reports)
         if groups_by_seed:
             _write_groups_csv(os.path.join(out, "groups.csv"), groups_by_seed)
@@ -264,16 +249,12 @@ def cmd_eval(cfg: config_mod.PipelineConfig) -> int:
 
 def _write_metrics_csv(path: str, variant: str, reports) -> None:
     agg = metrics.aggregate_runs(reports)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "run", "precision", "recall", "f1", "auc"])
-        for i, r in enumerate(reports):
-            writer.writerow([variant, i, repr(r.precision), repr(r.recall), repr(r.f1),
-                             repr(r.auc) if r.auc is not None else ""])
-        mean_row = ["mean"] + [repr(agg[k][0]) if k in agg else "" for k in ("precision", "recall", "f1", "auc")]
-        std_row = ["std"] + [repr(agg[k][1]) if k in agg else "" for k in ("precision", "recall", "f1", "auc")]
-        writer.writerow([variant] + mean_row)
-        writer.writerow([variant] + std_row)
+    rows = [[variant, i, repr(r.precision), repr(r.recall), repr(r.f1), repr(r.auc) if r.auc is not None else ""]
+            for i, r in enumerate(reports)]
+    mean_row = ["mean"] + [repr(agg[k][0]) if k in agg else "" for k in ("precision", "recall", "f1", "auc")]
+    std_row = ["std"] + [repr(agg[k][1]) if k in agg else "" for k in ("precision", "recall", "f1", "auc")]
+    features.write_csv(path, ["model", "run", "precision", "recall", "f1", "auc"],
+                       rows + [[variant] + mean_row, [variant] + std_row])
 
 
 def _write_groups_csv(path: str, groups_by_seed) -> None:
@@ -283,29 +264,26 @@ def _write_groups_csv(path: str, groups_by_seed) -> None:
         for g in group_reports:
             for category, report in g.categories.items():
                 acc.setdefault((g.attribute, category), []).append(report)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["attribute", "category", "n", "precision", "recall", "f1", "auc"])
-        for (attribute, category), reports in acc.items():
-            agg = metrics.aggregate_runs(reports)
-            writer.writerow(
-                [
-                    attribute,
-                    category,
-                    reports[0].n,
-                    repr(agg["precision"][0]),
-                    repr(agg["recall"][0]),
-                    repr(agg["f1"][0]),
-                    repr(agg["auc"][0]) if "auc" in agg else "",
-                ]
-            )
+    rows = []
+    for (attribute, category), reports in acc.items():
+        agg = metrics.aggregate_runs(reports)
+        rows.append(
+            [
+                attribute,
+                category,
+                reports[0].n,
+                repr(agg["precision"][0]),
+                repr(agg["recall"][0]),
+                repr(agg["f1"][0]),
+                repr(agg["auc"][0]) if "auc" in agg else "",
+            ]
+        )
+    features.write_csv(path, ["attribute", "category", "n", "precision", "recall", "f1", "auc"], rows)
 
 
 # ------------------------------------------------------------- homophily
 
 def cmd_homophily(cfg: config_mod.PipelineConfig) -> int:
-    if cfg.homophily is None:
-        raise ConfigError("config has no homophily section")
     h = cfg.homophily
     reps = homophily.load_representations(h.representations)
     profiles = features.load_profiles(h.profiles)
@@ -316,18 +294,13 @@ def cmd_homophily(cfg: config_mod.PipelineConfig) -> int:
     )
     out = os.path.join(cfg.output_dir, "homophily")
     os.makedirs(out, exist_ok=True)
-    _write_json(os.path.join(out, "homophily.json"), {"rows": [r.to_dict() for r in rows]})
-    with open(os.path.join(out, "homophily.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["attribute", "observed", "observed_std", "random", "random_std",
-             "ratio", "ratio_std", "k", "iterations"]
-        )
-        for r in rows:
-            writer.writerow(
-                [r.attribute, repr(r.observed_mean), repr(r.observed_std), repr(r.chance_mean),
-                 repr(r.chance_std), repr(r.ratio_mean), repr(r.ratio_std), r.k, r.iterations]
-            )
+    features.write_json(os.path.join(out, "homophily.json"), {"rows": [r.to_dict() for r in rows]})
+    features.write_csv(
+        os.path.join(out, "homophily.csv"),
+        ["attribute", "observed", "observed_std", "random", "random_std", "ratio", "ratio_std", "k", "iterations"],
+        ([r.attribute, repr(r.observed_mean), repr(r.observed_std), repr(r.chance_mean),
+          repr(r.chance_std), repr(r.ratio_mean), repr(r.ratio_std), r.k, r.iterations] for r in rows),
+    )
     for r in rows:
         _log(cfg, f"homophily: {r.attribute}: ratio {r.ratio_mean:.3f} ± {r.ratio_std:.3f}")
     return 0
@@ -460,15 +433,18 @@ def cmd_report(cfg: config_mod.PipelineConfig) -> int:
     with open(os.path.join(report_dir, "report.md"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
 
-    with open(os.path.join(report_dir, "summary.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "precision_mean", "precision_std", "recall_mean", "recall_std",
-                         "f1_mean", "f1_std", "auc_mean", "auc_std"])
-        for variant, agg in rows:
-            record = [variant]
-            for key in ("precision", "recall", "f1", "auc"):
-                record += [repr(value) for value in agg[key]] if key in agg else ["", ""]
-            writer.writerow(record)
+    summary = []
+    for variant, agg in rows:
+        record = [variant]
+        for key in ("precision", "recall", "f1", "auc"):
+            record += [repr(value) for value in agg[key]] if key in agg else ["", ""]
+        summary.append(record)
+    features.write_csv(
+        os.path.join(report_dir, "summary.csv"),
+        ["model", "precision_mean", "precision_std", "recall_mean", "recall_std", "f1_mean", "f1_std",
+         "auc_mean", "auc_std"],
+        summary,
+    )
 
     for gap in gaps:
         _log(cfg, f"report: warning: {gap}")
@@ -549,6 +525,8 @@ def main(argv: list[str] | None = None) -> int:
             if not flags:
                 raise
             raise ConfigError(f"{exc} (with {' '.join(flags)})") from exc
+        if args.command != "report" and getattr(cfg, args.command) is None:
+            raise ConfigError(f"config has no {args.command} section")
         return COMMANDS[args.command](cfg)
     except (SociolensError, OSError) as exc:
         # an unreadable or unwritable file is a data error

@@ -33,7 +33,7 @@ from .errors import (
     EmptyDatasetError,
     SchemaError,
 )
-from .features import ProfileTable, open_csv
+from .features import ProfileTable, open_csv, write_csv
 from .rng import seeded_shuffle
 
 RECORD = np.dtype([("text", np.int32), ("annotator", np.int32), ("score", np.int64), ("label", np.int8)])
@@ -179,14 +179,11 @@ def save_annotations(dataset: Dataset, path: str, columns: ColumnMapping | None 
     """Re-emit a dataset with the same column conventions used for loading."""
     columns = columns or ColumnMapping()
     rows = dataset.records
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([columns.text_id, columns.annotator_id, columns.score])
-        writer.writerows(zip(
-            dataset.texts[rows["text"]].tolist(),
-            dataset.annotators[rows["annotator"]].tolist(),
-            rows["score"].tolist(),
-        ))
+    write_csv(path, [columns.text_id, columns.annotator_id, columns.score], zip(
+        dataset.texts[rows["text"]].tolist(),
+        dataset.annotators[rows["annotator"]].tolist(),
+        rows["score"].tolist(),
+    ))
 
 
 def attach_profiles(dataset: Dataset, profiles: ProfileTable) -> Dataset:

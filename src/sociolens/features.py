@@ -11,7 +11,7 @@ an explicit trailing MISSING category rather than an all-zero block.
 Every keyed side input and output is a VectorTable: text and socio
 embeddings, and learned representations. Embeddings are
 produced externally and read here from two formats; tables are written
-only as CSV, by `save_vector_csv`:
+only as CSV:
 
 * CSV: header ``<key column>,d0,...,d{n-1}`` with full-precision decimal
   floats; the key column is ``key`` for embeddings and ``annotator_id``
@@ -21,12 +21,16 @@ only as CSV, by `save_vector_csv`:
   f32 components, and nothing after the last entry.
 
 Both readers reject a repeated key.
+
+`write_csv` and `write_json` write every CSV and JSON artifact of the
+pipeline.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import json
 import os
 import struct
 from dataclasses import dataclass
@@ -48,6 +52,21 @@ def open_csv(path: str):
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     except csv.Error as exc:
         raise DataError(f"{path}: malformed CSV: {exc}") from None
+
+
+def write_csv(path: str, header: list[str], rows) -> None:
+    """Write `header`, then each row of the iterable `rows`, as a UTF-8 CSV file at `path`."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path: str, payload, indent: int | None = 2) -> None:
+    """Write `payload` as UTF-8 JSON and a newline at `path`; `indent=None` puts it on one line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=indent)
+        fh.write("\n")
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,11 +323,11 @@ def _load_embeddings_binary(path: str) -> VectorTable:
 
 def save_vector_csv(table: VectorTable, path: str, key_column: str) -> None:
     """Write `table` as a ``<key_column>,d0,...`` CSV; floats use repr, so `load_vector_csv` reads the same bits."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([key_column] + [f"d{i}" for i in range(table.dimension)])
-        for key, vec in zip(table.keys, table.matrix):
-            writer.writerow([key] + [repr(x) for x in vec.tolist()])
+    write_csv(
+        path,
+        [key_column] + [f"d{i}" for i in range(table.dimension)],
+        ([key] + [repr(x) for x in vec.tolist()] for key, vec in zip(table.keys, table.matrix)),
+    )
 
 
 def load_profiles(path: str) -> ProfileTable:
@@ -345,7 +364,4 @@ def save_profiles(profiles: ProfileTable, path: str) -> None:
     """Write `profiles` as `load_profiles` reads them: annotator_id first, a declined answer as an empty cell."""
     # a declined answer's -1 picks the appended ""
     columns = [np.array(cats + [""], dtype=object)[profiles.answers[:, j]] for j, cats in enumerate(profiles.categories)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["annotator_id"] + profiles.attributes)
-        writer.writerows(zip(profiles.annotators, *columns))
+    write_csv(path, ["annotator_id"] + profiles.attributes, zip(profiles.annotators, *columns))

@@ -54,7 +54,7 @@ import numpy as np
 
 from .batcher import Batch
 from .errors import ConfigError, DataError, NumericError
-from .features import ProfileTable, SocioSchema, VectorTable, multihot_rows
+from .features import ProfileTable, SocioSchema, VectorTable, multihot_rows, write_json
 
 
 @dataclass(frozen=True)
@@ -503,8 +503,9 @@ def extract_socio_reps(params: ModelParams, profiles: ProfileTable) -> VectorTab
 def save_checkpoint(params: ModelParams, directory: str, seed: int) -> str:
     """Write manifest.json plus params.bin, the raw bytes of `params.flat`; returns `directory`.
 
-    The manifest holds the spec, `seed`, the step, the tensor shapes and,
-    where the model has them, its head ids and schema. params.bin is the
+    The manifest holds the spec, `seed`, the step, the tensor shapes,
+    and the head ids of a per-annotator model and the schema of a
+    multi-hot one. params.bin is the
     weights row alone, little-endian f64 in `ModelSpec.tensor_shapes`
     order; Adam's moments are not kept.
     """
@@ -519,9 +520,7 @@ def save_checkpoint(params: ModelParams, directory: str, seed: int) -> str:
         manifest["annotators"] = list(params.annotators)
     if params.schema is not None:
         manifest["schema"] = params.schema.to_dict()
-    with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(directory, "manifest.json"), manifest)
     params.flat.tofile(os.path.join(directory, "params.bin"))
     return directory
 

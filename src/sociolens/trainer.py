@@ -34,7 +34,7 @@ import numpy as np
 from .batcher import BatchTables, assemble_batch, plan_epoch
 from .corpus import Dataset, SplitPair, majority_vote
 from .errors import DataError, NumericError, SociolensError
-from .features import ProfileTable, SocioSchema, VectorTable, build_schema, multihot_rows, save_vector_csv
+from .features import ProfileTable, SocioSchema, VectorTable, build_schema, multihot_rows, save_vector_csv, write_json
 from .model import (
     WIRING,
     ModelParams,
@@ -142,7 +142,7 @@ def train_one(
         raise DataError("training data must be binarized first")
 
     wiring = WIRING[config.variant]
-    schema = build_schema(train.profiles) if wiring.socio else None
+    schema = build_schema(train.profiles) if wiring.socio == "multihot" else None
     heads = sorted(train.annotators.tolist()) if wiring.per_annotator else None
     tables = _batch_tables(wiring, train, text_table, schema, socio_table, heads)
 
@@ -187,9 +187,7 @@ def train_one(
             for row in log_rows:
                 fh.write(json.dumps(row) + "\n")
         if dump_plan:
-            with open(os.path.join(run_dir, "plans.json"), "w", encoding="utf-8") as fh:
-                json.dump({"seed": seed, "epochs": plans}, fh)
-                fh.write("\n")
+            write_json(os.path.join(run_dir, "plans.json"), {"seed": seed, "epochs": plans}, indent=None)
         if wiring.projected and profiles is not None:
             reps = extract_socio_reps(params, profiles)
             save_vector_csv(reps, os.path.join(run_dir, "representations.csv"), "annotator_id")

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import base_config, run_chain, sequential_train_suites
-from sociolens import cli, corpus, features, trainer
+from sociolens import cli, corpus, features, model, trainer
 from sociolens.batcher import BatchTables
 from sociolens.cli import main
 from sociolens.config import load_config
@@ -361,8 +361,31 @@ class TestErrors:
         config_path = tmp_path / "train_only.json"
         config_path.write_text(json.dumps({"output_dir": str(out), "train": train}), encoding="utf-8")
         assert main(["train", "--config", str(config_path)]) == 3
-        assert capsys.readouterr().err.startswith("data error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        if profiles is None:
+            assert err == "data error: socio_multihot runs need train.profiles (got None)\n"
         assert not (out / "train").exists()
+
+    def test_socio_embedding_runs_need_no_profiles(self, tmp_path):
+        # socio_embedding reads the socio embeddings alone: neither train nor eval needs a profiles file for it
+        out = run_chain(tmp_path, base_config(str(tmp_path / "out")), commands=("synth", "prep"))
+        train = dict(base_config("")["train"], variant="socio_embedding", ablation=False)
+        for name, path in (("train_annotations", "prep/train.csv"), ("test_annotations", "prep/test.csv"),
+                           ("embeddings", "synth/embeddings.csv"), ("socio_embeddings", "synth/socio_embeddings.csv")):
+            train[name] = str(out / path)
+        config_path = tmp_path / "no_profiles.json"
+        config_path.write_text(json.dumps({"output_dir": str(out), "train": train, "eval": {}}), encoding="utf-8")
+        with mock.patch.object(trainer, "train_suites", sequential_train_suites):
+            assert main(["train", "--config", str(config_path)]) == 0
+        manifest = json.loads(
+            (out / "train" / "socio_embedding" / "seed0" / "checkpoint" / "manifest.json").read_text(encoding="utf-8")
+        )
+        assert "schema" not in manifest
+        assert main(["eval", "--config", str(config_path)]) == 0
+        assert (out / "eval" / "socio_embedding" / "metrics.json").exists()
+        # without profiles there are no group slices
+        assert not (out / "eval" / "socio_embedding" / "groups.csv").exists()
 
     def test_profiles_of_test_annotators_are_checked_by_eval_not_train(self, tmp_path, capsys):
         # train reads the test split for its leak check alone; eval scores it and checks it before writing
@@ -446,6 +469,28 @@ class TestErrors:
         (ckpt / "params.bin").write_bytes(b"\0" * 8)
         assert main(["eval", "--config", str(path)]) == 3
         assert f"{ckpt}: params.bin is 8 bytes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("direct", [False, True], ids=["train-layout", "direct"])
+    def test_each_manifest_is_read_twice(self, tmp_path, monkeypatch, trained_simple, direct):
+        # once for the socio input it reads, once by the load that scores it
+        shutil.copytree(trained_simple / "out", tmp_path / "out")
+        ckpt = tmp_path / "out" / "train" / "simple" / "seed0" / "checkpoint"
+        config = base_config(str(tmp_path / "out"))
+        config["train"].update(variant="simple", ablation=False)
+        if direct:
+            config["eval"]["checkpoints"] = str(ckpt)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        reads = Counter()
+
+        def counted(directory, _read=model.read_manifest):
+            reads[directory] += 1
+            return _read(directory)
+
+        monkeypatch.setattr(cli, "read_manifest", counted)
+        monkeypatch.setattr(model, "read_manifest", counted)
+        assert main(["eval", "--config", str(path)]) == 0
+        assert reads == {str(ckpt): 2}
 
     def test_checkpoint_schema_without_attributes_exits_3(self, tmp_path, capsys, trained_simple):
         def edit(ckpt):

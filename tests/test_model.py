@@ -13,6 +13,7 @@ from helpers import (
     adam_state,
     combined_objective,
     gradient_check_instance,
+    make_dataset,
     profiles_of,
     random_batch,
     random_small_spec,
@@ -23,7 +24,7 @@ from helpers import (
 )
 from sociolens.batcher import Batch
 from sociolens.errors import ConfigError, DataError, NumericError
-from sociolens.features import MISSING, SocioSchema
+from sociolens.features import MISSING, SocioSchema, VectorTable
 from sociolens.model import (
     ModelSpec,
     adam_step,
@@ -35,6 +36,7 @@ from sociolens.model import (
     save_checkpoint,
     sigmoid,
 )
+from sociolens.trainer import predict
 
 VARIANTS = ("simple", "multitask", "socio_multihot", "socio_embedding", "socio_contrastive")
 
@@ -568,6 +570,23 @@ class TestCheckpoints:
 
         with pytest.raises(DataError, match="malformed manifest"):
             load_checkpoint(self.edit_manifest(tmp_path, edit))
+
+    def test_socio_embedding_manifest_with_a_schema_loads_and_predicts_alike(self, tmp_path):
+        # a socio_embedding model has no schema, but older checkpoints of one carry a schema nothing reads
+        directory = tmp_path / "ck"
+        save_checkpoint(init_params(small_spec("socio_embedding"), 4), str(directory), seed=4)
+        manifest = json.loads((directory / "manifest.json").read_text())
+        assert "schema" not in manifest
+        rng = np.random.default_rng(4)
+        dataset = make_dataset([("t0", "a0", 1), ("t0", "a1", 0), ("t1", "a1", 2), ("t1", "a2", 0)], labels=True)
+        tables = (VectorTable(["t0", "t1"], rng.normal(size=(2, 3))),
+                  VectorTable(["a0", "a1", "a2"], rng.normal(size=(3, 4))))
+        expected = predict(load_checkpoint(str(directory))[0], dataset, *tables)[0]
+        manifest["schema"] = SocioSchema([("g", ["a", "b", MISSING])]).to_dict()
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+        loaded, seed = load_checkpoint(str(directory))
+        assert seed == 4 and loaded.schema.to_dict() == manifest["schema"]
+        assert predict(loaded, dataset, *tables)[0].tobytes() == expected.tobytes()
 
     def test_heads_index_follows_manifest_order(self, tmp_path):
         loaded, _ = load_checkpoint(self.edit_manifest(tmp_path, lambda m: m["annotators"].reverse()))

@@ -118,3 +118,21 @@ def test_only_model_pairs_a_model_with_a_schema():
             if any("ModelParams" in n for n in names) and any("SocioSchema" in n for n in names):
                 found.append(f"{path.name}:{node.lineno}:{node.name}")
     assert SOURCES and not found, found
+
+
+def test_only_features_writes_csv_or_json():
+    # every CSV and JSON artifact is written by `features.write_csv` or `features.write_json`;
+    # `json.dumps` stays free for the JSON Lines training log
+    found = []
+    for path in SOURCES:
+        if path.name == "features.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and (
+                (node.value.id, node.attr) in (("csv", "writer"), ("json", "dump"))
+            ):
+                found.append(f"{path.name}:{node.lineno}:{node.value.id}.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module in ("csv", "json"):
+                found += [f"{path.name}:{node.lineno}:{alias.name}" for alias in node.names
+                          if alias.name in ("writer", "dump")]
+    assert SOURCES and not found, found
