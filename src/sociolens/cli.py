@@ -289,9 +289,7 @@ def cmd_homophily(cfg: config_mod.PipelineConfig) -> int:
     profiles = features.load_profiles(h.profiles)
     schema = features.build_schema(profiles)
     space = homophily.RepSpace.from_representations(reps, profiles, schema)
-    rows = homophily.homophily_table(
-        space, k=h.k, iterations=h.iterations, seed=h.seed, metric=h.metric, attributes=h.attributes
-    )
+    rows = homophily.homophily_table(space, k=h.k, iterations=h.iterations, seed=h.seed, attributes=h.attributes)
     out = os.path.join(cfg.output_dir, "homophily")
     os.makedirs(out, exist_ok=True)
     features.write_json(os.path.join(out, "homophily.json"), {"rows": [r.to_dict() for r in rows]})

@@ -120,7 +120,6 @@ class HomophilyConfig:
     k: int = 50
     iterations: int = 1000
     seed: int = 0
-    metric: str = "cosine"
     attributes: list[str] | None = None
 
 
@@ -195,7 +194,7 @@ def _parse_train(raw: dict, out_dir: str, prep: PrepConfig | None, synth_dir: st
         val = s[key]
         rules[key] = (isinstance(val, (list, tuple)) and len(val) == 2 and all(_is_int(x) and x >= 1 for x in val),
                       "a list of two integers >= 1")
-    for key in ("normalize_embeddings", "ablation", "dump_plan"):
+    for key in ("ablation", "dump_plan"):
         rules[key] = (isinstance(s[key], bool), "true or false")
     for key, (ok, rule) in rules.items():
         _check(bool(ok), f"train.{key} must be {rule}")
@@ -250,7 +249,6 @@ def _parse_homophily(raw: dict, out_dir: str, train: TrainConfig | None) -> Homo
     _check(s["profiles"] is not None, "homophily.profiles is required")
     for key, least in (("k", 1), ("iterations", 1), ("seed", 0)):
         _check(_is_int(s[key]) and s[key] >= least, f"homophily.{key} must be an integer >= {least}")
-    _check(s["metric"] in ("cosine", "euclidean"), "homophily.metric must be cosine or euclidean")
     attrs = s["attributes"]
     if attrs is not None:
         _check(isinstance(attrs, list) and attrs and all(isinstance(a, str) for a in attrs) and _distinct(attrs),

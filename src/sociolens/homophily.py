@@ -7,9 +7,9 @@ probability for two random draws); their ratio exceeds 1 when the
 representation space clusters by that attribute. Bootstrap resampling
 over annotators attaches a mean and standard deviation to all three.
 
-Neighbor search is exact (brute force) under cosine distance by default,
-with Euclidean available. Distances are computed over the unique vectors,
-so identical vectors lie at exactly the same distance from every query.
+Neighbor search is exact (brute force) under cosine distance. Distances
+are computed over the unique vectors, so identical vectors lie at exactly
+the same distance from every query.
 Ties break by annotator id, then row order, so results are deterministic.
 
 Cost: a pair's sort key does not depend on who else is in the space, so
@@ -34,10 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .features import ProfileTable, SocioSchema, VectorTable, load_vector_csv
-
-METRICS = ("cosine", "euclidean")
 
 
 class RepSpace:
@@ -96,20 +94,12 @@ ORDER_BLOCK = 128  # rows per block when building and filtering the neighbor ord
 DEPTH_PER_K = 4  # list entries kept per neighbor asked for: a draw's k members lie ~1.6·k deep
 
 
-def _distance_blocks(vectors: np.ndarray, metric: str, starts: np.ndarray | None = None):
-    """Yield (start, distances from vectors[start:start + ORDER_BLOCK] to every row), per block or per `starts`."""
-    if metric not in METRICS:
-        raise ConfigError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    if metric == "cosine":
-        vectors = vectors / np.maximum(np.linalg.norm(vectors, axis=1, keepdims=True), 1e-30)
-    sq = np.sum(vectors**2, axis=1)
+def _distance_blocks(vectors: np.ndarray, starts: np.ndarray | None = None):
+    """Yield (start, cosine distances from vectors[start:start + ORDER_BLOCK] to all rows), per block or `starts`."""
+    vectors = vectors / np.maximum(np.linalg.norm(vectors, axis=1, keepdims=True), 1e-30)
     for start in range(0, len(vectors), ORDER_BLOCK) if starts is None else starts:
-        block = slice(start, start + ORDER_BLOCK)
-        gram = vectors[block] @ vectors.T
-        if metric == "cosine":
-            yield start, np.subtract(1.0, gram, out=gram)
-        else:
-            yield start, np.sqrt(np.maximum(sq[block, None] + sq[None, :] - 2.0 * gram, 0.0))
+        gram = vectors[start : start + ORDER_BLOCK] @ vectors.T
+        yield start, np.subtract(1.0, gram, out=gram)
 
 
 class NeighborLists(NamedTuple):
@@ -119,7 +109,6 @@ class NeighborLists(NamedTuple):
     row_of: np.ndarray  # each annotator's unique vector
     unique: np.ndarray  # the unique vectors
     by_id: np.ndarray  # annotator indices in id order
-    metric: str
 
 
 def _list_depth(n: int, k: int) -> int:
@@ -148,7 +137,7 @@ def _first_neighbors(dist: np.ndarray, depth: int, by_id: np.ndarray) -> np.ndar
     return by_id[ranked % dist.shape[1]]
 
 
-def _neighbor_order(vectors: np.ndarray, ids: list[str], metric: str, depth: int) -> NeighborLists:
+def _neighbor_order(vectors: np.ndarray, ids: list[str], depth: int) -> NeighborLists:
     """One order row of `depth` entries per unique vector, and each annotator's row in it.
 
     order[row_of[i]] holds the first `depth` indices, i included, by
@@ -159,9 +148,9 @@ def _neighbor_order(vectors: np.ndarray, ids: list[str], metric: str, depth: int
     row_of = row_of.reshape(-1)
     by_id = np.argsort(np.array(ids, dtype=object), kind="stable").astype(np.int32)
     order = np.empty((len(unique), depth), dtype=np.int32)
-    for start, dist in _distance_blocks(unique, metric):
+    for start, dist in _distance_blocks(unique):
         order[start : start + len(dist)] = _first_neighbors(np.take(dist, row_of[by_id], axis=1), depth, by_id)
-    return NeighborLists(order, row_of, unique, by_id, metric)
+    return NeighborLists(order, row_of, unique, by_id)
 
 
 def _first_members(
@@ -201,7 +190,7 @@ def _rescan(lists: NeighborLists, member: np.ndarray, rows: np.ndarray, k: int) 
     unique_rows = lists.row_of[rows]
     blocks = unique_rows // ORDER_BLOCK
     columns = lists.row_of[lists.by_id]
-    for start, dist in _distance_blocks(lists.unique, lists.metric, np.unique(blocks) * ORDER_BLOCK):
+    for start, dist in _distance_blocks(lists.unique, np.unique(blocks) * ORDER_BLOCK):
         here = blocks == start // ORDER_BLOCK
         held, at = np.unique(unique_rows[here], return_inverse=True)
         full = _first_neighbors(np.take(dist[held - start], columns, axis=1), len(columns), lists.by_id)
@@ -233,10 +222,9 @@ def bootstrap_homophily(
     k: int = 50,
     iterations: int = 1000,
     seed: int = 0,
-    metric: str = "cosine",
 ) -> HomophilyRow:
     """The bootstrap row of one attribute; see `homophily_table`."""
-    return homophily_table(space, k, iterations, seed, metric, attributes=[attribute])[0]
+    return homophily_table(space, k, iterations, seed, attributes=[attribute])[0]
 
 
 def homophily_table(
@@ -244,7 +232,6 @@ def homophily_table(
     k: int = 50,
     iterations: int = 1000,
     seed: int = 0,
-    metric: str = "cosine",
     attributes: list[str] | None = None,
 ) -> list[HomophilyRow]:
     """Bootstrap rows for every attribute (or the requested subset), ratio-descending.
@@ -260,7 +247,7 @@ def homophily_table(
     _check_space(space, names, k)
     n = len(space)
     codes = [space.codes[:, space.attributes.index(a)] for a in names]
-    lists = _neighbor_order(space.vectors, space.annotator_ids, metric, _list_depth(n, k))
+    lists = _neighbor_order(space.vectors, space.annotator_ids, _list_depth(n, k))
     observed, chance = np.empty((2, len(names), iterations), dtype=np.float64)
     for it in range(iterations):
         draw = np.random.default_rng([seed, it]).integers(0, n, size=n)

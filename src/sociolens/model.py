@@ -90,7 +90,6 @@ class ModelSpec:
     temperature: float = 0.1
     contrastive_weight: float = 1.0
     annotator_count: int = 0
-    normalize_embeddings: bool = True
 
     @property
     def wiring(self) -> Wiring:
@@ -188,7 +187,10 @@ class ForwardTrace:
 
     The lists run in layer order: the rows each layer reads, then the
     pre-activation and the inverted-dropout mask (None where dropout is
-    off) of each ReLU layer, which is every layer but the head.
+    off) of each ReLU layer, which is every layer but the head. Projected
+    wiring also keeps its representation rows E, their norms clamped at
+    `NORM_EPS`, and `E_normalized`, E over those norms: the rows the
+    contrastive objective reads.
     """
 
     mode: str
@@ -200,13 +202,6 @@ class ForwardTrace:
     E: np.ndarray | None = None
     E_norms: np.ndarray | None = None
     E_normalized: np.ndarray | None = None
-
-    @property
-    def loss_embedding(self) -> np.ndarray:
-        """The representation rows the contrastive objective consumes."""
-        if self.E is None:
-            raise DataError("no socio representation on this trace")
-        return self.E_normalized if self.E_normalized is not None else self.E
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -285,8 +280,7 @@ def forward(
             E = _stack_forward(t, range(spec.trunk_start), socio, trace)
             trace.E = socio = E
             trace.E_norms = np.maximum(np.linalg.norm(E, axis=1, keepdims=True), NORM_EPS)
-            if spec.normalize_embeddings:
-                trace.E_normalized = E / trace.E_norms
+            trace.E_normalized = E / trace.E_norms
         fused = np.concatenate([batch.text, socio], axis=1)
     if fused.shape[1] != spec.fused_dim:
         raise DataError(f"fused input width {fused.shape[1]} != spec width {spec.fused_dim}")
@@ -344,9 +338,9 @@ def backward(
     """Exact gradients of the scalar loss for every parameter tensor.
 
     `d_logits` is dL/dlogits; `dE_loss` (projected wiring only) is the
-    contrastive gradient w.r.t. the representation fed to that loss. With
-    `normalize_embeddings` on, the normalization Jacobian is applied here
-    before the two E paths merge. Gradients land in `params.gradient_views()`
+    contrastive gradient w.r.t. `trace.E_normalized`, the rows fed to that
+    loss. The normalization Jacobian is applied here before the two E
+    paths merge. Gradients land in `params.gradient_views()`
     and hold until the next `backward` or `adam_step` on `params`.
     """
     spec = params.spec
@@ -397,18 +391,15 @@ def backward(
             dE_loss = np.asarray(dE_loss, dtype=np.float64)
             if dE_loss.shape != trace.E.shape:
                 raise DataError(f"dE shape {dE_loss.shape} != E shape {trace.E.shape}")
-            if spec.normalize_embeddings:
-                # Jacobian of E_hat = E / max(||E||, eps): rows at the
-                # clamp scale by 1/eps, others subtract the radial part
-                e_hat = trace.E_normalized
-                clamped = (trace.E_norms <= NORM_EPS).ravel()
-                radial = (dE_loss * e_hat).sum(axis=1, keepdims=True)
-                d_from_loss = (dE_loss - radial * e_hat) / trace.E_norms
-                if np.any(clamped):
-                    d_from_loss[clamped] = dE_loss[clamped] / NORM_EPS
-                dE += d_from_loss
-            else:
-                dE += dE_loss
+            # Jacobian of E_hat = E / max(||E||, eps): rows at the
+            # clamp scale by 1/eps, others subtract the radial part
+            e_hat = trace.E_normalized
+            clamped = (trace.E_norms <= NORM_EPS).ravel()
+            radial = (dE_loss * e_hat).sum(axis=1, keepdims=True)
+            d_from_loss = (dE_loss - radial * e_hat) / trace.E_norms
+            if np.any(clamped):
+                d_from_loss[clamped] = dE_loss[clamped] / NORM_EPS
+            dE += d_from_loss
         _stack_backward(t, trace, range(spec.trunk_start), dE, grads, input_grad=False)
     return grads
 

@@ -1,9 +1,9 @@
 """Training objectives: binary cross-entropy and the masked contrastive loss.
 
-The contrastive term operates on the batch's socio representation rows E
-(optionally L2-normalized upstream). With S = E @ E.T / tau and row-wise
-softmax over the full row (diagonal and non-matching-text columns
-included in the denominator):
+The contrastive term operates on the batch's socio representation rows E,
+L2-normalized upstream (`model.ForwardTrace.E_normalized`). With
+S = E @ E.T / tau and row-wise softmax over the full row (diagonal and
+non-matching-text columns included in the denominator):
 
     L_pos = - sum(logSoftmax(S) * M_pos) / max(sum(M_pos), 1)
     L_neg =   sum(Softmax(S)    * M_neg) / max(sum(M_neg), 1)
@@ -16,35 +16,14 @@ pushing negatives apart lowers L_neg. Pair-free batches cost exactly 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .batcher import contrastive_masks
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 
 PROB_CLAMP = 1e-12
-
-
-@dataclass(frozen=True)
-class LossReport:
-    total: float
-    classification: float
-    contrastive_pos: float
-    contrastive_neg: float
-    pos_pair_count: int
-    neg_pair_count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "classification": self.classification,
-            "contrastive_pos": self.contrastive_pos,
-            "contrastive_neg": self.contrastive_neg,
-            "pos_pairs": self.pos_pair_count,
-            "neg_pairs": self.neg_pair_count,
-        }
 
 
 @dataclass(frozen=True)
@@ -109,34 +88,3 @@ def contrastive_loss(
     dE = (g + g.T) @ E / tau
 
     return ContrastiveResult(l_pos + l_neg, l_pos, l_neg, int(n_pos), int(n_neg), dE)
-
-
-def combined_loss(
-    classification: float,
-    d_logits: np.ndarray,
-    contrastive: ContrastiveResult | None,
-    weight: float,
-) -> tuple[LossReport, np.ndarray, np.ndarray | None]:
-    """Merge the two objectives: total = classification + weight * contrastive.
-
-    Returns the report plus the gradient streams for the backward pass:
-    d_logits unchanged and the weighted dL/dE (None when there is no
-    contrastive path).
-    """
-    if weight < 0:
-        raise ConfigError(f"contrastive weight must be >= 0, got {weight}")
-    if contrastive is None:
-        report = LossReport(classification, classification, 0.0, 0.0, 0, 0)
-        return report, d_logits, None
-    total = classification + weight * (contrastive.pos_term + contrastive.neg_term)
-    if not math.isfinite(total):
-        raise NumericError(f"non-finite combined loss: {total}")
-    report = LossReport(
-        total=total,
-        classification=classification,
-        contrastive_pos=contrastive.pos_term,
-        contrastive_neg=contrastive.neg_term,
-        pos_pair_count=contrastive.pos_pairs,
-        neg_pair_count=contrastive.neg_pairs,
-    )
-    return report, d_logits, weight * contrastive.dE

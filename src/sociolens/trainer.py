@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import pickle
 import tempfile
@@ -47,7 +48,7 @@ from .model import (
     init_params,
     save_checkpoint,
 )
-from .objectives import bce_loss, combined_loss, contrastive_loss
+from .objectives import bce_loss, contrastive_loss
 
 
 @dataclass(frozen=True)
@@ -64,11 +65,14 @@ class RunConfig:
     dropout_rate: float = ModelSpec.dropout_rate
     temperature: float = ModelSpec.temperature
     contrastive_weight: float = ModelSpec.contrastive_weight
-    normalize_embeddings: bool = ModelSpec.normalize_embeddings
     lr: float = 0.01
     batch_size: int = 32
     epochs: int = 7
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4, 5)
+
+
+# A training log row's keys, in order: the contrastive terms and pair counts are 0 without a contrastive path
+LOG_KEYS = ("step", "epoch", "total", "classification", "contrastive_pos", "contrastive_neg", "pos_pairs", "neg_pairs")
 
 
 def build_model_spec(config: RunConfig, train: Dataset, tables: BatchTables) -> ModelSpec:
@@ -168,13 +172,19 @@ def train_one(
                 for indices in plan.batches:
                     batch = assemble_batch(rows, indices, tables)
                     probs, trace = forward(params, batch, mode="train", rng=dropout_rng)
-                    cls_loss, d_logits = bce_loss(probs, batch.labels)
-                    cres = None
+                    loss, d_logits = bce_loss(probs, batch.labels)
+                    total, dE, terms = loss, None, (0.0, 0.0, 0, 0)
                     if wiring.projected:
-                        cres = contrastive_loss(trace.loss_embedding, batch.labels, batch.text_ids, spec.temperature)
-                    report, d_logits, dE = combined_loss(cls_loss, d_logits, cres, spec.contrastive_weight)
+                        c = contrastive_loss(trace.E_normalized, batch.labels, batch.text_ids, spec.temperature)
+                        total = loss + spec.contrastive_weight * (c.pos_term + c.neg_term)
+                        if not math.isfinite(total):
+                            raise NumericError(f"non-finite combined loss: {total}")
+                        # passed at weight 0 too: backward adding its zeros can turn a -0.0 of the
+                        # representation gradient into +0.0, so the ablation's bytes depend on it
+                        dE = spec.contrastive_weight * c.dE
+                        terms = (c.pos_term, c.neg_term, c.pos_pairs, c.neg_pairs)
                     adam_step(params, backward(params, trace, d_logits, dE), config.lr)
-                    log_rows.append({"step": params.step, "epoch": epoch, **report.to_dict()})
+                    log_rows.append(dict(zip(LOG_KEYS, (params.step, epoch, total, loss, *terms))))
     except FloatingPointError as exc:
         raise NumericError(f"non-finite value at step {len(log_rows) + 1}: {exc}") from None
     params.work = None

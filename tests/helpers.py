@@ -45,7 +45,7 @@ from sociolens.homophily import (
 )
 from sociolens.metrics import MetricsReport, aggregate_runs, confusion_metrics
 from sociolens.model import ModelSpec, backward, forward, init_params, load_checkpoint
-from sociolens.objectives import bce_loss, combined_loss, contrastive_loss
+from sociolens.objectives import bce_loss, contrastive_loss
 from sociolens.trainer import check_no_leak, predict, train_one
 
 
@@ -246,15 +246,20 @@ def contrastive_loss_oracle(E: np.ndarray, labels: np.ndarray, text_ids: list[st
 
 
 def combined_objective(params, batch, spec, dropout_seed):
-    """Scalar loss plus the gradient streams, with dropout masks frozen by seed."""
+    """Scalar loss plus the gradient streams, with dropout masks frozen by seed.
+
+    The loss is classification + weight * contrastive over the normalized
+    rows; dE is the weighted contrastive gradient, None without a projection.
+    """
     rng = np.random.default_rng(dropout_seed)
     probs, trace = forward(params, batch, mode="train", rng=rng)
-    cls, d_logits = bce_loss(probs, batch.labels)
-    cres = None
+    total, d_logits = bce_loss(probs, batch.labels)
+    dE = None
     if spec.wiring.projected:
-        cres = contrastive_loss(trace.loss_embedding, batch.labels, batch.text_ids, spec.temperature)
-    report, d_logits, dE = combined_loss(cls, d_logits, cres, spec.contrastive_weight)
-    return report.total, trace, d_logits, dE
+        cres = contrastive_loss(trace.E_normalized, batch.labels, batch.text_ids, spec.temperature)
+        total += spec.contrastive_weight * (cres.pos_term + cres.neg_term)
+        dE = spec.contrastive_weight * cres.dE
+    return total, trace, d_logits, dE
 
 
 def adam_state(params):
@@ -364,7 +369,6 @@ def random_small_spec(rng: np.random.Generator, variant: str) -> ModelSpec:
         kw["projection_dims"] = (int(rng.integers(2, 5)), int(rng.integers(3, 6)))
         kw["temperature"] = float(rng.choice([0.1, 0.5, 1.0]))
         kw["contrastive_weight"] = float(rng.choice([0.5, 1.0]))
-        kw["normalize_embeddings"] = bool(rng.integers(0, 2))
     if variant == "multitask":
         kw["annotator_count"] = int(rng.integers(2, 5))
     return ModelSpec(variant=variant, **kw)
@@ -417,7 +421,7 @@ def _subset_order(dist: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 
 def reference_homophily_table(
-    space: RepSpace, k: int, iterations: int, seed: int, metric: str, attributes: list[str]
+    space: RepSpace, k: int, iterations: int, seed: int, attributes: list[str]
 ) -> list[HomophilyRow]:
     """Homophily rows the per-draw way: every draw of every attribute sorts its own members afresh.
 
@@ -430,7 +434,7 @@ def reference_homophily_table(
     n = len(space)
     unique, inverse = np.unique(space.vectors, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
-    table = np.vstack([rows for _, rows in _distance_blocks(unique, metric)])
+    table = np.vstack([rows for _, rows in _distance_blocks(unique)])
     ids_all = np.array(space.annotator_ids, dtype=object)
     rows = []
     for attribute in attributes:
@@ -464,7 +468,7 @@ def space_of(ids: list[str], vectors: np.ndarray, attributes: dict[str, list[str
     return RepSpace(ids, vectors, list(attributes), np.array(codes, dtype=np.intp).reshape(len(attributes), len(ids)).T)
 
 
-def full_neighbor_order(vectors: np.ndarray, ids: list[str], metric: str) -> tuple[np.ndarray, np.ndarray]:
+def full_neighbor_order(vectors: np.ndarray, ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Every unique vector's whole neighbor order, by one stable sort of each distance row, and each annotator's row.
 
     order[row_of[i]] holds every index, i included, sorted by (distance to
@@ -474,29 +478,29 @@ def full_neighbor_order(vectors: np.ndarray, ids: list[str], metric: str) -> tup
     row_of = row_of.reshape(-1)
     by_id = np.argsort(np.array(ids, dtype=object), kind="stable").astype(np.int32)
     order = np.empty((len(unique), len(ids)), dtype=np.int32)
-    for start, dist in _distance_blocks(unique, metric):
+    for start, dist in _distance_blocks(unique):
         ranked = np.argsort(dist[:, row_of[by_id]], axis=1, kind="stable")
         order[start : start + len(dist)] = by_id[ranked]
     return order, row_of
 
 
-def _package_neighbors(space: RepSpace, rows: np.ndarray, k: int, metric: str) -> np.ndarray:
+def _package_neighbors(space: RepSpace, rows: np.ndarray, k: int) -> np.ndarray:
     """The package's k nearest annotators to each of `rows` in the whole space, from lists as deep as a draw's."""
-    lists = _neighbor_order(space.vectors, space.annotator_ids, metric, _list_depth(len(space), k))
+    lists = _neighbor_order(space.vectors, space.annotator_ids, _list_depth(len(space), k))
     return _nearest(lists, np.ones(len(space), dtype=bool), rows, k)
 
 
-def knn(space: RepSpace, i: int, k: int, metric: str = "cosine") -> list[int]:
+def knn(space: RepSpace, i: int, k: int) -> list[int]:
     """Indices of the k nearest annotators to row i, excluding i itself, from the package's neighbor order."""
     _check_space(space, [], k)
-    return _package_neighbors(space, np.array([i]), k, metric)[0].tolist()
+    return _package_neighbors(space, np.array([i]), k)[0].tolist()
 
 
-def observed_probability(space: RepSpace, attribute: str, k: int = 50, metric: str = "cosine") -> float:
+def observed_probability(space: RepSpace, attribute: str, k: int = 50) -> float:
     """Mean over annotators of the same-attribute fraction among their k neighbors, without resampling."""
     _check_space(space, [attribute], k)
     rows = np.arange(len(space))
-    neighbors = _package_neighbors(space, rows, k, metric)
+    neighbors = _package_neighbors(space, rows, k)
     return float(_same_fraction(space.codes[:, space.attributes.index(attribute)], rows, neighbors).mean())
 
 
@@ -507,11 +511,11 @@ def chance_probability(space: RepSpace, attribute: str) -> float:
     return _chance(space.codes[:, space.attributes.index(attribute)])
 
 
-def homophily_ratio(space: RepSpace, attribute: str, k: int = 50, metric: str = "cosine") -> float:
+def homophily_ratio(space: RepSpace, attribute: str, k: int = 50) -> float:
     chance = chance_probability(space, attribute)
     if chance <= 0.0:
         raise DataError("chance probability is zero; empty annotator pool?")
-    return observed_probability(space, attribute, k, metric) / chance
+    return observed_probability(space, attribute, k) / chance
 
 
 def reference_roc_curve(probs, labels) -> list[tuple[float, float, float]]:

@@ -147,6 +147,19 @@ class TestErrors:
         path.write_text(json.dumps(config), encoding="utf-8")
         assert main(["synth", "--config", str(path)]) == 2
 
+    # options that were removed, not renamed: each is now an unknown key
+    @pytest.mark.parametrize("section, field, value", [
+        ("train", "normalize_embeddings", True), ("train", "normalize_embeddings", False),
+        ("homophily", "metric", "cosine"),
+    ])
+    def test_removed_key_exits_2_naming_it(self, tmp_path, capsys, section, field, value):
+        config = base_config(str(tmp_path / "out"))
+        config[section][field] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main([section, "--config", str(path)]) == 2
+        assert f"{section}: unknown keys [{field!r}]" in capsys.readouterr().err
+
     # true and 1.0 compare equal to 1 but are not the integer 1
     @pytest.mark.parametrize("value", [2, True, 1.0])
     def test_verbosity_two_exits_2(self, tmp_path, capsys, value):
@@ -217,7 +230,7 @@ class TestErrors:
         [
             ("epochs", "7"), ("epochs", 2.5), ("dropout_rate", "x"), ("variant", []),
             ("lr", True), ("lr", "0.1"), ("contrastive_weight", "1"), ("seeds", [True]), ("seeds", [-1]),
-            ("hidden_dims", [True, 2]), ("threads", True), ("normalize_embeddings", "no"),
+            ("hidden_dims", [True, 2]), ("threads", True),
             ("ablation", "yes"), ("dump_plan", "no"), ("seeds", [0, 0]), ("variant", ["simple", "simple"]),
         ],
     )
@@ -538,6 +551,18 @@ class TestErrors:
         assert err.startswith("data error: ") and "checkpoints holding Adam's moments are no longer read" in err
         assert not list((tmp_path / "out" / "eval").rglob("roc_seed*.csv"))
 
+    def test_checkpoint_with_normalize_embeddings_exits_3_naming_it(self, tmp_path, capsys, trained_simple):
+        def edit(ckpt):
+            # the spec key of the option that could switch normalization off, put back by hand
+            manifest = json.loads((ckpt / "manifest.json").read_text(encoding="utf-8"))
+            manifest["spec"]["normalize_embeddings"] = True
+            (ckpt / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+        assert self.eval_edited_checkpoint(tmp_path, trained_simple, edit) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "malformed manifest" in err and "'normalize_embeddings'" in err
+        assert not list((tmp_path / "out" / "eval").rglob("roc_seed*.csv"))
+
     @pytest.mark.parametrize("rel, content", [
         ("eval/simple/metrics.json", "{not json"),
         ("eval/ablation/metrics.json", '{"aggregate": {"f1": {"mean": 0.5}}}'),
@@ -693,14 +718,11 @@ SECTION_FIELDS = {
     "train": (
         "variant", "train_annotations", "test_annotations", "profiles", "columns", "embeddings",
         "socio_embeddings", "lr", "batch_size", "epochs", "seeds", "hidden_dims", "projection_dims",
-        "dropout_rate", "temperature", "contrastive_weight", "normalize_embeddings", "ablation", "threads",
-        "dump_plan",
+        "dropout_rate", "temperature", "contrastive_weight", "ablation", "threads", "dump_plan",
     ),
-    "homophily": ("representations", "profiles", "k", "iterations", "seed", "metric", "attributes"),
+    "homophily": ("representations", "profiles", "k", "iterations", "seed", "attributes"),
 }
-MODEL_HYPERPARAMETERS = (
-    "hidden_dims", "projection_dims", "dropout_rate", "temperature", "contrastive_weight", "normalize_embeddings",
-)
+MODEL_HYPERPARAMETERS = ("hidden_dims", "projection_dims", "dropout_rate", "temperature", "contrastive_weight")
 
 
 def test_unset_hyperparameters_take_the_run_config_defaults(tmp_path, monkeypatch):
@@ -718,7 +740,7 @@ def test_unset_hyperparameters_take_the_run_config_defaults(tmp_path, monkeypatc
     assert main(["train", "--config", str(tmp_path / "config.json")]) == 3
     [(run_cfg, spec)] = seen
     assert run_cfg == trainer.RunConfig(variant="simple")
-    assert [getattr(spec, name) for name in MODEL_HYPERPARAMETERS] == [(512, 256), (64, 128), 0.2, 0.1, 1.0, True]
+    assert [getattr(spec, name) for name in MODEL_HYPERPARAMETERS] == [(512, 256), (64, 128), 0.2, 0.1, 1.0]
     assert [getattr(spec, name) for name in MODEL_HYPERPARAMETERS] == [
         getattr(run_cfg, name) for name in MODEL_HYPERPARAMETERS
     ]
@@ -728,7 +750,7 @@ def test_manifest_spec_keys_keep_their_order(trained_chain):
     manifest = Path(trained_chain["output_dir"]) / "train" / "simple" / "seed0" / "checkpoint" / "manifest.json"
     assert list(json.loads(manifest.read_text(encoding="utf-8"))["spec"]) == [
         "variant", "text_dim", "socio_width", "hidden_dims", "projection_dims", "dropout_rate", "temperature",
-        "contrastive_weight", "annotator_count", "normalize_embeddings",
+        "contrastive_weight", "annotator_count",
     ]
 
 

@@ -18,7 +18,7 @@ from helpers import (
     space_of,
 )
 from sociolens import homophily
-from sociolens.errors import ConfigError, DataError
+from sociolens.errors import DataError
 from sociolens.homophily import (
     RepSpace,
     bootstrap_homophily,
@@ -79,8 +79,7 @@ class TestKnn:
         assert knn(space, 0, 2) == [1, 2]  # aa before mm
 
     @pytest.mark.parametrize("block", [3, homophily.ORDER_BLOCK])
-    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
-    def test_identical_vectors_listed_in_id_order(self, metric, block, monkeypatch):
+    def test_identical_vectors_listed_in_id_order(self, block, monkeypatch):
         # few base vectors repeated at small dims, where a matrix product's
         # rounding can differ between columns holding the same vector;
         # small blocks put every space across several of them
@@ -92,10 +91,20 @@ class TestKnn:
             ids = [f"a{j:03d}" for j in rng.permutation(n)]
             space = space_of(ids, rng.standard_normal((4, dim))[group], {"attr": ["x"] * n})
             for i in range(n):
-                listed = [ids[j] for j in knn(space, i, n - 1, metric=metric)]
+                listed = [ids[j] for j in knn(space, i, n - 1)]
                 for g in range(4):
                     members = [a for a in listed if group[ids.index(a)] == g]
                     assert members == sorted(members), (seed, i, g)
+
+    def test_neighbors_ignore_row_scale(self):
+        # cosine distance reads directions only; power-of-two scales keep every normalized bit
+        rng = np.random.default_rng(15)
+        vectors = rng.standard_normal((40, 6))
+        ids = [f"a{i:02d}" for i in range(40)]
+        space = space_of(ids, vectors, {"attr": ["x"] * 40})
+        scaled = space_of(ids, vectors * 2.0 ** rng.integers(-3, 4, size=(40, 1)), {"attr": ["x"] * 40})
+        for i in (0, 7, 23):
+            assert knn(scaled, i, 8) == knn(space, i, 8)
 
     def test_k_too_large_rejected(self):
         rng = np.random.default_rng(2)
@@ -103,25 +112,6 @@ class TestKnn:
         with pytest.raises(DataError):
             knn(space, 0, 5)
 
-    def test_euclidean_metric(self):
-        vectors = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]])
-        space = space_of(["a", "b", "c"], vectors, {"attr": ["x"] * 3})
-        assert knn(space, 0, 2, metric="euclidean") == [1, 2]
-
-    def test_euclidean_matches_cosine_on_unit_vectors(self):
-        rng = np.random.default_rng(15)
-        vectors = rng.standard_normal((40, 6))
-        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-        space = space_of([f"a{i:02d}" for i in range(40)], vectors, {"attr": ["x"] * 40})
-        for i in (0, 7, 23):
-            # on the unit sphere both metrics are monotone in the angle
-            assert knn(space, i, 8, metric="euclidean") == knn(space, i, 8, metric="cosine")
-
-    def test_unknown_metric_rejected(self):
-        rng = np.random.default_rng(16)
-        space = uniform_space(rng, 10, 3)
-        with pytest.raises(ConfigError):
-            knn(space, 0, 2, metric="manhattan")
 
 
 class TestObservedProbability:
@@ -277,7 +267,6 @@ def bootstrap_cases(draw):
         draw(st.integers(1, max(1, n // 3))),
         draw(st.integers(1, 8)),
         draw(st.integers(0, 1000)),
-        draw(st.sampled_from(["cosine", "euclidean"])),
         draw(st.lists(st.sampled_from(names), min_size=1, unique=True)),
     )
 
@@ -288,26 +277,26 @@ def test_table_matches_per_draw_reference(case, block, depth_per_k):
     # blocks of at most 3 rows split every space (n >= 4) across several,
     # so the block offsets in ordering and filtering are compared exactly;
     # lists from 1 entry deep up to all n make draws run short and rescan
-    space, k, iterations, seed, metric, attributes = case
+    space, k, iterations, seed, attributes = case
     with mock.patch.object(homophily, "ORDER_BLOCK", block), mock.patch.object(homophily, "DEPTH_PER_K", depth_per_k):
         try:
-            expected = reference_homophily_table(space, k, iterations, seed, metric, attributes)
+            expected = reference_homophily_table(space, k, iterations, seed, attributes)
         except DataError:
             with pytest.raises(DataError):
-                homophily_table(space, k, iterations, seed, metric, attributes)
+                homophily_table(space, k, iterations, seed, attributes)
             return
-        assert homophily_table(space, k, iterations, seed, metric, attributes) == expected
+        assert homophily_table(space, k, iterations, seed, attributes) == expected
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.data(), st.integers(1, 3), st.sampled_from(["cosine", "euclidean"]))
-def test_lists_are_the_first_columns_of_the_full_order(data, block, metric):
+@given(st.data(), st.integers(1, 3))
+def test_lists_are_the_first_columns_of_the_full_order(data, block):
     n = data.draw(st.integers(1, 40))
     vectors, ids, _ = data.draw(vectors_and_ids(n))
     depth = data.draw(st.integers(1, n))
     with mock.patch.object(homophily, "ORDER_BLOCK", block):
-        lists = homophily._neighbor_order(vectors, ids, metric, depth)
-        full, row_of = full_neighbor_order(vectors, ids, metric)
+        lists = homophily._neighbor_order(vectors, ids, depth)
+        full, row_of = full_neighbor_order(vectors, ids)
     assert lists.row_of.tolist() == row_of.tolist()
     assert lists.order.tolist() == full[:, :depth].tolist()
 

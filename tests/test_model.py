@@ -289,9 +289,20 @@ class TestBackward:
         params = init_params(spec, 9)
         batch = random_batch(np.random.default_rng(9), spec, 5, 2)
         _, trace = forward(params, batch, mode="train")
-        norms = np.linalg.norm(trace.loss_embedding, axis=1)
+        norms = np.linalg.norm(trace.E_normalized, axis=1)
         live = np.linalg.norm(trace.E, axis=1) > 1e-12
         assert np.allclose(norms[live], 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_only_projected_wiring_traces_normalized_rows(self, variant):
+        spec = small_spec(variant)
+        params = init_params(spec, 4)
+        batch = random_batch(np.random.default_rng(4), spec, 4, 2)
+        _, trace = forward(params, batch, mode="train")
+        if spec.wiring.projected:
+            assert np.array_equal(trace.E_normalized, trace.E / trace.E_norms)
+        else:
+            assert trace.E is None and trace.E_normalized is None
 
 
 class TestAdamStep:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import contrastive_loss_oracle
 from sociolens.errors import ConfigError
-from sociolens.objectives import bce_loss, combined_loss, contrastive_loss
+from sociolens.objectives import bce_loss, contrastive_loss
 
 
 def random_contrastive_batch(rng, size=None, dim=None):
@@ -187,32 +187,3 @@ class TestContrastiveGradient:
         res = contrastive_loss(E, np.array([1.0, 0.0]), ["t", "t"], 0.1)
         assert math.isfinite(res.loss)
         assert res.pos_term == 0.0 and res.pos_pairs == 0
-
-
-class TestCombinedLoss:
-    def make_contrastive(self):
-        rng = np.random.default_rng(9)
-        E, labels, text_ids = random_contrastive_batch(rng, size=4, dim=3)
-        text_ids = ["t", "t", "t", "t"]
-        return contrastive_loss(E, labels, text_ids, 0.1)
-
-    def test_zero_weight_is_pure_classification(self):
-        cres = self.make_contrastive()
-        report, d_logits, dE = combined_loss(0.7, np.array([0.1]), cres, 0.0)
-        assert report.total == 0.7
-        assert not dE.any()
-        assert report.contrastive_pos == cres.pos_term  # still reported, just unweighted
-
-    def test_unit_weight_sums_terms(self):
-        cres = self.make_contrastive()
-        report, _, dE = combined_loss(0.7, np.array([0.1]), cres, 1.0)
-        assert report.total == pytest.approx(0.7 + cres.pos_term + cres.neg_term, abs=1e-12)
-        assert np.allclose(dE, cres.dE)
-
-    def test_both_zero(self):
-        report, _, _ = combined_loss(0.0, np.zeros(2), None, 0.0)
-        assert report.total == 0.0
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ConfigError):
-            combined_loss(0.1, np.zeros(1), self.make_contrastive(), -0.5)

@@ -25,6 +25,9 @@ from sociolens.model import load_checkpoint, read_manifest
 from sociolens.trainer import RunConfig, predict, train_one, train_suite, train_suites
 
 VARIANTS = ("simple", "multitask", "socio_multihot", "socio_embedding", "socio_contrastive")
+LOG_ROW_KEYS = [
+    "step", "epoch", "total", "classification", "contrastive_pos", "contrastive_neg", "pos_pairs", "neg_pairs",
+]
 
 
 def make_world(signal_shift=2.5, texts=40, annotators=24, per_text=4, seed=3):
@@ -150,6 +153,38 @@ class TestTrainOne:
         for row in with_pairs:
             assert row["total"] == pytest.approx(row["classification"], abs=1e-12)
             assert row["contrastive_pos"] != 0.0 or row["contrastive_neg"] != 0.0
+
+    def test_log_row_without_contrastive_path(self):
+        split, table, _ = make_world()
+        _, log_rows = train_one(tiny_config("simple"), 0, split.train, table)
+        for step, row in enumerate(log_rows, 1):
+            assert list(row) == LOG_ROW_KEYS
+            assert [type(value) for value in row.values()] == [int, int, float, float, float, float, int, int]
+            assert (row["step"], row["total"]) == (step, row["classification"])
+            assert [row[key] for key in LOG_ROW_KEYS[4:]] == [0.0, 0.0, 0, 0]
+
+    @pytest.mark.parametrize("weight", [0.5, 0.0])
+    def test_log_row_of_a_contrastive_run(self, weight):
+        split, table, _ = make_world()
+        _, log_rows = train_one(tiny_config("socio_contrastive", contrastive_weight=weight), 0, split.train, table)
+        assert any(row["pos_pairs"] + row["neg_pairs"] > 0 for row in log_rows), "no contrastive pairs in any batch"
+        for step, row in enumerate(log_rows, 1):
+            assert list(row) == LOG_ROW_KEYS
+            assert [type(value) for value in row.values()] == [int, int, float, float, float, float, int, int]
+            assert row["step"] == step
+            assert row["total"] == row["classification"] + weight * (row["contrastive_pos"] + row["contrastive_neg"])
+            if weight == 0.0:
+                assert row["total"] == row["classification"]
+            if row["pos_pairs"] + row["neg_pairs"] > 0:
+                # logged unweighted, also where the weight is 0
+                assert row["contrastive_pos"] != 0.0 or row["contrastive_neg"] != 0.0
+
+    def test_non_finite_total_exits_4(self, tmp_path, capsys):
+        config = base_config(str(tmp_path / "out"))
+        config["train"].update(variant="socio_contrastive", epochs=1, ablation=False)
+        run_chain(tmp_path, config, commands=("synth", "prep"))
+        assert main(["train", "--config", str(tmp_path / "config.json"), "--lambda", "1e308"]) == 4
+        assert "non-finite combined loss" in capsys.readouterr().err
 
     def test_lambda_zero_and_one_share_first_classification_loss(self):
         split, table, _ = make_world()
