@@ -230,7 +230,7 @@ class TestErrors:
         [
             ("epochs", "7"), ("epochs", 2.5), ("dropout_rate", "x"), ("variant", []),
             ("lr", True), ("lr", "0.1"), ("contrastive_weight", "1"), ("seeds", [True]), ("seeds", [-1]),
-            ("hidden_dims", [True, 2]), ("threads", True),
+            ("hidden_dims", [True, 2]), ("threads", True), ("temperature", "x"),
             ("ablation", "yes"), ("dump_plan", "no"), ("seeds", [0, 0]), ("variant", ["simple", "simple"]),
         ],
     )
