@@ -1,21 +1,20 @@
 """Subcommand CLI: prep | train | eval | homophily | synth | report.
 
-Every command reads one JSON config (--config) plus a few override
-flags, which are written into the config before it is validated, so a
-flag is checked like the field it sets. Each command writes all
-artifacts under the configured output directory, never mutates its
-inputs, and reads each data file once; `eval` reads each checkpoint's
-manifest.json twice, for its socio input and to load it. `train` and
-`eval` need a socio input only where a run or checkpoint reads it
-(`_socio_inputs`). `train` runs one list of suites, each under
-`train/<label>`: every configured variant, and with `train.ablation` the
-`ablation` suite (socio_contrastive at contrastive weight 0) straight
-after socio_contrastive. Their runs train in one worker pool
-(`trainer.train_suites`), and each worker writes the checkpoint, log,
-plans and representations of its run. `train` scores nothing: `eval`
-scores the test split from the checkpoints, and `report` reads eval's
-metrics. Exit codes: 0 success, 2 config error, 3 data error, 4 numeric
-error.
+Every command reads one JSON config (--config) plus the override flags
+it reads, which are written into the config before it is validated, so
+a flag is checked like the field it sets; any other flag is refused.
+Each command writes all artifacts under the configured output
+directory, never mutates its inputs, and reads each data file and each
+checkpoint manifest once. `train` and `eval` need a socio input only
+where a run or checkpoint reads it (`_socio_inputs`). `train` runs one
+list of suites, each under `train/<label>`: every configured variant,
+and with `train.ablation` the `ablation` suite (socio_contrastive at
+contrastive weight 0) straight after socio_contrastive. Their runs train
+in one worker pool (`trainer.train_suites`), and each worker writes the
+checkpoint, log, plans and representations of its run. `train` scores
+nothing: `eval` scores the test split from the checkpoints, and
+`report` reads eval's metrics. Exit codes: 0 success, 2 config error, 3
+data error, 4 numeric error.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import replace
 from . import config as config_mod
 from . import corpus, features, homophily, metrics, synth, trainer
 from .errors import ConfigError, DataError, NumericError, SociolensError
-from .model import VARIANTS, WIRING, load_checkpoint, read_manifest
+from .model import VARIANTS, WIRING, ModelParams, load_checkpoint, read_manifest
 
 
 def _log(cfg, message: str) -> None:
@@ -156,17 +155,21 @@ def cmd_train(cfg: config_mod.PipelineConfig) -> int:
 
 # ------------------------------------------------------------------ eval
 
-def _discover_checkpoints(root: str) -> dict[str, list[tuple[int, str, str | None]]]:
-    """Map variant name -> [(seed, checkpoint_dir, socio input kind)] under `root`, sorted by seed.
+METRIC_KEYS = ("precision", "recall", "f1", "auc")  # the columns of every metrics table eval and report write
 
-    Each checkpoint's manifest is read once, for its socio input kind.
+
+def _discover_checkpoints(root: str) -> dict[str, list[tuple[int, str, ModelParams]]]:
+    """Map variant name -> [(seed, checkpoint_dir, model)] under `root`, sorted by seed.
+
+    Each checkpoint's manifest is read here and only here: the model is
+    `read_manifest`'s checked, zeroed one, which `load_checkpoint` fills.
     """
     if not os.path.exists(root):
         raise DataError(f"checkpoint path does not exist: {root}")
     if os.path.exists(os.path.join(root, "manifest.json")):
         params, seed = read_manifest(root)
-        return {params.spec.variant: [(seed, root, params.spec.wiring.socio)]}
-    found: dict[str, list[tuple[int, str, str | None]]] = {}
+        return {params.spec.variant: [(seed, root, params)]}
+    found: dict[str, list[tuple[int, str, ModelParams]]] = {}
 
     def scan_variant_dir(name: str, path: str) -> None:
         entries = []
@@ -175,7 +178,7 @@ def _discover_checkpoints(root: str) -> dict[str, list[tuple[int, str, str | Non
             if child.startswith("seed") and os.path.exists(os.path.join(ckpt, "manifest.json")):
                 if not child[4:].isdecimal():
                     raise DataError(f"checkpoint directory {os.path.join(path, child)} is not named seed<N>")
-                entries.append((int(child[4:]), ckpt, read_manifest(ckpt)[0].spec.wiring.socio))
+                entries.append((int(child[4:]), ckpt, read_manifest(ckpt)[0]))
         if entries:
             found[name] = sorted(entries)
 
@@ -198,8 +201,8 @@ def cmd_eval(cfg: config_mod.PipelineConfig) -> int:
     by_variant = _discover_checkpoints(e.checkpoints)
     readers: dict[str | None, str] = {}  # socio input kind -> the first variant directory whose checkpoints read it
     for name, entries in sorted(by_variant.items()):
-        for _, _, socio in entries:
-            readers.setdefault(socio, f"{name} checkpoints")
+        for _, _, params in entries:
+            readers.setdefault(params.spec.wiring.socio, f"{name} checkpoints")
     # every input a checkpoint needs is checked before the first variant is scored
     all_profiles, socio_table = _socio_inputs(e, "eval", readers)
     dataset = _load_labels(e.annotations, e.columns)
@@ -216,8 +219,10 @@ def cmd_eval(cfg: config_mod.PipelineConfig) -> int:
         reports = []
         groups_by_seed = []
         fallback_rows = 0
-        for seed, ckpt, _ in entries:
-            probs, labels, fallback = trainer.predict(load_checkpoint(ckpt)[0], dataset, text_table, socio_table)
+        while entries:
+            # popped, so no filled model outlives its scoring
+            seed, ckpt, params = entries.pop(0)
+            probs, labels, fallback = trainer.predict(load_checkpoint(params, ckpt), dataset, text_table, socio_table)
             fallback_rows += fallback
             report = metrics.confusion_metrics(probs, labels)
             reports.append(report)
@@ -247,14 +252,17 @@ def cmd_eval(cfg: config_mod.PipelineConfig) -> int:
     return 0
 
 
+def _stat_cells(agg: dict[str, tuple[float, float]], stat: int) -> list[str]:
+    """The repr of each metric's mean (`stat` 0) or std (1) in `agg`, in METRIC_KEYS order; "" where one is absent."""
+    return [repr(agg[key][stat]) if key in agg else "" for key in METRIC_KEYS]
+
+
 def _write_metrics_csv(path: str, variant: str, reports) -> None:
     agg = metrics.aggregate_runs(reports)
     rows = [[variant, i, repr(r.precision), repr(r.recall), repr(r.f1), repr(r.auc) if r.auc is not None else ""]
             for i, r in enumerate(reports)]
-    mean_row = ["mean"] + [repr(agg[k][0]) if k in agg else "" for k in ("precision", "recall", "f1", "auc")]
-    std_row = ["std"] + [repr(agg[k][1]) if k in agg else "" for k in ("precision", "recall", "f1", "auc")]
-    features.write_csv(path, ["model", "run", "precision", "recall", "f1", "auc"],
-                       rows + [[variant] + mean_row, [variant] + std_row])
+    features.write_csv(path, ["model", "run", *METRIC_KEYS],
+                       rows + [[variant, "mean", *_stat_cells(agg, 0)], [variant, "std", *_stat_cells(agg, 1)]])
 
 
 def _write_groups_csv(path: str, groups_by_seed) -> None:
@@ -266,19 +274,8 @@ def _write_groups_csv(path: str, groups_by_seed) -> None:
                 acc.setdefault((g.attribute, category), []).append(report)
     rows = []
     for (attribute, category), reports in acc.items():
-        agg = metrics.aggregate_runs(reports)
-        rows.append(
-            [
-                attribute,
-                category,
-                reports[0].n,
-                repr(agg["precision"][0]),
-                repr(agg["recall"][0]),
-                repr(agg["f1"][0]),
-                repr(agg["auc"][0]) if "auc" in agg else "",
-            ]
-        )
-    features.write_csv(path, ["attribute", "category", "n", "precision", "recall", "f1", "auc"], rows)
+        rows.append([attribute, category, reports[0].n, *_stat_cells(metrics.aggregate_runs(reports), 0)])
+    features.write_csv(path, ["attribute", "category", "n", *METRIC_KEYS], rows)
 
 
 # ------------------------------------------------------------- homophily
@@ -324,7 +321,7 @@ def _parse_aggregate(fh) -> dict[str, tuple[float, float]]:
     agg = json.load(fh)["aggregate"]
     return {
         key: (float(agg[key]["mean"]), float(agg[key]["std"]))
-        for key in ("precision", "recall", "f1", "auc") if key != "auc" or key in agg
+        for key in METRIC_KEYS if key != "auc" or key in agg
     }
 
 
@@ -332,13 +329,18 @@ def _parse_groups(fh) -> dict[tuple[str, str], tuple[int, float]]:
     return {(row["attribute"], row["category"]): (int(row["n"]), float(row["f1"])) for row in csv.DictReader(fh)}
 
 
-def _parse_homophily(fh) -> list[str]:
+def _parse_homophily(fh) -> list[list[str]]:
     return [
-        f"| {r['attribute']} | {_fmt_pm(r['observed_mean'], r['observed_std'])} "
-        f"| {_fmt_pm(r['chance_mean'], r['chance_std'])} "
-        f"| {_fmt_pm(r['ratio_mean'], r['ratio_std'])} |"
+        [r["attribute"], _fmt_pm(r["observed_mean"], r["observed_std"]),
+         _fmt_pm(r["chance_mean"], r["chance_std"]), _fmt_pm(r["ratio_mean"], r["ratio_std"])]
         for r in json.load(fh)["rows"]
     ]
+
+
+def _table(header: list[str], rows) -> list[str]:
+    """A markdown table: the header line, its `|---|` rule and one line per row of cells."""
+    lines = [f"| {' | '.join(map(str, row))} |" for row in [header, *rows]]
+    return [lines[0], "|" + "---|" * len(header), *lines[1:]]
 
 
 def cmd_report(cfg: config_mod.PipelineConfig) -> int:
@@ -346,7 +348,8 @@ def cmd_report(cfg: config_mod.PipelineConfig) -> int:
     report_dir = os.path.join(out_dir, "report")
     os.makedirs(report_dir, exist_ok=True)
     gaps: list[str] = []
-    lines: list[str] = ["# Pipeline report", ""]
+    # (title, body lines or None where its input is missing, the gap it then adds)
+    sections: list[tuple[str, list[str] | None, str | None]] = []
 
     order = [*VARIANTS, "ablation"]
     rows = []
@@ -356,87 +359,57 @@ def cmd_report(cfg: config_mod.PipelineConfig) -> int:
             gaps.append(f"no metrics for variant {variant!r}")
             continue
         rows.append((variant, _read_input(path, _parse_aggregate)))
-
-    lines.append("## Model comparison (individual annotator labels, test split)")
-    lines.append("")
+    model_rows, summary = [], []
+    for variant, agg in rows:
+        model_rows.append([variant, *(_fmt_pm(*agg[key]) if key in agg else "-" for key in METRIC_KEYS)])
+        means, stds = _stat_cells(agg, 0), _stat_cells(agg, 1)
+        summary.append([variant, *(cell for pair in zip(means, stds) for cell in pair)])
+    models = ["_no model metrics found_"]
     if rows:
-        lines.append("| Model | Precision | Recall | F1 | AUC |")
-        lines.append("|---|---|---|---|---|")
-        for variant, agg in rows:
-            cells = [_fmt_pm(*agg[key]) if key in agg else "-" for key in ("precision", "recall", "f1", "auc")]
-            lines.append(f"| {variant} | " + " | ".join(cells) + " |")
-    else:
-        lines.append("_no model metrics found_")
-    lines.append("")
+        models = _table(["Model", "Precision", "Recall", "F1", "AUC"], model_rows)
+    sections.append(("Model comparison (individual annotator labels, test split)", models, None))
 
     by_name = dict(rows)
-    lines.append("## Contrastive ablation")
-    lines.append("")
+    ablation = None
     if "socio_contrastive" in by_name and "ablation" in by_name:
         delta = by_name["socio_contrastive"]["f1"][0] - by_name["ablation"]["f1"][0]
-        lines.append(f"F1 gain from the contrastive term: {delta:+.4f}")
-    else:
-        gaps.append("no ablation artifacts")
-        lines.append("_not available_")
-    lines.append("")
+        ablation = [f"F1 gain from the contrastive term: {delta:+.4f}"]
+    sections.append(("Contrastive ablation", ablation, "no ablation artifacts"))
 
-    lines.append("## Group slices (F1 by socio-demographic category)")
-    lines.append("")
     group_tables: dict[str, dict[tuple[str, str], tuple[int, float]]] = {}
     for variant in order:
         path = os.path.join(out_dir, "eval", variant, "groups.csv")
         table = _read_input(path, _parse_groups) if os.path.exists(path) else None
         if table:
             group_tables[variant] = table
+    groups = None
     if group_tables:
-        keys = sorted({k for table in group_tables.values() for k in table})
-        variants_present = [v for v in order if v in group_tables]
-        lines.append("| Attribute | Category | n | " + " | ".join(variants_present) + " |")
-        lines.append("|" + "---|" * (3 + len(variants_present)))
-        for attribute, category in keys:
-            n = next(
-                (table[(attribute, category)][0] for table in group_tables.values()
-                 if (attribute, category) in table),
-                "",
-            )
-            cells = []
-            for v in variants_present:
-                entry = group_tables[v].get((attribute, category))
-                cells.append(f"{entry[1]:.3f}" if entry else "-")
-            lines.append(f"| {attribute} | {category} | {n} | " + " | ".join(cells) + " |")
-    else:
-        gaps.append("no group breakdown artifacts")
-        lines.append("_not available_")
-    lines.append("")
+        group_rows = []
+        for key in sorted({key for table in group_tables.values() for key in table}):
+            n = next(table[key][0] for table in group_tables.values() if key in table)
+            f1s = [f"{table[key][1]:.3f}" if key in table else "-" for table in group_tables.values()]
+            group_rows.append([*key, n, *f1s])
+        groups = _table(["Attribute", "Category", "n", *group_tables], group_rows)
+    sections.append(("Group slices (F1 by socio-demographic category)", groups, "no group breakdown artifacts"))
 
-    lines.append("## Homophily of learned annotator representations")
-    lines.append("")
     homophily_json = os.path.join(out_dir, "homophily", "homophily.json")
+    homophily_table = None
     if os.path.exists(homophily_json):
-        lines.append("| Attribute | Observed | Random | Ratio |")
-        lines.append("|---|---|---|---|")
-        lines.extend(_read_input(homophily_json, _parse_homophily))
-    else:
-        gaps.append("no homophily artifacts")
-        lines.append("_not available_")
-    lines.append("")
+        cells = _read_input(homophily_json, _parse_homophily)
+        homophily_table = _table(["Attribute", "Observed", "Random", "Ratio"], cells)
+    sections.append(("Homophily of learned annotator representations", homophily_table, "no homophily artifacts"))
 
+    lines = ["# Pipeline report", ""]
+    for title, body, gap in sections:
+        if body is None:
+            gaps.append(gap)
+            body = ["_not available_"]
+        lines += [f"## {title}", "", *body, ""]
     if gaps:
-        lines.append("## Gaps")
-        lines.append("")
-        for gap in gaps:
-            lines.append(f"- {gap}")
-        lines.append("")
-
+        lines += ["## Gaps", "", *(f"- {gap}" for gap in gaps), ""]
     with open(os.path.join(report_dir, "report.md"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
 
-    summary = []
-    for variant, agg in rows:
-        record = [variant]
-        for key in ("precision", "recall", "f1", "auc"):
-            record += [repr(value) for value in agg[key]] if key in agg else ["", ""]
-        summary.append(record)
     features.write_csv(
         os.path.join(report_dir, "summary.csv"),
         ["model", "precision_mean", "precision_std", "recall_mean", "recall_std", "f1_mean", "f1_std",
@@ -455,27 +428,27 @@ def cmd_report(cfg: config_mod.PipelineConfig) -> int:
 def _apply_overrides(args) -> tuple[dict[str, dict], list[str]]:
     """The raw config fields the command's flags set, and those flags as given.
 
-    Only fields the running command reads are set; `load_config` then
-    validates them like any value from the file.
+    A command accepts only the flags it reads (`build_parser`); `load_config`
+    then validates the fields they set like any value from the file.
     """
     sections: dict[str, dict] = {}
     flags: list[str] = []
-    if args.seed is not None and args.command in ("synth", "prep", "train", "homophily"):
+    given = vars(args)
+    if given.get("seed") is not None:
         flags.append(f"--seed {args.seed}")
         if args.command != "train":
             sections[args.command] = {"seed": args.seed}
         if args.command in ("train", "homophily"):
             # homophily's default representations path follows the first train seed
             sections["train"] = {"seeds": [args.seed]}
-    if args.command == "train":
-        for flag, field, value in (
-            ("--variant", "variant", args.variant),
-            ("--lambda", "contrastive_weight", args.contrastive_weight),
-            ("--dump-plan", "dump_plan", args.dump_plan or None),
-        ):
-            if value is not None:
-                sections.setdefault("train", {})[field] = value
-                flags.append(flag if value is True else f"{flag} {value}")
+    for flag, field, value in (
+        ("--variant", "variant", given.get("variant")),
+        ("--lambda", "contrastive_weight", given.get("contrastive_weight")),
+        ("--dump-plan", "dump_plan", given.get("dump_plan") or None),
+    ):
+        if value is not None:
+            sections.setdefault("train", {})[field] = value
+            flags.append(flag if value is True else f"{flag} {value}")
     return sections, flags
 
 
@@ -504,11 +477,13 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="pipeline config JSON")
-        p.add_argument("--seed", type=int, default=None, help="override the command's seed(s)")
-        p.add_argument("--variant", default=None, help="train only this variant")
-        p.add_argument("--lambda", dest="contrastive_weight", type=float, default=None,
-                       help="override the contrastive loss weight")
-        p.add_argument("--dump-plan", action="store_true", help="emit batch plans as JSON")
+        if name in ("synth", "prep", "train", "homophily"):
+            p.add_argument("--seed", type=int, default=None, help="override the command's seed(s)")
+        if name == "train":
+            p.add_argument("--variant", default=None, help="train only this variant")
+            p.add_argument("--lambda", dest="contrastive_weight", type=float, default=None,
+                           help="override the contrastive loss weight")
+            p.add_argument("--dump-plan", action="store_true", help="emit batch plans as JSON")
     return parser
 
 

@@ -49,8 +49,8 @@ class GroupReport:
     omitted: tuple[str, ...] = ()
 
 
-def confusion_metrics(probs: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> MetricsReport:
-    """Positive-class precision/recall/F1 from counts at `threshold` (>= is positive), plus AUC.
+def confusion_metrics(probs: np.ndarray, labels: np.ndarray) -> MetricsReport:
+    """Positive-class precision/recall/F1 from counts at 0.5 (>= is positive), plus AUC.
 
     AUC does not depend on the threshold; it is None when `labels` hold
     only one class.
@@ -61,7 +61,7 @@ def confusion_metrics(probs: np.ndarray, labels: np.ndarray, threshold: float = 
         raise DataError(f"probs shape {p.shape} != labels shape {y.shape}")
     if p.size == 0:
         raise DataError("cannot evaluate an empty prediction set")
-    pred = p >= threshold
+    pred = p >= 0.5
     actual = y == 1
     tp = int(np.sum(pred & actual))
     fp = int(np.sum(pred & ~actual))

@@ -557,13 +557,12 @@ def read_manifest(directory: str) -> tuple[ModelParams, int]:
     return params, seed
 
 
-def load_checkpoint(directory: str) -> tuple[ModelParams, int]:
-    """Inverse of save_checkpoint: the model, with its schema and head ids, and the seed.
+def load_checkpoint(params: ModelParams, directory: str) -> ModelParams:
+    """Inverse of save_checkpoint: fill `params`, the model `read_manifest(directory)` returned, with its weights.
 
-    Besides `read_manifest`'s checks, a params.bin that is missing, not
+    The manifest is not read again. A params.bin that is missing, not
     the spec's size, or non-finite is a DataError.
     """
-    params, seed = read_manifest(directory)
     path = os.path.join(directory, "params.bin")
     if not os.path.isfile(path):
         raise DataError(f"{directory}: no params.bin; checkpoints with one .bin per tensor are no longer read")
@@ -575,4 +574,4 @@ def load_checkpoint(directory: str) -> tuple[ModelParams, int]:
     if not np.isfinite(params.flat).all():
         name = _first_non_finite(params, params.flat)
         raise DataError(f"{directory}: params.bin holds non-finite values in the weights of {name}")
-    return params, seed
+    return params

@@ -10,8 +10,9 @@ reference, and the single-statistic homophily, pair-counting AUC,
 ROC-area and embedding-format oracles that the package itself does not
 need, the per-row vector CSV reader with a strategy for vector CSVs, and
 the per-profile schema, multi-hot and category oracles with a strategy
-for profile CSVs. `score_checkpoints` scores trained runs from their
-checkpoints as `eval` does.
+for profile CSVs. `load_checkpoint` loads a checkpoint and
+`score_checkpoints` scores trained runs from their checkpoints, as
+`eval` does.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ from sociolens.homophily import (
     _same_fraction,
 )
 from sociolens.metrics import MetricsReport, aggregate_runs, confusion_metrics
-from sociolens.model import ModelSpec, backward, forward, init_params, load_checkpoint
+from sociolens import model
+from sociolens.model import ModelParams, ModelSpec, backward, forward, init_params, read_manifest
 from sociolens.objectives import bce_loss, contrastive_loss
 from sociolens.trainer import check_no_leak, predict, train_one
 
@@ -102,6 +104,12 @@ def sequential_train_suites(suites, split, text_table, socio_table=None, dump_pl
     for config, out_dir in suites:
         for seed in config.seeds:
             train_one(config, seed, split.train, text_table, socio_table, out_dir, dump_plan, profiles)
+
+
+def load_checkpoint(directory: str) -> tuple[ModelParams, int]:
+    """The checkpoint in `directory`, as eval loads it: `read_manifest`'s model filled by `load_checkpoint`; and its seed."""
+    params, seed = read_manifest(directory)
+    return model.load_checkpoint(params, directory), seed
 
 
 def score_checkpoints(

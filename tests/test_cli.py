@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import shutil
+import weakref
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -26,7 +27,6 @@ from sociolens.errors import (
     SchemaError,
     SociolensError,
 )
-from sociolens.model import load_checkpoint
 
 
 class TestFullChain:
@@ -112,6 +112,118 @@ class TestFullChain:
         assert main(["report", "--config", str(config_path)]) == 0
         text = (tmp_path / "out" / "report" / "report.md").read_text()
         assert "Gaps" in text
+
+
+def aggregate_json(precision, recall, f1, auc=None) -> str:
+    """An eval metrics.json holding only the aggregate that report reads; each metric is (mean, std)."""
+    metrics = {"precision": precision, "recall": recall, "f1": f1, **({"auc": auc} if auc else {})}
+    return json.dumps({"aggregate": {key: {"mean": m, "std": s} for key, (m, s) in metrics.items()}})
+
+
+GROUPS_HEADER = "attribute,category,n,precision,recall,f1,auc\n"
+REPORT_INPUTS = {
+    "eval/simple/metrics.json": aggregate_json((0.5, 0.1), (0.75, 0.05), (0.6, 0.02), (0.7, 0.0125)),
+    # no AUC: a "-" cell, and empty auc cells in summary.csv
+    "eval/multitask/metrics.json": aggregate_json((0.625, 0.0), (0.5, 0.125), (0.5555555555555556, 0.03125)),
+    "eval/socio_contrastive/metrics.json": aggregate_json((0.7, 0.1), (0.8, 0.2), (0.74, 0.04), (0.81, 0.02)),
+    "eval/ablation/metrics.json": aggregate_json((0.65, 0.05), (0.8, 0.1), (0.7125, 0.05), (0.79, 0.03)),
+    "eval/simple/groups.csv": GROUPS_HEADER + "group,a,12,0.5,0.5,0.5,0.6\ngroup,b,8,0.25,0.25,0.25,\n"
+                                              "extra,x,20,0.6,0.6,0.6,0.7\n",
+    # a header only: the variant gets no column
+    "eval/multitask/groups.csv": GROUPS_HEADER,
+    "eval/socio_contrastive/groups.csv": GROUPS_HEADER + "group,a,12,0.75,0.75,0.75,0.8\ngroup,b,8,0.5,0.5,0.5,0.5\n"
+                                                         "extra,x,20,0.6666666666666666,0.7,0.7,0.7\n",
+    # lacks group b, and alone holds extra z
+    "eval/ablation/groups.csv": GROUPS_HEADER + "group,a,12,0.7,0.7,0.7,0.8\nextra,x,20,0.6,0.6,0.6,0.7\n"
+                                                "extra,z,3,0.5,1.0,0.6666666666666666,\n",
+}
+HOMOPHILY_ROWS = [
+    {"attribute": "group", "observed_mean": 0.8125, "observed_std": 0.05, "chance_mean": 0.5, "chance_std": 0.0,
+     "ratio_mean": 1.625, "ratio_std": 0.1, "k": 5, "iterations": 20},
+    {"attribute": "extra", "observed_mean": 0.34, "observed_std": 0.02, "chance_mean": 0.3333333333333333,
+     "chance_std": 0.001, "ratio_mean": 1.02, "ratio_std": 0.06, "k": 5, "iterations": 20},
+]
+MODEL_TABLE = """\
+| Model | Precision | Recall | F1 | AUC |
+|---|---|---|---|---|
+| simple | 0.500 ± 0.100 | 0.750 ± 0.050 | 0.600 ± 0.020 | 0.700 ± 0.013 |
+| multitask | 0.625 ± 0.000 | 0.500 ± 0.125 | 0.556 ± 0.031 | - |
+| socio_contrastive | 0.700 ± 0.100 | 0.800 ± 0.200 | 0.740 ± 0.040 | 0.810 ± 0.020 |
+"""
+GROUP_SECTION = """\
+## Group slices (F1 by socio-demographic category)
+
+| Attribute | Category | n | simple | socio_contrastive | ablation |
+|---|---|---|---|---|---|
+| extra | x | 20 | 0.600 | 0.700 | 0.600 |
+| extra | z | 3 | - | - | 0.667 |
+| group | a | 12 | 0.500 | 0.750 | 0.700 |
+| group | b | 8 | 0.250 | 0.500 | - |
+"""
+SUMMARY_HEAD = (
+    "model,precision_mean,precision_std,recall_mean,recall_std,f1_mean,f1_std,auc_mean,auc_std\r\n"
+    "simple,0.5,0.1,0.75,0.05,0.6,0.02,0.7,0.0125\r\n"
+    "multitask,0.625,0.0,0.5,0.125,0.5555555555555556,0.03125,,\r\n"
+    "socio_contrastive,0.7,0.1,0.8,0.2,0.74,0.04,0.81,0.02\r\n"
+)
+
+
+class TestReport:
+    def run_report(self, tmp_path) -> tuple[str, bytes]:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"output_dir": str(tmp_path / "out"), "verbosity": 0}), encoding="utf-8")
+        assert main(["report", "--config", str(path)]) == 0
+        report_dir = tmp_path / "out" / "report"
+        return (report_dir / "report.md").read_bytes().decode("utf-8"), (report_dir / "summary.csv").read_bytes()
+
+    def test_report_and_summary_bytes_are_pinned(self, tmp_path):
+        for rel, content in REPORT_INPUTS.items():
+            (tmp_path / "out" / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / "out" / rel).write_text(content, encoding="utf-8")
+        report, summary = self.run_report(tmp_path)
+        assert report == (
+            "# Pipeline report\n\n"
+            "## Model comparison (individual annotator labels, test split)\n\n"
+            + MODEL_TABLE
+            + "| ablation | 0.650 ± 0.050 | 0.800 ± 0.100 | 0.713 ± 0.050 | 0.790 ± 0.030 |\n\n"
+            "## Contrastive ablation\n\n"
+            "F1 gain from the contrastive term: +0.0275\n\n"
+            + GROUP_SECTION
+            + "\n## Homophily of learned annotator representations\n\n"
+            "_not available_\n\n"
+            "## Gaps\n\n"
+            "- no metrics for variant 'socio_multihot'\n"
+            "- no metrics for variant 'socio_embedding'\n"
+            "- no homophily artifacts\n"
+        )
+        assert summary == SUMMARY_HEAD.encode() + b"ablation,0.65,0.05,0.8,0.1,0.7125,0.05,0.79,0.03\r\n"
+
+        # the ablation arm's metrics go and homophily's arrive: its groups column stays
+        (tmp_path / "out" / "eval" / "ablation" / "metrics.json").unlink()
+        (tmp_path / "out" / "homophily").mkdir()
+        (tmp_path / "out" / "homophily" / "homophily.json").write_text(
+            json.dumps({"rows": HOMOPHILY_ROWS}), encoding="utf-8"
+        )
+        report, summary = self.run_report(tmp_path)
+        assert report == (
+            "# Pipeline report\n\n"
+            "## Model comparison (individual annotator labels, test split)\n\n"
+            + MODEL_TABLE
+            + "\n## Contrastive ablation\n\n"
+            "_not available_\n\n"
+            + GROUP_SECTION
+            + "\n## Homophily of learned annotator representations\n\n"
+            "| Attribute | Observed | Random | Ratio |\n"
+            "|---|---|---|---|\n"
+            "| group | 0.812 ± 0.050 | 0.500 ± 0.000 | 1.625 ± 0.100 |\n"
+            "| extra | 0.340 ± 0.020 | 0.333 ± 0.001 | 1.020 ± 0.060 |\n\n"
+            "## Gaps\n\n"
+            "- no metrics for variant 'socio_multihot'\n"
+            "- no metrics for variant 'socio_embedding'\n"
+            "- no metrics for variant 'ablation'\n"
+            "- no ablation artifacts\n"
+        )
+        assert summary == SUMMARY_HEAD.encode()
 
 
 class TestDeterminism:
@@ -470,9 +582,9 @@ class TestErrors:
         path.write_text(json.dumps(config), encoding="utf-8")
         loads = []
 
-        def counted(directory):
+        def counted(params, directory):
             loads.append(directory)
-            return load_checkpoint(directory)
+            return model.load_checkpoint(params, directory)
 
         monkeypatch.setattr(cli, "load_checkpoint", counted)
         assert main(["eval", "--config", str(path)]) == 0
@@ -484,8 +596,8 @@ class TestErrors:
         assert f"{ckpt}: params.bin is 8 bytes" in capsys.readouterr().err
 
     @pytest.mark.parametrize("direct", [False, True], ids=["train-layout", "direct"])
-    def test_each_manifest_is_read_twice(self, tmp_path, monkeypatch, trained_simple, direct):
-        # once for the socio input it reads, once by the load that scores it
+    def test_each_manifest_is_read_once(self, tmp_path, monkeypatch, trained_simple, direct):
+        # for the socio input it reads; the load that scores it fills the model read then
         shutil.copytree(trained_simple / "out", tmp_path / "out")
         ckpt = tmp_path / "out" / "train" / "simple" / "seed0" / "checkpoint"
         config = base_config(str(tmp_path / "out"))
@@ -503,7 +615,39 @@ class TestErrors:
         monkeypatch.setattr(cli, "read_manifest", counted)
         monkeypatch.setattr(model, "read_manifest", counted)
         assert main(["eval", "--config", str(path)]) == 0
-        assert reads == {str(ckpt): 2}
+        assert reads == {str(ckpt): 1}
+
+    def test_suite_directory_scores_like_the_train_root(self, tmp_path, trained_simple):
+        shutil.copytree(trained_simple / "out", tmp_path / "out")
+        config = base_config(str(tmp_path / "out"))
+        config["train"].update(variant="simple", ablation=False)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        metrics_json = tmp_path / "out" / "eval" / "simple" / "metrics.json"
+        assert main(["eval", "--config", str(path)]) == 0
+        from_train_root = metrics_json.read_bytes()
+        shutil.rmtree(tmp_path / "out" / "eval")
+        # a directory of seed<N> checkpoints is one variant, named after the directory
+        config["eval"]["checkpoints"] = str(tmp_path / "out" / "train" / "simple")
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["eval", "--config", str(path)]) == 0
+        assert sorted(p.name for p in (tmp_path / "out" / "eval").iterdir()) == ["simple"]
+        assert metrics_json.read_bytes() == from_train_root
+
+    def test_no_loaded_model_outlives_its_scoring(self, tmp_path, monkeypatch):
+        config = base_config(str(tmp_path / "out"))
+        config["train"].update(variant=["simple", "multitask"], ablation=False, epochs=1, seeds=[0, 1])
+        run_chain(tmp_path, config, commands=("synth", "prep", "train"))
+        loaded = []
+
+        def checked(params, directory, _load=model.load_checkpoint):
+            assert all(ref() is None for ref in loaded), f"a model loaded before {directory} is alive"
+            loaded.append(weakref.ref(params))
+            return _load(params, directory)
+
+        monkeypatch.setattr(cli, "load_checkpoint", checked)
+        assert main(["eval", "--config", str(tmp_path / "config.json")]) == 0
+        assert len(loaded) == 4
 
     def test_checkpoint_schema_without_attributes_exits_3(self, tmp_path, capsys, trained_simple):
         def edit(ckpt):
@@ -644,6 +788,13 @@ class TestErrors:
         assert capsys.readouterr().err == f"{prefix}: boom\n"
 
 
+FLAG_ARGUMENTS = {"--seed": ["3"], "--variant": ["simple"], "--lambda": ["0.5"], "--dump-plan": []}
+FLAGS_READ = {
+    "synth": ["--seed"], "prep": ["--seed"], "train": ["--seed", "--variant", "--lambda", "--dump-plan"],
+    "homophily": ["--seed"], "eval": [], "report": [],
+}
+
+
 class TestOverrides:
     def test_variant_override_trains_one(self, tmp_path):
         config = base_config(str(tmp_path / "out"))
@@ -687,6 +838,18 @@ class TestOverrides:
                 assert suite_plans["seed"] == seed
                 assert len(suite_plans["epochs"]) == config["train"]["epochs"]
             assert plans["socio_contrastive"] == plans["ablation"]
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command in cli.COMMANDS for flag in FLAG_ARGUMENTS if flag not in FLAGS_READ[command]
+    ])
+    def test_flag_the_command_does_not_read_exits_2(self, tmp_path, capsys, command, flag):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(base_config(str(tmp_path / "out"))), encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path), flag, *FLAG_ARGUMENTS[flag]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_each_input_read_once_per_command(self, tmp_path, monkeypatch):
         config = base_config(str(tmp_path / "out"))

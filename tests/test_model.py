@@ -13,6 +13,7 @@ from helpers import (
     adam_state,
     combined_objective,
     gradient_check_instance,
+    load_checkpoint,
     make_dataset,
     profiles_of,
     random_batch,
@@ -32,7 +33,6 @@ from sociolens.model import (
     extract_socio_reps,
     forward,
     init_params,
-    load_checkpoint,
     save_checkpoint,
     sigmoid,
 )

@@ -10,6 +10,7 @@ import pytest
 from helpers import (
     base_config,
     child_pids,
+    load_checkpoint,
     make_dataset,
     rows_of,
     run_chain,
@@ -21,7 +22,7 @@ from sociolens import synth, trainer
 from sociolens.corpus import SplitPair, attach_profiles, split_by_text
 from sociolens.errors import DataError
 from sociolens.features import VectorTable, load_vector_csv
-from sociolens.model import load_checkpoint, read_manifest
+from sociolens.model import read_manifest
 from sociolens.trainer import RunConfig, predict, train_one, train_suite, train_suites
 
 VARIANTS = ("simple", "multitask", "socio_multihot", "socio_embedding", "socio_contrastive")
