@@ -26,8 +26,10 @@ import os
 import sys
 from dataclasses import replace
 
+# synth, metrics and homophily are imported by the commands that use them: a spawned train
+# worker imports this module, and would otherwise load all three for nothing
 from . import config as config_mod
-from . import corpus, features, homophily, metrics, synth, trainer
+from . import corpus, features, trainer
 from .errors import ConfigError, DataError, NumericError, SociolensError
 from .model import VARIANTS, WIRING, ModelParams, load_checkpoint, read_manifest
 
@@ -63,6 +65,8 @@ def _socio_inputs(
 # ----------------------------------------------------------------- synth
 
 def cmd_synth(cfg: config_mod.PipelineConfig) -> int:
+    from . import synth
+
     spec = cfg.synth
     out = os.path.join(cfg.output_dir, "synth")
     os.makedirs(out, exist_ok=True)
@@ -196,6 +200,8 @@ def _discover_checkpoints(root: str) -> dict[str, list[tuple[int, str, ModelPara
 
 
 def cmd_eval(cfg: config_mod.PipelineConfig) -> int:
+    from . import metrics
+
     e = cfg.eval
     text_table = features.load_embeddings(e.embeddings)
     by_variant = _discover_checkpoints(e.checkpoints)
@@ -236,16 +242,15 @@ def cmd_eval(cfg: config_mod.PipelineConfig) -> int:
                 groups_by_seed.append(metrics.group_breakdown(
                     probs, labels, dataset.records["annotator"], dataset.profiles, schema
                 ))
+        agg = metrics.aggregate_runs(reports)
         payload = {
             "variant": variant,
             "per_seed": [r.to_dict() for r in reports],
-            "aggregate": {
-                k: {"mean": m, "std": s} for k, (m, s) in metrics.aggregate_runs(reports).items()
-            },
+            "aggregate": {k: {"mean": m, "std": s} for k, (m, s) in agg.items()},
             "unknown_annotator_rows": fallback_rows,
         }
         features.write_json(os.path.join(out, "metrics.json"), payload)
-        _write_metrics_csv(os.path.join(out, "metrics.csv"), variant, reports)
+        _write_metrics_csv(os.path.join(out, "metrics.csv"), variant, reports, agg)
         if groups_by_seed:
             _write_groups_csv(os.path.join(out, "groups.csv"), groups_by_seed)
         _log(cfg, f"eval: {variant} -> {out}")
@@ -257,8 +262,8 @@ def _stat_cells(agg: dict[str, tuple[float, float]], stat: int) -> list[str]:
     return [repr(agg[key][stat]) if key in agg else "" for key in METRIC_KEYS]
 
 
-def _write_metrics_csv(path: str, variant: str, reports) -> None:
-    agg = metrics.aggregate_runs(reports)
+def _write_metrics_csv(path: str, variant: str, reports, agg: dict[str, tuple[float, float]]) -> None:
+    """One row per seed's report, then the mean and std rows of `agg`, their aggregate."""
     rows = [[variant, i, repr(r.precision), repr(r.recall), repr(r.f1), repr(r.auc) if r.auc is not None else ""]
             for i, r in enumerate(reports)]
     features.write_csv(path, ["model", "run", *METRIC_KEYS],
@@ -267,6 +272,8 @@ def _write_metrics_csv(path: str, variant: str, reports) -> None:
 
 def _write_groups_csv(path: str, groups_by_seed) -> None:
     """Per-category F1 averaged over seeds, one row per (attribute, category, n)."""
+    from . import metrics
+
     acc: dict[tuple[str, str], list] = {}
     for group_reports in groups_by_seed:
         for g in group_reports:
@@ -281,6 +288,8 @@ def _write_groups_csv(path: str, groups_by_seed) -> None:
 # ------------------------------------------------------------- homophily
 
 def cmd_homophily(cfg: config_mod.PipelineConfig) -> int:
+    from . import homophily
+
     h = cfg.homophily
     reps = homophily.load_representations(h.representations)
     profiles = features.load_profiles(h.profiles)
@@ -338,8 +347,8 @@ def _parse_homophily(fh) -> list[list[str]]:
 
 
 def _table(header: list[str], rows) -> list[str]:
-    """A markdown table: the header line, its `|---|` rule and one line per row of cells."""
-    lines = [f"| {' | '.join(map(str, row))} |" for row in [header, *rows]]
+    """A markdown table: the header line, its `|---|` rule and one line per row of cells, each `|` in a cell escaped."""
+    lines = ["| " + " | ".join(str(cell).replace("|", r"\|") for cell in row) + " |" for row in [header, *rows]]
     return [lines[0], "|" + "---|" * len(header), *lines[1:]]
 
 

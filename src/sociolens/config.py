@@ -18,13 +18,15 @@ import json
 import math
 import os
 from dataclasses import MISSING, dataclass, fields
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .corpus import ColumnMapping
 from .errors import ConfigError
 from .model import VARIANTS
-from .synth import AttributeSpec, PopulationSpec
 from .trainer import RunConfig
+
+if TYPE_CHECKING:
+    from .synth import PopulationSpec
 
 
 def _defaults(schema: type, *skip: str) -> dict[str, Any]:
@@ -257,6 +259,10 @@ def _parse_homophily(raw: dict, out_dir: str, train: TrainConfig | None) -> Homo
 
 
 def _parse_synth(raw: dict) -> PopulationSpec:
+    # imported here, not at the top, so that a spawned train worker, which imports cli and so
+    # this module, does not load the generator
+    from .synth import AttributeSpec, PopulationSpec
+
     s = _require(raw, _defaults(PopulationSpec), "synth")
     dim = s["socio_embedding_dim"]
     rules = {key: (_is_int(s[key]) and s[key] >= 1, "an integer >= 1")

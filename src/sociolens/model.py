@@ -28,12 +28,18 @@ vocabularies its columns index, the socio schema (which multi-hot slot
 is which category) and the head ids (which head unit is which
 annotator), so every reader of a model takes it alone.
 
-Memory and cost: the weights are the one contiguous little-endian f64
-row `ModelParams.flat`, each tensor a view into it; a checkpoint's
-params.bin is that row's bytes, and its manifest.json holds the rest.
-While a run trains, `ModelParams.work` adds a gradient row, which
-`backward` writes in place, and a scratch row, and `ModelParams.moments`
-holds Adam's m and v rows. On the trunk, `adam_step` is fourteen passes
+Memory and cost: the weights are the one contiguous row
+`ModelParams.flat`, each tensor a view into it, of dtype `WEIGHT_DTYPE`,
+little-endian f32; a checkpoint's params.bin is that row's bytes, and
+its manifest.json holds the rest. While a run trains, `ModelParams.work`
+adds a gradient row, which `backward` writes in place, and a scratch
+row, and `ModelParams.moments` holds Adam's m and v rows, all of the
+same dtype. Everything sized by the weights computes in the row's
+dtype; the sigmoid, the losses and their b-sized gradients stay f64,
+and `backward` casts the latter to the row's dtype. The dtype is an
+argument only so that the finite-difference gradient checks can run
+the same code on an f64 row, where central differences resolve the
+loss finely enough. On the trunk, `adam_step` is fourteen passes
 and two finiteness scans over the trunk's part of each row, whatever
 the layer count. A
 per-annotator head's forward and backward touch only the columns of its
@@ -48,7 +54,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
 
 import numpy as np
 
@@ -76,7 +82,11 @@ WIRING = {
 }
 VARIANTS = tuple(WIRING)
 NORM_EPS = 1e-12
-BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's constants, Kingma & Ba 2015's defaults
+# Adam's constants, Kingma & Ba 2015's defaults; Python floats, as a NumPy f64 scalar
+# would silently promote every f32 array it touches to f64 (NEP 50)
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# the dtype of every weight, gradient and moment row; checkpoints hold it and nothing else
+WEIGHT_DTYPE = "<f4"
 
 
 @dataclass(frozen=True)
@@ -131,13 +141,15 @@ class ModelParams:
 
     `tensors` are views into the row `flat`: never rebind them. Head unit
     i scores `annotators[i]`. Either vocabulary is None where the variant
-    has no socio input or no per-annotator head.
+    has no socio input or no per-annotator head. `dtype` is the row's, and
+    so the model's, compute dtype; only the gradient checks pass another.
     """
 
     spec: ModelSpec
     step: int = 0
     schema: SocioSchema | None = None
     annotators: list[str] | None = field(default=None, repr=False)
+    dtype: InitVar[str] = WEIGHT_DTYPE
     flat: np.ndarray = field(init=False, repr=False)
     tensors: dict[str, np.ndarray] = field(init=False, repr=False)
     # Adam's m and v rows while a run trains; a block apart from `work`'s, as one block raises peak RSS
@@ -147,8 +159,8 @@ class ModelParams:
     # `adam_step` found them; None when unknown, so `backward` zeroes the whole head
     _live_columns: np.ndarray | None = field(default=None, init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self.flat = np.zeros(sum(map(math.prod, self.spec.tensor_shapes().values())), dtype="<f8")
+    def __post_init__(self, dtype: str) -> None:
+        self.flat = np.zeros(sum(map(math.prod, self.spec.tensor_shapes().values())), dtype=dtype)
         self.tensors = self._views(self.flat)
 
     def _views(self, row: np.ndarray) -> dict[str, np.ndarray]:
@@ -166,12 +178,12 @@ class ModelParams:
     @work.setter
     def work(self, rows: np.ndarray | None) -> None:
         self._work, self._live_columns = rows, None
-        self.moments = None if rows is None else np.zeros(rows.shape)
+        self.moments = None if rows is None else np.zeros(rows.shape, dtype=self.flat.dtype)
 
     def gradient_views(self) -> dict[str, np.ndarray]:
         """Name → view of the gradient row `work[0]`, made per call so none outlives `work`."""
         if self.work is None:
-            self.work = np.empty((2, self.flat.size))
+            self.work = np.empty((2, self.flat.size), dtype=self.flat.dtype)
         return self._views(self.work[0])
 
 
@@ -205,7 +217,9 @@ class ForwardTrace:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
+    """f64 probabilities of `x`, computed in f64 whatever its dtype, so they saturate where f64's do."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
@@ -214,15 +228,19 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def init_params(
-    spec: ModelSpec, seed: int, schema: SocioSchema | None = None, annotators: list[str] | None = None
+    spec: ModelSpec,
+    seed: int,
+    schema: SocioSchema | None = None,
+    annotators: list[str] | None = None,
+    dtype: str = WEIGHT_DTYPE,
 ) -> ModelParams:
     """Glorot-uniform weights and zero biases, for a model of `schema` and head ids `annotators`.
 
-    Layers draw in ascending index order from one seeded generator, so a
-    seed fixes every parameter byte.
+    Layers draw in ascending index order from one seeded f64 generator,
+    rounded to `dtype`, so a seed fixes every parameter byte.
     """
     rng = np.random.default_rng(seed)
-    params = ModelParams(spec, schema=schema, annotators=annotators)
+    params = ModelParams(spec, schema=schema, annotators=annotators, dtype=dtype)
     for i, (fan_in, fan_out) in enumerate(spec.layer_shapes()):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         params.tensors[f"layer.{i}.weight"][...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
@@ -237,11 +255,16 @@ def _stack_forward(
     rng: np.random.Generator | None = None,
     rate: float = 0.0,
 ) -> np.ndarray:
-    """``Dense → ReLU → (dropout)`` for each layer; masks are drawn, layer by layer, only with an rng."""
+    """``Dense → ReLU → (dropout)`` for each layer; masks are drawn, layer by layer, only with an rng.
+
+    A mask is drawn as f64 uniforms compared to the rate, whatever the
+    dtype, so the dropout stream does not depend on it; its values are
+    then cast to the activations' dtype.
+    """
     for i in layers:
         z = x @ t[f"layer.{i}.weight"] + t[f"layer.{i}.bias"]
         a = np.maximum(z, 0.0)
-        mask = (rng.random(a.shape) >= rate) / (1.0 - rate) if rng is not None else None
+        mask = ((rng.random(a.shape) >= rate) / (1.0 - rate)).astype(a.dtype) if rng is not None else None
         if trace is not None:
             trace.inputs.append(x)
             trace.pre.append(z)
@@ -259,7 +282,9 @@ def forward(
     """Run one batch through the variant's wiring; returns sigmoid probabilities.
 
     Train mode applies inverted dropout and needs `rng` when the rate is
-    nonzero; eval mode is deterministic.
+    nonzero; eval mode is deterministic. The batch's rows are read in the
+    model's dtype: tables built for the model (`trainer._batch_tables`)
+    are in it already, and any other rows are cast.
     """
     spec = params.spec
     wiring = spec.wiring
@@ -268,20 +293,20 @@ def forward(
     use_dropout = mode == "train" and spec.dropout_rate > 0.0
     if use_dropout and rng is None:
         raise ConfigError("train-mode forward with dropout needs an rng")
-    t = params.tensors
+    t, dtype = params.tensors, params.flat.dtype
     trace = ForwardTrace(mode=mode, annotator_index=batch.annotator_index)
 
-    fused = batch.text
+    fused = text = np.asarray(batch.text, dtype=dtype)
     if wiring.socio is not None:
-        socio = batch.socio
-        if socio is None:
+        if batch.socio is None:
             raise DataError(f"{spec.variant} batch is missing its socio rows")
+        socio = np.asarray(batch.socio, dtype=dtype)
         if wiring.projected:
             E = _stack_forward(t, range(spec.trunk_start), socio, trace)
             trace.E = socio = E
             trace.E_norms = np.maximum(np.linalg.norm(E, axis=1, keepdims=True), NORM_EPS)
             trace.E_normalized = E / trace.E_norms
-        fused = np.concatenate([batch.text, socio], axis=1)
+        fused = np.concatenate([text, socio], axis=1)
     if fused.shape[1] != spec.fused_dim:
         raise DataError(f"fused input width {fused.shape[1]} != spec width {spec.fused_dim}")
 
@@ -298,7 +323,7 @@ def forward(
     else:
         known = batch.annotator_index >= 0
         cols = batch.annotator_index[known]
-        logits = np.empty(len(known))
+        logits = np.empty(len(known), dtype=dtype)
         # each row against its own head column, so a logit does not depend on the rest of the batch
         logits[known] = np.multiply(h[known], w.T[cols]).sum(axis=1) + bias[cols]
         if not known.all():
@@ -339,9 +364,10 @@ def backward(
 
     `d_logits` is dL/dlogits; `dE_loss` (projected wiring only) is the
     contrastive gradient w.r.t. `trace.E_normalized`, the rows fed to that
-    loss. The normalization Jacobian is applied here before the two E
-    paths merge. Gradients land in `params.gradient_views()`
-    and hold until the next `backward` or `adam_step` on `params`.
+    loss. Both are cast to the model's dtype. The normalization Jacobian
+    is applied here before the two E paths merge. Gradients land in
+    `params.gradient_views()` and hold until the next `backward` or
+    `adam_step` on `params`.
     """
     spec = params.spec
     wiring = spec.wiring
@@ -349,8 +375,8 @@ def backward(
         raise DataError("backward requires a trace from a train-mode forward")
     if dE_loss is not None and not wiring.projected:
         raise DataError(f"variant {spec.variant} has no contrastive path for dE")
-    t = params.tensors
-    d_logits = np.asarray(d_logits, dtype=np.float64)
+    t, dtype = params.tensors, params.flat.dtype
+    d_logits = np.asarray(d_logits, dtype=dtype)
     if d_logits.shape != trace.logits.shape:
         raise DataError(f"d_logits shape {d_logits.shape} != logits shape {trace.logits.shape}")
 
@@ -388,7 +414,7 @@ def backward(
     if wiring.projected:
         dE = d_fused[:, spec.text_dim :].copy()
         if dE_loss is not None:
-            dE_loss = np.asarray(dE_loss, dtype=np.float64)
+            dE_loss = np.asarray(dE_loss, dtype=dtype)
             if dE_loss.shape != trace.E.shape:
                 raise DataError(f"dE shape {dE_loss.shape} != E shape {trace.E.shape}")
             # Jacobian of E_hat = E / max(||E||, eps): rows at the
@@ -408,7 +434,9 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], lr: float) -> M
     """One Adam update with bias correction (Kingma & Ba 2015); mutates and returns `params`.
 
     The gradients are read from `params.gradient_views()`, where `backward`
-    writes them (any other array is copied there first). Every tensor but
+    writes them (any other array is copied there first, in the model's
+    dtype). Every constant, bias correction and `lr` enters as a Python
+    float, so the update runs in the model's dtype. Every tensor but
     a per-annotator head, the trunk here, is updated in place over its part
     of `params.flat`, each element through the per-tensor form's operations
     in its order, so the bytes match it. A non-finite gradient refuses the
@@ -418,15 +446,17 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], lr: float) -> M
     A per-annotator head is updated lazily, by the rule of PyTorch's
     `torch.optim.SparseAdam` and TF Addons' `LazyAdam`: only its live
     columns, those with any bit set in their weight or bias gradients
-    (found by one OR over the head block), take the textbook update, at
-    the global step's bias correction. A dead column keeps its weights, m
-    and v bit for bit until its annotator next has a gradient, so it needs
-    no new finiteness check either. The head's gradient rows are left as
+    (found by one OR over the head block, viewed as unsigned integers of
+    the row's width), take the textbook update, at the global step's bias
+    correction. A dead column keeps its weights, m and v bit for bit until
+    its annotator next has a gradient, so it needs no new finiteness check
+    either. The head's gradient rows are left as
     they were read, so `backward` re-zeroes only the live columns; write
     into the gradient views only between `backward` and `adam_step`.
     """
     if lr <= 0:
         raise ConfigError(f"learning rate must be > 0, got {lr}")
+    lr = float(lr)
     shapes = {name: tensor.shape for name, tensor in params.tensors.items()}
     got = {name: np.shape(g) for name, g in grads.items()}
     if got != shapes:
@@ -441,7 +471,7 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], lr: float) -> M
         a = params.spec.annotator_count
         cut = g.size - (params.spec.layer_shapes()[-1][0] + 1) * a
         heads = g[cut:].reshape(-1, a)
-        live = np.flatnonzero(np.bitwise_or.reduce(heads.view(np.uint64), axis=0))
+        live = np.flatnonzero(np.bitwise_or.reduce(heads.view(f"u{heads.itemsize}"), axis=0))
         g_live = heads[:, live]
     params._live_columns = live
     if not (np.isfinite(g[:cut]).all() and (live is None or np.isfinite(g_live).all())):
@@ -478,14 +508,16 @@ def extract_socio_reps(params: ModelParams, profiles: ProfileTable) -> VectorTab
     """Learned representation per profiled annotator, keyed in `profiles` order; identical profiles map identically.
 
     Each distinct profile row runs the eval-mode projection stack once and
-    on its own: the last bit of a batched product can depend on where a
-    row sits in it. Annotators with equal rows share that result.
+    on its own, in the model's dtype: the last bit of a batched product
+    can depend on where a row sits in it. Annotators with equal rows share
+    that result.
     """
     spec = params.spec
     if not spec.wiring.projected:
         raise ConfigError(f"socio representations only exist for socio_contrastive, not {spec.variant}")
     distinct, inverse = np.unique(multihot_rows(profiles, params.schema), axis=0, return_inverse=True)
-    reps = np.empty((len(distinct), spec.projection_dims[-1]))
+    distinct = distinct.astype(params.flat.dtype)
+    reps = np.empty((len(distinct), spec.projection_dims[-1]))  # f64 like every VectorTable; f32 widens exactly
     for i, row in enumerate(distinct):
         reps[i] = _stack_forward(params.tensors, range(spec.trunk_start), row[None, :])[0]
     return VectorTable(profiles.annotators, reps[inverse.reshape(-1)])
@@ -494,17 +526,18 @@ def extract_socio_reps(params: ModelParams, profiles: ProfileTable) -> VectorTab
 def save_checkpoint(params: ModelParams, directory: str, seed: int) -> str:
     """Write manifest.json plus params.bin, the raw bytes of `params.flat`; returns `directory`.
 
-    The manifest holds the spec, `seed`, the step, the tensor shapes,
-    and the head ids of a per-annotator model and the schema of a
-    multi-hot one. params.bin is the
-    weights row alone, little-endian f64 in `ModelSpec.tensor_shapes`
-    order; Adam's moments are not kept.
+    The manifest holds the spec, `seed`, the step, the row's dtype
+    (`WEIGHT_DTYPE`, "<f4"), the tensor shapes, and the head ids of a
+    per-annotator model and the schema of a multi-hot one. params.bin is
+    the weights row alone, 4·n bytes of little-endian f32 in
+    `ModelSpec.tensor_shapes` order; Adam's moments are not kept.
     """
     os.makedirs(directory, exist_ok=True)
     manifest = {
         "spec": asdict(params.spec),
         "seed": seed,
         "step": params.step,
+        "dtype": params.flat.dtype.str,
         "tensors": {k: list(t.shape) for k, t in params.tensors.items()},
     }
     if params.annotators is not None:
@@ -522,9 +555,10 @@ def read_manifest(directory: str) -> tuple[ModelParams, int]:
     params.bin is not read. The checkpoint is outside input, so anything
     that does not fit the spec is a DataError: a missing seed or spec, a
     spec of an unknown variant, tensor shapes other than the spec's
-    layers, a malformed schema, a multi-hot variant without a schema of
-    its socio width, or a per-annotator variant without one distinct id
-    per head unit.
+    layers, a malformed schema, a weights dtype other than `WEIGHT_DTYPE`
+    (every checkpoint of an earlier version is f64 and has no dtype key),
+    a multi-hot variant without a schema of its socio width, or a
+    per-annotator variant without one distinct id per head unit.
     """
     manifest_path = os.path.join(directory, "manifest.json")
     if not os.path.exists(manifest_path):
@@ -542,6 +576,11 @@ def read_manifest(directory: str) -> tuple[ModelParams, int]:
             raise DataError(f"{directory}: tensor shapes {manifest['tensors']} differ from the spec's {expected}")
         schema = SocioSchema.from_dict(manifest["schema"]) if "schema" in manifest else None
         heads = manifest["annotators"] if spec.wiring.per_annotator else None
+        if manifest.get("dtype") != WEIGHT_DTYPE:
+            raise DataError(
+                f"{manifest_path}: weights of dtype {manifest.get('dtype')!r}, not {WEIGHT_DTYPE!r}; checkpoints "
+                "of earlier versions (f64, with no dtype key) are no longer read: retrain to get one"
+            )
         # inside the try: the constructor raises ValueError for a spec of negative widths
         params = ModelParams(spec, step=int(manifest["step"]), schema=schema, annotators=heads)
         seed = int(manifest["seed"])
@@ -567,8 +606,7 @@ def load_checkpoint(params: ModelParams, directory: str) -> ModelParams:
     if not os.path.isfile(path):
         raise DataError(f"{directory}: no params.bin; checkpoints with one .bin per tensor are no longer read")
     if (size := os.path.getsize(path)) != params.flat.nbytes:
-        note = "; checkpoints holding Adam's moments are no longer read" if size == 3 * params.flat.nbytes else ""
-        raise DataError(f"{directory}: params.bin is {size} bytes, not {params.flat.nbytes}{note}")
+        raise DataError(f"{directory}: params.bin is {size} bytes, not {params.flat.nbytes}")
     with open(path, "rb") as fh:
         fh.readinto(params.flat)
     if not np.isfinite(params.flat).all():

@@ -37,6 +37,7 @@ from .corpus import Dataset, SplitPair, majority_vote
 from .errors import DataError, NumericError, SociolensError
 from .features import ProfileTable, SocioSchema, VectorTable, build_schema, multihot_rows, save_vector_csv, write_json
 from .model import (
+    WEIGHT_DTYPE,
     WIRING,
     ModelParams,
     ModelSpec,
@@ -93,24 +94,27 @@ def _batch_tables(
     schema: SocioSchema | None,
     socio_table: VectorTable | None,
     heads: list[str] | None,
+    dtype: str | np.dtype,
 ) -> BatchTables:
     """The lookup tables this wiring reads, one row per code of `dataset`; a missing entry is a data error.
 
-    Head unit i scores `heads[i]`; an annotator without a head gets index -1.
+    The text and socio rows are cast to `dtype`, the model's, once here, so
+    no batch is. Head unit i scores `heads[i]`; an annotator without a head
+    gets index -1.
     """
     annotators = dataset.annotators.tolist()
-    tables = {"text": text_table.rows(dataset.texts.tolist())}
+    tables = {"text": text_table.rows(dataset.texts.tolist()).astype(dtype)}
     if wiring.per_annotator:
         column = {a: i for i, a in enumerate(heads)}
         tables["annotator_index"] = np.array([column.get(a, -1) for a in annotators], dtype=np.int64)
     if wiring.socio == "multihot":
         if dataset.profiles is None:
             raise DataError("multi-hot socio rows need annotator profiles")
-        tables["socio"] = multihot_rows(dataset.profiles, schema)
+        tables["socio"] = multihot_rows(dataset.profiles, schema).astype(dtype)
     elif wiring.socio == "embedding":
         if socio_table is None:
             raise DataError("socio_embedding needs an annotator-keyed embedding table")
-        tables["socio"] = socio_table.rows(annotators)
+        tables["socio"] = socio_table.rows(annotators).astype(dtype)
     return BatchTables(**tables)
 
 
@@ -148,7 +152,7 @@ def train_one(
     wiring = WIRING[config.variant]
     schema = build_schema(train.profiles) if wiring.socio == "multihot" else None
     heads = sorted(train.annotators.tolist()) if wiring.per_annotator else None
-    tables = _batch_tables(wiring, train, text_table, schema, socio_table, heads)
+    tables = _batch_tables(wiring, train, text_table, schema, socio_table, heads, WEIGHT_DTYPE)
 
     spec = build_model_spec(config, train, tables)
     params = init_params(spec, seed, schema, heads)
@@ -223,7 +227,9 @@ def predict(
     rows = dataset.records
     if (rows["label"] < 0).any():
         raise DataError("evaluation data must be binarized first")
-    tables = _batch_tables(params.spec.wiring, dataset, text_table, params.schema, socio_table, params.annotators)
+    tables = _batch_tables(
+        params.spec.wiring, dataset, text_table, params.schema, socio_table, params.annotators, params.flat.dtype
+    )
 
     probs = np.empty(len(rows), dtype=np.float64)
     for start in range(0, len(rows), PREDICT_BATCH_SIZE):

@@ -2,7 +2,8 @@
 
 A small CLI config and chain runner, dataset and batch construction,
 random annotation tables for property tests, the record-based batch-plan
-reference, the finite-difference and contrastive-loss oracles, the per-tensor Adam
+reference, the finite-difference oracles (run on an f64 copy of the model,
+`f64_model`) and the contrastive-loss oracle, the per-tensor Adam
 reference and its lazy form for a per-annotator head, the per-draw
 homophily reference and the full-sort neighbor
 order whose first entries the package keeps, the per-threshold ROC
@@ -49,6 +50,10 @@ from sociolens import model
 from sociolens.model import ModelParams, ModelSpec, backward, forward, init_params, read_manifest
 from sociolens.objectives import bce_loss, contrastive_loss
 from sociolens.trainer import check_no_leak, predict, train_one
+
+
+# The dtype the finite-difference oracles run the model in; the package trains and scores in f32.
+F64 = "<f8"
 
 
 def base_config(out_dir: str) -> dict:
@@ -325,7 +330,8 @@ def reference_lazy_adam_step(params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8
         raise ConfigError(f"learning rate must be > 0, got {lr}")
     head = max(int(name.split(".")[1]) for name in params.tensors)
     head_names = (f"layer.{head}.weight", f"layer.{head}.bias")
-    bits = np.vstack([grads[head_names[0]], grads[head_names[1]][None, :]]).view(np.uint64)
+    block = np.vstack([grads[head_names[0]], grads[head_names[1]][None, :]])
+    bits = block.view(f"u{block.itemsize}")
     live = np.flatnonzero(np.bitwise_or.reduce(bits, axis=0))
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
@@ -347,16 +353,18 @@ def reference_lazy_adam_step(params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8
 def reference_head_gradient(h: np.ndarray, annotator_index: np.ndarray, d_logits: np.ndarray, a: int):
     """A per-annotator head's weight and bias gradients over all `a` columns, zeroed whole and then added row by row.
 
-    This is the dense rule `model.backward` must match bit for bit: each
-    known row adds into its annotator's column in row order
-    (`np.add.at`), and an unseen annotator's row, scored under the mean
-    head, spreads d/A over every column.
+    This is the dense rule `model.backward` must match bit for bit, in
+    the dtype of `h`, the model's: each known row adds into its
+    annotator's column in row order (`np.add.at`), and an unseen
+    annotator's row, scored under the mean head, spreads d/A over every
+    column.
     """
+    d_logits = np.asarray(d_logits, dtype=h.dtype)
     known = annotator_index >= 0
     cols, d = annotator_index[known], d_logits[known]
-    d_w = np.zeros((h.shape[1], a))
+    d_w = np.zeros((h.shape[1], a), dtype=h.dtype)
     np.add.at(d_w.T, cols, h[known] * d[:, None])
-    d_bias = np.bincount(cols, weights=d, minlength=a).astype(np.float64)  # int64 when no row is known
+    d_bias = np.bincount(cols, weights=d, minlength=a).astype(h.dtype)  # int64 when no row is known
     if not known.all():
         d_all = np.repeat(d_logits[~known, None] / a, a, axis=1)
         d_w += h[~known].T @ d_all
@@ -383,7 +391,7 @@ def random_small_spec(rng: np.random.Generator, variant: str) -> ModelSpec:
 
 
 def gradient_check_instance(variant: str, seed: int, step: float = 1e-6) -> float:
-    """Worst relative error between analytic and central-difference gradients.
+    """Worst relative error between analytic and central-difference gradients, on an f64 model.
 
     Parameters are nudged off their init so no ReLU pre-activation sits
     exactly on the kink (where a finite difference straddles the
@@ -391,7 +399,7 @@ def gradient_check_instance(variant: str, seed: int, step: float = 1e-6) -> floa
     """
     rng = np.random.default_rng(seed)
     spec = random_small_spec(rng, variant)
-    params = init_params(spec, int(rng.integers(0, 1000)))
+    params = init_params(spec, int(rng.integers(0, 1000)), dtype=F64)
     for tensor in params.tensors.values():
         tensor += 0.05 * rng.standard_normal(tensor.shape)
     size = int(rng.integers(2, 7))
@@ -399,8 +407,22 @@ def gradient_check_instance(variant: str, seed: int, step: float = 1e-6) -> floa
     return worst_gradient_error(params, batch, int(rng.integers(0, 10**6)), step)
 
 
+def f64_model(params: ModelParams) -> ModelParams:
+    """A copy of `params` whose weights row is f64: the same spec, vocabularies, step and weight values."""
+    twin = ModelParams(params.spec, params.step, params.schema, params.annotators, dtype=F64)
+    twin.flat[...] = params.flat
+    return twin
+
+
 def worst_gradient_error(params, batch, dropout_seed: int, step: float = 1e-6) -> float:
-    """Worst relative error between `backward` and central differences of the combined loss on `batch`."""
+    """Worst relative error between `backward` and central differences of the combined loss on `batch`.
+
+    Both run on an f64 copy of `params`. A central difference of an f32
+    loss resolves it only to about 6e-8 relative, so in f32 its error
+    would swamp the 1e-4 bound; the model runs the same code in either
+    dtype.
+    """
+    params = f64_model(params)
     spec = params.spec
     _, trace, d_logits, dE = combined_objective(params, batch, spec, dropout_seed)
     grads = backward(params, trace, d_logits, dE)

@@ -1,7 +1,10 @@
 import csv
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -224,6 +227,29 @@ class TestReport:
             "- no ablation artifacts\n"
         )
         assert summary == SUMMARY_HEAD.encode()
+
+    def test_a_pipe_in_a_cell_is_escaped(self, tmp_path):
+        # a category may hold "|"; unescaped, its row would have one cell more than the header
+        groups = tmp_path / "out" / "eval" / "simple" / "groups.csv"
+        groups.parent.mkdir(parents=True)
+        groups.write_text(GROUPS_HEADER + "group,a|b,12,0.5,0.5,0.5,0.6\n", encoding="utf-8")
+        report, _ = self.run_report(tmp_path)
+        lines = report.split("## Group slices (F1 by socio-demographic category)\n\n")[1].splitlines()
+        header, rule, row = lines[:3]
+        assert row == r"| group | a\|b | 12 | 0.500 |"
+        cells = [len(re.split(r"(?<!\\)\|", line)) for line in (header, row)]
+        assert cells[0] == cells[1] == rule.count("|") + 1
+
+
+def test_importing_the_cli_loads_no_stage_only_module():
+    # a spawned train worker imports the cli module; synth, metrics and homophily are loaded by the
+    # commands that use them, so a worker does not pay for them
+    code = "import json, sys, sociolens.cli; print(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))  # the package as this process finds it
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+    loaded = set(json.loads(child.stdout))
+    assert "sociolens.cli" in loaded
+    assert not {"sociolens.synth", "sociolens.metrics", "sociolens.homophily"} & loaded
 
 
 class TestDeterminism:
@@ -663,7 +689,7 @@ class TestErrors:
             # params.bin opens with the weights row, where layer.2.weight follows the layer 0 and 1 tensors
             shapes = json.loads((ckpt / "manifest.json").read_text(encoding="utf-8"))["tensors"]
             before = [shapes[f"layer.{i}.{part}"] for i in (0, 1) for part in ("weight", "bias")]
-            weights = np.fromfile(ckpt / "params.bin", dtype="<f8")
+            weights = np.fromfile(ckpt / "params.bin", dtype="<f4")
             weights[sum(int(np.prod(shape)) for shape in before)] = np.nan
             weights.tofile(ckpt / "params.bin")
 
@@ -686,13 +712,36 @@ class TestErrors:
 
     def test_checkpoint_with_adam_moments_exits_3(self, tmp_path, capsys, trained_simple):
         def edit(ckpt):
-            # the layout before weights-only checkpoints: the weights row, then Adam's m and v rows
-            weights = np.fromfile(ckpt / "params.bin", dtype="<f8")
+            # the layout before weights-only checkpoints: the f64 weights row, then Adam's m and v
+            # rows, under a manifest with no dtype key
+            weights = np.fromfile(ckpt / "params.bin", dtype="<f4").astype("<f8")
             np.concatenate([weights, np.zeros(2 * weights.size)]).tofile(ckpt / "params.bin")
+            manifest = json.loads((ckpt / "manifest.json").read_text(encoding="utf-8"))
+            del manifest["dtype"]
+            (ckpt / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
 
         assert self.eval_edited_checkpoint(tmp_path, trained_simple, edit) == 3
         err = capsys.readouterr().err
-        assert err.startswith("data error: ") and "checkpoints holding Adam's moments are no longer read" in err
+        assert err.startswith("data error: ") and "checkpoints of earlier versions" in err and "retrain" in err
+        assert not list((tmp_path / "out" / "eval").rglob("roc_seed*.csv"))
+
+    @pytest.mark.parametrize("dtype", [None, "<f8", "<f2"], ids=["no-dtype", "f64", "f16"])
+    def test_checkpoint_of_another_dtype_exits_3_naming_its_manifest(self, tmp_path, capsys, trained_simple, dtype):
+        # without a dtype key it is a checkpoint of an earlier version: the same manifest, f64 weights of 8·n bytes
+        def edit(ckpt):
+            weights = np.fromfile(ckpt / "params.bin", dtype="<f4")
+            weights.astype(dtype or "<f8").tofile(ckpt / "params.bin")
+            manifest = json.loads((ckpt / "manifest.json").read_text(encoding="utf-8"))
+            if dtype is None:
+                del manifest["dtype"]
+            else:
+                manifest["dtype"] = dtype
+            (ckpt / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+        assert self.eval_edited_checkpoint(tmp_path, trained_simple, edit) == 3
+        err = capsys.readouterr().err
+        manifest = tmp_path / "out" / "train" / "simple" / "seed0" / "checkpoint" / "manifest.json"
+        assert err.startswith(f"data error: {manifest}: weights of dtype {dtype!r}, not '<f4'") and "retrain" in err
         assert not list((tmp_path / "out" / "eval").rglob("roc_seed*.csv"))
 
     def test_checkpoint_with_normalize_embeddings_exits_3_naming_it(self, tmp_path, capsys, trained_simple):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import (
     adam_state,
     combined_objective,
+    f64_model,
     gradient_check_instance,
     load_checkpoint,
     make_dataset,
@@ -27,6 +28,7 @@ from sociolens.batcher import Batch
 from sociolens.errors import ConfigError, DataError, NumericError
 from sociolens.features import MISSING, SocioSchema, VectorTable
 from sociolens.model import (
+    WEIGHT_DTYPE,
     ModelSpec,
     adam_step,
     backward,
@@ -109,11 +111,14 @@ class TestForward:
         params.tensors["layer.1.bias"][:] = 0.3
         params.tensors["layer.2.weight"][:] = 1.5
         params.tensors["layer.2.bias"][:] = -0.2
+        # the hand computation runs in the model's dtype, on the constants as its weights hold them;
+        # the sigmoid of the logit is f64 in both
+        f = params.flat.dtype.type
         x = 0.8
-        h1 = max(0.5 * x + 0.1, 0.0)          # 0.5
-        h2 = max(-2.0 * h1 + 0.3, 0.0)        # relu(-0.7) = 0
-        logit = 1.5 * h2 - 0.2                # -0.2
-        expected = 1.0 / (1.0 + math.exp(-logit))
+        h1 = max(f(0.5) * f(x) + f(0.1), f(0.0))          # 0.5
+        h2 = max(f(-2.0) * h1 + f(0.3), f(0.0))           # relu(-0.7) = 0
+        logit = f(1.5) * h2 + f(-0.2)                      # -0.2
+        expected = 1.0 / (1.0 + math.exp(-float(logit)))
         batch = Batch(text=np.array([[x]]), labels=np.array([1.0]), text_ids=["t"])
         probs, _ = forward(params, batch, mode="eval")
         assert probs[0] == pytest.approx(expected, abs=1e-12)
@@ -337,13 +342,15 @@ class TestAdamStep:
 
     def test_two_steps_match_hand_recurrence(self):
         spec, params = self.scalar_params(value=0.5)
-        g = 0.3
+        # the recurrence runs in the model's dtype, its constants Python floats as in `adam_step`
+        f = params.flat.dtype.type
+        g = f(0.3)
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-        theta, m, v = 0.5, 0.0, 0.0
+        theta, m, v = f(0.5), f(0.0), f(0.0)
         for t in (1, 2):
             m = b1 * m + (1 - b1) * g
-            v = b2 * v + (1 - b2) * g * g
-            theta -= lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps)
+            v = b2 * v + (1 - b2) * (g * g)
+            theta -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
         grads = self.zero_grads(params)
         grads["layer.1.weight"][:] = g
         adam_step(params, grads, lr=lr)
@@ -378,9 +385,11 @@ class TestAdamStep:
         ref = SimpleNamespace(step=0, **{r: {k: t.copy() for k, t in views.items()} for r, views in roles.items()})
         names = list(params.tensors)
         for step in range(steps):
-            # any dict order, gradients from 1e-4 to 1e4 so m, v and the update span many exponents
+            # any dict order, gradients from 1e-4 to 1e4 so m, v and the update span many exponents,
+            # in the model's dtype, as `backward` writes them
             grads = {
-                names[i]: rng.standard_normal(params.tensors[names[i]].shape) * 10.0 ** rng.uniform(-4, 4)
+                names[i]: (rng.standard_normal(params.tensors[names[i]].shape) * 10.0 ** rng.uniform(-4, 4))
+                .astype(params.flat.dtype)
                 for i in rng.permutation(len(names))
             }
             if poison is not None and poison[0] == step:
@@ -493,6 +502,76 @@ class TestPerAnnotatorHeadUpdate:
         assert [t[:, 0].tobytes() for t in (w, m, v)] == [t.tobytes() for t in (w1, m1, v1)]
 
 
+class TestRowDtype:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_a_train_step_stays_in_the_row_dtype(self, variant):
+        # an f64 operand, a NumPy f64 scalar among them, promotes an f32 array without a word (NEP 50):
+        # the step would run, only in f64
+        spec = small_spec(variant, dropout_rate=0.2)
+        params = init_params(spec, 0)
+        dtype = params.flat.dtype
+        assert dtype == np.dtype(WEIGHT_DTYPE) == np.float32
+        batch = random_batch(np.random.default_rng(0), spec, 6, 2)
+        _, trace, d_logits, dE = combined_objective(params, batch, spec, 1)
+        adam_step(params, backward(params, trace, d_logits, dE), lr=0.01)
+        arrays = [*trace.inputs, *trace.pre, *trace.masks, trace.logits, trace.E, trace.E_norms, trace.E_normalized]
+        assert {a.dtype for a in arrays if a is not None} == {dtype}
+        assert {g.dtype for g in params.gradient_views().values()} == {dtype}
+        assert params.moments.shape == (2, params.flat.size) and params.moments.dtype == dtype
+        assert params.work.dtype == dtype
+
+    # Bound on the gap between f32 and f64 analytic gradients of one model, as a fraction of the
+    # largest f64 gradient entry, stated before the test runs (eps = f32's machine epsilon, 2**-23).
+    # Both models hold the same weights (f32 values, exact in f64) and read the same batch rows,
+    # rounded to f32 first, so they differ only by f32's rounding, u = eps/2 an operation. An
+    # entry passes at most 12 rounded stages (five layers forward and back, the normalization
+    # Jacobian and the weight-gradient product), each a sum of at most 16 products, whose error
+    # is at most gamma_16 = 16u = 8 eps of the sum of its terms' magnitudes (Higham 2002, §3.1):
+    # 96 eps. The contrastive loss reads E through E·Eᵀ/τ, which scales an error in E by up to
+    # 2/τ = 20 at τ = 0.1: 1920 eps, rounded up to 2**11 eps, about 2.4e-4.
+    F32_GRADIENT_BOUND = 2**11 * np.finfo(np.float32).eps
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_f32_gradients_agree_with_f64_gradients_of_the_same_weights(self, variant):
+        # widths of 8 and 16 and batches of 8, so no exact gradient is 0 throughout, as a dead
+        # layer's is: there the comparison would be between two roundings of 0
+        spec = small_spec(variant, text_dim=8, hidden_dims=(16, 8), dropout_rate=0.2,
+                          **({"projection_dims": (8, 8)} if variant == "socio_contrastive" else {}))
+        for seed in range(20):
+            params = init_params(spec, seed)
+            batch = random_batch(np.random.default_rng(seed), spec, 8, 3)
+            batch.text = batch.text.astype(params.flat.dtype)
+            if batch.socio is not None:
+                batch.socio = batch.socio.astype(params.flat.dtype)
+            twin = f64_model(params)
+            traces = []
+            for model in (params, twin):
+                _, trace, d_logits, dE = combined_objective(model, batch, spec, seed)
+                backward(model, trace, d_logits, dE)
+                traces.append(trace)
+            # a pre-activation on the other side of 0 is another function, not a rounding error
+            assert all(np.array_equal(a > 0, b > 0) for a, b in zip(traces[0].pre, traces[1].pre))
+            gap = np.abs(params.work[0] - twin.work[0]).max()
+            assert gap <= self.F32_GRADIENT_BOUND * np.abs(twin.work[0]).max(), (seed, gap)
+
+    def test_a_negative_zero_head_gradient_marks_its_column_live(self):
+        # -0.0 in f32 is the bit pattern 0x80000000: the column scan must read the row's own width
+        spec = small_spec("multitask", annotator_count=4)
+        params = init_params(spec, 2)
+        grads = params.gradient_views()
+        for g in grads.values():
+            g[...] = 0.0
+        grads["layer.2.weight"][1, 2] = -0.0
+        adam_step(params, grads, lr=0.01)
+        assert params._live_columns.tolist() == [2]
+        # so the next backward re-zeroes that column: +0.0, not the -0.0 left in it
+        batch = random_batch(np.random.default_rng(2), spec, 3, 2)
+        batch.annotator_index = np.array([0, 1, 0])
+        _, trace = forward(params, batch, mode="train")
+        column = backward(params, trace, np.array([0.2, -0.1, 0.4]))["layer.2.weight"][:, 2]
+        assert column.tobytes() == np.zeros_like(column).tobytes()
+
+
 class TestSocioReps:
     schema = SocioSchema([("g", ["a", "b", MISSING]), ("r", ["x", "y", MISSING])])
 
@@ -543,8 +622,8 @@ class TestCheckpoints:
         assert loaded.schema.to_dict() == schema.to_dict()
         assert loaded.annotators is None
         assert loaded.flat.tobytes() == params.flat.tobytes()
-        # params.bin is the weights bytes only, 8·n; a loaded model holds no moments
-        assert (tmp_path / "ck" / "params.bin").stat().st_size == 8 * params.flat.size
+        # params.bin is the weights bytes only, 4·n of f32; a loaded model holds no moments
+        assert (tmp_path / "ck" / "params.bin").stat().st_size == 4 * params.flat.size
         assert loaded.moments is None and loaded.work is None
 
     def test_missing_manifest(self, tmp_path):
@@ -638,7 +717,7 @@ class TestCheckpoints:
         assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == ["manifest.json", "params.bin"]
         data = (tmp_path / "ck" / "params.bin").read_bytes()
         assert data == b"".join(view.tobytes() for view in params.tensors.values())
-        assert len(data) == 8 * sum(t.size for t in params.tensors.values())
+        assert len(data) == 4 * sum(t.size for t in params.tensors.values())
 
     @pytest.mark.parametrize("tensor", ["layer.0.weight", "layer.1.bias", "layer.2.weight"], ids="weights-{}".format)
     @pytest.mark.parametrize("at", ["first", "last"])
@@ -649,7 +728,7 @@ class TestCheckpoints:
         sizes = {name: math.prod(shape) for name, shape in small_spec("multitask").tensor_shapes().items()}
         names = list(sizes)
         start = sum(sizes[n] for n in names[: names.index(tensor)])
-        data = np.fromfile(Path(directory) / "params.bin", dtype="<f8")
+        data = np.fromfile(Path(directory) / "params.bin", dtype="<f4")
         data[start if at == "first" else start + sizes[tensor] - 1] = value
         data.tofile(Path(directory) / "params.bin")
         with pytest.raises(DataError, match=re.escape(f"params.bin holds non-finite values in the weights of {tensor}")):

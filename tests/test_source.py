@@ -99,6 +99,30 @@ def test_only_model_reads_or_writes_checkpoint_bytes():
     assert SOURCES and not found, found
 
 
+# Places outside model.py that name f32 for a reason other than the weights: the PEMB embedding
+# format's components are little-endian f32 by definition.
+F32_ELSEWHERE = {("features.py", "_load_embeddings_binary")}
+
+
+def test_only_model_names_the_weight_dtype():
+    # the model computes in the dtype of its weights row, which model.py alone chooses
+    # (`WEIGHT_DTYPE`); a second place naming f32 could drift from it
+    def names_f32(node: ast.AST) -> bool:
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return node.value.lstrip("<>=|") in ("f4", "float32")
+        return _names(node) in ("float32", "single")
+
+    found = []
+    for path in SOURCES:
+        if path.name == "model.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        exempt = {id(inner) for node in tree.body if (path.name, getattr(node, "name", None)) in F32_ELSEWHERE
+                  for inner in ast.walk(node)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if names_f32(node) and id(node) not in exempt]
+    assert SOURCES and not found, found
+
+
 def test_only_model_pairs_a_model_with_a_schema():
     # a model's schema and head ids are fields of `ModelParams`: elsewhere no function takes,
     # and no class holds, a model and a schema side by side, as parallel records that can drift apart
