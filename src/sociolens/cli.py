@@ -232,12 +232,10 @@ def cmd_eval(cfg: config_mod.PipelineConfig) -> int:
             fallback_rows += fallback
             report = metrics.confusion_metrics(probs, labels)
             reports.append(report)
-            try:
+            if report.auc is not None:  # the curve is defined exactly where the AUC is
                 points = metrics.roc_curve(probs, labels)
                 features.write_csv(os.path.join(out, f"roc_seed{seed}.csv"), ["threshold", "fpr", "tpr"],
                                    ([repr(threshold), repr(fpr), repr(tpr)] for threshold, fpr, tpr in points))
-            except DataError:
-                pass
             if schema is not None:
                 groups_by_seed.append(metrics.group_breakdown(
                     probs, labels, dataset.records["annotator"], dataset.profiles, schema
@@ -271,16 +269,12 @@ def _write_metrics_csv(path: str, variant: str, reports, agg: dict[str, tuple[fl
 
 
 def _write_groups_csv(path: str, groups_by_seed) -> None:
-    """Per-category F1 averaged over seeds, one row per (attribute, category, n)."""
+    """Metrics averaged over seeds, one row per `group_breakdown` key; every seed's table has the same keys."""
     from . import metrics
 
-    acc: dict[tuple[str, str], list] = {}
-    for group_reports in groups_by_seed:
-        for g in group_reports:
-            for category, report in g.categories.items():
-                acc.setdefault((g.attribute, category), []).append(report)
     rows = []
-    for (attribute, category), reports in acc.items():
+    for attribute, category in groups_by_seed[0]:
+        reports = [table[attribute, category] for table in groups_by_seed]
         rows.append([attribute, category, reports[0].n, *_stat_cells(metrics.aggregate_runs(reports), 0)])
     features.write_csv(path, ["attribute", "category", "n", *METRIC_KEYS], rows)
 

@@ -27,12 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    DuplicateError,
-    EmptyDatasetError,
-    SchemaError,
-)
+from .errors import DataError
 from .features import ProfileTable, open_csv, write_csv
 from .rng import seeded_shuffle
 
@@ -140,9 +135,7 @@ def load_annotations(path: str, columns: ColumnMapping | None = None) -> Dataset
             raise DataError(f"{path}: empty file")
         for col in (columns.text_id, columns.annotator_id, columns.score):
             if col not in reader.fieldnames:
-                raise SchemaError(
-                    f"{path}: declared column {col!r} not in header {reader.fieldnames}"
-                )
+                raise DataError(f"{path}: declared column {col!r} not in header {reader.fieldnames}")
         for row_no, row in enumerate(reader, start=2):
             raw = row[columns.score]
             try:
@@ -168,7 +161,7 @@ def load_annotations(path: str, columns: ColumnMapping | None = None) -> Dataset
             for i, pair in enumerate(pairs.tolist())
             if first.setdefault(pair, i) != i
         ]
-        raise DuplicateError(
+        raise DataError(
             f"{path}: {len(duplicates)} rows repeat an earlier (text_id, annotator_id) pair, first: "
             + "; ".join(duplicates[:5])
         )
@@ -218,7 +211,7 @@ def filter_dataset(
     bad_texts = (per_text > 0) & (per_text < min_annotators_per_text)
     kept &= ~bad_texts[rows["text"]]
     if not kept.any():
-        raise EmptyDatasetError(
+        raise DataError(
             f"filtering with thresholds (texts>={min_annotators_per_text}, "
             f"annotators>={min_annotations_per_annotator}) removed every record"
         )

@@ -14,7 +14,7 @@ class ConfigError(SociolensError):
 
 
 class DataError(SociolensError):
-    """Problem with input data: missing files, bad schema, broken invariants. Exit code 3."""
+    """Problem with input data: missing files, bad schema, duplicate or empty data, broken invariants. Exit code 3."""
 
     exit_code = 3
 
@@ -24,18 +24,3 @@ class NumericError(SociolensError):
 
     exit_code = 4
 
-
-class SchemaError(DataError):
-    """A declared column or attribute is missing or malformed."""
-
-
-class DuplicateError(DataError):
-    """Duplicate (text_id, annotator_id) pairs in an annotation table."""
-
-
-class EmptyDatasetError(DataError):
-    """An operation produced or received a dataset with no records."""
-
-
-class EncodingError(DataError):
-    """A category is not in the active schema's vocabulary for its attribute."""

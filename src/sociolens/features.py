@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DuplicateError, EncodingError, NumericError, SchemaError
+from .errors import DataError, NumericError
 
 MISSING = "⟂missing⟂"
 
@@ -109,10 +109,10 @@ class SocioSchema:
     def __init__(self, attributes: list[tuple[str, list[str]]]):
         names = [name for name, _ in attributes]
         if len(set(names)) != len(names):
-            raise SchemaError("duplicate attribute names in schema")
+            raise DataError("duplicate attribute names in schema")
         for name, cats in attributes:
             if len(set(cats)) != len(cats):
-                raise SchemaError(f"duplicate categories for attribute {name!r}")
+                raise DataError(f"duplicate categories for attribute {name!r}")
         self.attributes = [(name, list(cats)) for name, cats in attributes]
         self.total_width = sum(len(cats) for _, cats in self.attributes)
 
@@ -145,7 +145,7 @@ class SocioSchema:
         attributes = [(name, cats) for name, cats in payload["attributes"]]
         for name, cats in attributes:
             if not (isinstance(name, str) and isinstance(cats, list) and all(isinstance(c, str) for c in cats)):
-                raise SchemaError(f"schema attribute {name!r} must be a name and a list of category names")
+                raise DataError(f"schema attribute {name!r} must be a name and a list of category names")
         return cls(attributes)
 
 
@@ -158,7 +158,7 @@ def build_schema(profiles: ProfileTable) -> SocioSchema:
     category appended last.
     """
     if not profiles:
-        raise SchemaError("cannot build a schema without profiles")
+        raise DataError("cannot build a schema without profiles")
     answered = profiles.answers >= 0
     first = np.where(answered.any(axis=0), answered.argmax(axis=0), len(profiles))
     attributes = [
@@ -175,7 +175,7 @@ def multihot_rows(profiles: ProfileTable, schema: SocioSchema) -> np.ndarray:
     unknown = np.flatnonzero((codes < 0).any(axis=0))
     if unknown.size:
         name = schema.attributes[unknown[0]][0]
-        raise EncodingError(f"attribute {name!r} has no {MISSING!r} category for a declined or unknown answer")
+        raise DataError(f"attribute {name!r} has no {MISSING!r} category for a declined or unknown answer")
     offsets = np.cumsum([0] + [len(cats) for _, cats in schema.attributes])[:-1]
     rows = np.zeros((len(profiles), schema.total_width), dtype=np.float64)
     rows[np.arange(len(profiles))[:, None], codes + offsets] = 1.0
@@ -240,10 +240,10 @@ def load_vector_csv(path: str, key_column: str) -> VectorTable:
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         if not header or header[0] != key_column:
-            raise SchemaError(f"{path}: first column must be {key_column!r}, got {header[:1]}")
+            raise DataError(f"{path}: first column must be {key_column!r}, got {header[:1]}")
         dimension = len(header) - 1
         if dimension < 1:
-            raise SchemaError(f"{path}: no component columns")
+            raise DataError(f"{path}: no component columns")
         block_rows = max(1, VECTOR_BLOCK_CELLS // dimension)
         try:
             for row_no, row in enumerate(reader, start=2):
@@ -342,9 +342,9 @@ def load_profiles(path: str) -> ProfileTable:
         reader = csv.reader(fh)
         header = next(reader, [])
         if "annotator_id" not in header:
-            raise SchemaError(f"{path}: profile file needs an 'annotator_id' column")
+            raise DataError(f"{path}: profile file needs an 'annotator_id' column")
         if len(set(header)) != len(header):
-            raise SchemaError(f"{path}: profile header repeats a column name: {header}")
+            raise DataError(f"{path}: profile header repeats a column name: {header}")
         width = len(header)
         # a blank line holds no profile
         rows = [row[:width] + [""] * (width - len(row)) for row in reader if row]
@@ -356,7 +356,7 @@ def load_profiles(path: str) -> ProfileTable:
     first: dict[str, int] = {}
     for row_no, aid in enumerate(ids, start=2):
         if first.setdefault(aid, row_no) != row_no:
-            raise DuplicateError(f"{path}: duplicate annotator_id {aid!r} at row {row_no}")
+            raise DataError(f"{path}: duplicate annotator_id {aid!r} at row {row_no}")
     return ProfileTable.from_cells(ids, header[:key] + header[key + 1 :], np.delete(cells, key, axis=1))
 
 

@@ -13,6 +13,10 @@ counts at each distinct score, from one sort of the n scores. A scored
 run therefore costs O(n log n), and each group slice the same over its
 own records. Every score must be finite: a NaN or infinity is a
 NumericError, never a silent place in the sort.
+
+Group slices are one flat table keyed (attribute, category) in schema
+order, like the `groups.csv` rows it becomes; a category without test
+records has no entry.
 """
 
 from __future__ import annotations
@@ -40,13 +44,6 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "degenerate": list(self.degenerate)}
-
-
-@dataclass(frozen=True)
-class GroupReport:
-    attribute: str
-    categories: dict[str, MetricsReport]
-    omitted: tuple[str, ...] = ()
 
 
 def confusion_metrics(probs: np.ndarray, labels: np.ndarray) -> MetricsReport:
@@ -154,27 +151,23 @@ def group_breakdown(
     record_annotator: np.ndarray,
     profiles: ProfileTable,
     schema: SocioSchema,
-) -> list[GroupReport]:
-    """Metrics per socio-demographic category, sliced by each record's annotator code; row c of `profiles` is code c.
+) -> dict[tuple[str, str], MetricsReport]:
+    """Metrics per (attribute, category), sliced by each record's annotator code; row c of `profiles` is code c.
 
-    An annotator's declined or out-of-vocabulary answer counts under
-    MISSING (`SocioSchema.encode`). Categories with zero test records are
-    listed as omitted. AUC is left undefined (None) for single-class slices.
+    Keys run in schema order. An annotator's declined or out-of-vocabulary
+    answer counts under MISSING (`SocioSchema.encode`). A category with
+    zero test records has no entry. AUC is left undefined (None) for
+    single-class slices.
     """
     p = np.asarray(probs, dtype=np.float64)
     y = np.asarray(labels)
     if not p.shape == y.shape == np.shape(record_annotator):
         raise DataError(f"probs {p.shape}, labels {y.shape} and codes {np.shape(record_annotator)} do not line up")
     record_codes = schema.encode(profiles)[record_annotator]
-    reports: list[GroupReport] = []
+    table: dict[tuple[str, str], MetricsReport] = {}
     for a, (attribute, categories) in enumerate(schema.attributes):
-        per_category: dict[str, MetricsReport] = {}
-        omitted: list[str] = []
         for i, category in enumerate(categories):
             mask = record_codes[:, a] == i
             if mask.any():
-                per_category[category] = confusion_metrics(p[mask], y[mask])
-            else:
-                omitted.append(category)
-        reports.append(GroupReport(attribute=attribute, categories=per_category, omitted=tuple(omitted)))
-    return reports
+                table[attribute, category] = confusion_metrics(p[mask], y[mask])
+    return table

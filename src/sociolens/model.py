@@ -32,21 +32,20 @@ Memory and cost: the weights are the one contiguous row
 `ModelParams.flat`, each tensor a view into it, of dtype `WEIGHT_DTYPE`,
 little-endian f32; a checkpoint's params.bin is that row's bytes, and
 its manifest.json holds the rest. While a run trains, `ModelParams.work`
-adds a gradient row, which `backward` writes in place, and a scratch
-row, and `ModelParams.moments` holds Adam's m and v rows, all of the
-same dtype. Everything sized by the weights computes in the row's
-dtype; the sigmoid, the losses and their b-sized gradients stay f64,
-and `backward` casts the latter to the row's dtype. The dtype is an
-argument only so that the finite-difference gradient checks can run
-the same code on an f64 row, where central differences resolve the
-loss finely enough. On the trunk, `adam_step` is fourteen passes
-and two finiteness scans over the trunk's part of each row, whatever
-the layer count. A
-per-annotator head's forward and backward touch only the columns of its
-batch's annotators: O(b·H) a step, not O(b·H·A). Adam updates that
-head lazily: one bitwise OR over its (H+1)·A block of weight and bias
-gradients finds the live columns, at most b, and only those take an
-update, O(b·H); backward re-zeroes only those columns.
+adds a gradient row, which `backward` writes in place and `adam_step`
+reads, and a scratch row, and `ModelParams.moments` holds Adam's m and
+v rows, all of the same dtype. Everything sized by the weights computes
+in the row's dtype; the sigmoid, the losses and their b-sized gradients
+stay f64, and `backward` casts the latter to the row's dtype. The dtype
+is an argument only so that the finite-difference gradient checks can
+run the same code on an f64 row, where central differences resolve the
+loss finely enough. On the trunk, `adam_step` is fourteen passes and
+two finiteness scans over the trunk's part of each row, whatever the
+layer count. A per-annotator head's forward and backward touch only the
+columns of its batch's annotators: O(b·H) a step, not O(b·H·A). Adam
+updates that head lazily: one bitwise OR over its (H+1)·A block of
+weight and bias gradients finds the live columns, at most b, and only
+those take an update, O(b·H); backward re-zeroes only those columns.
 """
 
 from __future__ import annotations
@@ -430,12 +429,12 @@ def backward(
     return grads
 
 
-def adam_step(params: ModelParams, grads: dict[str, np.ndarray], lr: float) -> ModelParams:
+def adam_step(params: ModelParams, lr: float) -> ModelParams:
     """One Adam update with bias correction (Kingma & Ba 2015); mutates and returns `params`.
 
-    The gradients are read from `params.gradient_views()`, where `backward`
-    writes them (any other array is copied there first, in the model's
-    dtype). Every constant, bias correction and `lr` enters as a Python
+    The gradients are read from the row behind `params.gradient_views()`,
+    where `backward` writes them; a model with no gradient row yet is a
+    DataError. Every constant, bias correction and `lr` enters as a Python
     float, so the update runs in the model's dtype. Every tensor but
     a per-annotator head, the trunk here, is updated in place over its part
     of `params.flat`, each element through the per-tensor form's operations
@@ -456,14 +455,9 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], lr: float) -> M
     """
     if lr <= 0:
         raise ConfigError(f"learning rate must be > 0, got {lr}")
+    if params.work is None:
+        raise DataError("adam_step needs a gradient row: run backward on this model first")
     lr = float(lr)
-    shapes = {name: tensor.shape for name, tensor in params.tensors.items()}
-    got = {name: np.shape(g) for name, g in grads.items()}
-    if got != shapes:
-        raise DataError(f"gradient shapes {got} != parameter shapes {shapes}")
-    for name, view in params.gradient_views().items():
-        if grads[name].__array_interface__["data"][0] != view.__array_interface__["data"][0]:
-            view[...] = grads[name]
     (g, scratch), (m, v), w = params.work, params.moments, params.flat
     cut, live = g.size, None
     if params.spec.wiring.per_annotator:

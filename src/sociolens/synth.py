@@ -61,14 +61,18 @@ class SynthCorpus:
 
 
 def generate_population(spec: PopulationSpec) -> ProfileTable:
-    """Sample annotators i.i.d. from the categorical attribute distributions."""
+    """Sample annotators i.i.d. from the categorical attribute distributions.
+
+    Each cell's uniform, drawn row by row, picks through its attribute's normalized CDF, as `Generator.choice` does.
+    """
     rng = np.random.default_rng([spec.seed, 1])
     width = len(str(max(spec.annotator_count - 1, 1)))
-    cells = np.empty((spec.annotator_count, len(spec.attributes)), dtype=object)
-    for i in range(spec.annotator_count):
-        for j, attr in enumerate(spec.attributes):
-            idx = rng.choice(len(attr.categories), p=np.array(attr.probabilities))
-            cells[i, j] = attr.categories[int(idx)]
+    uniforms = rng.random((spec.annotator_count, len(spec.attributes)))
+    cells = np.empty(uniforms.shape, dtype=object)
+    for j, attr in enumerate(spec.attributes):
+        cdf = np.cumsum(attr.probabilities)
+        cdf /= cdf[-1]
+        cells[:, j] = np.array(attr.categories, dtype=object)[np.searchsorted(cdf, uniforms[:, j], side="right")]
     ids = [f"a{i:0{width}d}" for i in range(spec.annotator_count)]
     return ProfileTable.from_cells(ids, [attr.name for attr in spec.attributes], cells)
 

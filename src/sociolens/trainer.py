@@ -187,7 +187,8 @@ def train_one(
                         # representation gradient into +0.0, so the ablation's bytes depend on it
                         dE = spec.contrastive_weight * c.dE
                         terms = (c.pos_term, c.neg_term, c.pos_pairs, c.neg_pairs)
-                    adam_step(params, backward(params, trace, d_logits, dE), config.lr)
+                    backward(params, trace, d_logits, dE)
+                    adam_step(params, config.lr)
                     log_rows.append(dict(zip(LOG_KEYS, (params.step, epoch, total, loss, *terms))))
     except FloatingPointError as exc:
         raise NumericError(f"non-finite value at step {len(log_rows) + 1}: {exc}") from None

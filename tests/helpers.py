@@ -3,8 +3,9 @@
 A small CLI config and chain runner, dataset and batch construction,
 random annotation tables for property tests, the record-based batch-plan
 reference, the finite-difference oracles (run on an f64 copy of the model,
-`f64_model`) and the contrastive-loss oracle, the per-tensor Adam
-reference and its lazy form for a per-annotator head, the per-draw
+`f64_model`) and the contrastive-loss oracle, an Adam step on given
+gradients, the per-tensor Adam reference and its lazy form for a
+per-annotator head, the per-cell population draw, the per-draw
 homophily reference and the full-sort neighbor
 order whose first entries the package keeps, the per-threshold ROC
 reference, and the single-statistic homophily, pair-counting AUC,
@@ -32,7 +33,7 @@ from hypothesis import strategies as st
 from sociolens.batcher import Batch
 from sociolens.cli import main
 from sociolens.corpus import Dataset
-from sociolens.errors import ConfigError, DataError, NumericError, SchemaError
+from sociolens.errors import ConfigError, DataError, NumericError
 from sociolens.features import MISSING, ProfileTable, SocioSchema, VectorTable, open_csv
 from sociolens.homophily import (
     HomophilyRow,
@@ -49,6 +50,7 @@ from sociolens.metrics import MetricsReport, aggregate_runs, confusion_metrics
 from sociolens import model
 from sociolens.model import ModelParams, ModelSpec, backward, forward, init_params, read_manifest
 from sociolens.objectives import bce_loss, contrastive_loss
+from sociolens.synth import PopulationSpec
 from sociolens.trainer import check_no_leak, predict, train_one
 
 
@@ -283,6 +285,14 @@ def adam_state(params):
     """
     params.gradient_views()
     return {"tensors": params.tensors, **{role: params._views(row) for role, row in zip("mv", params.moments)}}
+
+
+def adam_step_with(params, grads, lr):
+    """`model.adam_step` on `grads`, each written first into its `params.gradient_views()` view unless it is that view."""
+    for name, view in params.gradient_views().items():
+        if not np.shares_memory(grads[name], view):
+            view[...] = grads[name]
+    return model.adam_step(params, lr)
 
 
 def reference_adam_step(params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -598,6 +608,19 @@ def decode_multihot(vec: np.ndarray, schema: SocioSchema) -> dict[str, str]:
     return out
 
 
+def reference_population(spec: PopulationSpec) -> ProfileTable:
+    """The per-cell draw that `synth.generate_population` replaced: one `Generator.choice` per cell, row by row."""
+    rng = np.random.default_rng([spec.seed, 1])
+    width = len(str(max(spec.annotator_count - 1, 1)))
+    cells = np.empty((spec.annotator_count, len(spec.attributes)), dtype=object)
+    for i in range(spec.annotator_count):
+        for j, attr in enumerate(spec.attributes):
+            idx = rng.choice(len(attr.categories), p=np.array(attr.probabilities))
+            cells[i, j] = attr.categories[int(idx)]
+    ids = [f"a{i:0{width}d}" for i in range(spec.annotator_count)]
+    return ProfileTable.from_cells(ids, [attr.name for attr in spec.attributes], cells)
+
+
 def save_embeddings_binary(table: VectorTable, path: str) -> None:
     """Write `table` in the PEMB format that `features.load_embeddings` reads."""
     with open(path, "wb") as fh:
@@ -621,10 +644,10 @@ def reference_load_vector_csv(path: str, key_column: str) -> VectorTable:
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         if not header or header[0] != key_column:
-            raise SchemaError(f"{path}: first column must be {key_column!r}, got {header[:1]}")
+            raise DataError(f"{path}: first column must be {key_column!r}, got {header[:1]}")
         dimension = len(header) - 1
         if dimension < 1:
-            raise SchemaError(f"{path}: no component columns")
+            raise DataError(f"{path}: no component columns")
         for row_no, row in enumerate(reader, start=2):
             if len(row) - 1 != dimension:
                 raise DataError(f"{path}: row {row_no} has {len(row) - 1} components, expected {dimension}")

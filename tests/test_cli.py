@@ -15,21 +15,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import base_config, run_chain, sequential_train_suites
-from sociolens import cli, corpus, features, model, trainer
+from helpers import base_config, profiles_of, run_chain, sequential_train_suites
+from sociolens import cli, corpus, features, metrics, model, trainer
 from sociolens.batcher import BatchTables
 from sociolens.cli import main
 from sociolens.config import load_config
-from sociolens.errors import (
-    ConfigError,
-    DataError,
-    DuplicateError,
-    EmptyDatasetError,
-    EncodingError,
-    NumericError,
-    SchemaError,
-    SociolensError,
-)
+from sociolens.errors import ConfigError, DataError, NumericError, SociolensError
 
 
 class TestFullChain:
@@ -115,6 +106,22 @@ class TestFullChain:
         assert main(["report", "--config", str(config_path)]) == 0
         text = (tmp_path / "out" / "report" / "report.md").read_text()
         assert "Gaps" in text
+
+
+def test_groups_csv_averages_each_key_over_seeds(tmp_path):
+    # category c has no test records, so no row; MISSING (p3 declined) holds one class, so no AUC
+    schema = features.SocioSchema([("g", ["a", "b", "c", features.MISSING])])
+    profiles = profiles_of({"p1": {"g": "a"}, "p2": {"g": "b"}, "p3": {"g": ""}})
+    codes, labels = np.array([0, 0, 0, 1, 1, 2]), np.array([1, 0, 0, 1, 0, 1])
+    tables = [metrics.group_breakdown(np.array(probs), labels, codes, profiles, schema)
+              for probs in ([0.9, 0.2, 0.1, 0.7, 0.6, 0.4], [0.3, 0.1, 0.05, 0.8, 0.9, 0.6])]
+    cli._write_groups_csv(str(tmp_path / "groups.csv"), tables)
+    assert (tmp_path / "groups.csv").read_bytes() == (
+        "attribute,category,n,precision,recall,f1,auc\r\n"
+        "g,a,3,0.5,0.5,0.5,1.0\r\n"
+        "g,b,2,0.5,1.0,0.6666666666666666,0.5\r\n"
+        f"g,{features.MISSING},1,0.5,0.5,0.5,\r\n"
+    ).encode("utf-8")
 
 
 def aggregate_json(precision, recall, f1, auc=None) -> str:
@@ -817,10 +824,6 @@ class TestErrors:
     @pytest.mark.parametrize("error, code, prefix", [
         (ConfigError, 2, "config error"),
         (DataError, 3, "data error"),
-        (SchemaError, 3, "data error"),
-        (DuplicateError, 3, "data error"),
-        (EmptyDatasetError, 3, "data error"),
-        (EncodingError, 3, "data error"),
         (NumericError, 4, "numeric error"),
         (SociolensError, 1, "error"),
         (FileNotFoundError, 3, "data error"),

@@ -168,19 +168,21 @@ class TestScoreCounts:
         schema = SocioSchema([("g", ["a", "b", MISSING]), ("h", ["x", "y"])])
         answers = {f"p{i}": {k: v for k, v in zip("gh", pair) if v is not None} for i, pair in enumerate(assignments)}
         ids = data.draw(st.lists(st.sampled_from(sorted(answers)), min_size=probs.size, max_size=probs.size))
-        reports = group_breakdown(probs, labels, *aligned(ids, profiles_of(answers)), schema)
-        assert [r.attribute for r in reports] == ["g", "h"]
-        for report, (attribute, categories) in zip(reports, schema.attributes):
+        table = group_breakdown(probs, labels, *aligned(ids, profiles_of(answers)), schema)
+        present = []
+        for attribute, categories in schema.attributes:
             # a declined or out-of-vocabulary answer counts under MISSING, if the attribute has it
             assigned = [answers[a].get(attribute) or MISSING for a in ids]
             assigned = np.array([c if c in categories else MISSING for c in assigned], dtype=object)
             for c in categories:
                 mask = assigned == c
                 if mask.any():
-                    assert report.categories[c] == confusion_metrics(probs[mask], labels[mask])
+                    present.append((attribute, c))
+                    assert table[attribute, c] == confusion_metrics(probs[mask], labels[mask])
                 else:
-                    assert c in report.omitted
-            assert len(report.categories) + len(report.omitted) == len(categories)
+                    assert (attribute, c) not in table
+        # one key per sliced category, in schema order
+        assert list(table) == present
 
 
 class TestAggregateRuns:
@@ -219,26 +221,26 @@ class TestGroupBreakdown:
         probs = np.array([0.9, 0.8, 0.9, 0.2])
         labels = np.array([1, 1, 0, 1])
         ids = ["p1", "p2", "p3", "p3"]
-        reports = group_breakdown(probs, labels, *aligned(ids, self.profiles), self.schema)
-        by_cat = reports[0].categories
-        assert by_cat["a"].f1 == 1.0
-        assert by_cat["a"].n == 2
-        assert by_cat["b"].f1 == 0.0
+        table = group_breakdown(probs, labels, *aligned(ids, self.profiles), self.schema)
+        assert table["g", "a"].f1 == 1.0
+        assert table["g", "a"].n == 2
+        assert table["g", "b"].f1 == 0.0
 
     def test_empty_category_omitted(self):
         probs = np.array([0.9])
         labels = np.array([1])
-        reports = group_breakdown(probs, labels, *aligned(["p1"], self.profiles), self.schema)
-        assert "b" in reports[0].omitted
-        assert MISSING in reports[0].omitted
+        table = group_breakdown(probs, labels, *aligned(["p1"], self.profiles), self.schema)
+        assert ("g", "b") not in table
+        assert ("g", MISSING) not in table
+        assert list(table) == [("g", "a")]
 
     def test_slices_partition_records(self):
         rng = np.random.default_rng(5)
         ids = [f"p{rng.integers(1, 4)}" for _ in range(40)]
         probs = rng.random(40)
         labels = rng.integers(0, 2, 40)
-        reports = group_breakdown(probs, labels, *aligned(ids, self.profiles), self.schema)
-        assert sum(r.n for r in reports[0].categories.values()) == 40
+        table = group_breakdown(probs, labels, *aligned(ids, self.profiles), self.schema)
+        assert sum(r.n for r in table.values()) == 40
 
     def test_misaligned_annotator_ids_rejected(self):
         with pytest.raises(DataError, match="do not line up"):

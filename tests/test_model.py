@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     adam_state,
+    adam_step_with,
     combined_objective,
     f64_model,
     gradient_check_instance,
@@ -261,8 +262,8 @@ class TestMultitask:
         _, trace = forward(params, batch, mode="train")
         grads = backward(params, trace, np.linspace(-0.5, 0.5, 6))
         assert all(np.shares_memory(g, params.work[0]) for g in grads.values())
-        adam_step(twin, {name: g.copy() for name, g in grads.items()}, lr=0.01)
-        adam_step(params, grads, lr=0.01)
+        adam_step_with(twin, {name: g.copy() for name, g in grads.items()}, lr=0.01)
+        adam_step(params, lr=0.01)
         assert params.flat.tobytes() == twin.flat.tobytes()
         assert params.moments.tobytes() == twin.moments.tobytes()
 
@@ -326,7 +327,7 @@ class TestAdamStep:
         grads = self.zero_grads(params)
         grads["layer.0.weight"][:] = 0.37
         grads["layer.2.bias"][:] = -4.2
-        adam_step(params, grads, lr=0.01)
+        adam_step_with(params, grads, lr=0.01)
         delta_w = params.tensors["layer.0.weight"][0, 0] - 1.0
         delta_b = params.tensors["layer.2.bias"][0] - 1.0
         assert -0.01 <= delta_w < -0.00999
@@ -335,7 +336,7 @@ class TestAdamStep:
     def test_zero_gradient_leaves_parameters(self):
         spec, params = self.scalar_params()
         before = {k: t.copy() for k, t in params.tensors.items()}
-        adam_step(params, self.zero_grads(params), lr=0.1)
+        adam_step_with(params, self.zero_grads(params), lr=0.1)
         for k in before:
             assert np.array_equal(params.tensors[k], before[k])
         assert params.step == 1
@@ -353,18 +354,24 @@ class TestAdamStep:
             theta -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
         grads = self.zero_grads(params)
         grads["layer.1.weight"][:] = g
-        adam_step(params, grads, lr=lr)
-        adam_step(params, grads, lr=lr)
+        adam_step_with(params, grads, lr=lr)
+        adam_step_with(params, grads, lr=lr)
         assert params.tensors["layer.1.weight"][0, 0] == pytest.approx(theta, abs=1e-12)
+
+    def test_a_model_without_a_gradient_row_is_refused(self):
+        _, params = self.scalar_params()
+        with pytest.raises(DataError, match="adam_step needs a gradient row"):
+            adam_step(params, lr=0.01)
+        assert params.step == 0 and params.work is None and params.moments is None
 
     def test_nonfinite_gradient_refused_without_mutation(self):
         spec, params = self.scalar_params()
         grads = {k: np.full_like(t, 0.3) for k, t in params.tensors.items()}
-        adam_step(params, grads, lr=0.01)  # nonzero moments, so an overwrite would show
+        adam_step_with(params, grads, lr=0.01)  # nonzero moments, so an overwrite would show
         before = {role: {k: t.copy() for k, t in views.items()} for role, views in adam_state(params).items()}
         grads["layer.1.bias"][:] = np.nan
         with pytest.raises(NumericError, match=r"non-finite gradient for layer\.1\.bias; update refused at step 2"):
-            adam_step(params, grads, lr=0.01)
+            adam_step_with(params, grads, lr=0.01)
         assert params.step == 1
         for role, tensors in before.items():
             for k, t in tensors.items():
@@ -395,11 +402,11 @@ class TestAdamStep:
             if poison is not None and poison[0] == step:
                 bad = names[rng.integers(len(names))]
                 grads[bad].flat[rng.integers(grads[bad].size)] = poison[1]
-                for state, update in ((params, adam_step), (ref, reference_adam_step)):
+                for state, update in ((params, adam_step_with), (ref, reference_adam_step)):
                     with pytest.raises(NumericError, match=f"non-finite gradient for {re.escape(bad)};"):
                         update(state, grads, lr)
             else:
-                adam_step(params, grads, lr)
+                adam_step_with(params, grads, lr)
                 reference_adam_step(ref, grads, lr)
             assert params.step == ref.step
             for role, views in roles.items():
@@ -462,14 +469,14 @@ class TestPerAnnotatorHeadUpdate:
                 col, row = rng.choice(outside), rng.integers(spec.hidden_dims[1])
                 grads[w_name][row, col] = dense[w_name][row, col] = rng.choice([np.nan, np.inf, -np.inf])
                 refused = rf"non-finite gradient for layer\.2\.weight; update refused at step {ref.step + 1}$"
-                for state, update, g in ((params, adam_step, grads), (ref, reference_lazy_adam_step, dense)):
+                for state, update, g in ((params, adam_step_with, grads), (ref, reference_lazy_adam_step, dense)):
                     with pytest.raises(NumericError, match=refused):
                         update(state, g, lr)
             elif case == "copied":
-                adam_step(params, {name: grads[name].copy() for name in reversed(list(grads))}, lr)
+                adam_step_with(params, {name: grads[name].copy() for name in reversed(list(grads))}, lr)
                 reference_lazy_adam_step(ref, dense, lr)
             else:
-                adam_step(params, grads, lr)
+                adam_step(params, lr)
                 reference_lazy_adam_step(ref, dense, lr)
             assert params.step == ref.step
             for role, views in roles.items():
@@ -489,7 +496,7 @@ class TestPerAnnotatorHeadUpdate:
             grads = backward(params, *combined_objective(params, batch, spec, step)[1:3])
             g = grads["layer.2.weight"][:, 0].copy()
             before = [t[:, 0].copy() for t in (w, m, v)]
-            adam_step(params, grads, lr)
+            adam_step(params, lr)
             if 0 not in columns:
                 assert not g.any()
                 assert [t[:, 0].tobytes() for t in (w, m, v)] == [t.tobytes() for t in before]
@@ -513,7 +520,8 @@ class TestRowDtype:
         assert dtype == np.dtype(WEIGHT_DTYPE) == np.float32
         batch = random_batch(np.random.default_rng(0), spec, 6, 2)
         _, trace, d_logits, dE = combined_objective(params, batch, spec, 1)
-        adam_step(params, backward(params, trace, d_logits, dE), lr=0.01)
+        backward(params, trace, d_logits, dE)
+        adam_step(params, lr=0.01)
         arrays = [*trace.inputs, *trace.pre, *trace.masks, trace.logits, trace.E, trace.E_norms, trace.E_normalized]
         assert {a.dtype for a in arrays if a is not None} == {dtype}
         assert {g.dtype for g in params.gradient_views().values()} == {dtype}
@@ -562,7 +570,7 @@ class TestRowDtype:
         for g in grads.values():
             g[...] = 0.0
         grads["layer.2.weight"][1, 2] = -0.0
-        adam_step(params, grads, lr=0.01)
+        adam_step(params, lr=0.01)
         assert params._live_columns.tolist() == [2]
         # so the next backward re-zeroes that column: +0.0, not the -0.0 left in it
         batch = random_batch(np.random.default_rng(2), spec, 3, 2)
@@ -613,7 +621,7 @@ class TestCheckpoints:
         schema = SocioSchema([("g", ["a", MISSING]), ("h", ["x", MISSING])])
         params = init_params(spec, 11, schema)
         grads = {k: np.full_like(t, 0.01) for k, t in params.tensors.items()}
-        adam_step(params, grads, lr=0.01)
+        adam_step_with(params, grads, lr=0.01)
         save_checkpoint(params, str(tmp_path / "ck"), seed=11)
         loaded, seed = load_checkpoint(str(tmp_path / "ck"))
         assert loaded.spec == spec
@@ -712,7 +720,7 @@ class TestCheckpoints:
     def test_params_file_is_the_rows_in_layer_order(self, tmp_path):
         schema = SocioSchema([("g", ["a", MISSING]), ("h", ["x", MISSING])])
         params = init_params(small_spec("socio_contrastive"), 4, schema)
-        adam_step(params, {k: np.full_like(t, 0.02) for k, t in params.tensors.items()}, lr=0.01)
+        adam_step_with(params, {k: np.full_like(t, 0.02) for k, t in params.tensors.items()}, lr=0.01)
         save_checkpoint(params, str(tmp_path / "ck"), seed=4)
         assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == ["manifest.json", "params.bin"]
         data = (tmp_path / "ck" / "params.bin").read_bytes()

@@ -1,10 +1,12 @@
 """Checks over the package source itself."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
 import sociolens
+from sociolens.errors import SociolensError
 
 SOURCES = sorted(Path(sociolens.__file__).parent.glob("*.py"))
 # the benchmark harness looks package names up from outside: as attributes, or by string
@@ -160,3 +162,16 @@ def test_only_features_writes_csv_or_json():
                 found += [f"{path.name}:{node.lineno}:{alias.name}" for alias in node.names
                           if alias.name in ("writer", "dump")]
     assert SOURCES and not found, found
+
+
+def test_one_error_class_per_exit_code():
+    # `cli` documents exit codes 2 (config), 3 (data) and 4 (numeric) and maps an error by its
+    # `exit_code` alone, so a second class with the same code would be structure no caller reads
+    defined = {
+        path.stem: [value for value in vars(importlib.import_module(f"sociolens.{path.stem}")).values()
+                    if isinstance(value, type) and issubclass(value, BaseException)
+                    and value.__module__ == f"sociolens.{path.stem}"]
+        for path in SOURCES
+    }
+    assert sorted(cls.exit_code for cls in defined.pop("errors") if cls is not SociolensError) == [2, 3, 4]
+    assert not [cls.__qualname__ for classes in defined.values() for cls in classes]

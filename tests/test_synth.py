@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import profile_dicts, rows_of
+from helpers import profile_dicts, reference_population, rows_of
 from sociolens import corpus
 from sociolens.errors import ConfigError
 from sociolens.features import load_profiles, save_profiles
@@ -61,6 +63,23 @@ class TestGeneratePopulation:
         spec = base_spec(attributes=(AttributeSpec("only", ("x",), (1.0,)),))
         profiles = profile_dicts(generate_population(spec))
         assert all(p["only"] == "x" for p in profiles.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(st.lists(st.integers(0, 1000), min_size=1, max_size=6).filter(any), max_size=4),
+        annotators=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_per_cell_draw(self, weights, annotators, seed):
+        # zero weights, a zero last one among them, leave flat steps in the CDF
+        attributes = tuple(
+            AttributeSpec(f"x{j}", tuple(f"c{i}" for i in range(len(w))), tuple(x / sum(w) for x in w))
+            for j, w in enumerate(weights)
+        )
+        spec = base_spec(annotator_count=annotators, attributes=attributes, seed=seed)
+        got, want = generate_population(spec), reference_population(spec)
+        assert (got.annotators, got.attributes, got.categories) == (want.annotators, want.attributes, want.categories)
+        assert got.answers.tobytes() == want.answers.tobytes()
 
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(ConfigError):
