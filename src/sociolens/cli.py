@@ -329,7 +329,11 @@ def _parse_aggregate(fh) -> dict[str, tuple[float, float]]:
 
 
 def _parse_groups(fh) -> dict[tuple[str, str], tuple[int, float]]:
-    return {(row["attribute"], row["category"]): (int(row["n"]), float(row["f1"])) for row in csv.DictReader(fh)}
+    # one dict per row as csv.DictReader builds it: blank lines skipped, a cell a short row lacks is None
+    reader = csv.reader(fh)
+    names = next(reader, [])
+    rows = (dict(zip(names, row + [None] * (len(names) - len(row)))) for row in reader if row)
+    return {(row["attribute"], row["category"]): (int(row["n"]), float(row["f1"])) for row in rows}
 
 
 def _parse_homophily(fh) -> list[list[str]]:

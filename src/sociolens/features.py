@@ -102,6 +102,10 @@ class ProfileTable:
         rows = [index[a] for a in ids]
         return ProfileTable(list(ids), self.attributes, self.categories, self.answers[rows])
 
+    def take(self, rows: np.ndarray) -> "ProfileTable":
+        """The profiles at row positions `rows`, in their order."""
+        return ProfileTable([self.annotators[i] for i in rows.tolist()], self.attributes, self.categories, self.answers[rows])
+
 
 class SocioSchema:
     """Ordered attribute -> category vocabulary; `encode` codes a profile table under it."""
@@ -322,11 +326,11 @@ def _load_embeddings_binary(path: str) -> VectorTable:
 
 
 def save_vector_csv(table: VectorTable, path: str, key_column: str) -> None:
-    """Write `table` as a ``<key_column>,d0,...`` CSV; floats use repr, so `load_vector_csv` reads the same bits."""
+    """Write `table` as a ``<key_column>,d0,...`` CSV; `csv.writer` writes a float as its repr, so `load_vector_csv` reads the same bits."""
     write_csv(
         path,
         [key_column] + [f"d{i}" for i in range(table.dimension)],
-        ([key] + [repr(x) for x in vec.tolist()] for key, vec in zip(table.keys, table.matrix)),
+        ([key] + vec.tolist() for key, vec in zip(table.keys, table.matrix)),
     )
 
 

@@ -8,6 +8,10 @@ z * u + noise for a fixed random unit direction u, so the text signal is
 linearly recoverable. Zero-signal populations give the whole pipeline a
 null it must not contradict; planted shifts give it an effect it must
 detect.
+
+Each generator draws from its own seeded stream in a fixed order. Where
+the arithmetic on the draws is batched, the draws themselves keep that
+order, so a spec always gives the same bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Dataset, attach_profiles
+from .corpus import Dataset
 from .errors import ConfigError
 from .features import ProfileTable, SocioSchema, VectorTable, build_schema, multihot_rows
 from .model import sigmoid
@@ -108,23 +112,26 @@ def generate_annotations(
     corpus: SynthCorpus,
     spec: PopulationSpec,
 ) -> Dataset:
-    """Assign annotators per text without replacement; labels follow the shifted odds."""
+    """Assign annotators per text without replacement; labels follow the shifted odds.
+
+    Per text, in text order, the stream gives `choice(A, k, replace=False)`
+    and then k uniforms; all labels are then set in one pass, label =
+    uniform < sigmoid(z + shift). `choice` stays per text: drawing its
+    picks in bulk would tie the bytes to numpy's algorithm inside it.
+    """
     rng = np.random.default_rng([spec.seed, 3])
-    annotator_ids = np.array(population.annotators, dtype=object)
     shifts = annotator_shifts(population, spec.signal)
-    chosen, labels = [], []
-    for z in corpus.latent:
-        picks = rng.choice(len(annotator_ids), size=spec.annotations_per_text, replace=False)
-        chosen.append(picks)
-        labels.append(rng.random(len(picks)) < sigmoid(z + shifts[picks]))
-    labels = np.concatenate(labels).astype(np.int8)
-    dataset = Dataset.from_columns(
-        np.repeat(np.array(corpus.text_ids, dtype=object), spec.annotations_per_text).tolist(),
-        annotator_ids[np.concatenate(chosen)].tolist(),
-        labels,
-        labels,
+    k = spec.annotations_per_text
+    picks = np.empty((len(corpus.latent), k), dtype=np.int64)
+    uniforms = np.empty(picks.shape)
+    for i in range(len(picks)):
+        picks[i] = rng.choice(len(population), size=k, replace=False)
+        uniforms[i] = rng.random(k)
+    labels = (uniforms < sigmoid(corpus.latent[:, None] + shifts[picks])).astype(np.int8).ravel()
+    return Dataset.from_codes(
+        np.array(corpus.text_ids, dtype=object), np.array(population.annotators, dtype=object),
+        np.repeat(np.arange(len(picks)), k), picks.ravel(), labels, labels, population,
     )
-    return attach_profiles(dataset, population)
 
 
 def generate_socio_embeddings(

@@ -10,9 +10,10 @@ homophily reference and the full-sort neighbor
 order whose first entries the package keeps, the per-threshold ROC
 reference, and the single-statistic homophily, pair-counting AUC,
 ROC-area and embedding-format oracles that the package itself does not
-need, the per-row vector CSV reader with a strategy for vector CSVs, and
-the per-profile schema, multi-hot and category oracles with a strategy
-for profile CSVs. `load_checkpoint` loads a checkpoint and
+need, the per-row vector CSV reader with a strategy for vector CSVs, the
+per-text label draw, the dict-per-row annotation reader with a strategy
+for annotation CSVs, and the per-profile schema, multi-hot and category
+oracles with a strategy for profile CSVs. `load_checkpoint` loads a checkpoint and
 `score_checkpoints` scores trained runs from their checkpoints, as
 `eval` does.
 """
@@ -23,6 +24,7 @@ import csv
 import io
 import json
 import math
+import os
 import struct
 from collections import Counter
 from pathlib import Path
@@ -32,7 +34,7 @@ from hypothesis import strategies as st
 
 from sociolens.batcher import Batch
 from sociolens.cli import main
-from sociolens.corpus import Dataset
+from sociolens.corpus import MAX_SCORE, ColumnMapping, Dataset, attach_profiles
 from sociolens.errors import ConfigError, DataError, NumericError
 from sociolens.features import MISSING, ProfileTable, SocioSchema, VectorTable, open_csv
 from sociolens.homophily import (
@@ -48,9 +50,9 @@ from sociolens.homophily import (
 )
 from sociolens.metrics import MetricsReport, aggregate_runs, confusion_metrics
 from sociolens import model
-from sociolens.model import ModelParams, ModelSpec, backward, forward, init_params, read_manifest
+from sociolens.model import ModelParams, ModelSpec, backward, forward, init_params, read_manifest, sigmoid
 from sociolens.objectives import bce_loss, contrastive_loss
-from sociolens.synth import PopulationSpec
+from sociolens.synth import PopulationSpec, SynthCorpus, annotator_shifts
 from sociolens.trainer import check_no_leak, predict, train_one
 
 
@@ -775,3 +777,113 @@ def reference_multihot(assignments: dict[str, str], schema: SocioSchema) -> np.n
         vec[offset + categories.index(reference_category(assignments, attribute, categories))] = 1.0
         offset += len(categories)
     return vec
+
+
+def reference_annotations(population: ProfileTable, corpus: SynthCorpus, spec: PopulationSpec) -> Dataset:
+    """The per-text label draw that `synth.generate_annotations` replaced: each text's labels as soon as its draws are made."""
+    rng = np.random.default_rng([spec.seed, 3])
+    annotator_ids = np.array(population.annotators, dtype=object)
+    shifts = annotator_shifts(population, spec.signal)
+    chosen, labels = [], []
+    for z in corpus.latent:
+        picks = rng.choice(len(annotator_ids), size=spec.annotations_per_text, replace=False)
+        chosen.append(picks)
+        labels.append(rng.random(len(picks)) < sigmoid(z + shifts[picks]))
+    labels = np.concatenate(labels).astype(np.int8)
+    dataset = Dataset.from_columns(
+        np.repeat(np.array(corpus.text_ids, dtype=object), spec.annotations_per_text).tolist(),
+        annotator_ids[np.concatenate(chosen)].tolist(),
+        labels,
+        labels,
+    )
+    return attach_profiles(dataset, population)
+
+
+def reference_load_annotations(path: str, columns: ColumnMapping | None = None) -> Dataset:
+    """`corpus.load_annotations` as a `csv.DictReader` loop: one dict per row, then its score checks."""
+    if not os.path.exists(path):
+        raise DataError(f"annotation file not found: {path}")
+    columns = columns or ColumnMapping()
+    text_ids: list[str] = []
+    annotator_ids: list[str] = []
+    scores: list[int] = []
+    with open_csv(path) as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise DataError(f"{path}: empty file")
+        for col in (columns.text_id, columns.annotator_id, columns.score):
+            if col not in reader.fieldnames:
+                raise DataError(f"{path}: declared column {col!r} not in header {reader.fieldnames}")
+        for row_no, row in enumerate(reader, start=2):
+            raw = row[columns.score]
+            try:
+                score = int(raw)
+            except (TypeError, ValueError):
+                raise DataError(
+                    f"{path}: row {row_no}: score {raw!r} is not a base-10 integer"
+                ) from None
+            if score < 0:
+                raise DataError(f"{path}: row {row_no}: score {score} is negative")
+            if score > MAX_SCORE:
+                raise DataError(f"{path}: row {row_no}: score {score} is beyond the int64 range")
+            text_ids.append(row[columns.text_id])
+            annotator_ids.append(row[columns.annotator_id])
+            scores.append(score)
+    dataset = Dataset.from_columns(text_ids, annotator_ids, scores)
+    pairs = dataset.records["text"].astype(np.int64) * len(dataset.annotators) + dataset.records["annotator"]
+    ordered = np.sort(pairs)
+    if (ordered[1:] == ordered[:-1]).any():
+        first: dict[int, int] = {}
+        duplicates = [
+            f"rows {first[pair] + 2},{i + 2}: {(text_ids[i], annotator_ids[i])}"
+            for i, pair in enumerate(pairs.tolist())
+            if first.setdefault(pair, i) != i
+        ]
+        raise DataError(
+            f"{path}: {len(duplicates)} rows repeat an earlier (text_id, annotator_id) pair, first: "
+            + "; ".join(duplicates[:5])
+        )
+    return dataset
+
+
+ANNOTATION_COLUMNS = (ColumnMapping(), ColumnMapping(text_id="comment", annotator_id="rater", score="rating"))
+ID_CELLS = st.sampled_from(["t0", "t1", "a,b", 'q"t', "x\ny", "é", "", " "])
+ODD_SCORES = st.sampled_from(
+    ["-1", "-0", "+2", " 3", "1_0", "٣", "x", "", "1.0", "9223372036854775807", "9223372036854775808", "-" + "9" * 20]
+)
+
+
+@st.composite
+def annotation_csvs(draw):
+    """The text of an annotation CSV written by `csv.writer`, and the `ColumnMapping` to read it with.
+
+    The header may repeat a name, lack a declared column, be blank or be
+    missing. Rows may be blank, short or long, ids hold commas, quotes,
+    newlines and non-ASCII text, and a few scores are signed, padded,
+    underscored, non-ASCII, not integers or beyond int64.
+    """
+    columns = draw(st.sampled_from(ANNOTATION_COLUMNS))
+    declared = [columns.text_id, columns.annotator_id, columns.score]
+    names = declared + draw(st.lists(st.sampled_from(["extra", "a,b", 'q"t'] + declared), max_size=3))
+    if draw(st.integers(0, 9)) == 0:
+        names.remove(draw(st.sampled_from(declared)))
+    names = draw(st.permutations(names))
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        if draw(st.integers(0, 9)) == 0:
+            rows.append([])  # a blank line
+            continue
+        row = [
+            draw(ODD_SCORES if draw(st.integers(0, 5)) == 0 else st.integers(0, 4).map(str))
+            if name == columns.score else draw(ID_CELLS)
+            for name in names
+        ]
+        width = len(names) + draw(st.sampled_from([0] * 12 + [-3, -2, -1, 1, 2]))
+        rows.append((row + ["z"] * 2)[: max(width, 1)])
+    header = draw(st.sampled_from([names] * 18 + [[], None]))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    if header is not None:
+        writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue(), columns

@@ -1,11 +1,21 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import annotation_triples, make_dataset, profile_dicts, profiles_of, rows_of
+from helpers import (
+    annotation_csvs,
+    annotation_triples,
+    make_dataset,
+    profile_dicts,
+    profiles_of,
+    reference_load_annotations,
+    rows_of,
+)
 from sociolens import corpus
 from sociolens.corpus import (
     ColumnMapping,
@@ -77,6 +87,12 @@ class TestLoadAnnotations:
         with open(path, encoding="utf-8") as f:
             n_lines = sum(1 for _ in f) - 1  # independent line counter
         assert len(ds.records) == n_lines
+
+    def test_short_row_reads_a_missing_score_as_none(self, tmp_path):
+        path = tmp_path / "a.csv"
+        write_csv(path, ["t1,a1,0", "", "t2,a1"])  # the blank line takes no row number
+        with pytest.raises(DataError, match="row 3: score None is not a base-10 integer"):
+            load_annotations(str(path))
 
     def test_roundtrip_save_load(self, tmp_path):
         ds = make_dataset([("t1", "a1", 0), ("t2", "a2", 3)])
@@ -268,6 +284,48 @@ def test_ids_after_any_row_mask_in_first_appearance_order(triples, data):
     assert [row[:3] for row in rows_of(ds)] == kept
     assert ds.texts.tolist() == list(dict.fromkeys(t for t, _, _ in kept))
     assert ds.annotators.tolist() == list(dict.fromkeys(a for _, a, _ in kept))
+
+
+@settings(max_examples=500, deadline=None)
+@given(annotation_csvs())
+def test_loader_matches_the_dict_reader_reference(case):
+    # the same vocabularies and records, or the same DataError message naming the same first bad row
+    text, columns = case
+    with tempfile.TemporaryDirectory() as scratch:
+        path = str(Path(scratch) / "annotations.csv")
+        Path(path).write_text(text, encoding="utf-8", newline="")
+        outcomes = []
+        for load in (load_annotations, reference_load_annotations):
+            try:
+                ds = load(path, columns)
+                outcomes.append((ds.texts.tolist(), ds.annotators.tolist(), ds.records.dtype, ds.records.tobytes()))
+            except DataError as exc:
+                outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(annotation_triples(), st.data())
+def test_subset_matches_coding_its_rows_afresh(triples, data):
+    # `subset` re-codes from the parent's codes; `from_columns` over the kept rows' ids is the oracle
+    labels = data.draw(st.lists(st.integers(-1, 1), min_size=len(triples), max_size=len(triples)))
+    ds = make_dataset(triples)
+    ds.records["label"] = labels
+    answers = {a: {"g": f"c{sum(map(ord, a)) % 3}"} for _, a, _ in reversed(triples)}
+    ds = corpus.attach_profiles(ds, profiles_of(answers))
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=len(triples), max_size=len(triples))), dtype=bool)
+    sub = ds.subset(mask)
+    rows = ds.records[mask]
+    want = Dataset.from_columns(
+        ds.texts[rows["text"]].tolist(), ds.annotators[rows["annotator"]].tolist(), rows["score"], rows["label"]
+    )
+    assert (sub.texts.tolist(), sub.annotators.tolist()) == (want.texts.tolist(), want.annotators.tolist())
+    assert sub.records.dtype == want.records.dtype and sub.records.tobytes() == want.records.tobytes()
+    selected = ds.profiles.select(want.annotators.tolist())
+    assert (sub.profiles.annotators, sub.profiles.attributes, sub.profiles.categories) == (
+        selected.annotators, selected.attributes, selected.categories
+    )
+    assert sub.profiles.answers.tobytes() == selected.answers.tobytes()
 
 
 def test_stats_match_records():

@@ -175,3 +175,15 @@ def test_one_error_class_per_exit_code():
     }
     assert sorted(cls.exit_code for cls in defined.pop("errors") if cls is not SociolensError) == [2, 3, 4]
     assert not [cls.__qualname__ for classes in defined.values() for cls in classes]
+
+
+def test_no_module_reads_csv_through_dict_reader():
+    # a dict per row costs ~2 µs and the ids it hashes again; the readers index `csv.reader` rows
+    # by column position instead (`tests/helpers.py` keeps a `DictReader` reader as the oracle)
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if _names(node) == "DictReader"
+    ]
+    assert SOURCES and not found, found

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import profile_dicts, reference_population, rows_of
+from helpers import profile_dicts, reference_annotations, reference_population, rows_of
 from sociolens import corpus
 from sociolens.errors import ConfigError
 from sociolens.features import load_profiles, save_profiles
@@ -152,6 +152,29 @@ class TestGenerateAnnotations:
         profile = next(iter(profile_dicts(population).values()))
         signal = {("gender", profile["gender"]): 1.5, ("age", profile["age"]): -0.5}
         assert annotator_shifts(population, signal)[0] == pytest.approx(1.0)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        annotators=st.integers(1, 40),
+        texts=st.integers(1, 30),
+        data=st.data(),
+        shift=st.floats(-40, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_per_text_draw(self, annotators, texts, data, shift, seed):
+        # large shifts saturate the sigmoid, so labels at 0 and 1 odds are covered too
+        per_text = data.draw(st.integers(1, annotators))
+        spec = base_spec(
+            annotator_count=annotators, text_count=texts, annotations_per_text=per_text,
+            signal={("gender", "f"): shift, ("age", "old"): -shift / 3}, seed=seed,
+        )
+        population, corp = generate_population(spec), generate_corpus(spec)
+        got, want = generate_annotations(population, corp, spec), reference_annotations(population, corp, spec)
+        assert (got.texts.tolist(), got.annotators.tolist()) == (want.texts.tolist(), want.annotators.tolist())
+        assert got.records.tobytes() == want.records.tobytes()
+        assert got.profiles.annotators == want.profiles.annotators
+        assert got.profiles.answers.tobytes() == want.profiles.answers.tobytes()
 
 
 class TestRoundTrip:
