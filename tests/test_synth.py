@@ -153,7 +153,6 @@ class TestGenerateAnnotations:
         signal = {("gender", profile["gender"]): 1.5, ("age", profile["age"]): -0.5}
         assert annotator_shifts(population, signal)[0] == pytest.approx(1.0)
 
-
     @settings(max_examples=100, deadline=None)
     @given(
         annotators=st.integers(1, 40),
@@ -163,7 +162,7 @@ class TestGenerateAnnotations:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_the_per_text_draw(self, annotators, texts, data, shift, seed):
-        # large shifts saturate the sigmoid, so labels at 0 and 1 odds are covered too
+        # shifts up to ±40 push some odds to the flat ends of the sigmoid
         per_text = data.draw(st.integers(1, annotators))
         spec = base_spec(
             annotator_count=annotators, text_count=texts, annotations_per_text=per_text,
