@@ -12,9 +12,11 @@ and with `train.ablation` the `ablation` suite (socio_contrastive at
 contrastive weight 0) straight after socio_contrastive. Their runs train
 in one worker pool (`trainer.train_suites`), and each worker writes the
 checkpoint, log, plans and representations of its run. `train` scores
-nothing: `eval` scores the test split from the checkpoints, and
-`report` reads eval's metrics. Exit codes: 0 success, 2 config error, 3
-data error, 4 numeric error.
+nothing: `eval` scores the test split from every checkpoint it finds
+(`_discover_checkpoints`), and `report` reads the metrics of every suite
+eval scored: the paper's five variants and `ablation` first, each one
+missing a gap line, then every other label, sorted. Exit codes: 0
+success, 2 config error, 3 data error, 4 numeric error.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
+from pathlib import Path
 
 # synth, metrics and homophily are imported by the commands that use them: a spawned train
 # worker imports this module, and would otherwise load all three for nothing
@@ -102,7 +105,7 @@ def cmd_prep(cfg: config_mod.PipelineConfig) -> int:
     split = corpus.split_by_text(dataset, p.train_fraction, p.seed)
     corpus.save_annotations(split.train, os.path.join(out, "train.csv"), p.columns)
     corpus.save_annotations(split.test, os.path.join(out, "test.csv"), p.columns)
-    features.write_json(os.path.join(out, "filter_report.json"), report.to_dict())
+    features.write_json(os.path.join(out, "filter_report.json"), asdict(report))
     features.write_json(
         os.path.join(out, "stats.json"),
         {
@@ -163,40 +166,36 @@ METRIC_KEYS = ("precision", "recall", "f1", "auc")  # the columns of every metri
 
 
 def _discover_checkpoints(root: str) -> dict[str, list[tuple[int, str, ModelParams]]]:
-    """Map variant name -> [(seed, checkpoint_dir, model)] under `root`, sorted by seed.
+    """Map suite label -> [(seed, checkpoint_dir, model)] under `root`, sorted by seed.
 
-    Each checkpoint's manifest is read here and only here: the model is
-    `read_manifest`'s checked, zeroed one, which `load_checkpoint` fills.
+    `root` is one checkpoint directory, a suite directory of
+    `seed<N>/checkpoint/` runs, or a train root of suite directories.
+    Any `seed*/checkpoint/manifest.json` directly under `root` makes it a
+    suite directory, and then no suite directory beside those runs is read.
+    Manifests are read in suite-label then seed-directory-name order, each
+    here and only here: the model is `read_manifest`'s checked, zeroed one,
+    which `load_checkpoint` fills.
     """
     if not os.path.exists(root):
         raise DataError(f"checkpoint path does not exist: {root}")
     if os.path.exists(os.path.join(root, "manifest.json")):
         params, seed = read_manifest(root)
         return {params.spec.variant: [(seed, root, params)]}
-    found: dict[str, list[tuple[int, str, ModelParams]]] = {}
-
-    def scan_variant_dir(name: str, path: str) -> None:
-        entries = []
-        for child in sorted(os.listdir(path)):
-            ckpt = os.path.join(path, child, "checkpoint")
-            if child.startswith("seed") and os.path.exists(os.path.join(ckpt, "manifest.json")):
-                if not child[4:].isdecimal():
-                    raise DataError(f"checkpoint directory {os.path.join(path, child)} is not named seed<N>")
-                entries.append((int(child[4:]), ckpt, read_manifest(ckpt)[0]))
-        if entries:
-            found[name] = sorted(entries)
-
-    for child in sorted(os.listdir(root)):
-        path = os.path.join(root, child)
-        if not os.path.isdir(path):
-            continue
-        if child.startswith("seed") and os.path.exists(os.path.join(path, "checkpoint", "manifest.json")):
-            scan_variant_dir(os.path.basename(root.rstrip("/")), root)
+    base = Path(root)  # Path.glob's `*` matches dot-directories; glob.glob's needs include_hidden (Python 3.11)
+    for pattern in ("seed*/checkpoint/manifest.json", "*/seed*/checkpoint/manifest.json"):
+        runs = sorted(path.relative_to(base).parts[:-2] for path in base.glob(pattern))
+        if runs:
             break
-        scan_variant_dir(child, path)
+    found: dict[str, list[tuple[int, str, ModelParams]]] = {}
+    for *suite, run in runs:
+        if not run[4:].isdecimal():
+            raise DataError(f"checkpoint directory {os.path.join(root, *suite, run)} is not named seed<N>")
+        ckpt = os.path.join(root, *suite, run, "checkpoint")
+        label = suite[0] if suite else os.path.basename(root.rstrip("/"))
+        found.setdefault(label, []).append((int(run[4:]), ckpt, read_manifest(ckpt)[0]))
     if not found:
         raise DataError(f"no checkpoints found under {root}")
-    return found
+    return {label: sorted(entries) for label, entries in found.items()}
 
 
 def cmd_eval(cfg: config_mod.PipelineConfig) -> int:
@@ -212,11 +211,12 @@ def cmd_eval(cfg: config_mod.PipelineConfig) -> int:
     # every input a checkpoint needs is checked before the first variant is scored
     all_profiles, socio_table = _socio_inputs(e, "eval", readers)
     dataset = _load_labels(e.annotations, e.columns)
-    schema = None
+    schema = record_codes = None
     if all_profiles is not None:
         dataset = corpus.attach_profiles(dataset, all_profiles)
-        # every variant's groups are sliced under one schema of the eval profiles
+        # every suite's groups are sliced under one schema of the eval profiles, by one code row per record
         schema = features.build_schema(all_profiles)
+        record_codes = schema.encode(dataset.profiles)[dataset.records["annotator"]]
     eval_root = os.path.join(cfg.output_dir, "eval")
 
     for variant, entries in sorted(by_variant.items()):
@@ -237,13 +237,11 @@ def cmd_eval(cfg: config_mod.PipelineConfig) -> int:
                 features.write_csv(os.path.join(out, f"roc_seed{seed}.csv"), ["threshold", "fpr", "tpr"],
                                    ([repr(threshold), repr(fpr), repr(tpr)] for threshold, fpr, tpr in points))
             if schema is not None:
-                groups_by_seed.append(metrics.group_breakdown(
-                    probs, labels, dataset.records["annotator"], dataset.profiles, schema
-                ))
+                groups_by_seed.append(metrics.group_breakdown(probs, labels, record_codes, schema))
         agg = metrics.aggregate_runs(reports)
         payload = {
             "variant": variant,
-            "per_seed": [r.to_dict() for r in reports],
+            "per_seed": [asdict(r) for r in reports],
             "aggregate": {k: {"mean": m, "std": s} for k, (m, s) in agg.items()},
             "unknown_annotator_rows": fallback_rows,
         }
@@ -292,7 +290,7 @@ def cmd_homophily(cfg: config_mod.PipelineConfig) -> int:
     rows = homophily.homophily_table(space, k=h.k, iterations=h.iterations, seed=h.seed, attributes=h.attributes)
     out = os.path.join(cfg.output_dir, "homophily")
     os.makedirs(out, exist_ok=True)
-    features.write_json(os.path.join(out, "homophily.json"), {"rows": [r.to_dict() for r in rows]})
+    features.write_json(os.path.join(out, "homophily.json"), {"rows": [asdict(r) for r in rows]})
     features.write_csv(
         os.path.join(out, "homophily.csv"),
         ["attribute", "observed", "observed_std", "random", "random_std", "ratio", "ratio_std", "k", "iterations"],
@@ -358,7 +356,10 @@ def cmd_report(cfg: config_mod.PipelineConfig) -> int:
     # (title, body lines or None where its input is missing, the gap it then adds)
     sections: list[tuple[str, list[str] | None, str | None]] = []
 
-    order = [*VARIANTS, "ablation"]
+    # the paper's suites first, each one missing a gap line, then every other suite eval scored, sorted
+    paper = [*VARIANTS, "ablation"]
+    scored = {path.parent.name for path in Path(out_dir, "eval").glob("*/metrics.json")}
+    order = paper + sorted(scored - set(paper))
     rows = []
     for variant in order:
         path = os.path.join(out_dir, "eval", variant, "metrics.json")

@@ -135,14 +135,6 @@ class FilterReport:
     removed_records: int
     retained_records: int
 
-    def to_dict(self) -> dict[str, int]:
-        return {
-            "removed_annotators": self.removed_annotators,
-            "removed_texts": self.removed_texts,
-            "removed_records": self.removed_records,
-            "retained_records": self.retained_records,
-        }
-
 
 @dataclass(frozen=True)
 class SplitPair:
@@ -153,9 +145,9 @@ class SplitPair:
 def load_annotations(path: str, columns: ColumnMapping | None = None) -> Dataset:
     """Load an annotation CSV into a Dataset (records only, no profiles).
 
-    Rejects missing columns, duplicate (text, annotator) pairs, and
-    non-integer, negative or beyond-int64 scores, reporting offending row
-    numbers.
+    Rejects missing columns, duplicate (text, annotator) pairs,
+    non-integer, negative or beyond-int64 scores, and a missing or empty
+    text or annotator id, reporting offending row numbers.
     """
     if not os.path.exists(path):
         raise DataError(f"annotation file not found: {path}")
@@ -193,6 +185,9 @@ def load_annotations(path: str, columns: ColumnMapping | None = None) -> Dataset
                 raise DataError(f"{path}: row {row_no}: score {score} is negative")
             if score > MAX_SCORE:
                 raise DataError(f"{path}: row {row_no}: score {score} is beyond the int64 range")
+            if not row[t] or not row[a]:
+                column, cell = (columns.text_id, row[t]) if not row[t] else (columns.annotator_id, row[a])
+                raise DataError(f"{path}: row {row_no}: {column!r} cell is {'missing' if cell is None else 'empty'}")
             text_ids.append(row[t])
             annotator_ids.append(row[a])
             scores.append(score)

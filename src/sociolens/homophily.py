@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -85,9 +85,6 @@ class HomophilyRow:
     ratio_std: float
     k: int
     iterations: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 ORDER_BLOCK = 128  # rows per block when building and filtering the neighbor order

@@ -21,12 +21,12 @@ records has no entry.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, NumericError
-from .features import ProfileTable, SocioSchema
+from .features import SocioSchema
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,6 @@ class MetricsReport:
     fn: int
     n: int
     degenerate: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "degenerate": list(self.degenerate)}
 
 
 def confusion_metrics(probs: np.ndarray, labels: np.ndarray) -> MetricsReport:
@@ -146,24 +143,18 @@ def aggregate_runs(reports: list[MetricsReport]) -> dict[str, tuple[float, float
 
 
 def group_breakdown(
-    probs: np.ndarray,
-    labels: np.ndarray,
-    record_annotator: np.ndarray,
-    profiles: ProfileTable,
-    schema: SocioSchema,
+    probs: np.ndarray, labels: np.ndarray, record_codes: np.ndarray, schema: SocioSchema
 ) -> dict[tuple[str, str], MetricsReport]:
-    """Metrics per (attribute, category), sliced by each record's annotator code; row c of `profiles` is code c.
+    """Metrics per (attribute, category), sliced by each record's row of `schema` codes (`SocioSchema.encode`).
 
     Keys run in schema order. An annotator's declined or out-of-vocabulary
-    answer counts under MISSING (`SocioSchema.encode`). A category with
-    zero test records has no entry. AUC is left undefined (None) for
-    single-class slices.
+    answer counts under MISSING. A category with zero test records has no
+    entry. AUC is left undefined (None) for single-class slices.
     """
     p = np.asarray(probs, dtype=np.float64)
     y = np.asarray(labels)
-    if not p.shape == y.shape == np.shape(record_annotator):
-        raise DataError(f"probs {p.shape}, labels {y.shape} and codes {np.shape(record_annotator)} do not line up")
-    record_codes = schema.encode(profiles)[record_annotator]
+    if not p.shape == y.shape == np.shape(record_codes)[:1]:
+        raise DataError(f"probs {p.shape}, labels {y.shape} and codes {np.shape(record_codes)} do not line up")
     table: dict[tuple[str, str], MetricsReport] = {}
     for a, (attribute, categories) in enumerate(schema.attributes):
         for i, category in enumerate(categories):

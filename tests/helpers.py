@@ -13,7 +13,8 @@ ROC-area and embedding-format oracles that the package itself does not
 need, the per-row vector CSV reader with a strategy for vector CSVs, the
 per-text label draw, the dict-per-row annotation reader with a strategy
 for annotation CSVs, and the per-profile schema, multi-hot and category
-oracles with a strategy for profile CSVs. `load_checkpoint` loads a checkpoint and
+oracles with a strategy for profile CSVs, and the directory walk that
+found checkpoints before the glob. `load_checkpoint` loads a checkpoint and
 `score_checkpoints` scores trained runs from their checkpoints, as
 `eval` does.
 """
@@ -130,6 +131,44 @@ def score_checkpoints(
         probs, labels, _ = predict(load_checkpoint(str(ckpt))[0], dataset, text_table, socio_table)
         reports.append(confusion_metrics(probs, labels))
     return reports, aggregate_runs(reports)
+
+
+def reference_discover_checkpoints(root: str) -> dict[str, list[tuple[int, str, ModelParams]]]:
+    """`cli._discover_checkpoints` as a walk of sorted `os.listdir` entries that switches layout at the first run.
+
+    A root that holds both `seed*` runs and suite directories scores the
+    suites sorted before its first run as well; the package reads it as a
+    suite directory only.
+    """
+    if not os.path.exists(root):
+        raise DataError(f"checkpoint path does not exist: {root}")
+    if os.path.exists(os.path.join(root, "manifest.json")):
+        params, seed = model.read_manifest(root)
+        return {params.spec.variant: [(seed, root, params)]}
+    found: dict[str, list[tuple[int, str, ModelParams]]] = {}
+
+    def scan_variant_dir(name: str, path: str) -> None:
+        entries = []
+        for child in sorted(os.listdir(path)):
+            ckpt = os.path.join(path, child, "checkpoint")
+            if child.startswith("seed") and os.path.exists(os.path.join(ckpt, "manifest.json")):
+                if not child[4:].isdecimal():
+                    raise DataError(f"checkpoint directory {os.path.join(path, child)} is not named seed<N>")
+                entries.append((int(child[4:]), ckpt, model.read_manifest(ckpt)[0]))
+        if entries:
+            found[name] = sorted(entries)
+
+    for child in sorted(os.listdir(root)):
+        path = os.path.join(root, child)
+        if not os.path.isdir(path):
+            continue
+        if child.startswith("seed") and os.path.exists(os.path.join(path, "checkpoint", "manifest.json")):
+            scan_variant_dir(os.path.basename(root.rstrip("/")), root)
+            break
+        scan_variant_dir(child, path)
+    if not found:
+        raise DataError(f"no checkpoints found under {root}")
+    return found
 
 
 def child_pids() -> list[str]:
@@ -800,7 +839,7 @@ def reference_annotations(population: ProfileTable, corpus: SynthCorpus, spec: P
 
 
 def reference_load_annotations(path: str, columns: ColumnMapping | None = None) -> Dataset:
-    """`corpus.load_annotations` as a `csv.DictReader` loop: one dict per row, then its score checks."""
+    """`corpus.load_annotations` as a `csv.DictReader` loop: one dict per row, then its score and id checks."""
     if not os.path.exists(path):
         raise DataError(f"annotation file not found: {path}")
     columns = columns or ColumnMapping()
@@ -826,6 +865,11 @@ def reference_load_annotations(path: str, columns: ColumnMapping | None = None) 
                 raise DataError(f"{path}: row {row_no}: score {score} is negative")
             if score > MAX_SCORE:
                 raise DataError(f"{path}: row {row_no}: score {score} is beyond the int64 range")
+            for column in (columns.text_id, columns.annotator_id):
+                if row[column] is None:
+                    raise DataError(f"{path}: row {row_no}: {column!r} cell is missing")
+                if row[column] == "":
+                    raise DataError(f"{path}: row {row_no}: {column!r} cell is empty")
             text_ids.append(row[columns.text_id])
             annotator_ids.append(row[columns.annotator_id])
             scores.append(score)

@@ -5,9 +5,11 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import weakref
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import base_config, profiles_of, run_chain, sequential_train_suites
+from helpers import base_config, profiles_of, reference_discover_checkpoints, run_chain, sequential_train_suites
 from sociolens import cli, corpus, features, metrics, model, trainer
 from sociolens.batcher import BatchTables
 from sociolens.cli import main
@@ -113,7 +115,7 @@ def test_groups_csv_averages_each_key_over_seeds(tmp_path):
     schema = features.SocioSchema([("g", ["a", "b", "c", features.MISSING])])
     profiles = profiles_of({"p1": {"g": "a"}, "p2": {"g": "b"}, "p3": {"g": ""}})
     codes, labels = np.array([0, 0, 0, 1, 1, 2]), np.array([1, 0, 0, 1, 0, 1])
-    tables = [metrics.group_breakdown(np.array(probs), labels, codes, profiles, schema)
+    tables = [metrics.group_breakdown(np.array(probs), labels, schema.encode(profiles)[codes], schema)
               for probs in ([0.9, 0.2, 0.1, 0.7, 0.6, 0.4], [0.3, 0.1, 0.05, 0.8, 0.9, 0.6])]
     cli._write_groups_csv(str(tmp_path / "groups.csv"), tables)
     assert (tmp_path / "groups.csv").read_bytes() == (
@@ -122,6 +124,95 @@ def test_groups_csv_averages_each_key_over_seeds(tmp_path):
         "g,b,2,0.5,1.0,0.6666666666666666,0.5\r\n"
         f"g,{features.MISSING},1,0.5,0.5,0.5,\r\n"
     ).encode("utf-8")
+
+
+RUN_NAMES = st.sampled_from(["seed0", "seed1", "seed10", "seed01", "seedx", "seed", "other"])
+SUITE_NAMES = st.sampled_from(["simple", "ablation", ".hidden", "sc[1]", "seed9", "x", "x-y"])
+
+
+@st.composite
+def run_entries(draw, prefix: str, checkpoints: bool) -> dict[str, str | None]:
+    """Entries under `prefix` named like runs: with a readable or a "bad" manifest if `checkpoints`, else a bare
+    directory (None) or a file."""
+    kinds = ["run", "bad", "bare", "file"] if checkpoints else ["bare", "file"]
+    entries = {}
+    for name, kind in draw(st.dictionaries(RUN_NAMES, st.sampled_from(kinds), max_size=4)).items():
+        if kind in ("run", "bad"):
+            entries[f"{prefix}{name}/checkpoint/manifest.json"] = "{}" if kind == "run" else "bad"
+        else:
+            entries[prefix + name] = None if kind == "bare" else ""
+    return entries
+
+
+@st.composite
+def checkpoint_trees(draw) -> dict[str, str | None]:
+    """A checkpoint root as {relative path: file text, or None for a directory}, in one of the three layouts.
+
+    Runs directly under the root come only with suite directories that hold no
+    checkpoint, so no tree is both a suite directory and a train root.
+    """
+    layout = draw(st.sampled_from(["train root", "suite directory", "checkpoint"]))
+    tree = draw(run_entries("", checkpoints=layout == "suite directory"))
+    for suite in draw(st.lists(SUITE_NAMES, unique=True, max_size=3)):
+        tree[suite] = None
+        tree.update(draw(run_entries(f"{suite}/", checkpoints=layout != "suite directory")))
+    if layout == "checkpoint":
+        tree["manifest.json"] = draw(st.sampled_from(["{}", "bad"]))
+    return tree
+
+
+def stub_read_manifest(reads: list[str]):
+    """A `read_manifest` that logs each directory read: a "bad" manifest is a DataError, any other a model named by
+    its directory, seed 7."""
+    def read(directory):
+        reads.append(directory)
+        if Path(directory, "manifest.json").read_text(encoding="utf-8") == "bad":
+            raise DataError(f"{directory}: malformed manifest")
+        return SimpleNamespace(spec=SimpleNamespace(variant="direct"), directory=directory), 7
+    return read
+
+
+def discover_with_stub(discover, root: str):
+    """`discover(root)`, or its DataError's message, with the directories `read_manifest` read, in read order."""
+    reads: list[str] = []
+    read = stub_read_manifest(reads)
+    with mock.patch.object(cli, "read_manifest", read), mock.patch.object(model, "read_manifest", read):
+        try:
+            return discover(root), reads
+        except DataError as exc:
+            return str(exc), reads
+
+
+@settings(max_examples=300, deadline=None)
+@given(checkpoint_trees(), st.sampled_from(["root", "r[1]", "r*?", ".dot"]), st.booleans())
+def test_checkpoint_discovery_matches_the_directory_walk(tree, root_name, trailing_slash):
+    # the same labels, seeds, paths and manifest reads in the same order, or the same DataError
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch, root_name)
+        root.mkdir()
+        for rel, text in tree.items():
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            if text is None:
+                (root / rel).mkdir(exist_ok=True)
+            else:
+                (root / rel).write_text(text, encoding="utf-8")
+        where = str(root) + "/" * trailing_slash
+        assert discover_with_stub(cli._discover_checkpoints, where) == discover_with_stub(
+            reference_discover_checkpoints, where
+        )
+
+
+def test_runs_under_the_root_make_it_a_suite_directory(tmp_path):
+    # beside suite directories too; the directory walk also scored the suites sorted before the first run
+    for run in ("a_suite/seed1", "seed0", "seed2", "z_suite/seed3"):
+        (tmp_path / "root" / run / "checkpoint").mkdir(parents=True)
+        (tmp_path / "root" / run / "checkpoint" / "manifest.json").write_text("{}", encoding="utf-8")
+    found, reads = discover_with_stub(cli._discover_checkpoints, str(tmp_path / "root"))
+    runs = [str(tmp_path / "root" / run / "checkpoint") for run in ("seed0", "seed2")]
+    assert {label: [entry[:2] for entry in entries] for label, entries in found.items()} == {
+        "root": [(0, runs[0]), (2, runs[1])]
+    }
+    assert reads == runs
 
 
 def aggregate_json(precision, recall, f1, auc=None) -> str:
@@ -234,6 +325,49 @@ class TestReport:
             "- no ablation artifacts\n"
         )
         assert summary == SUMMARY_HEAD.encode()
+
+    def test_every_scored_suite_follows_the_paper_suites_sorted(self, tmp_path):
+        # a suite under another label is a row after the paper's six, in every table; a label without
+        # metrics.json is no suite
+        inputs = {
+            **REPORT_INPUTS,
+            "eval/sc_lambda05/metrics.json": aggregate_json((0.6, 0.0), (0.7, 0.0), (0.65, 0.0)),
+            "eval/sc_lambda05/groups.csv": GROUPS_HEADER + "group,a,12,0.4,0.4,0.4,\n",
+            "eval/a_custom/metrics.json": aggregate_json((0.5, 0.0), (0.5, 0.0), (0.5, 0.0), (0.5, 0.0)),
+            "eval/unscored/groups.csv": GROUPS_HEADER + "group,a,12,0.9,0.9,0.9,\n",
+        }
+        for rel, content in inputs.items():
+            (tmp_path / "out" / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / "out" / rel).write_text(content, encoding="utf-8")
+        report, summary = self.run_report(tmp_path)
+        assert report == (
+            "# Pipeline report\n\n"
+            "## Model comparison (individual annotator labels, test split)\n\n"
+            + MODEL_TABLE
+            + "| ablation | 0.650 ± 0.050 | 0.800 ± 0.100 | 0.713 ± 0.050 | 0.790 ± 0.030 |\n"
+            "| a_custom | 0.500 ± 0.000 | 0.500 ± 0.000 | 0.500 ± 0.000 | 0.500 ± 0.000 |\n"
+            "| sc_lambda05 | 0.600 ± 0.000 | 0.700 ± 0.000 | 0.650 ± 0.000 | - |\n\n"
+            "## Contrastive ablation\n\n"
+            "F1 gain from the contrastive term: +0.0275\n\n"
+            "## Group slices (F1 by socio-demographic category)\n\n"
+            "| Attribute | Category | n | simple | socio_contrastive | ablation | sc_lambda05 |\n"
+            "|---|---|---|---|---|---|---|\n"
+            "| extra | x | 20 | 0.600 | 0.700 | 0.600 | - |\n"
+            "| extra | z | 3 | - | - | 0.667 | - |\n"
+            "| group | a | 12 | 0.500 | 0.750 | 0.700 | 0.400 |\n"
+            "| group | b | 8 | 0.250 | 0.500 | - | - |\n\n"
+            "## Homophily of learned annotator representations\n\n"
+            "_not available_\n\n"
+            "## Gaps\n\n"
+            "- no metrics for variant 'socio_multihot'\n"
+            "- no metrics for variant 'socio_embedding'\n"
+            "- no homophily artifacts\n"
+        )
+        assert summary == SUMMARY_HEAD.encode() + (
+            b"ablation,0.65,0.05,0.8,0.1,0.7125,0.05,0.79,0.03\r\n"
+            b"a_custom,0.5,0.0,0.5,0.0,0.5,0.0,0.5,0.0\r\n"
+            b"sc_lambda05,0.6,0.0,0.7,0.0,0.65,0.0,,\r\n"
+        )
 
     def test_a_pipe_in_a_cell_is_escaped(self, tmp_path):
         # a category may hold "|"; unescaped, its row would have one cell more than the header

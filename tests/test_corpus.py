@@ -94,6 +94,22 @@ class TestLoadAnnotations:
         with pytest.raises(DataError, match="row 3: score None is not a base-10 integer"):
             load_annotations(str(path))
 
+    def test_short_row_without_its_ids_rejected(self, tmp_path):
+        path = tmp_path / "a.csv"
+        write_csv(path, ["1,t1,a1", "2"], header="score,text_id,annotator_id")
+        with pytest.raises(DataError, match="row 3: 'text_id' cell is missing"):
+            load_annotations(str(path))
+        write_csv(path, ["1,t1,a1", "2,t2"], header="score,text_id,annotator_id")
+        with pytest.raises(DataError, match="row 3: 'annotator_id' cell is missing"):
+            load_annotations(str(path))
+
+    @pytest.mark.parametrize("row, column", [("0,,a2", "text_id"), ("0,t2,", "annotator_id")])
+    def test_empty_id_cell_rejected(self, tmp_path, row, column):
+        path = tmp_path / "a.csv"
+        write_csv(path, ["1,t1,a1", row], header="score,text_id,annotator_id")
+        with pytest.raises(DataError, match=f"row 3: '{column}' cell is empty"):
+            load_annotations(str(path))
+
     def test_roundtrip_save_load(self, tmp_path):
         ds = make_dataset([("t1", "a1", 0), ("t2", "a2", 3)])
         out = tmp_path / "out.csv"

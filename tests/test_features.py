@@ -332,7 +332,7 @@ def test_profile_readers_match_the_per_profile_oracle(text, data):
     labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(records), max_size=len(records))))
     vocabulary = list(dict.fromkeys(records))
     codes = np.array([vocabulary.index(a) for a in records])
-    table = group_breakdown(probs, labels, codes, profiles.select(vocabulary), schema)
+    table = group_breakdown(probs, labels, schema.encode(profiles.select(vocabulary))[codes], schema)
     present = []
     for attribute, categories in schema.attributes:
         counted = np.array([reference_category(oracle[a], attribute, categories) for a in records], dtype=object)

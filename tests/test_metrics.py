@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import pair_counting_auc, profiles_of, reference_roc_curve, roc_curve_area
+from helpers import make_dataset, pair_counting_auc, profiles_of, reference_roc_curve, roc_curve_area
+from sociolens.corpus import attach_profiles
 from sociolens.errors import DataError, NumericError
 from sociolens.features import MISSING, SocioSchema
 from sociolens.metrics import (
@@ -125,10 +126,11 @@ def scored_labels(draw, max_size=60):
     return probs, labels
 
 
-def aligned(ids, profiles):
-    """Per-record annotator codes in first-appearance order, and `profiles` with row c for code c, as a profiled Dataset holds them."""
+def aligned(ids, profiles, schema):
+    """Each record's row of `schema` codes, as eval encodes a profiled Dataset's profiles and gathers them by annotator code."""
     vocabulary = list(dict.fromkeys(ids))
-    return np.array([vocabulary.index(a) for a in ids], dtype=np.int32), profiles.select(vocabulary)
+    codes = np.array([vocabulary.index(a) for a in ids], dtype=np.int32)
+    return schema.encode(profiles.select(vocabulary))[codes]
 
 
 class TestScoreCounts:
@@ -168,7 +170,7 @@ class TestScoreCounts:
         schema = SocioSchema([("g", ["a", "b", MISSING]), ("h", ["x", "y"])])
         answers = {f"p{i}": {k: v for k, v in zip("gh", pair) if v is not None} for i, pair in enumerate(assignments)}
         ids = data.draw(st.lists(st.sampled_from(sorted(answers)), min_size=probs.size, max_size=probs.size))
-        table = group_breakdown(probs, labels, *aligned(ids, profiles_of(answers)), schema)
+        table = group_breakdown(probs, labels, aligned(ids, profiles_of(answers), schema), schema)
         present = []
         for attribute, categories in schema.attributes:
             # a declined or out-of-vocabulary answer counts under MISSING, if the attribute has it
@@ -221,7 +223,7 @@ class TestGroupBreakdown:
         probs = np.array([0.9, 0.8, 0.9, 0.2])
         labels = np.array([1, 1, 0, 1])
         ids = ["p1", "p2", "p3", "p3"]
-        table = group_breakdown(probs, labels, *aligned(ids, self.profiles), self.schema)
+        table = group_breakdown(probs, labels, aligned(ids, self.profiles, self.schema), self.schema)
         assert table["g", "a"].f1 == 1.0
         assert table["g", "a"].n == 2
         assert table["g", "b"].f1 == 0.0
@@ -229,7 +231,7 @@ class TestGroupBreakdown:
     def test_empty_category_omitted(self):
         probs = np.array([0.9])
         labels = np.array([1])
-        table = group_breakdown(probs, labels, *aligned(["p1"], self.profiles), self.schema)
+        table = group_breakdown(probs, labels, aligned(["p1"], self.profiles, self.schema), self.schema)
         assert ("g", "b") not in table
         assert ("g", MISSING) not in table
         assert list(table) == [("g", "a")]
@@ -239,14 +241,15 @@ class TestGroupBreakdown:
         ids = [f"p{rng.integers(1, 4)}" for _ in range(40)]
         probs = rng.random(40)
         labels = rng.integers(0, 2, 40)
-        table = group_breakdown(probs, labels, *aligned(ids, self.profiles), self.schema)
+        table = group_breakdown(probs, labels, aligned(ids, self.profiles, self.schema), self.schema)
         assert sum(r.n for r in table.values()) == 40
 
     def test_misaligned_annotator_ids_rejected(self):
         with pytest.raises(DataError, match="do not line up"):
-            group_breakdown(np.array([0.5, 0.7]), np.array([1, 0]), *aligned(["p1"], self.profiles), self.schema)
+            codes = aligned(["p1"], self.profiles, self.schema)
+            group_breakdown(np.array([0.5, 0.7]), np.array([1, 0]), codes, self.schema)
 
     def test_unprofiled_annotator_rejected(self):
-        # a record's annotator without a profile has no row to slice by
+        # a record's annotator without a profile has no row to slice by: eval's attach_profiles refuses it
         with pytest.raises(DataError, match="ghost"):
-            group_breakdown(np.array([0.5]), np.array([1]), *aligned(["ghost"], self.profiles), self.schema)
+            attach_profiles(make_dataset([("t", "ghost", 1)]), self.profiles)
