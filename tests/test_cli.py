@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import base_config, profiles_of, reference_discover_checkpoints, run_chain, sequential_train_suites
@@ -126,15 +126,16 @@ def test_groups_csv_averages_each_key_over_seeds(tmp_path):
     ).encode("utf-8")
 
 
-RUN_NAMES = st.sampled_from(["seed0", "seed1", "seed10", "seed01", "seedx", "seed", "other"])
+# a run named seedx or seed is a DataError: each is drawn a fifth as often as a good name
+RUN_NAMES = st.sampled_from(["seed0", "seed1", "seed2", "seed10", "seed01", "other"] * 5 + ["seedx", "seed"])
 SUITE_NAMES = st.sampled_from(["simple", "ablation", ".hidden", "sc[1]", "seed9", "x", "x-y"])
 
 
 @st.composite
 def run_entries(draw, prefix: str, checkpoints: bool) -> dict[str, str | None]:
     """Entries under `prefix` named like runs: with a readable or a "bad" manifest if `checkpoints`, else a bare
-    directory (None) or a file."""
-    kinds = ["run", "bad", "bare", "file"] if checkpoints else ["bare", "file"]
+    directory (None) or a file. A bad manifest is drawn rarely, so that most trees are read to the end."""
+    kinds = ["run"] * 8 + ["bad", "bare", "file"] if checkpoints else ["bare", "file"]
     entries = {}
     for name, kind in draw(st.dictionaries(RUN_NAMES, st.sampled_from(kinds), max_size=4)).items():
         if kind in ("run", "bad"):
@@ -153,7 +154,7 @@ def checkpoint_trees(draw) -> dict[str, str | None]:
     """
     layout = draw(st.sampled_from(["train root", "suite directory", "checkpoint"]))
     tree = draw(run_entries("", checkpoints=layout == "suite directory"))
-    for suite in draw(st.lists(SUITE_NAMES, unique=True, max_size=3)):
+    for suite in draw(st.lists(SUITE_NAMES, unique=True, min_size=int(layout == "train root"), max_size=4)):
         tree[suite] = None
         tree.update(draw(run_entries(f"{suite}/", checkpoints=layout != "suite directory")))
     if layout == "checkpoint":
@@ -185,6 +186,8 @@ def discover_with_stub(discover, root: str):
 
 @settings(max_examples=300, deadline=None)
 @given(checkpoint_trees(), st.sampled_from(["root", "r[1]", "r*?", ".dot"]), st.booleans())
+# suites are read in label order, "x" before "x-y", though "x-y/" sorts before "x/" as a path
+@example({"x/seed0/checkpoint/manifest.json": "{}", "x-y/seed0/checkpoint/manifest.json": "{}"}, "root", False)
 def test_checkpoint_discovery_matches_the_directory_walk(tree, root_name, trailing_slash):
     # the same labels, seeds, paths and manifest reads in the same order, or the same DataError
     with tempfile.TemporaryDirectory() as scratch:
@@ -1131,6 +1134,23 @@ def trained_chain(tmp_path_factory):
     config["train"]["epochs"] = 1
     run_chain(tmp_path, config, commands=("synth", "prep", "train"))
     return config
+
+
+def test_eval_encodes_one_narrow_code_row_per_record(tmp_path, monkeypatch, trained_chain):
+    # every checkpoint is sliced by the same rows, a byte a code while no attribute has more than 128 categories
+    shutil.copytree(trained_chain["output_dir"], tmp_path / "out")
+    config = dict(trained_chain, output_dir=str(tmp_path / "out"))
+    (tmp_path / "c.json").write_text(json.dumps(config), encoding="utf-8")
+    seen = []
+
+    def spy(probs, labels, record_codes, schema, _breakdown=metrics.group_breakdown):
+        seen.append(record_codes)
+        return _breakdown(probs, labels, record_codes, schema)
+
+    monkeypatch.setattr(metrics, "group_breakdown", spy)
+    assert main(["eval", "--config", str(tmp_path / "c.json")]) == 0
+    assert len(seen) == 3 and all(codes is seen[0] for codes in seen)
+    assert seen[0].dtype == np.int8
 
 
 FLAG_VALUES = {
