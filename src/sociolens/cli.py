@@ -29,8 +29,6 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
 # synth, metrics and homophily are imported by the commands that use them: a spawned train
 # worker imports this module, and would otherwise load all three for nothing
 from . import config as config_mod
@@ -216,12 +214,9 @@ def cmd_eval(cfg: config_mod.PipelineConfig) -> int:
     schema = record_codes = None
     if all_profiles is not None:
         dataset = corpus.attach_profiles(dataset, all_profiles)
-        # every suite's groups are sliced under one schema of the eval profiles, by one code row per record; the
-        # rows live through the stage, so each code takes the narrowest signed type that holds it and -1
+        # every suite's groups are sliced under one schema of the eval profiles, by one code row per record
         schema = features.build_schema(all_profiles)
-        widest = max((len(categories) for _, categories in schema.attributes), default=1)
-        codes = schema.encode(dataset.profiles).astype(np.min_scalar_type(-widest))
-        record_codes = codes[dataset.records["annotator"]]
+        record_codes = schema.encode(dataset.profiles)[dataset.records["annotator"]]
     eval_root = os.path.join(cfg.output_dir, "eval")
 
     for variant, entries in sorted(by_variant.items()):

@@ -1136,23 +1136,6 @@ def trained_chain(tmp_path_factory):
     return config
 
 
-def test_eval_encodes_one_narrow_code_row_per_record(tmp_path, monkeypatch, trained_chain):
-    # every checkpoint is sliced by the same rows, a byte a code while no attribute has more than 128 categories
-    shutil.copytree(trained_chain["output_dir"], tmp_path / "out")
-    config = dict(trained_chain, output_dir=str(tmp_path / "out"))
-    (tmp_path / "c.json").write_text(json.dumps(config), encoding="utf-8")
-    seen = []
-
-    def spy(probs, labels, record_codes, schema, _breakdown=metrics.group_breakdown):
-        seen.append(record_codes)
-        return _breakdown(probs, labels, record_codes, schema)
-
-    monkeypatch.setattr(metrics, "group_breakdown", spy)
-    assert main(["eval", "--config", str(tmp_path / "c.json")]) == 0
-    assert len(seen) == 3 and all(codes is seen[0] for codes in seen)
-    assert seen[0].dtype == np.int8
-
-
 FLAG_VALUES = {
     "--seed": st.integers(-2, 2**64) | st.text(max_size=4),
     "--variant": st.sampled_from(["all", "simple", "socio_contrastive"]) | st.text(max_size=8),
