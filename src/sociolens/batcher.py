@@ -83,8 +83,6 @@ def plan_epoch(text_codes: np.ndarray, batch_size: int, seed: int) -> BatchPlan:
 def assemble_batch(records: np.ndarray, indices, tables: BatchTables) -> Batch:
     """Gather the `corpus.RECORD` rows at `indices` (an index array or a slice) and their table rows."""
     rows = records[indices]
-    if (rows["label"] < 0).any():
-        raise DataError("cannot assemble batches from unbinarized records")
     texts, annotators = rows["text"], rows["annotator"]
     return Batch(
         text=tables.text[texts],

@@ -42,10 +42,6 @@ def _log(cfg, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _load_labels(path: str, columns: corpus.ColumnMapping) -> corpus.Dataset:
-    return corpus.binarize(corpus.load_annotations(path, columns))
-
-
 def _socio_inputs(
     section: config_mod.TrainConfig | config_mod.EvalConfig, name: str, readers: dict[str | None, str]
 ) -> tuple[features.ProfileTable | None, features.VectorTable | None]:
@@ -98,7 +94,6 @@ def cmd_prep(cfg: config_mod.PipelineConfig) -> int:
     dataset = corpus.load_annotations(p.annotations, p.columns)
     if p.profiles:
         dataset = corpus.attach_profiles(dataset, features.load_profiles(p.profiles))
-    dataset = corpus.binarize(dataset)
     dataset, report = corpus.filter_dataset(
         dataset, p.min_annotators_per_text, p.min_annotations_per_annotator
     )
@@ -133,7 +128,7 @@ def cmd_train(cfg: config_mod.PipelineConfig) -> int:
         readers.setdefault(WIRING[run.variant].socio, f"{run.variant} runs")
     # every input a suite needs is checked before the first suite trains
     all_profiles, socio_table = _socio_inputs(t, "train", readers)
-    train_ds = _load_labels(t.train_annotations, t.columns)
+    train_ds = corpus.load_annotations(t.train_annotations, t.columns)
     # training reads only the test split's texts, for the leak check
     test_ds = corpus.load_annotations(t.test_annotations, t.columns)
     if "multihot" in readers:
@@ -210,13 +205,14 @@ def cmd_eval(cfg: config_mod.PipelineConfig) -> int:
             readers.setdefault(params.spec.wiring.socio, f"{name} checkpoints")
     # every input a checkpoint needs is checked before the first variant is scored
     all_profiles, socio_table = _socio_inputs(e, "eval", readers)
-    dataset = _load_labels(e.annotations, e.columns)
+    dataset = corpus.load_annotations(e.annotations, e.columns)
     schema = record_codes = None
     if all_profiles is not None:
         dataset = corpus.attach_profiles(dataset, all_profiles)
         # every suite's groups are sliced under one schema of the eval profiles, by one code row per record
         schema = features.build_schema(all_profiles)
         record_codes = schema.encode(dataset.profiles)[dataset.records["annotator"]]
+    labels = dataset.records["label"]
     eval_root = os.path.join(cfg.output_dir, "eval")
 
     for variant, entries in sorted(by_variant.items()):
@@ -228,7 +224,7 @@ def cmd_eval(cfg: config_mod.PipelineConfig) -> int:
         while entries:
             # popped, so no filled model outlives its scoring
             seed, ckpt, params = entries.pop(0)
-            probs, labels, fallback = trainer.predict(load_checkpoint(params, ckpt), dataset, text_table, socio_table)
+            probs, fallback = trainer.predict(load_checkpoint(params, ckpt), dataset, text_table, socio_table)
             fallback_rows += fallback
             report = metrics.confusion_metrics(probs, labels)
             reports.append(report)

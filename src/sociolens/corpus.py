@@ -9,13 +9,14 @@ sides.
 
 A Dataset is columnar. `texts` and `annotators` are the id vocabularies,
 and `records` holds one row per annotation: int32 codes into those
-vocabularies, the int64 score, and an int8 label that is -1 until
-`binarize`. Every Dataset is built by `Dataset.from_columns`, which codes
-ids in order of first appearance, or by `Dataset.from_codes`, which cuts
-given vocabularies to the codes the rows use and re-codes them the same
-way with no per-row Python. So a vocabulary lists exactly the ids
-present in the rows, in first-appearance order, and ascending code order
-is first-appearance order. A subset is coded afresh by `from_codes`.
+vocabularies, the int64 score, and the int8 label `binarize` gives that
+score, set when the row is built. Every Dataset is built by
+`Dataset.from_columns`, which codes ids in order of first appearance, or
+by `Dataset.from_codes`, which cuts given vocabularies to the codes the
+rows use and re-codes them the same way with no per-row Python. So a
+vocabulary lists exactly the ids present in the rows, in first-appearance
+order, and ascending code order is first-appearance order. A subset is
+coded afresh by `from_codes`.
 `profiles`, once `attach_profiles` or `from_codes` sets it, is a
 `features.ProfileTable` whose row i is annotator code i, and a subset
 re-indexes it.
@@ -69,13 +70,13 @@ def _recode(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return kept[order], rank[inverse]
 
 
-def _records(text_codes, annotator_codes, scores, labels) -> np.ndarray:
-    """One RECORD per row of the given columns; labels default to -1."""
+def _records(text_codes, annotator_codes, scores) -> np.ndarray:
+    """One RECORD per row of the given columns, labelled by `binarize` of its score."""
     records = np.empty(len(text_codes), dtype=RECORD)
     records["text"] = text_codes
     records["annotator"] = annotator_codes
     records["score"] = scores
-    records["label"] = -1 if labels is None else labels
+    records["label"] = binarize(records["score"])
     return records
 
 
@@ -83,18 +84,18 @@ def _records(text_codes, annotator_codes, scores, labels) -> np.ndarray:
 class Dataset:
     texts: np.ndarray       # (n_texts,) object: text ids in first-appearance order
     annotators: np.ndarray  # (n_annotators,) object: annotator ids in first-appearance order
-    records: np.ndarray     # (n,) RECORD: text and annotator codes, score, label (-1 = unbinarized)
+    records: np.ndarray     # (n,) RECORD: text and annotator codes, score, label
     profiles: ProfileTable | None = None  # row i = annotator code i
 
     @classmethod
-    def from_columns(cls, text_ids, annotator_ids, scores, labels=None) -> "Dataset":
-        """Code one row per annotation; rows keep their order, labels default to -1."""
+    def from_columns(cls, text_ids, annotator_ids, scores) -> "Dataset":
+        """Code one row per annotation; rows keep their order."""
         texts, text_codes = _code(text_ids)
         annotators, annotator_codes = _code(annotator_ids)
-        return cls(texts, annotators, _records(text_codes, annotator_codes, scores, labels))
+        return cls(texts, annotators, _records(text_codes, annotator_codes, scores))
 
     @classmethod
-    def from_codes(cls, texts, annotators, text_codes, annotator_codes, scores, labels=None,
+    def from_codes(cls, texts, annotators, text_codes, annotator_codes, scores,
                    profiles: ProfileTable | None = None) -> "Dataset":
         """Rows given as codes into the id arrays `texts` and `annotators`, whose profile is row i of `profiles`.
 
@@ -103,7 +104,7 @@ class Dataset:
         """
         kept_texts, text_codes = _recode(text_codes)
         kept_annotators, annotator_codes = _recode(annotator_codes)
-        dataset = cls(texts[kept_texts], annotators[kept_annotators], _records(text_codes, annotator_codes, scores, labels))
+        dataset = cls(texts[kept_texts], annotators[kept_annotators], _records(text_codes, annotator_codes, scores))
         if profiles is not None:
             dataset.profiles = profiles.take(kept_annotators)
         return dataset
@@ -112,14 +113,13 @@ class Dataset:
         """The rows where `mask` holds, coded afresh; the profiles follow the new annotator codes."""
         rows = self.records[mask]
         return Dataset.from_codes(
-            self.texts, self.annotators, rows["text"], rows["annotator"], rows["score"], rows["label"], self.profiles
+            self.texts, self.annotators, rows["text"], rows["annotator"], rows["score"], self.profiles
         )
 
     @property
     def stats(self) -> dict:
         """Row, text and annotator counts and the count of each label, as `stats.json` holds them."""
-        labels = self.records["label"]
-        counts = np.bincount(labels[labels >= 0], minlength=2)
+        counts = np.bincount(self.records["label"], minlength=2)
         return {
             "records": len(self.records),
             "unique_texts": len(self.texts),
@@ -224,11 +224,9 @@ def attach_profiles(dataset: Dataset, profiles: ProfileTable) -> Dataset:
     return replace(dataset, profiles=profiles.select(dataset.annotators.tolist()))
 
 
-def binarize(dataset: Dataset) -> Dataset:
-    """Set label = 0 for score 0 and label = 1 for any score above 0. Idempotent."""
-    records = dataset.records.copy()
-    records["label"] = records["score"] > 0
-    return replace(dataset, records=records)
+def binarize(scores: np.ndarray) -> np.ndarray:
+    """The int8 label of each score: 0 for score 0 and 1 for any score above 0."""
+    return (scores > 0).astype(np.int8)
 
 
 def filter_dataset(
@@ -293,8 +291,6 @@ def split_by_text(dataset: Dataset, train_fraction: float, seed: int) -> SplitPa
 def majority_vote(dataset: Dataset) -> np.ndarray:
     """Each text's label, aligned to `dataset.texts`: strict majority wins, exact ties go to 1."""
     rows = dataset.records
-    if (rows["label"] < 0).any():
-        raise DataError("majority_vote requires binarized labels")
     n = len(dataset.texts)
     ones = np.bincount(rows["text"][rows["label"] == 1], minlength=n)
     return (2 * ones >= np.bincount(rows["text"], minlength=n)).astype(np.int8)

@@ -44,9 +44,12 @@ MISSING = "⟂missing⟂"
 
 @contextlib.contextmanager
 def open_csv(path: str):
-    """`path` opened as UTF-8 text for the csv module; a byte that does not decode is a DataError naming the file."""
+    """`path` opened as UTF-8 text for the csv module, past any byte-order mark.
+
+    A byte that does not decode is a DataError naming the file.
+    """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None

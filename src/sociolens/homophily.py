@@ -216,9 +216,9 @@ def _check_space(space: RepSpace, attributes: list[str], k: int) -> None:
 def bootstrap_homophily(
     space: RepSpace,
     attribute: str,
-    k: int = 50,
-    iterations: int = 1000,
-    seed: int = 0,
+    k: int,
+    iterations: int,
+    seed: int,
 ) -> HomophilyRow:
     """The bootstrap row of one attribute; see `homophily_table`."""
     return homophily_table(space, k, iterations, seed, attributes=[attribute])[0]
@@ -226,9 +226,9 @@ def bootstrap_homophily(
 
 def homophily_table(
     space: RepSpace,
-    k: int = 50,
-    iterations: int = 1000,
-    seed: int = 0,
+    k: int,
+    iterations: int,
+    seed: int,
     attributes: list[str] | None = None,
 ) -> list[HomophilyRow]:
     """Bootstrap rows for every attribute (or the requested subset), ratio-descending.

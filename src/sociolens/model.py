@@ -429,6 +429,19 @@ def backward(
     return grads
 
 
+def _adam_update(g, w, m, v, s, lr: float, bc1: float, bc2: float) -> None:
+    """Adam's rule in place on matching arrays, overwriting `g` and the scratch `s`.
+
+    m*b1 + (1-b1)*g, v*b2 + (1-b2)*g*g, w - lr*(m/bc1)/(sqrt(v/bc2)+eps).
+    """
+    m *= BETA1
+    m += np.multiply(g, 1.0 - BETA1, out=s)
+    v *= BETA2
+    v += np.multiply(np.multiply(g, g, out=s), 1.0 - BETA2, out=s)
+    np.add(np.sqrt(np.divide(v, bc2, out=s), out=s), ADAM_EPS, out=s)
+    w -= np.divide(np.multiply(np.divide(m, bc1, out=g), lr, out=g), s, out=g)
+
+
 def adam_step(params: ModelParams, lr: float) -> ModelParams:
     """One Adam update with bias correction (Kingma & Ba 2015); mutates and returns `params`.
 
@@ -474,22 +487,14 @@ def adam_step(params: ModelParams, lr: float) -> ModelParams:
     params.step += 1
     bc1 = 1.0 - BETA1 ** params.step
     bc2 = 1.0 - BETA2 ** params.step
-    # m*b1 + (1-b1)*g, v*b2 + (1-b2)*g*g, w - lr*(m/bc1)/(sqrt(v/bc2)+eps); the trunk's
-    # update is computed in its gradient rows, which the next `backward` overwrites whole
-    g_trunk, w_trunk, m_trunk, v_trunk, s = g[:cut], w[:cut], m[:cut], v[:cut], scratch[:cut]
-    m_trunk *= BETA1
-    m_trunk += np.multiply(g_trunk, 1.0 - BETA1, out=s)
-    v_trunk *= BETA2
-    v_trunk += np.multiply(np.multiply(g_trunk, g_trunk, out=s), 1.0 - BETA2, out=s)
-    np.add(np.sqrt(np.divide(v_trunk, bc2, out=s), out=s), ADAM_EPS, out=s)
-    w_trunk -= np.divide(np.multiply(np.divide(m_trunk, bc1, out=g_trunk), lr, out=g_trunk), s, out=g_trunk)
-    finite = np.isfinite(w_trunk).all()
+    # the trunk's update is computed in its gradient rows, which the next `backward` overwrites whole
+    _adam_update(g[:cut], w[:cut], m[:cut], v[:cut], scratch[:cut], lr, bc1, bc2)
+    finite = np.isfinite(w[:cut]).all()
     if live is not None:
-        # the same rule on the live columns' gathered w, m and v, scattered back
+        # the same rule on the live columns' gathered g, w, m and v, scattered back
         w_head, m_head, v_head = (row[cut:].reshape(-1, a) for row in (w, m, v))
-        m_live = m_head[:, live] * BETA1 + g_live * (1.0 - BETA1)
-        v_live = v_head[:, live] * BETA2 + (g_live * g_live) * (1.0 - BETA2)
-        w_live = w_head[:, live] - m_live / bc1 * lr / (np.sqrt(v_live / bc2) + ADAM_EPS)
+        w_live, m_live, v_live = w_head[:, live], m_head[:, live], v_head[:, live]
+        _adam_update(g_live, w_live, m_live, v_live, np.empty_like(g_live), lr, bc1, bc2)
         m_head[:, live], v_head[:, live], w_head[:, live] = m_live, v_live, w_live
         finite = finite and np.isfinite(w_live).all()
     if not finite:

@@ -115,9 +115,10 @@ def generate_annotations(
     """Assign annotators per text without replacement; labels follow the shifted odds.
 
     Per text, in text order, the stream gives `choice(A, k, replace=False)`
-    and then k uniforms; all labels are then set in one pass, label =
-    uniform < sigmoid(z + shift). `choice` stays per text: drawing its
-    picks in bulk would tie the bytes to numpy's algorithm inside it.
+    and then k uniforms; all labels are then drawn in one pass as 0/1
+    scores, score = uniform < sigmoid(z + shift), which label themselves.
+    `choice` stays per text: drawing its picks in bulk would tie the bytes
+    to numpy's algorithm inside it.
     """
     rng = np.random.default_rng([spec.seed, 3])
     shifts = annotator_shifts(population, spec.signal)
@@ -127,10 +128,10 @@ def generate_annotations(
     for i in range(len(picks)):
         picks[i] = rng.choice(len(population), size=k, replace=False)
         uniforms[i] = rng.random(k)
-    labels = (uniforms < sigmoid(corpus.latent[:, None] + shifts[picks])).astype(np.int8).ravel()
+    scores = (uniforms < sigmoid(corpus.latent[:, None] + shifts[picks])).astype(np.int8).ravel()
     return Dataset.from_codes(
         np.array(corpus.text_ids, dtype=object), np.array(population.annotators, dtype=object),
-        np.repeat(np.arange(len(picks)), k), picks.ravel(), labels, labels, population,
+        np.repeat(np.arange(len(picks)), k), picks.ravel(), scores, population,
     )
 
 

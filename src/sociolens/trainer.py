@@ -146,8 +146,6 @@ def train_one(
     """
     if not len(train.records):
         raise DataError("empty training split")
-    if (train.records["label"] < 0).any():
-        raise DataError("training data must be binarized first")
 
     wiring = WIRING[config.variant]
     schema = build_schema(train.profiles) if wiring.socio == "multihot" else None
@@ -219,15 +217,14 @@ def predict(
     dataset: Dataset,
     text_table: VectorTable,
     socio_table: VectorTable | None = None,
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, int]:
     """Eval-mode probabilities for every record, in record order.
 
-    Returns (probs, labels, unknown_annotator_rows): the last is the count
-    of multitask rows scored by the mean-head fallback.
+    Returns (probs, unknown_annotator_rows): the second is the count of
+    multitask rows scored by the mean-head fallback. The records' own
+    labels are what the probabilities are scored against.
     """
     rows = dataset.records
-    if (rows["label"] < 0).any():
-        raise DataError("evaluation data must be binarized first")
     tables = _batch_tables(
         params.spec.wiring, dataset, text_table, params.schema, socio_table, params.annotators, params.flat.dtype
     )
@@ -240,7 +237,7 @@ def predict(
     fallback_rows = 0
     if tables.annotator_index is not None:
         fallback_rows = int(np.sum(tables.annotator_index[rows["annotator"]] < 0))
-    return probs, rows["label"].astype(np.float64), fallback_rows
+    return probs, fallback_rows
 
 
 # The training split, vector tables and profiles of a pool worker, set once by `_init_worker`.

@@ -128,8 +128,8 @@ def score_checkpoints(
     """Each `seed<N>/checkpoint` under `suite_dir` scored on `dataset` as `eval` scores it, by seed; and their aggregate."""
     reports = []
     for ckpt in sorted(Path(suite_dir).glob("seed*/checkpoint"), key=lambda p: int(p.parent.name[4:])):
-        probs, labels, _ = predict(load_checkpoint(str(ckpt))[0], dataset, text_table, socio_table)
-        reports.append(confusion_metrics(probs, labels))
+        probs, _ = predict(load_checkpoint(str(ckpt))[0], dataset, text_table, socio_table)
+        reports.append(confusion_metrics(probs, dataset.records["label"]))
     return reports, aggregate_runs(reports)
 
 
@@ -177,16 +177,14 @@ def child_pids() -> list[str]:
     return [pid for thread in task.iterdir() for pid in (thread / "children").read_text().split()]
 
 
-def make_dataset(triples, labels: bool = False) -> Dataset:
-    """A dataset of (text id, annotator id, score) rows; `labels` binarizes them as well."""
+def make_dataset(triples) -> Dataset:
+    """A dataset of (text id, annotator id, score) rows."""
     text_ids, annotator_ids, scores = (list(column) for column in zip(*triples)) if triples else ([], [], [])
-    return Dataset.from_columns(
-        text_ids, annotator_ids, scores, [int(s > 0) for s in scores] if labels else None
-    )
+    return Dataset.from_columns(text_ids, annotator_ids, scores)
 
 
 def rows_of(dataset: Dataset) -> list[tuple[str, str, int, int]]:
-    """(text id, annotator id, score, label) per record, in record order; label -1 = unbinarized."""
+    """(text id, annotator id, score, label) per record, in record order."""
     r = dataset.records
     return list(zip(
         dataset.texts[r["text"]].tolist(), dataset.annotators[r["annotator"]].tolist(),
@@ -832,7 +830,6 @@ def reference_annotations(population: ProfileTable, corpus: SynthCorpus, spec: P
     dataset = Dataset.from_columns(
         np.repeat(np.array(corpus.text_ids, dtype=object), spec.annotations_per_text).tolist(),
         annotator_ids[np.concatenate(chosen)].tolist(),
-        labels,
         labels,
     )
     return attach_profiles(dataset, population)

@@ -117,7 +117,7 @@ def test_criterion_04_batching_invariants():
         for t in range(n_texts):
             for j in range(int(rng.integers(1, 10))):
                 rows.append((f"t{t}", f"a{t}_{j}", int(rng.integers(0, 2))))
-        dataset = make_dataset(rows, labels=True)
+        dataset = make_dataset(rows)
         batch_size = int(rng.integers(2, 9))
         batches = plan_epoch(dataset.records["text"], batch_size, int(rng.integers(0, 10**6))).to_jsonable()["batches"]
 

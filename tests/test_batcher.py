@@ -10,7 +10,7 @@ from sociolens.errors import DataError
 
 
 def dataset_with_groups(sizes: dict[str, int]) -> Dataset:
-    return make_dataset([(text, f"{text}_a{j}", 1) for text, n in sizes.items() for j in range(n)], labels=True)
+    return make_dataset([(text, f"{text}_a{j}", 1) for text, n in sizes.items() for j in range(n)])
 
 
 def plan(ds: Dataset, batch_size: int, seed: int) -> list[list[int]]:
@@ -51,7 +51,7 @@ class TestPlanEpoch:
     @settings(max_examples=300, deadline=None)
     @given(annotation_triples(), st.integers(2, 9), st.integers(0, 2**32 - 1))
     def test_partition_property(self, triples, batch_size, seed):
-        ds = make_dataset(triples, labels=True)
+        ds = make_dataset(triples)
         batches = plan(ds, batch_size, seed)
         flat = [i for batch in batches for i in batch]
         assert sorted(flat) == list(range(len(ds.records)))
@@ -61,7 +61,7 @@ class TestPlanEpoch:
     @given(annotation_triples(), st.integers(2, 9), st.integers(0, 2**32 - 1))
     def test_contiguity_property(self, triples, batch_size, seed):
         # each text's rows form one run of the stream, so a text spans at most two batches in a row
-        ds = make_dataset(triples, labels=True)
+        ds = make_dataset(triples)
         stream = [t for batch in plan(ds, batch_size, seed) for t in text_ids(ds, batch)]
         runs = [t for i, t in enumerate(stream) if i == 0 or t != stream[i - 1]]
         assert len(runs) == len(set(runs))
@@ -69,7 +69,7 @@ class TestPlanEpoch:
     @settings(max_examples=300, deadline=None)
     @given(annotation_triples(), st.integers(2, 9), st.integers(0, 2**32 - 1))
     def test_plan_equals_record_reference(self, triples, batch_size, seed):
-        ds = make_dataset(triples, labels=True)
+        ds = make_dataset(triples)
         assert plan(ds, batch_size, seed) == reference_plan_epoch([t for t, _, _ in triples], batch_size, seed)
 
     @settings(max_examples=300, deadline=None)

@@ -16,8 +16,9 @@ from helpers import (
     reference_load_annotations,
     rows_of,
 )
-from sociolens import corpus
+from sociolens import corpus, synth
 from sociolens.corpus import (
+    MAX_SCORE,
     ColumnMapping,
     Dataset,
     binarize,
@@ -28,6 +29,7 @@ from sociolens.corpus import (
     split_by_text,
 )
 from sociolens.errors import DataError
+from sociolens.synth import AttributeSpec, PopulationSpec
 
 
 def write_csv(path, rows, header="text_id,annotator_id,score"):
@@ -40,7 +42,7 @@ class TestLoadAnnotations:
         write_csv(path, ["t1,a1,0", "t1,a2,2", "t2,a1,1"])
         ds = load_annotations(str(path))
         assert len(ds.records) == 3
-        assert rows_of(ds)[1] == ("t1", "a2", 2, -1)
+        assert rows_of(ds)[1] == ("t1", "a2", 2, 1)
 
     def test_duplicate_pair_names_rows(self, tmp_path):
         path = tmp_path / "a.csv"
@@ -110,6 +112,12 @@ class TestLoadAnnotations:
         with pytest.raises(DataError, match=f"row 3: '{column}' cell is empty"):
             load_annotations(str(path))
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with one
+        path = tmp_path / "a.csv"
+        path.write_text("text_id,annotator_id,score\nt1,a1,0\nt1,a2,2\n", encoding="utf-8-sig")
+        assert rows_of(load_annotations(str(path))) == [("t1", "a1", 0, 0), ("t1", "a2", 2, 1)]
+
     def test_roundtrip_save_load(self, tmp_path):
         ds = make_dataset([("t1", "a1", 0), ("t2", "a2", 3)])
         out = tmp_path / "out.csv"
@@ -121,22 +129,91 @@ class TestLoadAnnotations:
 class TestBinarize:
     @pytest.mark.parametrize("score,label", [(0, 0), (1, 1), (4, 1)])
     def test_zero_versus_above(self, score, label):
-        ds = binarize(make_dataset([("t", "a", score)]))
-        assert rows_of(ds)[0][2:] == (score, label)
+        labels = binarize(np.array([score], dtype=np.int64))
+        assert labels.dtype == np.int8 and labels.tolist() == [label]
 
-    def test_idempotent(self):
-        rng = np.random.default_rng(0)
-        triples = [(f"t{i}", f"a{i}", int(rng.integers(0, 5))) for i in range(40)]
-        once = binarize(make_dataset(triples))
-        twice = binarize(once)
-        assert rows_of(once) == rows_of(twice)
+
+
+def assert_labelled(ds: Dataset) -> None:
+    """Each record's label is its score binarized: int8, 1 exactly where the score is above 0."""
+    labels = ds.records["label"]
+    assert labels.dtype == np.int8
+    assert labels.tolist() == (ds.records["score"] > 0).astype(np.int8).tolist()
+
+
+# (text id, annotator id, score) rows over a few ids, scores small or anywhere in the int64 range
+SCORED_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from([f"t{i}" for i in range(6)]),
+        st.sampled_from([f"a{i}" for i in range(6)]),
+        st.one_of(st.integers(0, 3), st.integers(0, MAX_SCORE)),
+    ),
+    max_size=30,
+)
+
+
+class TestLabelAtConstruction:
+    """Every way a Dataset is built labels its records from their scores."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(annotation_csvs())
+    def test_load_annotations(self, case):
+        text, columns = case
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "annotations.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            try:
+                ds = load_annotations(str(path), columns)
+            except DataError:
+                return
+        assert_labelled(ds)
+
+    @settings(max_examples=200, deadline=None)
+    @given(SCORED_ROWS)
+    def test_from_columns(self, rows):
+        assert_labelled(make_dataset(rows))
+
+    @settings(max_examples=200, deadline=None)
+    @given(SCORED_ROWS, st.data())
+    def test_subset(self, rows, data):
+        mask = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+        assert_labelled(make_dataset(rows).subset(np.array(mask, dtype=bool)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(SCORED_ROWS, st.integers(1, 3), st.integers(1, 3))
+    def test_filter_dataset(self, rows, per_text, per_annotator):
+        try:
+            ds, _ = filter_dataset(make_dataset(rows), per_text, per_annotator)
+        except DataError:
+            return
+        assert_labelled(ds)
+
+    @settings(max_examples=200, deadline=None)
+    @given(SCORED_ROWS, st.floats(0.1, 0.9), st.integers(0, 2**32))
+    def test_split_by_text(self, rows, fraction, seed):
+        try:
+            split = split_by_text(make_dataset(rows), fraction, seed)
+        except DataError:
+            return
+        assert_labelled(split.train)
+        assert_labelled(split.test)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(2, 12), st.integers(1, 8), st.integers(1, 2), st.floats(-3, 3), st.integers(0, 2**32))
+    def test_generate_annotations(self, annotators, texts, per_text, shift, seed):
+        spec = PopulationSpec(
+            annotator_count=annotators, attributes=(AttributeSpec("g", ("x", "y"), (0.5, 0.5)),),
+            signal={("g", "x"): shift}, text_count=texts, annotations_per_text=per_text, embedding_dim=2, seed=seed,
+        )
+        population = synth.generate_population(spec)
+        assert_labelled(synth.generate_annotations(population, synth.generate_corpus(spec), spec))
 
 
 class TestFilterDataset:
     def test_low_volume_annotator_removed(self):
         triples = [(f"t{i}", "busy", 1) for i in range(25)]
         triples += [(f"t{i}", "slacker", 1) for i in range(19)]
-        ds, report = filter_dataset(make_dataset(triples, labels=True), 1, 20)
+        ds, report = filter_dataset(make_dataset(triples), 1, 20)
         assert {a for _, a, _, _ in rows_of(ds)} == {"busy"}
         assert report.removed_annotators == 1
         assert report.removed_records == 19
@@ -144,13 +221,13 @@ class TestFilterDataset:
     def test_under_annotated_text_removed(self):
         triples = [(f"t{i}", "a1", 1) for i in range(30)] + [(f"t{i}", "a2", 1) for i in range(29)]
         # t29 only has a1 after no annotator removals
-        ds, report = filter_dataset(make_dataset(triples, labels=True), 2, 20)
+        ds, report = filter_dataset(make_dataset(triples), 2, 20)
         assert "t29" not in {t for t, _, _, _ in rows_of(ds)}
         assert report.removed_texts == 1
 
     def test_vacuous_thresholds_keep_everything(self):
         triples = [("t1", "a1", 0), ("t2", "a2", 1)]
-        ds, report = filter_dataset(make_dataset(triples, labels=True), 1, 1)
+        ds, report = filter_dataset(make_dataset(triples), 1, 1)
         assert len(ds.records) == 2
         assert report.removed_records == 0
 
@@ -158,7 +235,7 @@ class TestFilterDataset:
         # after dropping t-texts below the annotator threshold, annotator a2
         # falls under the volume threshold; single-pass keeps them anyway
         triples = [("t1", "a1", 1), ("t1", "a2", 1), ("t2", "a2", 1), ("t2", "a3", 1), ("t3", "a1", 1)]
-        ds, _ = filter_dataset(make_dataset(triples, labels=True), 2, 2)
+        ds, _ = filter_dataset(make_dataset(triples), 2, 2)
         # a3 (1 record) removed first; t2 then has only a2 -> removed; a2 now has 1 record but stays
         assert {a for _, a, _, _ in rows_of(ds)} == {"a1", "a2"}
         assert {t for t, _, _, _ in rows_of(ds)} == {"t1"}
@@ -166,19 +243,19 @@ class TestFilterDataset:
     def test_counts_sum_consistently(self):
         rng = np.random.default_rng(5)
         triples = {(f"t{rng.integers(0, 30)}", f"a{rng.integers(0, 12)}") for _ in range(300)}
-        ds = make_dataset([(t, a, 1) for t, a in triples], labels=True)
+        ds = make_dataset([(t, a, 1) for t, a in triples])
         original = len(ds.records)
         filtered, report = filter_dataset(ds, 2, 5)
         assert report.removed_records + report.retained_records == original
         assert report.retained_records == len(filtered.records)
 
     def test_empty_result_raises(self):
-        ds = make_dataset([("t1", "a1", 1)], labels=True)
+        ds = make_dataset([("t1", "a1", 1)])
         with pytest.raises(DataError, match="removed every record"):
             filter_dataset(ds, 5, 5)
 
     def test_thresholds_below_one_rejected(self):
-        ds = make_dataset([("t1", "a1", 1)], labels=True)
+        ds = make_dataset([("t1", "a1", 1)])
         with pytest.raises(DataError):
             filter_dataset(ds, 0, 1)
 
@@ -186,7 +263,7 @@ class TestFilterDataset:
 class TestSplitByText:
     def make(self, n_texts, per_text=3):
         triples = [(f"t{i:02d}", f"a{j}", 1) for i in range(n_texts) for j in range(per_text)]
-        return make_dataset(triples, labels=True)
+        return make_dataset(triples)
 
     def test_cardinality_and_disjoint(self):
         split = split_by_text(self.make(10), 0.7, seed=4)
@@ -235,7 +312,7 @@ class TestSplitByText:
         random.shuffle(shuffled)
         sides = []
         for rows in (triples, shuffled):
-            split = split_by_text(make_dataset(rows, labels=True), fraction, seed)
+            split = split_by_text(make_dataset(rows), fraction, seed)
             train, test = ({row[:3] for row in rows_of(side)} for side in (split.train, split.test))
             assert len(train) + len(test) == len(rows)
             assert train | test == set(rows)
@@ -268,11 +345,11 @@ def votes(ds: Dataset) -> dict[str, int]:
 
 class TestMajorityVote:
     def test_strict_majority(self):
-        ds = make_dataset([("t", "a1", 1), ("t", "a2", 1), ("t", "a3", 0)], labels=True)
+        ds = make_dataset([("t", "a1", 1), ("t", "a2", 1), ("t", "a3", 0)])
         assert votes(ds) == {"t": 1}
 
     def test_unanimous_zero(self):
-        ds = make_dataset([("t", "a1", 0), ("t", "a2", 0), ("t", "a3", 0)], labels=True)
+        ds = make_dataset([("t", "a1", 0), ("t", "a2", 0), ("t", "a3", 0)])
         assert votes(ds) == {"t": 0}
 
     def test_tie_rule_matches_exhaustive_enumeration(self):
@@ -284,11 +361,7 @@ class TestMajorityVote:
                 triples = [("t", f"p{i}", 1) for i in range(ones)]
                 triples += [("t", f"n{i}", 0) for i in range(zeros)]
                 expected = 1 if ones >= zeros else 0
-                assert votes(make_dataset(triples, labels=True)) == {"t": expected}, (ones, zeros)
-
-    def test_requires_labels(self):
-        with pytest.raises(DataError):
-            majority_vote(make_dataset([("t", "a", 1)]))
+                assert votes(make_dataset(triples)) == {"t": expected}, (ones, zeros)
 
 
 @settings(max_examples=300, deadline=None)
@@ -324,16 +397,14 @@ def test_loader_matches_the_dict_reader_reference(case):
 @given(annotation_triples(), st.data())
 def test_subset_matches_coding_its_rows_afresh(triples, data):
     # `subset` re-codes from the parent's codes; `from_columns` over the kept rows' ids is the oracle
-    labels = data.draw(st.lists(st.integers(-1, 1), min_size=len(triples), max_size=len(triples)))
     ds = make_dataset(triples)
-    ds.records["label"] = labels
     answers = {a: {"g": f"c{sum(map(ord, a)) % 3}"} for _, a, _ in reversed(triples)}
     ds = corpus.attach_profiles(ds, profiles_of(answers))
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=len(triples), max_size=len(triples))), dtype=bool)
     sub = ds.subset(mask)
     rows = ds.records[mask]
     want = Dataset.from_columns(
-        ds.texts[rows["text"]].tolist(), ds.annotators[rows["annotator"]].tolist(), rows["score"], rows["label"]
+        ds.texts[rows["text"]].tolist(), ds.annotators[rows["annotator"]].tolist(), rows["score"]
     )
     assert (sub.texts.tolist(), sub.annotators.tolist()) == (want.texts.tolist(), want.annotators.tolist())
     assert sub.records.dtype == want.records.dtype and sub.records.tobytes() == want.records.tobytes()
@@ -345,7 +416,7 @@ def test_subset_matches_coding_its_rows_afresh(triples, data):
 
 
 def test_stats_match_records():
-    ds = binarize(make_dataset([("t1", "a1", 0), ("t1", "a2", 2), ("t2", "a1", 1)]))
+    ds = make_dataset([("t1", "a1", 0), ("t1", "a2", 2), ("t2", "a1", 1)])
     assert ds.stats == {"records": 3, "unique_texts": 2, "unique_annotators": 2, "label_counts": {"0": 1, "1": 2}}
 
 
@@ -360,5 +431,3 @@ def test_attach_profiles_aligns_rows_to_annotator_codes():
     profiled = corpus.attach_profiles(ds, profiles_of({"a1": {"g": "x"}, "a3": {"g": "z"}, "a2": {"g": ""}}))
     assert profiled.profiles.annotators == ["a2", "a1"]
     assert profile_dicts(profiled.profiles) == {"a2": {}, "a1": {"g": "x"}}
-    # binarize shares the table rather than copying it
-    assert binarize(profiled).profiles is profiled.profiles

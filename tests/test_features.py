@@ -146,6 +146,11 @@ class TestEmbeddingTables:
         assert len(table) == 2
         assert table.rows(["y"]).tolist() == [[5, 6, 7, 8]]
 
+    def test_csv_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("key,d0,d1\nx,1,2\n", encoding="utf-8-sig")
+        assert load_embeddings(str(path)).rows(["x"]).tolist() == [[1, 2]]
+
     def test_row_width_mismatch_reports_row(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("key,d0,d1,d2,d3\nx,1,2,3,4\ny,5,6,7\n", encoding="utf-8")
@@ -275,6 +280,11 @@ class TestProfilesIO:
         assert profiles.categories == [["a", "z"], ["y"]]
         # the short row declines h; the cell past the header is ignored
         assert profiles.answers.tolist() == [[1, -1], [-1, -1], [0, 0]]
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("annotator_id,gender\na1,f\n", encoding="utf-8-sig")
+        assert profile_dicts(load_profiles(str(path))) == {"a1": {"gender": "f"}}
 
     def test_requires_annotator_id_column(self, tmp_path):
         path = tmp_path / "p.csv"

@@ -676,7 +676,7 @@ class TestCheckpoints:
         manifest = json.loads((directory / "manifest.json").read_text())
         assert "schema" not in manifest
         rng = np.random.default_rng(4)
-        dataset = make_dataset([("t0", "a0", 1), ("t0", "a1", 0), ("t1", "a1", 2), ("t1", "a2", 0)], labels=True)
+        dataset = make_dataset([("t0", "a0", 1), ("t0", "a1", 0), ("t1", "a1", 2), ("t1", "a2", 0)])
         tables = (VectorTable(["t0", "t1"], rng.normal(size=(2, 3))),
                   VectorTable(["a0", "a1", "a2"], rng.normal(size=(3, 4))))
         expected = predict(load_checkpoint(str(directory))[0], dataset, *tables)[0]

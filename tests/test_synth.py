@@ -188,7 +188,7 @@ class TestRoundTrip:
         corpus.save_annotations(ds, str(ann_path))
         save_profiles(population, str(prof_path))
 
-        reloaded = corpus.binarize(corpus.load_annotations(str(ann_path)))
+        reloaded = corpus.load_annotations(str(ann_path))
         assert rows_of(reloaded) == rows_of(ds)
         assert profile_dicts(load_profiles(str(prof_path))) == profile_dicts(population)
         assert ds.profiles.annotators == ds.annotators.tolist()

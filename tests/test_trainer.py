@@ -76,7 +76,7 @@ class TestTrainOne:
             ("t1", "a1", 1), ("t1", "a2", 1), ("t1", "a3", 0),
             ("t2", "a1", 0), ("t2", "a2", 0),
             ("t3", "a2", 1), ("t3", "a3", 1),
-        ], labels=True)
+        ])
         table = VectorTable(["t1", "t2", "t3"], rng.standard_normal((3, 4)))
         config = tiny_config("simple", batch_size=32)
         _, log_rows = train_one(config, 0, train, table, out_dir=str(tmp_path), dump_plan=True)
@@ -137,13 +137,6 @@ class TestTrainOne:
         unprofiled = replace(split.train, profiles=None)
         with pytest.raises(DataError, match="cannot build a schema without profiles"):
             train_one(tiny_config("socio_multihot"), 0, unprofiled, table)
-
-    def test_unbinarized_data_rejected(self):
-        split, table, _ = make_world()
-        stripped = make_dataset([row[:3] for row in rows_of(split.train)])
-        stripped.profiles = split.train.profiles
-        with pytest.raises(DataError, match="binarized"):
-            train_one(tiny_config("simple"), 0, stripped, table)
 
     def test_ablation_log_reports_unweighted_terms(self):
         split, table, _ = make_world()
@@ -248,7 +241,7 @@ class TestPredictAndSuite:
     def test_simple_scores_constant_per_text(self):
         split, table, _ = make_world()
         params, _ = train_one(tiny_config("simple"), 0, split.train, table)
-        probs, _, _ = predict(params, split.test, table)
+        probs, _ = predict(params, split.test, table)
         by_text = {}
         for (text_id, *_), p in zip(rows_of(split.test), probs):
             by_text.setdefault(text_id, set()).add(round(float(p), 12))
@@ -258,7 +251,7 @@ class TestPredictAndSuite:
         split, table, _ = make_world()
         params, _ = train_one(tiny_config("multitask"), 0, split.train, table)
         train_annotators = {a for _, a, _, _ in rows_of(split.train)}
-        _, _, fallback = predict(params, split.test, table)
+        _, fallback = predict(params, split.test, table)
         expected = sum(1 for _, a, _, _ in rows_of(split.test) if a not in train_annotators)
         assert fallback == expected
 
@@ -351,7 +344,7 @@ class TestWorkerPool:
         # one train text copied into the test split; the check runs once, before any worker starts
         split, table, _ = make_world()
         shared = [row[:3] for row in rows_of(split.train) if row[0] == split.train.texts[0]]
-        test = make_dataset([row[:3] for row in rows_of(split.test)] + shared, labels=True)
+        test = make_dataset([row[:3] for row in rows_of(split.test)] + shared)
         bad = SplitPair(train=split.train, test=test)
 
         def no_pool(*args, **kwargs):
