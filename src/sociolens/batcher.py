@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
-
 
 @dataclass(frozen=True)
 class BatchPlan:
@@ -64,8 +62,6 @@ def plan_epoch(text_codes: np.ndarray, batch_size: int, seed: int) -> BatchPlan:
     start in ascending code order, one generator shuffles that order and
     then each group's rows, and the stream is cut into batches.
     """
-    if batch_size < 2:
-        raise DataError(f"batch_size must be >= 2 for contrastive pairs, got {batch_size}")
     order = np.argsort(text_codes, kind="stable")
     # group g is order[bounds[g]:bounds[g + 1]]; each shuffle below permutes its slice in place
     bounds = [0, *(np.flatnonzero(np.diff(text_codes[order])) + 1).tolist(), len(order)]

@@ -49,6 +49,8 @@ def _socio_inputs(
 
     `readers` maps each socio input kind read (`Wiring.socio`) to its first
     reader; a "multihot" reader needs the profiles, an "embedding" one the table.
+    This is the one check that they are there: the trainer builds the tables
+    its wiring names from what this returns.
     """
     profiles = features.load_profiles(section.profiles) if section.profiles else None
     socio_table = None
@@ -230,8 +232,7 @@ def cmd_eval(cfg: config_mod.PipelineConfig) -> int:
             reports.append(report)
             if report.auc is not None:  # the curve is defined exactly where the AUC is
                 points = metrics.roc_curve(probs, labels)
-                features.write_csv(os.path.join(out, f"roc_seed{seed}.csv"), ["threshold", "fpr", "tpr"],
-                                   ([repr(threshold), repr(fpr), repr(tpr)] for threshold, fpr, tpr in points))
+                features.write_csv(os.path.join(out, f"roc_seed{seed}.csv"), ["threshold", "fpr", "tpr"], points)
             if schema is not None:
                 groups_by_seed.append(metrics.group_breakdown(probs, labels, record_codes, schema))
         agg = metrics.aggregate_runs(reports)
@@ -249,15 +250,14 @@ def cmd_eval(cfg: config_mod.PipelineConfig) -> int:
     return 0
 
 
-def _stat_cells(agg: dict[str, tuple[float, float]], stat: int) -> list[str]:
-    """The repr of each metric's mean (`stat` 0) or std (1) in `agg`, in METRIC_KEYS order; "" where one is absent."""
-    return [repr(agg[key][stat]) if key in agg else "" for key in METRIC_KEYS]
+def _stat_cells(agg: dict[str, tuple[float, float]], stat: int) -> list[float | None]:
+    """Each metric's mean (`stat` 0) or std (1) in `agg`, in METRIC_KEYS order; None where one is absent."""
+    return [agg[key][stat] if key in agg else None for key in METRIC_KEYS]
 
 
 def _write_metrics_csv(path: str, variant: str, reports, agg: dict[str, tuple[float, float]]) -> None:
     """One row per seed's report, then the mean and std rows of `agg`, their aggregate."""
-    rows = [[variant, i, repr(r.precision), repr(r.recall), repr(r.f1), repr(r.auc) if r.auc is not None else ""]
-            for i, r in enumerate(reports)]
+    rows = [[variant, i, r.precision, r.recall, r.f1, r.auc] for i, r in enumerate(reports)]
     features.write_csv(path, ["model", "run", *METRIC_KEYS],
                        rows + [[variant, "mean", *_stat_cells(agg, 0)], [variant, "std", *_stat_cells(agg, 1)]])
 
@@ -290,8 +290,8 @@ def cmd_homophily(cfg: config_mod.PipelineConfig) -> int:
     features.write_csv(
         os.path.join(out, "homophily.csv"),
         ["attribute", "observed", "observed_std", "random", "random_std", "ratio", "ratio_std", "k", "iterations"],
-        ([r.attribute, repr(r.observed_mean), repr(r.observed_std), repr(r.chance_mean),
-          repr(r.chance_std), repr(r.ratio_mean), repr(r.ratio_std), r.k, r.iterations] for r in rows),
+        ([r.attribute, r.observed_mean, r.observed_std, r.chance_mean, r.chance_std, r.ratio_mean, r.ratio_std,
+          r.k, r.iterations] for r in rows),
     )
     for r in rows:
         _log(cfg, f"homophily: {r.attribute}: ratio {r.ratio_mean:.3f} ± {r.ratio_std:.3f}")
@@ -323,10 +323,9 @@ def _parse_aggregate(fh) -> dict[str, tuple[float, float]]:
 
 
 def _parse_groups(fh) -> dict[tuple[str, str], tuple[int, float]]:
-    # one dict per row as csv.DictReader builds it: blank lines skipped, a cell a short row lacks is None
-    reader = csv.reader(fh)
-    names = next(reader, [])
-    rows = (dict(zip(names, row + [None] * (len(names) - len(row)))) for row in reader if row)
+    # one dict per row as csv.DictReader builds it: a cell a short row lacks is None
+    names, rows = features.csv_rows(fh)
+    rows = (dict(zip(names, row + [None] * (len(names) - len(row)))) for _, row in rows)
     return {(row["attribute"], row["category"]): (int(row["n"]), float(row["f1"])) for row in rows}
 
 

@@ -289,7 +289,11 @@ def _parse_synth(raw: dict) -> PopulationSpec:
             probs = [1.0 / len(categories)] * len(categories)
         _check(isinstance(probs, list) and all(_is_real(p) for p in probs),
                f"{where}.probabilities must be a list of finite numbers")
-        attributes.append(AttributeSpec(name, tuple(categories), tuple(float(p) for p in probs)))
+        probs = tuple(float(p) for p in probs)
+        _check(len(probs) == len(categories) and min(probs) >= 0 and abs(sum(probs) - 1.0) <= 1e-9,
+               f"{where}.probabilities of {name!r} must be one number >= 0 per category, summing to 1;"
+               f" got {list(probs)}")
+        attributes.append(AttributeSpec(name, tuple(categories), probs))
     signal: dict[tuple[str, str], float] = {}
     for attr, shifts in (s["signal"] or {}).items():
         _check(isinstance(shifts, dict), f"synth.signal.{attr} must map categories to shifts")

@@ -20,7 +20,9 @@ only as CSV:
   entry a u32 key length, the UTF-8 key bytes, and ``dim`` little-endian
   f32 components, and nothing after the last entry.
 
-Both readers reject a repeated key.
+Both readers reject a repeated key. Every input CSV, these and the
+annotation and profile files, is walked by `csv_rows`, which skips blank
+lines.
 
 `write_csv` and `write_json` write every CSV and JSON artifact of the
 pipeline.
@@ -57,8 +59,23 @@ def open_csv(path: str):
         raise DataError(f"{path}: malformed CSV: {exc}") from None
 
 
+def csv_rows(fh):
+    """The header of the CSV text `fh`, or None for an empty file, and (row number, row) for each row after it.
+
+    The header is the first line even when it is blank, as `csv.DictReader`
+    reads it. After it a blank line is no row and takes no number, so the
+    row after the header is row 2 wherever blank lines fall.
+    """
+    reader = csv.reader(fh)
+    return next(reader, None), enumerate(filter(None, reader), start=2)
+
+
 def write_csv(path: str, header: list[str], rows) -> None:
-    """Write `header`, then each row of the iterable `rows`, as a UTF-8 CSV file at `path`."""
+    """Write `header`, then each row of the iterable `rows`, as a UTF-8 CSV file at `path`.
+
+    `csv.writer` writes a float cell as its repr, which reads back to the
+    same bits, and None as an empty cell.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -132,10 +149,12 @@ class SocioSchema:
 
         A declined answer, an answer outside the attribute's categories and
         an attribute the table lacks all map to MISSING, or to -1 for an
-        attribute whose categories lack MISSING.
+        attribute whose categories lack MISSING. The codes are of the
+        narrowest signed type that holds every code and -1.
         """
         columns = dict(zip(profiles.attributes, zip(profiles.categories, profiles.answers.T)))
-        codes = np.empty((len(profiles), len(self.attributes)), dtype=np.intp)
+        widest = max((len(cats) for _, cats in self.attributes), default=1)
+        codes = np.empty((len(profiles), len(self.attributes)), dtype=np.min_scalar_type(-widest))
         for a, (name, cats) in enumerate(self.attributes):
             index = {c: i for i, c in enumerate(cats)}
             given, answers = columns.get(name, ([], np.full(len(profiles), -1)))
@@ -232,20 +251,18 @@ VECTOR_BLOCK_CELLS = 4096
 def load_vector_csv(path: str, key_column: str) -> VectorTable:
     """The table of a ``<key_column>,d0,...`` CSV: embeddings or representations.
 
-    A wrong header, a row of the wrong width, a repeated key or a cell
-    that is not a number is a DataError naming the row; a NaN or an
-    infinity is a NumericError. The first bad row is the one named,
-    whichever of these it breaks.
+    Blank lines are skipped (`csv_rows`). A wrong header, a row of the
+    wrong width, a repeated key or a cell that is not a number is a
+    DataError naming the row; a NaN or an infinity is a NumericError. The
+    first bad row is the one named, whichever of these it breaks.
     """
     index: dict[str, int] = {}  # row number by key
     blocks: list[np.ndarray] = []
     cells: list[list[str]] = []  # the component cells of the rows after the converted blocks
     with open_csv(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+        header, rows = csv_rows(fh)
+        if header is None:
+            raise DataError(f"{path}: empty file")
         if not header or header[0] != key_column:
             raise DataError(f"{path}: first column must be {key_column!r}, got {header[:1]}")
         dimension = len(header) - 1
@@ -253,7 +270,7 @@ def load_vector_csv(path: str, key_column: str) -> VectorTable:
             raise DataError(f"{path}: no component columns")
         block_rows = max(1, VECTOR_BLOCK_CELLS // dimension)
         try:
-            for row_no, row in enumerate(reader, start=2):
+            for row_no, row in rows:
                 if len(row) - 1 != dimension:
                     raise DataError(
                         f"{path}: row {row_no} has {len(row) - 1} components, expected {dimension}"
@@ -329,7 +346,7 @@ def _load_embeddings_binary(path: str) -> VectorTable:
 
 
 def save_vector_csv(table: VectorTable, path: str, key_column: str) -> None:
-    """Write `table` as a ``<key_column>,d0,...`` CSV; `csv.writer` writes a float as its repr, so `load_vector_csv` reads the same bits."""
+    """Write `table` as a ``<key_column>,d0,...`` CSV, which `load_vector_csv` reads back to the same bits."""
     write_csv(
         path,
         [key_column] + [f"d{i}" for i in range(table.dimension)],
@@ -341,23 +358,22 @@ def load_profiles(path: str) -> ProfileTable:
     """Read the profile CSV: annotator_id plus one column per attribute.
 
     An empty cell, or one a short row lacks, means the annotator declined
-    or skipped that attribute; cells past the header's width are ignored.
+    or skipped that attribute; cells past the header's width are ignored,
+    and so are blank lines (`csv_rows`).
     """
     if not os.path.exists(path):
         raise DataError(f"profile file not found: {path}")
     with open_csv(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if "annotator_id" not in header:
+        header, rows = csv_rows(fh)
+        if "annotator_id" not in (header or ()):
             raise DataError(f"{path}: profile file needs an 'annotator_id' column")
         if len(set(header)) != len(header):
             raise DataError(f"{path}: profile header repeats a column name: {header}")
         width = len(header)
-        # a blank line holds no profile
-        rows = [row[:width] + [""] * (width - len(row)) for row in reader if row]
-    if not rows:
+        cells = [row[:width] + [""] * (width - len(row)) for _, row in rows]
+    if not cells:
         raise DataError(f"{path}: no profiles found")
-    cells = np.array(rows, dtype=object)
+    cells = np.array(cells, dtype=object)
     key = header.index("annotator_id")
     ids = cells[:, key].tolist()
     first: dict[str, int] = {}

@@ -297,8 +297,6 @@ def forward(
 
     fused = text = np.asarray(batch.text, dtype=dtype)
     if wiring.socio is not None:
-        if batch.socio is None:
-            raise DataError(f"{spec.variant} batch is missing its socio rows")
         socio = np.asarray(batch.socio, dtype=dtype)
         if wiring.projected:
             E = _stack_forward(t, range(spec.trunk_start), socio, trace)
@@ -317,8 +315,6 @@ def forward(
     w, bias = t[f"layer.{head}.weight"], t[f"layer.{head}.bias"]
     if not wiring.per_annotator:
         logits = (h @ w + bias).ravel()
-    elif batch.annotator_index is None:
-        raise DataError(f"{spec.variant} batch is missing annotator head indices")
     else:
         known = batch.annotator_index >= 0
         cols = batch.annotator_index[known]
@@ -387,8 +383,6 @@ def backward(
         np.matmul(h.T, d_logits[:, None], out=d_w)
         d_bias[0] = d_logits.sum()
         dh = d_logits[:, None] @ w.T
-    elif trace.annotator_index is None:
-        raise DataError(f"{spec.variant} trace is missing annotator head indices")
     else:
         a, known = spec.annotator_count, trace.annotator_index >= 0
         cols, d = trace.annotator_index[known], d_logits[known]
@@ -466,8 +460,6 @@ def adam_step(params: ModelParams, lr: float) -> ModelParams:
     they were read, so `backward` re-zeroes only the live columns; write
     into the gradient views only between `backward` and `adam_step`.
     """
-    if lr <= 0:
-        raise ConfigError(f"learning rate must be > 0, got {lr}")
     if params.work is None:
         raise DataError("adam_step needs a gradient row: run backward on this model first")
     lr = float(lr)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batcher import contrastive_masks
-from .errors import ConfigError
 
 PROB_CLAMP = 1e-12
 
@@ -57,8 +56,6 @@ def contrastive_loss(
     tau: float,
 ) -> ContrastiveResult:
     """Masked contrastive loss over one batch, with its gradient w.r.t. E."""
-    if tau <= 0:
-        raise ConfigError(f"temperature must be positive, got {tau}")
     E = np.asarray(E, dtype=np.float64)
     m_pos, m_neg = contrastive_masks(text_ids, labels)
     n_pos = float(m_pos.sum())

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Dataset
-from .errors import ConfigError
 from .features import ProfileTable, SocioSchema, VectorTable, build_schema, multihot_rows
 from .model import sigmoid
 
@@ -31,14 +30,6 @@ class AttributeSpec:
     name: str
     categories: tuple[str, ...]
     probabilities: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.categories) != len(self.probabilities):
-            raise ConfigError(f"attribute {self.name!r}: categories and probabilities differ in length")
-        if abs(sum(self.probabilities) - 1.0) > 1e-9:
-            raise ConfigError(f"attribute {self.name!r}: probabilities sum to {sum(self.probabilities)}")
-        if any(p < 0 for p in self.probabilities):
-            raise ConfigError(f"attribute {self.name!r}: negative probability")
 
 
 @dataclass(frozen=True)

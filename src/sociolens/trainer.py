@@ -100,7 +100,8 @@ def _batch_tables(
 
     The text and socio rows are cast to `dtype`, the model's, once here, so
     no batch is. Head unit i scores `heads[i]`; an annotator without a head
-    gets index -1.
+    gets index -1. The profiles or socio table the wiring reads are given:
+    `cli._socio_inputs` refuses a stage that lacks them before any run starts.
     """
     annotators = dataset.annotators.tolist()
     tables = {"text": text_table.rows(dataset.texts.tolist()).astype(dtype)}
@@ -108,12 +109,8 @@ def _batch_tables(
         column = {a: i for i, a in enumerate(heads)}
         tables["annotator_index"] = np.array([column.get(a, -1) for a in annotators], dtype=np.int64)
     if wiring.socio == "multihot":
-        if dataset.profiles is None:
-            raise DataError("multi-hot socio rows need annotator profiles")
         tables["socio"] = multihot_rows(dataset.profiles, schema).astype(dtype)
     elif wiring.socio == "embedding":
-        if socio_table is None:
-            raise DataError("socio_embedding needs an annotator-keyed embedding table")
         tables["socio"] = socio_table.rows(annotators).astype(dtype)
     return BatchTables(**tables)
 

@@ -1,12 +1,10 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import annotation_triples, make_dataset, reference_plan_epoch, split_plan_epoch
 from sociolens.batcher import contrastive_masks, plan_epoch, text_match_mask
 from sociolens.corpus import Dataset
-from sociolens.errors import DataError
 
 
 def dataset_with_groups(sizes: dict[str, int]) -> Dataset:
@@ -96,10 +94,6 @@ class TestPlanEpoch:
         b = plan(ds, 4, 2)
         assert a != b
         assert sorted(i for x in a for i in x) == sorted(i for x in b for i in x)
-
-    def test_batch_size_below_two_rejected(self):
-        with pytest.raises(DataError):
-            plan(dataset_with_groups({"A": 3}), 1, 0)
 
 
 class TestMasks:

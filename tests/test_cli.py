@@ -514,6 +514,7 @@ class TestErrors:
             ("lr", True), ("lr", "0.1"), ("contrastive_weight", "1"), ("seeds", [True]), ("seeds", [-1]),
             ("hidden_dims", [True, 2]), ("threads", True), ("temperature", "x"),
             ("ablation", "yes"), ("dump_plan", "no"), ("seeds", [0, 0]), ("variant", ["simple", "simple"]),
+            ("lr", 0), ("batch_size", 1), ("temperature", 0),
         ],
     )
     def test_bad_train_field_exits_2(self, tmp_path, capsys, field, value):
@@ -535,6 +536,7 @@ class TestErrors:
             ("synth", "signal", []), ("synth", "annotations_per_text", 31),
             ("prep", "seed", True), ("prep", "min_annotators_per_text", True),
             ("prep", "min_annotations_per_annotator", True), ("prep", "train_fraction", True),
+            ("prep", "min_annotators_per_text", 0), ("prep", "train_fraction", 0), ("prep", "train_fraction", 1),
             # an integer path would open that file descriptor
             ("prep", "annotations", 5),
             # one CSV column cannot hold both ids
@@ -557,6 +559,13 @@ class TestErrors:
             # "" is how a profile file writes a declined answer
             ([{"name": "g", "categories": ["", "b"]}], "'g'"),
             ([{"name": "g", "categories": ["a", "b"]}, {"name": "r", "categories": ["x", "x"]}], "'r'"),
+            # a category's probability is negative, missing, or they do not sum to 1
+            ([{"name": "g", "categories": ["a", "b"], "probabilities": [1.5, -0.5]}],
+             "synth.attributes[0].probabilities"),
+            ([{"name": "g", "categories": ["a", "b"]}, {"name": "r", "categories": ["x", "y"], "probabilities": [1.0]}],
+             "synth.attributes[1].probabilities"),
+            ([{"name": "g", "categories": ["a", "b"], "probabilities": [0.5, 0.6]}],
+             "synth.attributes[0].probabilities"),
         ],
     )
     def test_bad_synth_attributes_exit_2_naming_the_attribute(self, tmp_path, capsys, attributes, named):
@@ -944,6 +953,24 @@ class TestErrors:
         config_path.write_text(json.dumps(config), encoding="utf-8")
         assert main(["homophily", "--config", str(config_path)]) == 3
         assert capsys.readouterr().err == "data error: no profile for annotators: ['ghost']\n"
+
+    def test_representations_with_blank_lines_give_the_same_homophily(self, tmp_path, trained_chain):
+        chain = Path(trained_chain["output_dir"])
+        reps = chain / "train" / "socio_contrastive" / "seed0" / "representations.csv"
+        spaced = tmp_path / "spaced.csv"
+        # a blank line after every line: between the rows and at the end
+        spaced.write_bytes(reps.read_bytes().replace(b"\r\n", b"\r\n\r\n"))
+        config = json.loads(json.dumps(trained_chain))
+        config["homophily"]["profiles"] = str(chain / "synth" / "profiles.csv")
+        results = []
+        for name, path in (("plain", reps), ("spaced", spaced)):
+            config["output_dir"] = str(tmp_path / name)
+            config["homophily"]["representations"] = str(path)
+            config_path = tmp_path / f"{name}.json"
+            config_path.write_text(json.dumps(config), encoding="utf-8")
+            assert main(["homophily", "--config", str(config_path)]) == 0
+            results.append((tmp_path / name / "homophily" / "homophily.json").read_bytes())
+        assert results[0] == results[1]
 
     @pytest.mark.parametrize("field", ["eval.annotations", "eval.profiles", "eval.embeddings", "homophily.representations"])
     def test_csv_field_over_the_limit_exits_3_naming_the_file(self, tmp_path, capsys, trained_chain, field):

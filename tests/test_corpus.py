@@ -254,11 +254,6 @@ class TestFilterDataset:
         with pytest.raises(DataError, match="removed every record"):
             filter_dataset(ds, 5, 5)
 
-    def test_thresholds_below_one_rejected(self):
-        ds = make_dataset([("t1", "a1", 1)])
-        with pytest.raises(DataError):
-            filter_dataset(ds, 0, 1)
-
 
 class TestSplitByText:
     def make(self, n_texts, per_text=3):

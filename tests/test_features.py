@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import tempfile
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import (
+    annotation_csvs,
     decode_multihot,
     profile_csvs,
     profile_dicts,
@@ -23,7 +25,8 @@ from helpers import (
     save_embeddings_binary,
     vector_csvs,
 )
-from sociolens.homophily import RepSpace
+from sociolens.corpus import load_annotations
+from sociolens.homophily import RepSpace, load_representations
 from sociolens.metrics import confusion_metrics, group_breakdown
 from sociolens import features
 from sociolens.errors import DataError, NumericError
@@ -162,6 +165,18 @@ class TestEmbeddingTables:
         path.write_text("key,d0,d1\nx,1,nan\n", encoding="utf-8")
         with pytest.raises(NumericError):
             load_embeddings(str(path))
+
+    @pytest.mark.parametrize("key_column, load", [("key", load_embeddings), ("annotator_id", load_representations)])
+    def test_csv_blank_lines_are_no_rows(self, tmp_path, key_column, load):
+        rng = np.random.default_rng(5)
+        table = VectorTable(["x", "y", "z"], rng.standard_normal((3, 2)))
+        path = tmp_path / "table.csv"
+        save_vector_csv(table, str(path), key_column)
+        # a blank line after every line: between the rows and at the end
+        path.write_bytes(path.read_bytes().replace(b"\r\n", b"\r\n\r\n"))
+        again = load(str(path))
+        assert again.keys == table.keys
+        assert again.matrix.tobytes() == table.matrix.tobytes()
 
     def test_wide_table_supported(self, tmp_path):
         # encoder output widths (e.g. 384) are data, not code
@@ -361,3 +376,51 @@ def test_profile_readers_match_the_per_profile_oracle(text, data):
     assert space.attributes == full.attribute_names
     for a, (attribute, categories) in enumerate(full.attributes):
         assert [categories[c] for c in space.codes[:, a]] == [reference_category(oracle[i], attribute, categories) for i in ids]
+
+
+def with_blank_lines(text: str, data) -> str:
+    """`text`, a CSV as `csv.writer` writes it, with up to two blank lines drawn in after each of its lines."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    for row in csv.reader(io.StringIO(text, newline="")):
+        writer.writerow(row)
+        writer.writerows([[]] * data.draw(st.integers(0, 2)))
+    return buffer.getvalue()
+
+
+def read_annotations(path: str, columns) -> tuple:
+    ds = load_annotations(path, columns)
+    return ds.texts.tolist(), ds.annotators.tolist(), ds.records.tobytes()
+
+
+def read_profiles(path: str) -> tuple:
+    profiles = load_profiles(path)
+    return profiles.annotators, profiles.attributes, profiles.categories, profiles.answers.tobytes()
+
+
+def read_vectors(path: str) -> tuple:
+    table = load_vector_csv(path, "key")
+    return table.keys, table.matrix.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["annotations", "profiles", "vectors"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_blank_lines_after_the_header_change_no_reader_outcome(kind, data):
+    # the same table, or the same error naming the same row: a blank line is no row and takes no number
+    if kind == "annotations":
+        text, columns = data.draw(annotation_csvs())
+        read = functools.partial(read_annotations, columns=columns)
+    else:
+        text = data.draw(profile_csvs() if kind == "profiles" else vector_csvs())
+        read = read_profiles if kind == "profiles" else read_vectors
+    outcomes = []
+    with tempfile.TemporaryDirectory() as scratch:
+        path = str(Path(scratch) / "input.csv")
+        for version in (text, with_blank_lines(text, data)):
+            Path(path).write_text(version, encoding="utf-8", newline="")
+            try:
+                outcomes.append(read(path))
+            except (DataError, NumericError) as exc:
+                outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import contrastive_loss_oracle
-from sociolens.errors import ConfigError
 from sociolens.objectives import bce_loss, contrastive_loss
 
 
@@ -72,10 +71,6 @@ class TestContrastiveHandCases:
     def test_batch_of_one(self):
         res = contrastive_loss(np.ones((1, 3)), np.array([1.0]), ["t"], tau=0.5)
         assert res.loss == 0.0
-
-    def test_nonpositive_temperature_rejected(self):
-        with pytest.raises(ConfigError):
-            contrastive_loss(np.ones((2, 2)), np.ones(2), ["t", "t"], tau=0.0)
 
 
 class TestOracleEquivalence:

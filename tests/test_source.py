@@ -164,6 +164,22 @@ def test_only_features_writes_csv_or_json():
     assert SOURCES and not found, found
 
 
+def test_only_features_reads_csv_rows():
+    # `features.csv_rows` is the one walk of an input CSV: its header, blank lines and row numbers
+    found = []
+    for path in SOURCES:
+        if path.name == "features.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and (
+                (node.value.id, node.attr) == ("csv", "reader")
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+                found += [f"{path.name}:{node.lineno}" for alias in node.names if alias.name == "reader"]
+    assert SOURCES and not found, found
+
+
 def test_one_error_class_per_exit_code():
     # `cli` documents exit codes 2 (config), 3 (data) and 4 (numeric) and maps an error by its
     # `exit_code` alone, so a second class with the same code would be structure no caller reads

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from helpers import profile_dicts, reference_annotations, reference_population, rows_of
 from sociolens import corpus
-from sociolens.errors import ConfigError
 from sociolens.features import load_profiles, save_profiles
 from sociolens.synth import (
     AttributeSpec,
@@ -80,10 +79,6 @@ class TestGeneratePopulation:
         got, want = generate_population(spec), reference_population(spec)
         assert (got.annotators, got.attributes, got.categories) == (want.annotators, want.attributes, want.categories)
         assert got.answers.tobytes() == want.answers.tobytes()
-
-    def test_probabilities_must_sum_to_one(self):
-        with pytest.raises(ConfigError):
-            AttributeSpec("bad", ("a", "b"), (0.5, 0.6))
 
 
 class TestGenerateCorpus:
