@@ -536,11 +536,11 @@ class TestErrors:
             ("synth", "signal", []), ("synth", "annotations_per_text", 31),
             ("prep", "seed", True), ("prep", "min_annotators_per_text", True),
             ("prep", "min_annotations_per_annotator", True), ("prep", "train_fraction", True),
-            ("prep", "min_annotators_per_text", 0), ("prep", "train_fraction", 0), ("prep", "train_fraction", 1),
             # an integer path would open that file descriptor
             ("prep", "annotations", 5),
             # one CSV column cannot hold both ids
             ("prep", "columns", {"text_id": "annotator_id", "annotator_id": "annotator_id"}),
+            ("prep", "min_annotators_per_text", 0), ("prep", "train_fraction", 0), ("prep", "train_fraction", 1),
         ],
     )
     def test_bad_synth_or_prep_field_exits_2(self, tmp_path, capsys, section, field, value):
